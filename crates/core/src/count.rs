@@ -1,6 +1,14 @@
-//! The `count` kernel (§IV-B.b): classify every element into its bucket
-//! via the implicit search tree, increment the bucket counter, and
-//! memoize the bucket index as a one-byte *oracle*.
+//! The `count` kernel (§IV-B.b): classify every element into its bucket,
+//! increment the bucket counter, and memoize the bucket index as a
+//! one-byte *oracle*.
+//!
+//! How an element gets its bucket is the one thing the backends do
+//! differently, so it sits behind [`Classifier`]: SampleSelect descends
+//! the implicit search tree over sampled splitters ([`SearchTree`]),
+//! RadixSelect extracts one digit of the sort key
+//! ([`crate::radix::DigitClassifier`]). Everything else — pooled
+//! partials and oracles, warp-exact atomic accounting, the corruption
+//! hooks — is this one kernel body.
 //!
 //! Four variants are modelled, matching the paper's §IV-G / Fig. 8
 //! (right): {shared, global} atomic counters × {with, without} warp
@@ -14,6 +22,61 @@ use crate::searchtree::SearchTree;
 use crate::workspace::KernelScratch;
 use gpu_sim::warp::{warp_atomic_stats, WARP_SIZE};
 use gpu_sim::{Device, KernelCost, LaunchOrigin};
+
+/// How the count kernel assigns elements to buckets, and what that
+/// classification costs on the device.
+pub trait Classifier<T>: Sync {
+    /// Kernel name on the device timeline.
+    fn kernel_name(&self, write_oracles: bool) -> &'static str;
+    /// Buckets per pass.
+    fn num_buckets(&self) -> usize;
+    /// Bytes one stored oracle occupies.
+    fn oracle_bytes(&self, cfg: &SampleSelectConfig) -> usize;
+    /// Write the bucket of every element of one warp into `buckets`.
+    fn classify_warp(&self, warp: &[T], buckets: &mut [u32]);
+    /// Charge the classification work of `len` elements to `cost`.
+    fn charge(&self, len: u64, cost: &mut KernelCost);
+    /// Ballots one warp spends on aggregating its atomics (Fig. 6).
+    fn ballots_per_warp(&self) -> u64;
+}
+
+impl<T: SelectElement> Classifier<T> for SearchTree<T> {
+    fn kernel_name(&self, write_oracles: bool) -> &'static str {
+        if write_oracles {
+            "count"
+        } else {
+            "count_nowrite"
+        }
+    }
+
+    fn num_buckets(&self) -> usize {
+        SearchTree::num_buckets(self)
+    }
+
+    fn oracle_bytes(&self, cfg: &SampleSelectConfig) -> usize {
+        cfg.oracle_bytes()
+    }
+
+    fn classify_warp(&self, warp: &[T], buckets: &mut [u32]) {
+        // Lane-parallel descent for the whole warp (the SIMD analogue
+        // of all 32 threads walking the tree in lock-step); scalar
+        // per-element lookup when SELECT_SIMD=off.
+        self.lookup_batch(warp, buckets);
+    }
+
+    fn charge(&self, len: u64, cost: &mut KernelCost) {
+        // One shared-memory node read and a couple of integer ops per
+        // tree level per element.
+        let height = self.height() as u64;
+        cost.smem_bytes += len * height * T::BYTES as u64;
+        cost.int_ops += len * (2 * height + 1);
+    }
+
+    fn ballots_per_warp(&self) -> u64 {
+        // Fig. 6: tree_height ballots per warp.
+        self.height() as u64
+    }
+}
 
 /// Per-element bucket indexes, stored as narrowly as possible
 /// ("we use a single byte to store each oracle", §IV-B; two bytes is
@@ -112,27 +175,28 @@ pub fn count_kernel<T: SelectElement>(
     )
 }
 
-/// [`count_kernel`] with caller-provided closure scratch: the per-worker
-/// bucket counters and warp-collision arrays are leased from `scratch`
-/// instead of freshly allocated, and the partials/oracle buffers come
-/// from the device [`gpu_sim::BufferPool`] when it is armed. With a warm
-/// pool + scratch, the kernel is allocation-free.
-pub fn count_kernel_scoped<T: SelectElement>(
+/// [`count_kernel`] for any [`Classifier`], with caller-provided
+/// closure scratch: the per-worker bucket counters and warp-collision
+/// arrays are leased from `scratch` instead of freshly allocated, and
+/// the partials/oracle buffers come from the device
+/// [`gpu_sim::BufferPool`] when it is armed. With a warm pool + scratch,
+/// the kernel is allocation-free.
+pub fn count_kernel_scoped<T: SelectElement, C: Classifier<T>>(
     device: &mut Device,
     data: &[T],
-    tree: &SearchTree<T>,
+    classifier: &C,
     cfg: &SampleSelectConfig,
     write_oracles: bool,
     origin: LaunchOrigin,
     scratch: &KernelScratch,
 ) -> CountResult {
     let n = data.len();
-    let b = tree.num_buckets();
+    let b = classifier.num_buckets();
     let launch = cfg.launch_config(n, T::BYTES);
     let blocks = launch.blocks as usize;
     let chunk = launch.block_chunk(n);
-    let height = tree.height() as u64;
-    let oracle_bytes = cfg.oracle_bytes();
+    let ballots = classifier.ballots_per_warp();
+    let oracle_bytes = classifier.oracle_bytes(cfg);
 
     let partials = device.pooled_scatter::<u64>(b * blocks, "count-partials");
     let oracle_u8 = if write_oracles && oracle_bytes == 1 {
@@ -169,11 +233,7 @@ pub fn count_kernel_scoped<T: SelectElement>(
                     let mut idx = start;
                     while idx < end {
                         let wlen = WARP_SIZE.min(end - idx);
-                        // Lane-parallel descent for the whole warp (the
-                        // SIMD analogue of all 32 threads walking the
-                        // tree in lock-step); scalar per-element lookup
-                        // when SELECT_SIMD=off.
-                        tree.lookup_batch(&data[idx..idx + wlen], &mut warp_buckets[..wlen]);
+                        classifier.classify_warp(&data[idx..idx + wlen], &mut warp_buckets[..wlen]);
                         for (lane, &bucket) in warp_buckets[..wlen].iter().enumerate() {
                             local[bucket as usize] += 1;
                             // SAFETY: each element index is owned by
@@ -208,17 +268,13 @@ pub fn count_kernel_scoped<T: SelectElement>(
                             }
                         }
                         if cfg.warp_aggregation {
-                            // Fig. 6: tree_height ballots per warp.
-                            cost.warp_intrinsics += height;
+                            cost.warp_intrinsics += ballots;
                         }
                         idx += wlen;
                     }
                     let len = (end - start) as u64;
                     cost.global_read_bytes += len * T::BYTES as u64;
-                    // Tree traversal: one shared-memory node read and a
-                    // couple of integer ops per level per element.
-                    cost.smem_bytes += len * height * T::BYTES as u64;
-                    cost.int_ops += len * (2 * height + 1);
+                    classifier.charge(len, &mut cost);
                     if write_oracles {
                         cost.global_write_bytes += len * oracle_bytes as u64;
                     }
@@ -279,12 +335,7 @@ pub fn count_kernel_scoped<T: SelectElement>(
         };
     }
 
-    let name = if write_oracles {
-        "count"
-    } else {
-        "count_nowrite"
-    };
-    device.commit(name, launch, origin, cost);
+    device.commit(classifier.kernel_name(write_oracles), launch, origin, cost);
 
     let mut oracles = match (oracle_u8, oracle_u16) {
         // SAFETY: all n element slots were written exactly once.

@@ -89,9 +89,7 @@ pub use quantile_stream::{
     WindowQuantiles, WindowSpec, DEFAULT_PROBS,
 };
 pub use quickselect::{bipartition_on_device, quick_select, quick_select_on_device};
-pub use radix::{
-    radix_select, radix_select_into, radix_select_on_device, radix_select_with_workspace,
-};
+pub use radix::{radix_select, radix_select_on_device};
 pub use recursion::{sample_select_on_device, sample_select_with_workspace};
 pub use resilient::{
     resilient_select, resilient_select_on_device, resilient_select_planned,

@@ -36,8 +36,8 @@ use crate::element::SelectElement;
 use crate::obs::{self, Counter};
 use crate::params::SampleSelectConfig;
 use crate::quickselect::quick_select_on_device;
-use crate::radix::{radix_select_with_workspace, DIGIT_BITS};
-use crate::recursion::sample_select_with_workspace;
+use crate::radix::DIGIT_BITS;
+use crate::recursion::{sample_select_with_workspace, select_with_workspace, Bucketing};
 use crate::topk::{top_k_largest_with_workspace, TopKResult};
 use crate::workspace::SelectWorkspace;
 use crate::{SelectError, SelectResult};
@@ -739,7 +739,9 @@ pub fn run_planned<T: SelectElement>(
     match backend {
         PlannedBackend::Sample => sample_select_with_workspace(device, data, rank, cfg, ws),
         PlannedBackend::Quick => quick_select_on_device(device, data, rank, cfg),
-        PlannedBackend::Radix => radix_select_with_workspace(device, data, rank, cfg, ws),
+        PlannedBackend::Radix => {
+            select_with_workspace(device, data, rank, cfg, ws, Bucketing::Digits)
+        }
         PlannedBackend::TopK => {
             // A rank query on the top-k backend: extract the top n-rank
             // elements and return the threshold (the rank-th smallest).

@@ -13,49 +13,38 @@
 //! which is why the [`crate::planner`] treats this backend as a
 //! first-class candidate instead of a strawman.
 //!
-//! Differences from the baselines sketch, in production order:
+//! RadixSelect is not a separate driver: it is the shared level loop of
+//! [`crate::recursion`] with digit bucketing. This module supplies the
+//! two pieces that differ from SampleSelect:
 //!
-//! * **Zero-alloc warm path**: the per-block digit histogram and warp
-//!   collision scratch are leased from [`KernelScratch`] (the sketch
-//!   allocated `vec![0u64; 256]` per block per pass inside the hot
-//!   closure), and the partials/oracle/filter buffers come from the
-//!   device [`gpu_sim::BufferPool`] — pinned by the `zero_alloc`
-//!   integration test.
-//! * **ABFT**: per-pass digit-histogram-sum spot checks under
-//!   [`crate::verify::VerifyPolicy::Spot`], plus unconditional
-//!   `bucket-for-rank` / `filter-size` corruption guards so silent bit
-//!   flips surface as retryable [`SelectError::Corruption`] instead of
-//!   panics. Paranoid runs get a rank certificate from the resilient
-//!   driver, exactly like the other device backends.
-//! * **Resilience**: honors `max_levels` / `work_budget_factor` guards
-//!   so the resilient driver's fallback chain and time budget apply.
-//! * **Observability**: query/level/kernel spans, bucket-occupancy and
-//!   atomic-collision gauges, and pool/counter absorption.
+//! * [`DigitClassifier`], the [`Classifier`] the one count kernel
+//!   ([`crate::count::count_kernel_scoped`]) runs with: the bucket of an
+//!   element is `(key >> shift) & 0xff`, charged as a shift and a mask
+//!   with [`DIGIT_BITS`] ballots per aggregated warp, and the oracle is
+//!   always one byte;
+//! * its level preparation — advance the shift by one digit — and the
+//!   early exit once every key bit is consumed.
+//!
+//! The level loop gives the backend everything else: the zero-alloc
+//! warm path (scratch from the workspace, level buffers from the device
+//! [`gpu_sim::BufferPool`]), the ABFT spot checks and unconditional
+//! corruption guards, the `max_levels` / work-budget guards, and the
+//! spans and gauges.
 
-use crate::count::{CountResult, OracleBuf};
+use crate::count::Classifier;
 use crate::element::{fill_sort_keys32, fill_sort_keys64, SelectElement};
-use crate::filter::filter_kernel_scoped;
-use crate::instrument::SelectReport;
-use crate::obs::{self, Gauge, Histogram, SpanKind, Track};
-use crate::params::{AtomicScope, SampleSelectConfig};
-use crate::recursion::{base_case_select_with, recycle_level, validate_input};
-use crate::reduce::reduce_kernel;
-use crate::verify::{check_filter_size, check_histogram};
-use crate::workspace::{KernelScratch, SelectWorkspace};
+use crate::params::SampleSelectConfig;
+use crate::recursion::{select_with_workspace, Bucketing};
+use crate::workspace::SelectWorkspace;
 use crate::{SelectError, SelectResult};
 use gpu_sim::arch::v100;
-use gpu_sim::warp::{warp_atomic_stats, WARP_SIZE};
-use gpu_sim::{Device, KernelCost, LaunchOrigin};
+use gpu_sim::{Device, KernelCost};
 
 /// Bits per radix digit (256 buckets, one oracle byte).
 pub const DIGIT_BITS: u32 = 8;
 
 /// Buckets per digit pass.
 pub const RADIX_BUCKETS: usize = 1 << DIGIT_BITS;
-
-/// Safety net mirroring `recursion::MAX_LEVELS`; the radix recursion is
-/// structurally bounded by `key_bits / 8` anyway.
-const MAX_LEVELS: u32 = 64;
 
 /// Effective key width for a type: the number of bits that can differ.
 pub fn key_bits<T: SelectElement>() -> u32 {
@@ -67,175 +56,61 @@ pub fn radix_passes<T: SelectElement>() -> u32 {
     key_bits::<T>().div_ceil(DIGIT_BITS)
 }
 
-/// Histogram one 8-bit digit of every element's sort key.
-///
-/// The structural twin of [`crate::count::count_kernel_scoped`]: same
-/// pooled regions (`count-partials`, `count-oracles`, `counts`), same
-/// warp-exact atomic accounting, same corruption hooks — but the bucket
-/// of an element is `(key >> shift) & 0xff` instead of a search-tree
-/// lookup, so there is no tree traversal to charge and the oracle is
-/// always one byte.
-pub fn radix_digit_count_kernel<T: SelectElement>(
-    device: &mut Device,
-    data: &[T],
-    shift: u32,
-    cfg: &SampleSelectConfig,
-    origin: LaunchOrigin,
-    scratch: &KernelScratch,
-) -> CountResult {
-    let n = data.len();
-    let b = RADIX_BUCKETS;
-    let launch = cfg.launch_config(n, T::BYTES);
-    let blocks = launch.blocks as usize;
-    let chunk = launch.block_chunk(n);
+/// Buckets elements by the 8-bit digit of their sort key at `shift`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DigitClassifier {
+    /// Bit offset of the digit within the sort key.
+    pub shift: u32,
+}
 
-    let partials = device.pooled_scatter::<u64>(b * blocks, "count-partials");
-    let oracles = device.pooled_scatter::<u8>(n, "count-oracles");
-    let partials_ref = &partials;
-    let oracles_ref = &oracles;
+impl<T: SelectElement> Classifier<T> for DigitClassifier {
+    fn kernel_name(&self, _write_oracles: bool) -> &'static str {
+        "digit_count"
+    }
 
-    let (mut cost, _lanes_total, distinct_total) = hpc_par::parallel_map_reduce(
-        device.pool(),
-        blocks,
-        1,
-        (KernelCost::new(), 0u64, 0u64),
-        |range, acc| {
-            let (mut cost, mut lanes_total, mut distinct_total) = acc;
-            let mut local = scratch.lease_u64(b);
-            let mut warp_scratch = scratch.lease_u32(b);
-            let mut warp_buckets = [0u32; WARP_SIZE];
-            let mut warp_keys32 = [0u32; WARP_SIZE];
-            let mut warp_keys64 = [0u64; WARP_SIZE];
-            let level = hpc_par::simd::simd_level();
-            for block in range {
-                let start = block * chunk;
-                let end = ((block + 1) * chunk).min(n);
-                local.iter_mut().for_each(|c| *c = 0);
-                if start < end {
-                    let mut idx = start;
-                    while idx < end {
-                        let wlen = WARP_SIZE.min(end - idx);
-                        // Lane-parallel sort-key conversion (the float
-                        // transform carries NaN/sign branches; the
-                        // digit shift+mask that follows is trivially
-                        // vector-friendly).
-                        if level == hpc_par::SimdLevel::Off {
-                            for lane in 0..wlen {
-                                warp_buckets[lane] =
-                                    ((data[idx + lane].to_sort_key() >> shift) & 0xff) as u32;
-                            }
-                        } else if T::BYTES == 4 {
-                            fill_sort_keys32(
-                                &data[idx..idx + wlen],
-                                &mut warp_keys32[..wlen],
-                                level,
-                            );
-                            for lane in 0..wlen {
-                                warp_buckets[lane] = (warp_keys32[lane] >> shift) & 0xff;
-                            }
-                        } else {
-                            fill_sort_keys64(
-                                &data[idx..idx + wlen],
-                                &mut warp_keys64[..wlen],
-                                level,
-                            );
-                            for lane in 0..wlen {
-                                warp_buckets[lane] = ((warp_keys64[lane] >> shift) & 0xff) as u32;
-                            }
-                        }
-                        for (lane, &digit) in warp_buckets[..wlen].iter().enumerate() {
-                            local[digit as usize] += 1;
-                            // SAFETY: each element index is owned by
-                            // exactly one block chunk.
-                            unsafe { oracles_ref.write(idx + lane, digit as u8) };
-                        }
-                        let stats = warp_atomic_stats(&warp_buckets[..wlen], &mut warp_scratch);
-                        lanes_total += stats.lanes as u64;
-                        distinct_total += stats.distinct as u64;
-                        match cfg.atomic_scope {
-                            AtomicScope::Shared => {
-                                cost.shared_atomic_warp_ops += 1;
-                                if !cfg.warp_aggregation {
-                                    cost.shared_atomic_replays +=
-                                        stats.max_multiplicity.saturating_sub(1) as u64;
-                                }
-                            }
-                            AtomicScope::Global => {
-                                cost.global_atomic_ops += if cfg.warp_aggregation {
-                                    stats.distinct as u64
-                                } else {
-                                    stats.lanes as u64
-                                };
-                            }
-                        }
-                        if cfg.warp_aggregation {
-                            // One ballot per digit bit instead of the
-                            // replay serialization (Fig. 6 analogue).
-                            cost.warp_intrinsics += DIGIT_BITS as u64;
-                        }
-                        idx += wlen;
-                    }
-                    let len = (end - start) as u64;
-                    cost.global_read_bytes += len * T::BYTES as u64;
-                    cost.int_ops += len * 2; // shift + mask
-                    cost.global_write_bytes += len; // one oracle byte each
-                }
-                // Store this block's partial counts (bucket-major slot).
-                for (digit, &c) in local.iter().enumerate() {
-                    // SAFETY: (digit, block) pairs are unique per block.
-                    unsafe { partials_ref.write(digit * blocks + block, c) };
-                }
-                if start >= end {
-                    continue;
-                }
-                if cfg.atomic_scope == AtomicScope::Shared {
-                    // Block flushes its digit counters to global memory
-                    // for the reduce kernel.
-                    cost.global_write_bytes += b as u64 * 4;
-                }
-                cost.blocks += 1;
+    fn num_buckets(&self) -> usize {
+        RADIX_BUCKETS
+    }
+
+    fn oracle_bytes(&self, _cfg: &SampleSelectConfig) -> usize {
+        1
+    }
+
+    fn classify_warp(&self, warp: &[T], buckets: &mut [u32]) {
+        // Lane-parallel sort-key conversion (the float transform carries
+        // NaN/sign branches; the digit shift+mask that follows is
+        // trivially vector-friendly).
+        let shift = self.shift;
+        let level = hpc_par::simd::simd_level();
+        if level == hpc_par::SimdLevel::Off {
+            for (b, &x) in buckets.iter_mut().zip(warp) {
+                *b = ((x.to_sort_key() >> shift) & 0xff) as u32;
             }
-            scratch.give_u64(local);
-            scratch.give_u32(warp_scratch);
-            (cost, lanes_total, distinct_total)
-        },
-        |mut a, b| {
-            a.0.merge(&b.0);
-            (a.0, a.1 + b.1, a.2 + b.2)
-        },
-    );
-
-    // SAFETY: every (digit, block) slot was written exactly once above.
-    let partials = unsafe { partials.into_vec(b * blocks) };
-    let mut counts = device.lease_vec::<u64>(b, "counts");
-    counts.resize(b, 0);
-    for digit in 0..b {
-        counts[digit] = partials[digit * blocks..(digit + 1) * blocks].iter().sum();
-    }
-
-    if cfg.atomic_scope == AtomicScope::Global {
-        let hot = counts.iter().copied().max().unwrap_or(0);
-        cost.global_atomic_hot_ops = if cfg.warp_aggregation && n > 0 {
-            let factor = distinct_total as f64 / n.max(1) as f64;
-            (hot as f64 * factor).ceil() as u64
+        } else if T::BYTES == 4 {
+            let mut keys = [0u32; 32];
+            let keys = &mut keys[..warp.len()];
+            fill_sort_keys32(warp, keys, level);
+            for (b, &k) in buckets.iter_mut().zip(keys.iter()) {
+                *b = (k >> shift) & 0xff;
+            }
         } else {
-            hot
-        };
+            let mut keys = [0u64; 32];
+            let keys = &mut keys[..warp.len()];
+            fill_sort_keys64(warp, keys, level);
+            for (b, &k) in buckets.iter_mut().zip(keys.iter()) {
+                *b = ((k >> shift) & 0xff) as u32;
+            }
+        }
     }
 
-    device.commit("digit_count", launch, origin, cost);
+    fn charge(&self, len: u64, cost: &mut KernelCost) {
+        cost.int_ops += len * 2; // shift + mask
+    }
 
-    // Fault-injection hooks on the freshly materialized device buffers;
-    // corruption stays silent here and is caught by the ABFT checks.
-    let mut oracles = unsafe { oracles.into_vec(n) };
-    device.corrupt_region("counts", counts.as_mut_slice());
-    device.corrupt_region("oracles", oracles.as_mut_slice());
-
-    CountResult {
-        counts,
-        partials,
-        blocks,
-        oracles: Some(OracleBuf::U8(oracles)),
+    fn ballots_per_warp(&self) -> u64 {
+        // One ballot per digit bit instead of the replay serialization
+        // (Fig. 6 analogue).
+        DIGIT_BITS as u64
     }
 }
 
@@ -247,200 +122,14 @@ pub fn radix_select_on_device<T: SelectElement>(
     rank: usize,
     cfg: &SampleSelectConfig,
 ) -> Result<SelectResult<T>, SelectError> {
-    radix_select_with_workspace(device, data, rank, cfg, &mut SelectWorkspace::new())
-}
-
-/// [`radix_select_on_device`] with a reusable [`SelectWorkspace`]: the
-/// per-pass digit histograms, warp scratch and base-case buffers live in
-/// `ws`, and the level buffers (counts, partials, oracles, prefix sums,
-/// filter output) are leased from the device [`gpu_sim::BufferPool`]
-/// when it is armed. With a warm workspace and pool, a steady-state
-/// radix query performs zero heap allocations (pinned by the
-/// `zero_alloc` integration test).
-pub fn radix_select_with_workspace<T: SelectElement>(
-    device: &mut Device,
-    data: &[T],
-    rank: usize,
-    cfg: &SampleSelectConfig,
-    ws: &mut SelectWorkspace<T>,
-) -> Result<SelectResult<T>, SelectError> {
-    let mut report = SelectReport::empty("radixselect");
-    let value = radix_select_into(device, data, rank, cfg, ws, &mut report)?;
-    Ok(SelectResult { value, report })
-}
-
-/// [`radix_select_with_workspace`] writing into a caller-owned report.
-///
-/// The report shell is re-aggregated in place, so a caller that keeps
-/// the same [`SelectReport`] across queries (as the zero-alloc suite
-/// and long-lived `selectd` workers do) pays **zero** heap allocations
-/// for an entire warm query — kernels, level buffers, and report
-/// assembly included. On error the report keeps its previous contents.
-pub fn radix_select_into<T: SelectElement>(
-    device: &mut Device,
-    data: &[T],
-    rank: usize,
-    cfg: &SampleSelectConfig,
-    ws: &mut SelectWorkspace<T>,
-    report: &mut SelectReport,
-) -> Result<T, SelectError> {
-    cfg.validate_count_only()
-        .map_err(SelectError::InvalidConfig)?;
-    validate_input(data, rank, cfg)?;
-
-    let n = data.len();
-    let records_before = device.records().len();
-    obs::span_enter(SpanKind::Query, "radixselect", 0, device.now().as_ns());
-    let max_levels = cfg.max_levels.unwrap_or(MAX_LEVELS).min(MAX_LEVELS);
-    let work_budget: Option<f64> = cfg.work_budget_factor.map(|f| f * n as f64);
-    let mut work_done: f64 = 0.0;
-
-    let mut storage: Vec<T> = Vec::new();
-    let mut use_storage = false;
-    let mut k = rank;
-    let mut levels = 0u32;
-    let mut shift = key_bits::<T>();
-
-    let (value, terminated_early) = loop {
-        let cur: &[T] = if use_storage { &storage } else { data };
-        let origin = if levels == 0 {
-            LaunchOrigin::Host
-        } else {
-            LaunchOrigin::Device
-        };
-        debug_assert!(k < cur.len());
-
-        if cur.len() <= cfg.base_case_size {
-            obs::span_enter(
-                SpanKind::Kernel,
-                "base_sort",
-                levels as u64,
-                device.now().as_ns(),
-            );
-            let SelectWorkspace {
-                base, sort_scratch, ..
-            } = &mut *ws;
-            let value = base_case_select_with(device, cur, k, cfg, origin, base, sort_scratch);
-            obs::span_exit(device.now().as_ns());
-            break (value, false);
-        }
-        if shift == 0 {
-            // All key bits consumed: the remaining elements share one
-            // sort key, i.e. they are all equal under the element order.
-            break (cur[0], true);
-        }
-        if levels >= max_levels {
-            return Err(SelectError::RecursionLimit);
-        }
-        if let Some(budget) = work_budget {
-            // Low-entropy keys barely shrink the bucket (every dead
-            // digit pass keeps all n elements), so the cumulative
-            // elements scanned trip the budget before the depth cap.
-            work_done += cur.len() as f64;
-            if work_done > budget {
-                return Err(SelectError::RecursionLimit);
-            }
-        }
-        shift -= DIGIT_BITS;
-        let level_ix = levels as u64;
-        levels += 1;
-        obs::span_enter(SpanKind::Level, "level", level_ix, device.now().as_ns());
-
-        obs::span_enter(
-            SpanKind::Kernel,
-            "digit_count",
-            level_ix,
-            device.now().as_ns(),
-        );
-        let count = radix_digit_count_kernel(device, cur, shift, cfg, origin, &ws.scratch);
-        obs::span_exit(device.now().as_ns());
-        if obs::enabled() {
-            let ts_us = device.now().as_us();
-            let occupied = count.counts.iter().filter(|&&c| c != 0).count() as u64;
-            obs::gauge_set(Gauge::BucketOccupancy, occupied);
-            obs::track_sample(Track::BucketOccupancy, ts_us, occupied as f64);
-            if let Some(rec) = device.records().last() {
-                let replays = rec.cost.shared_atomic_replays * 1_000_000;
-                if let Some(ppm) = replays.checked_div(rec.cost.shared_atomic_warp_ops) {
-                    obs::gauge_set(Gauge::AtomicCollisionRatePpm, ppm);
-                    obs::track_sample(Track::AtomicCollisionRate, ts_us, ppm as f64 / 1e6);
-                }
-            }
-        }
-        if cfg.verify.spot_checks() {
-            check_histogram(&count.counts, cur.len())?;
-        }
-        obs::span_enter(SpanKind::Kernel, "reduce", level_ix, device.now().as_ns());
-        let red = reduce_kernel(device, &count, LaunchOrigin::Device);
-        obs::span_exit(device.now().as_ns());
-
-        let digit = red.bucket_for_rank(k as u64);
-        if red.bucket_size(digit) == 0 {
-            // Healthy runs always land the rank in a non-empty digit
-            // bucket; an empty one means the counts (or their prefix
-            // sums) were corrupted after the histogram was assembled.
-            return Err(SelectError::Corruption {
-                invariant: "bucket-for-rank",
-                detail: format!("rank {k} mapped to empty digit bucket {digit}"),
-            });
-        }
-
-        let digit_u32 = digit as u32;
-        obs::span_enter(SpanKind::Kernel, "filter", level_ix, device.now().as_ns());
-        let next = filter_kernel_scoped(
-            device,
-            cur,
-            &count,
-            &red,
-            digit_u32..digit_u32 + 1,
-            cfg,
-            LaunchOrigin::Device,
-            &ws.scratch,
-        );
-        obs::span_exit(device.now().as_ns());
-        obs::observe(Histogram::LevelKeptElements, next.len() as u64);
-        if cfg.verify.spot_checks() {
-            check_filter_size(next.len(), red.bucket_size(digit))?;
-        }
-        let next_rank = k - red.bucket_offsets[digit] as usize;
-        if next_rank >= next.len() {
-            // Unconditionally guarded (not just under `verify`): a
-            // corrupted oracle or count buffer can shrink the filter
-            // output below the descending rank, and indexing past it at
-            // the next level would panic instead of surfacing a
-            // retryable error.
-            return Err(SelectError::Corruption {
-                invariant: "filter-size",
-                detail: format!(
-                    "descending rank {next_rank} outside filtered digit bucket of {} elements",
-                    next.len()
-                ),
-            });
-        }
-        let prev = std::mem::replace(&mut storage, next);
-        device.recycle_vec("filter-out", prev);
-        recycle_level(device, count, red);
-        obs::span_exit(device.now().as_ns());
-        use_storage = true;
-        k = next_rank;
-    };
-
-    // The last level's filtered bucket goes back to the pool for the
-    // next query.
-    device.recycle_vec("filter-out", storage);
-
-    obs::absorb_device(device);
-    obs::pool_sample(device);
-    obs::span_exit(device.now().as_ns());
-
-    report.refill_from_records(
-        "radixselect",
-        n,
-        &device.records()[records_before..],
-        levels,
-        terminated_early,
-    );
-    Ok(value)
+    select_with_workspace(
+        device,
+        data,
+        rank,
+        cfg,
+        &mut SelectWorkspace::new(),
+        Bucketing::Digits,
+    )
 }
 
 /// RadixSelect on a default simulated device (Tesla V100 on the
@@ -551,33 +240,28 @@ mod tests {
         let rank = 75_000;
         let pool = ThreadPool::new(2);
 
+        let cfg = SampleSelectConfig::default();
         let mut fresh_dev = Device::new(v100(), &pool);
-        let fresh =
-            radix_select_on_device(&mut fresh_dev, &data, rank, &SampleSelectConfig::default())
-                .unwrap();
+        let fresh = radix_select_on_device(&mut fresh_dev, &data, rank, &cfg).unwrap();
 
         let mut pooled_dev = Device::new(v100(), &pool);
         pooled_dev.enable_buffer_pool();
         let mut ws: SelectWorkspace<f32> = SelectWorkspace::new();
-        for _ in 0..2 {
-            radix_select_with_workspace(
+        let mut run = || {
+            let r = select_with_workspace(
                 &mut pooled_dev,
                 &data,
                 rank,
-                &SampleSelectConfig::default(),
+                &cfg,
                 &mut ws,
-            )
-            .unwrap();
+                Bucketing::Digits,
+            );
             pooled_dev.reset();
-        }
-        let pooled = radix_select_with_workspace(
-            &mut pooled_dev,
-            &data,
-            rank,
-            &SampleSelectConfig::default(),
-            &mut ws,
-        )
-        .unwrap();
+            r.unwrap()
+        };
+        run();
+        run();
+        let pooled = run();
 
         assert_eq!(fresh.value.to_bits(), pooled.value.to_bits());
         assert_eq!(fresh.report.total_time, pooled.report.total_time);

@@ -1,39 +1,40 @@
-//! The exact SampleSelect driver (Fig. 1 / §IV-E): recursive bucket
-//! selection with the recursion kept "on the device".
+//! The exact level loop shared by SampleSelect (Fig. 1 / §IV-E) and
+//! RadixSelect: recursive bucket selection with the recursion kept "on
+//! the device".
 //!
-//! Each level runs `sample → count → reduce → select_bucket → filter`
-//! and descends into the bucket containing the target rank. Because the
-//! recursion depth is not known a priori and host↔device round trips are
-//! expensive, the paper keeps the control flow on the GPU with CUDA
-//! Dynamic Parallelism tail launches; the simulator mirrors that with a
-//! [`TailLaunchQueue`] whose follow-up launches are charged the (lower)
-//! device-launch latency.
+//! Each level runs `count → reduce → select_bucket → filter` and
+//! descends into the bucket containing the target rank. The backends
+//! differ only in how an element gets its bucket, which the private
+//! `LevelBucketing` trait hides: SampleSelect draws a splitter sample
+//! and rebuilds the search tree before counting, RadixSelect advances to
+//! the next 8-bit digit of the sort key. Because the recursion depth is
+//! not known a priori and host↔device round trips are expensive, the
+//! paper keeps the control flow on the GPU with CUDA Dynamic Parallelism
+//! tail launches; the simulator charges every launch after level 0's
+//! count kernel the (lower) device-launch latency by committing it with
+//! [`LaunchOrigin::Device`].
 
 use crate::bitonic::bitonic_select_with_scratch;
-use crate::count::{count_kernel_scoped, CountResult, OracleBuf};
+use crate::count::{count_kernel_scoped, Classifier, CountResult, OracleBuf};
 use crate::element::SelectElement;
 use crate::filter::filter_kernel_scoped;
 use crate::instrument::SelectReport;
 use crate::obs::{self, Gauge, Histogram, SpanKind, Track};
-use crate::params::SampleSelectConfig;
+use crate::params::{ConfigError, SampleSelectConfig};
+use crate::radix::{key_bits, DigitClassifier, DIGIT_BITS};
 use crate::reduce::{reduce_kernel, ReduceResult};
 use crate::rng::SplitMix64;
+use crate::searchtree::SearchTree;
 use crate::splitter::sample_kernel_into;
 use crate::verify::{check_filter_size, check_histogram};
 use crate::workspace::SelectWorkspace;
 use crate::{SelectError, SelectResult};
-use gpu_sim::{Device, KernelCost, LaunchConfig, LaunchOrigin, TailLaunchQueue};
+use gpu_sim::{Device, KernelCost, LaunchConfig, LaunchOrigin};
 
 /// Safety net: the expected depth is `log_b(n / base) + 1`, i.e. 2-3 for
-/// every practical input; anything past this indicates a logic error.
+/// every practical input (and at most `key_bits / 8` digit passes);
+/// anything past this indicates a logic error.
 const MAX_LEVELS: u32 = 64;
-
-/// One pending recursion level (the descriptor a device-side
-/// `select_bucket` kernel would compute before tail-launching).
-struct LevelTask {
-    rank: usize,
-    level: u32,
-}
 
 /// Validate common select preconditions; shared with the other drivers.
 pub fn validate_input<T: SelectElement>(
@@ -145,6 +146,15 @@ pub(crate) fn recycle_count(device: &mut Device, count: CountResult) {
     }
 }
 
+/// How the level loop buckets elements: the strategy of a backend.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Bucketing {
+    /// SampleSelect: search-tree descent over sampled splitters.
+    Splitters,
+    /// RadixSelect: one 8-bit digit of the sort key per level.
+    Digits,
+}
+
 /// Exact SampleSelect on a simulated device: the `rank`-th smallest
 /// element of `data` (0-based).
 pub fn sample_select_on_device<T: SelectElement>(
@@ -156,15 +166,8 @@ pub fn sample_select_on_device<T: SelectElement>(
     sample_select_with_workspace(device, data, rank, cfg, &mut SelectWorkspace::new())
 }
 
-/// [`sample_select_on_device`] with a reusable [`SelectWorkspace`]: all
-/// host-side element scratch (sample, splitters, sort buffers, base-case
-/// copy, search tree) lives in `ws` and is reused across levels and
-/// across queries, and the level buffers (counts, partials, oracles,
-/// prefix sums, filter output) are leased from and recycled to the
-/// device [`gpu_sim::BufferPool`] when it is armed. With a warm
-/// workspace and pool the steady-state recursion performs zero heap
-/// allocations in the kernels; the result is bit-identical to the
-/// workspace-less path (pinned by a property test).
+/// [`sample_select_on_device`] with a reusable [`SelectWorkspace`]; see
+/// [`select_with_workspace`].
 pub fn sample_select_with_workspace<T: SelectElement>(
     device: &mut Device,
     data: &[T],
@@ -172,42 +175,245 @@ pub fn sample_select_with_workspace<T: SelectElement>(
     cfg: &SampleSelectConfig,
     ws: &mut SelectWorkspace<T>,
 ) -> Result<SelectResult<T>, SelectError> {
-    cfg.validate().map_err(SelectError::InvalidConfig)?;
+    select_with_workspace(device, data, rank, cfg, ws, Bucketing::Splitters)
+}
+
+/// Exact selection with a reusable [`SelectWorkspace`]: all host-side
+/// element scratch (sample, splitters, sort buffers, base-case copy,
+/// search tree, kernel scratch) lives in `ws` and is reused across
+/// levels and across queries, and the level buffers (counts, partials,
+/// oracles, prefix sums, filter output) are leased from and recycled to
+/// the device [`gpu_sim::BufferPool`] when it is armed. The result is
+/// bit-identical to the workspace-less path (pinned by a property test).
+pub fn select_with_workspace<T: SelectElement>(
+    device: &mut Device,
+    data: &[T],
+    rank: usize,
+    cfg: &SampleSelectConfig,
+    ws: &mut SelectWorkspace<T>,
+    bucketing: Bucketing,
+) -> Result<SelectResult<T>, SelectError> {
+    let mut report = SelectReport::empty("");
+    let value = select_into(device, data, rank, cfg, ws, &mut report, bucketing)?;
+    Ok(SelectResult { value, report })
+}
+
+/// [`select_with_workspace`] writing into a caller-owned report.
+///
+/// The report shell is re-aggregated in place, so a caller that keeps
+/// the same [`SelectReport`] across queries (as the zero-alloc suite
+/// and long-lived `selectd` workers do) pays **zero** heap allocations
+/// for an entire warm query — kernels, level buffers, and report
+/// assembly included. On error the report keeps its previous contents.
+pub fn select_into<T: SelectElement>(
+    device: &mut Device,
+    data: &[T],
+    rank: usize,
+    cfg: &SampleSelectConfig,
+    ws: &mut SelectWorkspace<T>,
+    report: &mut SelectReport,
+    bucketing: Bucketing,
+) -> Result<T, SelectError> {
+    match bucketing {
+        Bucketing::Splitters => level_loop(
+            device,
+            data,
+            rank,
+            cfg,
+            ws,
+            report,
+            SplitterLevels {
+                rng: SplitMix64::new(cfg.seed),
+            },
+        ),
+        Bucketing::Digits => level_loop(
+            device,
+            data,
+            rank,
+            cfg,
+            ws,
+            report,
+            DigitClassifier {
+                shift: key_bits::<T>(),
+            },
+        ),
+    }
+}
+
+/// What a backend of the level loop decides; everything else is shared.
+trait LevelBucketing<T: SelectElement> {
+    /// Report label and query-span name.
+    const ALGORITHM: &'static str;
+
+    /// Validate the configuration for this backend.
+    fn validate(cfg: &SampleSelectConfig) -> Result<(), ConfigError>;
+
+    /// Buckets at or below this size go to the base-case sort.
+    fn base_case_size(cfg: &SampleSelectConfig) -> usize;
+
+    /// Whether the remaining elements are known to be all equal before
+    /// another level runs.
+    fn exhausted(&self) -> bool {
+        false
+    }
+
+    /// Set up the classifier of the next level.
+    fn prepare(
+        &mut self,
+        device: &mut Device,
+        cur: &[T],
+        cfg: &SampleSelectConfig,
+        origin: LaunchOrigin,
+        level_ix: u64,
+        ws: &mut SelectWorkspace<T>,
+    ) -> Result<(), SelectError>;
+
+    /// The classifier the count kernel runs with at this level.
+    fn classifier<'a>(&'a self, ws: &'a SelectWorkspace<T>) -> &'a impl Classifier<T>;
+
+    /// Device work between the reduce and the filter of a level.
+    fn after_reduce(&self, _device: &mut Device, _ws: &SelectWorkspace<T>) {}
+
+    /// The value every element of `bucket` equals, when the bucket is
+    /// known to hold a single value (§IV-C early termination).
+    fn equality_value(&self, _ws: &SelectWorkspace<T>, _bucket: usize) -> Option<T> {
+        None
+    }
+}
+
+/// SampleSelect's levels: a fresh splitter sample and search tree each.
+struct SplitterLevels {
+    rng: SplitMix64,
+}
+
+fn built_tree<T: SelectElement>(ws: &SelectWorkspace<T>) -> &SearchTree<T> {
+    ws.tree().expect("sample_kernel_into built a tree")
+}
+
+impl<T: SelectElement> LevelBucketing<T> for SplitterLevels {
+    const ALGORITHM: &'static str = "sampleselect";
+
+    fn validate(cfg: &SampleSelectConfig) -> Result<(), ConfigError> {
+        cfg.validate()
+    }
+
+    fn base_case_size(cfg: &SampleSelectConfig) -> usize {
+        cfg.base_case_size.max(cfg.sample_size())
+    }
+
+    fn prepare(
+        &mut self,
+        device: &mut Device,
+        cur: &[T],
+        cfg: &SampleSelectConfig,
+        origin: LaunchOrigin,
+        level_ix: u64,
+        ws: &mut SelectWorkspace<T>,
+    ) -> Result<(), SelectError> {
+        // Splitter order is checked inside `sample_kernel` (always on:
+        // an unsorted tree is unusable, not merely inaccurate).
+        obs::span_enter(SpanKind::Kernel, "sample", level_ix, device.now().as_ns());
+        sample_kernel_into(device, cur, cfg, &mut self.rng, origin, ws)?;
+        obs::span_exit(device.now().as_ns());
+        Ok(())
+    }
+
+    fn classifier<'a>(&'a self, ws: &'a SelectWorkspace<T>) -> &'a impl Classifier<T> {
+        built_tree(ws)
+    }
+
+    fn after_reduce(&self, device: &mut Device, ws: &SelectWorkspace<T>) {
+        select_bucket_kernel(device, built_tree(ws).num_buckets(), LaunchOrigin::Device);
+    }
+
+    fn equality_value(&self, ws: &SelectWorkspace<T>, bucket: usize) -> Option<T> {
+        let tree = built_tree(ws);
+        tree.is_equality_bucket(bucket)
+            .then(|| tree.equality_value(bucket))
+    }
+}
+
+/// RadixSelect's levels: the next digit down, most significant first.
+impl<T: SelectElement> LevelBucketing<T> for DigitClassifier {
+    const ALGORITHM: &'static str = "radixselect";
+
+    fn validate(cfg: &SampleSelectConfig) -> Result<(), ConfigError> {
+        // Digit buckets ignore `num_buckets`, so the oracle-width rule
+        // for wide splitter trees does not apply.
+        cfg.validate_count_only()
+    }
+
+    fn base_case_size(cfg: &SampleSelectConfig) -> usize {
+        cfg.base_case_size
+    }
+
+    fn exhausted(&self) -> bool {
+        // All key bits consumed: the remaining elements share one sort
+        // key, i.e. they are all equal under the element order.
+        self.shift == 0
+    }
+
+    fn prepare(
+        &mut self,
+        _device: &mut Device,
+        _cur: &[T],
+        _cfg: &SampleSelectConfig,
+        _origin: LaunchOrigin,
+        _level_ix: u64,
+        _ws: &mut SelectWorkspace<T>,
+    ) -> Result<(), SelectError> {
+        self.shift -= DIGIT_BITS;
+        Ok(())
+    }
+
+    fn classifier<'a>(&'a self, _ws: &'a SelectWorkspace<T>) -> &'a impl Classifier<T> {
+        self
+    }
+}
+
+/// The one level loop behind every exact SampleSelect and RadixSelect
+/// query.
+fn level_loop<T: SelectElement, B: LevelBucketing<T>>(
+    device: &mut Device,
+    data: &[T],
+    rank: usize,
+    cfg: &SampleSelectConfig,
+    ws: &mut SelectWorkspace<T>,
+    report: &mut SelectReport,
+    mut bucketing: B,
+) -> Result<T, SelectError> {
+    B::validate(cfg).map_err(SelectError::InvalidConfig)?;
     validate_input(data, rank, cfg)?;
 
     let n = data.len();
     let records_before = device.records().len();
-    obs::span_enter(SpanKind::Query, "sampleselect", 0, device.now().as_ns());
-    let mut rng = SplitMix64::new(cfg.seed);
+    obs::span_enter(SpanKind::Query, B::ALGORITHM, 0, device.now().as_ns());
     let max_levels = cfg.max_levels.unwrap_or(MAX_LEVELS).min(MAX_LEVELS);
     let work_budget: Option<f64> = cfg.work_budget_factor.map(|f| f * n as f64);
     let mut work_done: f64 = 0.0;
 
-    // Device-side tail recursion: every level enqueues at most one
-    // follow-up, preserving the paper's launch-ordering argument.
-    let mut queue: TailLaunchQueue<LevelTask> = TailLaunchQueue::new();
-    queue.push(LevelTask { rank, level: 0 });
-
     let mut storage: Vec<T> = Vec::new();
     let mut use_storage = false;
+    let mut k = rank;
     let mut levels = 0u32;
-    let mut outcome: Option<(T, bool)> = None;
 
-    while let Some(task) = queue.pop() {
-        let origin = if task.level == 0 {
+    let (value, terminated_early) = loop {
+        // Level 0's first kernels come from the host; everything after
+        // is a device-side tail launch, so one level enqueues at most
+        // one follow-up and the paper's launch ordering holds.
+        let origin = if levels == 0 {
             LaunchOrigin::Host
         } else {
             LaunchOrigin::Device
         };
         let cur: &[T] = if use_storage { &storage } else { data };
-        let k = task.rank;
         debug_assert!(k < cur.len());
 
-        if cur.len() <= cfg.base_case_size.max(cfg.sample_size()) {
+        if cur.len() <= B::base_case_size(cfg) {
             obs::span_enter(
                 SpanKind::Kernel,
                 "base_sort",
-                task.level as u64,
+                levels as u64,
                 device.now().as_ns(),
             );
             let SelectWorkspace {
@@ -215,33 +421,32 @@ pub fn sample_select_with_workspace<T: SelectElement>(
             } = &mut *ws;
             let value = base_case_select_with(device, cur, k, cfg, origin, base, sort_scratch);
             obs::span_exit(device.now().as_ns());
-            outcome = Some((value, false));
-            break;
+            break (value, false);
         }
-        if task.level >= max_levels {
+        if bucketing.exhausted() {
+            break (cur[0], true);
+        }
+        if levels >= max_levels {
             return Err(SelectError::RecursionLimit);
         }
         if let Some(budget) = work_budget {
-            // Degenerate splitters barely shrink the bucket, so the
-            // cumulative elements scanned blow past the budget long
-            // before the depth cap trips.
+            // Degenerate splitters or low-entropy keys barely shrink the
+            // bucket, so the cumulative elements scanned blow past the
+            // budget long before the depth cap trips.
             work_done += cur.len() as f64;
             if work_done > budget {
                 return Err(SelectError::RecursionLimit);
             }
         }
+        let level_ix = levels as u64;
         levels += 1;
-        let level_ix = task.level as u64;
         obs::span_enter(SpanKind::Level, "level", level_ix, device.now().as_ns());
 
-        // Splitter order is checked inside `sample_kernel` (always on:
-        // an unsorted tree is unusable, not merely inaccurate).
-        obs::span_enter(SpanKind::Kernel, "sample", level_ix, device.now().as_ns());
-        sample_kernel_into(device, cur, cfg, &mut rng, origin, ws)?;
-        obs::span_exit(device.now().as_ns());
-        let tree = ws.tree().expect("sample_kernel_into built a tree");
-        obs::span_enter(SpanKind::Kernel, "count", level_ix, device.now().as_ns());
-        let count = count_kernel_scoped(device, cur, tree, cfg, true, origin, &ws.scratch);
+        bucketing.prepare(device, cur, cfg, origin, level_ix, ws)?;
+        let classifier = bucketing.classifier(ws);
+        let count_name = classifier.kernel_name(true);
+        obs::span_enter(SpanKind::Kernel, count_name, level_ix, device.now().as_ns());
+        let count = count_kernel_scoped(device, cur, classifier, cfg, true, origin, &ws.scratch);
         obs::span_exit(device.now().as_ns());
         if obs::enabled() {
             // Derived samples computed only when a session is installed
@@ -263,7 +468,7 @@ pub fn sample_select_with_workspace<T: SelectElement>(
         }
         obs::span_enter(SpanKind::Kernel, "reduce", level_ix, device.now().as_ns());
         let red = reduce_kernel(device, &count, LaunchOrigin::Device);
-        select_bucket_kernel(device, tree.num_buckets(), LaunchOrigin::Device);
+        bucketing.after_reduce(device, ws);
         obs::span_exit(device.now().as_ns());
 
         let bucket = red.bucket_for_rank(k as u64);
@@ -277,13 +482,10 @@ pub fn sample_select_with_workspace<T: SelectElement>(
             });
         }
 
-        if tree.is_equality_bucket(bucket) {
-            // §IV-C: all elements of this bucket equal its lower-bound
-            // splitter — terminate early.
-            outcome = Some((tree.equality_value(bucket), true));
+        if let Some(value) = bucketing.equality_value(ws, bucket) {
             recycle_level(device, count, red);
             obs::span_exit(device.now().as_ns());
-            break;
+            break (value, true);
         }
 
         let bucket_u32 = bucket as u32;
@@ -323,11 +525,8 @@ pub fn sample_select_with_workspace<T: SelectElement>(
         recycle_level(device, count, red);
         obs::span_exit(device.now().as_ns());
         use_storage = true;
-        queue.push(LevelTask {
-            rank: next_rank,
-            level: task.level + 1,
-        });
-    }
+        k = next_rank;
+    };
 
     // The last level's filtered bucket goes back to the pool for the
     // next query.
@@ -337,15 +536,14 @@ pub fn sample_select_with_workspace<T: SelectElement>(
     obs::pool_sample(device);
     obs::span_exit(device.now().as_ns());
 
-    let (value, terminated_early) = outcome.expect("recursion ended without producing a value");
-    let report = SelectReport::from_records(
-        "sampleselect",
+    report.refill_from_records(
+        B::ALGORITHM,
         n,
         &device.records()[records_before..],
         levels,
         terminated_early,
     );
-    Ok(SelectResult { value, report })
+    Ok(value)
 }
 
 #[cfg(test)]

@@ -213,14 +213,15 @@ pub fn block_filter(
     (out, block.take_sanitizer_report())
 }
 
-/// Thread-level MSD radix digit histogram — the accumulation half of
-/// the RadixSelect `digit_count` kernel: extract the 8-bit digit at
-/// `shift` from every sort key (a register-only operation), then count
-/// into [`crate::radix::RADIX_BUCKETS`] shared counters with the same
+/// Thread-level MSD radix digit histogram — the reference for the count
+/// kernel run with [`crate::radix::DigitClassifier`] (the `digit_count`
+/// launches of RadixSelect): extract the 8-bit digit at `shift` from
+/// every sort key (a register-only operation), then count into
+/// [`crate::radix::RADIX_BUCKETS`] shared counters with the same
 /// warp-cooperative atomics as [`block_histogram`]. Bucketing by digit
 /// instead of by search-tree oracle is the *only* difference from the
-/// sample-select count family, which is exactly why the two share one
-/// reference accumulator.
+/// sample-select count family, which is why production shares one count
+/// kernel body and this reference shares one accumulator.
 pub fn block_digit_histogram(
     keys: &[u64],
     shift: u32,

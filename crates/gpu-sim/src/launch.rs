@@ -1,8 +1,6 @@
-//! Kernel launch configuration, occupancy, and the dynamic-parallelism
-//! tail-launch queue.
+//! Kernel launch configuration and occupancy.
 
 use crate::arch::GpuArchitecture;
-use std::collections::VecDeque;
 
 /// Grid/block dimensions and static shared-memory footprint of a kernel
 /// launch, mirroring CUDA's `<<<blocks, threads, smem>>>` triple.
@@ -98,62 +96,6 @@ pub fn occupancy(arch: &GpuArchitecture, config: &LaunchConfig) -> Occupancy {
     }
 }
 
-/// FIFO of pending device-side launches: the simulator's model of CUDA
-/// Dynamic Parallelism tail recursion (§IV-E).
-///
-/// The paper exploits that "all kernels launched from the CPU or a single
-/// thread on the GPU will be executed in the order they were launched
-/// in" to implement tail recursion without host round-trips. The queue
-/// captures that ordering: the recursion driver pushes follow-up work
-/// descriptors and pops them in order, and the device charges the
-/// (cheaper) device-launch latency instead of a host launch for each.
-#[derive(Debug)]
-pub struct TailLaunchQueue<T> {
-    queue: VecDeque<T>,
-    total_enqueued: u64,
-}
-
-impl<T> TailLaunchQueue<T> {
-    pub fn new() -> Self {
-        Self {
-            queue: VecDeque::new(),
-            total_enqueued: 0,
-        }
-    }
-
-    /// Enqueue a follow-up launch descriptor (ordered behind everything
-    /// already queued).
-    pub fn push(&mut self, task: T) {
-        self.total_enqueued += 1;
-        self.queue.push_back(task);
-    }
-
-    /// Pop the next launch in submission order.
-    pub fn pop(&mut self) -> Option<T> {
-        self.queue.pop_front()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
-    }
-
-    pub fn len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Number of launches enqueued over the queue's lifetime — i.e. how
-    /// many device-side launches a run performed.
-    pub fn total_enqueued(&self) -> u64 {
-        self.total_enqueued
-    }
-}
-
-impl<T> Default for TailLaunchQueue<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -238,22 +180,5 @@ mod tests {
         let occ = occupancy(&arch, &one_warp);
         // One warp per SM cannot hide latency: far below full speed.
         assert!(occ.effective_sms < arch.num_sms as f64 * 0.2);
-    }
-
-    #[test]
-    fn tail_queue_preserves_fifo_order() {
-        let mut q = TailLaunchQueue::new();
-        q.push(1);
-        q.push(2);
-        q.push(3);
-        assert_eq!(q.len(), 3);
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), Some(2));
-        q.push(4);
-        assert_eq!(q.pop(), Some(3));
-        assert_eq!(q.pop(), Some(4));
-        assert_eq!(q.pop(), None);
-        assert!(q.is_empty());
-        assert_eq!(q.total_enqueued(), 4);
     }
 }

@@ -17,8 +17,10 @@
 //!   vectorized kernels).
 //! * [`cost`] — resource counters ([`cost::KernelCost`]) and the
 //!   roofline-style overlap model converting them to [`cost::SimTime`].
-//! * [`launch`] — launch configurations, occupancy, and the
-//!   dynamic-parallelism tail-launch queue.
+//! * [`launch`] — launch configurations and occupancy. Dynamic
+//!   parallelism is modelled by the [`LaunchOrigin`] a driver passes to
+//!   [`Device::commit`]: device-side tail launches pay the lower
+//!   device-launch latency.
 //! * [`memory`] — scatter buffers for the two-pass counter scheme and
 //!   traffic-tracked shared-memory arrays.
 //! * [`bufpool`] — size-classed, fault-aware recycling of device
@@ -72,7 +74,7 @@ pub use cost::{CostBreakdown, KernelCost, SimTime};
 pub use device::{Device, KernelRecord, KernelSummary, LaunchOrigin};
 pub use event::Event;
 pub use fault::{CorruptionOp, FaultInjector, FaultKind, FaultPlan, LaunchError, MemoryCorruption};
-pub use launch::{occupancy, LaunchConfig, Occupancy, TailLaunchQueue};
+pub use launch::{occupancy, LaunchConfig, Occupancy};
 pub use memory::{AllocError, CorruptTarget, DeviceMemory, ScatterBuffer, SharedArray};
 pub use sanitizer::{
     SanitizerConfig, SanitizerFinding, SanitizerKind, SanitizerReport, SanitizerSink,

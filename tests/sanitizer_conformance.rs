@@ -26,10 +26,10 @@ use gpu_selection::gpu_sim::sanitizer::{SanitizerConfig, SanitizerKind};
 use gpu_selection::gpu_sim::{Device, LaunchOrigin, WarpSchedule};
 use gpu_selection::hpc_par::ThreadPool;
 use gpu_selection::sampleselect::bitonic::{bitonic_sort, bitonic_sort_on_block};
-use gpu_selection::sampleselect::count::{count_kernel, CountResult};
+use gpu_selection::sampleselect::count::{count_kernel, count_kernel_scoped, CountResult};
 use gpu_selection::sampleselect::element::SelectElement;
 use gpu_selection::sampleselect::filter::filter_kernel;
-use gpu_selection::sampleselect::radix::radix_digit_count_kernel;
+use gpu_selection::sampleselect::radix::DigitClassifier;
 use gpu_selection::sampleselect::reduce::{reduce_kernel, ReduceResult};
 use gpu_selection::sampleselect::rng::SplitMix64;
 use gpu_selection::sampleselect::searchtree::SearchTree;
@@ -281,11 +281,12 @@ fn radix_family_conformance() {
     // digit and shift 0 the low byte; the dead digits at 24/16 are
     // covered by the all-in-bucket-zero histogram they produce anyway.
     for shift in [24u32, 8, 0] {
-        let count = radix_digit_count_kernel(
+        let count = count_kernel_scoped(
             &mut device,
             &data,
-            shift,
+            &DigitClassifier { shift },
             &cfg,
+            true,
             LaunchOrigin::Host,
             &scratch,
         );

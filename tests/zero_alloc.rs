@@ -1,11 +1,11 @@
 //! Allocation accounting for the zero-allocation hot path.
 //!
-//! A counting `#[global_allocator]` shim proves the PR's central
+//! A counting `#[global_allocator]` shim proves the hot path's central
 //! property: with the device buffer pool armed and a warm
 //! [`SelectWorkspace`], the steady-state recursion kernels (sample →
 //! count → reduce → filter at level >= 1) perform **zero** heap
-//! allocations, and a full driver query allocates only the bounded
-//! report-assembly footprint.
+//! allocations, and so does an entire warm SampleSelect or RadixSelect
+//! query that fills a caller-owned report.
 //!
 //! Everything runs inside one `#[test]` so no sibling test thread can
 //! allocate while the counter is armed.
@@ -21,8 +21,7 @@ use gpu_selection::sampleselect::count::{count_kernel_scoped, OracleBuf};
 use gpu_selection::sampleselect::filter::filter_kernel_scoped;
 use gpu_selection::sampleselect::instrument::SelectReport;
 use gpu_selection::sampleselect::obs;
-use gpu_selection::sampleselect::radix_select_into;
-use gpu_selection::sampleselect::recursion::sample_select_with_workspace;
+use gpu_selection::sampleselect::recursion::{select_into, Bucketing};
 use gpu_selection::sampleselect::reduce::reduce_kernel;
 use gpu_selection::sampleselect::rng::SplitMix64;
 use gpu_selection::sampleselect::splitter::sample_kernel_into;
@@ -183,85 +182,56 @@ fn steady_state_hot_path_does_not_allocate() {
     }
     device.reset();
 
-    // Full driver query: only the bounded report-assembly footprint
-    // (kernel summaries + name strings + the tail-launch queue) may
-    // allocate once the workspace and pool are warm.
-    let r_cold = sample_select_with_workspace(&mut device, &data, 1 << 15, &cfg, &mut ws)
-        .expect("select succeeds");
-    device.reset();
-    let (r_warm, query_allocs) = counted(|| {
-        sample_select_with_workspace(&mut device, &data, 1 << 15, &cfg, &mut ws)
-            .expect("select succeeds")
-    });
-    assert_eq!(r_cold.value, r_warm.value);
-    assert!(
-        query_allocs <= 32,
-        "warm full query allocated {query_allocs} times (report assembly \
-         should need well under 32)"
-    );
-
-    // RadixSelect: the promoted backend's warm path is *stricter* than
-    // SampleSelect's — with a warm workspace, pool, and a caller-owned
-    // report shell, an ENTIRE radix query (digit count, reduce, filter
-    // recursion, base-case sort, report re-aggregation) performs zero
-    // heap allocations. This is the bugfix leg for the baselines digit
-    // kernel that allocated `vec![0u64; 256]` per block per pass.
-    let mut radix_ws: SelectWorkspace<f32> = SelectWorkspace::new();
-    let mut radix_report = SelectReport::empty("radixselect");
+    // Full driver query: with a warm workspace, pool, and a
+    // caller-owned report shell, an ENTIRE query of either backend
+    // (sample or digit pass, count, reduce, filter recursion, base-case
+    // sort, report re-aggregation) performs zero heap allocations.
     let rank = 1 << 15;
-    // Two cold queries warm the workspace, the pool shapes, the record
-    // buffer, and the report's kernel-summary slots.
-    let v_cold = radix_select_into(
-        &mut device,
-        &data,
-        rank,
-        &cfg,
-        &mut radix_ws,
-        &mut radix_report,
-    )
-    .expect("radix select succeeds");
-    device.reset();
-    let v_warm_check = radix_select_into(
-        &mut device,
-        &data,
-        rank,
-        &cfg,
-        &mut radix_ws,
-        &mut radix_report,
-    )
-    .expect("radix select succeeds");
-    assert_eq!(v_cold, v_warm_check);
-    device.reset();
+    for (bucketing, algorithm) in [
+        (Bucketing::Splitters, "sampleselect"),
+        (Bucketing::Digits, "radixselect"),
+    ] {
+        let mut query_ws: SelectWorkspace<f32> = SelectWorkspace::new();
+        let mut report = SelectReport::empty("");
+        let mut query = |device: &mut Device| {
+            select_into(
+                device,
+                &data,
+                rank,
+                &cfg,
+                &mut query_ws,
+                &mut report,
+                bucketing,
+            )
+            .expect("select succeeds")
+        };
+        // Two cold queries warm the workspace, the pool shapes, the
+        // record buffer, and the report's kernel-summary slots.
+        let v_cold = query(&mut device);
+        device.reset();
+        assert_eq!(query(&mut device), v_cold);
+        device.reset();
 
-    let pool_before = device.buffer_pool_stats().expect("pool armed");
-    let (v_warm, radix_allocs) = counted(|| {
-        radix_select_into(
-            &mut device,
-            &data,
-            rank,
-            &cfg,
-            &mut radix_ws,
-            &mut radix_report,
-        )
-        .expect("radix select succeeds")
-    });
-    assert_eq!(v_warm, v_cold);
-    assert_eq!(
-        radix_allocs, 0,
-        "warm radix query allocated {radix_allocs} times (must be zero)"
-    );
-    let pool_after = device.buffer_pool_stats().expect("pool armed");
-    assert_eq!(
-        pool_after.misses, pool_before.misses,
-        "warm pool must serve every radix lease"
-    );
-    assert!(
-        pool_after.hits > pool_before.hits,
-        "the radix query leased from the pool"
-    );
-    assert_eq!(radix_report.algorithm, "radixselect");
-    assert!(radix_report.total_launches() > 0);
-    device.reset();
+        let pool_before = device.buffer_pool_stats().expect("pool armed");
+        let (v_warm, query_allocs) = counted(|| query(&mut device));
+        assert_eq!(v_warm, v_cold);
+        assert_eq!(
+            query_allocs, 0,
+            "warm {algorithm} query allocated {query_allocs} times (must be zero)"
+        );
+        let pool_after = device.buffer_pool_stats().expect("pool armed");
+        assert_eq!(
+            pool_after.misses, pool_before.misses,
+            "warm pool must serve every {algorithm} lease"
+        );
+        assert!(
+            pool_after.hits > pool_before.hits,
+            "the {algorithm} query leased from the pool"
+        );
+        assert_eq!(report.algorithm, algorithm);
+        assert!(report.total_launches() > 0);
+        device.reset();
+    }
 
     // With no ObsSession installed, every observability entry point the
     // drivers call on the hot path must be a branch-and-return: zero
