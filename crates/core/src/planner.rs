@@ -38,7 +38,6 @@ use crate::params::SampleSelectConfig;
 use crate::quickselect::quick_select_on_device;
 use crate::radix::DIGIT_BITS;
 use crate::recursion::{sample_select_with_workspace, select_with_workspace, Bucketing};
-use crate::topk::{top_k_largest_with_workspace, TopKResult};
 use crate::workspace::SelectWorkspace;
 use crate::{SelectError, SelectResult};
 use gpu_sim::arch::GpuArchitecture;
@@ -727,7 +726,7 @@ pub fn auto_select_with_signals<T: SelectElement>(
 }
 
 /// Run a rank query on the backend a decision names — the shared
-/// dispatcher for `--algo auto`, the planner proptests and `selectd`.
+/// dispatcher for `--algo auto` and the planner proptests.
 pub fn run_planned<T: SelectElement>(
     device: &mut Device,
     data: &[T],
@@ -742,52 +741,11 @@ pub fn run_planned<T: SelectElement>(
         PlannedBackend::Radix => {
             select_with_workspace(device, data, rank, cfg, ws, Bucketing::Digits)
         }
-        PlannedBackend::TopK => {
-            // A rank query on the top-k backend: extract the top n-rank
-            // elements and return the threshold (the rank-th smallest).
-            let n = data.len();
-            if n == 0 {
-                return Err(SelectError::EmptyInput);
-            }
-            if rank >= n {
-                return Err(SelectError::RankOutOfRange { rank, len: n });
-            }
-            let k = n - rank;
-            let TopKResult {
-                threshold, report, ..
-            } = top_k_largest_with_workspace(device, data, k, cfg, ws)?;
-            Ok(SelectResult {
-                value: threshold,
-                report,
-            })
-        }
-        PlannedBackend::ApproxTopK => {
-            // A rank query on the approximate backend: extract an
-            // approximate top-(n-rank) set and return its threshold.
-            // The value is NOT exact — callers route here only for
-            // queries that declared an approximation budget (`selectd`
-            // tags the response status accordingly).
-            let n = data.len();
-            if n == 0 {
-                return Err(SelectError::EmptyInput);
-            }
-            if rank >= n {
-                return Err(SelectError::RankOutOfRange { rank, len: n });
-            }
-            let k = n - rank;
-            let res = crate::approx_topk::approx_top_k_with_workspace(
-                device,
-                data,
-                k,
-                &crate::approx_topk::ApproxTopKConfig::default(),
-                cfg,
-                ws,
-            )?;
-            Ok(SelectResult {
-                value: res.threshold,
-                report: res.report,
-            })
-        }
+        // Top-k plans answer top-k queries (`selectd` serves them through
+        // the resilient driver); no rank plan names them.
+        PlannedBackend::TopK | PlannedBackend::ApproxTopK => Err(SelectError::InvalidArgument {
+            what: format!("{} is not a rank backend", backend.name()),
+        }),
     }
 }
 

@@ -3,10 +3,13 @@
 //!
 //! Real GPU deployments fail in ways the paper's measurement setting
 //! never sees: kernel launches error out, device memory runs dry, and
-//! I/O feeding an out-of-core run stalls. This module wraps the
-//! SampleSelect / QuickSelect / streaming drivers with a policy layer
-//! that keeps returning *correct* answers under injected faults
-//! ([`gpu_sim::FaultPlan`]):
+//! I/O feeding an out-of-core run stalls. This module holds the one
+//! attempt loop that keeps returning *correct* answers under injected
+//! faults ([`gpu_sim::FaultPlan`]) for every kind of query: exact,
+//! streamed and approximate ranks, quantile vectors and top-k
+//! thresholds. A private `Query` trait says how one attempt of a kind
+//! runs, which certificate applies and what the host answers as the
+//! last resort; the loop owns the policy:
 //!
 //! * **Retry** — a transient device fault (an injected launch failure or
 //!   allocation failure latched by the [`Device`]) discards the
@@ -18,6 +21,10 @@
 //!   backend: SampleSelect → QuickSelect → CPU sort. The CPU sort
 //!   terminates unconditionally, so the chain always produces the exact
 //!   answer.
+//! * **Certification** — under [`crate::VerifyPolicy::Paranoid`] a
+//!   device answer must pass its rank certificate
+//!   ([`crate::verify::certify_ranks`]) before it is returned; a failed
+//!   certificate is a corruption, retried like a fault.
 //! * **Degradation** — under a time budget, once the simulated clock
 //!   passes the deadline the driver stops pursuing the exact answer and
 //!   returns the single-pass approximate result, tagged with its exact
@@ -27,19 +34,26 @@
 //! report; with a fixed [`gpu_sim::FaultPlan`] seed the whole event log
 //! is deterministic.
 
+use std::marker::PhantomData;
+
 use crate::approx::approx_select_on_device;
+use crate::approx_topk::{approx_top_k_with_workspace, ApproxTopKConfig};
 use crate::element::{reference_select, SelectElement};
 use crate::instrument::{ResilienceEvents, SelectReport};
+use crate::multiselect::multi_select_with_workspace;
 use crate::obs::{self, SpanKind};
 use crate::params::SampleSelectConfig;
+use crate::planner::PlannedBackend;
 use crate::quickselect::quick_select_on_device;
 use crate::recursion::{sample_select_on_device, validate_input};
 use crate::rng::SplitMix64;
 use crate::streaming::{streaming_select, ChunkSource};
-use crate::verify::certify_rank;
-use crate::{SelectError, SelectResult};
+use crate::topk::top_k_largest_on_device;
+use crate::verify::{certify_rank, certify_ranks};
+use crate::workspace::SelectWorkspace;
+use crate::SelectError;
 use gpu_sim::arch::v100;
-use gpu_sim::{Device, SimTime};
+use gpu_sim::{Device, LaunchOrigin, SimTime};
 
 /// How transient faults are retried.
 #[derive(Debug, Clone, PartialEq)]
@@ -197,14 +211,6 @@ impl Backend {
     }
 }
 
-/// The default fallback chain: the paper's algorithm, the engineered
-/// reference, then the host sort that cannot fail.
-pub const DEFAULT_CHAIN: [Backend; 3] = [
-    Backend::SampleSelect,
-    Backend::QuickSelect,
-    Backend::CpuSort,
-];
-
 /// The answer, tagged with its accuracy.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Outcome<T> {
@@ -245,10 +251,23 @@ pub struct ResilientResult<T> {
     pub report: SelectReport,
 }
 
-/// Deterministically derive the seed of retry `attempt` from the base
-/// seed, so a retry draws a fresh splitter sample without becoming
-/// run-to-run nondeterministic.
+impl<T> From<Served<Outcome<T>>> for ResilientResult<T> {
+    fn from(served: Served<Outcome<T>>) -> Self {
+        ResilientResult {
+            outcome: served.answer,
+            backend: served.backend,
+            report: served.report,
+        }
+    }
+}
+
+/// The seed of `attempt`: the base seed first, then one derived
+/// deterministically per retry, so a retry draws a fresh splitter
+/// sample without becoming run-to-run nondeterministic.
 fn retry_seed(base: u64, backend: Backend, attempt: u32) -> u64 {
+    if attempt == 0 {
+        return base;
+    }
     let salt = backend.salt();
     base ^ (0x9E37_79B9_7F4A_7C15u64
         .wrapping_mul(attempt as u64 + 1)
@@ -272,6 +291,577 @@ fn backoff_and_count(
     device.advance_time(backoff);
 }
 
+// ---------------------------------------------------------------------
+// The attempt loop
+// ---------------------------------------------------------------------
+
+/// One attempt's answer with the report of the driver that produced it.
+type Attempt<A> = Result<(A, SelectReport), SelectError>;
+
+/// A certificate's verdict: what it proved, `None` when no certificate
+/// applies (the answer is approximate by design).
+type Certified = Result<Option<String>, SelectError>;
+
+/// The selection configuration an attempt runs with.
+type Cfg = SampleSelectConfig;
+
+/// What differs between the kinds of query the attempt loop ([`drive`])
+/// serves. Retries, reseeding, fault draining, backoff, fallback,
+/// certification, the host last resort and the event log belong to the
+/// loop.
+pub(crate) trait Query {
+    /// What one successful attempt produces.
+    type Answer;
+
+    /// Query-span label.
+    const SPAN: &'static str = "resilient";
+
+    /// Permanent input/config errors, checked before any attempt.
+    fn validate(&self, _cfg: &Cfg) -> Result<(), SelectError> {
+        Ok(())
+    }
+
+    /// The device backends to try, in order; the host answer follows.
+    fn chain(&self) -> &'static [Backend] {
+        &[Backend::SampleSelect]
+    }
+
+    /// Attempt-span, event and response label of a device backend.
+    fn name(&self, backend: Backend) -> &'static str {
+        backend.name()
+    }
+
+    /// Report label of an answer from a device backend.
+    fn report_label(&self, backend: Backend) -> &'static str {
+        backend.report_label()
+    }
+
+    /// Run one attempt on a device backend of the chain.
+    fn attempt(
+        &mut self,
+        device: &mut Device,
+        backend: Backend,
+        cfg: &Cfg,
+    ) -> Attempt<Self::Answer>;
+
+    /// Certify a device answer against the untouched input: `Some`
+    /// names what was proven; `None` means no certificate applies (the
+    /// answer is approximate by design).
+    fn certify(&self, _device: &mut Device, _answer: &Self::Answer, _cfg: &Cfg) -> Certified {
+        Ok(None)
+    }
+
+    /// The host answer of last resort.
+    fn last_resort(&self) -> Result<Self::Answer, SelectError>;
+
+    /// The single-pass approximate answer once the time budget is
+    /// spent. A kind without one goes straight to the last resort: a
+    /// late exact answer still beats no answer.
+    fn approximate(&self, _device: &mut Device, _cfg: &Cfg) -> Option<Attempt<Self::Answer>> {
+        None
+    }
+
+    /// The input size, when the loop itself accounts the query in the
+    /// metrics registry: it absorbs the device timeline and reports
+    /// over every attempt. Kinds whose drivers account for themselves
+    /// (`None`) leave the registry exactly as those drivers do and keep
+    /// the answering driver's report.
+    fn accounted_len(&self) -> Option<usize> {
+        None
+    }
+}
+
+/// What the attempt loop returns.
+pub(crate) struct Served<A> {
+    pub answer: A,
+    /// The backend that produced the answer.
+    pub backend: Backend,
+    /// Its label under the query kind (`cpu-sort` for the last resort).
+    pub label: &'static str,
+    /// Measurement report, with the event log of every attempt.
+    pub report: SelectReport,
+}
+
+impl<A> Served<A> {
+    pub fn map<B>(self, f: impl FnOnce(A) -> B) -> Served<B> {
+        Served {
+            answer: f(self.answer),
+            backend: self.backend,
+            label: self.label,
+            report: self.report,
+        }
+    }
+}
+
+/// Bookkeeping of one loop run, consumed when the answer is reported.
+struct Run {
+    records_before: usize,
+    outer_depth: usize,
+    events: ResilienceEvents,
+}
+
+impl Run {
+    fn finish<Q: Query>(
+        mut self,
+        device: &mut Device,
+        query: &Q,
+        backend: Backend,
+        report_label: &'static str,
+        answer: Q::Answer,
+        inner: Option<SelectReport>,
+    ) -> Served<Q::Answer> {
+        // Keep the retries an inner driver already recorded (the
+        // streaming driver's chunk reloads).
+        if let Some(r) = &inner {
+            self.events.merge(&r.resilience);
+        }
+        let n = query.accounted_len();
+        if n.is_some() {
+            obs::absorb_device(device);
+            obs::pool_sample(device);
+        }
+        obs::span_close_to(self.outer_depth, device.now().as_ns());
+        let report = match (n, inner) {
+            (Some(n), inner) => {
+                let (levels, early) = inner.map_or((0, false), |r| (r.levels, r.terminated_early));
+                let records = &device.records()[self.records_before..];
+                SelectReport::from_records(report_label, n, records, levels, early)
+            }
+            (None, Some(inner)) => inner,
+            (None, None) => SelectReport::empty(report_label),
+        };
+        let label = match backend {
+            Backend::CpuSort => backend.name(),
+            _ => query.name(backend),
+        };
+        Served {
+            answer,
+            backend,
+            label,
+            report: report.with_resilience(self.events),
+        }
+    }
+
+    /// The host answer of last resort, reported as the CPU sort.
+    fn host_answer<Q: Query>(
+        self,
+        device: &mut Device,
+        query: &Q,
+    ) -> Result<Served<Q::Answer>, SelectError> {
+        let depth = obs::span_depth();
+        let name = Backend::CpuSort.name();
+        obs::span_enter(SpanKind::Attempt, name, 0, device.now().as_ns());
+        let answer = query.last_resort();
+        obs::span_close_to(depth, device.now().as_ns());
+        let label = Backend::CpuSort.report_label();
+        Ok(self.finish(device, query, Backend::CpuSort, label, answer?, None))
+    }
+}
+
+/// The one attempt loop: every device backend of the query's chain in
+/// turn, each tried on the base seed and then on salted re-seeds; then
+/// the host answer of last resort. See the module docs for the policy.
+pub(crate) fn drive<Q: Query>(
+    device: &mut Device,
+    mut query: Q,
+    cfg: &Cfg,
+    rcfg: &ResilienceConfig,
+) -> Result<Served<Q::Answer>, SelectError> {
+    query.validate(cfg)?;
+    let mut run = Run {
+        records_before: device.records().len(),
+        outer_depth: obs::span_depth(),
+        events: ResilienceEvents::default(),
+    };
+    obs::span_enter(SpanKind::Query, Q::SPAN, 0, device.now().as_ns());
+    // Don't let a fault latched by earlier, unrelated work on this
+    // device masquerade as ours.
+    device.take_fault();
+
+    let mut base_cfg = cfg.clone();
+    base_cfg.max_levels = rcfg.max_levels.or(cfg.max_levels);
+    base_cfg.work_budget_factor = rcfg.work_budget_factor.or(cfg.work_budget_factor);
+    let deadline = rcfg.time_budget.map(|b| device.now() + b);
+
+    for &backend in query.chain() {
+        let name = query.name(backend);
+        let mut attempt = 0u32;
+        loop {
+            if deadline.is_some_and(|dl| device.now() >= dl) {
+                return degrade(device, &query, &base_cfg, run);
+            }
+            let seed = retry_seed(base_cfg.seed, backend, attempt);
+            let attempt_cfg = base_cfg.clone().with_seed(seed);
+
+            let attempt_depth = obs::span_depth();
+            let now = device.now().as_ns();
+            obs::span_enter(SpanKind::Attempt, name, attempt as u64, now);
+            let result = query.attempt(device, backend, &attempt_cfg);
+            // Drain the latch unconditionally: a fault invalidates even a
+            // seemingly successful attempt (its kernels ran incomplete).
+            let fault = device.take_fault();
+            if let Some(f) = &fault {
+                run.events.fault(f.to_string());
+            }
+            // Close the attempt span, unwinding any spans a failed
+            // inner driver left open.
+            obs::span_close_to(attempt_depth, device.now().as_ns());
+
+            let error = match (result, fault) {
+                (Ok((answer, report)), None) => {
+                    // Before accepting the answer, a paranoid policy
+                    // demands an independent certificate (one counting
+                    // pass over the untouched input) — the only check
+                    // that catches a *self-consistent* corruption of the
+                    // intermediate buffers.
+                    let certificate = match base_cfg.verify.certify() {
+                        true => query.certify(device, &answer, &base_cfg),
+                        false => Ok(None),
+                    };
+                    match certificate {
+                        Ok(proven) => {
+                            if let Some(what) = proven {
+                                run.events.certify(format!("{what} certified on {name}"));
+                            }
+                            let label = query.report_label(backend);
+                            let report = Some(report);
+                            return Ok(run.finish(device, &query, backend, label, answer, report));
+                        }
+                        Err(e) => Some(e),
+                    }
+                }
+                (Err(SelectError::RecursionLimit), _) => {
+                    run.events.fallback(format!(
+                        "{name}: recursion failed to converge (degenerate splitters?)"
+                    ));
+                    break; // next backend
+                }
+                // A latched device fault is transient whatever the
+                // attempt returned; it is already logged.
+                (_, Some(_)) => None,
+                (Err(e), None) => Some(e),
+            };
+            match error {
+                Some(SelectError::Corruption { invariant, detail }) => {
+                    run.events.corruption(format!("{invariant}: {detail}"));
+                }
+                Some(e) if !e.is_transient() => return Err(e), // bad input/config
+                _ => {}
+            }
+            if attempt >= rcfg.retry.max_retries {
+                let reason = format!("{name}: retries exhausted under persistent faults");
+                run.events.fallback(reason);
+                break;
+            }
+            backoff_and_count(device, &rcfg.retry, attempt, &mut run.events, backend);
+            attempt += 1;
+        }
+    }
+    run.host_answer(device, &query)
+}
+
+/// Time budget exhausted: return the single-pass approximate answer,
+/// tagged with its accuracy. If there is none or it faults, fall
+/// through to the (budget-ignoring) host answer.
+fn degrade<Q: Query>(
+    device: &mut Device,
+    query: &Q,
+    cfg: &Cfg,
+    mut run: Run,
+) -> Result<Served<Q::Answer>, SelectError> {
+    obs::span_close_to(run.outer_depth, device.now().as_ns());
+    let reason = "time budget exceeded before an exact attempt could start";
+    run.events.degrade(reason);
+    let approx = query.approximate(device, cfg);
+    let fault = device.take_fault();
+    if let Some(f) = &fault {
+        run.events.fault(f.to_string());
+    }
+    match (approx, fault) {
+        (Some(Ok((answer, report))), None) => {
+            let (backend, label) = (Backend::SampleSelect, "resilient-approx");
+            Ok(run.finish(device, query, backend, label, answer, Some(report)))
+        }
+        _ => {
+            let reason = "approximate pass faulted; CPU sort as last resort";
+            run.events.fallback(reason);
+            run.host_answer(device, query)
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Query kinds
+// ---------------------------------------------------------------------
+
+/// The single-pass approximation of `rank`, tagged with its accuracy.
+fn approx_outcome<T: SelectElement>(
+    device: &mut Device,
+    data: &[T],
+    rank: usize,
+    cfg: &Cfg,
+) -> Attempt<Outcome<T>> {
+    let a = approx_select_on_device(device, data, rank, cfg)?;
+    let outcome = Outcome::Approximate {
+        value: a.value,
+        achieved_rank: a.achieved_rank,
+        rank_error: a.rank_error,
+    };
+    Ok((outcome, a.report))
+}
+
+fn exact_select<T: SelectElement>(data: &[T], rank: usize) -> T {
+    reference_select(data, rank).expect("validated input always has a rank-th element")
+}
+
+/// The exact `rank`-th smallest element, with the planner's pick (if
+/// any) heading the fallback chain.
+pub(crate) struct RankQuery<'a, T> {
+    pub data: &'a [T],
+    pub rank: usize,
+    pub planned: Option<PlannedBackend>,
+    /// Whether the loop accounts the query (see
+    /// [`Query::accounted_len`]): a rank query counts itself, a top-k
+    /// threshold served by rank leaves that to its drivers.
+    pub accounts: bool,
+}
+
+impl<'a, T> RankQuery<'a, T> {
+    /// A rank query that accounts for itself.
+    pub fn new(data: &'a [T], rank: usize, planned: Option<PlannedBackend>) -> Self {
+        let accounts = true;
+        RankQuery {
+            data,
+            rank,
+            planned,
+            accounts,
+        }
+    }
+}
+
+impl<T: SelectElement> Query for RankQuery<'_, T> {
+    type Answer = Outcome<T>;
+
+    fn validate(&self, cfg: &Cfg) -> Result<(), SelectError> {
+        cfg.validate().map_err(SelectError::InvalidConfig)?;
+        validate_input(self.data, self.rank, cfg)
+    }
+
+    fn chain(&self) -> &'static [Backend] {
+        use Backend::{QuickSelect, RadixSelect, SampleSelect};
+        match self.planned {
+            Some(PlannedBackend::Quick) => &[QuickSelect, SampleSelect],
+            Some(PlannedBackend::Radix) => &[RadixSelect, SampleSelect, QuickSelect],
+            // A top-k plan reaching the rank path means "threshold via
+            // the sample recursion" — same kernels, same chain head (the
+            // approximate top-k's phases are the same recursion too).
+            _ => &[SampleSelect, QuickSelect],
+        }
+    }
+
+    fn attempt(&mut self, device: &mut Device, backend: Backend, cfg: &Cfg) -> Attempt<Outcome<T>> {
+        let (data, rank) = (self.data, self.rank);
+        let result = match backend {
+            Backend::SampleSelect => sample_select_on_device(device, data, rank, cfg),
+            Backend::QuickSelect => quick_select_on_device(device, data, rank, cfg),
+            Backend::RadixSelect => crate::radix::radix_select_on_device(device, data, rank, cfg),
+            Backend::CpuSort => unreachable!("the host sort is the loop's last resort"),
+        };
+        result.map(|r| (Outcome::Exact(r.value), r.report))
+    }
+
+    fn certify(&self, device: &mut Device, answer: &Outcome<T>, cfg: &Cfg) -> Certified {
+        let (value, rank) = (answer.value(), self.rank);
+        certify_rank(device, self.data, value, rank, cfg, LaunchOrigin::Host)?;
+        Ok(Some(format!("rank {rank}")))
+    }
+
+    fn last_resort(&self) -> Result<Outcome<T>, SelectError> {
+        Ok(Outcome::Exact(exact_select(self.data, self.rank)))
+    }
+
+    fn approximate(&self, device: &mut Device, cfg: &Cfg) -> Option<Attempt<Outcome<T>>> {
+        Some(approx_outcome(device, self.data, self.rank, cfg))
+    }
+
+    fn accounted_len(&self) -> Option<usize> {
+        self.accounts.then_some(self.data.len())
+    }
+}
+
+/// An exact rank over a chunked source: the streaming driver, with the
+/// materialized source for the certificate and the last resort.
+struct StreamQuery<'a, T, S> {
+    source: &'a S,
+    rank: usize,
+    elem: PhantomData<T>,
+}
+
+impl<T: SelectElement, S: ChunkSource<T>> StreamQuery<'_, T, S> {
+    /// The same query over the materialized source.
+    fn in_memory<R>(
+        &self,
+        f: impl FnOnce(RankQuery<'_, T>) -> Result<R, SelectError>,
+    ) -> Result<R, SelectError> {
+        let data = materialize(self.source)?;
+        f(RankQuery::new(&data, self.rank, None))
+    }
+}
+
+impl<T: SelectElement, S: ChunkSource<T>> Query for StreamQuery<'_, T, S> {
+    type Answer = Outcome<T>;
+    const SPAN: &'static str = "resilient-streaming";
+
+    fn validate(&self, cfg: &Cfg) -> Result<(), SelectError> {
+        cfg.validate().map_err(SelectError::InvalidConfig)?;
+        let (rank, len) = (self.rank, self.source.total_len());
+        match len {
+            0 => Err(SelectError::EmptyInput),
+            _ if rank >= len => Err(SelectError::RankOutOfRange { rank, len }),
+            _ => Ok(()),
+        }
+    }
+
+    fn name(&self, _: Backend) -> &'static str {
+        "streaming"
+    }
+
+    fn report_label(&self, _: Backend) -> &'static str {
+        Self::SPAN
+    }
+
+    fn attempt(&mut self, device: &mut Device, _: Backend, cfg: &Cfg) -> Attempt<Outcome<T>> {
+        streaming_select(device, self.source, self.rank, cfg)
+            .map(|r| (Outcome::Exact(r.value), r.report))
+    }
+
+    fn certify(&self, device: &mut Device, answer: &Outcome<T>, cfg: &Cfg) -> Certified {
+        // The input is out-of-core, so the certificate is the one pass
+        // that touches all of it again.
+        self.in_memory(|q| q.certify(device, answer, cfg))
+    }
+
+    fn last_resort(&self) -> Result<Outcome<T>, SelectError> {
+        self.in_memory(|q| q.last_resort())
+    }
+
+    fn approximate(&self, device: &mut Device, cfg: &Cfg) -> Option<Attempt<Outcome<T>>> {
+        Some(self.in_memory(|q| approx_outcome(device, q.data, q.rank, cfg)))
+    }
+
+    fn accounted_len(&self) -> Option<usize> {
+        Some(self.source.total_len())
+    }
+}
+
+/// A client-requested approximation of `rank`: one sample level, with
+/// the exact host answer (a zero-error approximation) as last resort.
+pub(crate) struct ApproxQuery<'a, T> {
+    pub data: &'a [T],
+    pub rank: usize,
+}
+
+impl<T: SelectElement> Query for ApproxQuery<'_, T> {
+    type Answer = Outcome<T>;
+
+    fn name(&self, _: Backend) -> &'static str {
+        "approx"
+    }
+
+    fn attempt(&mut self, device: &mut Device, _: Backend, cfg: &Cfg) -> Attempt<Outcome<T>> {
+        approx_outcome(device, self.data, self.rank, cfg)
+    }
+
+    fn last_resort(&self) -> Result<Outcome<T>, SelectError> {
+        Ok(Outcome::Approximate {
+            value: exact_select(self.data, self.rank),
+            achieved_rank: self.rank as u64,
+            rank_error: 0,
+        })
+    }
+}
+
+/// The elements at several ranks, in one multiselect pass.
+pub(crate) struct RanksQuery<'a, T: SelectElement> {
+    pub data: &'a [T],
+    pub ranks: &'a [usize],
+    pub ws: &'a mut SelectWorkspace<T>,
+}
+
+impl<T: SelectElement> Query for RanksQuery<'_, T> {
+    type Answer = Vec<T>;
+
+    fn name(&self, _: Backend) -> &'static str {
+        "multiselect"
+    }
+
+    fn attempt(&mut self, device: &mut Device, _: Backend, cfg: &Cfg) -> Attempt<Vec<T>> {
+        multi_select_with_workspace(device, self.data, self.ranks, cfg, self.ws)
+            .map(|r| (r.values, r.report))
+    }
+
+    fn certify(&self, device: &mut Device, values: &Vec<T>, cfg: &Cfg) -> Certified {
+        let (data, ranks) = (self.data, self.ranks);
+        certify_ranks(device, data, values, ranks, cfg, LaunchOrigin::Host)?;
+        Ok(Some(format!("{} ranks", ranks.len())))
+    }
+
+    fn last_resort(&self) -> Result<Vec<T>, SelectError> {
+        let mut sorted = self.data.to_vec();
+        sorted.sort_by(|a, b| a.total_cmp(*b));
+        Ok(self.ranks.iter().map(|&r| sorted[r]).collect())
+    }
+}
+
+/// The top-`k` threshold (the `(n-k)`-th smallest element) with its
+/// expected recall: exact (recall 1.0) from the fused extraction
+/// kernel, or approximate from the bucketed two-phase pass when
+/// `bucketed` carries its shape and workspace. The exact host threshold
+/// is the last resort.
+pub(crate) struct TopKQuery<'a, T: SelectElement> {
+    pub data: &'a [T],
+    pub k: usize,
+    pub bucketed: Option<(&'a ApproxTopKConfig, &'a mut SelectWorkspace<T>)>,
+}
+
+impl<T: SelectElement> Query for TopKQuery<'_, T> {
+    type Answer = (T, f64);
+
+    fn name(&self, _: Backend) -> &'static str {
+        match self.bucketed {
+            Some(_) => "approx-topk",
+            None => "topk",
+        }
+    }
+
+    fn attempt(&mut self, device: &mut Device, _: Backend, cfg: &Cfg) -> Attempt<(T, f64)> {
+        let (data, k) = (self.data, self.k);
+        match &mut self.bucketed {
+            Some((acfg, ws)) => approx_top_k_with_workspace(device, data, k, acfg, cfg, ws)
+                .map(|r| ((r.threshold, r.expected_recall), r.report)),
+            None => top_k_largest_on_device(device, data, k, cfg)
+                .map(|r| ((r.threshold, 1.0), r.report)),
+        }
+    }
+
+    fn certify(&self, device: &mut Device, &(threshold, _): &(T, f64), cfg: &Cfg) -> Certified {
+        if self.bucketed.is_some() {
+            return Ok(None);
+        }
+        let rank = self.data.len() - self.k;
+        certify_rank(device, self.data, threshold, rank, cfg, LaunchOrigin::Host)?;
+        Ok(Some(format!("top-{} threshold", self.k)))
+    }
+
+    fn last_resort(&self) -> Result<(T, f64), SelectError> {
+        Ok((exact_select(self.data, self.data.len() - self.k), 1.0))
+    }
+}
+
+// ---------------------------------------------------------------------
+// Entry points
+// ---------------------------------------------------------------------
+
 /// Exact selection with retry, fallback, and degradation. See the
 /// module docs for the policy; `cfg` seeds the first attempt and `rcfg`
 /// controls the resilience behaviour.
@@ -282,7 +872,7 @@ pub fn resilient_select_on_device<T: SelectElement>(
     cfg: &SampleSelectConfig,
     rcfg: &ResilienceConfig,
 ) -> Result<ResilientResult<T>, SelectError> {
-    resilient_select_with_chain(device, data, rank, cfg, rcfg, &DEFAULT_CHAIN)
+    drive(device, RankQuery::new(data, rank, None), cfg, rcfg).map(Into::into)
 }
 
 /// [`resilient_select_on_device`] with the fallback chain reordered so
@@ -296,288 +886,10 @@ pub fn resilient_select_planned<T: SelectElement>(
     rank: usize,
     cfg: &SampleSelectConfig,
     rcfg: &ResilienceConfig,
-    planned: crate::planner::PlannedBackend,
+    planned: PlannedBackend,
 ) -> Result<ResilientResult<T>, SelectError> {
-    use crate::planner::PlannedBackend;
-    let first = match planned {
-        // A top-k plan reaching the rank path means "threshold via the
-        // sample recursion" — same kernels, same chain head.
-        // (the approximate top-k's local and finish phases are the same
-        // sample recursion, so it shares the chain head too).
-        PlannedBackend::Sample | PlannedBackend::TopK | PlannedBackend::ApproxTopK => {
-            Backend::SampleSelect
-        }
-        PlannedBackend::Quick => Backend::QuickSelect,
-        PlannedBackend::Radix => Backend::RadixSelect,
-    };
-    let mut chain = [
-        first,
-        Backend::SampleSelect,
-        Backend::QuickSelect,
-        Backend::CpuSort,
-    ];
-    let mut len = 1;
-    for b in DEFAULT_CHAIN {
-        if b != first {
-            chain[len] = b;
-            len += 1;
-        }
-    }
-    resilient_select_with_chain(device, data, rank, cfg, rcfg, &chain[..len])
-}
-
-fn resilient_select_with_chain<T: SelectElement>(
-    device: &mut Device,
-    data: &[T],
-    rank: usize,
-    cfg: &SampleSelectConfig,
-    rcfg: &ResilienceConfig,
-    chain: &[Backend],
-) -> Result<ResilientResult<T>, SelectError> {
-    debug_assert_eq!(chain.last(), Some(&Backend::CpuSort));
-    cfg.validate().map_err(SelectError::InvalidConfig)?;
-    validate_input(data, rank, cfg)?;
-
-    let n = data.len();
-    let records_before = device.records().len();
-    let outer_depth = obs::span_depth();
-    obs::span_enter(SpanKind::Query, "resilient", 0, device.now().as_ns());
-    let mut events = ResilienceEvents::default();
-    // Don't let a fault latched by earlier, unrelated work on this
-    // device masquerade as ours.
-    device.take_fault();
-
-    let mut base_cfg = cfg.clone();
-    if rcfg.max_levels.is_some() {
-        base_cfg.max_levels = rcfg.max_levels;
-    }
-    if rcfg.work_budget_factor.is_some() {
-        base_cfg.work_budget_factor = rcfg.work_budget_factor;
-    }
-
-    let deadline = rcfg.time_budget.map(|b| device.now() + b);
-    let over_deadline = |device: &Device| deadline.is_some_and(|dl| device.now() >= dl);
-
-    for backend in chain.iter().copied() {
-        let mut attempt = 0u32;
-        loop {
-            if over_deadline(device) {
-                obs::span_close_to(outer_depth, device.now().as_ns());
-                return degrade_to_approx(
-                    device,
-                    data,
-                    rank,
-                    &base_cfg,
-                    records_before,
-                    events,
-                    "time budget exceeded before an exact attempt could start",
-                );
-            }
-
-            let attempt_cfg = base_cfg.clone().with_seed(if attempt == 0 {
-                base_cfg.seed
-            } else {
-                retry_seed(base_cfg.seed, backend, attempt)
-            });
-
-            let attempt_depth = obs::span_depth();
-            obs::span_enter(
-                SpanKind::Attempt,
-                backend.name(),
-                attempt as u64,
-                device.now().as_ns(),
-            );
-            let result: Result<SelectResult<T>, SelectError> = match backend {
-                Backend::SampleSelect => sample_select_on_device(device, data, rank, &attempt_cfg),
-                Backend::QuickSelect => quick_select_on_device(device, data, rank, &attempt_cfg),
-                Backend::RadixSelect => {
-                    crate::radix::radix_select_on_device(device, data, rank, &attempt_cfg)
-                }
-                Backend::CpuSort => {
-                    let value = reference_select(data, rank)
-                        .expect("validated input always has a rank-th element");
-                    let report = SelectReport::from_records(
-                        backend.report_label(),
-                        n,
-                        &device.records()[records_before..],
-                        0,
-                        false,
-                    );
-                    Ok(SelectResult { value, report })
-                }
-            };
-            // Drain the latch unconditionally: a fault invalidates even a
-            // seemingly successful attempt (its kernels ran incomplete).
-            let fault = device.take_fault();
-            if let Some(f) = &fault {
-                events.fault(f.to_string());
-            }
-            // Close the attempt span, unwinding any spans a failed
-            // inner driver left open.
-            obs::span_close_to(attempt_depth, device.now().as_ns());
-
-            match (result, fault) {
-                (Ok(inner), None) => {
-                    // Before declaring the answer exact, a paranoid
-                    // policy demands an independent rank certificate
-                    // (one counting pass over the untouched input) —
-                    // the only check that catches a *self-consistent*
-                    // corruption of the intermediate buffers. The CPU
-                    // sort reads the input directly and needs none.
-                    if base_cfg.verify.certify() && backend != Backend::CpuSort {
-                        match certify_rank(
-                            device,
-                            data,
-                            inner.value,
-                            rank,
-                            &base_cfg,
-                            gpu_sim::LaunchOrigin::Host,
-                        ) {
-                            Ok(()) => events
-                                .certify(format!("rank {rank} certified on {}", backend.name())),
-                            Err(SelectError::Corruption { invariant, detail }) => {
-                                events.corruption(format!("{invariant}: {detail}"));
-                                if attempt < rcfg.retry.max_retries {
-                                    backoff_and_count(
-                                        device,
-                                        &rcfg.retry,
-                                        attempt,
-                                        &mut events,
-                                        backend,
-                                    );
-                                    attempt += 1;
-                                    continue;
-                                }
-                                events.fallback(format!(
-                                    "{}: retries exhausted under persistent faults",
-                                    backend.name()
-                                ));
-                                break;
-                            }
-                            Err(e) => return Err(e),
-                        }
-                    }
-                    obs::absorb_device(device);
-                    obs::pool_sample(device);
-                    obs::span_close_to(outer_depth, device.now().as_ns());
-                    let report = SelectReport::from_records(
-                        backend.report_label(),
-                        n,
-                        &device.records()[records_before..],
-                        inner.report.levels,
-                        inner.report.terminated_early,
-                    )
-                    .with_resilience(events);
-                    return Ok(ResilientResult {
-                        outcome: Outcome::Exact(inner.value),
-                        backend,
-                        report,
-                    });
-                }
-                (Err(SelectError::RecursionLimit), _) => {
-                    events.fallback(format!(
-                        "{}: recursion failed to converge (degenerate splitters?)",
-                        backend.name()
-                    ));
-                    break; // next backend
-                }
-                (Ok(_), Some(_)) | (Err(_), Some(_)) => {
-                    // Transient device fault: retry this backend, then
-                    // give up on it.
-                    if attempt < rcfg.retry.max_retries {
-                        backoff_and_count(device, &rcfg.retry, attempt, &mut events, backend);
-                        attempt += 1;
-                    } else {
-                        events.fallback(format!(
-                            "{}: retries exhausted under persistent faults",
-                            backend.name()
-                        ));
-                        break;
-                    }
-                }
-                (Err(e), None) if e.is_transient() => {
-                    if let SelectError::Corruption { invariant, detail } = &e {
-                        events.corruption(format!("{invariant}: {detail}"));
-                    }
-                    if attempt < rcfg.retry.max_retries {
-                        backoff_and_count(device, &rcfg.retry, attempt, &mut events, backend);
-                        attempt += 1;
-                    } else {
-                        events.fallback(format!(
-                            "{}: retries exhausted under persistent faults",
-                            backend.name()
-                        ));
-                        break;
-                    }
-                }
-                (Err(e), None) => return Err(e), // permanent: bad input/config
-            }
-        }
-    }
-    unreachable!("the CPU sort backend cannot fail on validated input")
-}
-
-/// Time budget exhausted: return the single-pass approximate result,
-/// tagged with its accuracy. If even that pass faults, fall through to
-/// the (budget-ignoring) CPU sort — a late exact answer still beats no
-/// answer.
-fn degrade_to_approx<T: SelectElement>(
-    device: &mut Device,
-    data: &[T],
-    rank: usize,
-    cfg: &SampleSelectConfig,
-    records_before: usize,
-    mut events: ResilienceEvents,
-    reason: &str,
-) -> Result<ResilientResult<T>, SelectError> {
-    events.degrade(reason);
-    let n = data.len();
-    let approx = approx_select_on_device(device, data, rank, cfg);
-    let fault = device.take_fault();
-    if let Some(f) = &fault {
-        events.fault(f.to_string());
-    }
-    obs::absorb_device(device);
-    obs::pool_sample(device);
-    match (approx, fault) {
-        (Ok(a), None) => {
-            let report = SelectReport::from_records(
-                "resilient-approx",
-                n,
-                &device.records()[records_before..],
-                a.report.levels,
-                a.report.terminated_early,
-            )
-            .with_resilience(events);
-            Ok(ResilientResult {
-                outcome: Outcome::Approximate {
-                    value: a.value,
-                    achieved_rank: a.achieved_rank,
-                    rank_error: a.rank_error,
-                },
-                backend: Backend::SampleSelect,
-                report,
-            })
-        }
-        _ => {
-            events.fallback("approximate pass faulted; CPU sort as last resort");
-            let value =
-                reference_select(data, rank).expect("validated input always has a rank-th element");
-            let report = SelectReport::from_records(
-                Backend::CpuSort.report_label(),
-                n,
-                &device.records()[records_before..],
-                0,
-                false,
-            )
-            .with_resilience(events);
-            Ok(ResilientResult {
-                outcome: Outcome::Exact(value),
-                backend: Backend::CpuSort,
-                report,
-            })
-        }
-    }
+    let query = RankQuery::new(data, rank, Some(planned));
+    drive(device, query, cfg, rcfg).map(Into::into)
 }
 
 /// [`resilient_select_on_device`] on a default simulated device (Tesla
@@ -603,193 +915,8 @@ pub fn resilient_streaming_select<T: SelectElement, S: ChunkSource<T>>(
     cfg: &SampleSelectConfig,
     rcfg: &ResilienceConfig,
 ) -> Result<ResilientResult<T>, SelectError> {
-    cfg.validate().map_err(SelectError::InvalidConfig)?;
-    let n = source.total_len();
-    if n == 0 {
-        return Err(SelectError::EmptyInput);
-    }
-    if rank >= n {
-        return Err(SelectError::RankOutOfRange { rank, len: n });
-    }
-
-    let records_before = device.records().len();
-    let outer_depth = obs::span_depth();
-    obs::span_enter(
-        SpanKind::Query,
-        "resilient-streaming",
-        0,
-        device.now().as_ns(),
-    );
-    let mut events = ResilienceEvents::default();
-    device.take_fault();
-
-    let mut base_cfg = cfg.clone();
-    if rcfg.max_levels.is_some() {
-        base_cfg.max_levels = rcfg.max_levels;
-    }
-    if rcfg.work_budget_factor.is_some() {
-        base_cfg.work_budget_factor = rcfg.work_budget_factor;
-    }
-
-    let deadline = rcfg.time_budget.map(|b| device.now() + b);
-    let over_deadline = |device: &Device| deadline.is_some_and(|dl| device.now() >= dl);
-
-    let mut attempt = 0u32;
-    let fallback_reason: String;
-    loop {
-        if over_deadline(device) {
-            obs::span_close_to(outer_depth, device.now().as_ns());
-            let data = materialize(source)?;
-            return degrade_to_approx(
-                device,
-                &data,
-                rank,
-                &base_cfg,
-                records_before,
-                events,
-                "time budget exceeded before a streaming attempt could start",
-            );
-        }
-        let attempt_cfg = base_cfg.clone().with_seed(if attempt == 0 {
-            base_cfg.seed
-        } else {
-            retry_seed(base_cfg.seed, Backend::SampleSelect, attempt)
-        });
-
-        let attempt_depth = obs::span_depth();
-        obs::span_enter(
-            SpanKind::Attempt,
-            "streaming",
-            attempt as u64,
-            device.now().as_ns(),
-        );
-        let result = streaming_select(device, source, rank, &attempt_cfg);
-        let fault = device.take_fault();
-        if let Some(f) = &fault {
-            events.fault(f.to_string());
-        }
-        obs::span_close_to(attempt_depth, device.now().as_ns());
-
-        match (result, fault) {
-            (Ok(res), None) => {
-                if base_cfg.verify.certify() {
-                    // Streaming certification re-reads the source (the
-                    // input is out-of-core, so the certificate is the
-                    // one pass that touches all of it again).
-                    let data = materialize(source)?;
-                    match certify_rank(
-                        device,
-                        &data,
-                        res.value,
-                        rank,
-                        &base_cfg,
-                        gpu_sim::LaunchOrigin::Host,
-                    ) {
-                        Ok(()) => events.certify(format!("rank {rank} certified on streaming")),
-                        Err(SelectError::Corruption { invariant, detail }) => {
-                            events.corruption(format!("{invariant}: {detail}"));
-                            if attempt < rcfg.retry.max_retries {
-                                backoff_and_count(
-                                    device,
-                                    &rcfg.retry,
-                                    attempt,
-                                    &mut events,
-                                    Backend::SampleSelect,
-                                );
-                                attempt += 1;
-                                continue;
-                            }
-                            fallback_reason =
-                                "streaming retries exhausted under persistent faults".to_string();
-                            break;
-                        }
-                        Err(e) => return Err(e),
-                    }
-                }
-                // Keep the chunk-level retries the streaming driver
-                // already recorded.
-                events.merge(&res.report.resilience);
-                obs::absorb_device(device);
-                obs::pool_sample(device);
-                obs::span_close_to(outer_depth, device.now().as_ns());
-                let report = SelectReport::from_records(
-                    "resilient-streaming",
-                    n,
-                    &device.records()[records_before..],
-                    res.report.levels,
-                    res.report.terminated_early,
-                )
-                .with_resilience(events);
-                return Ok(ResilientResult {
-                    outcome: Outcome::Exact(res.value),
-                    backend: Backend::SampleSelect,
-                    report,
-                });
-            }
-            (Err(SelectError::RecursionLimit), _) => {
-                fallback_reason =
-                    "streaming recursion failed to converge; host-side sort".to_string();
-                break;
-            }
-            (Ok(_), Some(_)) | (Err(_), Some(_)) => {
-                if attempt < rcfg.retry.max_retries {
-                    backoff_and_count(
-                        device,
-                        &rcfg.retry,
-                        attempt,
-                        &mut events,
-                        Backend::SampleSelect,
-                    );
-                    attempt += 1;
-                } else {
-                    fallback_reason =
-                        "streaming retries exhausted under persistent faults".to_string();
-                    break;
-                }
-            }
-            (Err(e), None) if e.is_transient() => {
-                if let SelectError::Corruption { invariant, detail } = &e {
-                    events.corruption(format!("{invariant}: {detail}"));
-                }
-                if attempt < rcfg.retry.max_retries {
-                    backoff_and_count(
-                        device,
-                        &rcfg.retry,
-                        attempt,
-                        &mut events,
-                        Backend::SampleSelect,
-                    );
-                    attempt += 1;
-                } else {
-                    fallback_reason =
-                        "streaming retries exhausted under persistent faults".to_string();
-                    break;
-                }
-            }
-            (Err(e), None) => return Err(e),
-        }
-    }
-
-    events.fallback(fallback_reason);
-    let data = materialize(source)?;
-    let value =
-        reference_select(&data, rank).expect("validated input always has a rank-th element");
-    obs::absorb_device(device);
-    obs::pool_sample(device);
-    obs::span_close_to(outer_depth, device.now().as_ns());
-    let report = SelectReport::from_records(
-        Backend::CpuSort.report_label(),
-        n,
-        &device.records()[records_before..],
-        0,
-        false,
-    )
-    .with_resilience(events);
-    Ok(ResilientResult {
-        outcome: Outcome::Exact(value),
-        backend: Backend::CpuSort,
-        report,
-    })
+    let elem = PhantomData;
+    drive(device, StreamQuery { source, rank, elem }, cfg, rcfg).map(Into::into)
 }
 
 /// Load every chunk into host memory for the CPU fallback, retrying

@@ -51,15 +51,13 @@ pub use dataset::{DatasetSpec, DistCode};
 pub use quota::{QuotaConfig, TokenBucket};
 
 use std::collections::{BTreeMap, VecDeque};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-use crate::approx::approx_select_on_device;
-use crate::approx_topk::{approx_top_k_with_workspace, plan_for_recall};
-use crate::element::{reference_select, SelectElement};
+use crate::approx_topk::plan_for_recall;
 use crate::multiselect::multi_select_with_workspace;
 use crate::obs::{Counter, MetricsRegistry, MetricsSnapshot, ObsSession, SpanGuard};
 use crate::params::SampleSelectConfig;
@@ -71,14 +69,14 @@ use crate::quantile_stream::{
     run_quantile_stream, QuantileStreamConfig, WindowSpec, DEFAULT_PROBS,
 };
 use crate::resilient::{
-    resilient_select_on_device, resilient_select_planned, Outcome, ResilienceConfig,
+    drive, ApproxQuery, Outcome, RankQuery, RanksQuery, ResilienceConfig, TopKQuery,
 };
 use crate::streaming::{streaming_select_with_checkpoint, ChunkError, ChunkSource, SliceChunks};
-use crate::topk::top_k_largest_on_device;
+use crate::verify::certify_ranks;
 use crate::workspace::SelectWorkspace;
 use crate::SelectError;
 use gpu_sim::arch::{v100, GpuArchitecture};
-use gpu_sim::{Device, FaultPlan, SimTime};
+use gpu_sim::{Device, FaultPlan, LaunchOrigin, SimTime};
 use hpc_par::ThreadPool;
 
 // ---------------------------------------------------------------------
@@ -1131,6 +1129,7 @@ fn serve_batch(
     batch: Vec<Job>,
     rerouted: bool,
 ) -> bool {
+    let mut healthy = true;
     if batch.len() >= 2 {
         // All jobs are Exact on the same dataset (pop_batch guarantees
         // it). One multiselect pass answers every one of them.
@@ -1151,43 +1150,40 @@ fn serve_batch(
                 multi_select_with_workspace(device, &data, &ranks, &select_cfg, ws)
             }))
         };
-        let fault = device.take_fault();
+        let values = match (result, device.take_fault()) {
+            (Ok(Ok(multi)), None) => Some(multi.values),
+            _ => None,
+        };
+        // A merged pass is exact only on the terms of any other answer:
+        // no latched fault and, under a paranoid policy, a certificate
+        // for the whole merged vector.
+        let values = values.filter(|values| {
+            let origin = LaunchOrigin::Host;
+            !select_cfg.verify.certify()
+                || certify_ranks(device, &data, values, &ranks, &select_cfg, origin).is_ok()
+        });
         let service_ms = t0.elapsed().as_secs_f64() * 1e3;
-        match (result, fault) {
-            (Ok(Ok(multi)), None) => {
-                shared.registry.add(Counter::Batched, batch.len() as u64);
-                for (job, value) in batch.into_iter().zip(multi.values) {
-                    shared.tenant_count(&job.tenant, |c| {
-                        c.batched += 1;
-                        c.exact += 1;
-                        if rerouted {
-                            c.breaker_rerouted += 1;
-                        }
-                    });
-                    respond(
-                        shared,
-                        job,
-                        QueryStatus::Exact { value },
-                        Some("multiselect"),
-                        true,
-                        service_ms,
-                    );
-                }
-                return true;
+        if let Some(values) = values {
+            shared.registry.add(Counter::Batched, batch.len() as u64);
+            for (job, value) in batch.into_iter().zip(values) {
+                shared.tenant_count(&job.tenant, |c| {
+                    c.batched += 1;
+                    c.exact += 1;
+                    if rerouted {
+                        c.breaker_rerouted += 1;
+                    }
+                });
+                let status = QueryStatus::Exact { value };
+                respond(shared, job, status, Some("multiselect"), true, service_ms);
             }
-            _ => {
-                // Batch attempt faulted (or a panic was isolated): fall
-                // back to serving each query individually through the
-                // resilient driver, which owns retry/fallback.
-                let mut healthy = false; // the batch itself was unhealthy
-                for job in batch {
-                    healthy &= serve_job(shared, cfg, device, ws, job, rerouted);
-                }
-                return healthy;
-            }
+            return true;
         }
+        // The merged pass faulted, failed its certificate, or a panic
+        // was isolated: serve each query individually through the
+        // resilient driver, which owns retry/fallback. The batch itself
+        // was unhealthy.
+        healthy = false;
     }
-    let mut healthy = true;
     for job in batch {
         healthy &= serve_job(shared, cfg, device, ws, job, rerouted);
     }
@@ -1228,29 +1224,18 @@ fn serve_job(
     rerouted: bool,
 ) -> bool {
     let t0 = Instant::now();
-    let data = Arc::clone(&job.data);
-    let select_cfg = cfg.select.clone().with_seed(job.seed);
-
     // Deadline bookkeeping: how much wall budget is left when the
-    // worker picks the query up?
+    // worker picks the query up? A deadline the queue already consumed
+    // leaves a zero budget, which skips the exact attempt entirely.
     let waited_ms = job.submitted.elapsed().as_secs_f64() * 1e3;
-    let expired = job.deadline_ms.is_some_and(|d| waited_ms >= f64::from(d));
-    let remaining_ms = job.deadline_ms.map(|d| (f64::from(d) - waited_ms).max(0.0));
+    let budget = job
+        .deadline_ms
+        .map(|d| SimTime::from_ms((f64::from(d) - waited_ms).max(0.0) * cfg.deadline_sim_scale));
 
     device.reset();
     let _guard = SpanGuard::new();
     let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_query(
-            shared,
-            cfg,
-            device,
-            ws,
-            &job,
-            &data,
-            &select_cfg,
-            expired,
-            remaining_ms,
-        )
+        run_query(shared, cfg, device, ws, &job, budget)
     }));
     let service_ms = t0.elapsed().as_secs_f64() * 1e3;
     match ran {
@@ -1267,12 +1252,11 @@ fn serve_job(
             // client honestly and treat the device as unhealthy.
             let _ = device.take_fault();
             shared.tenant_count(&job.tenant, |c| c.failed += 1);
+            let message = "query panicked in driver (isolated)".to_string();
             respond(
                 shared,
                 job,
-                QueryStatus::Failed {
-                    message: "query panicked in driver (isolated)".to_string(),
-                },
+                QueryStatus::Failed { message },
                 None,
                 false,
                 service_ms,
@@ -1282,282 +1266,207 @@ fn serve_job(
     }
 }
 
-/// The per-kind driver dispatch. Returns `(status, backend, healthy)`.
-#[allow(clippy::too_many_arguments)]
+/// Map a query kind onto the resilient driver, and its answer onto a
+/// status. Returns `(status, backend, healthy)`.
 fn run_query(
     shared: &Shared,
     cfg: &ServerConfig,
     device: &mut Device,
     ws: &mut SelectWorkspace<f32>,
     job: &Job,
-    data: &[f32],
-    select_cfg: &SampleSelectConfig,
-    expired: bool,
-    remaining_ms: Option<f64>,
+    budget: Option<SimTime>,
 ) -> (QueryStatus, Option<&'static str>, bool) {
-    match job.kind {
+    let (data, select_cfg) = (&job.data[..], &cfg.select.clone().with_seed(job.seed));
+    // Deadline degradation is rank-only: only an exact query carries a
+    // time budget.
+    let mut rcfg = ResilienceConfig {
+        time_budget: None,
+        ..cfg.resilience.clone()
+    };
+    let n = data.len();
+    let served = match job.kind {
         QueryKind::Exact { rank } => {
-            let mut rcfg = cfg.resilience.clone();
-            if expired {
-                // The queue already consumed the deadline: skip the
-                // exact attempt entirely and shed load via the
-                // degradation path (zero budget degrades immediately).
-                rcfg.time_budget = Some(SimTime::ZERO);
-            } else if let Some(ms) = remaining_ms {
-                rcfg.time_budget = Some(SimTime::from_ms(ms * cfg.deadline_sim_scale));
-            }
+            rcfg.time_budget = budget;
             // The planner's admission-time pick heads the fallback
             // chain; without a plan the default chain applies.
-            let ran = match job.plan {
-                Some(planned) => resilient_select_planned(
-                    device,
-                    data,
-                    rank as usize,
-                    select_cfg,
-                    &rcfg,
-                    planned,
-                ),
-                None => resilient_select_on_device(device, data, rank as usize, select_cfg, &rcfg),
-            };
-            match ran {
-                Ok(res) => {
-                    let healthy = res.report.resilience.faults_observed == 0
-                        && res.report.resilience.corruptions_detected == 0;
-                    let backend = Some(res.backend.name());
-                    match res.outcome {
-                        Outcome::Exact(value) => {
-                            shared.tenant_count(&job.tenant, |c| c.exact += 1);
-                            (QueryStatus::Exact { value }, backend, healthy)
-                        }
-                        Outcome::Approximate {
-                            value,
-                            achieved_rank,
-                            rank_error,
-                        } => {
-                            shared.registry.add(Counter::DeadlineDegraded, 1);
-                            shared.tenant_count(&job.tenant, |c| {
-                                c.approximate += 1;
-                                c.deadline_degraded += 1;
-                            });
-                            (
-                                QueryStatus::Approximate {
-                                    value,
-                                    achieved_rank,
-                                    rank_error,
-                                    deadline_degraded: true,
-                                },
-                                backend,
-                                healthy,
-                            )
-                        }
-                    }
-                }
-                Err(e) => {
-                    shared.tenant_count(&job.tenant, |c| c.failed += 1);
-                    (
-                        QueryStatus::Failed {
-                            message: e.to_string(),
-                        },
-                        None,
-                        !e.is_transient(),
-                    )
-                }
-            }
+            let query = RankQuery::new(data, rank as usize, job.plan);
+            drive(device, query, select_cfg, &rcfg).map(|s| s.map(|o| outcome_status(o, true)))
         }
         QueryKind::Approx { rank } => {
-            // The client asked for an approximation: one counting pass,
-            // retried on faults, with the exact CPU answer as the
-            // can't-fail last resort (an exact answer is a rank_error=0
-            // approximation).
-            let mut healthy = true;
-            for attempt in 0..=cfg.resilience.retry.max_retries {
-                device.reset();
-                let attempt_cfg = select_cfg
-                    .clone()
-                    .with_seed(select_cfg.seed.wrapping_add(u64::from(attempt)));
-                let result = approx_select_on_device(device, data, rank as usize, &attempt_cfg);
-                let fault = device.take_fault();
-                if let (Ok(a), None) = (result, fault) {
-                    shared.tenant_count(&job.tenant, |c| c.approximate += 1);
-                    return (
-                        QueryStatus::Approximate {
-                            value: a.value,
-                            achieved_rank: a.achieved_rank,
-                            rank_error: a.rank_error,
-                            deadline_degraded: false,
-                        },
-                        Some("approx"),
-                        healthy,
-                    );
-                }
-                healthy = false;
-            }
-            let value = reference_select(data, rank as usize).expect("rank validated at admission");
-            shared.tenant_count(&job.tenant, |c| c.approximate += 1);
-            (
-                QueryStatus::Approximate {
-                    value,
-                    achieved_rank: rank,
-                    rank_error: 0,
-                    deadline_degraded: false,
-                },
-                Some("cpu-sort"),
-                false,
-            )
+            let query = ApproxQuery {
+                data,
+                rank: rank as usize,
+            };
+            drive(device, query, select_cfg, &rcfg).map(|s| s.map(|o| outcome_status(o, false)))
         }
         QueryKind::TopK { k } => {
-            let mut healthy = true;
-            // A non-fused plan (large k/n) answers the threshold via a
-            // rank selection on the planned backend instead of
-            // materializing all k elements.
-            let rank_plan = job.plan.filter(|&p| p != PlannedBackend::TopK);
-            for attempt in 0..=cfg.resilience.retry.max_retries {
-                device.reset();
-                let attempt_cfg = select_cfg
-                    .clone()
-                    .with_seed(select_cfg.seed.wrapping_add(u64::from(attempt)));
-                let (threshold, label) = match rank_plan {
-                    Some(p) => {
-                        let rank = data.len() - k as usize;
-                        let r =
-                            crate::planner::run_planned(device, data, rank, &attempt_cfg, ws, p);
-                        (r.map(|res| res.value), p.name())
-                    }
-                    None => {
-                        let r = top_k_largest_on_device(device, data, k as usize, &attempt_cfg);
-                        (r.map(|res| res.threshold), "topk")
-                    }
-                };
-                let fault = device.take_fault();
-                if let (Ok(threshold), None) = (threshold, fault) {
-                    shared.tenant_count(&job.tenant, |c| c.exact += 1);
-                    return (QueryStatus::TopK { threshold, k }, Some(label), healthy);
+            let status = |threshold| QueryStatus::TopK { threshold, k };
+            match job.plan.filter(|&p| p != PlannedBackend::TopK) {
+                // A non-fused plan (large k/n) answers the threshold as
+                // the rank n-k on the planned chain instead of
+                // materializing all k elements; its drivers account for
+                // it in the registry.
+                Some(p) => {
+                    let query = RankQuery {
+                        accounts: false,
+                        ..RankQuery::new(data, n - k as usize, Some(p))
+                    };
+                    drive(device, query, select_cfg, &rcfg).map(|s| s.map(|o| status(o.value())))
                 }
-                healthy = false;
+                None => {
+                    let query = TopKQuery {
+                        data,
+                        k: k as usize,
+                        bucketed: None,
+                    };
+                    drive(device, query, select_cfg, &rcfg).map(|s| s.map(|(t, _)| status(t)))
+                }
             }
-            let threshold =
-                reference_select(data, data.len() - k as usize).expect("k validated at admission");
-            shared.tenant_count(&job.tenant, |c| c.exact += 1);
-            (QueryStatus::TopK { threshold, k }, Some("cpu-sort"), false)
         }
         QueryKind::Quantiles { q } => {
-            let ranks = crate::multiselect::quantile_ranks(data.len(), q as usize)
+            let ranks = crate::multiselect::quantile_ranks(n, q as usize)
                 .expect("q bounds validated at admission");
-            let mut healthy = true;
-            for attempt in 0..=cfg.resilience.retry.max_retries {
-                device.reset();
-                let attempt_cfg = select_cfg
-                    .clone()
-                    .with_seed(select_cfg.seed.wrapping_add(u64::from(attempt)));
-                let result = multi_select_with_workspace(device, data, &ranks, &attempt_cfg, ws);
-                let fault = device.take_fault();
-                if let (Ok(r), None) = (result, fault) {
-                    shared.tenant_count(&job.tenant, |c| c.exact += 1);
-                    return (
-                        QueryStatus::Quantiles { values: r.values },
-                        Some("multiselect"),
-                        healthy,
-                    );
-                }
-                healthy = false;
-            }
-            let mut sorted = data.to_vec();
-            sorted.sort_by(|a, b| SelectElement::total_cmp(*a, *b));
-            let values = ranks.iter().map(|&r| sorted[r]).collect();
-            shared.tenant_count(&job.tenant, |c| c.exact += 1);
-            (QueryStatus::Quantiles { values }, Some("cpu-sort"), false)
+            let query = RanksQuery {
+                data,
+                ranks: &ranks,
+                ws,
+            };
+            drive(device, query, select_cfg, &rcfg)
+                .map(|s| s.map(|values| QueryStatus::Quantiles { values }))
         }
         QueryKind::ApproxTopK { k, recall_bits } => {
             let target = f64::from(f32::from_bits(recall_bits));
-            let (acfg, _) = plan_for_recall(data.len(), k as usize, target);
+            let (acfg, _) = plan_for_recall(n, k as usize, target);
             // Honor the admission-time cost model: when the exact fused
             // pass is at least as fast as the bucketed two-phase pass,
             // approximation buys nothing — serve exactly (recall 1.0).
             let serve_exact = job.plan.is_some_and(|p| p != PlannedBackend::ApproxTopK);
-            let mut healthy = true;
-            for attempt in 0..=cfg.resilience.retry.max_retries {
-                device.reset();
-                let attempt_cfg = select_cfg
-                    .clone()
-                    .with_seed(select_cfg.seed.wrapping_add(u64::from(attempt)));
-                let (outcome, recall, label) = if serve_exact {
-                    let r = top_k_largest_on_device(device, data, k as usize, &attempt_cfg);
-                    (r.map(|res| res.threshold), 1.0f32, "topk")
-                } else {
-                    let r = approx_top_k_with_workspace(
-                        device,
-                        data,
-                        k as usize,
-                        &acfg,
-                        &attempt_cfg,
-                        ws,
-                    );
-                    match r {
-                        Ok(res) => (Ok(res.threshold), res.expected_recall as f32, "approx-topk"),
-                        Err(e) => (Err(e), 0.0, "approx-topk"),
-                    }
-                };
-                let fault = device.take_fault();
-                if let (Ok(threshold), None) = (outcome, fault) {
-                    shared.tenant_count(&job.tenant, |c| {
-                        if serve_exact {
-                            c.exact += 1;
-                        } else {
-                            c.approximate += 1;
-                        }
-                    });
-                    return (
-                        QueryStatus::ApproxTopK {
-                            threshold,
-                            k,
-                            expected_recall: recall,
-                        },
-                        Some(label),
-                        healthy,
-                    );
-                }
-                healthy = false;
-            }
-            // Can't-fail last resort: the exact threshold off a host
-            // sort is a recall-1.0 answer to an approximate question.
-            let threshold =
-                reference_select(data, data.len() - k as usize).expect("k validated at admission");
-            shared.tenant_count(&job.tenant, |c| c.exact += 1);
-            (
-                QueryStatus::ApproxTopK {
+            let bucketed = (!serve_exact).then_some((&acfg, ws));
+            let query = TopKQuery {
+                data,
+                k: k as usize,
+                bucketed,
+            };
+            drive(device, query, select_cfg, &rcfg).map(|s| {
+                s.map(|(threshold, recall)| QueryStatus::ApproxTopK {
                     threshold,
                     k,
-                    expected_recall: 1.0,
-                },
-                Some("cpu-sort"),
-                false,
+                    expected_recall: recall as f32,
+                })
+            })
+        }
+        QueryKind::Stream { .. } | QueryKind::QuantileStream { .. } => {
+            return serve_stream(shared, cfg, device, job);
+        }
+    };
+
+    let s = match served {
+        Ok(s) => s,
+        Err(e) => {
+            shared.tenant_count(&job.tenant, |c| c.failed += 1);
+            let message = e.to_string();
+            return (QueryStatus::Failed { message }, None, !e.is_transient());
+        }
+    };
+    let events = &s.report.resilience;
+    let healthy = events.faults_observed == 0 && events.corruptions_detected == 0;
+    if let QueryStatus::Approximate {
+        deadline_degraded: true,
+        ..
+    } = s.answer
+    {
+        shared.registry.add(Counter::DeadlineDegraded, 1);
+    }
+    shared.tenant_count(&job.tenant, |c| match &s.answer {
+        QueryStatus::Approximate {
+            deadline_degraded, ..
+        } => {
+            c.approximate += 1;
+            c.deadline_degraded += u64::from(*deadline_degraded);
+        }
+        // An approximate top-k answered by an exact path counts as exact.
+        QueryStatus::ApproxTopK { .. } if s.label == "approx-topk" => c.approximate += 1,
+        _ => c.exact += 1,
+    });
+    (s.answer, Some(s.label), healthy)
+}
+
+/// The status of a rank answer; an approximate one is tagged as
+/// deadline-degraded when the client asked for an exact answer.
+fn outcome_status(outcome: Outcome<f32>, deadline_degraded: bool) -> QueryStatus {
+    match outcome {
+        Outcome::Exact(value) => QueryStatus::Exact { value },
+        Outcome::Approximate {
+            value,
+            achieved_rank,
+            rank_error,
+        } => QueryStatus::Approximate {
+            value,
+            achieved_rank,
+            rank_error,
+            deadline_degraded,
+        },
+    }
+}
+
+/// Stable checkpoint path per (tenant, dataset, query parameters): a
+/// re-submission after a hard drain resumes the same file.
+fn checkpoint_path(spool: &Path, prefix: &str, job: &Job, params: &[u64]) -> PathBuf {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut mix = |v: u64| {
+        h ^= v;
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    };
+    for b in job.tenant.bytes() {
+        mix(u64::from(b));
+    }
+    mix(job.spec.dist as u64);
+    mix(job.spec.n);
+    mix(job.spec.seed);
+    for &p in params {
+        mix(p);
+    }
+    spool.join(format!("{prefix}-{h:016x}.ckpt"))
+}
+
+/// Serve a `Stream` or `QuantileStream` query: one checkpointed pass
+/// over the dataset in chunks. A hard drain checkpoints it; a latched
+/// fault invalidates it.
+fn serve_stream(
+    shared: &Shared,
+    cfg: &ServerConfig,
+    device: &mut Device,
+    job: &Job,
+) -> (QueryStatus, Option<&'static str>, bool) {
+    let spool = cfg
+        .spool_dir
+        .as_ref()
+        .expect("streaming admission requires a spool dir");
+    let select_cfg = &cfg.select.clone().with_seed(job.seed);
+    let source = |chunk_len: u64| DrainAwareSource {
+        inner: SliceChunks::new(&job.data, chunk_len as usize),
+        shared,
+    };
+    let (label, what, ckpt, result) = match job.kind {
+        QueryKind::Stream { rank, chunk_len } => {
+            let ckpt = checkpoint_path(spool, "stream", job, &[rank]);
+            let result = streaming_select_with_checkpoint(
+                device,
+                &source(chunk_len),
+                rank as usize,
+                select_cfg,
+                &ckpt,
+                true, // resume a matching checkpoint if one exists
             )
+            .map(|res| QueryStatus::Exact { value: res.value });
+            ("streaming", "streaming query", ckpt, result)
         }
         QueryKind::QuantileStream {
             window_len,
             slide,
             chunk_len,
         } => {
-            let spool = cfg
-                .spool_dir
-                .as_ref()
-                .expect("quantile-stream admission requires a spool dir");
-            // Stable checkpoint name per (tenant, dataset, window): a
-            // re-submission after a hard drain resumes the same file.
-            let mut h = 0xcbf2_9ce4_8422_2325u64;
-            let mut mix = |v: u64| {
-                h ^= v;
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            };
-            for b in job.tenant.bytes() {
-                mix(u64::from(b));
-            }
-            mix(job.spec.dist as u64);
-            mix(job.spec.n);
-            mix(job.spec.seed);
-            mix(window_len);
-            mix(slide);
-            let ckpt = spool.join(format!("qstream-{h:016x}.ckpt"));
+            let ckpt = checkpoint_path(spool, "qstream", job, &[window_len, slide]);
             let qcfg = QuantileStreamConfig {
                 probs: DEFAULT_PROBS.to_vec(),
                 window: WindowSpec {
@@ -1566,149 +1475,49 @@ fn run_query(
                 },
                 select: select_cfg.clone(),
             };
-            let source = DrainAwareSource {
-                inner: SliceChunks::new(data, chunk_len as usize),
-                shared,
-            };
-            let result = run_quantile_stream(device, &source, &qcfg, Some(&ckpt), true);
-            let fault = device.take_fault();
-            match (result, fault) {
-                (Ok(run), None) => {
-                    // The finite pass completed; the checkpoint has
-                    // served its purpose (mirrors streaming_select).
-                    let _ = std::fs::remove_file(&ckpt);
-                    let values = run
-                        .engine
-                        .last()
-                        .map(|w| w.values.clone())
-                        .unwrap_or_default();
-                    shared.tenant_count(&job.tenant, |c| c.exact += 1);
-                    (
-                        QueryStatus::QuantileStream {
-                            windows: run.engine.windows_emitted(),
-                            values,
-                        },
-                        Some("quantile-stream"),
-                        true,
-                    )
-                }
-                (Err(SelectError::ChunkLoad(e)), _) if shared.mode() == MODE_HARD_DRAIN => {
-                    shared.log_event(format!(
-                        "drain: quantile stream {} checkpointed at chunk {}",
-                        job.id, e.chunk
-                    ));
-                    shared.tenant_count(&job.tenant, |c| c.failed += 1);
-                    (
-                        QueryStatus::Checkpointed {
-                            resume_token: ckpt.display().to_string(),
-                        },
-                        Some("quantile-stream"),
-                        true, // a drain is not a device-health signal
-                    )
-                }
-                (Err(e), fault) => {
-                    shared.tenant_count(&job.tenant, |c| c.failed += 1);
-                    (
-                        QueryStatus::Failed {
-                            message: e.to_string(),
-                        },
-                        None,
-                        fault.is_none() && !e.is_transient(),
-                    )
-                }
-                (Ok(_), Some(_)) => {
-                    shared.tenant_count(&job.tenant, |c| c.failed += 1);
-                    (
-                        QueryStatus::Failed {
-                            message: "device fault invalidated quantile stream".to_string(),
-                        },
-                        None,
-                        false,
-                    )
-                }
-            }
+            let result = run_quantile_stream(device, &source(chunk_len), &qcfg, Some(&ckpt), true)
+                .map(|run| {
+                    let values = run.engine.last().map(|w| w.values.clone());
+                    let windows = run.engine.windows_emitted();
+                    QueryStatus::QuantileStream {
+                        windows,
+                        values: values.unwrap_or_default(),
+                    }
+                });
+            ("quantile-stream", "quantile stream", ckpt, result)
         }
-        QueryKind::Stream { rank, chunk_len } => {
-            let spool = cfg
-                .spool_dir
-                .as_ref()
-                .expect("streaming admission requires a spool dir");
-            // Stable checkpoint name per (tenant, dataset, rank): a
-            // re-submission after a hard drain resumes the same file.
-            let mut h = 0xcbf2_9ce4_8422_2325u64;
-            let mut mix = |v: u64| {
-                h ^= v;
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            };
-            for b in job.tenant.bytes() {
-                mix(u64::from(b));
-            }
-            mix(job.spec.dist as u64);
-            mix(job.spec.n);
-            mix(job.spec.seed);
-            mix(rank);
-            let ckpt = spool.join(format!("stream-{h:016x}.ckpt"));
-            let source = DrainAwareSource {
-                inner: SliceChunks::new(data, chunk_len as usize),
-                shared,
-            };
-            let result = streaming_select_with_checkpoint(
-                device,
-                &source,
-                rank as usize,
-                select_cfg,
-                &ckpt,
-                true, // resume a matching checkpoint if one exists
-            );
-            let fault = device.take_fault();
-            match (result, fault) {
-                (Ok(res), None) => {
-                    shared.tenant_count(&job.tenant, |c| c.exact += 1);
-                    (
-                        QueryStatus::Exact { value: res.value },
-                        Some("streaming"),
-                        true,
-                    )
-                }
-                (Err(SelectError::ChunkLoad(e)), _) if shared.mode() == MODE_HARD_DRAIN => {
-                    shared.log_event(format!(
-                        "drain: streaming query {} checkpointed at chunk {}",
-                        job.id, e.chunk
-                    ));
-                    shared.tenant_count(&job.tenant, |c| c.failed += 1);
-                    (
-                        QueryStatus::Checkpointed {
-                            resume_token: ckpt.display().to_string(),
-                        },
-                        Some("streaming"),
-                        true, // a drain is not a device-health signal
-                    )
-                }
-                (Err(e), fault) => {
-                    shared.tenant_count(&job.tenant, |c| c.failed += 1);
-                    (
-                        QueryStatus::Failed {
-                            message: e.to_string(),
-                        },
-                        None,
-                        fault.is_none() && !e.is_transient(),
-                    )
-                }
-                (Ok(_), Some(_)) => {
-                    // A latched fault invalidates the run even though it
-                    // "succeeded".
-                    shared.tenant_count(&job.tenant, |c| c.failed += 1);
-                    (
-                        QueryStatus::Failed {
-                            message: "device fault invalidated streaming run".to_string(),
-                        },
-                        None,
-                        false,
-                    )
-                }
-            }
+        _ => unreachable!("only streaming kinds are served here"),
+    };
+    let fault = device.take_fault();
+    let (status, backend, healthy) = match (result, fault) {
+        (Ok(status), None) => {
+            // The finite pass completed; the checkpoint has served its
+            // purpose (the rank stream removes its own).
+            let _ = std::fs::remove_file(&ckpt);
+            shared.tenant_count(&job.tenant, |c| c.exact += 1);
+            return (status, Some(label), true);
         }
-    }
+        (Err(SelectError::ChunkLoad(e)), _) if shared.mode() == MODE_HARD_DRAIN => {
+            shared.log_event(format!(
+                "drain: {what} {} checkpointed at chunk {}",
+                job.id, e.chunk
+            ));
+            let resume_token = ckpt.display().to_string();
+            let status = QueryStatus::Checkpointed { resume_token };
+            (status, Some(label), true) // a drain is not a device-health signal
+        }
+        (Err(e), fault) => {
+            let healthy = fault.is_none() && !e.is_transient();
+            let message = e.to_string();
+            (QueryStatus::Failed { message }, None, healthy)
+        }
+        (Ok(_), Some(_)) => {
+            let message = format!("device fault invalidated {what}");
+            (QueryStatus::Failed { message }, None, false)
+        }
+    };
+    shared.tenant_count(&job.tenant, |c| c.failed += 1);
+    (status, backend, healthy)
 }
 
 #[cfg(test)]

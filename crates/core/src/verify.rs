@@ -12,10 +12,12 @@
 //!   must be exactly as large as the selected bucket's count. They cost
 //!   O(b) per level and catch most silent corruptions near where they
 //!   happened.
-//! * **Rank certification** ([`certify_rank`]) recounts, directly
-//!   against the untouched input, how many elements fall below and tie
-//!   with the candidate answer. It catches *any* wrong answer regardless
-//!   of which buffer was corrupted, at the price of one more O(n) pass.
+//! * **Rank certification** ([`certify_ranks`], and [`certify_rank`]
+//!   for one answer) recounts, directly against the untouched input, how
+//!   many elements fall below and tie with each candidate answer. It
+//!   catches *any* wrong answer regardless of which buffer was
+//!   corrupted, at the price of one more pass: O(n) for one answer,
+//!   O(n log q) for q.
 //!
 //! Violations surface as [`SelectError::Corruption`], which
 //! [`crate::resilient`] treats as transient: re-running with re-seeded
@@ -177,14 +179,9 @@ pub fn rank_bounds<T: SelectElement>(data: &[T], value: T) -> (u64, u64) {
 }
 
 /// Exact rank certificate: one counting pass over the untouched input
-/// proving that `value` really is a `rank`-th smallest element.
-///
-/// Commits a `certify` kernel (same grid as a count pass, no oracle
-/// writes) so the certificate shows up in timings and traces. Fails with
-/// [`SelectError::Corruption`] when the rank is outside the half-open
-/// interval `[below, below + tied)` — which can only happen if some
-/// intermediate buffer was corrupted into a self-consistent but wrong
-/// state that the spot checks couldn't see.
+/// proving that `value` really is a `rank`-th smallest element — the
+/// single-answer case of [`certify_ranks`], at its cost: `n` element
+/// reads and `2n` integer operations.
 pub fn certify_rank<T: SelectElement>(
     device: &mut Device,
     data: &[T],
@@ -193,52 +190,88 @@ pub fn certify_rank<T: SelectElement>(
     cfg: &SampleSelectConfig,
     origin: LaunchOrigin,
 ) -> Result<(), SelectError> {
+    certify_ranks(device, data, &[value], &[rank], cfg, origin)
+}
+
+/// Exact rank certificate for a vector of answers: one counting pass
+/// over the untouched input proving that every `values[i]` really is a
+/// `ranks[i]`-th smallest element. Each element is binary-searched
+/// against the sorted distinct answers, so the pass costs O(n log q).
+///
+/// Commits a `certify` kernel (same grid as a count pass, no oracle
+/// writes) so the certificate shows up in timings and traces. Fails with
+/// [`SelectError::Corruption`] when some rank lies outside its value's
+/// interval `[below, below + tied)` — which can only happen if some
+/// intermediate buffer was corrupted into a self-consistent but wrong
+/// state that the spot checks couldn't see.
+pub fn certify_ranks<T: SelectElement>(
+    device: &mut Device,
+    data: &[T],
+    values: &[T],
+    ranks: &[usize],
+    cfg: &SampleSelectConfig,
+    origin: LaunchOrigin,
+) -> Result<(), SelectError> {
+    assert_eq!(values.len(), ranks.len(), "one answer per rank");
     let n = data.len();
     let launch = cfg.launch_config(n, T::BYTES);
     let blocks = launch.blocks as usize;
     let chunk = launch.block_chunk(n);
 
-    let (below, tied) = hpc_par::parallel_map_reduce(
+    let mut keys = values.to_vec();
+    keys.sort_unstable_by(|a, b| a.total_cmp(*b));
+    keys.dedup_by(|a, b| !a.lt(*b) && !b.lt(*a));
+    let m = keys.len();
+    // Slot 2i counts the elements sorting between keys[i-1] and
+    // keys[i], slot 2i+1 the ties with keys[i], slot 2m those above
+    // every key.
+    let slots = hpc_par::parallel_map_reduce(
         device.pool(),
         blocks,
         1,
-        (0u64, 0u64),
-        |range, acc| {
-            let (mut below, mut tied) = acc;
+        vec![0u64; 2 * m + 1],
+        |range, mut acc| {
             for block in range {
                 let start = block * chunk;
                 let end = ((block + 1) * chunk).min(n);
                 for &x in &data[start..end] {
-                    if x.lt(value) {
-                        below += 1;
-                    } else if !value.lt(x) {
-                        tied += 1;
-                    }
+                    let i = keys.partition_point(|&k| k.lt(x));
+                    let tied = i < m && !x.lt(keys[i]);
+                    acc[2 * i + usize::from(tied)] += 1;
                 }
             }
-            (below, tied)
+            acc
         },
-        |a, b| (a.0 + b.0, a.1 + b.1),
+        |mut a, b| {
+            a.iter_mut().zip(b).for_each(|(a, b)| *a += b);
+            a
+        },
     );
 
+    // One comparison per element for the tally, plus the binary search.
+    let probes = u64::from(usize::BITS - m.leading_zeros());
     let mut cost = KernelCost::new();
     cost.global_read_bytes = n as u64 * T::BYTES as u64;
-    cost.int_ops = 2 * n as u64;
+    cost.int_ops = (1 + probes) * n as u64;
     cost.blocks = blocks as u64;
     device.commit("certify", launch, origin, cost);
 
-    let r = rank as u64;
-    if below <= r && r < below + tied {
-        Ok(())
-    } else {
-        Err(SelectError::Corruption {
-            invariant: "rank-certificate",
-            detail: format!(
-                "returned value has rank interval [{below}, {}), requested rank {rank}",
-                below + tied
-            ),
-        })
+    for (&value, &rank) in values.iter().zip(ranks) {
+        let i = keys.partition_point(|&k| k.lt(value));
+        let below: u64 = slots[..2 * i + 1].iter().sum();
+        let tied = slots[2 * i + 1];
+        let r = rank as u64;
+        if !(below <= r && r < below + tied) {
+            return Err(SelectError::Corruption {
+                invariant: "rank-certificate",
+                detail: format!(
+                    "returned value has rank interval [{below}, {}), requested rank {rank}",
+                    below + tied
+                ),
+            });
+        }
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -361,6 +394,73 @@ mod tests {
             .unwrap();
         assert_eq!(rec.cost.global_read_bytes, 10_000 * 4);
         assert_eq!(rec.cost.int_ops, 20_000);
+    }
+
+    fn certify_host<T: SelectElement>(
+        data: &[T],
+        values: &[T],
+        ranks: &[usize],
+    ) -> (Result<(), SelectError>, KernelCost) {
+        let pool = ThreadPool::new(2);
+        let mut device = Device::new(v100(), &pool);
+        let cfg = SampleSelectConfig::default();
+        let res = certify_ranks(&mut device, data, values, ranks, &cfg, LaunchOrigin::Host);
+        (res, device.records()[0].cost)
+    }
+
+    #[test]
+    fn single_answer_certificate_agrees_with_rank_bounds_at_the_old_cost() {
+        let data: Vec<f32> = (0..5_000).map(|i| ((i * 53) % 701) as f32).collect();
+        for (value, rank) in [
+            (3.0f32, 21),
+            (3.0, 29),
+            (3.0, 28),
+            (3.5, 28),
+            (700.0, 4_999),
+        ] {
+            let (below, tied) = rank_bounds(&data, value);
+            let (res, cost) = certify_host(&data, &[value], &[rank]);
+            let r = rank as u64;
+            assert_eq!(
+                res.is_ok(),
+                below <= r && r < below + tied,
+                "{value} @ {rank}"
+            );
+            assert_eq!(
+                (cost.global_read_bytes, cost.int_ops),
+                (5_000 * 4, 2 * 5_000)
+            );
+        }
+    }
+
+    #[test]
+    fn rank_vector_certificate_rejects_one_wrong_value() {
+        let data: Vec<f32> = (0..8_192).map(|i| ((i * 97) % 8_192) as f32).collect();
+        let ranks = [8_000usize, 10, 4_096, 2_048, 6_000];
+        let mut values = ranks.map(|r| r as f32);
+        assert!(certify_host(&data, &values, &ranks).0.is_ok());
+        values[3] = 2_049.0;
+        let (res, cost) = certify_host(&data, &values, &ranks);
+        match res {
+            Err(SelectError::Corruption { invariant, detail }) => {
+                assert_eq!(invariant, "rank-certificate");
+                assert!(detail.contains("[2049, 2050)"), "{detail}");
+            }
+            other => panic!("expected a rank-certificate corruption, got {other:?}"),
+        }
+        // Five answers: one tally plus three binary-search probes each.
+        assert_eq!(cost.int_ops, 4 * 8_192);
+    }
+
+    #[test]
+    fn rank_vector_certificate_handles_ties() {
+        // 16 values, 100 copies each: value v fills ranks [100v, 100v + 100).
+        let data: Vec<u32> = (0..1_600).map(|i| i % 16).collect();
+        let ranks = [0usize, 99, 100, 150, 199, 1_599, 150];
+        assert!(certify_host(&data, &[0, 0, 1, 1, 1, 15, 1], &ranks)
+            .0
+            .is_ok());
+        assert!(certify_host(&data, &[1, 2], &[150, 199]).0.is_err());
     }
 
     #[test]

@@ -17,7 +17,7 @@ use gpu_selection::sampleselect::server::dataset::{self, DatasetSpec, DistCode};
 use gpu_selection::sampleselect::server::{wire, QuotaConfig};
 use gpu_selection::sampleselect::{
     BreakerConfig, QueryKind, QueryRequest, QueryStatus, SampleSelectConfig, SelectError,
-    SelectServer, ServerConfig,
+    SelectServer, ServerConfig, VerifyPolicy,
 };
 use proptest::prelude::*;
 
@@ -704,6 +704,214 @@ fn wire_frames_roundtrip_through_a_byte_stream() {
         wire::read_frame(&mut cursor).unwrap().is_none(),
         "clean EOF"
     );
+}
+
+// ---------------------------------------------------------------------
+// Every served kind runs through the resilient driver
+// ---------------------------------------------------------------------
+
+fn paranoid() -> SampleSelectConfig {
+    SampleSelectConfig::default().with_verify(VerifyPolicy::Paranoid)
+}
+
+fn sorted_f32(spec: &DatasetSpec) -> Vec<f32> {
+    let mut sorted = dataset::instantiate(spec);
+    sorted.sort_by(f32::total_cmp);
+    sorted
+}
+
+fn bits_of(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+#[test]
+fn paranoid_quantiles_survive_bitflips() {
+    // Bitflips corrupt intermediate buffers without latching a device
+    // fault, so only the rank certificate can catch a wrong vector.
+    let spec = DatasetSpec::uniform(65_536, 3);
+    let sorted = sorted_f32(&spec);
+    let q = 8u64;
+    let want: Vec<f32> = (1..q).map(|i| sorted[(i * spec.n / q) as usize]).collect();
+    for planner in [true, false] {
+        let server = SelectServer::start(
+            ServerConfig::default()
+                .with_workers(1)
+                .with_planner(planner)
+                .with_select(paranoid())
+                .with_fault_plan(0, FaultPlan::new(118).bitflips(0.1)),
+        );
+        let resp = server
+            .query(QueryRequest {
+                tenant: "paranoid".to_string(),
+                kind: QueryKind::Quantiles { q },
+                dataset: spec,
+                deadline_ms: None,
+                seed: 57,
+            })
+            .expect("admitted");
+        match &resp.status {
+            QueryStatus::Quantiles { values } => assert_eq!(
+                bits_of(values),
+                bits_of(&want),
+                "planner {planner}: a certified quantile vector must be exact \
+                 (backend {:?})",
+                resp.backend
+            ),
+            other => panic!("expected quantiles, got {other:?}"),
+        }
+        server.drain();
+    }
+}
+
+#[test]
+fn every_kind_falls_back_to_the_host_sort_under_persistent_launch_faults() {
+    // Every launch on the only device fails and the breaker never opens,
+    // so each kind must exhaust its retries and answer from the host
+    // sort: exact values under the `cpu-sort` label.
+    let spec = DatasetSpec::uniform(16_384, 8);
+    let sorted = sorted_f32(&spec);
+    let n = spec.n;
+    let kinds = [
+        QueryKind::Approx { rank: 5_000 },
+        QueryKind::TopK { k: 100 },
+        QueryKind::Quantiles { q: 4 },
+        QueryKind::ApproxTopK {
+            k: 100,
+            recall_bits: 0.9f32.to_bits(),
+        },
+    ];
+    let server = SelectServer::start(
+        ServerConfig::default()
+            .with_workers(1)
+            .with_batch_max(1)
+            .with_breaker(BreakerConfig {
+                failure_threshold: 100,
+                probe_after: 4,
+            })
+            .with_fault_plan(0, FaultPlan::new(31).launch_failures(1.0)),
+    );
+    for (i, kind) in kinds.into_iter().enumerate() {
+        let resp = server
+            .query(QueryRequest {
+                tenant: "launch-faults".to_string(),
+                kind,
+                dataset: spec,
+                deadline_ms: None,
+                seed: 40 + i as u64,
+            })
+            .expect("admitted");
+        assert_eq!(
+            resp.backend,
+            Some("cpu-sort"),
+            "{kind:?}: {:?}",
+            resp.status
+        );
+        let threshold = |k: u64| sorted[(n - k) as usize].to_bits();
+        match (kind, &resp.status) {
+            (
+                QueryKind::Approx { rank },
+                QueryStatus::Approximate {
+                    value,
+                    achieved_rank,
+                    rank_error,
+                    deadline_degraded: false,
+                },
+            ) => {
+                assert_eq!(value.to_bits(), sorted[rank as usize].to_bits());
+                assert_eq!((*achieved_rank, *rank_error), (rank, 0));
+            }
+            (
+                QueryKind::TopK { k },
+                QueryStatus::TopK {
+                    threshold: t,
+                    k: got,
+                },
+            ) => {
+                assert_eq!((t.to_bits(), *got), (threshold(k), k));
+            }
+            (QueryKind::Quantiles { q }, QueryStatus::Quantiles { values }) => {
+                let want: Vec<f32> = (1..q).map(|i| sorted[(i * n / q) as usize]).collect();
+                assert_eq!(bits_of(values), bits_of(&want));
+            }
+            (
+                QueryKind::ApproxTopK { k, .. },
+                QueryStatus::ApproxTopK {
+                    threshold: t,
+                    k: got,
+                    expected_recall,
+                },
+            ) => {
+                assert_eq!((t.to_bits(), *got), (threshold(k), k));
+                assert_eq!(*expected_recall, 1.0);
+            }
+            (kind, status) => panic!("{kind:?} answered with {status:?}"),
+        }
+    }
+    server.drain();
+}
+
+#[test]
+fn paranoid_batches_under_bitflips_return_only_exact_answers() {
+    // A head-of-line blocker keeps the single worker busy while
+    // same-dataset exact queries pile up and merge into multiselect
+    // passes. Bitflips can silently corrupt a merged pass; the
+    // certificate must send such a batch down the per-query path.
+    let server = SelectServer::start(
+        ServerConfig::default()
+            .with_workers(1)
+            .with_batch_max(8)
+            .with_quota(QuotaConfig::default().with_burst(1e9))
+            .with_select(paranoid())
+            .with_breaker(BreakerConfig {
+                failure_threshold: 1_000,
+                probe_after: 4,
+            })
+            .with_fault_plan(0, FaultPlan::new(3).bitflips(0.2)),
+    );
+    let big = DatasetSpec::uniform(400_000, 5);
+    let spec = DatasetSpec::uniform(8_192, 6);
+    let data = dataset::instantiate(&spec);
+    let mut tickets = Vec::new();
+    for round in 0..6u64 {
+        let head = server
+            .submit(exact("blocker", big, 200_000, round))
+            .unwrap();
+        let ranks: Vec<u64> = (0..6).map(|i| 100 + 1_300 * i + round * 7).collect();
+        let batch: Vec<_> = ranks
+            .iter()
+            .map(|&r| (r, server.submit(exact("batcher", spec, r, 2)).unwrap()))
+            .collect();
+        tickets.push((head, batch));
+    }
+    let big_data = dataset::instantiate(&big);
+    let mut batched = 0;
+    for (head, batch) in tickets {
+        match head.wait().status {
+            QueryStatus::Exact { value } => assert_eq!(
+                value.to_bits(),
+                reference_select(&big_data, 200_000).unwrap().to_bits()
+            ),
+            other => panic!("head query: {other:?}"),
+        }
+        for (rank, ticket) in batch {
+            let resp = ticket.wait();
+            batched += usize::from(resp.batched);
+            match resp.status {
+                QueryStatus::Exact { value } => assert_eq!(
+                    value.to_bits(),
+                    reference_select(&data, rank as usize).unwrap().to_bits(),
+                    "rank {rank} (batched: {})",
+                    resp.batched
+                ),
+                other => panic!("rank {rank}: {other:?}"),
+            }
+        }
+    }
+    assert!(
+        batched >= 2,
+        "no merged pass ran ({batched} batched answers)"
+    );
+    server.drain();
 }
 
 // ---------------------------------------------------------------------
