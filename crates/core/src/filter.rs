@@ -27,6 +27,10 @@ use std::ops::Range;
 /// top-k of §IV-I it is the suffix `target..b` ("it copies not only
 /// elements from the target bucket, but also from all buckets containing
 /// larger elements").
+///
+/// Where corrupted oracles disagree with the counts, a single bucket is
+/// gathered in input order and a wider range comes back empty, so the
+/// output no longer has the length the counts promise.
 pub fn filter_kernel<T: SelectElement>(
     device: &mut Device,
     data: &[T],
@@ -271,10 +275,14 @@ pub fn filter_kernel_scoped<T: SelectElement>(
 
     if oracle_mismatches > 0 {
         // The scatter buffer may hold unwritten slots, so finalizing it
-        // would be undefined behaviour. Rebuild the output with a safe
-        // sequential gather over the (corrupted) oracles; the length (or
-        // content) discrepancy is then caught by the ABFT checks in the
-        // recursion driver.
+        // would be undefined behaviour. Rebuild one bucket with a safe
+        // sequential gather over the (corrupted) oracles; its length
+        // discrepancy is then caught by the drivers' size checks. An
+        // input-order gather cannot group a wider range by bucket, so
+        // that output stays empty, which fails the same checks.
+        if hi - lo > 1 {
+            return Vec::new();
+        }
         return data
             .iter()
             .enumerate()

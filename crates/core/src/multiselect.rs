@@ -8,21 +8,18 @@
 //! ranks, and the recursion only descends into the (at most `m`)
 //! buckets that contain a target. With `b >> m` buckets, the expected
 //! extra data touched stays `O(m · n / b)` per level.
+//!
+//! The selection runs the shared level loop of [`crate::recursion`];
+//! this module holds its entry points and the quantile helpers.
 
-use crate::count::count_kernel_scoped;
 use crate::element::SelectElement;
-use crate::filter::filter_kernel_scoped;
 use crate::instrument::SelectReport;
-use crate::obs::{self, Histogram, SpanKind};
 use crate::params::SampleSelectConfig;
-use crate::recursion::{base_case_select_with, recycle_level, validate_input};
-use crate::reduce::reduce_kernel;
-use crate::rng::SplitMix64;
-use crate::splitter::sample_kernel_into;
+use crate::recursion::ranks_with_workspace;
 use crate::workspace::SelectWorkspace;
 use crate::SelectError;
 use gpu_sim::arch::v100;
-use gpu_sim::{Device, LaunchOrigin};
+use gpu_sim::Device;
 
 /// Result of a multi-rank selection.
 #[derive(Debug, Clone)]
@@ -33,17 +30,6 @@ pub struct MultiSelectResult<T> {
     /// Measurement report for the whole batch.
     pub report: SelectReport,
 }
-
-/// One pending sub-problem: a contiguous data segment and the target
-/// ranks (relative to the segment) it still has to resolve.
-struct Segment<T> {
-    data: Vec<T>,
-    /// (original query index, rank within `data`)
-    queries: Vec<(usize, usize)>,
-    level: u32,
-}
-
-const MAX_LEVELS: u32 = 64;
 
 /// Select the elements at several ranks at once (0-based, duplicates
 /// allowed, any order).
@@ -73,136 +59,7 @@ pub fn multi_select_with_workspace<T: SelectElement>(
             report: SelectReport::from_records("multiselect", data.len(), &[], 0, false),
         });
     }
-    for &r in ranks {
-        validate_input(data, r, cfg)?;
-    }
-
-    let n = data.len();
-    let records_before = device.records().len();
-    obs::span_enter(SpanKind::Query, "multiselect", 0, device.now().as_ns());
-    let mut rng = SplitMix64::new(cfg.seed);
-    let mut results: Vec<Option<T>> = vec![None; ranks.len()];
-    let mut levels = 0u32;
-    let mut terminated_early = false;
-
-    // Level-0 segment borrows nothing: we copy lazily only when
-    // filtering (the first level runs on `data` directly).
-    let mut pending: Vec<Segment<T>> = vec![Segment {
-        data: Vec::new(), // sentinel: level 0 uses `data`
-        queries: ranks.iter().copied().enumerate().collect(),
-        level: 0,
-    }];
-
-    while let Some(seg) = pending.pop() {
-        let Segment {
-            data: seg_data,
-            queries: seg_queries,
-            level,
-        } = seg;
-        let cur: &[T] = if level == 0 { data } else { &seg_data };
-        let origin = if level == 0 {
-            LaunchOrigin::Host
-        } else {
-            LaunchOrigin::Device
-        };
-        if level >= MAX_LEVELS {
-            return Err(SelectError::RecursionLimit);
-        }
-        levels = levels.max(level + 1);
-        obs::span_enter(
-            SpanKind::Level,
-            "segment",
-            level as u64,
-            device.now().as_ns(),
-        );
-
-        if cur.len() <= cfg.base_case_size.max(cfg.sample_size()) {
-            // One sort answers every query of the segment (the bitonic
-            // selection fully sorts its working copy, `ws.base`).
-            let first_rank = seg_queries[0].1;
-            let SelectWorkspace {
-                base, sort_scratch, ..
-            } = &mut *ws;
-            let _ = base_case_select_with(device, cur, first_rank, cfg, origin, base, sort_scratch);
-            for &(qi, rank) in &seg_queries {
-                results[qi] = Some(base[rank]);
-            }
-            device.recycle_vec("filter-out", seg_data);
-            obs::span_exit(device.now().as_ns());
-            continue;
-        }
-
-        sample_kernel_into(device, cur, cfg, &mut rng, origin, ws)?;
-        let tree = ws.tree().expect("sample_kernel_into built a tree");
-        let count = count_kernel_scoped(device, cur, tree, cfg, true, origin, &ws.scratch);
-        let red = reduce_kernel(device, &count, LaunchOrigin::Device);
-
-        // Group the segment's queries by target bucket.
-        let mut by_bucket: Vec<(usize, Vec<(usize, usize)>)> = Vec::new();
-        for &(qi, rank) in &seg_queries {
-            let bucket = red.bucket_for_rank(rank as u64);
-            match by_bucket.iter_mut().find(|(b, _)| *b == bucket) {
-                Some((_, qs)) => qs.push((qi, rank)),
-                None => by_bucket.push((bucket, vec![(qi, rank)])),
-            }
-        }
-
-        for (bucket, queries) in by_bucket {
-            if tree.is_equality_bucket(bucket) {
-                let v = tree.equality_value(bucket);
-                for (qi, _) in queries {
-                    results[qi] = Some(v);
-                }
-                terminated_early = true;
-                continue;
-            }
-            let bucket_u32 = bucket as u32;
-            let sub = filter_kernel_scoped(
-                device,
-                cur,
-                &count,
-                &red,
-                bucket_u32..bucket_u32 + 1,
-                cfg,
-                LaunchOrigin::Device,
-                &ws.scratch,
-            );
-            let offset = red.bucket_offsets[bucket] as usize;
-            let queries: Vec<(usize, usize)> = queries
-                .into_iter()
-                .map(|(qi, rank)| (qi, rank - offset))
-                .collect();
-            debug_assert!(queries.iter().all(|&(_, r)| r < sub.len()));
-            pending.push(Segment {
-                data: sub,
-                queries,
-                level: level + 1,
-            });
-        }
-        device.recycle_vec("filter-out", seg_data);
-        recycle_level(device, count, red);
-        obs::observe(
-            Histogram::LevelKeptElements,
-            pending.iter().map(|s| s.data.len() as u64).sum(),
-        );
-        obs::span_exit(device.now().as_ns());
-    }
-
-    let values = results
-        .into_iter()
-        .map(|v| v.expect("every query resolved"))
-        .collect();
-    obs::absorb_device(device);
-    obs::pool_sample(device);
-    obs::span_exit(device.now().as_ns());
-    let report = SelectReport::from_records(
-        "multiselect",
-        n,
-        &device.records()[records_before..],
-        levels,
-        terminated_early,
-    );
-    Ok(MultiSelectResult { values, report })
+    ranks_with_workspace(device, data, ranks, cfg, ws)
 }
 
 /// Multi-rank selection on a default simulated device (Tesla V100).
@@ -258,6 +115,7 @@ pub fn quantiles<T: SelectElement>(
 mod tests {
     use super::*;
     use crate::element::reference_select;
+    use crate::rng::SplitMix64;
     use hpc_par::ThreadPool;
 
     fn uniform(n: usize, seed: u64) -> Vec<f32> {

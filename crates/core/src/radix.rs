@@ -22,7 +22,7 @@
 //!   element is `(key >> shift) & 0xff`, charged as a shift and a mask
 //!   with [`DIGIT_BITS`] ballots per aggregated warp, and the oracle is
 //!   always one byte;
-//! * its level preparation — advance the shift by one digit — and the
+//! * its level preparation — the shift of the level's digit — and the
 //!   early exit once every key bit is consumed.
 //!
 //! The level loop gives the backend everything else: the zero-alloc

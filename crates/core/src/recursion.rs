@@ -1,24 +1,27 @@
-//! The exact level loop shared by SampleSelect (Fig. 1 / §IV-E) and
-//! RadixSelect: recursive bucket selection with the recursion kept "on
-//! the device".
+//! The one level loop behind every exact, fused top-k and multi-rank
+//! query: recursive bucket selection (Fig. 1 / §IV-E) with the recursion
+//! kept "on the device".
 //!
-//! Each level runs `count → reduce → select_bucket → filter` and
-//! descends into the bucket containing the target rank. The backends
-//! differ only in how an element gets its bucket, which the private
-//! `LevelBucketing` trait hides: SampleSelect draws a splitter sample
-//! and rebuilds the search tree before counting, RadixSelect advances to
-//! the next 8-bit digit of the sort key. Because the recursion depth is
-//! not known a priori and host↔device round trips are expensive, the
-//! paper keeps the control flow on the GPU with CUDA Dynamic Parallelism
-//! tail launches; the simulator charges every launch after level 0's
-//! count kernel the (lower) device-launch latency by committing it with
-//! [`LaunchOrigin::Device`].
+//! Each level runs `count → reduce → (select_bucket) → filter` and
+//! descends into the bucket(s) holding the target. Two private traits
+//! are the loop's axes. `LevelBucketing` is how an element gets its
+//! bucket: SampleSelect draws a splitter sample and rebuilds the search
+//! tree, RadixSelect takes the next 8-bit digit of the sort key. `Target`
+//! is what the query selects: one rank (`Rank`), the fused top-k of
+//! §IV-I or its bottom-k mirror (`Fused`), or several ranks (`Ranks`).
+//! The kernels, checks, guards, spans and report exist once. Because the
+//! recursion depth is not known a priori and host↔device round trips
+//! are expensive, the paper keeps the control flow on the GPU with CUDA
+//! Dynamic Parallelism tail launches; the simulator charges every launch
+//! after level 0's count kernel the (lower) device-launch latency by
+//! committing it with [`LaunchOrigin::Device`].
 
 use crate::bitonic::bitonic_select_with_scratch;
 use crate::count::{count_kernel_scoped, Classifier, CountResult, OracleBuf};
 use crate::element::SelectElement;
 use crate::filter::filter_kernel_scoped;
 use crate::instrument::SelectReport;
+use crate::multiselect::MultiSelectResult;
 use crate::obs::{self, Gauge, Histogram, SpanKind, Track};
 use crate::params::{ConfigError, SampleSelectConfig};
 use crate::radix::{key_bits, DigitClassifier, DIGIT_BITS};
@@ -26,10 +29,12 @@ use crate::reduce::{reduce_kernel, ReduceResult};
 use crate::rng::SplitMix64;
 use crate::searchtree::SearchTree;
 use crate::splitter::sample_kernel_into;
+use crate::topk::TopKResult;
 use crate::verify::{check_filter_size, check_histogram};
 use crate::workspace::SelectWorkspace;
 use crate::{SelectError, SelectResult};
 use gpu_sim::{Device, KernelCost, LaunchConfig, LaunchOrigin};
+use std::ops::Range;
 
 /// Safety net: the expected depth is `log_b(n / base) + 1`, i.e. 2-3 for
 /// every practical input (and at most `key_bits / 8` digit passes);
@@ -214,33 +219,90 @@ pub fn select_into<T: SelectElement>(
     report: &mut SelectReport,
     bucketing: Bucketing,
 ) -> Result<T, SelectError> {
+    let mut target = Rank {
+        pending: Some((Vec::new(), 0, rank)),
+        value: None,
+    };
+    let ranks = std::slice::from_ref(&rank);
     match bucketing {
-        Bucketing::Splitters => level_loop(
-            device,
-            data,
-            rank,
-            cfg,
-            ws,
-            report,
-            SplitterLevels {
-                rng: SplitMix64::new(cfg.seed),
-            },
-        ),
-        Bucketing::Digits => level_loop(
-            device,
-            data,
-            rank,
-            cfg,
-            ws,
-            report,
-            DigitClassifier {
-                shift: key_bits::<T>(),
-            },
-        ),
+        Bucketing::Splitters => {
+            let splitters = splitters(cfg);
+            level_loop(device, data, ranks, cfg, ws, report, splitters, &mut target)?
+        }
+        Bucketing::Digits => {
+            let digits = DigitClassifier { shift: 0 };
+            level_loop(device, data, ranks, cfg, ws, report, digits, &mut target)?
+        }
     }
+    Ok(target.value.expect("the level loop resolves its rank"))
 }
 
-/// What a backend of the level loop decides; everything else is shared.
+/// The `k` largest (`largest`) or smallest elements of `data`: the fused
+/// top-k of §IV-I or its bottom-k mirror.
+pub(crate) fn fused_with_workspace<T: SelectElement>(
+    device: &mut Device,
+    data: &[T],
+    k: usize,
+    largest: bool,
+    cfg: &SampleSelectConfig,
+    ws: &mut SelectWorkspace<T>,
+) -> Result<TopKResult<T>, SelectError> {
+    cfg.validate().map_err(SelectError::InvalidConfig)?;
+    if k == 0 || k > data.len() {
+        let len = data.len();
+        return Err(SelectError::RankOutOfRange { rank: k, len });
+    }
+    let rank = if largest { data.len() - k } else { k - 1 };
+    let mut fused = Fused {
+        largest,
+        pending: Some((Vec::new(), 0, rank)),
+        elements: Vec::with_capacity(k),
+        threshold: None,
+    };
+    let report = sample_levels(device, data, &[rank], cfg, ws, &mut fused)?;
+    let threshold = fused.threshold.expect("the loop resolves the threshold");
+    let elements = fused.elements;
+    Ok(TopKResult {
+        elements,
+        threshold,
+        report,
+    })
+}
+
+/// The elements of `data` at each of `ranks` (non-empty, any order,
+/// duplicates allowed).
+pub(crate) fn ranks_with_workspace<T: SelectElement>(
+    device: &mut Device,
+    data: &[T],
+    ranks: &[usize],
+    cfg: &SampleSelectConfig,
+    ws: &mut SelectWorkspace<T>,
+) -> Result<MultiSelectResult<T>, SelectError> {
+    let mut multi = Ranks {
+        pending: vec![(Vec::new(), 0, ranks.iter().copied().enumerate().collect())],
+        values: vec![None; ranks.len()],
+    };
+    let report = sample_levels(device, data, ranks, cfg, ws, &mut multi)?;
+    let values = multi.values.into_iter().collect::<Option<_>>();
+    let values = values.expect("the loop resolves every rank");
+    Ok(MultiSelectResult { values, report })
+}
+
+/// Run `target` through the level loop with SampleSelect's bucketing.
+fn sample_levels<T: SelectElement, Q: Target<T>>(
+    device: &mut Device,
+    data: &[T],
+    ranks: &[usize],
+    cfg: &SampleSelectConfig,
+    ws: &mut SelectWorkspace<T>,
+    target: &mut Q,
+) -> Result<SelectReport, SelectError> {
+    let (mut report, levels) = (SelectReport::empty(""), splitters(cfg));
+    level_loop(device, data, ranks, cfg, ws, &mut report, levels, target)?;
+    Ok(report)
+}
+
+/// What a backend of the level loop decides: the bucketing axis.
 trait LevelBucketing<T: SelectElement> {
     /// Report label and query-span name.
     const ALGORITHM: &'static str;
@@ -251,9 +313,9 @@ trait LevelBucketing<T: SelectElement> {
     /// Buckets at or below this size go to the base-case sort.
     fn base_case_size(cfg: &SampleSelectConfig) -> usize;
 
-    /// Whether the remaining elements are known to be all equal before
-    /// another level runs.
-    fn exhausted(&self) -> bool {
+    /// Whether the elements remaining at depth `level` are known to be
+    /// all equal before another level runs.
+    fn exhausted(&self, _level: u32) -> bool {
         false
     }
 
@@ -284,6 +346,12 @@ trait LevelBucketing<T: SelectElement> {
 /// SampleSelect's levels: a fresh splitter sample and search tree each.
 struct SplitterLevels {
     rng: SplitMix64,
+}
+
+fn splitters(cfg: &SampleSelectConfig) -> SplitterLevels {
+    SplitterLevels {
+        rng: SplitMix64::new(cfg.seed),
+    }
 }
 
 fn built_tree<T: SelectElement>(ws: &SelectWorkspace<T>) -> &SearchTree<T> {
@@ -333,7 +401,7 @@ impl<T: SelectElement> LevelBucketing<T> for SplitterLevels {
     }
 }
 
-/// RadixSelect's levels: the next digit down, most significant first.
+/// RadixSelect's levels: one digit per depth, most significant first.
 impl<T: SelectElement> LevelBucketing<T> for DigitClassifier {
     const ALGORITHM: &'static str = "radixselect";
 
@@ -347,10 +415,10 @@ impl<T: SelectElement> LevelBucketing<T> for DigitClassifier {
         cfg.base_case_size
     }
 
-    fn exhausted(&self) -> bool {
+    fn exhausted(&self, level: u32) -> bool {
         // All key bits consumed: the remaining elements share one sort
         // key, i.e. they are all equal under the element order.
-        self.shift == 0
+        level * DIGIT_BITS >= key_bits::<T>()
     }
 
     fn prepare(
@@ -359,10 +427,10 @@ impl<T: SelectElement> LevelBucketing<T> for DigitClassifier {
         _cur: &[T],
         _cfg: &SampleSelectConfig,
         _origin: LaunchOrigin,
-        _level_ix: u64,
+        level_ix: u64,
         _ws: &mut SelectWorkspace<T>,
     ) -> Result<(), SelectError> {
-        self.shift -= DIGIT_BITS;
+        self.shift = key_bits::<T>() - DIGIT_BITS * (level_ix as u32 + 1);
         Ok(())
     }
 
@@ -371,62 +439,345 @@ impl<T: SelectElement> LevelBucketing<T> for DigitClassifier {
     }
 }
 
-/// The one level loop behind every exact SampleSelect and RadixSelect
-/// query.
-fn level_loop<T: SelectElement, B: LevelBucketing<T>>(
+/// A pending piece of a query: the elements filtered into it (unused at
+/// depth 0, which reads the input), its depth, and what it still has to
+/// resolve.
+type Segment<T, G> = (Vec<T>, u32, G);
+
+/// What a query selects: the target axis of the level loop. A target
+/// picks the rank(s) that choose a level's bucket(s), the filter range,
+/// what becomes of the filter output and how an equality bucket ends
+/// the descent.
+trait Target<T: SelectElement> {
+    /// What a segment still has to resolve: a rank, or several.
+    type Goal;
+
+    /// Whether each level launches `select_bucket`; only the exact rank
+    /// is charged for it.
+    const SELECTS_BUCKET: bool = false;
+
+    /// Whether a base-case segment's depth counts in `levels`.
+    const COUNTS_BASE_DEPTH: bool = false;
+
+    /// Report label and query-span name, given the backend's.
+    fn label(&self, backend: &'static str) -> &'static str {
+        backend
+    }
+
+    /// The next pending segment, last in first out.
+    fn pop(&mut self) -> Option<Segment<T, Self::Goal>>;
+
+    /// Resolve a segment from its elements in sorted order.
+    fn resolve(&mut self, goal: Self::Goal, sorted: &[T]);
+
+    /// Pick the bucket(s) of a counted level, filter them and queue the
+    /// segments to descend into.
+    fn descend<B: LevelBucketing<T>>(
+        &mut self,
+        goal: Self::Goal,
+        level: &mut Level<'_, '_, T, B>,
+    ) -> Result<(), SelectError>;
+}
+
+/// One counted level, as a target sees it.
+struct Level<'a, 'p, T: SelectElement, B> {
+    device: &'a mut Device<'p>,
+    cur: &'a [T],
+    count: &'a CountResult,
+    red: &'a ReduceResult,
+    cfg: &'a SampleSelectConfig,
+    ws: &'a SelectWorkspace<T>,
+    bucketing: &'a B,
+    depth: u32,
+    /// Whether an equality bucket answered part of the query.
+    early: bool,
+}
+
+impl<T: SelectElement, B: LevelBucketing<T>> Level<'_, '_, T, B> {
+    /// The bucket holding `rank`.
+    fn bucket_for_rank(&self, rank: usize) -> Result<usize, SelectError> {
+        let bucket = self.red.bucket_for_rank(rank as u64);
+        if self.red.bucket_size(bucket) == 0 {
+            // Healthy runs always land the rank in a non-empty bucket;
+            // an empty one means the counts (or their prefix sums) were
+            // corrupted after the histogram was assembled.
+            return Err(SelectError::Corruption {
+                invariant: "bucket-for-rank",
+                detail: format!("rank {rank} mapped to empty bucket {bucket}"),
+            });
+        }
+        Ok(bucket)
+    }
+
+    /// The value of `bucket` when it is an equality bucket, which ends
+    /// the descent there.
+    fn equality_exit(&mut self, bucket: usize) -> Option<T> {
+        let value = self.bucketing.equality_value(self.ws, bucket);
+        self.early |= value.is_some();
+        value
+    }
+
+    /// The elements of the buckets in `range`, bucket by bucket. Their
+    /// number is checked under the spot checks, or always when the
+    /// target slices the output (`sliced`).
+    fn filter(&mut self, range: Range<u32>, sliced: bool) -> Result<Vec<T>, SelectError> {
+        let offsets = &self.red.bucket_offsets;
+        let expected = offsets[range.end as usize] - offsets[range.start as usize];
+        let (device, cfg, origin) = (&mut *self.device, self.cfg, LaunchOrigin::Device);
+        let now = device.now().as_ns();
+        obs::span_enter(SpanKind::Kernel, "filter", self.depth as u64, now);
+        let (cur, count, red, scratch) = (self.cur, self.count, self.red, &self.ws.scratch);
+        let next = filter_kernel_scoped(device, cur, count, red, range, cfg, origin, scratch);
+        obs::span_exit(device.now().as_ns());
+        obs::observe(Histogram::LevelKeptElements, next.len() as u64);
+        if sliced || cfg.verify.spot_checks() {
+            check_filter_size(next.len(), expected)?;
+        }
+        Ok(next)
+    }
+
+    /// `rank` relative to the start of `bucket`, which descends with
+    /// `len` filtered elements.
+    fn descended(&self, rank: usize, bucket: usize, len: usize) -> Result<usize, SelectError> {
+        let next_rank = rank - self.red.bucket_offsets[bucket] as usize;
+        if next_rank >= len {
+            // Unconditionally guarded (not just under `verify`): a
+            // corrupted oracle or count buffer can shrink the filter
+            // output below the descending rank, and indexing past it at
+            // the next level would panic instead of surfacing a
+            // retryable error.
+            return Err(SelectError::Corruption {
+                invariant: "filter-size",
+                detail: format!(
+                    "descending rank {next_rank} outside filtered bucket of {len} elements"
+                ),
+            });
+        }
+        Ok(next_rank)
+    }
+}
+
+/// One exact rank: descend into the bucket holding it.
+struct Rank<T> {
+    pending: Option<Segment<T, usize>>,
+    value: Option<T>,
+}
+
+impl<T: SelectElement> Target<T> for Rank<T> {
+    type Goal = usize;
+    const SELECTS_BUCKET: bool = true;
+
+    fn pop(&mut self) -> Option<Segment<T, usize>> {
+        self.pending.take()
+    }
+
+    fn resolve(&mut self, rank: usize, sorted: &[T]) {
+        self.value = Some(sorted[rank]);
+    }
+
+    fn descend<B: LevelBucketing<T>>(
+        &mut self,
+        rank: usize,
+        level: &mut Level<'_, '_, T, B>,
+    ) -> Result<(), SelectError> {
+        let bucket = level.bucket_for_rank(rank)?;
+        if let Some(value) = level.equality_exit(bucket) {
+            self.value = Some(value);
+            return Ok(());
+        }
+        let next = level.filter(bucket as u32..bucket as u32 + 1, false)?;
+        let rank = level.descended(rank, bucket, next.len())?;
+        self.pending = Some((next, level.depth + 1, rank));
+        Ok(())
+    }
+}
+
+/// The `k` largest (or smallest) elements (§IV-I): rank `n - k` (or
+/// `k - 1`) picks the bucket, and the filter range also covers every
+/// larger (or smaller) bucket, whose elements all join the result.
+struct Fused<T> {
+    largest: bool,
+    pending: Option<Segment<T, usize>>,
+    elements: Vec<T>,
+    threshold: Option<T>,
+}
+
+impl<T: SelectElement> Target<T> for Fused<T> {
+    type Goal = usize;
+
+    fn label(&self, _backend: &'static str) -> &'static str {
+        match self.largest {
+            true => "topk-sampleselect",
+            false => "bottomk-sampleselect",
+        }
+    }
+
+    fn pop(&mut self) -> Option<Segment<T, usize>> {
+        self.pending.take()
+    }
+
+    fn resolve(&mut self, rank: usize, sorted: &[T]) {
+        let part = if self.largest {
+            rank..sorted.len()
+        } else {
+            0..rank + 1
+        };
+        self.elements.extend_from_slice(&sorted[part]);
+        self.threshold = Some(sorted[rank]);
+    }
+
+    fn descend<B: LevelBucketing<T>>(
+        &mut self,
+        rank: usize,
+        level: &mut Level<'_, '_, T, B>,
+    ) -> Result<(), SelectError> {
+        let bucket = level.bucket_for_rank(rank)?;
+        let (b, buckets) = (bucket as u32, level.red.bucket_offsets.len() as u32 - 1);
+        let range = if self.largest { b..buckets } else { 0..b + 1 };
+        let mut next = level.filter(range, true)?;
+        // The output is bucket-major: the target bucket leads a top-k
+        // range and ends a bottom-k one. The other buckets join the
+        // result, leaving the target bucket in `next`.
+        let (len, size) = (next.len(), level.red.bucket_size(bucket) as usize);
+        let others = if self.largest {
+            size..len
+        } else {
+            0..len - size
+        };
+        self.elements.extend(next.drain(others));
+        let rank = level.descended(rank, bucket, size)?;
+        if let Some(value) = level.equality_exit(bucket) {
+            // Every element of the bucket equals the threshold; take the
+            // ties the result still needs.
+            let need = if self.largest { size - rank } else { rank + 1 };
+            self.elements.extend_from_slice(&next[..need]);
+            self.threshold = Some(value);
+            level.device.recycle_vec("filter-out", next);
+            return Ok(());
+        }
+        self.pending = Some((next, level.depth + 1, rank));
+        Ok(())
+    }
+}
+
+/// Several ranks at once (§VI): a segment's ranks are grouped by
+/// bucket, and every bucket holding one descends as its own segment.
+struct Ranks<T> {
+    /// Goals are `(query index, rank within the segment)` pairs.
+    pending: Vec<Segment<T, Vec<(usize, usize)>>>,
+    values: Vec<Option<T>>,
+}
+
+impl<T: SelectElement> Target<T> for Ranks<T> {
+    type Goal = Vec<(usize, usize)>;
+    const COUNTS_BASE_DEPTH: bool = true;
+
+    fn label(&self, _backend: &'static str) -> &'static str {
+        "multiselect"
+    }
+
+    fn pop(&mut self) -> Option<Segment<T, Self::Goal>> {
+        self.pending.pop()
+    }
+
+    fn resolve(&mut self, goal: Self::Goal, sorted: &[T]) {
+        for (qi, rank) in goal {
+            self.values[qi] = Some(sorted[rank]);
+        }
+    }
+
+    fn descend<B: LevelBucketing<T>>(
+        &mut self,
+        goal: Self::Goal,
+        level: &mut Level<'_, '_, T, B>,
+    ) -> Result<(), SelectError> {
+        let mut by_bucket: Vec<(usize, Self::Goal)> = Vec::new();
+        for (qi, rank) in goal {
+            let bucket = level.bucket_for_rank(rank)?;
+            match by_bucket.iter_mut().find(|(b, _)| *b == bucket) {
+                Some((_, queries)) => queries.push((qi, rank)),
+                None => by_bucket.push((bucket, vec![(qi, rank)])),
+            }
+        }
+        for (bucket, queries) in by_bucket {
+            if let Some(value) = level.equality_exit(bucket) {
+                for (qi, _) in queries {
+                    self.values[qi] = Some(value);
+                }
+                continue;
+            }
+            let next = level.filter(bucket as u32..bucket as u32 + 1, false)?;
+            let local = |(qi, rank)| Ok((qi, level.descended(rank, bucket, next.len())?));
+            let goal = queries.into_iter().map(local).collect::<Result<_, _>>()?;
+            self.pending.push((next, level.depth + 1, goal));
+        }
+        Ok(())
+    }
+}
+
+/// The one level loop behind every exact, fused top-k and multi-rank
+/// query on either backend; `ranks` are the requested ranks.
+#[allow(clippy::too_many_arguments)]
+fn level_loop<T: SelectElement, B: LevelBucketing<T>, Q: Target<T>>(
     device: &mut Device,
     data: &[T],
-    rank: usize,
+    ranks: &[usize],
     cfg: &SampleSelectConfig,
     ws: &mut SelectWorkspace<T>,
     report: &mut SelectReport,
     mut bucketing: B,
-) -> Result<T, SelectError> {
+    target: &mut Q,
+) -> Result<(), SelectError> {
     B::validate(cfg).map_err(SelectError::InvalidConfig)?;
-    validate_input(data, rank, cfg)?;
+    for &rank in ranks {
+        validate_input(data, rank, cfg)?;
+    }
 
     let n = data.len();
+    let label = target.label(B::ALGORITHM);
     let records_before = device.records().len();
-    obs::span_enter(SpanKind::Query, B::ALGORITHM, 0, device.now().as_ns());
+    obs::span_enter(SpanKind::Query, label, 0, device.now().as_ns());
     let max_levels = cfg.max_levels.unwrap_or(MAX_LEVELS).min(MAX_LEVELS);
     let work_budget: Option<f64> = cfg.work_budget_factor.map(|f| f * n as f64);
     let mut work_done: f64 = 0.0;
-
-    let mut storage: Vec<T> = Vec::new();
-    let mut use_storage = false;
-    let mut k = rank;
     let mut levels = 0u32;
+    let mut terminated_early = false;
 
-    let (value, terminated_early) = loop {
+    while let Some((storage, depth, goal)) = target.pop() {
         // Level 0's first kernels come from the host; everything after
-        // is a device-side tail launch, so one level enqueues at most
-        // one follow-up and the paper's launch ordering holds.
-        let origin = if levels == 0 {
+        // is a device-side tail launch.
+        let origin = if depth == 0 {
             LaunchOrigin::Host
         } else {
             LaunchOrigin::Device
         };
-        let cur: &[T] = if use_storage { &storage } else { data };
-        debug_assert!(k < cur.len());
+        let cur: &[T] = if depth == 0 { data } else { &storage };
+        if Q::COUNTS_BASE_DEPTH {
+            levels = levels.max(depth + 1);
+        }
 
         if cur.len() <= B::base_case_size(cfg) {
-            obs::span_enter(
-                SpanKind::Kernel,
-                "base_sort",
-                levels as u64,
-                device.now().as_ns(),
-            );
+            let now = device.now().as_ns();
+            obs::span_enter(SpanKind::Kernel, "base_sort", depth as u64, now);
             let SelectWorkspace {
                 base, sort_scratch, ..
             } = &mut *ws;
-            let value = base_case_select_with(device, cur, k, cfg, origin, base, sort_scratch);
+            // The sort orders `ws.base` fully; the target reads its
+            // rank(s) there.
+            base_case_select_with(device, cur, 0, cfg, origin, base, sort_scratch);
             obs::span_exit(device.now().as_ns());
-            break (value, false);
+            target.resolve(goal, &ws.base);
+            device.recycle_vec("filter-out", storage);
+            continue;
         }
-        if bucketing.exhausted() {
-            break (cur[0], true);
+        if bucketing.exhausted(depth) {
+            // All equal, hence already in order.
+            target.resolve(goal, cur);
+            terminated_early = true;
+            device.recycle_vec("filter-out", storage);
+            continue;
         }
-        if levels >= max_levels {
+        if depth >= max_levels {
             return Err(SelectError::RecursionLimit);
         }
         if let Some(budget) = work_budget {
@@ -438,8 +789,8 @@ fn level_loop<T: SelectElement, B: LevelBucketing<T>>(
                 return Err(SelectError::RecursionLimit);
             }
         }
-        let level_ix = levels as u64;
-        levels += 1;
+        let level_ix = depth as u64;
+        levels = levels.max(depth + 1);
         obs::span_enter(SpanKind::Level, "level", level_ix, device.now().as_ns());
 
         bucketing.prepare(device, cur, cfg, origin, level_ix, ws)?;
@@ -468,82 +819,41 @@ fn level_loop<T: SelectElement, B: LevelBucketing<T>>(
         }
         obs::span_enter(SpanKind::Kernel, "reduce", level_ix, device.now().as_ns());
         let red = reduce_kernel(device, &count, LaunchOrigin::Device);
-        bucketing.after_reduce(device, ws);
+        if Q::SELECTS_BUCKET {
+            bucketing.after_reduce(device, ws);
+        }
         obs::span_exit(device.now().as_ns());
 
-        let bucket = red.bucket_for_rank(k as u64);
-        if red.bucket_size(bucket) == 0 {
-            // Healthy runs always land the rank in a non-empty bucket;
-            // an empty one means the counts (or their prefix sums) were
-            // corrupted after the histogram was assembled.
-            return Err(SelectError::Corruption {
-                invariant: "bucket-for-rank",
-                detail: format!("rank {k} mapped to empty bucket {bucket}"),
-            });
-        }
-
-        if let Some(value) = bucketing.equality_value(ws, bucket) {
-            recycle_level(device, count, red);
-            obs::span_exit(device.now().as_ns());
-            break (value, true);
-        }
-
-        let bucket_u32 = bucket as u32;
-        obs::span_enter(SpanKind::Kernel, "filter", level_ix, device.now().as_ns());
-        let next = filter_kernel_scoped(
-            device,
+        let mut level = Level {
+            device: &mut *device,
             cur,
-            &count,
-            &red,
-            bucket_u32..bucket_u32 + 1,
+            count: &count,
+            red: &red,
             cfg,
-            LaunchOrigin::Device,
-            &ws.scratch,
-        );
-        obs::span_exit(device.now().as_ns());
-        obs::observe(Histogram::LevelKeptElements, next.len() as u64);
-        if cfg.verify.spot_checks() {
-            check_filter_size(next.len(), red.bucket_size(bucket))?;
-        }
-        let next_rank = k - red.bucket_offsets[bucket] as usize;
-        if next_rank >= next.len() {
-            // Unconditionally guarded (not just under `verify`): a
-            // corrupted oracle or count buffer can shrink the filter
-            // output below the descending rank, and indexing past it at
-            // the next level would panic instead of surfacing a
-            // retryable error.
-            return Err(SelectError::Corruption {
-                invariant: "filter-size",
-                detail: format!(
-                    "descending rank {next_rank} outside filtered bucket of {} elements",
-                    next.len()
-                ),
-            });
-        }
-        let prev = std::mem::replace(&mut storage, next);
-        device.recycle_vec("filter-out", prev);
+            ws,
+            bucketing: &bucketing,
+            depth,
+            early: false,
+        };
+        target.descend(goal, &mut level)?;
+        terminated_early |= level.early;
+        device.recycle_vec("filter-out", storage);
         recycle_level(device, count, red);
         obs::span_exit(device.now().as_ns());
-        use_storage = true;
-        k = next_rank;
-    };
-
-    // The last level's filtered bucket goes back to the pool for the
-    // next query.
-    device.recycle_vec("filter-out", storage);
+    }
 
     obs::absorb_device(device);
     obs::pool_sample(device);
     obs::span_exit(device.now().as_ns());
 
     report.refill_from_records(
-        B::ALGORITHM,
+        label,
         n,
         &device.records()[records_before..],
         levels,
         terminated_early,
     );
-    Ok(value)
+    Ok(())
 }
 
 #[cfg(test)]

@@ -58,7 +58,6 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 use crate::approx_topk::plan_for_recall;
-use crate::multiselect::multi_select_with_workspace;
 use crate::obs::{Counter, MetricsRegistry, MetricsSnapshot, ObsSession, SpanGuard};
 use crate::params::SampleSelectConfig;
 use crate::planner::{
@@ -72,11 +71,10 @@ use crate::resilient::{
     drive, ApproxQuery, Outcome, RankQuery, RanksQuery, ResilienceConfig, TopKQuery,
 };
 use crate::streaming::{streaming_select_with_checkpoint, ChunkError, ChunkSource, SliceChunks};
-use crate::verify::certify_ranks;
 use crate::workspace::SelectWorkspace;
 use crate::SelectError;
 use gpu_sim::arch::{v100, GpuArchitecture};
-use gpu_sim::{Device, FaultPlan, LaunchOrigin, SimTime};
+use gpu_sim::{Device, FaultPlan, SimTime};
 use hpc_par::ThreadPool;
 
 // ---------------------------------------------------------------------
@@ -1132,7 +1130,9 @@ fn serve_batch(
     let mut healthy = true;
     if batch.len() >= 2 {
         // All jobs are Exact on the same dataset (pop_batch guarantees
-        // it). One multiselect pass answers every one of them.
+        // it). One multiselect pass answers every one of them, driven
+        // like any other query: retried on faults and corruption, and
+        // certified as a whole under a paranoid policy.
         let data = Arc::clone(&batch[0].data);
         let ranks: Vec<usize> = batch
             .iter()
@@ -1142,30 +1142,29 @@ fn serve_batch(
             })
             .collect();
         let select_cfg = cfg.select.clone().with_seed(batch[0].seed);
+        let rcfg = ResilienceConfig {
+            time_budget: None,
+            ..cfg.resilience.clone()
+        };
         let t0 = Instant::now();
         device.reset();
-        let result = {
+        let served = {
             let _guard = SpanGuard::new();
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                multi_select_with_workspace(device, &data, &ranks, &select_cfg, ws)
+                let query = RanksQuery {
+                    data: &data,
+                    ranks: &ranks,
+                    ws,
+                };
+                drive(device, query, &select_cfg, &rcfg)
             }))
         };
-        let values = match (result, device.take_fault()) {
-            (Ok(Ok(multi)), None) => Some(multi.values),
-            _ => None,
-        };
-        // A merged pass is exact only on the terms of any other answer:
-        // no latched fault and, under a paranoid policy, a certificate
-        // for the whole merged vector.
-        let values = values.filter(|values| {
-            let origin = LaunchOrigin::Host;
-            !select_cfg.verify.certify()
-                || certify_ranks(device, &data, values, &ranks, &select_cfg, origin).is_ok()
-        });
         let service_ms = t0.elapsed().as_secs_f64() * 1e3;
-        if let Some(values) = values {
+        if let Ok(Ok(served)) = served {
+            let events = &served.report.resilience;
+            let healthy = events.faults_observed == 0 && events.corruptions_detected == 0;
             shared.registry.add(Counter::Batched, batch.len() as u64);
-            for (job, value) in batch.into_iter().zip(values) {
+            for (job, value) in batch.into_iter().zip(served.answer) {
                 shared.tenant_count(&job.tenant, |c| {
                     c.batched += 1;
                     c.exact += 1;
@@ -1174,14 +1173,13 @@ fn serve_batch(
                     }
                 });
                 let status = QueryStatus::Exact { value };
-                respond(shared, job, status, Some("multiselect"), true, service_ms);
+                respond(shared, job, status, Some(served.label), true, service_ms);
             }
-            return true;
+            return healthy;
         }
-        // The merged pass faulted, failed its certificate, or a panic
-        // was isolated: serve each query individually through the
-        // resilient driver, which owns retry/fallback. The batch itself
-        // was unhealthy.
+        // The merged pass failed permanently or a panic was isolated:
+        // serve each query individually. The batch itself was
+        // unhealthy.
         healthy = false;
     }
     for job in batch {

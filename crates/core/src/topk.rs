@@ -6,29 +6,27 @@
 //! elements. As the splitters are ordered, the recursion still only
 //! needs to descend into the target bucket, but all elements from larger
 //! buckets are guaranteed to be part of the top-k selection."
+//!
+//! Both the top-k and its bottom-k mirror run the shared level loop of
+//! [`crate::recursion`]; this module holds their entry points.
 
-use crate::count::count_kernel_scoped;
 use crate::element::SelectElement;
-use crate::filter::filter_kernel_scoped;
 use crate::instrument::SelectReport;
-use crate::obs::{self, Histogram, SpanKind};
 use crate::params::SampleSelectConfig;
-use crate::recursion::{base_case_select_with, recycle_level, validate_input};
-use crate::reduce::reduce_kernel;
-use crate::rng::SplitMix64;
-use crate::splitter::sample_kernel_into;
+use crate::recursion::fused_with_workspace;
 use crate::workspace::SelectWorkspace;
 use crate::{SelectError, SelectResult};
 use gpu_sim::arch::v100;
-use gpu_sim::{Device, LaunchOrigin};
+use gpu_sim::Device;
 
 /// Result of a top-k extraction.
 #[derive(Debug, Clone)]
 pub struct TopKResult<T> {
-    /// The `k` largest elements, in no particular order.
+    /// The `k` selected elements, in no particular order.
     pub elements: Vec<T>,
-    /// The threshold: the smallest element of the top-k set (the
-    /// `(n-k)`-th smallest of the input).
+    /// The threshold: the smallest element of a top-k set (the
+    /// `(n-k)`-th smallest of the input), or the largest of a bottom-k
+    /// set (the `(k-1)`-th smallest).
     pub threshold: T,
     /// Measurement report.
     pub report: SelectReport,
@@ -54,141 +52,7 @@ pub fn top_k_largest_with_workspace<T: SelectElement>(
     cfg: &SampleSelectConfig,
     ws: &mut SelectWorkspace<T>,
 ) -> Result<TopKResult<T>, SelectError> {
-    cfg.validate().map_err(SelectError::InvalidConfig)?;
-    if k == 0 || k > data.len() {
-        return Err(SelectError::RankOutOfRange {
-            rank: k,
-            len: data.len(),
-        });
-    }
-    // The threshold element has rank n - k.
-    let rank = data.len() - k;
-    validate_input(data, rank, cfg)?;
-
-    let n = data.len();
-    let records_before = device.records().len();
-    obs::span_enter(
-        SpanKind::Query,
-        "topk-sampleselect",
-        0,
-        device.now().as_ns(),
-    );
-    let mut rng = SplitMix64::new(cfg.seed);
-
-    // `collected` accumulates elements already known to be in the top-k
-    // (from buckets strictly above the target bucket at each level).
-    let mut collected: Vec<T> = Vec::with_capacity(k);
-    let mut cur: Vec<T> = Vec::new();
-    let mut use_storage = false;
-    let mut cur_rank = rank;
-    let mut levels = 0u32;
-    let mut terminated_early = false;
-    let threshold: T;
-
-    loop {
-        let slice: &[T] = if use_storage { &cur } else { data };
-        let origin = if levels == 0 {
-            LaunchOrigin::Host
-        } else {
-            LaunchOrigin::Device
-        };
-
-        if slice.len() <= cfg.base_case_size.max(cfg.sample_size()) {
-            // Base case: the bitonic selection fully sorts its working
-            // copy (`ws.base`), so the top-k suffix is read directly.
-            let SelectWorkspace {
-                base, sort_scratch, ..
-            } = &mut *ws;
-            let value =
-                base_case_select_with(device, slice, cur_rank, cfg, origin, base, sort_scratch);
-            collected.extend_from_slice(&base[cur_rank..]);
-            threshold = value;
-            break;
-        }
-        levels += 1;
-        obs::span_enter(
-            SpanKind::Level,
-            "level",
-            (levels - 1) as u64,
-            device.now().as_ns(),
-        );
-
-        sample_kernel_into(device, slice, cfg, &mut rng, origin, ws)?;
-        let tree = ws.tree().expect("sample_kernel_into built a tree");
-        let count = count_kernel_scoped(device, slice, tree, cfg, true, origin, &ws.scratch);
-        let red = reduce_kernel(device, &count, LaunchOrigin::Device);
-        let bucket = red.bucket_for_rank(cur_rank as u64);
-        let b = tree.num_buckets() as u32;
-
-        // Fused filter: the target bucket plus every larger bucket.
-        let fused = filter_kernel_scoped(
-            device,
-            slice,
-            &count,
-            &red,
-            bucket as u32..b,
-            cfg,
-            LaunchOrigin::Device,
-            &ws.scratch,
-        );
-        // Elements of the target bucket come first in the fused output
-        // (the extraction is bucket-major).
-        let target_size = red.bucket_size(bucket) as usize;
-        let (target_part, larger_part) = fused.split_at(target_size);
-        collected.extend_from_slice(larger_part);
-
-        if tree.is_equality_bucket(bucket) {
-            // Everything in the target bucket equals the threshold; the
-            // top-k set needs exactly those at ranks >= cur_rank.
-            let offset = red.bucket_offsets[bucket] as usize;
-            let need = target_size - (cur_rank - offset);
-            collected.extend_from_slice(&target_part[..need]);
-            threshold = tree.equality_value(bucket);
-            terminated_early = true;
-            device.recycle_vec("filter-out", fused);
-            recycle_level(device, count, red);
-            obs::span_exit(device.now().as_ns());
-            break;
-        }
-
-        cur_rank -= red.bucket_offsets[bucket] as usize;
-        let mut next = device.lease_vec::<T>(target_size, "topk-cur");
-        next.extend_from_slice(target_part);
-        let prev = std::mem::replace(&mut cur, next);
-        device.recycle_vec("topk-cur", prev);
-        device.recycle_vec("filter-out", fused);
-        recycle_level(device, count, red);
-        obs::observe(Histogram::LevelKeptElements, cur.len() as u64);
-        obs::span_exit(device.now().as_ns());
-        use_storage = true;
-    }
-    device.recycle_vec("topk-cur", cur);
-
-    // A wrong cardinality means a corrupted count/filter pipeline (the
-    // invariant the old debug_assert only checked in debug builds);
-    // surface it as a permanent error instead of returning a wrong-size
-    // set in release builds.
-    if collected.len() != k {
-        return Err(SelectError::Corruption {
-            invariant: "topk-cardinality",
-            detail: format!("collected {} elements for k = {k}", collected.len()),
-        });
-    }
-    obs::absorb_device(device);
-    obs::pool_sample(device);
-    obs::span_exit(device.now().as_ns());
-    let report = SelectReport::from_records(
-        "topk-sampleselect",
-        n,
-        &device.records()[records_before..],
-        levels,
-        terminated_early,
-    );
-    Ok(TopKResult {
-        elements: collected,
-        threshold,
-        report,
-    })
+    fused_with_workspace(device, data, k, true, cfg, ws)
 }
 
 /// Extract the `k` largest elements on a default simulated device.
@@ -202,70 +66,15 @@ pub fn top_k_largest<T: SelectElement>(
 }
 
 /// Extract the `k` smallest elements (bottom-k), the mirror of
-/// [`top_k_largest_on_device`]: the fused filter keeps the target bucket
-/// plus every *smaller* bucket. Implemented by selecting rank `k-1` and
-/// filtering the prefix.
+/// [`top_k_largest_on_device`]: rank `k - 1` picks the bucket, and the
+/// fused filter keeps the target bucket plus every *smaller* bucket.
 pub fn bottom_k_smallest_on_device<T: SelectElement>(
     device: &mut Device,
     data: &[T],
     k: usize,
     cfg: &SampleSelectConfig,
 ) -> Result<TopKResult<T>, SelectError> {
-    cfg.validate().map_err(SelectError::InvalidConfig)?;
-    if k == 0 || k > data.len() {
-        return Err(SelectError::RankOutOfRange {
-            rank: k,
-            len: data.len(),
-        });
-    }
-    // Negate via the sort-key order: bottom-k of data == top-k under the
-    // reversed order. Rather than add a reversed driver, select the
-    // threshold (rank k-1) and collect everything <= it, trimming ties.
-    let threshold = crate::recursion::sample_select_on_device(device, data, k - 1, cfg)?;
-    let n = data.len();
-    let records_before = device.records().len();
-    obs::span_enter(
-        SpanKind::Query,
-        "bottomk-sampleselect",
-        0,
-        device.now().as_ns(),
-    );
-    let mut elements: Vec<T> = Vec::with_capacity(k);
-    let mut ties = Vec::new();
-    for &x in data {
-        if x.lt(threshold.value) {
-            elements.push(x);
-        } else if !threshold.value.lt(x) {
-            ties.push(x);
-        }
-    }
-    let need = k - elements.len();
-    elements.extend(ties.into_iter().take(need));
-    // charge the extraction pass
-    let mut cost = gpu_sim::KernelCost::new();
-    cost.global_read_bytes += (n * T::BYTES) as u64;
-    cost.global_write_bytes += (k * T::BYTES) as u64;
-    cost.int_ops += n as u64 * 2;
-    let launch = cfg.launch_config(n, T::BYTES);
-    cost.blocks = launch.blocks as u64;
-    device.commit("bottom_filter", launch, LaunchOrigin::Device, cost);
-
-    debug_assert_eq!(elements.len(), k);
-    obs::absorb_device(device);
-    obs::span_exit(device.now().as_ns());
-    let mut report = SelectReport::from_records(
-        "bottomk-sampleselect",
-        n,
-        &device.records()[records_before..],
-        threshold.report.levels,
-        threshold.report.terminated_early,
-    );
-    report.total_time += threshold.report.total_time;
-    Ok(TopKResult {
-        elements,
-        threshold: threshold.value,
-        report,
-    })
+    fused_with_workspace(device, data, k, false, cfg, &mut SelectWorkspace::new())
 }
 
 /// Convenience: the kth-largest element (top-k threshold) as a plain

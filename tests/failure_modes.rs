@@ -663,6 +663,65 @@ fn corrupted_checkpoint_falls_back_to_clean_restart() {
     assert!(!ckpt.exists(), "checkpoint deleted after success");
 }
 
+/// Drivers that filter a range of buckets in one pass (fused top-k,
+/// sample sort) slice the output at count-derived bucket boundaries. A
+/// corrupted oracle makes the filter fall back to an input-order gather
+/// that is no longer grouped by bucket, so those drivers must report
+/// the corruption instead of slicing it. Multi-rank selection, which
+/// filters one bucket per target, rides along. Every run under Spot
+/// checks is either the exact answer or a corruption error.
+#[test]
+fn fused_ranges_surface_oracle_corruption() {
+    use gpu_selection::sampleselect::element::sort_elements;
+    use gpu_selection::sampleselect::rng::SplitMix64;
+    use gpu_selection::sampleselect::{
+        multi_select_on_device, sample_sort_on_device, top_k_largest_on_device,
+    };
+
+    let n = 300_000;
+    let mut rng = SplitMix64::new(0x1e7e_1100);
+    let data: Vec<f32> = (0..n).map(|_| rng.next_f64() as f32).collect();
+    let mut sorted = data.clone();
+    sort_elements(&mut sorted);
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let k = n / 3;
+    let mut want_top = bits(&sorted[n - k..]);
+    want_top.sort_unstable();
+    let ranks = [n / 10, n / 3, n / 2, 9 * n / 10];
+    let want_ranks: Vec<u32> = ranks.iter().map(|&r| sorted[r].to_bits()).collect();
+    let want_sorted = bits(&sorted);
+
+    let cfg = SampleSelectConfig::default().with_verify(VerifyPolicy::Spot);
+    let pool = ThreadPool::new(2);
+    let mut wrong = Vec::new();
+    for seed in [0x9a17u64, 1, 2, 3] {
+        for at in 0..14u64 {
+            let device = || {
+                let mut device = Device::new(v100(), &pool);
+                device.set_fault_plan(FaultPlan::new(seed).corrupt_accesses_at(&[at]));
+                device
+            };
+            let topk = top_k_largest_on_device(&mut device(), &data, k, &cfg).map(|r| {
+                let mut got = bits(&r.elements);
+                got.sort_unstable();
+                got == want_top && r.threshold.to_bits() == sorted[n - k].to_bits()
+            });
+            let multi = multi_select_on_device(&mut device(), &data, &ranks, &cfg)
+                .map(|r| bits(&r.values) == want_ranks);
+            let sort = sample_sort_on_device(&mut device(), &data, &cfg)
+                .map(|r| bits(&r.sorted) == want_sorted);
+            for (driver, outcome) in [("top-k", topk), ("multi-rank", multi), ("sort", sort)] {
+                match outcome {
+                    Ok(true) | Err(SelectError::Corruption { .. }) => {}
+                    Ok(false) => wrong.push(format!("{driver} seed {seed:#x} access {at}: wrong")),
+                    Err(e) => wrong.push(format!("{driver} seed {seed:#x} access {at}: {e}")),
+                }
+            }
+        }
+    }
+    assert!(wrong.is_empty(), "{wrong:#?}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
