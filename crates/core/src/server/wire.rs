@@ -171,7 +171,7 @@ impl<'a> Reader<'a> {
     }
 
     fn bytes(&mut self, len: usize) -> Result<&'a [u8], WireError> {
-        if self.pos + len > self.buf.len() {
+        if len > self.buf.len() - self.pos {
             return err("truncated frame (bytes)");
         }
         let s = &self.buf[self.pos..self.pos + len];
@@ -532,7 +532,12 @@ pub fn decode_response(buf: &[u8]) -> Result<Response, WireError> {
 // Framing over Read/Write
 // ---------------------------------------------------------------------
 
-/// Write one length-prefixed frame.
+/// Write one length-prefixed frame in a single `write_all`.
+///
+/// The header and payload leave together: written separately, the
+/// payload of a small frame waits behind the header for the peer's
+/// delayed ACK on any socket without `TCP_NODELAY` (Nagle), which costs
+/// ~40 ms per round trip.
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
     if payload.len() > MAX_FRAME_LEN as usize {
         return Err(io::Error::new(
@@ -540,8 +545,10 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
             "frame exceeds MAX_FRAME_LEN",
         ));
     }
-    w.write_all(&(payload.len() as u32).to_be_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -785,5 +792,227 @@ mod tests {
         // an adversarial length prefix is refused before allocation
         let mut huge = std::io::Cursor::new(vec![0xFF, 0xFF, 0xFF, 0xFF]);
         assert!(read_frame(&mut huge).is_err());
+    }
+
+    /// A `Write` that accepts every byte it is offered and logs the
+    /// length of each `write` call.
+    #[derive(Default)]
+    struct RecordingWriter {
+        bytes: Vec<u8>,
+        writes: Vec<usize>,
+    }
+
+    impl Write for RecordingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.push(buf.len());
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_frame_leaves_in_one_write() {
+        for len in [0usize, 15, 56, MAX_FRAME_LEN as usize] {
+            let payload: Vec<u8> = (0..len).map(|i| (i * 31 + 7) as u8).collect();
+            let mut w = RecordingWriter::default();
+            write_frame(&mut w, &payload).unwrap();
+            assert_eq!(w.writes, vec![4 + len], "payload of {len} bytes");
+            let mut want = (len as u32).to_be_bytes().to_vec();
+            want.extend_from_slice(&payload);
+            assert!(
+                w.bytes == want,
+                "frame bytes changed for {len}-byte payload"
+            );
+        }
+
+        let mut w = RecordingWriter::default();
+        assert!(write_frame(&mut w, &vec![0u8; MAX_FRAME_LEN as usize + 1]).is_err());
+        assert!(w.writes.is_empty() && w.bytes.is_empty());
+    }
+
+    // -----------------------------------------------------------------
+    // Hostile frames
+    // -----------------------------------------------------------------
+
+    use proptest::prelude::*;
+
+    /// A string of `len` characters mixing 1- to 4-byte UTF-8, so bit
+    /// flips land inside multi-byte sequences too.
+    fn text(len: u64, salt: u64) -> String {
+        const CHARS: [char; 5] = ['a', '-', 'é', 'λ', '😀'];
+        (0..len)
+            .map(|i| CHARS[((salt >> (i % 60)).wrapping_add(i) % CHARS.len() as u64) as usize])
+            .collect()
+    }
+
+    fn floats(count: u64, salt: u64) -> Vec<f32> {
+        (0..count)
+            .map(|i| f32::from_bits((salt.rotate_left(i as u32 * 7) >> 32) as u32))
+            .collect()
+    }
+
+    /// One valid request of every opcode and query kind, built from `r`.
+    fn every_request(r: &[u64]) -> Vec<Request> {
+        let kinds = [
+            QueryKind::Exact { rank: r[2] },
+            QueryKind::Approx { rank: r[2] },
+            QueryKind::TopK { k: r[2] },
+            QueryKind::Quantiles { q: r[2] },
+            QueryKind::Stream {
+                rank: r[2],
+                chunk_len: r[3],
+            },
+            QueryKind::ApproxTopK {
+                k: r[2],
+                recall_bits: r[3] as u32,
+            },
+            QueryKind::QuantileStream {
+                window_len: r[2] >> 32,
+                slide: r[3] >> 32,
+                chunk_len: r[4],
+            },
+        ];
+        let mut reqs = vec![Request::Ping, Request::Stats, Request::Drain];
+        reqs.extend(kinds.into_iter().map(|kind| {
+            Request::Query(QueryRequest {
+                tenant: text(r[0] % 24, r[1]),
+                kind,
+                dataset: DatasetSpec {
+                    dist: DistCode::from_u8((r[5] % 8) as u8).unwrap_or(DistCode::Uniform),
+                    n: r[6],
+                    seed: r[7],
+                },
+                deadline_ms: Some(r[8] as u32).filter(|&d| d != 0),
+                seed: r[9],
+            })
+        }));
+        reqs
+    }
+
+    /// One valid response of every status code, built from `r`.
+    fn every_response(r: &[u64]) -> Vec<Response> {
+        let f = |i: usize| f32::from_bits(r[i] as u32);
+        let statuses = [
+            QueryStatus::Exact { value: f(2) },
+            QueryStatus::Approximate {
+                value: f(2),
+                achieved_rank: r[3],
+                rank_error: r[4],
+                deadline_degraded: r[5] & 1 == 1,
+            },
+            QueryStatus::TopK {
+                threshold: f(2),
+                k: r[3],
+            },
+            QueryStatus::Quantiles {
+                values: floats(r[6] % 20, r[7]),
+            },
+            QueryStatus::ApproxTopK {
+                threshold: f(2),
+                k: r[3],
+                expected_recall: f(4),
+            },
+            QueryStatus::QuantileStream {
+                windows: r[3],
+                values: floats(r[6] % 20, r[7]),
+            },
+            QueryStatus::Checkpointed {
+                resume_token: text(r[8] % 32, r[9]),
+            },
+            QueryStatus::Failed {
+                message: text(r[0] % 32, r[1]),
+            },
+        ];
+        let mut resps = vec![
+            Response::Pong,
+            Response::Rejected {
+                reason: text(r[0] % 32, r[1]),
+            },
+            Response::Stats {
+                json: text(r[8] % 48, r[9]),
+            },
+            Response::Drained {
+                json: text(r[0] % 48, r[9]),
+            },
+        ];
+        resps.extend(statuses.into_iter().map(|status| Response::Done {
+            status,
+            batched: r[1] & 1 == 1,
+        }));
+        resps
+    }
+
+    /// Read one frame from `bytes` and decode it both ways. Any outcome
+    /// but a panic is acceptable; a decode that succeeds must encode
+    /// again.
+    fn feed(bytes: &[u8]) {
+        if let Ok(Some(payload)) = read_frame(&mut io::Cursor::new(bytes)) {
+            if let Ok(req) = decode_request(&payload) {
+                encode_request(&req).unwrap();
+            }
+            if let Ok(resp) = decode_response(&payload) {
+                encode_response(&resp).unwrap();
+            }
+        }
+    }
+
+    /// Truncate, bit-flip and re-head the frame of a valid `payload`
+    /// that `decodes` accepts.
+    fn attack(payload: &[u8], decodes: impl Fn(&[u8]) -> bool) {
+        let mut frame = Vec::new();
+        write_frame(&mut frame, payload).unwrap();
+        for cut in 0..frame.len() {
+            let got = read_frame(&mut io::Cursor::new(&frame[..cut]));
+            assert!(
+                if cut == 0 {
+                    matches!(got, Ok(None))
+                } else {
+                    got.is_err()
+                },
+                "frame cut at {cut} of {} bytes",
+                frame.len()
+            );
+            // the payload's own truncations, past any framing
+            if cut < payload.len() {
+                assert!(!decodes(&payload[..cut]), "payload cut at {cut} decoded");
+            }
+        }
+        for bit in 0..frame.len() * 8 {
+            let mut flipped = frame.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            feed(&flipped);
+        }
+        for len in [MAX_FRAME_LEN, MAX_FRAME_LEN + 1, u32::MAX] {
+            let mut hostile = len.to_be_bytes().to_vec();
+            hostile.extend_from_slice(payload);
+            assert!(read_frame(&mut io::Cursor::new(&hostile)).is_err());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Truncated, bit-flipped and over-long frames of every request
+        /// and response kind end in `Err` or a valid decode, never a
+        /// panic.
+        #[test]
+        fn hostile_frames_never_panic(raw in prop::collection::vec(any::<u64>(), 10usize)) {
+            for req in every_request(&raw) {
+                let payload = encode_request(&req).unwrap();
+                prop_assert_eq!(decode_request(&payload).unwrap(), req);
+                attack(&payload, |p| decode_request(p).is_ok());
+            }
+            for resp in every_response(&raw) {
+                let payload = encode_response(&resp).unwrap();
+                let decoded = decode_response(&payload).unwrap();
+                // NaN values compare unequal; compare the bytes instead
+                prop_assert!(encode_response(&decoded).unwrap() == payload);
+                attack(&payload, |p| decode_response(p).is_ok());
+            }
+        }
     }
 }

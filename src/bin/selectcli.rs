@@ -334,6 +334,9 @@ fn run_client(args: &Args) -> ! {
         eprintln!("cannot connect to {addr}: {e}");
         exit(1);
     });
+    if let Err(e) = stream.set_nodelay(true) {
+        eprintln!("cannot set TCP_NODELAY: {e}");
+    }
 
     let request = if args.drain {
         wire::Request::Drain

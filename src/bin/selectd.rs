@@ -14,6 +14,10 @@
 //!     [--spool DIR] [--max-n N]
 //! ```
 //!
+//! Every frame leaves in one write and every accepted socket sets
+//! `TCP_NODELAY`, so no response waits on Nagle for the client's
+//! delayed ACK (~40 ms per round trip).
+//!
 //! One connection handles one request at a time (pipelining across
 //! queries is the server's job, not the socket's); open several
 //! connections for concurrent in-flight queries. A `Drain` request
@@ -26,11 +30,12 @@
 
 use std::net::{TcpListener, TcpStream};
 use std::process::exit;
+use std::str::FromStr;
 use std::sync::Arc;
 
 use gpu_selection::gpu_sim::FaultPlan;
 use gpu_selection::sampleselect::server::wire;
-use gpu_selection::sampleselect::{BreakerConfig, SelectServer, ServerConfig};
+use gpu_selection::sampleselect::{SelectServer, ServerConfig};
 
 const HELP: &str = "selectd [--addr HOST:PORT] [--workers N] [--worker-threads N] \
 [--queue-cap N] [--quota-burst F] [--quota-refill F] [--batch-max N] \
@@ -42,6 +47,24 @@ struct Args {
     cfg: ServerConfig,
 }
 
+/// The value after `flag`, or usage and exit 2 as for an unknown flag.
+fn value(flag: &str, it: &mut impl Iterator<Item = String>) -> String {
+    it.next().unwrap_or_else(|| {
+        eprintln!("{flag} needs a value\n{HELP}");
+        exit(2);
+    })
+}
+
+/// The parsed value after `flag`, or usage and exit 2 as for an unknown
+/// flag.
+fn parse<T: FromStr>(flag: &str, it: &mut impl Iterator<Item = String>) -> T {
+    let v = value(flag, it);
+    v.parse().unwrap_or_else(|_| {
+        eprintln!("bad value for {flag}: {v}\n{HELP}");
+        exit(2);
+    })
+}
+
 fn parse_args() -> Args {
     let mut addr = "127.0.0.1:7411".to_string();
     let mut cfg = ServerConfig::default();
@@ -50,47 +73,21 @@ fn parse_args() -> Args {
     let mut fault_seed = 7u64;
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
-        let mut val = |name: &str| {
-            it.next().unwrap_or_else(|| {
-                eprintln!("{name} needs a value\n{HELP}");
-                exit(2);
-            })
-        };
         match flag.as_str() {
-            "--addr" => addr = val("--addr"),
-            "--workers" => cfg.workers = val("--workers").parse().expect("--workers"),
-            "--worker-threads" => {
-                cfg.worker_threads = val("--worker-threads").parse().expect("--worker-threads")
-            }
-            "--queue-cap" => cfg.queue_capacity = val("--queue-cap").parse().expect("--queue-cap"),
-            "--quota-burst" => {
-                cfg.quota.burst = val("--quota-burst").parse().expect("--quota-burst")
-            }
-            "--quota-refill" => {
-                cfg.quota.refill_per_sec = val("--quota-refill").parse().expect("--quota-refill")
-            }
-            "--batch-max" => cfg.batch_max = val("--batch-max").parse().expect("--batch-max"),
-            "--breaker-threshold" => {
-                cfg.breaker = BreakerConfig {
-                    failure_threshold: val("--breaker-threshold")
-                        .parse()
-                        .expect("--breaker-threshold"),
-                    ..cfg.breaker
-                }
-            }
-            "--breaker-probe" => {
-                cfg.breaker = BreakerConfig {
-                    probe_after: val("--breaker-probe").parse().expect("--breaker-probe"),
-                    ..cfg.breaker
-                }
-            }
-            "--fault-worker" => {
-                fault_worker = Some(val("--fault-worker").parse().expect("--fault-worker"))
-            }
-            "--fault-rate" => fault_rate = val("--fault-rate").parse().expect("--fault-rate"),
-            "--fault-seed" => fault_seed = val("--fault-seed").parse().expect("--fault-seed"),
-            "--spool" => cfg.spool_dir = Some(val("--spool").into()),
-            "--max-n" => cfg.max_dataset_elems = val("--max-n").parse().expect("--max-n"),
+            "--addr" => addr = value(&flag, &mut it),
+            "--workers" => cfg.workers = parse(&flag, &mut it),
+            "--worker-threads" => cfg.worker_threads = parse(&flag, &mut it),
+            "--queue-cap" => cfg.queue_capacity = parse(&flag, &mut it),
+            "--quota-burst" => cfg.quota.burst = parse(&flag, &mut it),
+            "--quota-refill" => cfg.quota.refill_per_sec = parse(&flag, &mut it),
+            "--batch-max" => cfg.batch_max = parse(&flag, &mut it),
+            "--breaker-threshold" => cfg.breaker.failure_threshold = parse(&flag, &mut it),
+            "--breaker-probe" => cfg.breaker.probe_after = parse(&flag, &mut it),
+            "--fault-worker" => fault_worker = Some(parse(&flag, &mut it)),
+            "--fault-rate" => fault_rate = parse(&flag, &mut it),
+            "--fault-seed" => fault_seed = parse(&flag, &mut it),
+            "--spool" => cfg.spool_dir = Some(value(&flag, &mut it).into()),
+            "--max-n" => cfg.max_dataset_elems = parse(&flag, &mut it),
             "--help" | "-h" => {
                 eprintln!("{HELP}");
                 exit(0);
@@ -112,6 +109,9 @@ fn parse_args() -> Args {
 }
 
 fn handle_connection(mut stream: TcpStream, server: Arc<SelectServer>) {
+    if let Err(e) = stream.set_nodelay(true) {
+        eprintln!("cannot set TCP_NODELAY: {e}");
+    }
     loop {
         let payload = match wire::read_frame(&mut stream) {
             Ok(Some(p)) => p,
