@@ -34,6 +34,7 @@ use std::collections::HashMap;
 use std::process::exit;
 use std::time::{Duration, Instant};
 
+use gpu_selection::cli::Flags;
 use gpu_selection::gpu_sim::FaultPlan;
 use gpu_selection::sampleselect::element::reference_select;
 use gpu_selection::sampleselect::rng::SplitMix64;
@@ -84,43 +85,26 @@ impl Default for Args {
 
 fn parse_args() -> Args {
     let mut out = Args::default();
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut val = |name: &str| {
-            it.next().unwrap_or_else(|| {
-                eprintln!("{name} needs a value\n{HELP}");
-                exit(2);
-            })
-        };
+    let mut flags = Flags::new(HELP);
+    while let Some(flag) = flags.next() {
         match flag.as_str() {
             "--rates" => {
-                out.rates = val("--rates")
-                    .split(',')
-                    .map(|s| s.trim().parse().expect("--rates"))
-                    .collect()
+                let rates = flags.value(&flag);
+                let rate = |r: &str| flags.parse_str(&flag, r.trim());
+                out.rates = rates.split(',').map(rate).collect()
             }
-            "--duration-ms" => {
-                out.duration_ms = val("--duration-ms").parse().expect("--duration-ms")
-            }
-            "--workers" => out.workers = val("--workers").parse().expect("--workers"),
-            "--n" => out.n = val("--n").parse().expect("--n"),
-            "--datasets" => out.datasets = val("--datasets").parse().expect("--datasets"),
-            "--deadline-ms" => {
-                out.deadline_ms = val("--deadline-ms").parse().expect("--deadline-ms")
-            }
-            "--seed" => out.seed = val("--seed").parse().expect("--seed"),
-            "--queue-cap" => out.queue_cap = val("--queue-cap").parse().expect("--queue-cap"),
-            "--quota-burst" => {
-                out.quota_burst = val("--quota-burst").parse().expect("--quota-burst")
-            }
-            "--quota-refill" => {
-                out.quota_refill = val("--quota-refill").parse().expect("--quota-refill")
-            }
-            "--fault-worker" => {
-                out.fault_worker = Some(val("--fault-worker").parse().expect("--fault-worker"))
-            }
-            "--fault-rate" => out.fault_rate = val("--fault-rate").parse().expect("--fault-rate"),
-            "--out" => out.out = val("--out"),
+            "--duration-ms" => out.duration_ms = flags.parse(&flag),
+            "--workers" => out.workers = flags.parse(&flag),
+            "--n" => out.n = flags.parse(&flag),
+            "--datasets" => out.datasets = flags.parse(&flag),
+            "--deadline-ms" => out.deadline_ms = flags.parse(&flag),
+            "--seed" => out.seed = flags.parse(&flag),
+            "--queue-cap" => out.queue_cap = flags.parse(&flag),
+            "--quota-burst" => out.quota_burst = flags.parse(&flag),
+            "--quota-refill" => out.quota_refill = flags.parse(&flag),
+            "--fault-worker" => out.fault_worker = Some(flags.parse(&flag)),
+            "--fault-rate" => out.fault_rate = flags.parse(&flag),
+            "--out" => out.out = flags.value(&flag),
             "--help" | "-h" => {
                 eprintln!("{HELP}");
                 exit(0);

@@ -57,6 +57,7 @@
 //!   data error.
 
 use gpu_selection::baselines::bucket_select_on_device;
+use gpu_selection::cli::Flags;
 use gpu_selection::datagen::{Distribution, RankChoice, WorkloadSpec};
 use gpu_selection::gpu_sim::arch::{by_name, v100};
 use gpu_selection::gpu_sim::Device;
@@ -158,69 +159,54 @@ impl Default for Args {
 
 fn parse_args() -> Args {
     let mut out = Args::default();
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut val = |name: &str| {
-            it.next().unwrap_or_else(|| {
-                eprintln!("{name} needs a value\n{HELP}");
-                exit(2);
-            })
-        };
+    let mut flags = Flags::new(HELP);
+    while let Some(flag) = flags.next() {
         match flag.as_str() {
-            "--algo" => out.algo = val("--algo"),
-            "--n" => out.n = val("--n").parse().expect("--n"),
-            "--rank" => out.rank = Some(val("--rank").parse().expect("--rank")),
-            "--k" => out.k = Some(val("--k").parse().expect("--k")),
-            "--dist" => out.dist = val("--dist"),
-            "--arch" => out.arch = val("--arch"),
-            "--buckets" => out.buckets = val("--buckets").parse().expect("--buckets"),
-            "--seed" => out.seed = val("--seed").parse().expect("--seed"),
+            "--algo" => out.algo = flags.value(&flag),
+            "--n" => out.n = flags.parse(&flag),
+            "--rank" => out.rank = Some(flags.parse(&flag)),
+            "--k" => out.k = Some(flags.parse(&flag)),
+            "--dist" => out.dist = flags.value(&flag),
+            "--arch" => out.arch = flags.value(&flag),
+            "--buckets" => out.buckets = flags.parse(&flag),
+            "--seed" => out.seed = flags.parse(&flag),
             "--breakdown" => out.breakdown = true,
-            "--trace" => out.trace = Some(val("--trace")),
-            "--inject-faults" => {
-                out.inject_faults = Some(val("--inject-faults").parse().expect("--inject-faults"))
-            }
-            "--fault-rate" => out.fault_rate = val("--fault-rate").parse().expect("--fault-rate"),
-            "--time-budget" => {
-                out.time_budget_ms = Some(val("--time-budget").parse().expect("--time-budget"))
-            }
-            "--inject-bitflips" => {
-                out.inject_bitflips =
-                    Some(val("--inject-bitflips").parse().expect("--inject-bitflips"))
-            }
-            "--bitflip-rate" => {
-                out.bitflip_rate = val("--bitflip-rate").parse().expect("--bitflip-rate")
-            }
+            "--trace" => out.trace = Some(flags.value(&flag)),
+            "--inject-faults" => out.inject_faults = Some(flags.parse(&flag)),
+            "--fault-rate" => out.fault_rate = flags.parse(&flag),
+            "--time-budget" => out.time_budget_ms = Some(flags.parse(&flag)),
+            "--inject-bitflips" => out.inject_bitflips = Some(flags.parse(&flag)),
+            "--bitflip-rate" => out.bitflip_rate = flags.parse(&flag),
             "--verify" => {
-                out.verify = val("--verify").parse().unwrap_or_else(|e| {
+                out.verify = flags.value(&flag).parse().unwrap_or_else(|e| {
                     eprintln!("{e}");
                     exit(2);
                 })
             }
-            "--checkpoint" => out.checkpoint = Some(val("--checkpoint")),
+            "--checkpoint" => out.checkpoint = Some(flags.value(&flag)),
             "--resume" => out.resume = true,
-            "--shards" => out.shards = val("--shards").parse().expect("--shards"),
+            "--shards" => out.shards = flags.parse(&flag),
             "--kill-shard" => {
-                out.kill_shard = Some(val("--kill-shard").parse().unwrap_or_else(|e| {
+                out.kill_shard = Some(flags.value(&flag).parse().unwrap_or_else(|e| {
                     eprintln!("--kill-shard: {e}\n{HELP}");
                     exit(2);
                 }))
             }
             "--hedge" => out.hedge = true,
-            "--recall" => out.recall = val("--recall").parse().expect("--recall"),
-            "--window" => out.window = val("--window").parse().expect("--window"),
-            "--slide" => out.slide = Some(val("--slide").parse().expect("--slide")),
-            "--connect" => out.connect = Some(val("--connect")),
-            "--tenant" => out.tenant = val("--tenant"),
-            "--deadline" => out.deadline_ms = Some(val("--deadline").parse().expect("--deadline")),
+            "--recall" => out.recall = flags.parse(&flag),
+            "--window" => out.window = flags.parse(&flag),
+            "--slide" => out.slide = Some(flags.parse(&flag)),
+            "--connect" => out.connect = Some(flags.value(&flag)),
+            "--tenant" => out.tenant = flags.value(&flag),
+            "--deadline" => out.deadline_ms = Some(flags.parse(&flag)),
             "--drain" => out.drain = true,
-            "--threads" => out.threads = Some(val("--threads").parse().expect("--threads")),
-            "--metrics" => out.metrics = Some(val("--metrics")),
-            "--span-log" => out.span_log = Some(val("--span-log")),
+            "--threads" => out.threads = Some(flags.parse(&flag)),
+            "--metrics" => out.metrics = Some(flags.value(&flag)),
+            "--span-log" => out.span_log = Some(flags.value(&flag)),
             "--sanitize" => out.sanitize = true,
             "--sanitize-json" => {
                 out.sanitize = true;
-                out.sanitize_json = Some(val("--sanitize-json"));
+                out.sanitize_json = Some(flags.value(&flag));
             }
             "--help" | "-h" => {
                 eprintln!("{}", HELP);

@@ -30,9 +30,9 @@
 
 use std::net::{TcpListener, TcpStream};
 use std::process::exit;
-use std::str::FromStr;
 use std::sync::Arc;
 
+use gpu_selection::cli::Flags;
 use gpu_selection::gpu_sim::FaultPlan;
 use gpu_selection::sampleselect::server::wire;
 use gpu_selection::sampleselect::{SelectServer, ServerConfig};
@@ -47,47 +47,29 @@ struct Args {
     cfg: ServerConfig,
 }
 
-/// The value after `flag`, or usage and exit 2 as for an unknown flag.
-fn value(flag: &str, it: &mut impl Iterator<Item = String>) -> String {
-    it.next().unwrap_or_else(|| {
-        eprintln!("{flag} needs a value\n{HELP}");
-        exit(2);
-    })
-}
-
-/// The parsed value after `flag`, or usage and exit 2 as for an unknown
-/// flag.
-fn parse<T: FromStr>(flag: &str, it: &mut impl Iterator<Item = String>) -> T {
-    let v = value(flag, it);
-    v.parse().unwrap_or_else(|_| {
-        eprintln!("bad value for {flag}: {v}\n{HELP}");
-        exit(2);
-    })
-}
-
 fn parse_args() -> Args {
     let mut addr = "127.0.0.1:7411".to_string();
     let mut cfg = ServerConfig::default();
     let mut fault_worker: Option<usize> = None;
     let mut fault_rate = 1.0f64;
     let mut fault_seed = 7u64;
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
+    let mut flags = Flags::new(HELP);
+    while let Some(flag) = flags.next() {
         match flag.as_str() {
-            "--addr" => addr = value(&flag, &mut it),
-            "--workers" => cfg.workers = parse(&flag, &mut it),
-            "--worker-threads" => cfg.worker_threads = parse(&flag, &mut it),
-            "--queue-cap" => cfg.queue_capacity = parse(&flag, &mut it),
-            "--quota-burst" => cfg.quota.burst = parse(&flag, &mut it),
-            "--quota-refill" => cfg.quota.refill_per_sec = parse(&flag, &mut it),
-            "--batch-max" => cfg.batch_max = parse(&flag, &mut it),
-            "--breaker-threshold" => cfg.breaker.failure_threshold = parse(&flag, &mut it),
-            "--breaker-probe" => cfg.breaker.probe_after = parse(&flag, &mut it),
-            "--fault-worker" => fault_worker = Some(parse(&flag, &mut it)),
-            "--fault-rate" => fault_rate = parse(&flag, &mut it),
-            "--fault-seed" => fault_seed = parse(&flag, &mut it),
-            "--spool" => cfg.spool_dir = Some(value(&flag, &mut it).into()),
-            "--max-n" => cfg.max_dataset_elems = parse(&flag, &mut it),
+            "--addr" => addr = flags.value(&flag),
+            "--workers" => cfg.workers = flags.parse(&flag),
+            "--worker-threads" => cfg.worker_threads = flags.parse(&flag),
+            "--queue-cap" => cfg.queue_capacity = flags.parse(&flag),
+            "--quota-burst" => cfg.quota.burst = flags.parse(&flag),
+            "--quota-refill" => cfg.quota.refill_per_sec = flags.parse(&flag),
+            "--batch-max" => cfg.batch_max = flags.parse(&flag),
+            "--breaker-threshold" => cfg.breaker.failure_threshold = flags.parse(&flag),
+            "--breaker-probe" => cfg.breaker.probe_after = flags.parse(&flag),
+            "--fault-worker" => fault_worker = Some(flags.parse(&flag)),
+            "--fault-rate" => fault_rate = flags.parse(&flag),
+            "--fault-seed" => fault_seed = flags.parse(&flag),
+            "--spool" => cfg.spool_dir = Some(flags.value(&flag).into()),
+            "--max-n" => cfg.max_dataset_elems = flags.parse(&flag),
             "--help" | "-h" => {
                 eprintln!("{HELP}");
                 exit(0);

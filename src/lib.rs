@@ -32,6 +32,9 @@ pub use sampleselect;
 pub use select_baselines as baselines;
 pub use select_datagen as datagen;
 
+#[doc(hidden)]
+pub mod cli;
+
 /// Convenience re-exports of the most frequently used items.
 pub mod prelude {
     pub use gpu_sim::arch::{GpuArchitecture, GpuGeneration};

@@ -1,6 +1,7 @@
 //! The `selectd` binary over a real TCP socket: round-trip latency of
 //! small frames, one exact query checked against the reference, a
-//! clean drain, and the exit code of a malformed flag value.
+//! clean drain, and the exit code of a malformed flag value (for
+//! `selectcli` and `loadgen` too).
 //!
 //! The client here connects with default socket options (Nagle on), so
 //! the latency bound holds only if every frame leaves in one write and
@@ -127,12 +128,21 @@ fn small_frames_round_trip_without_a_delayed_ack_stall() {
 
 #[test]
 fn bad_flag_value_exits_2_without_panicking() {
-    let out = Command::new(SELECTD)
-        .args(["--workers", "x"])
-        .output()
-        .expect("run selectd");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
-    assert!(stderr.contains("bad value for --workers: x"), "{stderr}");
-    assert!(!stderr.contains("panicked"), "{stderr}");
+    for (bin, flag) in [
+        (SELECTD, "--workers"),
+        (env!("CARGO_BIN_EXE_selectcli"), "--n"),
+        (env!("CARGO_BIN_EXE_loadgen"), "--workers"),
+    ] {
+        let out = Command::new(bin)
+            .args([flag, "x"])
+            .output()
+            .expect("run binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{bin} stderr: {stderr}");
+        assert!(
+            stderr.contains(&format!("bad value for {flag}: x")),
+            "{stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
 }
