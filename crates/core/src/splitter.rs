@@ -45,31 +45,15 @@ pub fn sample_kernel_into<T: SelectElement>(
     assert!(!data.is_empty(), "sample kernel requires a non-empty input");
     let b = cfg.num_buckets;
     let s = cfg.sample_size().max(b);
-    let SelectWorkspace {
-        sample,
-        splitters,
-        sort_scratch,
-        tree,
-        ..
-    } = ws;
-
-    // Gather the sample (with replacement, matching the §II-B analysis).
-    sample.clear();
-    sample.extend((0..s).map(|_| data[rng.next_below(data.len())]));
 
     let mut cost = KernelCost::new();
     cost.blocks = 1;
     // Random-position gathers are textbook uncoalesced accesses.
     cost.uncoalesced_bytes += (s * T::BYTES) as u64;
 
-    // Sort the sample in shared memory.
-    let stats = bitonic_sort_with_scratch(sample, sort_scratch);
+    // Gather the sample, sort it in shared memory and pick the splitters.
+    let stats = draw_splitters(data, cfg, rng, ws, bitonic_sort_with_scratch);
     stats.charge::<T>(&mut cost);
-
-    // Pick the i/b percentiles (i = 1..b-1 inclusive of b-1 values).
-    splitters.clear();
-    splitters.extend((1..b).map(|i| sample[i * s / b]));
-    debug_assert_eq!(splitters.len(), b - 1);
 
     // Write the search tree to global memory.
     cost.global_write_bytes += ((b - 1) * T::BYTES) as u64;
@@ -86,11 +70,39 @@ pub fn sample_kernel_into<T: SelectElement>(
     // is a target for the device's silent-corruption injector. The order
     // invariant is checked unconditionally (it costs O(b) and the search
     // tree is unusable — not just wrong — on unsorted splitters).
-    crate::verify::corrupt_elements(device, "splitters", splitters);
-    crate::verify::check_splitters(splitters)?;
+    crate::verify::corrupt_elements(device, "splitters", &mut ws.splitters);
+    crate::verify::check_splitters(&ws.splitters)?;
 
-    SearchTree::rebuild_into(tree, splitters);
+    SearchTree::rebuild_into(&mut ws.tree, &ws.splitters);
     Ok(())
+}
+
+/// The splitter draw every executor shares: gather `s = b·oversampling`
+/// elements of `data` at positions from one `rng` stream (with
+/// replacement, matching the §II-B analysis) into `ws.sample`, order
+/// them with `sort`, and stage the `i/b` percentiles `sample[i·s/b]`
+/// for `i = 1..b` in `ws.splitters`. Returns what `sort` returns.
+pub(crate) fn draw_splitters<T: SelectElement, R>(
+    data: &[T],
+    cfg: &SampleSelectConfig,
+    rng: &mut SplitMix64,
+    ws: &mut SelectWorkspace<T>,
+    sort: impl FnOnce(&mut [T], &mut Vec<T>) -> R,
+) -> R {
+    let b = cfg.num_buckets;
+    let s = cfg.sample_size().max(b);
+    let SelectWorkspace {
+        sample,
+        splitters,
+        sort_scratch,
+        ..
+    } = ws;
+    sample.clear();
+    sample.extend((0..s).map(|_| data[rng.next_below(data.len())]));
+    let sorted = sort(sample, sort_scratch);
+    splitters.clear();
+    splitters.extend((1..b).map(|i| sample[i * s / b]));
+    sorted
 }
 
 #[cfg(test)]

@@ -7,7 +7,9 @@ use gpu_selection::gpu_sim::arch::v100;
 use gpu_selection::gpu_sim::Device;
 use gpu_selection::hpc_par::ThreadPool;
 use gpu_selection::sampleselect::bitonic::bitonic_sort;
-use gpu_selection::sampleselect::cpu::{cpu_sample_select, CpuSelectConfig};
+use gpu_selection::sampleselect::cpu::{
+    cpu_multi_select, cpu_sample_select, cpu_top_k, CpuSelectConfig,
+};
 use gpu_selection::sampleselect::element::{reference_select, SelectElement};
 use gpu_selection::sampleselect::kv::Pair;
 use gpu_selection::sampleselect::multiselect::multi_select_on_device;
@@ -92,6 +94,24 @@ proptest! {
         };
         let (got, _) = cpu_sample_select(&pool, &data, rank, &cfg).unwrap();
         prop_assert_eq!(got, reference_select(&data, rank).unwrap());
+
+        // The host executor answers as the simulated drivers do on the
+        // same level shape.
+        let sim_cfg = small_cfg().with_base_case(32).with_seed(cfg.seed);
+        let mut device = Device::new(v100(), &pool);
+        let sim = sample_select_on_device(&mut device, &data, rank, &sim_cfg).unwrap();
+        prop_assert_eq!(got, sim.value);
+        let k = data.len() - rank;
+        let (mut top, threshold) = cpu_top_k(&pool, &data, k, &cfg).unwrap();
+        let mut sim_top = top_k_largest_on_device(&mut device, &data, k, &sim_cfg).unwrap();
+        top.sort_unstable();
+        sim_top.elements.sort_unstable();
+        prop_assert_eq!(top, sim_top.elements);
+        prop_assert_eq!(threshold, sim_top.threshold);
+        let ranks = [rank, data.len() / 2, 0, rank];
+        let values = cpu_multi_select(&pool, &data, &ranks, &cfg).unwrap();
+        let sim_values = multi_select_on_device(&mut device, &data, &ranks, &sim_cfg).unwrap();
+        prop_assert_eq!(values, sim_values.values);
     }
 
     #[test]
