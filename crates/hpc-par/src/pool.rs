@@ -10,7 +10,7 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Barrier, OnceLock};
 use std::thread::JoinHandle;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
@@ -36,16 +36,21 @@ pub struct ThreadPool {
 }
 
 impl ThreadPool {
-    /// Create a pool with `num_threads` workers (at least 1).
+    /// Create a pool with `num_threads` workers (at least 1). Returns
+    /// once every worker has started, so no worker's thread start-up
+    /// (which allocates) runs later, inside the caller's work.
     pub fn new(num_threads: usize) -> Self {
         let num_threads = num_threads.max(1);
         let (sender, receiver): (Sender<Job>, Receiver<Job>) = unbounded();
+        let started = Arc::new(Barrier::new(num_threads + 1));
         let workers = (0..num_threads)
             .map(|i| {
-                let receiver = receiver.clone();
+                let (receiver, started) = (receiver.clone(), started.clone());
                 std::thread::Builder::new()
                     .name(format!("hpc-par-worker-{i}"))
                     .spawn(move || {
+                        started.wait();
+                        drop(started);
                         // The channel disconnecting is the shutdown signal.
                         while let Ok(job) = receiver.recv() {
                             job();
@@ -54,6 +59,7 @@ impl ThreadPool {
                     .expect("failed to spawn pool worker")
             })
             .collect();
+        started.wait();
         Self {
             sender,
             workers,
