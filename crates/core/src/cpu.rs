@@ -502,6 +502,59 @@ mod tests {
     }
 
     #[test]
+    fn host_filter_keeps_its_range_led_by_the_first_bucket_and_ended_by_the_last() {
+        let n = 1 << 16;
+        let mut rng = SplitMix64::new(14);
+        let d16: Vec<f32> = (0..n).map(|_| rng.next_below(16) as f32).collect();
+        let inputs = [uniform(n, 15), d16];
+        for threads in [1, 4] {
+            let pool = ThreadPool::new(threads);
+            for (data, b) in inputs.iter().flat_map(|d| [4, 256, 1024].map(|b| (d, b))) {
+                let cfg = CpuSelectConfig {
+                    num_buckets: b,
+                    ..CpuSelectConfig::default()
+                }
+                .loop_config();
+                let (mut host, ws) = (
+                    Host {
+                        pool: &pool,
+                        scanned: 0,
+                    },
+                    &mut SelectWorkspace::new(),
+                );
+                let origin = LaunchOrigin::Host;
+                host.sample(data, &cfg, &mut SplitMix64::new(cfg.seed), origin, ws)
+                    .unwrap();
+                let count = host.count(data, built_tree(ws), &cfg, origin, ws);
+                let red = Executor::<f32, SplitterLevels>::reduce(&mut host, &count);
+                let buckets: Vec<u32> = data.iter().map(|&x| built_tree(ws).lookup(x)).collect();
+                let of = |keep: &dyn Fn(u32) -> bool| -> Vec<u32> {
+                    let both = data.iter().zip(&buckets);
+                    both.filter(|&(_, &k)| keep(k))
+                        .map(|(x, _)| x.to_bits())
+                        .collect()
+                };
+                let t = b as u32 / 2;
+                for range in [t..t + 1, t..b as u32, 0..t + 1, t - 1..t + 2] {
+                    let case = format!("{threads} threads, b = {b}, range {range:?}");
+                    let out = host.filter(data, &count, &red, range.clone(), &cfg, ws);
+                    let out: Vec<u32> = out.iter().map(|x| x.to_bits()).collect();
+                    // Led by the first bucket and ended by the last, each
+                    // in input order.
+                    let lead = of(&|k| k == range.start);
+                    let end = of(&|k| k == range.end - 1);
+                    assert_eq!(out[..lead.len()], lead, "{case}");
+                    assert_eq!(out[out.len() - end.len()..], end, "{case}");
+                    let (mut got, mut want) = (out, of(&|k| range.contains(&k)));
+                    got.sort_unstable();
+                    want.sort_unstable();
+                    assert_eq!(got, want, "{case}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn bad_config_is_an_error_on_every_entry_point() {
         let p = pool();
         let data = uniform(20_000, 13);
