@@ -304,6 +304,7 @@ pub fn cpu_multi_select<T: SelectElement>(
     cfg: &CpuSelectConfig,
 ) -> Result<Vec<T>, SelectError> {
     let (cfg, mut host) = (cfg.loop_config(), Host { pool, scanned: 0 });
+    <Host as Executor<T, SplitterLevels>>::validate(&cfg).map_err(SelectError::InvalidConfig)?;
     if ranks.is_empty() {
         return Ok(Vec::new());
     }
@@ -579,16 +580,19 @@ mod tests {
             let approx = cpu_approx_select(&p, &data, 15_000, cfg).map(|(v, _)| v);
             let top = cpu_top_k(&p, &data, 5_000, cfg).map(|(_, t)| t);
             let multi = cpu_multi_select(&p, &data, &[15_000], cfg).map(|v| v[0]);
+            let no_ranks = cpu_multi_select(&p, &data, &[], cfg);
             if matches!(num_buckets, 512 | 1024) {
                 // The host stores no oracles, so wide bucket counts work.
                 for result in [select, top, multi] {
                     assert_eq!(result.unwrap(), expected, "{cfg:?}");
                 }
                 approx.unwrap();
+                assert_eq!(no_ranks.unwrap(), Vec::<f32>::new());
             } else {
                 for result in [select, approx, top, multi] {
                     assert!(invalid(result.unwrap_err()), "{cfg:?}");
                 }
+                assert!(invalid(no_ranks.unwrap_err()), "{cfg:?}");
             }
         }
     }
