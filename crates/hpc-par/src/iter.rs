@@ -5,7 +5,6 @@
 //! from a shared atomic counter, so uneven per-chunk cost (e.g. the filter
 //! kernel touching only some buckets) still balances well.
 
-use crate::min_chunk;
 use crate::pool::{SendPtr, ThreadPool};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -79,18 +78,6 @@ pub fn parallel_for_chunks_aligned<F>(
                 let end = (start + chunk).min(n);
                 body(start..end);
             });
-        }
-    });
-}
-
-/// Run `body(i)` for every `i in 0..n` in parallel.
-pub fn parallel_for<F>(pool: &ThreadPool, n: usize, body: F)
-where
-    F: Fn(usize) + Sync,
-{
-    parallel_for_chunks(pool, n, min_chunk(), |range| {
-        for i in range {
-            body(i);
         }
     });
 }
@@ -227,17 +214,6 @@ mod tests {
     fn parallel_for_chunks_empty_range() {
         let p = pool();
         parallel_for_chunks(&p, 0, 64, |_| panic!("must not be called"));
-    }
-
-    #[test]
-    fn parallel_for_visits_every_index_once() {
-        let p = pool();
-        let n = 10_000;
-        let hits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-        parallel_for(&p, n, |i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
     }
 
     #[test]

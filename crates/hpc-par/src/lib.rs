@@ -14,8 +14,8 @@
 //!   [`ThreadPool::global`].
 //! * [`ThreadPool::scope`] — run borrowed closures on the pool and wait
 //!   for all of them; panics in tasks propagate to the caller.
-//! * [`parallel_for`] / [`parallel_for_chunks`] — dynamic chunk
-//!   scheduling over an index range.
+//! * [`parallel_for_chunks`] — dynamic chunk scheduling over an index
+//!   range.
 //! * [`parallel_map_reduce`] — tree-free chunked reduction.
 //! * [`scan::exclusive_scan`] / [`scan::parallel_exclusive_scan`] —
 //!   prefix sums (the `reduce` step of the paper's two-pass counter
@@ -38,11 +38,11 @@ pub mod sync;
 
 pub use histogram::parallel_histogram;
 pub use iter::{
-    parallel_for, parallel_for_chunks, parallel_for_chunks_aligned, parallel_map_reduce,
+    parallel_for_chunks, parallel_for_chunks_aligned, parallel_map_reduce,
     parallel_map_reduce_aligned,
 };
 pub use pool::{PoolScope, ThreadPool};
-pub use scan::{exclusive_scan, inclusive_scan, parallel_exclusive_scan};
+pub use scan::{exclusive_scan, parallel_exclusive_scan};
 pub use simd::{force_level, simd_level, SimdLevel};
 pub use sync::WaitGroup;
 

@@ -21,18 +21,6 @@ pub fn exclusive_scan(values: &mut [u64]) -> u64 {
     running
 }
 
-/// In-place inclusive prefix sum; returns the total (== last element).
-///
-/// `[3, 1, 4]` becomes `[3, 4, 8]`.
-pub fn inclusive_scan(values: &mut [u64]) -> u64 {
-    let mut running = 0u64;
-    for v in values.iter_mut() {
-        running += *v;
-        *v = running;
-    }
-    running
-}
-
 /// Parallel in-place exclusive prefix sum; returns the total.
 ///
 /// Classic three-phase algorithm: per-chunk local sums, sequential scan of
@@ -121,14 +109,6 @@ mod tests {
     fn exclusive_scan_empty() {
         let mut v: Vec<u64> = vec![];
         assert_eq!(exclusive_scan(&mut v), 0);
-    }
-
-    #[test]
-    fn inclusive_scan_basic() {
-        let mut v = vec![3, 1, 4];
-        let total = inclusive_scan(&mut v);
-        assert_eq!(v, vec![3, 4, 8]);
-        assert_eq!(total, 8);
     }
 
     #[test]
