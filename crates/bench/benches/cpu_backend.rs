@@ -7,7 +7,10 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use hpc_par::ThreadPool;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sampleselect::cpu::{cpu_approx_select, cpu_sample_select, CpuSelectConfig};
+use sampleselect::cpu::{
+    cpu_approx_select, cpu_multi_select, cpu_sample_select, cpu_top_k, CpuSelectConfig,
+};
+use sampleselect::multiselect::quantile_ranks;
 use select_baselines::{floyd_rivest_select, hoare_quickselect, sort_select, std_select};
 
 fn data(n: usize) -> (Vec<f32>, usize) {
@@ -32,6 +35,15 @@ fn bench_selection(c: &mut Criterion) {
     });
     group.bench_function(BenchmarkId::new("cpu-approx-sampleselect", n), |b| {
         b.iter(|| cpu_approx_select(pool, &input, rank, &cfg).unwrap().0)
+    });
+    // Top-k and multi-rank selection filter bucket ranges and several
+    // buckets per level, where single-rank selection filters one.
+    group.bench_function(BenchmarkId::new("cpu-top-k-1024", n), |b| {
+        b.iter(|| cpu_top_k(pool, &input, 1024, &cfg).unwrap().1)
+    });
+    let ranks = quantile_ranks(n, 16).unwrap();
+    group.bench_function(BenchmarkId::new("cpu-multi-select-q16", n), |b| {
+        b.iter(|| cpu_multi_select(pool, &input, &ranks, &cfg).unwrap())
     });
     group.bench_function(BenchmarkId::new("std-introselect", n), |b| {
         b.iter_batched(
