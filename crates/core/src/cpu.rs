@@ -3,15 +3,18 @@
 //!
 //! The executor runs each level's sample, count, filter and base case
 //! on host threads for genuine wall-clock speed and charges nothing to a
-//! simulated clock. Per-thread local histograms play the role of
+//! simulated clock. Per-chunk local histograms play the role of
 //! shared-memory counters, and the merge step plays the role of the
-//! `reduce` kernel. Exact selection, top-k and multi-rank selection get
-//! the loop's guards, limits and spans; the approximate variant is its
-//! single count pass. Criterion benchmarks in the `select-bench` crate
+//! `reduce` kernel. As in the paper, the count stores each element's
+//! bucket as an oracle and the filter reads the oracles instead of
+//! classifying the elements again. Exact selection, top-k and
+//! multi-rank selection get the loop's guards, limits and spans; the
+//! approximate variant is its single count pass, which stores no
+//! oracles. Criterion benchmarks in the `select-bench` crate
 //! measure this backend; it is also a practically useful parallel
 //! `nth_element`.
 
-use crate::count::{Classifier, CountResult};
+use crate::count::{Classifier, CountResult, OracleBuf};
 use crate::element::{sort_elements, SelectElement};
 use crate::instrument::SelectReport;
 use crate::params::SampleSelectConfig;
@@ -26,7 +29,9 @@ use crate::splitter::draw_splitters;
 use crate::verify::check_splitters;
 use crate::workspace::SelectWorkspace;
 use crate::SelectError;
+use gpu_sim::warp::WARP_SIZE;
 use gpu_sim::LaunchOrigin;
+use hpc_par::simd::{self, SimdLevel};
 use hpc_par::ThreadPool;
 use std::ops::Range;
 
@@ -80,9 +85,11 @@ pub struct CpuSelectStats {
 }
 
 /// The host executor of the level loop: SampleSelect's steps on a
-/// thread pool, with nothing charged and the span clock held at 0. It
-/// stores no oracles, so it keeps the executor's default validation,
-/// which leaves out the oracle-width limit of the simulated count kernel.
+/// thread pool, with nothing charged and the span clock held at 0. Like
+/// the paper's count kernel, its count stores each element's bucket as
+/// an oracle, and its filter reads only the oracles. It keeps the
+/// executor's default validation: the oracles are two bytes wide above
+/// 256 buckets, so the host needs no `wide_oracles` switch.
 struct Host<'a> {
     pool: &'a ThreadPool,
     /// Elements counted so far, across all levels.
@@ -112,29 +119,27 @@ impl<T: SelectElement> Executor<T, SplitterLevels> for Host<'_> {
         &mut self,
         cur: &[T],
         classifier: &impl Classifier<T>,
-        _cfg: &SampleSelectConfig,
+        cfg: &SampleSelectConfig,
         _origin: LaunchOrigin,
         _ws: &SelectWorkspace<T>,
     ) -> CountResult {
         self.scanned += cur.len() as u64;
-        let b = classifier.num_buckets();
-        // Lane-parallel tree descent in stack-buffered batches, into
-        // per-thread bins.
-        let counts = hpc_par::parallel_histogram(self.pool, cur.len(), b, |range, local| {
-            let mut buckets = [0u32; 128];
-            for batch in cur[range].chunks(buckets.len()) {
-                let buckets = &mut buckets[..batch.len()];
-                classifier.classify_warp(batch, buckets);
-                for &bucket in buckets.iter() {
-                    local[bucket as usize] += 1;
-                }
-            }
-        });
+        // The oracle width follows the configured bucket count.
+        assert_eq!(classifier.num_buckets(), cfg.num_buckets);
+        let (counts, oracles) = if cfg.oracle_bytes() == 1 {
+            let mut oracles = vec![0u8; cur.len()];
+            let counts = classify(self.pool, cur, classifier, &mut oracles);
+            (counts, OracleBuf::U8(oracles))
+        } else {
+            let mut oracles = vec![0u16; cur.len()];
+            let counts = classify(self.pool, cur, classifier, &mut oracles);
+            (counts, OracleBuf::U16(oracles))
+        };
         CountResult {
             counts,
             partials: Vec::new(),
             blocks: 0,
-            oracles: None,
+            oracles: Some(oracles),
         }
     }
 
@@ -152,29 +157,24 @@ impl<T: SelectElement> Executor<T, SplitterLevels> for Host<'_> {
     fn filter(
         &mut self,
         cur: &[T],
-        _count: &CountResult,
-        _red: &ReduceResult,
+        count: &CountResult,
+        red: &ReduceResult,
         range: Range<u32>,
         _cfg: &SampleSelectConfig,
-        ws: &SelectWorkspace<T>,
+        _ws: &SelectWorkspace<T>,
     ) -> Vec<T> {
-        // Membership in a value range needs only its two bounds, not a
-        // tree walk. A multi-bucket range only has to lead with its first
-        // bucket and end with its last, so it splits into three value
-        // ranges at the splitters that close the first bucket and open
-        // the last; the buckets between may mix.
-        let (tree, start, end) = (built_tree(ws), range.start as usize, range.end as usize);
-        let (lower, upper) = (tree.bucket_lower(start), tree.bucket_lower(end));
-        if range.len() == 1 {
-            return keep_ranges(self.pool, cur, [(lower, upper)]);
+        let offsets = &red.bucket_offsets;
+        let len = (offsets[range.end as usize] - offsets[range.start as usize]) as usize;
+        let (first, last, level) = (range.start, range.end - 1, simd::simd_level());
+        let (pool, oracles) = (self.pool, count.oracles.as_ref());
+        match oracles.expect("the host count writes oracles") {
+            OracleBuf::U8(o) if first == last => {
+                let one = |w: &[u8]| [simd::eq_mask_u8(w, first as u8, level), 0, 0];
+                gather(pool, cur, o, len, one)
+            }
+            OracleBuf::U8(o) => gather(pool, cur, o, len, |w| class_masks(w, first, last, level)),
+            OracleBuf::U16(o) => gather(pool, cur, o, len, |w| class_masks(w, first, last, level)),
         }
-        let (first_end, last_start) = (tree.bucket_lower(start + 1), tree.bucket_lower(end - 1));
-        let bounds = [
-            (lower, first_end),
-            (first_end, last_start),
-            (last_start, upper),
-        ];
-        keep_ranges(self.pool, cur, bounds)
     }
 
     fn base_case(
@@ -190,52 +190,138 @@ impl<T: SelectElement> Executor<T, SplitterLevels> for Host<'_> {
     }
 }
 
-/// The elements of `cur` in each value range `[lower, upper)` of
-/// `bounds` (`None`: unbounded), range after range, each in input order.
-/// Chunks of `cur` are filtered in parallel, one range after the other
-/// while the chunk is in cache, and joined in order.
-fn keep_ranges<T: SelectElement, const K: usize>(
+/// Elements per parallel chunk of a level: a whole number of warps.
+fn chunk_len(pool: &ThreadPool, n: usize) -> usize {
+    let chunk = n.div_ceil(pool.num_threads() * 8).max(hpc_par::min_chunk());
+    chunk.next_multiple_of(WARP_SIZE)
+}
+
+/// A stored bucket: `u8` or `u16`, or `()` for a count that stores none.
+trait Oracle: Copy + Send {
+    fn of(bucket: u32) -> Self;
+}
+
+impl Oracle for u8 {
+    fn of(bucket: u32) -> Self {
+        bucket as u8
+    }
+}
+
+impl Oracle for u16 {
+    fn of(bucket: u32) -> Self {
+        bucket as u16
+    }
+}
+
+impl Oracle for () {
+    fn of(_: u32) {}
+}
+
+/// The count per bucket of `classifier` over `cur`, writing each
+/// element's bucket to `oracles`. Chunks run in parallel; each adds into
+/// four interleaved `u32` sub-histograms, consecutive elements into
+/// different ones, so that a run of one bucket does not wait on its own
+/// last increment.
+fn classify<T: SelectElement, W: Oracle>(
     pool: &ThreadPool,
     cur: &[T],
-    bounds: [(Option<T>, Option<T>); K],
-) -> Vec<T> {
-    let n = cur.len();
-    let chunk = n.div_ceil(pool.num_threads() * 8).max(hpc_par::min_chunk());
-    let mut parts = vec![[(); K].map(|_| Vec::new()); n.div_ceil(chunk)];
+    classifier: &impl Classifier<T>,
+    oracles: &mut [W],
+) -> Vec<u64> {
+    let b = classifier.num_buckets();
+    // A sub-histogram entry counts about a quarter of its chunk at most.
+    let chunk = chunk_len(pool, cur.len()).min(u32::MAX as usize);
+    let sub = || [(); 4].map(|_| vec![0u32; b]);
+    let mut parts: Vec<_> = oracles.chunks_mut(chunk).map(|o| (o, sub())).collect();
     hpc_par::iter::parallel_chunks_mut(pool, &mut parts, 1, |c, part| {
-        let slice = &cur[c * chunk..n.min((c + 1) * chunk)];
-        for (&(lower, upper), out) in bounds.iter().zip(&mut part[0]) {
-            let inside = |x: T| lower.is_none_or(|lo| !x.lt(lo)) & upper.is_none_or(|hi| x.lt(hi));
-            keep_inside(slice, inside, out);
+        let (oracles, [s0, s1, s2, s3]) = &mut part[0];
+        let mut buckets = [0u32; 128];
+        let chunk = cur[c * chunk..][..oracles.len()].chunks(buckets.len());
+        for (batch, oracles) in chunk.zip(oracles.chunks_mut(buckets.len())) {
+            let buckets = &mut buckets[..batch.len()];
+            classifier.classify_warp(batch, buckets);
+            for (&bucket, oracle) in buckets.iter().zip(oracles) {
+                *oracle = W::of(bucket);
+            }
+            let mut quads = buckets.chunks_exact(4);
+            for quad in &mut quads {
+                s0[quad[0] as usize] += 1;
+                s1[quad[1] as usize] += 1;
+                s2[quad[2] as usize] += 1;
+                s3[quad[3] as usize] += 1;
+            }
+            for &bucket in quads.remainder() {
+                s0[bucket as usize] += 1;
+            }
         }
     });
-    let mut out = Vec::with_capacity(parts.iter().flatten().map(Vec::len).sum());
-    for j in 0..K {
+    let mut counts = vec![0u64; b];
+    for lane in parts.iter().flat_map(|(_, sub)| sub) {
+        for (count, &c) in counts.iter_mut().zip(lane) {
+            *count += c as u64;
+        }
+    }
+    counts
+}
+
+/// The `len` elements of `cur` that `classes` takes, class by class and
+/// each class in input order. `classes` maps a warp's oracles to one bit
+/// mask per class. Chunks run in parallel a warp at a time, skip a warp
+/// that no class takes, and join class by class in chunk order.
+fn gather<T: SelectElement, W: Sync>(
+    pool: &ThreadPool,
+    cur: &[T],
+    oracles: &[W],
+    len: usize,
+    classes: impl Fn(&[W]) -> [u32; 3] + Sync,
+) -> Vec<T> {
+    let n = cur.len();
+    let chunk = chunk_len(pool, n);
+    let mut parts = vec![[Vec::new(), Vec::new(), Vec::new()]; n.div_ceil(chunk)];
+    hpc_par::iter::parallel_chunks_mut(pool, &mut parts, 1, |c, part| {
+        let span = c * chunk..n.min((c + 1) * chunk);
+        let warps = cur[span.clone()].chunks(WARP_SIZE);
+        for (warp, oracles) in warps.zip(oracles[span].chunks(WARP_SIZE)) {
+            let masks = classes(oracles);
+            if masks == [0; 3] {
+                continue;
+            }
+            for (mut mask, out) in masks.into_iter().zip(&mut part[0]) {
+                while mask != 0 {
+                    out.push(warp[mask.trailing_zeros() as usize]);
+                    mask &= mask - 1;
+                }
+            }
+        }
+    });
+    let mut out = Vec::with_capacity(len);
+    for class in 0..3 {
         for part in &parts {
-            out.extend_from_slice(&part[j]);
+            out.extend_from_slice(&part[class]);
         }
     }
     out
 }
 
-/// Append the elements of `slice` that are `inside` to `out`, in order.
-/// Each block is tested as one batch, which vectorizes, and compacted
-/// through a stack buffer without a branch per element; a test-and-push
-/// loop per element ran about twice as slow on 2^20 uniform `f32`.
-fn keep_inside<T: SelectElement>(slice: &[T], inside: impl Fn(T) -> bool, out: &mut Vec<T>) {
-    const BLOCK: usize = 256;
-    let (mut keep, mut buf) = ([false; BLOCK], [T::min_value(); BLOCK]);
-    for block in slice.chunks(BLOCK) {
-        for (k, &x) in keep.iter_mut().zip(block) {
-            *k = inside(x);
-        }
-        let mut kept = 0;
-        for (&x, &k) in block.iter().zip(&keep) {
-            buf[kept] = x;
-            kept += k as usize;
-        }
-        out.extend_from_slice(&buf[..kept]);
+/// The three classes of the bucket range `first..=last` over a warp's
+/// oracles, as bit masks: its first bucket, the buckets between, and its
+/// last bucket when that is not the first. Each oracle becomes a class
+/// byte, 0 outside the range, and `eq_mask_u8` makes a mask per class;
+/// building the masks bit by bit ran about twice as slow.
+fn class_masks<W: Copy + Into<u32>>(
+    oracles: &[W],
+    first: u32,
+    last: u32,
+    level: SimdLevel,
+) -> [u32; 3] {
+    let mut classes = [0u8; WARP_SIZE];
+    for (class, &oracle) in classes.iter_mut().zip(oracles) {
+        let bucket: u32 = oracle.into();
+        let inside = bucket.wrapping_sub(first) <= last - first;
+        *class = inside as u8 * (1 + (bucket != first) as u8 * (1 + (bucket == last) as u8));
     }
+    let classes = &classes[..oracles.len()];
+    [1, 2, 3].map(|class| simd::eq_mask_u8(classes, class, level))
 }
 
 /// Parallel exact selection on the host: the `rank`-th smallest element.
@@ -271,7 +357,8 @@ pub fn cpu_approx_select<T: SelectElement>(
     let origin = LaunchOrigin::Host;
     host.sample(data, &cfg, &mut SplitMix64::new(cfg.seed), origin, ws)?;
     let tree = built_tree(ws);
-    let mut offsets = host.count(data, tree, &cfg, origin, ws).counts;
+    // No filter follows, so the count stores no oracles.
+    let mut offsets = classify(pool, data, tree, &mut vec![(); data.len()]);
     hpc_par::exclusive_scan(&mut offsets);
     let target = rank as u64;
     let best = (1..cfg.num_buckets)
@@ -582,7 +669,7 @@ mod tests {
             let multi = cpu_multi_select(&p, &data, &[15_000], cfg).map(|v| v[0]);
             let no_ranks = cpu_multi_select(&p, &data, &[], cfg);
             if matches!(num_buckets, 512 | 1024) {
-                // The host stores no oracles, so wide bucket counts work.
+                // Two-byte oracles carry the host past 256 buckets.
                 for result in [select, top, multi] {
                     assert_eq!(result.unwrap(), expected, "{cfg:?}");
                 }
