@@ -287,6 +287,12 @@ fn gather<T: SelectElement, W: Sync>(
                 continue;
             }
             for (mut mask, out) in masks.into_iter().zip(&mut part[0]) {
+                if mask == u32::MAX {
+                    // A whole warp of one class, as in most of a top-k
+                    // with k near n.
+                    out.extend_from_slice(warp);
+                    continue;
+                }
                 while mask != 0 {
                     out.push(warp[mask.trailing_zeros() as usize]);
                     mask &= mask - 1;
