@@ -312,8 +312,9 @@ fn gather<T: SelectElement, W: Sync>(
 /// The three classes of the bucket range `first..=last` over a warp's
 /// oracles, as bit masks: its first bucket, the buckets between, and its
 /// last bucket when that is not the first. Each oracle becomes a class
-/// byte, 0 outside the range, and `eq_mask_u8` makes a mask per class;
-/// building the masks bit by bit ran about twice as slow.
+/// byte (1, 2 or 3 in that order, 0 outside the range), and `eq_mask_u8`
+/// makes a mask per class; building the masks bit by bit ran about
+/// twice as slow.
 fn class_masks<W: Copy + Into<u32>>(
     oracles: &[W],
     first: u32,
