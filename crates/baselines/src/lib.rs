@@ -8,20 +8,20 @@
 //!   algorithm of \[10\] on uniform data — and the motivating example for
 //!   SampleSelect's robustness claim, because its bucket boundaries are
 //!   computed from values, not ranks.
-//! * [`radixselect`] — Alabi et al.'s RadixSelect: most-significant-digit
-//!   radix bucketing over the bit representation. Distribution-
-//!   independent recursion depth, but always `key_bits / 8` levels.
 //! * [`cpu`] — sequential host-side references: Hoare quickselect,
 //!   Floyd–Rivest, median-of-medians (deterministic O(n)), full-sort
 //!   selection, and the `std` introselect wrapper the tests validate
 //!   against (the paper validates against C++ `std::nth_element`).
+//!
+//! Alabi et al.'s RadixSelect, the other comparator of §V-D, is not
+//! here: it is the core crate's radix backend
+//! (`sampleselect::radix::{radix_select, radix_select_on_device}`), the
+//! shared level loop with digit bucketing, which the planner also runs.
 
 pub mod bucketselect;
 pub mod cpu;
-pub mod radixselect;
 
 pub use bucketselect::{bucket_select, bucket_select_on_device};
 pub use cpu::{
     floyd_rivest_select, hoare_quickselect, median_of_medians_select, sort_select, std_select,
 };
-pub use radixselect::{radix_select, radix_select_on_device};

@@ -1,6 +1,6 @@
 //! Microbenchmarks of the algorithmic building blocks (real wall-clock):
 //! the bitonic sorting network, search-tree construction and traversal,
-//! prefix sums, and the parallel histogram.
+//! and prefix sums.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hpc_par::ThreadPool;
@@ -52,7 +52,7 @@ fn bench_searchtree(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_scan_and_histogram(c: &mut Criterion) {
+fn bench_scan(c: &mut Criterion) {
     let pool = ThreadPool::global();
     let n = 1 << 20;
     let mut rng = StdRng::seed_from_u64(3);
@@ -75,24 +75,8 @@ fn bench_scan_and_histogram(c: &mut Criterion) {
             criterion::BatchSize::LargeInput,
         )
     });
-    let buckets: Vec<usize> = (0..n).map(|_| rng.gen_range(0..256)).collect();
-    let buckets_ref = &buckets;
-    group.bench_function("parallel-histogram-256", |b| {
-        b.iter(|| {
-            hpc_par::parallel_histogram(pool, n, 256, |range, local| {
-                for i in range {
-                    local[buckets_ref[i]] += 1;
-                }
-            })
-        })
-    });
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_bitonic,
-    bench_searchtree,
-    bench_scan_and_histogram
-);
+criterion_group!(benches, bench_bitonic, bench_searchtree, bench_scan);
 criterion_main!(benches);

@@ -19,11 +19,10 @@
 use gpu_sim::arch::v100;
 use gpu_sim::{Device, FaultPlan};
 use sampleselect::{
-    quick_select_on_device, resilient_select_on_device, sample_select_on_device, ResilienceConfig,
-    SampleSelectConfig, VerifyPolicy,
+    quick_select_on_device, radix_select_on_device, resilient_select_on_device,
+    sample_select_on_device, ResilienceConfig, SampleSelectConfig, VerifyPolicy,
 };
 use select_baselines::bucketselect::bucket_select_on_device;
-use select_baselines::radixselect::radix_select_on_device;
 use select_bench::{measure, HarnessArgs, Table};
 use select_datagen::{Distribution, RankChoice, WorkloadSpec};
 

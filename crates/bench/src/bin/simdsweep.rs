@@ -1,9 +1,9 @@
 //! `simdsweep` — scalar-vs-SIMD microbench for the vectorized host
 //! kernels behind `SELECT_SIMD`.
 //!
-//! Measures four hot-loop shapes at every dispatch level the machine
-//! supports, interleaved per rep so machine drift hits all levels
-//! equally:
+//! Measures four hot-loop shapes as per-element code and at every
+//! dispatch level the machine supports, interleaved per rep so machine
+//! drift hits all columns equally:
 //!
 //! * **count** — batched search-tree descent (`lookup_batch`)
 //!   feeding a 256-bucket histogram;
@@ -14,16 +14,18 @@
 //! * **digitcount** — float→sort-key conversion + radix digit
 //!   histogram.
 //!
-//! Levels: `off` (the original scalar code shape), `scalar` (the
-//! portable unrolled fallback primitives) and `avx2` (when the CPU has
-//! it). Every rep checksums each level's full output; any divergence
-//! marks the leg non-identical — the deterministic signal
-//! `scripts/check_perf.py --simd` hard-fails on. A final pipeline leg
-//! runs one complete SampleSelect query at `off` and at the widest
-//! level and requires bit-identical answers *and* identical simulated
-//! time: SIMD may only change wall clock, never the modeled cost.
+//! Columns: `per_element` (a one-element-at-a-time loop written here,
+//! over the per-element reference code such as `SearchTree::lookup`),
+//! `scalar` (the portable unrolled fallback primitives) and `avx2`
+//! (when the CPU has it). Every rep checksums each column's full
+//! output; any divergence marks the leg non-identical — the
+//! deterministic signal `scripts/check_perf.py --simd` hard-fails on. A
+//! final pipeline leg runs one complete SampleSelect query at `scalar`
+//! and at the widest level and requires bit-identical answers *and*
+//! identical simulated time: SIMD may only change wall clock, never the
+//! modeled cost.
 //!
-//! Writes `BENCH_simd.json`.
+//! Writes `BENCH_simd.json` (schema `simdsweep-v2`).
 //!
 //! ```text
 //! cargo run --release --bin simdsweep [-- --reps N --full]
@@ -64,20 +66,29 @@ impl LegStats {
     }
 }
 
-/// Run one leg at every level, interleaved per rep. Returns per-level
-/// stats plus whether every level produced the same output checksum.
+/// One measured column: the per-element loop (`None`) or a dispatch
+/// level of the lane-parallel primitives.
+type Column = Option<SimdLevel>;
+
+fn column_name(column: Column) -> &'static str {
+    column.map_or("per_element", SimdLevel::name)
+}
+
+/// Run one leg in every column, interleaved per rep. Returns
+/// per-column stats plus whether every column produced the same output
+/// checksum.
 fn run_leg(
-    levels: &[SimdLevel],
+    columns: &[Column],
     reps: usize,
-    mut work: impl FnMut(SimdLevel) -> u64,
+    mut work: impl FnMut(Column) -> u64,
 ) -> (Vec<LegStats>, bool) {
-    let mut stats = vec![LegStats::default(); levels.len()];
+    let mut stats = vec![LegStats::default(); columns.len()];
     let mut identical = true;
     for _ in 0..reps {
         let mut reference: Option<u64> = None;
-        for (li, &level) in levels.iter().enumerate() {
+        for (li, &column) in columns.iter().enumerate() {
             let start = Instant::now();
-            let cs = work(level);
+            let cs = work(column);
             stats[li].absorb(start.elapsed().as_secs_f64());
             match reference {
                 None => reference = Some(cs),
@@ -92,34 +103,33 @@ fn run_leg(
 }
 
 /// Batched tree descent into a bucket histogram (the count hot loop).
-fn count_leg(data: &[f32], tree: &SearchTree<f32>, level: SimdLevel) -> u64 {
-    simd::force_level(Some(level));
+fn count_leg(data: &[f32], tree: &SearchTree<f32>, column: Column) -> u64 {
     let mut hist = [0u64; BUCKETS];
-    let mut buckets = [0u32; 128];
-    let mut i = 0;
-    while i < data.len() {
-        let len = (data.len() - i).min(128);
-        tree.lookup_batch(&data[i..i + len], &mut buckets[..len]);
-        for &b in &buckets[..len] {
-            hist[b as usize] += 1;
+    if let Some(level) = column {
+        simd::force_level(Some(level));
+        let mut buckets = [0u32; 128];
+        let mut i = 0;
+        while i < data.len() {
+            let len = (data.len() - i).min(128);
+            tree.lookup_batch(&data[i..i + len], &mut buckets[..len]);
+            for &b in &buckets[..len] {
+                hist[b as usize] += 1;
+            }
+            i += len;
         }
-        i += len;
+        simd::force_level(None);
+    } else {
+        for &x in data {
+            hist[tree.lookup(x) as usize] += 1;
+        }
     }
-    simd::force_level(None);
     hist.iter().fold(0xcbf2_9ce4_8422_2325, |a, &c| fnv(a, c))
 }
 
 /// Oracle compare-mask + stable compress (the filter fast path).
-fn filter_leg(bits: &[u32], oracle: &[u8], out: &mut [u32], level: SimdLevel) -> u64 {
+fn filter_leg(bits: &[u32], oracle: &[u8], out: &mut [u32], column: Column) -> u64 {
     let mut cursor = 0usize;
-    if level == SimdLevel::Off {
-        for (i, &o) in oracle.iter().enumerate() {
-            if o == 1 {
-                out[cursor] = bits[i];
-                cursor += 1;
-            }
-        }
-    } else {
+    if let Some(level) = column {
         let mut staging = [0u32; GROUP];
         let mut i = 0;
         while i < bits.len() {
@@ -130,6 +140,13 @@ fn filter_leg(bits: &[u32], oracle: &[u8], out: &mut [u32], level: SimdLevel) ->
             cursor += cnt;
             i += len;
         }
+    } else {
+        for (i, &o) in oracle.iter().enumerate() {
+            if o == 1 {
+                out[cursor] = bits[i];
+                cursor += 1;
+            }
+        }
     }
     out[..cursor]
         .iter()
@@ -139,21 +156,9 @@ fn filter_leg(bits: &[u32], oracle: &[u8], out: &mut [u32], level: SimdLevel) ->
 }
 
 /// Three-way pivot masks + masked compress (the bipartition hot loop).
-fn bipartition_leg(bits: &[u32], pivot: u32, outs: &mut [Vec<u32>; 3], level: SimdLevel) -> u64 {
+fn bipartition_leg(bits: &[u32], pivot: u32, outs: &mut [Vec<u32>; 3], column: Column) -> u64 {
     let mut cursors = [0usize; 3];
-    if level == SimdLevel::Off {
-        for &k in bits {
-            let lane = if k < pivot {
-                0
-            } else if k == pivot {
-                1
-            } else {
-                2
-            };
-            outs[lane][cursors[lane]] = k;
-            cursors[lane] += 1;
-        }
-    } else {
+    if let Some(level) = column {
         let mut staging = [0u32; GROUP];
         let mut i = 0;
         while i < bits.len() {
@@ -168,6 +173,18 @@ fn bipartition_leg(bits: &[u32], pivot: u32, outs: &mut [Vec<u32>; 3], level: Si
             }
             i += len;
         }
+    } else {
+        for &k in bits {
+            let lane = if k < pivot {
+                0
+            } else if k == pivot {
+                1
+            } else {
+                2
+            };
+            outs[lane][cursors[lane]] = k;
+            cursors[lane] += 1;
+        }
     }
     let mut cs = 0xcbf2_9ce4_8422_2325u64;
     for (lane, out) in outs.iter().enumerate() {
@@ -180,13 +197,9 @@ fn bipartition_leg(bits: &[u32], pivot: u32, outs: &mut [Vec<u32>; 3], level: Si
 }
 
 /// Float→sort-key conversion + radix digit histogram (digit count).
-fn digitcount_leg(data: &[f32], shift: u32, level: SimdLevel) -> u64 {
+fn digitcount_leg(data: &[f32], shift: u32, column: Column) -> u64 {
     let mut hist = [0u64; 256];
-    if level == SimdLevel::Off {
-        for &x in data {
-            hist[((x.to_sort_key() >> shift) & 0xff) as usize] += 1;
-        }
-    } else {
+    if let Some(level) = column {
         let mut keys = [0u32; GROUP];
         let mut i = 0;
         while i < data.len() {
@@ -196,6 +209,10 @@ fn digitcount_leg(data: &[f32], shift: u32, level: SimdLevel) -> u64 {
                 hist[((k >> shift) & 0xff) as usize] += 1;
             }
             i += len;
+        }
+    } else {
+        for &x in data {
+            hist[((x.to_sort_key() >> shift) & 0xff) as usize] += 1;
         }
     }
     hist.iter().fold(0xcbf2_9ce4_8422_2325, |a, &c| fnv(a, c))
@@ -208,13 +225,13 @@ fn stats_json(s: &LegStats) -> String {
     )
 }
 
-fn leg_json(n: usize, levels: &[SimdLevel], stats: &[LegStats], identical: bool) -> String {
+fn leg_json(n: usize, columns: &[Column], stats: &[LegStats], identical: bool) -> String {
     let mut body = format!("{{\"n\": {n}, \"identical\": {identical}");
-    for (li, &level) in levels.iter().enumerate() {
-        body += &format!(", \"{}\": {}", level.name(), stats_json(&stats[li]));
+    for (li, &column) in columns.iter().enumerate() {
+        body += &format!(", \"{}\": {}", column_name(column), stats_json(&stats[li]));
     }
-    // Speedup of the widest level over the original scalar code shape.
-    let speedup = stats[0].wall_s / stats[levels.len() - 1].wall_s.max(1e-12);
+    // Speedup of the widest level over the per-element code.
+    let speedup = stats[0].wall_s / stats[columns.len() - 1].wall_s.max(1e-12);
     body += &format!(", \"speedup\": {speedup:.3}}}");
     body
 }
@@ -224,11 +241,15 @@ fn main() {
     let reps = args.reps_or(7);
     let n: usize = if args.full { 1 << 22 } else { 1 << 20 };
     let avx2 = simd::avx2_available();
-    let mut levels = vec![SimdLevel::Off, SimdLevel::Scalar];
+    let widest = if avx2 {
+        SimdLevel::Avx2
+    } else {
+        SimdLevel::Scalar
+    };
+    let mut columns = vec![None, Some(SimdLevel::Scalar)];
     if avx2 {
-        levels.push(SimdLevel::Avx2);
+        columns.push(Some(SimdLevel::Avx2));
     }
-    let widest = *levels.last().expect("at least one level");
 
     // Deterministic inputs shared by every level and rep.
     let mut rng = SplitMix64::new(0x51d5_0eeb);
@@ -243,26 +264,26 @@ fn main() {
     let pivot = bits[n / 2];
 
     eprintln!(
-        "simdsweep: n=2^{}, reps={reps}, levels={:?}",
+        "simdsweep: n=2^{}, reps={reps}, columns={:?}",
         n.trailing_zeros(),
-        levels.iter().map(|l| l.name()).collect::<Vec<_>>()
+        columns.iter().map(|&c| column_name(c)).collect::<Vec<_>>()
     );
 
-    let (count_stats, count_ok) = run_leg(&levels, reps, |lvl| count_leg(&data, &tree, lvl));
+    let (count_stats, count_ok) = run_leg(&columns, reps, |c| count_leg(&data, &tree, c));
 
     let mut filter_out = vec![0u32; n];
-    let (filter_stats, filter_ok) = run_leg(&levels, reps, |lvl| {
-        filter_leg(&bits, &oracle, &mut filter_out, lvl)
+    let (filter_stats, filter_ok) = run_leg(&columns, reps, |c| {
+        filter_leg(&bits, &oracle, &mut filter_out, c)
     });
 
     let mut part_outs = [vec![0u32; n], vec![0u32; n], vec![0u32; n]];
-    let (part_stats, part_ok) = run_leg(&levels, reps, |lvl| {
-        bipartition_leg(&bits, pivot, &mut part_outs, lvl)
+    let (part_stats, part_ok) = run_leg(&columns, reps, |c| {
+        bipartition_leg(&bits, pivot, &mut part_outs, c)
     });
 
-    let (digit_stats, digit_ok) = run_leg(&levels, reps, |lvl| digitcount_leg(&data, 16, lvl));
+    let (digit_stats, digit_ok) = run_leg(&columns, reps, |c| digitcount_leg(&data, 16, c));
 
-    // Pipeline identity: one full SampleSelect query at off vs the
+    // Pipeline identity: one full SampleSelect query at scalar vs the
     // widest level. The answer must be bit-identical and the simulated
     // timeline unchanged — SIMD is a wall-clock optimization only.
     eprintln!("simdsweep: pipeline identity check...");
@@ -275,29 +296,29 @@ fn main() {
         simd::force_level(None);
         (r.value.to_bits(), r.report.total_time.as_ns())
     };
-    let (val_off, sim_off) = run_at(SimdLevel::Off);
+    let (val_scalar, sim_scalar) = run_at(SimdLevel::Scalar);
     let (val_simd, sim_simd) = run_at(widest);
-    let pipeline_ok = val_off == val_simd && sim_off == sim_simd;
+    let pipeline_ok = val_scalar == val_simd && sim_scalar == sim_simd;
 
     let json = format!(
-        "{{\n  \"schema\": \"simdsweep-v1\",\n  \"reps\": {reps},\n  \
+        "{{\n  \"schema\": \"simdsweep-v2\",\n  \"reps\": {reps},\n  \
          \"avx2_available\": {avx2},\n  \"widest\": \"{}\",\n  \"legs\": {{\n    \
          \"count\": {},\n    \"filter\": {},\n    \"bipartition\": {},\n    \
          \"digitcount\": {}\n  }},\n  \
          \"pipeline\": {{\"n\": {n}, \"identical\": {pipeline_ok}, \
-         \"sim_ns_off\": {sim_off:.1}, \"sim_ns_simd\": {sim_simd:.1}}}\n}}\n",
+         \"sim_ns_scalar\": {sim_scalar:.1}, \"sim_ns_simd\": {sim_simd:.1}}}\n}}\n",
         widest.name(),
-        leg_json(n, &levels, &count_stats, count_ok),
-        leg_json(n, &levels, &filter_stats, filter_ok),
-        leg_json(n, &levels, &part_stats, part_ok),
-        leg_json(n, &levels, &digit_stats, digit_ok),
+        leg_json(n, &columns, &count_stats, count_ok),
+        leg_json(n, &columns, &filter_stats, filter_ok),
+        leg_json(n, &columns, &part_stats, part_ok),
+        leg_json(n, &columns, &digit_stats, digit_ok),
     );
     std::fs::write("BENCH_simd.json", &json).expect("write BENCH_simd.json");
     println!("{json}");
 
-    let speedup = |s: &[LegStats]| s[0].wall_s / s[levels.len() - 1].wall_s.max(1e-12);
+    let speedup = |s: &[LegStats]| s[0].wall_s / s[columns.len() - 1].wall_s.max(1e-12);
     eprintln!(
-        "count {:.2}x, filter {:.2}x, bipartition {:.2}x, digitcount {:.2}x ({} vs off)",
+        "count {:.2}x, filter {:.2}x, bipartition {:.2}x, digitcount {:.2}x ({} vs per-element)",
         speedup(&count_stats),
         speedup(&filter_stats),
         speedup(&part_stats),

@@ -59,8 +59,7 @@ impl<T: SelectElement> Classifier<T> for SearchTree<T> {
 
     fn classify_warp(&self, warp: &[T], buckets: &mut [u32]) {
         // Lane-parallel descent for the whole warp (the SIMD analogue
-        // of all 32 threads walking the tree in lock-step); scalar
-        // per-element lookup when SELECT_SIMD=off.
+        // of all 32 threads walking the tree in lock-step).
         self.lookup_batch(warp, buckets);
     }
 

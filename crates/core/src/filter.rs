@@ -17,7 +17,7 @@ use crate::reduce::ReduceResult;
 use crate::workspace::KernelScratch;
 use gpu_sim::warp::WARP_SIZE;
 use gpu_sim::{Device, KernelCost, LaunchOrigin};
-use hpc_par::simd::{self, SimdLevel};
+use hpc_par::simd;
 use std::ops::Range;
 
 /// Extract all elements whose bucket lies in `bucket_range` into a
@@ -99,10 +99,7 @@ pub fn filter_kernel_scoped<T: SelectElement>(
     // packed prefix, and the block's output range may end mid-warp with
     // the next block's range being written concurrently.
     let simd_level = simd::simd_level();
-    let simd_single = simd_level != SimdLevel::Off
-        && hi - lo == 1
-        && oracles.as_u8_slice().is_some()
-        && lo <= u8::MAX as u32;
+    let simd_single = hi - lo == 1 && oracles.as_u8_slice().is_some() && lo <= u8::MAX as u32;
 
     let (mut cost, oracle_mismatches) = hpc_par::parallel_map_reduce(
         device.pool(),

@@ -224,8 +224,8 @@ pub enum Gauge {
     PoolHits,
     /// Cumulative buffer-pool misses.
     PoolMisses,
-    /// Active host SIMD dispatch level (0 = off, 1 = scalar fallback,
-    /// 2 = AVX2), as resolved by `SELECT_SIMD` at startup.
+    /// Active host SIMD dispatch level (1 = scalar fallback, 2 = AVX2),
+    /// as resolved by `SELECT_SIMD` at startup.
     SimdDispatchLevel,
 }
 

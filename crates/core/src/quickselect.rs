@@ -32,7 +32,7 @@ use crate::{SelectError, SelectResult};
 use gpu_sim::arch::v100;
 use gpu_sim::warp::WARP_SIZE;
 use gpu_sim::{Device, KernelCost, LaunchConfig, LaunchOrigin};
-use hpc_par::simd::{self, SimdLevel};
+use hpc_par::simd;
 
 /// Pivot sample size: a small shared-memory bitonic sort picks the
 /// median of this many random elements.
@@ -110,33 +110,23 @@ fn quick_count_kernel<T: SelectElement>(
                 let end = ((block + 1) * chunk).min(n);
                 let mut smaller = 0u64;
                 let mut equal = 0u64;
-                if level == SimdLevel::Off {
-                    for &x in &data[start..end] {
-                        if x.lt(pivot) {
-                            smaller += 1;
-                        } else if !pivot.lt(x) {
-                            equal += 1;
-                        }
-                    }
-                } else {
-                    // Lane-parallel pivot compare: one (lt, eq) mask
-                    // pair per warp of keys, popcounts instead of
-                    // per-element branches. The lt-key transform makes
-                    // key equality coincide with "neither side lt".
-                    let mut i = start;
-                    while i < end {
-                        let len = (end - i).min(WARP_SIZE);
-                        let (lt, eq) = if T::BYTES == 4 {
-                            fill_lt_keys32(&data[i..i + len], &mut keys32[..len], level);
-                            simd::pivot_masks_u32(&keys32[..len], pivot_key as u32, level)
-                        } else {
-                            fill_lt_keys64(&data[i..i + len], &mut keys64[..len], level);
-                            simd::pivot_masks_u64(&keys64[..len], pivot_key, level)
-                        };
-                        smaller += lt.count_ones() as u64;
-                        equal += eq.count_ones() as u64;
-                        i += len;
-                    }
+                // Lane-parallel pivot compare: one (lt, eq) mask
+                // pair per warp of keys, popcounts instead of
+                // per-element branches. The lt-key transform makes
+                // key equality coincide with "neither side lt".
+                let mut i = start;
+                while i < end {
+                    let len = (end - i).min(WARP_SIZE);
+                    let (lt, eq) = if T::BYTES == 4 {
+                        fill_lt_keys32(&data[i..i + len], &mut keys32[..len], level);
+                        simd::pivot_masks_u32(&keys32[..len], pivot_key as u32, level)
+                    } else {
+                        fill_lt_keys64(&data[i..i + len], &mut keys64[..len], level);
+                        simd::pivot_masks_u64(&keys64[..len], pivot_key, level)
+                    };
+                    smaller += lt.count_ones() as u64;
+                    equal += eq.count_ones() as u64;
+                    i += len;
                 }
                 // SAFETY: one write per block index.
                 unsafe { partials_ref.write(block, (smaller, equal)) };
@@ -260,77 +250,59 @@ fn bipartition_kernel<T: SelectElement>(
                 let mut s = smaller_off_ref[block];
                 let mut e = equal_off_ref[block];
                 let mut l = larger_off_ref[block];
-                if level == SimdLevel::Off {
-                    for &x in &data[start..end] {
-                        // Fig. 5's conditional-move pattern: pick the target
-                        // cursor without branching on the data.
-                        let slot = if x.lt(pivot) {
-                            &mut s
-                        } else if !pivot.lt(x) {
-                            &mut e
-                        } else {
-                            &mut l
-                        };
-                        // SAFETY: region scans give each block disjoint
-                        // ranges; cursors hand out unique slots within them.
-                        unsafe { out_ref.write(*slot as usize, x) };
-                        *slot += 1;
-                    }
-                } else {
-                    // Three-way masked classify + stable compress per
-                    // warp: the per-region staging buffers are flushed
-                    // at exact size into the block's disjoint region
-                    // ranges, so the in-region element order (and the
-                    // write-once contract) is the same as the scalar
-                    // cursor walk's.
-                    let mut i = start;
-                    while i < end {
-                        let len = (end - i).min(WARP_SIZE);
-                        let lanes = simd::mask_for_len(len);
-                        let (lt, eq) = if T::BYTES == 4 {
-                            fill_lt_keys32(&data[i..i + len], &mut keys32[..len], level);
-                            simd::pivot_masks_u32(&keys32[..len], pivot_key as u32, level)
-                        } else {
-                            fill_lt_keys64(&data[i..i + len], &mut keys64[..len], level);
-                            simd::pivot_masks_u64(&keys64[..len], pivot_key, level)
-                        };
-                        let gt = !(lt | eq) & lanes;
-                        for (mask, cursor) in [(lt, &mut s), (eq, &mut e), (gt, &mut l)] {
-                            if mask == 0 {
-                                continue;
-                            }
-                            // SAFETY: region scans give each block
-                            // disjoint ranges; the cursors hand out
-                            // unique contiguous runs within them.
-                            unsafe {
-                                if T::BYTES == 4 {
-                                    let cnt = simd::compress_u32(
-                                        as_bits32(&data[i..i + len]),
-                                        mask,
-                                        &mut staging32,
-                                        level,
-                                    );
-                                    out_ref.write_slice(
-                                        *cursor as usize,
-                                        elems_from_bits32::<T>(&staging32[..cnt]),
-                                    );
-                                } else {
-                                    let cnt = simd::compress_u64(
-                                        as_bits64(&data[i..i + len]),
-                                        mask,
-                                        &mut staging64,
-                                        level,
-                                    );
-                                    out_ref.write_slice(
-                                        *cursor as usize,
-                                        elems_from_bits64::<T>(&staging64[..cnt]),
-                                    );
-                                }
-                            }
-                            *cursor += mask.count_ones() as u64;
+                // Three-way masked classify + stable compress per
+                // warp: the per-region staging buffers are flushed
+                // at exact size into the block's disjoint region
+                // ranges, so the in-region element order (and the
+                // write-once contract) is the same as a per-element
+                // cursor walk's.
+                let mut i = start;
+                while i < end {
+                    let len = (end - i).min(WARP_SIZE);
+                    let lanes = simd::mask_for_len(len);
+                    let (lt, eq) = if T::BYTES == 4 {
+                        fill_lt_keys32(&data[i..i + len], &mut keys32[..len], level);
+                        simd::pivot_masks_u32(&keys32[..len], pivot_key as u32, level)
+                    } else {
+                        fill_lt_keys64(&data[i..i + len], &mut keys64[..len], level);
+                        simd::pivot_masks_u64(&keys64[..len], pivot_key, level)
+                    };
+                    let gt = !(lt | eq) & lanes;
+                    for (mask, cursor) in [(lt, &mut s), (eq, &mut e), (gt, &mut l)] {
+                        if mask == 0 {
+                            continue;
                         }
-                        i += len;
+                        // SAFETY: region scans give each block
+                        // disjoint ranges; the cursors hand out
+                        // unique contiguous runs within them.
+                        unsafe {
+                            if T::BYTES == 4 {
+                                let cnt = simd::compress_u32(
+                                    as_bits32(&data[i..i + len]),
+                                    mask,
+                                    &mut staging32,
+                                    level,
+                                );
+                                out_ref.write_slice(
+                                    *cursor as usize,
+                                    elems_from_bits32::<T>(&staging32[..cnt]),
+                                );
+                            } else {
+                                let cnt = simd::compress_u64(
+                                    as_bits64(&data[i..i + len]),
+                                    mask,
+                                    &mut staging64,
+                                    level,
+                                );
+                                out_ref.write_slice(
+                                    *cursor as usize,
+                                    elems_from_bits64::<T>(&staging64[..cnt]),
+                                );
+                            }
+                        }
+                        *cursor += mask.count_ones() as u64;
                     }
+                    i += len;
                 }
                 let len = (end - start) as u64;
                 let warps = len.div_ceil(WARP_SIZE as u64);

@@ -1,6 +1,7 @@
 //! Production MSD RadixSelect (Alabi et al. 2012, §III/\[10\]): most
 //! significant-digit radix bucketing over the binary key representation,
-//! promoted from the `baselines` sketch into a first-class backend.
+//! and the repo's only RadixSelect: it is both the §V-D comparator the
+//! `robustness` bench runs and a first-class backend of the planner.
 //!
 //! Each level histograms one 8-bit digit of the (order-preserving) sort
 //! key, starting from the most significant, and recurses into the digit
@@ -82,11 +83,7 @@ impl<T: SelectElement> Classifier<T> for DigitClassifier {
         // trivially vector-friendly).
         let shift = self.shift;
         let level = hpc_par::simd::simd_level();
-        if level == hpc_par::SimdLevel::Off {
-            for (b, &x) in buckets.iter_mut().zip(warp) {
-                *b = ((x.to_sort_key() >> shift) & 0xff) as u32;
-            }
-        } else if T::BYTES == 4 {
+        if T::BYTES == 4 {
             let mut keys = [0u32; 32];
             let keys = &mut keys[..warp.len()];
             fill_sort_keys32(warp, keys, level);

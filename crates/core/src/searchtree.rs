@@ -22,7 +22,7 @@
 //! splitter").
 
 use crate::element::{fill_lt_keys32, fill_lt_keys64, SelectElement};
-use hpc_par::simd::{self, SimdLevel};
+use hpc_par::simd;
 
 /// A built splitter search tree for one recursion level.
 #[derive(Debug, Clone)]
@@ -180,12 +180,6 @@ impl<T: SelectElement> SearchTree<T> {
     pub fn lookup_batch(&self, data: &[T], out: &mut [u32]) {
         debug_assert!(out.len() >= data.len());
         let level = simd::simd_level();
-        if level == SimdLevel::Off {
-            for (o, &x) in out.iter_mut().zip(data) {
-                *o = self.lookup(x);
-            }
-            return;
-        }
         if T::BYTES == 4 {
             let mut keys = [0u32; 32];
             let mut i = 0;
@@ -456,7 +450,7 @@ mod tests {
     #[test]
     fn lookup_batch_matches_scalar_at_every_level() {
         let mut rng = SplitMix64::new(99);
-        let levels: &[SimdLevel] = &[SimdLevel::Off, SimdLevel::Scalar, SimdLevel::Avx2];
+        let levels = &[simd::SimdLevel::Scalar, simd::SimdLevel::Avx2];
         for b in [2usize, 8, 64, 256] {
             // f32 with duplicates, ±0.0, and NaN payloads
             let mut splitters: Vec<f32> =

@@ -364,7 +364,8 @@ enum ShardDeath {
 /// `cfg` on one device, for any shard count. Under injected faults the
 /// coordinator retries, hedges, and replays as described in the module
 /// docs; it returns [`Outcome::Approximate`] only after the recovery
-/// budget is exhausted, and never a wrong [`Outcome::Exact`].
+/// budget is exhausted, and never a wrong [`Outcome::Exact`]. A shard
+/// count of 0 is rejected with [`SelectError::InvalidArgument`].
 pub fn sharded_select<T: SelectElement>(
     arch: &GpuArchitecture,
     pool: &ThreadPool,
@@ -376,7 +377,11 @@ pub fn sharded_select<T: SelectElement>(
 ) -> Result<ShardedResult<T>, SelectError> {
     cfg.validate().map_err(SelectError::InvalidConfig)?;
     validate_input(data, rank, cfg)?;
-    assert!(scfg.shards >= 1, "need at least one shard");
+    if scfg.shards == 0 {
+        return Err(SelectError::InvalidArgument {
+            what: "shard count must be at least 1".to_string(),
+        });
+    }
 
     let n = data.len();
     let k_shards = scfg.shards;
@@ -1081,6 +1086,25 @@ mod tests {
             );
             assert!(res.report.events.is_clean());
         }
+    }
+
+    #[test]
+    fn zero_shards_is_an_invalid_argument() {
+        let data = uniform(1_000, 5);
+        let pool = ThreadPool::new(1);
+        let err = sharded_select_clean(
+            &v100(),
+            &pool,
+            &data,
+            500,
+            &SampleSelectConfig::default(),
+            &ShardConfig::default().with_shards(0),
+        )
+        .unwrap_err();
+        assert!(
+            matches!(err, SelectError::InvalidArgument { .. }),
+            "0 shards must be rejected, got {err:?}"
+        );
     }
 
     #[test]

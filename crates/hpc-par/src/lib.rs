@@ -3,7 +3,8 @@
 //! A small, self-contained data-parallel substrate used by the
 //! `gpu-selection` workspace: a persistent thread pool with a scoped
 //! fork-join API, plus the handful of bulk primitives the selection
-//! algorithms need (parallel for, map-reduce, exclusive scan, histograms).
+//! algorithms need (parallel for, map-reduce, exclusive scan, SIMD
+//! classification).
 //!
 //! The design follows the fork-join model popularized by Rayon, scaled
 //! down to exactly what this workspace requires so that the whole
@@ -20,23 +21,20 @@
 //! * [`scan::exclusive_scan`] / [`scan::parallel_exclusive_scan`] —
 //!   prefix sums (the `reduce` step of the paper's two-pass counter
 //!   scheme).
-//! * [`histogram::parallel_histogram`] — per-worker local bins merged at
-//!   the end (the CPU analogue of the paper's shared-memory bucket
-//!   counters).
+//! * [`simd`] — the lane-parallel key primitives of the host hot path
+//!   (tree descent, compare masks, compress), dispatched at two levels.
 //!
 //! Everything is implemented with `std` + `crossbeam` channels +
 //! `parking_lot` locks; there is no work stealing — the workloads here
 //! are regular, so dynamic chunk distribution from a shared atomic
 //! counter achieves good balance with far less machinery.
 
-pub mod histogram;
 pub mod iter;
 pub mod pool;
 pub mod scan;
 pub mod simd;
 pub mod sync;
 
-pub use histogram::parallel_histogram;
 pub use iter::{
     parallel_for_chunks, parallel_for_chunks_aligned, parallel_map_reduce,
     parallel_map_reduce_aligned,

@@ -15,12 +15,12 @@
 //! The active level is selected **once at startup** (first call to
 //! [`simd_level`]) from the `SELECT_SIMD` environment variable:
 //!
-//! * `off`    — every kernel takes its original per-element path;
-//! * `scalar` — the portable unrolled key-based fallback (no intrinsics);
+//! * `scalar` — the portable unrolled key-based fallback (no
+//!   intrinsics), the reference level;
 //! * `avx2`   — the AVX2 path (silently demoted to `scalar` when the
 //!   CPU lacks AVX2, so the knob is safe on any runner);
-//! * `on` / `auto` / unset — best available: `avx2` when detected,
-//!   otherwise `scalar`.
+//! * anything else (`on`, `auto`, unset, …) — best available: `avx2`
+//!   when detected, otherwise `scalar`.
 //!
 //! Benches and bit-identity tests can override the startup choice at
 //! runtime with [`force_level`]; because every level computes
@@ -47,9 +47,8 @@ pub const MAX_LANES: usize = 8;
 /// The dispatch level of the lane-parallel primitives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SimdLevel {
-    /// Original per-element code paths; no key-based batching at all.
-    Off = 0,
-    /// Portable unrolled key-based descent (no intrinsics).
+    /// Portable unrolled key-based descent (no intrinsics); the
+    /// reference level.
     Scalar = 1,
     /// AVX2: 8×u32 / 4×u64 lanes per step.
     Avx2 = 2,
@@ -59,7 +58,6 @@ impl SimdLevel {
     /// Stable lowercase name (CLI output, metrics, bench JSON).
     pub fn name(self) -> &'static str {
         match self {
-            SimdLevel::Off => "off",
             SimdLevel::Scalar => "scalar",
             SimdLevel::Avx2 => "avx2",
         }
@@ -91,7 +89,6 @@ pub fn configured_level() -> SimdLevel {
     *CONFIGURED.get_or_init(|| {
         let choice = std::env::var("SELECT_SIMD").unwrap_or_default();
         match choice.trim().to_ascii_lowercase().as_str() {
-            "off" => SimdLevel::Off,
             "scalar" => SimdLevel::Scalar,
             "avx2" => {
                 if avx2_available() {
@@ -100,7 +97,7 @@ pub fn configured_level() -> SimdLevel {
                     SimdLevel::Scalar
                 }
             }
-            // "on", "auto", unset, or anything unparsable: best available.
+            // "on", "auto", unset, or anything else: best available.
             _ => {
                 if avx2_available() {
                     SimdLevel::Avx2
@@ -132,7 +129,6 @@ pub fn force_level(level: Option<SimdLevel>) {
 #[inline]
 pub fn simd_level() -> SimdLevel {
     match FORCED.load(Ordering::Relaxed) {
-        0 => SimdLevel::Off,
         1 => SimdLevel::Scalar,
         2 => SimdLevel::Avx2,
         _ => configured_level(),
@@ -939,7 +935,6 @@ mod tests {
     #[test]
     fn env_knob_parses_known_values() {
         // configured_level() is process-wide; only sanity-check names.
-        assert_eq!(SimdLevel::Off.name(), "off");
         assert_eq!(SimdLevel::Scalar.name(), "scalar");
         assert_eq!(SimdLevel::Avx2.name(), "avx2");
     }
@@ -948,8 +943,13 @@ mod tests {
     fn forced_level_round_trips() {
         force_level(Some(SimdLevel::Scalar));
         assert_eq!(simd_level(), SimdLevel::Scalar);
-        force_level(Some(SimdLevel::Off));
-        assert_eq!(simd_level(), SimdLevel::Off);
+        force_level(Some(SimdLevel::Avx2));
+        let expect = if avx2_available() {
+            SimdLevel::Avx2
+        } else {
+            SimdLevel::Scalar
+        };
+        assert_eq!(simd_level(), expect);
         force_level(None);
         assert_eq!(simd_level(), configured_level());
     }

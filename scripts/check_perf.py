@@ -31,7 +31,7 @@ every leg must be bit-identical across dispatch levels, and the full
 pipeline must produce the same answer *and* the same simulated time at
 every level (SIMD is a wall-clock optimization only). Wall-clock
 speedups are advisory — the count and filter legs are expected to
-reach 4x over the unvectorized code shape, but shortfalls only WARN
+reach 4x over the per-element loop, but shortfalls only WARN
 since wall time is noisy on shared runners.
 
 Gating policy
@@ -183,7 +183,7 @@ def check_simd(argv):
 
     failures = []
     warnings = []
-    if current.get("schema") != "simdsweep-v1":
+    if current.get("schema") != "simdsweep-v2":
         failures.append(f"unexpected schema {current.get('schema')!r}")
 
     legs = current.get("legs", {})
@@ -198,7 +198,7 @@ def check_simd(argv):
         if speedup is None:
             failures.append(f"legs.{name}: missing speedup")
             continue
-        line = f"legs.{name}: {current.get('widest')} vs off wall speedup {speedup:.2f}x"
+        line = f"legs.{name}: {current.get('widest')} vs per_element wall speedup {speedup:.2f}x"
         if name in SIMD_TARGET_LEGS and speedup < SIMD_TARGET_SPEEDUP:
             warnings.append(
                 f"{line} < {SIMD_TARGET_SPEEDUP:.0f}x target [wall-clock: warn only]"
@@ -211,14 +211,14 @@ def check_simd(argv):
         failures.append("pipeline: missing from sweep output")
     else:
         if pipe.get("identical") is not True:
-            failures.append("pipeline: off vs simd answer/sim-time mismatch")
-        elif pipe.get("sim_ns_off") != pipe.get("sim_ns_simd"):
+            failures.append("pipeline: scalar vs simd answer/sim-time mismatch")
+        elif pipe.get("sim_ns_scalar") != pipe.get("sim_ns_simd"):
             failures.append(
                 f"pipeline: sim_ns drifted under SIMD "
-                f"({pipe.get('sim_ns_off')} -> {pipe.get('sim_ns_simd')})"
+                f"({pipe.get('sim_ns_scalar')} -> {pipe.get('sim_ns_simd')})"
             )
         else:
-            print(f"OK    pipeline: bit-identical, sim_ns {pipe.get('sim_ns_off')}")
+            print(f"OK    pipeline: bit-identical, sim_ns {pipe.get('sim_ns_scalar')}")
 
     for w in warnings:
         print(f"WARN  {w}")

@@ -47,7 +47,8 @@
 //!
 //! * `0` — exact answer produced and verified.
 //! * `1` — the query failed (driver error, connection error).
-//! * `2` — usage error.
+//! * `2` — usage error, including a query the library rejects (empty
+//!   input, rank out of range, invalid configuration or argument).
 //! * `3` — SIMT sanitizer findings (with `--sanitize`).
 //! * `4` — **tagged approximate/degraded answer**: the result is honest
 //!   but not exact (`--algo approx`, a time-budget or deadline
@@ -76,7 +77,7 @@ use gpu_selection::sampleselect::{
     plan_rank_query, quick_select_on_device, radix_select_on_device, resilient_select_on_device,
     resilient_select_planned, run_quantile_stream, sample_select_on_device, sharded_select,
     KillSpec, ObsSession, Outcome, QuantileStreamConfig, ResilienceConfig, SampleSelectConfig,
-    SelectReport, ShardConfig, ShardFaults, VerifyPolicy, WindowSpec, DEFAULT_PROBS,
+    SelectError, SelectReport, ShardConfig, ShardFaults, VerifyPolicy, WindowSpec, DEFAULT_PROBS,
 };
 use std::process::exit;
 
@@ -480,6 +481,22 @@ fn run_client(args: &Args) -> ! {
     }
 }
 
+/// The value of a library call, or its error printed as `what failed:
+/// ...` followed by an exit: 2 (usage error) when the library rejected
+/// the query itself, 1 for any other failure.
+fn or_exit<T>(result: Result<T, SelectError>, what: &str) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("{what} failed: {e}");
+        match e {
+            SelectError::InvalidConfig(_)
+            | SelectError::EmptyInput
+            | SelectError::RankOutOfRange { .. }
+            | SelectError::InvalidArgument { .. } => exit(2),
+            _ => exit(1),
+        }
+    })
+}
+
 fn main() {
     let args = parse_args();
     if args.connect.is_some() {
@@ -589,12 +606,10 @@ fn main() {
             if let Some(ms) = args.time_budget_ms {
                 rcfg = rcfg.with_time_budget(SimTime::from_ms(ms));
             }
-            let r =
-                resilient_select_planned(&mut device, &w.data, rank, &cfg, &rcfg, decision.backend)
-                    .unwrap_or_else(|e| {
-                        eprintln!("selection failed: {e}");
-                        exit(1);
-                    });
+            let r = or_exit(
+                resilient_select_planned(&mut device, &w.data, rank, &cfg, &rcfg, decision.backend),
+                "selection",
+            );
             match r.outcome {
                 Outcome::Exact(value) => {
                     println!("value = {value} (exact, backend {})", r.backend.name());
@@ -615,29 +630,44 @@ fn main() {
             print_report(&r.report, args.breakdown);
         }
         "sample" => {
-            let r = sample_select_on_device(&mut device, &w.data, rank, &cfg).unwrap();
+            let r = or_exit(
+                sample_select_on_device(&mut device, &w.data, rank, &cfg),
+                "selection",
+            );
             println!("value = {}", r.value);
             print_report(&r.report, args.breakdown);
             assert_eq!(r.value, reference_select(&w.data, rank).unwrap());
             println!("\nverified against std reference");
         }
         "quick" => {
-            let r = quick_select_on_device(&mut device, &w.data, rank, &cfg).unwrap();
+            let r = or_exit(
+                quick_select_on_device(&mut device, &w.data, rank, &cfg),
+                "selection",
+            );
             println!("value = {}", r.value);
             print_report(&r.report, args.breakdown);
         }
         "bucket" => {
-            let r = bucket_select_on_device(&mut device, &w.data, rank, &cfg).unwrap();
+            let r = or_exit(
+                bucket_select_on_device(&mut device, &w.data, rank, &cfg),
+                "selection",
+            );
             println!("value = {}", r.value);
             print_report(&r.report, args.breakdown);
         }
         "radix" => {
-            let r = radix_select_on_device(&mut device, &w.data, rank, &cfg).unwrap();
+            let r = or_exit(
+                radix_select_on_device(&mut device, &w.data, rank, &cfg),
+                "selection",
+            );
             println!("value = {}", r.value);
             print_report(&r.report, args.breakdown);
         }
         "approx" => {
-            let r = approx_select_on_device(&mut device, &w.data, rank, &cfg).unwrap();
+            let r = or_exit(
+                approx_select_on_device(&mut device, &w.data, rank, &cfg),
+                "approximate selection",
+            );
             degraded = true;
             println!(
                 "value = {} (rank {} delivered, {} requested, {:.4}% relative error)",
@@ -650,13 +680,16 @@ fn main() {
         }
         "topk" => {
             let k = args.k.unwrap_or(100);
-            let r = top_k_largest_on_device(&mut device, &w.data, k, &cfg).unwrap();
+            let r = or_exit(
+                top_k_largest_on_device(&mut device, &w.data, k, &cfg),
+                "top-k",
+            );
             println!("top-{k} threshold = {}", r.threshold);
             print_report(&r.report, args.breakdown);
         }
         "quantiles" => {
             let q = args.k.unwrap_or(10);
-            let r = quantiles(&w.data, q, &cfg).unwrap();
+            let r = or_exit(quantiles(&w.data, q, &cfg), "quantiles");
             print!("{q}-quantiles:");
             for v in &r.values {
                 print!(" {v:.4}");
@@ -671,11 +704,10 @@ fn main() {
                 "plan: {} bucket(s), oversample {:.3}, expected recall {:.4} (target {:.4})",
                 acfg.buckets, acfg.oversample, planned, args.recall
             );
-            let mut r = approx_top_k_on_device(&mut device, &w.data, k, &acfg, &cfg)
-                .unwrap_or_else(|e| {
-                    eprintln!("approximate top-k failed: {e}");
-                    exit(1);
-                });
+            let mut r = or_exit(
+                approx_top_k_on_device(&mut device, &w.data, k, &acfg, &cfg),
+                "approximate top-k",
+            );
             let measured = measure_recall(&w.data, &mut r);
             if measured < 1.0 {
                 degraded = true;
@@ -695,15 +727,12 @@ fn main() {
             };
             let source = SliceChunks::new(&w.data, 1 << 16);
             let ckpt = args.checkpoint.as_ref().map(std::path::PathBuf::from);
-            let run =
-                run_quantile_stream(&mut device, &source, &qcfg, ckpt.as_deref(), args.resume)
-                    .unwrap_or_else(|e| {
-                        eprintln!("quantile stream failed: {e}");
-                        if args.checkpoint.is_some() {
-                            eprintln!("(progress checkpointed; rerun with --resume to continue)");
-                        }
-                        exit(1);
-                    });
+            let result =
+                run_quantile_stream(&mut device, &source, &qcfg, ckpt.as_deref(), args.resume);
+            if result.is_err() && args.checkpoint.is_some() {
+                eprintln!("(progress checkpointed; rerun with --resume to continue)");
+            }
+            let run = or_exit(result, "quantile stream");
             println!(
                 "quantile stream: {} window(s) closed this pass ({} lifetime), {} elements seen{}",
                 run.windows.len(),
@@ -726,14 +755,14 @@ fn main() {
             }
         }
         "sort" => {
-            let r = sample_sort_on_device(&mut device, &w.data, &cfg).unwrap();
+            let r = or_exit(sample_sort_on_device(&mut device, &w.data, &cfg), "sort");
             assert!(r.sorted.windows(2).all(|p| p[0] <= p[1]));
-            println!(
-                "sorted {} elements (min {}, max {})",
-                r.sorted.len(),
-                r.sorted[0],
-                r.sorted[r.sorted.len() - 1]
-            );
+            match (r.sorted.first(), r.sorted.last()) {
+                (Some(min), Some(max)) => {
+                    println!("sorted {} elements (min {min}, max {max})", r.sorted.len())
+                }
+                _ => println!("sorted 0 elements"),
+            }
             print_report(&r.report, args.breakdown);
         }
         "resilient" => {
@@ -741,11 +770,10 @@ fn main() {
             if let Some(ms) = args.time_budget_ms {
                 rcfg = rcfg.with_time_budget(SimTime::from_ms(ms));
             }
-            let r = resilient_select_on_device(&mut device, &w.data, rank, &cfg, &rcfg)
-                .unwrap_or_else(|e| {
-                    eprintln!("selection failed: {e}");
-                    exit(1);
-                });
+            let r = or_exit(
+                resilient_select_on_device(&mut device, &w.data, rank, &cfg, &rcfg),
+                "selection",
+            );
             match r.outcome {
                 Outcome::Exact(value) => {
                     println!("value = {value} (exact, backend {})", r.backend.name());
@@ -778,13 +806,10 @@ fn main() {
                 ),
                 None => streaming_select(&mut device, &source, rank, &cfg),
             };
-            let r = result.unwrap_or_else(|e| {
-                eprintln!("streaming selection failed: {e}");
-                if args.checkpoint.is_some() {
-                    eprintln!("(progress checkpointed; rerun with --resume to continue)");
-                }
-                exit(1);
-            });
+            if result.is_err() && args.checkpoint.is_some() {
+                eprintln!("(progress checkpointed; rerun with --resume to continue)");
+            }
+            let r = or_exit(result, "streaming selection");
             println!(
                 "value = {} (peak resident {} elements = {:.2}% of n)",
                 r.value,
@@ -826,11 +851,10 @@ fn main() {
                 println!("(fault plan applied to shard 0)");
                 faults = faults.with_plan(0, plan);
             }
-            let r = sharded_select(&arch, pool, &w.data, rank, &cfg, &scfg, &faults)
-                .unwrap_or_else(|e| {
-                    eprintln!("sharded selection failed: {e}");
-                    exit(1);
-                });
+            let r = or_exit(
+                sharded_select(&arch, pool, &w.data, rank, &cfg, &scfg, &faults),
+                "sharded selection",
+            );
             match r.outcome {
                 Outcome::Exact(value) => {
                     println!("value = {value} (exact, {} shards)", r.report.shards);
@@ -881,8 +905,10 @@ fn main() {
         }
         "cpu" => {
             let t0 = std::time::Instant::now();
-            let (value, stats) =
-                cpu_sample_select(pool, &w.data, rank, &CpuSelectConfig::default()).unwrap();
+            let (value, stats) = or_exit(
+                cpu_sample_select(pool, &w.data, rank, &CpuSelectConfig::default()),
+                "selection",
+            );
             let dt = t0.elapsed();
             println!(
                 "value = {value} (wall-clock {dt:?}, {} levels, scanned {} elements)",

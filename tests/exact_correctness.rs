@@ -3,7 +3,7 @@
 //! reference (`select_nth_unstable`, the Rust analogue of the paper's
 //! `std::nth_element` validation, §V-A).
 
-use gpu_selection::baselines::{bucket_select_on_device, radix_select_on_device};
+use gpu_selection::baselines::bucket_select_on_device;
 use gpu_selection::datagen::{Distribution, RankChoice, WorkloadSpec};
 use gpu_selection::gpu_sim::arch::{c2070, k20xm, v100};
 use gpu_selection::gpu_sim::Device;
@@ -11,7 +11,7 @@ use gpu_selection::hpc_par::ThreadPool;
 use gpu_selection::sampleselect::cpu::{cpu_sample_select, CpuSelectConfig};
 use gpu_selection::sampleselect::element::reference_select;
 use gpu_selection::sampleselect::{
-    quick_select_on_device, sample_select_on_device, SampleSelectConfig,
+    quick_select_on_device, radix_select_on_device, sample_select_on_device, SampleSelectConfig,
 };
 
 const N: usize = 50_000;

@@ -4,7 +4,7 @@
 //! returning the exact answer (or a tagged approximation) with a
 //! deterministic record of what it took.
 
-use gpu_selection::baselines::{bucket_select, radix_select};
+use gpu_selection::baselines::bucket_select;
 use gpu_selection::gpu_sim::arch::v100;
 use gpu_selection::gpu_sim::{Device, FaultPlan, SimTime};
 use gpu_selection::hpc_par::ThreadPool;
@@ -13,9 +13,9 @@ use gpu_selection::sampleselect::element::reference_select;
 use gpu_selection::sampleselect::streaming::{streaming_select, ChunkError, ChunkSource};
 use gpu_selection::sampleselect::topk::kth_largest;
 use gpu_selection::sampleselect::{
-    approx_select, quick_select, resilient_select_on_device, resilient_streaming_select,
-    sample_select, top_k_largest, Backend, ConfigError, Outcome, ResilienceConfig,
-    SampleSelectConfig, SelectError,
+    approx_select, quick_select, radix_select, resilient_select_on_device,
+    resilient_streaming_select, sample_select, top_k_largest, Backend, ConfigError, Outcome,
+    ResilienceConfig, SampleSelectConfig, SelectError,
 };
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -726,14 +726,15 @@ fn corrupted_pooled_region_is_quarantined() {
 // reference, for every element type, input length (lane-multiple or
 // not), and key structure (NaN payloads, signed zeros, duplicate-heavy
 // splitter sets). `SELECT_SIMD=scalar` (the portable fallback) and
-// AVX2 must agree with each other and with the original scalar code.
+// AVX2 must agree with each other and with the per-element reference
+// code (`SearchTree::lookup`, `lt_key_f32`, `sort_key_f32`).
 // ---------------------------------------------------------------------
 
-/// Every dispatch level this machine can run, `Off` (the original
-/// scalar code shape) first.
+/// Every dispatch level this machine can run, `Scalar` (the reference
+/// level) first.
 fn simd_levels() -> Vec<gpu_selection::hpc_par::simd::SimdLevel> {
     use gpu_selection::hpc_par::simd::{avx2_available, SimdLevel};
-    let mut levels = vec![SimdLevel::Off, SimdLevel::Scalar];
+    let mut levels = vec![SimdLevel::Scalar];
     if avx2_available() {
         levels.push(SimdLevel::Avx2);
     }
@@ -811,9 +812,7 @@ proptest! {
         pivot in any::<u32>(),
         force_dups in any::<bool>(),
     ) {
-        use gpu_selection::hpc_par::simd::{
-            compress_u32, mask_for_len, pivot_masks_u32, SimdLevel,
-        };
+        use gpu_selection::hpc_par::simd::{compress_u32, mask_for_len, pivot_masks_u32};
         let keys: Vec<u32> = if force_dups {
             keys.iter().map(|&k| k % 4).collect()
         } else {
@@ -830,9 +829,6 @@ proptest! {
             }
         }
         for level in simd_levels() {
-            if level == SimdLevel::Off {
-                continue; // the primitives exist only at scalar/avx2
-            }
             let (lt, eq) = pivot_masks_u32(&keys, pivot, level);
             prop_assert_eq!(lt, lt_ref, "lt mask diverged at {}", level);
             prop_assert_eq!(eq, eq_ref, "eq mask diverged at {}", level);
@@ -857,16 +853,13 @@ proptest! {
 
     #[test]
     fn simd_float_keys_match_scalar(bits in vec(any::<u32>(), 1..100)) {
-        use gpu_selection::hpc_par::simd::{lt_key_f32, sort_key_f32, SimdLevel};
+        use gpu_selection::hpc_par::simd::{lt_key_f32, sort_key_f32};
         use gpu_selection::sampleselect::element::{fill_lt_keys32, fill_sort_keys32};
         let data: Vec<f32> = bits.iter().map(|&b| f32::from_bits(b)).collect();
         let lt_ref: Vec<u32> = data.iter().map(|&v| lt_key_f32(v)).collect();
         let sort_ref: Vec<u32> = data.iter().map(|&v| sort_key_f32(v)).collect();
         let mut out = vec![0u32; data.len()];
         for level in simd_levels() {
-            if level == SimdLevel::Off {
-                continue;
-            }
             fill_lt_keys32(&data, &mut out, level);
             prop_assert_eq!(&out, &lt_ref, "lt keys diverged at {}", level);
             fill_sort_keys32(&data, &mut out, level);

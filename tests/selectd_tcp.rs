@@ -146,3 +146,23 @@ fn bad_flag_value_exits_2_without_panicking() {
         assert!(!stderr.contains("panicked"), "{stderr}");
     }
 }
+
+#[test]
+fn rejected_queries_exit_2_without_panicking() {
+    for args in [
+        &["--algo", "shard", "--shards", "0", "--n", "4096"][..],
+        &["--buckets", "0", "--n", "4096"],
+        &["--algo", "radix", "--buckets", "0", "--n", "4096"],
+        &["--n", "0"],
+        &["--n", "10", "--rank", "50"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_selectcli"))
+            .args(args)
+            .output()
+            .expect("run selectcli");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?} stderr: {stderr}");
+        assert!(stderr.contains("failed: "), "{args:?} stderr: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?} stderr: {stderr}");
+    }
+}

@@ -162,11 +162,7 @@ fn steady_state_hot_path_does_not_allocate() {
     // the stack or in pre-sized workspace vectors, so forcing the
     // scalar fallback or AVX2 must not add a single heap allocation —
     // and must reproduce the exact same bucket size.
-    for level in [
-        simd::SimdLevel::Off,
-        simd::SimdLevel::Scalar,
-        simd::SimdLevel::Avx2,
-    ] {
+    for level in [simd::SimdLevel::Scalar, simd::SimdLevel::Avx2] {
         if level == simd::SimdLevel::Avx2 && !simd::avx2_available() {
             continue;
         }
