@@ -398,10 +398,6 @@ pub fn cpu_multi_select<T: SelectElement>(
     cfg: &CpuSelectConfig,
 ) -> Result<Vec<T>, SelectError> {
     let (cfg, mut host) = (cfg.loop_config(), Host { pool, scanned: 0 });
-    <Host as Executor<T, SplitterLevels>>::validate(&cfg).map_err(SelectError::InvalidConfig)?;
-    if ranks.is_empty() {
-        return Ok(Vec::new());
-    }
     let ws = &mut SelectWorkspace::new();
     Ok(ranks_with_workspace(&mut host, data, ranks, &cfg, ws)?.values)
 }

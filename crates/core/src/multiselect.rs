@@ -52,13 +52,6 @@ pub fn multi_select_with_workspace<T: SelectElement>(
     cfg: &SampleSelectConfig,
     ws: &mut SelectWorkspace<T>,
 ) -> Result<MultiSelectResult<T>, SelectError> {
-    cfg.validate().map_err(SelectError::InvalidConfig)?;
-    if ranks.is_empty() {
-        return Ok(MultiSelectResult {
-            values: Vec::new(),
-            report: SelectReport::from_records("multiselect", data.len(), &[], 0, false),
-        });
-    }
     ranks_with_workspace(device, data, ranks, cfg, ws)
 }
 

@@ -1,6 +1,6 @@
-//! The one level loop behind every exact, fused top-k and multi-rank
-//! query: recursive bucket selection (Fig. 1 / §IV-E) with the recursion
-//! kept "on the device".
+//! The one level loop behind every exact, fused top-k, multi-rank and
+//! sort query: recursive bucket selection (Fig. 1 / §IV-E) with the
+//! recursion kept "on the device".
 //!
 //! Each level runs `count → reduce → (select_bucket) → filter` and
 //! descends into the bucket(s) holding the target. Three traits are the
@@ -8,7 +8,8 @@
 //! SampleSelect draws a splitter sample and rebuilds the search tree,
 //! RadixSelect takes the next 8-bit digit of the sort key. `Target` is
 //! what the query selects: one rank (`Rank`), the fused top-k of §IV-I
-//! or its bottom-k mirror (`Fused`), or several ranks (`Ranks`).
+//! or its bottom-k mirror (`Fused`), several ranks (`Ranks`), or every
+//! bucket, which is sample sort (`All`, §VI).
 //! `Executor` is where a level's steps run: a simulated [`Device`]
 //! charges them as kernels, the host executor of [`crate::cpu`] runs them
 //! on a thread pool and charges nothing. The checks, guards, spans and
@@ -30,6 +31,7 @@ use crate::params::{ConfigError, SampleSelectConfig};
 use crate::radix::{key_bits, DigitClassifier, DIGIT_BITS};
 use crate::reduce::{reduce_kernel, ReduceResult};
 use crate::rng::SplitMix64;
+use crate::samplesort::SortResult;
 use crate::searchtree::SearchTree;
 use crate::splitter::sample_kernel_into;
 use crate::topk::TopKResult;
@@ -285,8 +287,8 @@ pub(crate) fn fused_with_workspace<T: SelectElement, E: Executor<T, SplitterLeve
     })
 }
 
-/// The elements of `data` at each of `ranks` (non-empty, any order,
-/// duplicates allowed), by SampleSelect's levels run on `exec`.
+/// The elements of `data` at each of `ranks` (any order, duplicates
+/// allowed), by SampleSelect's levels run on `exec`.
 pub(crate) fn ranks_with_workspace<T: SelectElement, E: Executor<T, SplitterLevels>>(
     exec: &mut E,
     data: &[T],
@@ -294,8 +296,10 @@ pub(crate) fn ranks_with_workspace<T: SelectElement, E: Executor<T, SplitterLeve
     cfg: &SampleSelectConfig,
     ws: &mut SelectWorkspace<T>,
 ) -> Result<MultiSelectResult<T>, SelectError> {
+    // No rank, no segment: nothing launches.
+    let goal = || (Vec::new(), 0, ranks.iter().copied().enumerate().collect());
     let mut multi = Ranks {
-        pending: vec![(Vec::new(), 0, ranks.iter().copied().enumerate().collect())],
+        pending: Vec::from_iter((!ranks.is_empty()).then(goal)),
         values: vec![None; ranks.len()],
     };
     let (mut report, levels) = (SelectReport::empty(""), splitters(cfg));
@@ -303,6 +307,24 @@ pub(crate) fn ranks_with_workspace<T: SelectElement, E: Executor<T, SplitterLeve
     let values = multi.values.into_iter().collect::<Option<_>>();
     let values = values.expect("the loop resolves every rank");
     Ok(MultiSelectResult { values, report })
+}
+
+/// `data` ascending: sample sort (§VI), SampleSelect's levels with every
+/// bucket descending. Simulated only: the host filter's order is not
+/// bucket-major, and `All` slices the filter output at every bucket.
+pub(crate) fn sort_levels<T: SelectElement>(
+    device: &mut Device,
+    data: &[T],
+    cfg: &SampleSelectConfig,
+) -> Result<SortResult<T>, SelectError> {
+    // An input of one element is sorted and launches nothing.
+    let pending = Vec::from_iter((data.len() > 1).then_some((Vec::new(), 0, 0)));
+    let (sorted, ws) = (data.to_vec(), &mut SelectWorkspace::new());
+    let (mut all, mut report) = (All { pending, sorted }, SelectReport::empty(""));
+    let levels = splitters(cfg);
+    level_loop(device, data, &[], cfg, ws, &mut report, levels, &mut all)?;
+    let sorted = all.sorted;
+    Ok(SortResult { sorted, report })
 }
 
 /// What a backend of the level loop decides: the bucketing axis.
@@ -489,7 +511,7 @@ pub(crate) trait Executor<T: SelectElement, B> {
     /// The elements of `cur` in the buckets of `range`, led by those of
     /// the range's first bucket and ended by those of its last; the
     /// buckets between may mix. [`Fused`] slices its target bucket off
-    /// on that order.
+    /// on that order; [`All`] needs the bucket-major order of a [`Device`].
     fn filter(
         &mut self,
         cur: &[T],
@@ -637,7 +659,7 @@ type Segment<T, G> = (Vec<T>, u32, G);
 /// what becomes of the filter output and how an equality bucket ends
 /// the descent.
 trait Target<T: SelectElement> {
-    /// What a segment still has to resolve: a rank, or several.
+    /// What a segment still has to resolve: a rank, several, or an offset.
     type Goal;
 
     /// Whether each level launches `select_bucket`; only the exact rank
@@ -649,6 +671,11 @@ trait Target<T: SelectElement> {
 
     /// Report label and query-span name, given the backend's.
     fn label(&self, backend: &'static str) -> &'static str {
+        backend
+    }
+
+    /// The base-case size, given the backend's.
+    fn base_case_size(backend: usize, _cfg: &SampleSelectConfig) -> usize {
         backend
     }
 
@@ -901,8 +928,62 @@ impl<T: SelectElement> Target<T> for Ranks<T> {
     }
 }
 
-/// The one level loop behind every exact, fused top-k and multi-rank
-/// query on either backend and either executor; `ranks` are the
+/// Every bucket (sample sort, §VI): each bucket of a level descends as
+/// its own segment, and a goal is the segment's offset in `sorted`.
+struct All<T> {
+    pending: Vec<Segment<T, usize>>,
+    sorted: Vec<T>,
+}
+
+impl<T: SelectElement> Target<T> for All<T> {
+    type Goal = usize;
+
+    fn label(&self, _backend: &'static str) -> &'static str {
+        "samplesort"
+    }
+
+    /// A segment that fits a (generous) shared-memory tile is sorted in
+    /// one block: launch overhead dominates tiny partitions.
+    fn base_case_size(backend: usize, cfg: &SampleSelectConfig) -> usize {
+        backend.max(16 * cfg.sample_size())
+    }
+
+    fn pop(&mut self) -> Option<Segment<T, usize>> {
+        self.pending.pop()
+    }
+
+    fn resolve(&mut self, offset: usize, sorted: &[T]) {
+        self.sorted[offset..offset + sorted.len()].copy_from_slice(sorted);
+    }
+
+    fn descend<B: LevelBucketing<T>, E: Executor<T, B>>(
+        &mut self,
+        offset: usize,
+        level: &mut Level<'_, T, B, E>,
+    ) -> Result<(), SelectError> {
+        let (buckets, depth) = (level.red.bucket_offsets.len() - 1, level.depth + 1);
+        // Sliced at every bucket bound, so checked whatever the policy.
+        let mut next = level.filter(0..buckets as u32, true)?;
+        // Last bucket first, so that bucket 0 is popped first: segments
+        // run depth first in bucket order.
+        for bucket in (0..buckets).rev() {
+            let lo = level.red.bucket_offsets[bucket] as usize;
+            if next.len() - lo > 1 && level.equality_exit(bucket).is_none() {
+                // A degenerate split resamples at the next level.
+                self.pending.push((next.split_off(lo), depth, offset + lo));
+            } else {
+                // Empty, one element or all equal: already in order.
+                self.resolve(offset + lo, &next[lo..]);
+                next.truncate(lo);
+            }
+        }
+        level.exec.recycle(next);
+        Ok(())
+    }
+}
+
+/// The one level loop behind every exact, fused top-k, multi-rank and
+/// sort query on either backend and either executor; `ranks` are the
 /// requested ranks.
 #[allow(clippy::too_many_arguments)]
 fn level_loop<T: SelectElement, B: LevelBucketing<T>, Q: Target<T>, E: Executor<T, B>>(
@@ -929,6 +1010,7 @@ fn level_loop<T: SelectElement, B: LevelBucketing<T>, Q: Target<T>, E: Executor<
     let mut work_done: f64 = 0.0;
     let mut levels = 0u32;
     let mut terminated_early = false;
+    let base_case_size = Q::base_case_size(B::base_case_size(cfg), cfg);
 
     while let Some((storage, depth, goal)) = target.pop() {
         // Level 0's first kernels come from the host; everything after
@@ -943,7 +1025,7 @@ fn level_loop<T: SelectElement, B: LevelBucketing<T>, Q: Target<T>, E: Executor<
             levels = levels.max(depth + 1);
         }
 
-        if cur.len() <= B::base_case_size(cfg) {
+        if cur.len() <= base_case_size {
             obs::span_enter(SpanKind::Kernel, "base_sort", depth as u64, exec.now());
             exec.base_case(cur, cfg, origin, ws);
             obs::span_exit(exec.now());

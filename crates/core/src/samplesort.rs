@@ -8,19 +8,18 @@
 //! by bucket) and sorted recursively. Equality buckets need no further
 //! work — every element in them is identical — so duplicate-heavy inputs
 //! get faster, not slower.
+//!
+//! The sort runs the shared level loop of [`crate::recursion`] with its
+//! `All` target, on the simulated executor only; this module holds its
+//! entry points.
 
-use crate::count::count_kernel;
 use crate::element::SelectElement;
-use crate::filter::filter_kernel;
 use crate::instrument::SelectReport;
 use crate::params::SampleSelectConfig;
-use crate::recursion::base_case_select_with;
-use crate::reduce::reduce_kernel;
-use crate::rng::SplitMix64;
-use crate::verify::check_filter_size;
+use crate::recursion::sort_levels;
 use crate::SelectError;
 use gpu_sim::arch::v100;
-use gpu_sim::{Device, LaunchOrigin};
+use gpu_sim::Device;
 
 /// Result of a device sort.
 #[derive(Debug, Clone)]
@@ -31,8 +30,6 @@ pub struct SortResult<T> {
     pub report: SelectReport,
 }
 
-const MAX_DEPTH: u32 = 48;
-
 /// Sort `data` ascending on a simulated device using recursive sample
 /// partitioning.
 pub fn sample_sort_on_device<T: SelectElement>(
@@ -40,84 +37,7 @@ pub fn sample_sort_on_device<T: SelectElement>(
     data: &[T],
     cfg: &SampleSelectConfig,
 ) -> Result<SortResult<T>, SelectError> {
-    cfg.validate().map_err(SelectError::InvalidConfig)?;
-    let n = data.len();
-    let records_before = device.records().len();
-    let mut rng = SplitMix64::new(cfg.seed);
-    let mut max_depth = 0u32;
-    let sorted = sort_rec(device, data, cfg, &mut rng, 0, &mut max_depth)?;
-    let report = SelectReport::from_records(
-        "samplesort",
-        n,
-        &device.records()[records_before..],
-        max_depth,
-        false,
-    );
-    Ok(SortResult { sorted, report })
-}
-
-fn sort_rec<T: SelectElement>(
-    device: &mut Device,
-    data: &[T],
-    cfg: &SampleSelectConfig,
-    rng: &mut SplitMix64,
-    level: u32,
-    max_depth: &mut u32,
-) -> Result<Vec<T>, SelectError> {
-    *max_depth = (*max_depth).max(level);
-    if level >= MAX_DEPTH {
-        return Err(SelectError::RecursionLimit);
-    }
-    let origin = if level == 0 {
-        LaunchOrigin::Host
-    } else {
-        LaunchOrigin::Device
-    };
-    // Sorting switches to the bitonic base case earlier than selection:
-    // per-segment kernel-launch overhead dominates tiny partitions, so a
-    // segment is sorted block-locally as soon as it fits a (generous)
-    // shared-memory tile — as real sample-sort implementations do.
-    let sort_base = cfg.base_case_size.max(cfg.sample_size() * 16);
-    if data.len() <= sort_base {
-        let mut buf = data.to_vec();
-        if buf.len() > 1 {
-            // The base-case kernel leaves its working copy sorted.
-            base_case_select_with(device, data, 0, cfg, origin, &mut buf, &mut Vec::new());
-        }
-        return Ok(buf);
-    }
-
-    let tree = crate::splitter::sample_kernel(device, data, cfg, rng, origin)?;
-    let count = count_kernel(device, data, &tree, cfg, true, origin);
-    let red = reduce_kernel(device, &count, LaunchOrigin::Device);
-    let b = tree.num_buckets() as u32;
-
-    // One fused filter pass extracts everything, ordered by bucket.
-    let partitioned = filter_kernel(device, data, &count, &red, 0..b, cfg, LaunchOrigin::Device);
-    // Sliced at bucket boundaries below, so checked whatever the
-    // verify policy.
-    check_filter_size(partitioned.len(), data.len() as u64)?;
-
-    let mut out = Vec::with_capacity(data.len());
-    for bucket in 0..b as usize {
-        let lo = red.bucket_offsets[bucket] as usize;
-        let hi = red.bucket_offsets[bucket + 1] as usize;
-        if lo == hi {
-            continue;
-        }
-        let segment = &partitioned[lo..hi];
-        if tree.is_equality_bucket(bucket) {
-            // All equal: already sorted.
-            out.extend_from_slice(segment);
-        } else {
-            // Degenerate splits (sample fails to separate anything) are
-            // safe: the next level resamples, and equality buckets bound
-            // the depth for duplicate-only content.
-            let sub = sort_rec(device, segment, cfg, rng, level + 1, max_depth)?;
-            out.extend(sub);
-        }
-    }
-    Ok(out)
+    sort_levels(device, data, cfg)
 }
 
 /// Sort on a default simulated device (Tesla V100).
@@ -133,6 +53,7 @@ pub fn sample_sort<T: SelectElement>(
 mod tests {
     use super::*;
     use crate::element::sort_elements;
+    use crate::rng::SplitMix64;
     use hpc_par::ThreadPool;
 
     fn check<T: SelectElement + PartialEq>(data: &[T]) -> SortResult<T> {
@@ -178,6 +99,7 @@ mod tests {
         let res = check(&data);
         // equality buckets terminate duplicates at level 1
         assert!(res.report.levels <= 1, "levels = {}", res.report.levels);
+        assert!(res.report.terminated_early);
     }
 
     #[test]
@@ -214,7 +136,8 @@ mod tests {
     fn all_equal_input_is_one_level() {
         let data = vec![5.5f32; 100_000];
         let res = check(&data);
-        assert!(res.report.levels <= 1);
+        assert_eq!(res.report.levels, 1);
+        assert!(res.report.terminated_early);
     }
 
     #[test]

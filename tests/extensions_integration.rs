@@ -12,7 +12,7 @@ use gpu_selection::sampleselect::multiselect::multi_select_on_device;
 use gpu_selection::sampleselect::samplesort::sample_sort_on_device;
 use gpu_selection::sampleselect::streaming::{streaming_select, SliceChunks};
 use gpu_selection::sampleselect::topk::{bottom_k_smallest_on_device, top_k_largest_on_device};
-use gpu_selection::sampleselect::SampleSelectConfig;
+use gpu_selection::sampleselect::{SampleSelectConfig, SelectError};
 
 const N: usize = 100_000;
 
@@ -67,6 +67,31 @@ fn multiselect_is_consistent_with_samplesort() {
     for (i, &rank) in ranks.iter().enumerate() {
         assert_eq!(multi.values[i].to_bits(), sorted.sorted[rank].to_bits());
     }
+}
+
+#[test]
+fn samplesort_obeys_the_level_cap() {
+    let pool = ThreadPool::new(2);
+    let data = WorkloadSpec::uniform(200_000, 79)
+        .instantiate::<f32>(0)
+        .data;
+    let mut device = Device::new(v100(), &pool);
+    let cfg = SampleSelectConfig::default().with_max_levels(0);
+    let err = sample_sort_on_device(&mut device, &data, &cfg).unwrap_err();
+    assert_eq!(err, SelectError::RecursionLimit);
+}
+
+#[test]
+fn samplesort_obeys_the_work_budget() {
+    // The first level alone scans n elements, more than 0.5 * n.
+    let pool = ThreadPool::new(2);
+    let data = WorkloadSpec::uniform(200_000, 80)
+        .instantiate::<f32>(0)
+        .data;
+    let mut device = Device::new(v100(), &pool);
+    let cfg = SampleSelectConfig::default().with_work_budget_factor(0.5);
+    let err = sample_sort_on_device(&mut device, &data, &cfg).unwrap_err();
+    assert_eq!(err, SelectError::RecursionLimit);
 }
 
 #[test]
