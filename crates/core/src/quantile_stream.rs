@@ -345,24 +345,7 @@ impl<T: SelectElement> QuantileStream<T> {
     /// start a fresh stream — a bad checkpoint must never poison one.
     pub fn from_checkpoint_bytes(cfg: QuantileStreamConfig, bytes: &[u8]) -> Result<Self, String> {
         cfg.validate()?;
-        if bytes.len() < CHECKPOINT_MAGIC.len() + 8 {
-            return Err("file too short".to_string());
-        }
-        let (body, tail) = bytes.split_at(bytes.len() - 8);
-        let stored = u64::from_le_bytes(tail.try_into().unwrap());
-        let computed = fnv1a64(body);
-        if stored != computed {
-            return Err(format!(
-                "checksum mismatch (stored {stored:#018x}, computed {computed:#018x})"
-            ));
-        }
-        let mut cur = Cursor {
-            bytes: body,
-            pos: 0,
-        };
-        if cur.take(4)? != CHECKPOINT_MAGIC {
-            return Err("bad magic".to_string());
-        }
+        let mut cur = Cursor::open(bytes)?;
         if cur.take(4)? != QS_KIND {
             return Err("not a quantile-stream checkpoint".to_string());
         }

@@ -358,11 +358,32 @@ fn encode_checkpoint<T: SelectElement>(fp: &Fingerprint, state: &CheckpointState
 }
 
 pub(crate) struct Cursor<'a> {
-    pub(crate) bytes: &'a [u8],
-    pub(crate) pos: usize,
+    bytes: &'a [u8],
+    pos: usize,
 }
 
 impl<'a> Cursor<'a> {
+    /// A cursor over the body of a checkpoint file, past its magic. The
+    /// trailing checksum is checked first.
+    pub(crate) fn open(file: &'a [u8]) -> Result<Self, String> {
+        if file.len() < CHECKPOINT_MAGIC.len() + 8 {
+            return Err("file too short".to_string());
+        }
+        let (bytes, tail) = file.split_at(file.len() - 8);
+        let stored = u64::from_le_bytes(tail.try_into().expect("an 8-byte checksum"));
+        let computed = fnv1a64(bytes);
+        if stored != computed {
+            return Err(format!(
+                "checksum mismatch (stored {stored:#018x}, computed {computed:#018x})"
+            ));
+        }
+        let mut cur = Cursor { bytes, pos: 0 };
+        if cur.take(4)? != CHECKPOINT_MAGIC {
+            return Err("bad magic".to_string());
+        }
+        Ok(cur)
+    }
+
     pub(crate) fn take(&mut self, len: usize) -> Result<&'a [u8], String> {
         let end = self
             .pos
@@ -382,16 +403,20 @@ impl<'a> Cursor<'a> {
         Ok(self.take(1)?[0])
     }
 
+    /// `len` little-endian words, taken only when that many bytes
+    /// remain: a length field never reserves memory its bytes do not back.
+    pub(crate) fn words(&mut self, len: u64) -> Result<impl Iterator<Item = u64> + 'a, String> {
+        let bytes = self.take(usize::try_from(len.saturating_mul(8)).unwrap_or(usize::MAX))?;
+        let word = |w: &[u8]| u64::from_le_bytes(w.try_into().expect("8-byte chunks"));
+        Ok(bytes.chunks_exact(8).map(word))
+    }
+
     pub(crate) fn elems<T: SelectElement>(&mut self, max_len: u64) -> Result<Vec<T>, String> {
         let len = self.u64()?;
         if len > max_len {
             return Err(format!("implausible array length {len}"));
         }
-        let mut out = Vec::with_capacity(len as usize);
-        for _ in 0..len {
-            out.push(T::from_bits_u64(self.u64()?));
-        }
-        Ok(out)
+        Ok(self.words(len)?.map(T::from_bits_u64).collect())
     }
 }
 
@@ -402,24 +427,7 @@ fn decode_checkpoint<T: SelectElement>(
     bytes: &[u8],
     fp: &Fingerprint,
 ) -> Result<CheckpointState<T>, String> {
-    if bytes.len() < CHECKPOINT_MAGIC.len() + 8 {
-        return Err("file too short".to_string());
-    }
-    let (body, tail) = bytes.split_at(bytes.len() - 8);
-    let stored = u64::from_le_bytes(tail.try_into().unwrap());
-    let computed = fnv1a64(body);
-    if stored != computed {
-        return Err(format!(
-            "checksum mismatch (stored {stored:#018x}, computed {computed:#018x})"
-        ));
-    }
-    let mut cur = Cursor {
-        bytes: body,
-        pos: 0,
-    };
-    if cur.take(4)? != CHECKPOINT_MAGIC {
-        return Err("bad magic".to_string());
-    }
+    let mut cur = Cursor::open(bytes)?;
     let version = u32::from_le_bytes(cur.take(4)?.try_into().unwrap());
     if version != CHECKPOINT_VERSION {
         return Err(format!("unsupported version {version}"));
@@ -475,12 +483,9 @@ fn decode_checkpoint<T: SelectElement>(
     if counts_len > fp.num_buckets {
         return Err(format!("implausible histogram length {counts_len}"));
     }
-    let mut counts = Vec::with_capacity(counts_len as usize);
-    for _ in 0..counts_len {
-        counts.push(cur.u64()?);
-    }
+    let counts: Vec<u64> = cur.words(counts_len)?.collect();
     let kept: Vec<T> = cur.elems(fp.n)?;
-    if cur.pos != body.len() {
+    if cur.pos != cur.bytes.len() {
         return Err("trailing garbage after checkpoint payload".to_string());
     }
     if phase > PHASE_SAMPLE && splitters.len() as u64 != fp.num_buckets - 1 {
@@ -1339,6 +1344,22 @@ mod tests {
                 "flip at byte {pos} must be detected"
             );
         }
+    }
+
+    #[test]
+    fn unbacked_length_field_is_truncated_not_reserved() {
+        // A valid checksum over a sample length of n = 2^40 with no
+        // elements behind it: rejected before anything is reserved.
+        let mut fp = test_fingerprint();
+        fp.n = 1 << 40;
+        let fresh = encode_checkpoint(&fp, &CheckpointState::<f32>::fresh(7));
+        // Four empty arrays (a length word each) and the checksum end it.
+        let mut bytes = fresh[..fresh.len() - 5 * 8].to_vec();
+        push_u64(&mut bytes, fp.n);
+        let checksum = fnv1a64(&bytes);
+        push_u64(&mut bytes, checksum);
+        let err = decode_checkpoint::<f32>(&bytes, &fp).unwrap_err();
+        assert!(err.contains("truncated"), "got: {err}");
     }
 
     #[test]
