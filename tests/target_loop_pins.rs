@@ -1,10 +1,10 @@
-//! Exact simulated-cost pins for the fused top-k and multi-rank
-//! selection drivers.
+//! Exact simulated-cost pins for the fused top-k, multi-rank and
+//! approximate selection drivers.
 //!
 //! Every case runs one query on a fresh simulated V100 and pins, as
 //! literals: a digest of the answer bits (the top-k set sorted by bit
-//! pattern behind its threshold, or the selected values in query
-//! order), the total simulated time, the launch-overhead share, the
+//! pattern behind its threshold, the selected values in query order, or
+//! the approximate value's bits and achieved rank), the total simulated time, the launch-overhead share, the
 //! level count, the early-exit flag and the per-kernel
 //! `(name, launches, bytes moved)` sequence.
 //!
@@ -13,7 +13,8 @@
 //! low-entropy `i % 251`} inputs. Top-k runs with k in {1, n/3, n};
 //! multi-rank selection runs with spread, duplicated, unsorted and
 //! adjacent (one-bucket) rank sets. Deep cases at n = 300,000 add a
-//! second sample level.
+//! second sample level. Approximate selection runs at rank n/3 on
+//! uniform input with {4, 256, 1024} buckets.
 //!
 //! Every case also runs under an observability session and must match
 //! the unobserved run exactly; the span and gauge output itself is not
@@ -26,8 +27,8 @@ use gpu_selection::hpc_par::ThreadPool;
 use gpu_selection::sampleselect::element::SelectElement;
 use gpu_selection::sampleselect::rng::SplitMix64;
 use gpu_selection::sampleselect::{
-    multi_select_on_device, top_k_largest_on_device, AtomicScope, ObsSession, SampleSelectConfig,
-    SelectReport,
+    approx_select_on_device, multi_select_on_device, top_k_largest_on_device, AtomicScope,
+    ObsSession, SampleSelectConfig, SelectReport,
 };
 
 /// Input size of the grid cases.
@@ -165,6 +166,7 @@ fn gen<T: PinElement>(input: &str, n: usize) -> Vec<T> {
 enum Query {
     TopK(usize),
     Ranks(&'static str),
+    Approx(usize),
 }
 
 fn rank_set(name: &str, n: usize) -> Vec<usize> {
@@ -201,6 +203,12 @@ fn run_once<T: SelectElement>(
             let res = multi_select_on_device(&mut device, data, &ranks, cfg)
                 .expect("multi-rank selection failed");
             let answer = digest(res.values.iter().map(|x| x.to_bits_u64()));
+            Observed::new(answer, &res.report)
+        }
+        Query::Approx(rank) => {
+            let res = approx_select_on_device(&mut device, data, rank, cfg)
+                .expect("approximate selection failed");
+            let answer = digest([res.value.to_bits_u64(), res.achieved_rank]);
             Observed::new(answer, &res.report)
         }
     };
@@ -276,6 +284,23 @@ fn all_cases(pool: &ThreadPool) -> Vec<(String, Observed)> {
         let case = format!("u32/deep/lowent/{name}");
         let obs = observe_case::<u32>(pool, "lowent", N_DEEP, query, &base, &case);
         out.push((case, obs));
+    }
+    for ty in ["f32", "u32"] {
+        for (scope, scope_name) in [
+            (AtomicScope::Shared, "shared"),
+            (AtomicScope::Global, "global"),
+        ] {
+            for b in [4, 256, 1024] {
+                let cfg = base.clone().with_atomic_scope(scope).with_buckets(b);
+                let case = format!("{ty}/{scope_name}/b{b}/uniform/approx");
+                let query = Query::Approx(N / 3);
+                let obs = match ty {
+                    "f32" => observe_case::<f32>(pool, "uniform", N, query, &cfg, &case),
+                    _ => observe_case::<u32>(pool, "uniform", N, query, &cfg, &case),
+                };
+                out.push((case, obs));
+            }
+        }
     }
     out
 }
@@ -520,6 +545,18 @@ const PINS: &[Pin] = &[
     Pin { case: "u32/deep/lowent/ranks-dup", answer: 0xd65abd69a3e76645, total_ns: 59685.930107816705, launch_overhead_ns: 39000.0, levels: 2, early: true, kernels: &[("sample", 3, 3060), ("count", 3, 1823082), ("reduce", 3, 610304), ("filter", 2, 616688)] },
     Pin { case: "u32/deep/lowent/ranks-unsorted", answer: 0x6d557cfc7afaec41, total_ns: 94995.2159838275, launch_overhead_ns: 63000.0, levels: 2, early: true, kernels: &[("sample", 5, 5100), ("count", 5, 1832134), ("reduce", 5, 616448), ("filter", 4, 1223816)] },
     Pin { case: "u32/deep/lowent/ranks-adjacent", answer: 0xf99bfdd09e94a665, total_ns: 41796.91466981132, launch_overhead_ns: 27000.0, levels: 2, early: true, kernels: &[("sample", 2, 2040), ("count", 2, 1808055), ("reduce", 2, 604160), ("filter", 1, 305952)] },
+    Pin { case: "f32/shared/b4/uniform/approx", answer: 0x327b7f94e2299a96, total_ns: 17187.382520215633, launch_overhead_ns: 15000.0, levels: 1, early: true, kernels: &[("sample", 1, 12), ("count_nowrite", 1, 80320), ("reduce", 1, 32)] },
+    Pin { case: "f32/shared/b256/uniform/approx", answer: 0xf555af4503a27280, total_ns: 20400.552938005392, launch_overhead_ns: 15000.0, levels: 1, early: true, kernels: &[("sample", 1, 1020), ("count_nowrite", 1, 100480), ("reduce", 1, 2048)] },
+    Pin { case: "f32/shared/b1024/uniform/approx", answer: 0xc3b29d07ba51af4e, total_ns: 38368.73175202156, launch_overhead_ns: 15000.0, levels: 1, early: true, kernels: &[("sample", 1, 4092), ("count_nowrite", 1, 161920), ("reduce", 1, 8192)] },
+    Pin { case: "f32/global/b4/uniform/approx", answer: 0x327b7f94e2299a96, total_ns: 41448.51752021564, launch_overhead_ns: 15000.0, levels: 1, early: true, kernels: &[("sample", 1, 12), ("count_nowrite", 1, 80000), ("reduce", 1, 32)] },
+    Pin { case: "f32/global/b256/uniform/approx", answer: 0xf555af4503a27280, total_ns: 45091.21293800539, launch_overhead_ns: 15000.0, levels: 1, early: true, kernels: &[("sample", 1, 1020), ("count_nowrite", 1, 80000), ("reduce", 1, 2048)] },
+    Pin { case: "f32/global/b1024/uniform/approx", answer: 0xc3b29d07ba51af4e, total_ns: 63076.85175202156, launch_overhead_ns: 15000.0, levels: 1, early: true, kernels: &[("sample", 1, 4092), ("count_nowrite", 1, 80000), ("reduce", 1, 8192)] },
+    Pin { case: "u32/shared/b4/uniform/approx", answer: 0x03346b2eccd188a8, total_ns: 17288.94752021563, launch_overhead_ns: 15000.0, levels: 1, early: true, kernels: &[("sample", 1, 12), ("count_nowrite", 1, 80320), ("reduce", 1, 32)] },
+    Pin { case: "u32/shared/b256/uniform/approx", answer: 0x9d68beac28820706, total_ns: 20400.462938005392, launch_overhead_ns: 15000.0, levels: 1, early: true, kernels: &[("sample", 1, 1020), ("count_nowrite", 1, 100480), ("reduce", 1, 2048)] },
+    Pin { case: "u32/shared/b1024/uniform/approx", answer: 0x3d35c90f695d9719, total_ns: 38368.50675202156, launch_overhead_ns: 15000.0, levels: 1, early: true, kernels: &[("sample", 1, 4092), ("count_nowrite", 1, 161920), ("reduce", 1, 8192)] },
+    Pin { case: "u32/global/b4/uniform/approx", answer: 0x03346b2eccd188a8, total_ns: 41448.51752021564, launch_overhead_ns: 15000.0, levels: 1, early: true, kernels: &[("sample", 1, 12), ("count_nowrite", 1, 80000), ("reduce", 1, 32)] },
+    Pin { case: "u32/global/b256/uniform/approx", answer: 0x9d68beac28820706, total_ns: 45091.21293800539, launch_overhead_ns: 15000.0, levels: 1, early: true, kernels: &[("sample", 1, 1020), ("count_nowrite", 1, 80000), ("reduce", 1, 2048)] },
+    Pin { case: "u32/global/b1024/uniform/approx", answer: 0x3d35c90f695d9719, total_ns: 63076.85175202156, launch_overhead_ns: 15000.0, levels: 1, early: true, kernels: &[("sample", 1, 4092), ("count_nowrite", 1, 80000), ("reduce", 1, 8192)] },
 ];
 
 #[test]
