@@ -9,15 +9,18 @@
 //! maximum bucket size, controllable through the bucket count and sample
 //! size — which is why the paper recommends the maximal bucket count
 //! that still fits shared memory (b ≤ 1024).
+//!
+//! The level is written once, generic over the level loop's executor:
+//! the simulated device charges it as the sample, `count_nowrite` and
+//! totals-only `reduce` kernels, and the host backend
+//! ([`crate::cpu::cpu_approx_select`]) runs it on a thread pool.
 
-use crate::count::count_kernel;
 use crate::element::SelectElement;
 use crate::instrument::SelectReport;
 use crate::params::SampleSelectConfig;
-use crate::recursion::validate_input;
-use crate::reduce::reduce_totals_kernel;
+use crate::recursion::{built_tree, validate_input, Executor, SplitterLevels};
 use crate::rng::SplitMix64;
-use crate::splitter::sample_kernel;
+use crate::workspace::SelectWorkspace;
 use crate::SelectError;
 use gpu_sim::arch::v100;
 use gpu_sim::{Device, LaunchOrigin};
@@ -50,52 +53,43 @@ pub fn approx_select_on_device<T: SelectElement>(
     rank: usize,
     cfg: &SampleSelectConfig,
 ) -> Result<ApproxResult<T>, SelectError> {
-    cfg.validate_count_only()
-        .map_err(SelectError::InvalidConfig)?;
-    validate_input(data, rank, cfg)?;
-
-    let n = data.len();
     let records_before = device.records().len();
-    let mut rng = SplitMix64::new(cfg.seed);
-
-    let tree = sample_kernel(device, data, cfg, &mut rng, LaunchOrigin::Host)?;
-    let count = count_kernel(device, data, &tree, cfg, false, LaunchOrigin::Host);
-    let red = reduce_totals_kernel(device, &count, LaunchOrigin::Device);
-
-    // The splitter bounding bucket i from below has rank
-    // `bucket_offsets[i]`; splitters exist for i = 1..b. Pick the one
-    // whose rank is closest to the target.
-    let b = tree.num_buckets();
-    let target = rank as u64;
-    let mut best_bucket = 1usize;
-    let mut best_err = u64::MAX;
-    for i in 1..b {
-        let r = red.bucket_offsets[i];
-        let err = r.abs_diff(target);
-        if err < best_err {
-            best_err = err;
-            best_bucket = i;
-        }
-    }
-    let value = tree
-        .bucket_lower(best_bucket)
-        .expect("buckets 1..b always have a lower-bound splitter");
-    let achieved_rank = red.bucket_offsets[best_bucket];
-
-    let report = SelectReport::from_records(
-        "approx-sampleselect",
-        n,
-        &device.records()[records_before..],
-        1,
-        true,
-    );
+    let (value, achieved_rank) = nearest_splitter(device, data, rank, cfg)?;
+    let (n, rank_error) = (data.len(), achieved_rank.abs_diff(rank as u64));
+    let records = &device.records()[records_before..];
+    let report = SelectReport::from_records("approx-sampleselect", n, records, 1, true);
     Ok(ApproxResult {
         value,
         achieved_rank,
-        rank_error: best_err,
-        relative_error: best_err as f64 / n as f64,
+        rank_error,
+        relative_error: rank_error as f64 / n as f64,
         report,
     })
+}
+
+/// The splitter whose rank is nearest `rank`, and that rank, by one
+/// level on `exec`: sample, a count that stores no oracles, and reduce.
+/// The splitter bounding bucket `i` from below has rank
+/// `bucket_offsets[i]`; splitters exist for `i = 1..b`.
+pub(crate) fn nearest_splitter<T: SelectElement, E: Executor<T, SplitterLevels>>(
+    exec: &mut E,
+    data: &[T],
+    rank: usize,
+    cfg: &SampleSelectConfig,
+) -> Result<(T, u64), SelectError> {
+    cfg.validate_count_only()
+        .map_err(SelectError::InvalidConfig)?;
+    validate_input(data, rank, cfg)?;
+    let (ws, origin) = (&mut SelectWorkspace::new(), LaunchOrigin::Host);
+    exec.sample(data, cfg, &mut SplitMix64::new(cfg.seed), origin, ws)?;
+    let tree = built_tree(ws);
+    let count = exec.count(data, tree, cfg, false, origin, ws);
+    let offsets = exec.reduce(&count).bucket_offsets;
+    let best = (1..tree.num_buckets())
+        .min_by_key(|&i| offsets[i].abs_diff(rank as u64))
+        .expect("at least one splitter");
+    let value = tree.bucket_lower(best).expect("splitter exists");
+    Ok((value, offsets[best]))
 }
 
 /// Approximate selection on a default simulated device (Tesla V100).

@@ -1,26 +1,26 @@
 //! The real multithreaded CPU backend: SampleSelect's one level loop
 //! ([`crate::recursion`]) run by a host executor.
 //!
-//! The executor runs each level's sample, count, filter and base case
-//! on host threads for genuine wall-clock speed and charges nothing to a
-//! simulated clock. Per-chunk local histograms play the role of
-//! shared-memory counters, and the merge step plays the role of the
-//! `reduce` kernel. As in the paper, the count stores each element's
-//! bucket as an oracle and the filter reads the oracles instead of
-//! classifying the elements again. Exact selection, top-k and
-//! multi-rank selection get the loop's guards, limits and spans; the
-//! approximate variant is its single count pass, which stores no
-//! oracles. Criterion benchmarks in the `select-bench` crate
-//! measure this backend; it is also a practically useful parallel
-//! `nth_element`.
+//! The executor runs each level's sample, count, reduce, filter and base
+//! case on host threads for genuine wall-clock speed and charges nothing
+//! to a simulated clock. Its levels have the device's shape, with chunks
+//! in the role of blocks: the count keeps bucket-major per-chunk counts,
+//! the reduce scans them, and each chunk of the filter writes its
+//! elements straight to the slots the scan gives it. So the filter output
+//! is the device's, element for element. As in the paper, the count
+//! stores each element's bucket as an oracle and the filter reads the
+//! oracles instead of classifying the elements again. Approximate
+//! selection is [`crate::approx`]'s one level on this executor.
+//! Criterion benchmarks in the `select-bench` crate measure this backend;
+//! it is also a practically useful parallel `nth_element`.
 
+use crate::approx::nearest_splitter;
 use crate::count::{Classifier, CountResult, OracleBuf};
 use crate::element::{sort_elements, SelectElement};
 use crate::instrument::SelectReport;
 use crate::params::SampleSelectConfig;
 use crate::recursion::{
-    built_tree, fused_with_workspace, rank_levels, ranks_with_workspace, splitters, validate_input,
-    Executor, SplitterLevels,
+    fused_with_workspace, rank_levels, ranks_with_workspace, splitters, Executor, SplitterLevels,
 };
 use crate::reduce::ReduceResult;
 use crate::rng::SplitMix64;
@@ -30,7 +30,7 @@ use crate::verify::check_splitters;
 use crate::workspace::SelectWorkspace;
 use crate::SelectError;
 use gpu_sim::warp::WARP_SIZE;
-use gpu_sim::LaunchOrigin;
+use gpu_sim::{LaunchOrigin, ScatterBuffer};
 use hpc_par::simd::{self, SimdLevel};
 use hpc_par::ThreadPool;
 use std::ops::Range;
@@ -120,37 +120,45 @@ impl<T: SelectElement> Executor<T, SplitterLevels> for Host<'_> {
         cur: &[T],
         classifier: &impl Classifier<T>,
         cfg: &SampleSelectConfig,
+        oracles: bool,
         _origin: LaunchOrigin,
         _ws: &SelectWorkspace<T>,
     ) -> CountResult {
         self.scanned += cur.len() as u64;
         // The oracle width follows the configured bucket count.
         assert_eq!(classifier.num_buckets(), cfg.num_buckets);
-        let (counts, oracles) = if cfg.oracle_bytes() == 1 {
-            let mut oracles = vec![0u8; cur.len()];
-            let counts = classify(self.pool, cur, classifier, &mut oracles);
-            (counts, OracleBuf::U8(oracles))
-        } else {
-            let mut oracles = vec![0u16; cur.len()];
-            let counts = classify(self.pool, cur, classifier, &mut oracles);
-            (counts, OracleBuf::U16(oracles))
-        };
-        CountResult {
-            counts,
-            partials: Vec::new(),
-            blocks: 0,
-            oracles: Some(oracles),
+        let (pool, n) = (self.pool, cur.len());
+        if !oracles {
+            return classify(pool, cur, classifier, &mut vec![(); n], |_| ());
         }
+        let (count, oracles) = if cfg.oracle_bytes() == 1 {
+            let mut o = vec![0u8; n];
+            (
+                classify(pool, cur, classifier, &mut o, |k| k as u8),
+                OracleBuf::U8(o),
+            )
+        } else {
+            let mut o = vec![0u16; n];
+            (
+                classify(pool, cur, classifier, &mut o, |k| k as u16),
+                OracleBuf::U16(o),
+            )
+        };
+        let oracles = Some(oracles);
+        CountResult { oracles, ..count }
     }
 
     fn reduce(&mut self, count: &CountResult) -> ReduceResult {
-        let mut bucket_offsets = count.counts.clone();
-        let total = hpc_par::exclusive_scan(&mut bucket_offsets);
-        bucket_offsets.push(total);
+        // Scan the bucket-major partials as the reduce kernel does; a
+        // bucket starts at its first chunk's offset.
+        let (mut offsets, blocks) = (count.partials.clone(), count.blocks);
+        let total = hpc_par::exclusive_scan(&mut offsets);
+        let starts = offsets.iter().step_by(blocks).copied();
+        let bucket_offsets = starts.chain([total]).collect();
         ReduceResult {
-            offsets: Vec::new(),
+            offsets,
             bucket_offsets,
-            blocks: 0,
+            blocks,
         }
     }
 
@@ -163,17 +171,18 @@ impl<T: SelectElement> Executor<T, SplitterLevels> for Host<'_> {
         _cfg: &SampleSelectConfig,
         _ws: &SelectWorkspace<T>,
     ) -> Vec<T> {
-        let offsets = &red.bucket_offsets;
-        let len = (offsets[range.end as usize] - offsets[range.start as usize]) as usize;
         let (first, last, level) = (range.start, range.end - 1, simd::simd_level());
         let (pool, oracles) = (self.pool, count.oracles.as_ref());
         match oracles.expect("the host count writes oracles") {
-            OracleBuf::U8(o) if first == last => {
-                let one = |w: &[u8]| [simd::eq_mask_u8(w, first as u8, level), 0, 0];
-                gather(pool, cur, o, len, one)
-            }
-            OracleBuf::U8(o) => gather(pool, cur, o, len, |w| class_masks(w, first, last, level)),
-            OracleBuf::U16(o) => gather(pool, cur, o, len, |w| class_masks(w, first, last, level)),
+            OracleBuf::U8(o) if first == last => scatter(pool, cur, o, red, range, |w| {
+                simd::eq_mask_u8(w, first as u8, level)
+            }),
+            OracleBuf::U8(o) => scatter(pool, cur, o, red, range, |w| {
+                in_range(w, first, last, level)
+            }),
+            OracleBuf::U16(o) => scatter(pool, cur, o, red, range, |w| {
+                in_range(w, first, last, level)
+            }),
         }
     }
 
@@ -190,47 +199,29 @@ impl<T: SelectElement> Executor<T, SplitterLevels> for Host<'_> {
     }
 }
 
-/// Elements per parallel chunk of a level: a whole number of warps.
+/// Elements per parallel chunk of a level: a whole number of warps, and
+/// few enough for a chunk's `u32` bucket counts.
 fn chunk_len(pool: &ThreadPool, n: usize) -> usize {
     let chunk = n.div_ceil(pool.num_threads() * 8).max(hpc_par::min_chunk());
-    chunk.next_multiple_of(WARP_SIZE)
+    chunk.min(1 << 31).next_multiple_of(WARP_SIZE)
 }
 
-/// A stored bucket: `u8` or `u16`, or `()` for a count that stores none.
-trait Oracle: Copy + Send {
-    fn of(bucket: u32) -> Self;
-}
-
-impl Oracle for u8 {
-    fn of(bucket: u32) -> Self {
-        bucket as u8
-    }
-}
-
-impl Oracle for u16 {
-    fn of(bucket: u32) -> Self {
-        bucket as u16
-    }
-}
-
-impl Oracle for () {
-    fn of(_: u32) {}
-}
-
-/// The count per bucket of `classifier` over `cur`, writing each
-/// element's bucket to `oracles`. Chunks run in parallel; each adds into
-/// four interleaved `u32` sub-histograms, consecutive elements into
-/// different ones, so that a run of one bucket does not wait on its own
-/// last increment.
-fn classify<T: SelectElement, W: Oracle>(
+/// The counts per bucket of `classifier` over `cur`, per chunk as
+/// bucket-major partials (`[bucket * chunks + chunk]`) and in total,
+/// writing each element's bucket to `oracles` as `oracle` stores it: a
+/// `u8` or `u16`, or `()` for a count that stores none. Chunks run in
+/// parallel; each adds into four interleaved `u32` sub-histograms,
+/// consecutive elements into different ones, so that a run of one bucket
+/// does not wait on its own last increment, and sums them at its end.
+fn classify<T: SelectElement, W: Copy + Send>(
     pool: &ThreadPool,
     cur: &[T],
     classifier: &impl Classifier<T>,
     oracles: &mut [W],
-) -> Vec<u64> {
+    oracle: impl Fn(u32) -> W + Sync,
+) -> CountResult {
     let b = classifier.num_buckets();
-    // A sub-histogram entry counts about a quarter of its chunk at most.
-    let chunk = chunk_len(pool, cur.len()).min(u32::MAX as usize);
+    let chunk = chunk_len(pool, cur.len());
     let sub = || [(); 4].map(|_| vec![0u32; b]);
     let mut parts: Vec<_> = oracles.chunks_mut(chunk).map(|o| (o, sub())).collect();
     hpc_par::iter::parallel_chunks_mut(pool, &mut parts, 1, |c, part| {
@@ -240,8 +231,8 @@ fn classify<T: SelectElement, W: Oracle>(
         for (batch, oracles) in chunk.zip(oracles.chunks_mut(buckets.len())) {
             let buckets = &mut buckets[..batch.len()];
             classifier.classify_warp(batch, buckets);
-            for (&bucket, oracle) in buckets.iter().zip(oracles) {
-                *oracle = W::of(bucket);
+            for (&bucket, stored) in buckets.iter().zip(oracles) {
+                *stored = oracle(bucket);
             }
             let mut quads = buckets.chunks_exact(4);
             for quad in &mut quads {
@@ -254,81 +245,83 @@ fn classify<T: SelectElement, W: Oracle>(
                 s0[bucket as usize] += 1;
             }
         }
-    });
-    let mut counts = vec![0u64; b];
-    for lane in parts.iter().flat_map(|(_, sub)| sub) {
-        for (count, &c) in counts.iter_mut().zip(lane) {
-            *count += c as u64;
+        for (bucket, total) in s0.iter_mut().enumerate() {
+            *total += s1[bucket] + s2[bucket] + s3[bucket];
         }
+    });
+    let blocks = parts.len();
+    let partial = |i: usize| parts[i % blocks].1[0][i / blocks] as u64;
+    let partials: Vec<u64> = (0..b * blocks).map(partial).collect();
+    let counts = partials.chunks(blocks).map(|p| p.iter().sum()).collect();
+    CountResult {
+        counts,
+        partials,
+        blocks,
+        oracles: None,
     }
-    counts
 }
 
-/// The `len` elements of `cur` that `classes` takes, class by class and
-/// each class in input order. `classes` maps a warp's oracles to one bit
-/// mask per class. Chunks run in parallel a warp at a time, skip a warp
-/// that no class takes, and join class by class in chunk order.
-fn gather<T: SelectElement, W: Sync>(
+/// The elements of `cur` in the buckets of `range`, bucket-major and in
+/// input order within a bucket, as the filter kernel writes them. Chunks
+/// run in parallel a warp at a time: `lanes` marks a warp's elements in
+/// the range, and each is written to the next slot of its bucket in its
+/// chunk, which starts at the chunk's scanned partial in `red`.
+fn scatter<T: SelectElement, W: Copy + Into<u32> + Sync>(
     pool: &ThreadPool,
     cur: &[T],
     oracles: &[W],
-    len: usize,
-    classes: impl Fn(&[W]) -> [u32; 3] + Sync,
+    red: &ReduceResult,
+    range: Range<u32>,
+    lanes: impl Fn(&[W]) -> u32 + Sync,
 ) -> Vec<T> {
-    let n = cur.len();
-    let chunk = chunk_len(pool, n);
-    let mut parts = vec![[Vec::new(), Vec::new(), Vec::new()]; n.div_ceil(chunk)];
-    hpc_par::iter::parallel_chunks_mut(pool, &mut parts, 1, |c, part| {
-        let span = c * chunk..n.min((c + 1) * chunk);
-        let warps = cur[span.clone()].chunks(WARP_SIZE);
-        for (warp, oracles) in warps.zip(oracles[span].chunks(WARP_SIZE)) {
-            let masks = classes(oracles);
-            if masks == [0; 3] {
-                continue;
-            }
-            for (mut mask, out) in masks.into_iter().zip(&mut part[0]) {
-                if mask == u32::MAX {
-                    // A whole warp of one class, as in most of a top-k
-                    // with k near n.
-                    out.extend_from_slice(warp);
-                    continue;
+    let (n, chunks, chunk) = (cur.len(), red.blocks, chunk_len(pool, cur.len()));
+    let base = red.bucket_offsets[range.start as usize];
+    let len = (red.bucket_offsets[range.end as usize] - base) as usize;
+    let out = ScatterBuffer::from_storage(Vec::new(), len);
+    hpc_par::iter::parallel_for_chunks(pool, chunks, 1, |cs| {
+        for c in cs {
+            let slot = |k: u32| (red.offsets[k as usize * chunks + c] - base) as usize;
+            let mut next: Vec<usize> = range.clone().map(slot).collect();
+            let mut put = |x: T, oracle: W| {
+                let next = &mut next[(oracle.into() - range.start) as usize];
+                // SAFETY: chunk `c` owns, per bucket, the slots from its
+                // scanned partial on, as many as the partial counts; each
+                // of its elements in the bucket takes the next one.
+                unsafe { out.write(*next, x) };
+                *next += 1;
+            };
+            let span = c * chunk..n.min((c + 1) * chunk);
+            let warps = cur[span.clone()].chunks(WARP_SIZE);
+            for (warp, oracles) in warps.zip(oracles[span].chunks(WARP_SIZE)) {
+                let mut lanes = lanes(oracles);
+                if lanes == u32::MAX {
+                    // A whole warp in the range, as most are in a top-k
+                    // with k near n: no lane to look up.
+                    lanes = 0;
+                    warp.iter().zip(oracles).for_each(|(&x, &o)| put(x, o));
                 }
-                while mask != 0 {
-                    out.push(warp[mask.trailing_zeros() as usize]);
-                    mask &= mask - 1;
+                while lanes != 0 {
+                    let lane = lanes.trailing_zeros() as usize;
+                    put(warp[lane], oracles[lane]);
+                    lanes &= lanes - 1;
                 }
             }
         }
     });
-    let mut out = Vec::with_capacity(len);
-    for class in 0..3 {
-        for part in &parts {
-            out.extend_from_slice(&part[class]);
-        }
-    }
-    out
+    // SAFETY: the partials count exactly the elements each chunk wrote,
+    // so their scan leaves no slot of `0..len` unwritten.
+    unsafe { out.into_vec(len) }
 }
 
-/// The three classes of the bucket range `first..=last` over a warp's
-/// oracles, as bit masks: its first bucket, the buckets between, and its
-/// last bucket when that is not the first. Each oracle becomes a class
-/// byte (1, 2 or 3 in that order, 0 outside the range), and `eq_mask_u8`
-/// makes a mask per class; building the masks bit by bit ran about
-/// twice as slow.
-fn class_masks<W: Copy + Into<u32>>(
-    oracles: &[W],
-    first: u32,
-    last: u32,
-    level: SimdLevel,
-) -> [u32; 3] {
-    let mut classes = [0u8; WARP_SIZE];
-    for (class, &oracle) in classes.iter_mut().zip(oracles) {
-        let bucket: u32 = oracle.into();
-        let inside = bucket.wrapping_sub(first) <= last - first;
-        *class = inside as u8 * (1 + (bucket != first) as u8 * (1 + (bucket == last) as u8));
+/// The lanes of a warp whose oracles lie in `first..=last`, as a bit
+/// mask: one flag byte per lane, then `eq_mask_u8`. Testing each lane
+/// with a branch ran up to 80 % slower on a top-k at k = n/2.
+fn in_range<W: Copy + Into<u32>>(oracles: &[W], first: u32, last: u32, level: SimdLevel) -> u32 {
+    let mut inside = [0u8; WARP_SIZE];
+    for (flag, &oracle) in inside.iter_mut().zip(oracles) {
+        *flag = (oracle.into().wrapping_sub(first) <= last - first) as u8;
     }
-    let classes = &classes[..oracles.len()];
-    [1, 2, 3].map(|class| simd::eq_mask_u8(classes, class, level))
+    simd::eq_mask_u8(&inside[..oracles.len()], 1, level)
 }
 
 /// Parallel exact selection on the host: the `rank`-th smallest element.
@@ -357,22 +350,8 @@ pub fn cpu_approx_select<T: SelectElement>(
     rank: usize,
     cfg: &CpuSelectConfig,
 ) -> Result<(T, u64), SelectError> {
-    let cfg = cfg.loop_config();
-    <Host as Executor<T, SplitterLevels>>::validate(&cfg).map_err(SelectError::InvalidConfig)?;
-    validate_input(data, rank, &cfg)?;
-    let (mut host, ws) = (Host { pool, scanned: 0 }, &mut SelectWorkspace::new());
-    let origin = LaunchOrigin::Host;
-    host.sample(data, &cfg, &mut SplitMix64::new(cfg.seed), origin, ws)?;
-    let tree = built_tree(ws);
-    // No filter follows, so the count stores no oracles.
-    let mut offsets = classify(pool, data, tree, &mut vec![(); data.len()]);
-    hpc_par::exclusive_scan(&mut offsets);
-    let target = rank as u64;
-    let best = (1..cfg.num_buckets)
-        .min_by_key(|&i| offsets[i].abs_diff(target))
-        .expect("at least one splitter");
-    let value = tree.bucket_lower(best).expect("splitter exists");
-    Ok((value, offsets[best]))
+    let (cfg, mut host) = (cfg.loop_config(), Host { pool, scanned: 0 });
+    nearest_splitter(&mut host, data, rank, &cfg)
 }
 
 /// Parallel top-k on the host: the `k` largest elements (unordered)
@@ -592,8 +571,20 @@ mod tests {
         assert!(cpu_top_k(&p, &data, 2, &CpuSelectConfig::default()).is_err());
     }
 
+    /// The elements' bits, for bit-exact comparison.
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
-    fn host_filter_keeps_its_range_led_by_the_first_bucket_and_ended_by_the_last() {
+    fn host_filter_equals_the_filter_kernel() {
+        use crate::count::count_kernel;
+        use crate::filter::filter_kernel;
+        use crate::recursion::built_tree;
+        use crate::reduce::reduce_kernel;
+        use gpu_sim::arch::v100;
+        use gpu_sim::Device;
+
         let n = 1 << 16;
         let mut rng = SplitMix64::new(14);
         let d16: Vec<f32> = (0..n).map(|_| rng.next_below(16) as f32).collect();
@@ -606,41 +597,59 @@ mod tests {
                     ..CpuSelectConfig::default()
                 }
                 .loop_config();
-                let (mut host, ws) = (
-                    Host {
-                        pool: &pool,
-                        scanned: 0,
-                    },
-                    &mut SelectWorkspace::new(),
-                );
-                let origin = LaunchOrigin::Host;
+                let mut host = Host {
+                    pool: &pool,
+                    scanned: 0,
+                };
+                let (ws, origin) = (&mut SelectWorkspace::new(), LaunchOrigin::Host);
                 host.sample(data, &cfg, &mut SplitMix64::new(cfg.seed), origin, ws)
                     .unwrap();
-                let count = host.count(data, built_tree(ws), &cfg, origin, ws);
+                let tree = built_tree(ws);
+                let count = host.count(data, tree, &cfg, true, origin, ws);
                 let red = Executor::<f32, SplitterLevels>::reduce(&mut host, &count);
-                let buckets: Vec<u32> = data.iter().map(|&x| built_tree(ws).lookup(x)).collect();
-                let of = |keep: &dyn Fn(u32) -> bool| -> Vec<u32> {
-                    let both = data.iter().zip(&buckets);
-                    both.filter(|&(_, &k)| keep(k))
-                        .map(|(x, _)| x.to_bits())
-                        .collect()
-                };
+                let mut device = Device::new(v100(), &pool);
+                let dev_count = count_kernel(&mut device, data, tree, &cfg, true, origin);
+                let dev_red = reduce_kernel(&mut device, &dev_count, origin);
+                assert_eq!(red.bucket_offsets, dev_red.bucket_offsets);
                 let t = b as u32 / 2;
                 for range in [t..t + 1, t..b as u32, 0..t + 1, t - 1..t + 2] {
                     let case = format!("{threads} threads, b = {b}, range {range:?}");
                     let out = host.filter(data, &count, &red, range.clone(), &cfg, ws);
-                    let out: Vec<u32> = out.iter().map(|x| x.to_bits()).collect();
-                    // Led by the first bucket and ended by the last, each
-                    // in input order.
-                    let lead = of(&|k| k == range.start);
-                    let end = of(&|k| k == range.end - 1);
-                    assert_eq!(out[..lead.len()], lead, "{case}");
-                    assert_eq!(out[out.len() - end.len()..], end, "{case}");
-                    let (mut got, mut want) = (out, of(&|k| range.contains(&k)));
-                    got.sort_unstable();
-                    want.sort_unstable();
-                    assert_eq!(got, want, "{case}");
+                    let (c, r) = (&dev_count, &dev_red);
+                    let want = filter_kernel(&mut device, data, c, r, range, &cfg, origin);
+                    assert_eq!(bits(&out), bits(&want), "{case}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn host_sort_equals_the_device_sort() {
+        use crate::recursion::sort_levels;
+        use gpu_sim::arch::v100;
+        use gpu_sim::Device;
+
+        let n = 100_000;
+        let mut rng = SplitMix64::new(16);
+        let d16: Vec<f32> = (0..n).map(|_| rng.next_below(16) as f32 - 7.5).collect();
+        let cfg = CpuSelectConfig::default().loop_config();
+        for data in [uniform(n, 17), d16] {
+            let mut want = data.clone();
+            sort_elements(&mut want);
+            for threads in [1, 3] {
+                let pool = ThreadPool::new(threads);
+                let mut host = Host {
+                    pool: &pool,
+                    scanned: 0,
+                };
+                let got = sort_levels(&mut host, &data, &cfg).unwrap().sorted;
+                let device = sort_levels(&mut Device::new(v100(), &pool), &data, &cfg);
+                assert_eq!(
+                    bits(&got),
+                    bits(&device.unwrap().sorted),
+                    "{threads} threads"
+                );
+                assert_eq!(bits(&got), bits(&want), "{threads} threads");
             }
         }
     }

@@ -29,7 +29,7 @@ use crate::multiselect::MultiSelectResult;
 use crate::obs::{self, Gauge, Histogram, SpanKind, Track};
 use crate::params::{ConfigError, SampleSelectConfig};
 use crate::radix::{key_bits, DigitClassifier, DIGIT_BITS};
-use crate::reduce::{reduce_kernel, ReduceResult};
+use crate::reduce::{reduce_kernel, reduce_totals_kernel, ReduceResult};
 use crate::rng::SplitMix64;
 use crate::samplesort::SortResult;
 use crate::searchtree::SearchTree;
@@ -310,10 +310,9 @@ pub(crate) fn ranks_with_workspace<T: SelectElement, E: Executor<T, SplitterLeve
 }
 
 /// `data` ascending: sample sort (§VI), SampleSelect's levels with every
-/// bucket descending. Simulated only: the host filter's order is not
-/// bucket-major, and `All` slices the filter output at every bucket.
-pub(crate) fn sort_levels<T: SelectElement>(
-    device: &mut Device,
+/// bucket descending, run on `exec`.
+pub(crate) fn sort_levels<T: SelectElement, E: Executor<T, SplitterLevels>>(
+    exec: &mut E,
     data: &[T],
     cfg: &SampleSelectConfig,
 ) -> Result<SortResult<T>, SelectError> {
@@ -322,7 +321,7 @@ pub(crate) fn sort_levels<T: SelectElement>(
     let (sorted, ws) = (data.to_vec(), &mut SelectWorkspace::new());
     let (mut all, mut report) = (All { pending, sorted }, SelectReport::empty(""));
     let levels = splitters(cfg);
-    level_loop(device, data, &[], cfg, ws, &mut report, levels, &mut all)?;
+    level_loop(exec, data, &[], cfg, ws, &mut report, levels, &mut all)?;
     let sorted = all.sorted;
     Ok(SortResult { sorted, report })
 }
@@ -492,26 +491,28 @@ pub(crate) trait Executor<T: SelectElement, B> {
         ws: &mut SelectWorkspace<T>,
     ) -> Result<(), SelectError>;
 
-    /// Count the elements of `cur` per bucket of `classifier`.
+    /// Count the elements of `cur` per bucket of `classifier`, storing
+    /// each element's bucket as an oracle if `oracles`.
     fn count(
         &mut self,
         cur: &[T],
         classifier: &impl Classifier<T>,
         cfg: &SampleSelectConfig,
+        oracles: bool,
         origin: LaunchOrigin,
         ws: &SelectWorkspace<T>,
     ) -> CountResult;
 
-    /// Prefix-sum a level's counts into bucket offsets.
+    /// Prefix-sum a level's counts into bucket and filter offsets.
     fn reduce(&mut self, count: &CountResult) -> ReduceResult;
 
     /// Pick the bucket holding the rank among `num_buckets`.
     fn select_bucket(&mut self, _num_buckets: usize) {}
 
-    /// The elements of `cur` in the buckets of `range`, led by those of
-    /// the range's first bucket and ended by those of its last; the
-    /// buckets between may mix. [`Fused`] slices its target bucket off
-    /// on that order; [`All`] needs the bucket-major order of a [`Device`].
+    /// The elements of `cur` in the buckets of `range`, bucket-major and
+    /// in input order within a bucket, so that every executor returns
+    /// the same sequence. [`Fused`] and [`All`] slice the output at the
+    /// bucket bounds.
     fn filter(
         &mut self,
         cur: &[T],
@@ -573,10 +574,11 @@ impl<T: SelectElement, B: LevelBucketing<T>> Executor<T, B> for Device<'_> {
         cur: &[T],
         classifier: &impl Classifier<T>,
         cfg: &SampleSelectConfig,
+        oracles: bool,
         origin: LaunchOrigin,
         ws: &SelectWorkspace<T>,
     ) -> CountResult {
-        let count = count_kernel_scoped(self, cur, classifier, cfg, true, origin, &ws.scratch);
+        let count = count_kernel_scoped(self, cur, classifier, cfg, oracles, origin, &ws.scratch);
         if obs::enabled() {
             // Derived samples computed only when a session is installed
             // (the occupancy scan would otherwise be pure overhead).
@@ -596,7 +598,11 @@ impl<T: SelectElement, B: LevelBucketing<T>> Executor<T, B> for Device<'_> {
     }
 
     fn reduce(&mut self, count: &CountResult) -> ReduceResult {
-        reduce_kernel(self, count, LaunchOrigin::Device)
+        // A count without oracles feeds no filter: its totals suffice.
+        match count.oracles {
+            Some(_) => reduce_kernel(self, count, LaunchOrigin::Device),
+            None => reduce_totals_kernel(self, count, LaunchOrigin::Device),
+        }
     }
 
     fn select_bucket(&mut self, num_buckets: usize) {
@@ -1060,7 +1066,7 @@ fn level_loop<T: SelectElement, B: LevelBucketing<T>, Q: Target<T>, E: Executor<
         let classifier = bucketing.classifier(ws);
         let count_name = classifier.kernel_name(true);
         obs::span_enter(SpanKind::Kernel, count_name, level_ix, exec.now());
-        let count = exec.count(cur, classifier, cfg, origin, ws);
+        let count = exec.count(cur, classifier, cfg, true, origin, ws);
         obs::span_exit(exec.now());
         if cfg.verify.spot_checks() {
             check_histogram(&count.counts, cur.len())?;

@@ -10,8 +10,8 @@
 //! get faster, not slower.
 //!
 //! The sort runs the shared level loop of [`crate::recursion`] with its
-//! `All` target, on the simulated executor only; this module holds its
-//! entry points.
+//! `All` target, which any executor can run because every executor's
+//! filter is bucket-major; this module holds its device entry points.
 
 use crate::element::SelectElement;
 use crate::instrument::SelectReport;
