@@ -300,6 +300,11 @@ impl<T: SelectElement> QuantileStream<T> {
         device: &mut Device,
         batch: &[T],
     ) -> Result<Vec<WindowQuantiles<T>>, SelectError> {
+        if self.seen.checked_add(batch.len() as u64).is_none() {
+            return Err(SelectError::InvalidArgument {
+                what: format!("stream offset {} overflows by this batch", self.seen),
+            });
+        }
         let mut closed = Vec::new();
         for &x in batch {
             self.push(x);
@@ -390,6 +395,14 @@ impl<T: SelectElement> QuantileStream<T> {
             }
             k => return Err(format!("invalid last-window tag {k}")),
         };
+        // The window schedule fixes how many windows closed by `seen`, and
+        // the index and offset of the last.
+        let (len, slide) = (cfg.window.len as u64, cfg.window.slide as u64);
+        let due = seen.checked_sub(len).map_or(0, |past| past / slide + 1);
+        let close = due.checked_sub(1).map(|i| (i, len + i * slide));
+        if windows_emitted != due || last.as_ref().map(|w| (w.index, w.end_offset)) != close {
+            return Err(format!("window counters disagree with offset {seen}"));
+        }
         // The ring stores stream element `i` in slot `i % len`; the
         // checkpoint stores the window oldest-first. Undo the rotation
         // so subsequent pushes land exactly where the uninterrupted run
@@ -819,6 +832,47 @@ mod tests {
         push_u64(&mut foreign, checksum);
         let err = QuantileStream::<f32>::from_checkpoint_bytes(cfg, &foreign).unwrap_err();
         assert!(err.contains("not a quantile-stream"), "{err}");
+    }
+
+    #[test]
+    fn checkpoint_offsets_off_the_window_schedule_are_errors() {
+        let pool = ThreadPool::new(1);
+        let mut dev = device(&pool);
+        let cfg = QuantileStreamConfig::telemetry(8);
+        let mut engine = QuantileStream::new(cfg.clone()).unwrap();
+        engine.ingest(&mut dev, &uniform(20, 4)).unwrap();
+        let bytes = engine.checkpoint_bytes();
+        // `seen` and `windows_emitted` follow the 20-byte header; the
+        // checksum covers everything before its own 8 bytes.
+        let patched = |at: usize, value: u64| {
+            let mut b = bytes.clone();
+            b[at..at + 8].copy_from_slice(&value.to_le_bytes());
+            let body = b.len() - 8;
+            let checksum = fnv1a64(&b[..body]);
+            b[body..].copy_from_slice(&checksum.to_le_bytes());
+            b
+        };
+        // A consistent stream at offset `u64::MAX`, with the last window
+        // at its last close.
+        let windows = (u64::MAX - 8) / 8 + 1;
+        engine.seen = u64::MAX;
+        engine.windows_emitted = windows;
+        let last = engine.last.as_mut().unwrap();
+        (last.index, last.end_offset) = (windows - 1, 8 + (windows - 1) * 8);
+        let at_max = engine.checkpoint_bytes();
+        for (case, bytes) in [
+            ("seen = u64::MAX", patched(20, u64::MAX)),
+            ("windows_emitted = u64::MAX", patched(28, u64::MAX)),
+            ("consistent at u64::MAX", at_max),
+        ] {
+            match QuantileStream::<f32>::from_checkpoint_bytes(cfg.clone(), &bytes) {
+                Err(_) => assert_ne!(case, "consistent at u64::MAX"),
+                Ok(mut resumed) => {
+                    assert_eq!(case, "consistent at u64::MAX", "decoded");
+                    assert!(resumed.ingest(&mut dev, &[1.0]).is_err(), "{case}");
+                }
+            }
+        }
     }
 
     #[test]
