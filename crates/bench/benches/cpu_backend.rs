@@ -37,10 +37,18 @@ fn bench_selection(c: &mut Criterion) {
         b.iter(|| cpu_approx_select(pool, &input, rank, &cfg).unwrap().0)
     });
     // Top-k and multi-rank selection filter bucket ranges and several
-    // buckets per level, where single-rank selection filters one.
-    group.bench_function(BenchmarkId::new("cpu-top-k-1024", n), |b| {
-        b.iter(|| cpu_top_k(pool, &input, 1024, &cfg).unwrap().1)
-    });
+    // buckets per level, where single-rank selection filters one. The
+    // range grows with k: a few buckets at k = 1024, half of them at
+    // k = n/2, nearly all at k = n - 1000.
+    for (name, k) in [
+        ("cpu-top-k-1024", 1024),
+        ("cpu-top-k-half", n / 2),
+        ("cpu-top-k-all-but-1000", n - 1000),
+    ] {
+        group.bench_function(BenchmarkId::new(name, n), |b| {
+            b.iter(|| cpu_top_k(pool, &input, k, &cfg).unwrap().1)
+        });
+    }
     let ranks = quantile_ranks(n, 16).unwrap();
     group.bench_function(BenchmarkId::new("cpu-multi-select-q16", n), |b| {
         b.iter(|| cpu_multi_select(pool, &input, &ranks, &cfg).unwrap())
