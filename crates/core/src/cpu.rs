@@ -133,16 +133,12 @@ impl<T: SelectElement> Executor<T, SplitterLevels> for Host<'_> {
         }
         let (count, oracles) = if cfg.oracle_bytes() == 1 {
             let mut o = vec![0u8; n];
-            (
-                classify(pool, cur, classifier, &mut o, |k| k as u8),
-                OracleBuf::U8(o),
-            )
+            let count = classify(pool, cur, classifier, &mut o, |k| k as u8);
+            (count, OracleBuf::U8(o))
         } else {
             let mut o = vec![0u16; n];
-            (
-                classify(pool, cur, classifier, &mut o, |k| k as u16),
-                OracleBuf::U16(o),
-            )
+            let count = classify(pool, cur, classifier, &mut o, |k| k as u16);
+            (count, OracleBuf::U16(o))
         };
         let oracles = Some(oracles);
         CountResult { oracles, ..count }
