@@ -22,9 +22,7 @@
 //! ```
 
 use gpu_sim::arch::v100;
-use sampleselect::{
-    sharded_select, sharded_select_clean, Outcome, SampleSelectConfig, ShardConfig, ShardFaults,
-};
+use sampleselect::{sharded_select, Outcome, SampleSelectConfig, ShardConfig, ShardFaults};
 use select_bench::{measure, HarnessArgs, Table};
 use select_datagen::WorkloadSpec;
 
@@ -107,13 +105,14 @@ fn main() {
         let mut link_bytes = 0u64;
         let stats = measure(reps, |rep| {
             let cfg = SampleSelectConfig::tuned_for(&arch).with_seed(1000 + rep);
-            let res = sharded_select_clean(
+            let res = sharded_select(
                 &arch,
                 pool,
                 &w.data,
                 rank,
                 &cfg,
                 &ShardConfig::default().with_shards(k),
+                &ShardFaults::default(),
             )
             .expect("clean sharded select");
             assert!(res.outcome.is_exact(), "clean K={k} leg must stay exact");

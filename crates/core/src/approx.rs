@@ -83,7 +83,7 @@ pub(crate) fn nearest_splitter<T: SelectElement, E: Executor<T, SplitterLevels>>
     let (ws, origin) = (&mut SelectWorkspace::new(), LaunchOrigin::Host);
     exec.sample(data, cfg, &mut SplitMix64::new(cfg.seed), origin, ws)?;
     let tree = built_tree(ws);
-    let count = exec.count(data, tree, cfg, false, origin, ws);
+    let count = exec.count(data, tree, cfg, false, origin, ws)?;
     let offsets = exec.reduce(&count).bucket_offsets;
     let best = (1..tree.num_buckets())
         .min_by_key(|&i| offsets[i].abs_diff(rank as u64))

@@ -123,13 +123,13 @@ impl<T: SelectElement> Executor<T, SplitterLevels> for Host<'_> {
         oracles: bool,
         _origin: LaunchOrigin,
         _ws: &SelectWorkspace<T>,
-    ) -> CountResult {
+    ) -> Result<CountResult, SelectError> {
         self.scanned += cur.len() as u64;
         // The oracle width follows the configured bucket count.
         assert_eq!(classifier.num_buckets(), cfg.num_buckets);
         let (pool, n) = (self.pool, cur.len());
         if !oracles {
-            return classify(pool, cur, classifier, &mut vec![(); n], |_| ());
+            return Ok(classify(pool, cur, classifier, &mut vec![(); n], |_| ()));
         }
         let (count, oracles) = if cfg.oracle_bytes() == 1 {
             let mut o = vec![0u8; n];
@@ -141,7 +141,7 @@ impl<T: SelectElement> Executor<T, SplitterLevels> for Host<'_> {
             (count, OracleBuf::U16(o))
         };
         let oracles = Some(oracles);
-        CountResult { oracles, ..count }
+        Ok(CountResult { oracles, ..count })
     }
 
     fn reduce(&mut self, count: &CountResult) -> ReduceResult {
@@ -166,10 +166,10 @@ impl<T: SelectElement> Executor<T, SplitterLevels> for Host<'_> {
         range: Range<u32>,
         _cfg: &SampleSelectConfig,
         _ws: &SelectWorkspace<T>,
-    ) -> Vec<T> {
+    ) -> Result<Vec<T>, SelectError> {
         let (first, last, level) = (range.start, range.end - 1, simd::simd_level());
         let (pool, oracles) = (self.pool, count.oracles.as_ref());
-        match oracles.expect("the host count writes oracles") {
+        Ok(match oracles.expect("the host count writes oracles") {
             OracleBuf::U8(o) if first == last => scatter(pool, cur, o, red, range, |w| {
                 simd::eq_mask_u8(w, first as u8, level)
             }),
@@ -179,7 +179,7 @@ impl<T: SelectElement> Executor<T, SplitterLevels> for Host<'_> {
             OracleBuf::U16(o) => scatter(pool, cur, o, red, range, |w| {
                 in_range(w, first, last, level)
             }),
-        }
+        })
     }
 
     fn base_case(
@@ -188,10 +188,11 @@ impl<T: SelectElement> Executor<T, SplitterLevels> for Host<'_> {
         _cfg: &SampleSelectConfig,
         _origin: LaunchOrigin,
         ws: &mut SelectWorkspace<T>,
-    ) {
+    ) -> Result<(), SelectError> {
         ws.base.clear();
         ws.base.extend_from_slice(cur);
         sort_elements(&mut ws.base);
+        Ok(())
     }
 }
 
@@ -607,7 +608,7 @@ mod tests {
                 host.sample(data, &cfg, &mut SplitMix64::new(cfg.seed), origin, ws)
                     .unwrap();
                 let tree = built_tree(ws);
-                let count = host.count(data, tree, &cfg, true, origin, ws);
+                let count = host.count(data, tree, &cfg, true, origin, ws).unwrap();
                 let red = Executor::<f32, SplitterLevels>::reduce(&mut host, &count);
                 let mut device = Device::new(v100(), &pool);
                 let dev_count = count_kernel(&mut device, data, tree, &cfg, true, origin);
@@ -616,7 +617,9 @@ mod tests {
                 let t = b as u32 / 2;
                 for range in [t..t + 1, t..b as u32, 0..t + 1, t - 1..t + 2] {
                     let case = format!("{threads} threads, b = {b}, range {range:?}");
-                    let out = host.filter(data, &count, &red, range.clone(), &cfg, ws);
+                    let out = host
+                        .filter(data, &count, &red, range.clone(), &cfg, ws)
+                        .unwrap();
                     let (c, r) = (&dev_count, &dev_red);
                     let want = filter_kernel(&mut device, data, c, r, range, &cfg, origin);
                     assert_eq!(bits(&out), bits(&want), "{case}");

@@ -102,8 +102,7 @@ pub use server::{
     ServerConfig, ServerSnapshot, TenantCounters,
 };
 pub use shard::{
-    sharded_select, sharded_select_clean, KillSpec, ShardConfig, ShardFaults, ShardReport,
-    ShardTopology, ShardedResult,
+    sharded_select, KillSpec, ShardConfig, ShardFaults, ShardReport, ShardTopology, ShardedResult,
 };
 pub use streaming::{
     streaming_select, streaming_select_with_checkpoint, streaming_select_with_topology, ChunkError,

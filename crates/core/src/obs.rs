@@ -50,7 +50,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use gpu_sim::trace::CounterTrack;
-use gpu_sim::Device;
+use gpu_sim::{Device, KernelRecord};
 
 // ---------------------------------------------------------------------
 // Metric identifiers
@@ -845,12 +845,20 @@ pub fn track_sample(t: Track, ts_us: f64, value: f64) {
 /// so nested drivers (streaming → in-memory recursion) never count a
 /// kernel twice. A device reset rewinds the cursor.
 pub fn absorb_device(device: &Device) {
+    let recs = device.records();
+    let cursor = with_state(|st| {
+        st.last_ns = st.last_ns.max(device.now().as_ns());
+        std::mem::replace(&mut st.records_absorbed, recs.len())
+    });
+    absorb_records(&recs[cursor.filter(|&c| c <= recs.len()).unwrap_or(0)..]);
+}
+
+/// Absorb kernel records into the registry, as [`absorb_device`] does,
+/// but without a cursor: every record passed is counted. For a driver of
+/// several devices, which absorbs each device once.
+pub(crate) fn absorb_records(records: &[KernelRecord]) {
     with_state(|st| {
-        let recs = device.records();
-        if st.records_absorbed > recs.len() {
-            st.records_absorbed = 0; // device was reset
-        }
-        for rec in &recs[st.records_absorbed..] {
+        for rec in records {
             st.registry.add(Counter::KernelLaunches, 1);
             st.registry
                 .add(Counter::BytesMoved, rec.cost.total_global_bytes());
@@ -859,8 +867,6 @@ pub fn absorb_device(device: &Device) {
             st.registry
                 .observe(Histogram::KernelDurationNs, rec.duration.as_ns() as u64);
         }
-        st.records_absorbed = recs.len();
-        st.last_ns = st.last_ns.max(device.now().as_ns());
     });
 }
 

@@ -12,13 +12,14 @@
 //! bucket, which is sample sort (`All`, §VI).
 //! `Executor` is where a level's steps run: a simulated [`Device`]
 //! charges them as kernels, the host executor of [`crate::cpu`] runs them
-//! on a thread pool and charges nothing. The checks, guards, spans and
-//! report exist once. Because the recursion depth is not known a priori
-//! and host↔device round trips are expensive, the paper keeps the
-//! control flow on the GPU with CUDA Dynamic Parallelism tail launches;
-//! the simulator charges every launch after level 0's count kernel the
-//! (lower) device-launch latency by committing it with
-//! [`LaunchOrigin::Device`].
+//! on a thread pool and charges nothing, and the shard executor of
+//! [`crate::shard`] runs them on K devices behind a coordinator. The
+//! checks, guards, spans and report exist once. Because the recursion
+//! depth is not known a priori and host↔device round trips are
+//! expensive, the paper keeps the control flow on the GPU with CUDA
+//! Dynamic Parallelism tail launches; the simulator charges every
+//! launch after level 0's count kernel the (lower) device-launch latency
+//! by committing it with [`LaunchOrigin::Device`].
 
 use crate::bitonic::bitonic_select_with_scratch;
 use crate::count::{count_kernel_scoped, Classifier, CountResult, OracleBuf};
@@ -469,7 +470,9 @@ impl<T: SelectElement> LevelBucketing<T> for DigitClassifier {
 /// executor. The simulated executor, a [`Device`] itself, charges every
 /// step as a kernel in the paper's order; the host executor of
 /// [`crate::cpu`] runs the steps on a thread pool, charges nothing and
-/// keeps its clock at 0.
+/// keeps its clock at 0; the shard executor of [`crate::shard`] runs
+/// them on every shard's device and ends the loop with an error when it
+/// loses its quorum.
 pub(crate) trait Executor<T: SelectElement, B> {
     /// The clock the loop's spans read, in ns.
     fn now(&self) -> f64;
@@ -501,7 +504,7 @@ pub(crate) trait Executor<T: SelectElement, B> {
         oracles: bool,
         origin: LaunchOrigin,
         ws: &SelectWorkspace<T>,
-    ) -> CountResult;
+    ) -> Result<CountResult, SelectError>;
 
     /// Prefix-sum a level's counts into bucket and filter offsets.
     fn reduce(&mut self, count: &CountResult) -> ReduceResult;
@@ -521,7 +524,7 @@ pub(crate) trait Executor<T: SelectElement, B> {
         range: Range<u32>,
         cfg: &SampleSelectConfig,
         ws: &SelectWorkspace<T>,
-    ) -> Vec<T>;
+    ) -> Result<Vec<T>, SelectError>;
 
     /// Sort `cur` into `ws.base`, where the target reads its rank(s).
     fn base_case(
@@ -530,7 +533,7 @@ pub(crate) trait Executor<T: SelectElement, B> {
         cfg: &SampleSelectConfig,
         origin: LaunchOrigin,
         ws: &mut SelectWorkspace<T>,
-    );
+    ) -> Result<(), SelectError>;
 
     /// Hand back the elements of a finished segment.
     fn recycle(&mut self, _elements: Vec<T>) {}
@@ -577,7 +580,7 @@ impl<T: SelectElement, B: LevelBucketing<T>> Executor<T, B> for Device<'_> {
         oracles: bool,
         origin: LaunchOrigin,
         ws: &SelectWorkspace<T>,
-    ) -> CountResult {
+    ) -> Result<CountResult, SelectError> {
         let count = count_kernel_scoped(self, cur, classifier, cfg, oracles, origin, &ws.scratch);
         if obs::enabled() {
             // Derived samples computed only when a session is installed
@@ -594,7 +597,7 @@ impl<T: SelectElement, B: LevelBucketing<T>> Executor<T, B> for Device<'_> {
                 }
             }
         }
-        count
+        Ok(count)
     }
 
     fn reduce(&mut self, count: &CountResult) -> ReduceResult {
@@ -617,11 +620,12 @@ impl<T: SelectElement, B: LevelBucketing<T>> Executor<T, B> for Device<'_> {
         range: Range<u32>,
         cfg: &SampleSelectConfig,
         ws: &SelectWorkspace<T>,
-    ) -> Vec<T> {
+    ) -> Result<Vec<T>, SelectError> {
         // The kernel's output order is (bucket, block, position in the
         // block): bucket-major.
         let (origin, scratch) = (LaunchOrigin::Device, &ws.scratch);
-        filter_kernel_scoped(self, cur, count, red, range, cfg, origin, scratch)
+        let out = filter_kernel_scoped(self, cur, count, red, range, cfg, origin, scratch);
+        Ok(out)
     }
 
     fn base_case(
@@ -630,11 +634,12 @@ impl<T: SelectElement, B: LevelBucketing<T>> Executor<T, B> for Device<'_> {
         cfg: &SampleSelectConfig,
         origin: LaunchOrigin,
         ws: &mut SelectWorkspace<T>,
-    ) {
+    ) -> Result<(), SelectError> {
         let SelectWorkspace {
             base, sort_scratch, ..
         } = ws;
         base_case_select_with(self, cur, 0, cfg, origin, base, sort_scratch);
+        Ok(())
     }
 
     fn recycle(&mut self, elements: Vec<T>) {
@@ -746,7 +751,7 @@ impl<T: SelectElement, B: LevelBucketing<T>, E: Executor<T, B>> Level<'_, T, B, 
         let expected = offsets[range.end as usize] - offsets[range.start as usize];
         let (exec, cfg) = (&mut *self.exec, self.cfg);
         obs::span_enter(SpanKind::Kernel, "filter", self.depth as u64, exec.now());
-        let next = exec.filter(self.cur, self.count, self.red, range, cfg, self.ws);
+        let next = exec.filter(self.cur, self.count, self.red, range, cfg, self.ws)?;
         obs::span_exit(exec.now());
         obs::observe(Histogram::LevelKeptElements, next.len() as u64);
         if sliced || cfg.verify.spot_checks() {
@@ -1033,7 +1038,7 @@ fn level_loop<T: SelectElement, B: LevelBucketing<T>, Q: Target<T>, E: Executor<
 
         if cur.len() <= base_case_size {
             obs::span_enter(SpanKind::Kernel, "base_sort", depth as u64, exec.now());
-            exec.base_case(cur, cfg, origin, ws);
+            exec.base_case(cur, cfg, origin, ws)?;
             obs::span_exit(exec.now());
             target.resolve(goal, &ws.base);
             exec.recycle(storage);
@@ -1066,7 +1071,7 @@ fn level_loop<T: SelectElement, B: LevelBucketing<T>, Q: Target<T>, E: Executor<
         let classifier = bucketing.classifier(ws);
         let count_name = classifier.kernel_name(true);
         obs::span_enter(SpanKind::Kernel, count_name, level_ix, exec.now());
-        let count = exec.count(cur, classifier, cfg, true, origin, ws);
+        let count = exec.count(cur, classifier, cfg, true, origin, ws)?;
         obs::span_exit(exec.now());
         if cfg.verify.spot_checks() {
             check_histogram(&count.counts, cur.len())?;

@@ -13,6 +13,11 @@
 //! the whole descent, and therefore the result, is bit-identical to
 //! K=1 for any shard count on a clean run.
 //!
+//! The descent is [`crate::recursion`]'s one level loop on the third of
+//! its executors, `Shards`: K devices behind a coordinator clock, whose
+//! count is every shard's count all-reduced and whose filter is every
+//! shard's filter joined in shard order.
+//!
 //! Robustness is the headline:
 //!
 //! * **Per-shard fault plans** — each shard's device can independently
@@ -38,29 +43,36 @@
 //! broadcasts, histogram all-reduces, and re-partition traffic are all
 //! charged through the architecture's [`gpu_sim::LinkModel`].
 
-use crate::count::{count_kernel_scoped, CountResult};
+use crate::bitonic::bitonic_sort_with_scratch;
+use crate::count::{count_kernel_scoped, Classifier, CountResult};
 use crate::element::SelectElement;
 use crate::filter::filter_kernel_scoped;
-use crate::instrument::ResilienceEvents;
-use crate::obs::{self, Counter, Histogram, SpanKind};
+use crate::instrument::{ResilienceEvents, SelectReport};
+use crate::obs::{self, Counter, SpanKind};
 use crate::params::SampleSelectConfig;
-use crate::recursion::{base_case_select, recycle_count, recycle_level, validate_input};
-use crate::reduce::reduce_kernel;
+use crate::recursion::{
+    base_case_select_with, built_tree, rank_levels, splitters, validate_input, Executor,
+    SplitterLevels,
+};
+use crate::reduce::{reduce_kernel, ReduceResult};
 use crate::resilient::{jittered_backoff, Outcome, RetryPolicy};
 use crate::rng::SplitMix64;
 use crate::searchtree::SearchTree;
+use crate::splitter::draw_splitters;
 use crate::streaming::fnv1a64;
 use crate::verify::{check_splitters, corrupt_elements, rank_bounds};
-use crate::workspace::KernelScratch;
-use crate::{bitonic, SelectError};
+use crate::workspace::{KernelScratch, SelectWorkspace};
+use crate::SelectError;
 use gpu_sim::{
     occupancy, Device, FaultPlan, GpuArchitecture, KernelCost, LaunchConfig, LaunchOrigin, SimTime,
 };
 use hpc_par::ThreadPool;
+use std::borrow::Cow;
 use std::ops::Range;
 
-/// Recursion-depth guard (matches the single-device driver's).
-const MAX_LEVELS: u32 = 64;
+/// A shard is a straggler when its count launch takes more than this
+/// many times the cost-model prediction.
+const HEDGE_FACTOR: f64 = 3.0;
 
 /// How the input is partitioned across shards: `K + 1` monotone
 /// boundaries with `boundaries[0] == 0` and `boundaries[K] == n`.
@@ -160,23 +172,19 @@ impl std::str::FromStr for KillSpec {
     }
 }
 
-/// Policy knobs of the sharded coordinator.
+/// Policy knobs of the sharded coordinator. Transient faults are
+/// retried under [`RetryPolicy::default`], whose jittered backoff keeps
+/// concurrent shards from retrying in lockstep.
 #[derive(Debug, Clone)]
 pub struct ShardConfig {
     /// Number of shards (devices) the input is partitioned across.
     pub shards: usize,
-    /// Hedge stragglers: re-execute a count launch that overshoots the
-    /// cost-model deadline on a fresh spare device.
+    /// Hedge stragglers: re-execute a count launch that overshoots
+    /// three times its cost-model prediction on a fresh spare device.
     pub hedge: bool,
-    /// A shard is a straggler when its count launch takes more than
-    /// `hedge_factor` times the cost-model prediction.
-    pub hedge_factor: f64,
     /// How many dead shards may be recovered by partition replay before
     /// the coordinator degrades to a survivor quorum.
     pub max_recoveries: u32,
-    /// Per-shard transient-fault retry policy (the jittered backoff
-    /// keeps concurrent shards from retrying in lockstep).
-    pub retry: RetryPolicy,
 }
 
 impl Default for ShardConfig {
@@ -184,9 +192,7 @@ impl Default for ShardConfig {
         Self {
             shards: 2,
             hedge: false,
-            hedge_factor: 3.0,
             max_recoveries: 1,
-            retry: RetryPolicy::default(),
         }
     }
 }
@@ -202,18 +208,8 @@ impl ShardConfig {
         self
     }
 
-    pub fn with_hedge_factor(mut self, factor: f64) -> Self {
-        self.hedge_factor = factor;
-        self
-    }
-
     pub fn with_recovery_budget(mut self, recoveries: u32) -> Self {
         self.max_recoveries = recoveries;
-        self
-    }
-
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
         self
     }
 }
@@ -249,11 +245,11 @@ impl ShardFaults {
 }
 
 /// Coordinator-side accounting of one sharded query.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ShardReport {
     /// Shards the input was partitioned across.
     pub shards: usize,
-    /// Recursion levels executed.
+    /// Recursion levels visited, the base case included.
     pub levels: u32,
     /// Coordinator clock at completion (the critical-path simulated
     /// time: per-level max over shards plus all interconnect traffic).
@@ -283,31 +279,34 @@ pub struct ShardedResult<T> {
     pub report: ShardReport,
 }
 
-/// One shard's state: its device, its share of the surviving
-/// candidates, and the bookkeeping recovery needs.
-struct ShardSlot<'p, T: SelectElement> {
-    device: Device<'p>,
-    /// This shard's slice of the current candidate set, in input order.
-    local: Vec<T>,
+/// One shard: its device and the bookkeeping recovery needs. Its
+/// candidates are its slice of the level loop's input, which joins the
+/// live shards' candidates in shard order.
+struct ShardSlot<'a> {
+    device: Device<'a>,
+    /// How many candidates the shard holds.
+    len: usize,
     /// The original input partition (for replay after death).
     origin: Range<usize>,
     alive: bool,
-    /// FNV-1a over `local` after the last completed level, so a replay
-    /// can prove bit-identity before rejoining the query.
+    /// FNV-1a over the candidates after the last completed level, so a
+    /// replay can prove bit-identity before rejoining the query.
     fingerprint: u64,
     scratch: KernelScratch,
+    /// This level's count, kept until the filter.
+    count: Option<CountResult>,
 }
 
 fn local_fingerprint<T: SelectElement>(local: &[T]) -> u64 {
-    let mut bytes = Vec::with_capacity(local.len() * 8);
-    for &x in local {
-        bytes.extend_from_slice(&x.to_bits_u64().to_le_bytes());
-    }
+    let bytes: Vec<u8> = local
+        .iter()
+        .flat_map(|x| x.to_bits_u64().to_le_bytes())
+        .collect();
     fnv1a64(&bytes)
 }
 
 /// Cost-model prediction of one shard's count-kernel time — the
-/// straggler deadline is `hedge_factor` times this. Deliberately
+/// straggler deadline is [`HEDGE_FACTOR`] times this. Deliberately
 /// optimistic (no replay or collision terms): a hedge fires only on a
 /// genuinely pathological launch, and a false hedge merely re-executes
 /// deterministic work on a spare.
@@ -331,41 +330,571 @@ fn predicted_count_time<T: SelectElement>(
     cost.time_on(arch, occ.effective_sms).total() + SimTime::from_us(arch.host_launch_us)
 }
 
-/// Advance every live device that is behind `clock` up to it (devices
-/// never rewind; a device ahead of the coordinator stays ahead).
-fn sync_devices<T: SelectElement>(shards: &mut [ShardSlot<'_, T>], clock: SimTime) {
-    for s in shards.iter_mut().filter(|s| s.alive) {
-        if s.device.now() < clock {
-            let dt = clock - s.device.now();
+/// The K-shard executor of the level loop: every step runs on each live
+/// shard's device, and the coordinator clock advances by the slowest
+/// shard plus the interconnect traffic between them.
+struct Shards<'a, T> {
+    arch: &'a GpuArchitecture,
+    pool: &'a ThreadPool,
+    /// The whole input, which replays read their partitions from.
+    data: &'a [T],
+    cfg: &'a SampleSelectConfig,
+    scfg: &'a ShardConfig,
+    retry: RetryPolicy,
+    slots: Vec<ShardSlot<'a>>,
+    kill: Option<KillSpec>,
+    clock: SimTime,
+    /// Each completed level's splitters and bucket, for replay.
+    history: Vec<(Vec<T>, usize)>,
+    /// Candidates below the current ones in this run of the loop.
+    below: usize,
+    /// This level's straggler deadline, when hedging.
+    deadline: Option<SimTime>,
+    /// The survivors' candidates, joined in shard order, after a
+    /// quorum loss ended the loop.
+    staged: Option<Vec<T>>,
+    report: ShardReport,
+}
+
+impl<'a, T: SelectElement> Shards<'a, T> {
+    fn new(
+        arch: &'a GpuArchitecture,
+        pool: &'a ThreadPool,
+        data: &'a [T],
+        cfg: &'a SampleSelectConfig,
+        scfg: &'a ShardConfig,
+        faults: &ShardFaults,
+    ) -> Self {
+        let topology = ShardTopology::even(data.len(), scfg.shards);
+        let slots = (0..scfg.shards)
+            .map(|i| {
+                let mut device = Device::new(arch.clone(), pool);
+                if let Some(plan) = faults.plan_for(i) {
+                    device.set_fault_plan(plan);
+                }
+                let origin = topology.range(i);
+                ShardSlot {
+                    device,
+                    len: origin.len(),
+                    fingerprint: local_fingerprint(&data[origin.clone()]),
+                    origin,
+                    alive: true,
+                    scratch: KernelScratch::new(),
+                    count: None,
+                }
+            })
+            .collect();
+        Self {
+            arch,
+            pool,
+            data,
+            cfg,
+            scfg,
+            retry: RetryPolicy::default(),
+            slots,
+            kill: faults.kill,
+            clock: SimTime::ZERO,
+            history: Vec::new(),
+            below: 0,
+            deadline: None,
+            staged: None,
+            report: ShardReport {
+                shards: scfg.shards,
+                ..ShardReport::default()
+            },
+        }
+    }
+
+    /// The live shards, in shard order.
+    fn live(&self) -> Vec<usize> {
+        (0..self.slots.len())
+            .filter(|&i| self.slots[i].alive)
+            .collect()
+    }
+
+    /// Shard `i`'s candidates: its slice of the loop's input `cur`.
+    fn local<'c>(&self, i: usize, cur: &'c [T]) -> &'c [T] {
+        let start: usize = self.slots[..i].iter().map(|s| s.len).sum();
+        &cur[start..start + self.slots[i].len]
+    }
+
+    /// Move the clock up to the latest live device.
+    fn join(&mut self) {
+        let live = self.slots.iter().filter(|s| s.alive);
+        self.clock = live.map(|s| s.device.now()).fold(self.clock, SimTime::max);
+    }
+
+    /// Advance every live device that is behind the clock up to it
+    /// (devices never rewind; a device ahead of the clock stays ahead).
+    fn sync(&mut self) {
+        let behind = |s: &&mut ShardSlot| s.alive && s.device.now() < self.clock;
+        for s in self.slots.iter_mut().filter(behind) {
+            let dt = self.clock - s.device.now();
             s.device.advance_time(dt);
+        }
+    }
+
+    /// Charge `bytes` moved over the interconnect in `time`.
+    fn link(&mut self, time: SimTime, bytes: u64) {
+        self.report.link_time += time;
+        self.report.link_bytes += bytes;
+    }
+
+    /// Kill the shard the fault plan names once its level is reached.
+    fn kill_due(&mut self, cur: &[T]) -> Result<(), SelectError> {
+        let level = self.history.len() as u32;
+        let live = |shard| self.slots.get(shard).is_some_and(|s: &ShardSlot| s.alive);
+        let Some(spec) = self.kill.filter(|k| k.level <= level && live(k.shard)) else {
+            return Ok(());
+        };
+        self.kill = None;
+        self.retire(spec.shard, "killed", cur)
+    }
+
+    /// Shard `idx` died: replay it onto a spare within the recovery
+    /// budget, or drop it. Dropping it stages the survivors' candidates
+    /// and ends the loop with an error, on which [`sharded_select`]
+    /// reruns the loop on those candidates if there are any.
+    fn retire(&mut self, idx: usize, why: &str, cur: &[T]) -> Result<(), SelectError> {
+        let level = self.history.len();
+        self.slots[idx].alive = false;
+        let events = &mut self.report.events;
+        events.fault(format!("shard {idx} dead at level {level}: {why}"));
+        self.join();
+        obs::absorb_records(self.slots[idx].device.records());
+        if self.report.shards_recovered >= self.scfg.max_recoveries {
+            self.report.quorum_degradations += 1;
+            obs::counter_add(Counter::QuorumDegradations, 1);
+            self.report.lost_elements += self.slots[idx].len as u64;
+            let live = self.live();
+            let mut survivors = Vec::new();
+            for &i in &live {
+                survivors.extend_from_slice(self.local(i, cur));
+            }
+            self.slots[idx].len = 0;
+            let (k, lost, left) = (self.slots.len(), self.report.lost_elements, survivors.len());
+            self.report.events.degrade(format!(
+                "recovery budget exhausted; dropping shard {idx} and continuing on \
+                 {}/{k} shards ({lost} candidates lost)",
+                live.len()
+            ));
+            self.sync();
+            self.staged = Some(survivors);
+            return Err(SelectError::Corruption {
+                invariant: "shard-quorum",
+                detail: format!("{left} candidates survive losing shard {idx} at level {level}"),
+            });
+        }
+        // Replay the dead shard's original partition through the
+        // recorded descent onto a spare device.
+        self.report.shards_recovered += 1;
+        obs::counter_add(Counter::ShardsRecovered, 1);
+        let mut device = Device::new(self.arch.clone(), self.pool);
+        device.advance_time(self.clock);
+        let mut local = self.data[self.slots[idx].origin.clone()].to_vec();
+        let part_bytes = (local.len() * T::BYTES) as u64;
+        let t = self.arch.link.transfer_time(part_bytes);
+        self.clock += t;
+        self.link(t, part_bytes);
+        for (splitters, bucket) in &self.history {
+            let tree = SearchTree::build(splitters);
+            let before = local.len();
+            local.retain(|&x| tree.lookup(x) as usize == *bucket);
+            let mut cost = KernelCost::new();
+            cost.global_read_bytes = (before * T::BYTES) as u64;
+            cost.global_write_bytes = (local.len() * T::BYTES) as u64;
+            cost.int_ops = before as u64 * tree.height() as u64;
+            let launch = self.cfg.launch_config(before.max(1), T::BYTES);
+            cost.blocks = launch.blocks as u64;
+            device.commit("shard_replay_filter", launch, LaunchOrigin::Device, cost);
+        }
+        let (replayed, recorded) = (local_fingerprint(&local), self.slots[idx].fingerprint);
+        if replayed != recorded {
+            return Err(SelectError::Corruption {
+                invariant: "shard-replay-fingerprint",
+                detail: format!(
+                    "shard {idx} replay fingerprint {replayed:#018x} != recorded {recorded:#018x}"
+                ),
+            });
+        }
+        self.clock = self.clock.max(device.now());
+        self.slots[idx].device = device;
+        self.slots[idx].alive = true;
+        self.report.events.resume(format!(
+            "shard {idx} replayed {level} levels from fingerprinted history onto a spare"
+        ));
+        self.sync();
+        Ok(())
+    }
+
+    /// Shard `i`'s count of its candidates, retried on a fault or a
+    /// histogram that does not sum to the shard's size, hedged when it
+    /// straggles, and replayed onto a spare past the retry budget.
+    fn count_shard(
+        &mut self,
+        i: usize,
+        cur: &[T],
+        classifier: &impl Classifier<T>,
+        origin: LaunchOrigin,
+    ) -> Result<CountResult, SelectError> {
+        let (level, cfg) = (self.history.len(), self.cfg);
+        let (mut attempt, mut started) = (0u32, self.slots[i].device.now());
+        loop {
+            let local = self.local(i, cur);
+            let slot = &mut self.slots[i];
+            let events = &mut self.report.events;
+            let (device, scratch) = (&mut slot.device, &slot.scratch);
+            let c = count_kernel_scoped(device, local, classifier, cfg, true, origin, scratch);
+            let relaunch = if let Some(fault) = device.take_fault() {
+                events.fault(format!("shard {i} count level {level}: {fault}"));
+                "re-launched"
+            } else if c.total() != local.len() as u64 {
+                // A corrupted histogram never sums to the shard size;
+                // catching it here pinpoints the shard instead of
+                // poisoning the all-reduce.
+                events.corruption(format!(
+                    "shard {i} level {level}: histogram sums to {} for {} elements",
+                    c.total(),
+                    local.len()
+                ));
+                "recounted"
+            } else {
+                return Ok(self.hedge(i, c, started, local, classifier, origin));
+            };
+            if attempt >= self.retry.max_retries {
+                self.retire(i, "retry budget exhausted", cur)?;
+                (attempt, started) = (0, self.slots[i].device.now());
+                continue;
+            }
+            let backoff = jittered_backoff(&self.retry, i as u64, attempt);
+            events.retry(format!(
+                "shard {i} count attempt {} {relaunch} after {backoff}",
+                attempt + 2
+            ));
+            device.advance_time(backoff);
+            attempt += 1;
+        }
+    }
+
+    /// Straggler hedging: race shard `i`'s count against the deadline;
+    /// past it, abandon the device and re-execute on a spare, keeping
+    /// whichever finishes first.
+    fn hedge(
+        &mut self,
+        i: usize,
+        count: CountResult,
+        started: SimTime,
+        local: &[T],
+        classifier: &impl Classifier<T>,
+        origin: LaunchOrigin,
+    ) -> CountResult {
+        let elapsed = self.slots[i].device.now() - started;
+        let Some(deadline) = self.deadline.filter(|&d| elapsed > d) else {
+            return count;
+        };
+        self.report.stragglers_hedged += 1;
+        obs::counter_add(Counter::StragglersHedged, 1);
+        let mut spare = Device::new(self.arch.clone(), self.pool);
+        spare.advance_time(started + deadline);
+        let bytes = (local.len() * T::BYTES) as u64;
+        let t = self.arch.link.transfer_time(bytes);
+        spare.advance_time(t);
+        self.link(t, bytes);
+        let (cfg, scratch) = (self.cfg, &self.slots[i].scratch);
+        let hedged = count_kernel_scoped(&mut spare, local, classifier, cfg, true, origin, scratch);
+        self.report.events.retry(format!(
+            "shard {i} count straggled ({elapsed} > {deadline}); hedged on a spare"
+        ));
+        if spare.now() < self.slots[i].device.now() {
+            std::mem::swap(&mut self.slots[i].device, &mut spare);
+            obs::absorb_records(spare.records());
+            return hedged;
+        }
+        obs::absorb_records(spare.records());
+        count
+    }
+
+    /// Shard `i`'s filter of `bucket` from its `count`: reduce, filter
+    /// and check the output's size. A fault or a wrong size retries the
+    /// shard (recount, reduce, filter); past the retry budget the shard
+    /// is replayed onto a spare.
+    fn filter_shard(
+        &mut self,
+        i: usize,
+        mut count: CountResult,
+        bucket: usize,
+        cur: &[T],
+        ws: &SelectWorkspace<T>,
+    ) -> Result<Vec<T>, SelectError> {
+        let (level, cfg, origin) = (self.history.len(), self.cfg, LaunchOrigin::Device);
+        let mut attempt = 0u32;
+        loop {
+            let local = self.local(i, cur);
+            let slot = &mut self.slots[i];
+            let events = &mut self.report.events;
+            let (device, scratch) = (&mut slot.device, &slot.scratch);
+            let expected = count.counts[bucket];
+            let red = reduce_kernel(device, &count, origin);
+            let range = bucket as u32..bucket as u32 + 1;
+            let next =
+                filter_kernel_scoped(device, local, &count, &red, range, cfg, origin, scratch);
+            if let Some(fault) = device.take_fault() {
+                events.fault(format!("shard {i} filter level {level}: {fault}"));
+            } else if next.len() as u64 != expected {
+                events.corruption(format!(
+                    "shard {i} level {level}: filter extracted {} elements, count says {expected}",
+                    next.len()
+                ));
+            } else {
+                return Ok(next);
+            }
+            if attempt >= self.retry.max_retries {
+                self.retire(i, "retry budget exhausted", cur)?;
+                attempt = 0;
+            } else {
+                let backoff = jittered_backoff(&self.retry, i as u64, attempt);
+                events.retry(format!(
+                    "shard {i} filter attempt {} recounted after {backoff}",
+                    attempt + 2
+                ));
+                device.advance_time(backoff);
+                attempt += 1;
+            }
+            count = self.count_shard(i, cur, built_tree(ws), origin)?;
         }
     }
 }
 
-fn max_alive_now<T: SelectElement>(shards: &[ShardSlot<'_, T>]) -> SimTime {
-    shards
-        .iter()
-        .filter(|s| s.alive)
-        .map(|s| s.device.now())
-        .fold(SimTime::ZERO, SimTime::max)
-}
+/// The K-shard executor: each step of a level is a coordinator protocol
+/// step over the live shards. `cur` is always the live shards'
+/// candidates joined in shard order; only single-bucket filters (the
+/// exact rank) are supported.
+impl<T: SelectElement> Executor<T, SplitterLevels> for Shards<'_, T> {
+    fn now(&self) -> f64 {
+        self.clock.as_ns()
+    }
 
-/// Why a shard stopped responding mid-level.
-enum ShardDeath {
-    RetriesExhausted,
-    Killed,
+    /// One global sample, gathered from the shards holding its positions,
+    /// sorted on the first live shard and broadcast; corrupt splitters
+    /// are redrawn.
+    fn sample(
+        &mut self,
+        cur: &[T],
+        cfg: &SampleSelectConfig,
+        rng: &mut SplitMix64,
+        origin: LaunchOrigin,
+        ws: &mut SelectWorkspace<T>,
+    ) -> Result<(), SelectError> {
+        self.kill_due(cur)?;
+        self.report.levels += 1;
+        let (b, link, level) = (cfg.num_buckets, self.arch.link, self.history.len());
+        let s = cfg.sample_size().max(b);
+        let one_block = |smem: usize| LaunchConfig {
+            blocks: 1,
+            threads_per_block: cfg.threads_per_block,
+            shared_mem_bytes: (smem * T::BYTES) as u32,
+        };
+        let live = self.live();
+        let root = live[0];
+        let ends: Vec<usize> = live
+            .iter()
+            .scan(0, |end, &i| {
+                *end += self.slots[i].len;
+                Some(*end)
+            })
+            .collect();
+        let mut attempt = 0u32;
+        loop {
+            // The draw's positions, replayed on a clone of its stream,
+            // name the shards each gather reads from.
+            let mut gathers = vec![0u64; self.slots.len()];
+            let mut probe = rng.clone();
+            for _ in 0..s {
+                let g = probe.next_below(cur.len());
+                gathers[live[ends.partition_point(|&e| e <= g)]] += 1;
+            }
+            let stats = draw_splitters(cur, cfg, rng, ws, bitonic_sort_with_scratch);
+            // Charge the per-shard gather kernels and the (parallel,
+            // point-to-point) link transfers to the coordinator.
+            let mut gather_link = SimTime::ZERO;
+            for &i in live.iter().filter(|&&i| gathers[i] > 0) {
+                let bytes = gathers[i] * T::BYTES as u64;
+                let mut cost = KernelCost::new();
+                cost.uncoalesced_bytes = bytes;
+                cost.blocks = 1;
+                let device = &mut self.slots[i].device;
+                device.commit("shard_sample", one_block(0), origin, cost);
+                gather_link = gather_link.max(link.transfer_time(bytes));
+                self.report.link_bytes += bytes;
+            }
+            self.join();
+            self.clock += gather_link;
+            self.report.link_time += gather_link;
+            // Sort the sample on the root shard, exactly as the
+            // single-device sample kernel does.
+            let mut cost = KernelCost::new();
+            stats.charge::<T>(&mut cost);
+            cost.smem_bytes += (s * T::BYTES) as u64;
+            cost.global_write_bytes += ((b - 1) * T::BYTES) as u64;
+            cost.blocks = 1;
+            let device = &mut self.slots[root].device;
+            device.commit("shard_splitter_sort", one_block(s), origin, cost);
+            corrupt_elements(device, "splitters", &mut ws.splitters);
+            let Err(e) = check_splitters(&ws.splitters) else {
+                break;
+            };
+            let events = &mut self.report.events;
+            events.corruption(format!("level {level}: {e}"));
+            if attempt >= self.retry.max_retries {
+                return Err(e);
+            }
+            let backoff = jittered_backoff(&self.retry, root as u64, attempt);
+            events.retry(format!(
+                "level {level} redrawn after corrupt splitters ({backoff})"
+            ));
+            attempt += 1;
+            self.join();
+            self.clock += backoff;
+            self.sync();
+        }
+        let splitter_bytes = ((b - 1) * T::BYTES) as u64;
+        let t = link.broadcast_time(splitter_bytes, live.len());
+        self.clock = self.clock.max(self.slots[root].device.now()) + t;
+        self.link(t, splitter_bytes * (live.len() as u64 - 1));
+        self.sync();
+        SearchTree::rebuild_into(&mut ws.tree, &ws.splitters);
+        Ok(())
+    }
+
+    /// Every live shard counts its candidates; the coordinator
+    /// all-reduces the histograms and returns the totals. Each shard's
+    /// own count stays with it for the filter.
+    fn count(
+        &mut self,
+        cur: &[T],
+        classifier: &impl Classifier<T>,
+        cfg: &SampleSelectConfig,
+        _oracles: bool,
+        origin: LaunchOrigin,
+        _ws: &SelectWorkspace<T>,
+    ) -> Result<CountResult, SelectError> {
+        let largest = self.slots.iter().filter(|s| s.alive).map(|s| s.len).max();
+        let predicted = || predicted_count_time::<T>(self.arch, largest.unwrap_or(0), cfg);
+        self.deadline = self.scfg.hedge.then(|| predicted() * HEDGE_FACTOR);
+        for i in 0..self.slots.len() {
+            self.slots[i].count = None;
+            if self.slots[i].alive && self.slots[i].len > 0 {
+                self.slots[i].count = Some(self.count_shard(i, cur, classifier, origin)?);
+            }
+        }
+        self.join();
+        let counts = || self.slots.iter().filter_map(|s| s.count.as_ref());
+        let totals = (0..cfg.num_buckets).map(|j| counts().map(|c| c.counts[j]).sum());
+        let totals: Vec<u64> = totals.collect();
+        let (hist_bytes, live) = ((cfg.num_buckets * 8) as u64, self.live().len() as u64);
+        let t = self.arch.link.all_reduce_time(hist_bytes, live as usize);
+        self.clock += t;
+        self.link(t, 2 * hist_bytes * live.saturating_sub(1));
+        self.sync();
+        Ok(CountResult {
+            counts: totals,
+            partials: Vec::new(),
+            blocks: 0,
+            oracles: None,
+        })
+    }
+
+    /// The bucket offsets of the all-reduced totals, scanned by the
+    /// coordinator; each shard reduces its own count in the filter.
+    fn reduce(&mut self, count: &CountResult) -> ReduceResult {
+        let mut bucket_offsets = count.counts.clone();
+        let total = hpc_par::exclusive_scan(&mut bucket_offsets);
+        bucket_offsets.push(total);
+        ReduceResult {
+            offsets: Vec::new(),
+            bucket_offsets,
+            blocks: 0,
+        }
+    }
+
+    /// Every live shard filters its candidates; the outputs join in
+    /// shard order. A shard's new candidates are committed only once
+    /// every shard has succeeded.
+    fn filter(
+        &mut self,
+        cur: &[T],
+        _count: &CountResult,
+        red: &ReduceResult,
+        range: Range<u32>,
+        _cfg: &SampleSelectConfig,
+        ws: &SelectWorkspace<T>,
+    ) -> Result<Vec<T>, SelectError> {
+        assert_eq!(range.len(), 1, "the shard executor filters one bucket");
+        let bucket = range.start as usize;
+        let mut outputs = Vec::with_capacity(self.slots.len());
+        for i in 0..self.slots.len() {
+            let count = self.slots[i].count.take();
+            outputs.push(
+                count
+                    .map(|c| self.filter_shard(i, c, bucket, cur, ws))
+                    .transpose()?,
+            );
+        }
+        let mut next = Vec::with_capacity(red.bucket_size(bucket) as usize);
+        for (slot, output) in self.slots.iter_mut().zip(outputs) {
+            if let Some(output) = output {
+                slot.len = output.len();
+                slot.fingerprint = local_fingerprint(&output);
+                next.extend_from_slice(&output);
+            }
+        }
+        self.below += red.bucket_offsets[bucket] as usize;
+        self.history.push((ws.splitters.clone(), bucket));
+        self.join();
+        self.sync();
+        Ok(next)
+    }
+
+    /// Gather every live shard's candidates onto the first and sort
+    /// them there.
+    fn base_case(
+        &mut self,
+        cur: &[T],
+        cfg: &SampleSelectConfig,
+        origin: LaunchOrigin,
+        ws: &mut SelectWorkspace<T>,
+    ) -> Result<(), SelectError> {
+        self.kill_due(cur)?;
+        self.report.levels += 1;
+        let live = self.live();
+        for &i in &live[1..] {
+            let bytes = (self.slots[i].len * T::BYTES) as u64;
+            let t = self.arch.link.transfer_time(bytes);
+            self.clock += t;
+            self.link(t, bytes);
+        }
+        self.sync();
+        let SelectWorkspace {
+            base, sort_scratch, ..
+        } = ws;
+        let device = &mut self.slots[live[0]].device;
+        base_case_select_with(device, cur, 0, cfg, origin, base, sort_scratch);
+        self.clock = self.clock.max(device.now());
+        Ok(())
+    }
 }
 
 /// Sharded selection of the `rank`-th smallest element of `data`
 /// across `scfg.shards` simulated devices of architecture `arch`.
 ///
 /// On a clean run the result is bit-identical to
-/// [`crate::sampleselect::sample_select_on_device`] with the same
-/// `cfg` on one device, for any shard count. Under injected faults the
+/// [`crate::recursion::sample_select_on_device`] with the same `cfg` on
+/// one device, for any shard count. Under injected faults the
 /// coordinator retries, hedges, and replays as described in the module
 /// docs; it returns [`Outcome::Approximate`] only after the recovery
 /// budget is exhausted, and never a wrong [`Outcome::Exact`]. A shard
-/// count of 0 is rejected with [`SelectError::InvalidArgument`].
+/// count of 0 or past the input's length is rejected with
+/// [`SelectError::InvalidArgument`].
 pub fn sharded_select<T: SelectElement>(
     arch: &GpuArchitecture,
     pool: &ThreadPool,
@@ -377,556 +906,34 @@ pub fn sharded_select<T: SelectElement>(
 ) -> Result<ShardedResult<T>, SelectError> {
     cfg.validate().map_err(SelectError::InvalidConfig)?;
     validate_input(data, rank, cfg)?;
-    if scfg.shards == 0 {
-        return Err(SelectError::InvalidArgument {
-            what: "shard count must be at least 1".to_string(),
-        });
+    let (n, shards) = (data.len(), scfg.shards);
+    if shards == 0 || shards > n {
+        let what = format!("shard count {shards} is outside 1..={n}, the input's length");
+        return Err(SelectError::InvalidArgument { what });
     }
 
-    let n = data.len();
-    let k_shards = scfg.shards;
-    let topology = ShardTopology::even(n, k_shards);
-    let link = arch.link;
-    let b = cfg.num_buckets;
-    let base_threshold = cfg.base_case_size.max(cfg.sample_size());
-
-    let mut shards: Vec<ShardSlot<'_, T>> = (0..k_shards)
-        .map(|i| {
-            let mut device = Device::new(arch.clone(), pool);
-            if let Some(plan) = faults.plan_for(i) {
-                device.set_fault_plan(plan);
-            }
-            let range = topology.range(i);
-            ShardSlot {
-                local: data[range.clone()].to_vec(),
-                origin: range,
-                device,
-                alive: true,
-                fingerprint: 0,
-                scratch: KernelScratch::new(),
-            }
-        })
-        .collect();
-    for s in &mut shards {
-        s.fingerprint = local_fingerprint(&s.local);
-    }
-
-    obs::counter_add(Counter::ShardsLaunched, k_shards as u64);
+    let mut exec = Shards::new(arch, pool, data, cfg, scfg, faults);
+    obs::counter_add(Counter::ShardsLaunched, shards as u64);
     let span_base = obs::span_depth();
-    if obs::enabled() {
-        obs::span_enter(SpanKind::Query, "sharded", 0, 0.0);
-    }
+    obs::span_enter(SpanKind::Query, "sharded", 0, 0.0);
 
-    let mut events = ResilienceEvents::default();
-    let mut rng = SplitMix64::new(cfg.seed);
-    let mut clock = SimTime::ZERO;
-    let mut link_time = SimTime::ZERO;
-    let mut link_bytes = 0u64;
-    let mut stragglers_hedged = 0u32;
-    let mut shards_recovered = 0u32;
-    let mut quorum_degradations = 0u32;
-    let mut lost_elements = 0u64;
-    let mut degraded = false;
-
-    let mut k = rank;
-    let mut level: u32 = 0;
-    let mut levels_run: u32 = 0;
-    // Per-level (splitters, bucket) descent history, for replay.
-    let mut history: Vec<(Vec<T>, usize)> = Vec::new();
-    let mut level_retries: u32 = 0;
-    let mut kill_pending = faults.kill;
-
-    // Handles one shard death: replay onto a spare within budget, or
-    // drop the shard and degrade to the survivor quorum. Returns Err
-    // only when nothing survives or a replay fails verification.
-    macro_rules! handle_death {
-        ($idx:expr, $why:expr) => {{
-            let idx: usize = $idx;
-            let why_detail = match $why {
-                ShardDeath::RetriesExhausted => "retry budget exhausted",
-                ShardDeath::Killed => "killed",
-            };
-            shards[idx].alive = false;
-            events.fault(format!("shard {idx} dead at level {level}: {why_detail}"));
-            clock = clock.max(max_alive_now(&shards));
-            if shards_recovered < scfg.max_recoveries {
-                // Replay the dead shard's original partition through
-                // the recorded descent onto a spare device.
-                shards_recovered += 1;
-                obs::counter_add(Counter::ShardsRecovered, 1);
-                let mut device = Device::new(arch.clone(), pool);
-                device.advance_time(clock);
-                let origin = shards[idx].origin.clone();
-                let mut local = data[origin.clone()].to_vec();
-                let part_bytes = (local.len() * T::BYTES) as u64;
-                let t = link.transfer_time(part_bytes);
-                clock += t;
-                link_time += t;
-                link_bytes += part_bytes;
-                for (splitters, bucket) in &history {
-                    let tree = SearchTree::build(splitters);
-                    let before = local.len();
-                    local.retain(|&x| tree.lookup(x) as usize == *bucket);
-                    let mut cost = KernelCost::new();
-                    cost.global_read_bytes = (before * T::BYTES) as u64;
-                    cost.global_write_bytes = (local.len() * T::BYTES) as u64;
-                    cost.int_ops = before as u64 * tree.height() as u64;
-                    let launch = cfg.launch_config(before.max(1), T::BYTES);
-                    cost.blocks = launch.blocks as u64;
-                    device.commit("shard_replay_filter", launch, LaunchOrigin::Device, cost);
-                }
-                let replayed = local_fingerprint(&local);
-                if replayed != shards[idx].fingerprint {
-                    return Err(SelectError::Corruption {
-                        invariant: "shard-replay-fingerprint",
-                        detail: format!(
-                            "shard {idx} replay fingerprint {replayed:#018x} != recorded {:#018x}",
-                            shards[idx].fingerprint
-                        ),
-                    });
-                }
-                clock = clock.max(device.now());
-                obs::absorb_device(&shards[idx].device);
-                shards[idx].device = device;
-                shards[idx].local = local;
-                shards[idx].alive = true;
-                events.resume(format!(
-                    "shard {idx} replayed {} levels from fingerprinted history onto a spare",
-                    history.len()
-                ));
-            } else {
-                // Quorum degradation: drop the shard's candidates and
-                // finish on the survivors with a tagged approximation.
-                quorum_degradations += 1;
-                obs::counter_add(Counter::QuorumDegradations, 1);
-                degraded = true;
-                lost_elements += shards[idx].local.len() as u64;
-                obs::absorb_device(&shards[idx].device);
-                shards[idx].local = Vec::new();
-                let survivors = shards.iter().filter(|s| s.alive).count();
-                let remaining: usize = shards
-                    .iter()
-                    .filter(|s| s.alive)
-                    .map(|s| s.local.len())
-                    .sum();
-                if survivors == 0 || remaining == 0 {
-                    return Err(SelectError::Corruption {
-                        invariant: "shard-quorum",
-                        detail: format!(
-                            "no surviving candidates after losing shard {idx} at level {level}"
-                        ),
-                    });
-                }
-                k = k.min(remaining - 1);
-                events.degrade(format!(
-                    "recovery budget exhausted; dropping shard {idx} and continuing on \
-                     {survivors}/{k_shards} shards ({lost_elements} candidates lost)"
-                ));
-            }
-            sync_devices(&mut shards, clock);
-        }};
-    }
-
-    let value = 'recursion: loop {
-        if levels_run >= MAX_LEVELS {
-            return Err(SelectError::RecursionLimit);
-        }
-
-        // Deterministic shard kill at the start of its level.
-        if let Some(spec) = kill_pending {
-            if spec.level <= level && spec.shard < shards.len() && shards[spec.shard].alive {
-                kill_pending = None;
-                handle_death!(spec.shard, ShardDeath::Killed);
-                continue 'recursion;
+    // A quorum loss ends a run of the loop with the survivors'
+    // candidates staged; the next run selects among them.
+    let (ws, report) = (&mut SelectWorkspace::new(), &mut SelectReport::empty(""));
+    let (mut input, mut k) = (Cow::Borrowed(data), rank);
+    let value = loop {
+        match rank_levels(&mut exec, &input, k, cfg, ws, report, splitters(cfg)) {
+            Ok(value) => break value,
+            Err(e) => {
+                let survivors = exec.staged.take().filter(|s| !s.is_empty()).ok_or(e)?;
+                k = (k - exec.below).min(survivors.len() - 1);
+                exec.below = 0;
+                input = Cow::Owned(survivors);
             }
         }
-
-        let alive: Vec<usize> = (0..shards.len()).filter(|&i| shards[i].alive).collect();
-        let total_len: usize = alive.iter().map(|&i| shards[i].local.len()).sum();
-        debug_assert!(total_len > 0);
-        let origin = if level == 0 {
-            LaunchOrigin::Host
-        } else {
-            LaunchOrigin::Device
-        };
-        if obs::enabled() {
-            obs::span_enter(SpanKind::Level, "shard-level", level as u64, clock.as_ns());
-        }
-        levels_run += 1;
-
-        // -- base case: gather the survivors onto one device and sort.
-        if total_len <= base_threshold {
-            let root = alive[0];
-            let mut gathered = Vec::with_capacity(total_len);
-            for &i in &alive {
-                gathered.extend_from_slice(&shards[i].local);
-                if i != root {
-                    let bytes = (shards[i].local.len() * T::BYTES) as u64;
-                    let t = link.transfer_time(bytes);
-                    clock += t;
-                    link_time += t;
-                    link_bytes += bytes;
-                }
-            }
-            sync_devices(&mut shards, clock);
-            let v = base_case_select(&mut shards[root].device, &gathered, k, cfg, origin);
-            clock = clock.max(shards[root].device.now());
-            if obs::enabled() {
-                obs::span_close_to(span_base + 1, clock.as_ns());
-            }
-            break 'recursion v;
-        }
-
-        // -- sample: one global draw, routed to the owning shards.
-        let s = cfg.sample_size().max(b);
-        let mut sample = Vec::with_capacity(s);
-        let mut gather_counts = vec![0u64; shards.len()];
-        {
-            // Cumulative lengths over the alive shards, in shard order
-            // (== offsets into the logical concatenated candidate set).
-            let mut cum = Vec::with_capacity(alive.len() + 1);
-            cum.push(0usize);
-            for &i in &alive {
-                cum.push(cum.last().unwrap() + shards[i].local.len());
-            }
-            for _ in 0..s {
-                let g = rng.next_below(total_len);
-                let which = cum.partition_point(|&c| c <= g) - 1;
-                let shard = alive[which];
-                sample.push(shards[shard].local[g - cum[which]]);
-                gather_counts[shard] += 1;
-            }
-        }
-        // Charge the per-shard gather kernels and the (parallel,
-        // point-to-point) link transfers to the coordinator.
-        let mut gather_link = SimTime::ZERO;
-        for &i in &alive {
-            let g = gather_counts[i];
-            if g == 0 {
-                continue;
-            }
-            let mut cost = KernelCost::new();
-            cost.uncoalesced_bytes = g * T::BYTES as u64;
-            cost.blocks = 1;
-            let launch = LaunchConfig {
-                blocks: 1,
-                threads_per_block: cfg.threads_per_block,
-                shared_mem_bytes: 0,
-            };
-            shards[i]
-                .device
-                .commit("shard_sample", launch, origin, cost);
-            gather_link = gather_link.max(link.transfer_time(g * T::BYTES as u64));
-            link_bytes += g * T::BYTES as u64;
-        }
-        clock = clock.max(max_alive_now(&shards)) + gather_link;
-        link_time += gather_link;
-
-        // -- splitters: sort the sample on the root shard, exactly as
-        // the single-device sample kernel does.
-        let root = alive[0];
-        let mut sort_scratch = Vec::new();
-        let stats = bitonic::bitonic_sort_with_scratch(&mut sample, &mut sort_scratch);
-        let mut splitters: Vec<T> = (1..b).map(|i| sample[i * s / b]).collect();
-        {
-            let mut cost = KernelCost::new();
-            stats.charge::<T>(&mut cost);
-            cost.smem_bytes += (s * T::BYTES) as u64;
-            cost.global_write_bytes += ((b - 1) * T::BYTES) as u64;
-            cost.blocks = 1;
-            let launch = LaunchConfig {
-                blocks: 1,
-                threads_per_block: cfg.threads_per_block,
-                shared_mem_bytes: (s * T::BYTES) as u32,
-            };
-            shards[root]
-                .device
-                .commit("shard_splitter_sort", launch, origin, cost);
-        }
-        corrupt_elements(&mut shards[root].device, "splitters", &mut splitters);
-        if let Err(e) = check_splitters(&splitters) {
-            events.corruption(format!("level {level}: {e}"));
-            level_retries += 1;
-            if level_retries > scfg.retry.max_retries {
-                return Err(e);
-            }
-            let backoff = jittered_backoff(&scfg.retry, root as u64, level_retries - 1);
-            events.retry(format!(
-                "level {level} redrawn after corrupt splitters ({backoff})"
-            ));
-            clock = clock.max(max_alive_now(&shards)) + backoff;
-            sync_devices(&mut shards, clock);
-            continue 'recursion;
-        }
-        let splitter_bytes = ((b - 1) * T::BYTES) as u64;
-        let t = link.broadcast_time(splitter_bytes, alive.len());
-        clock = clock.max(shards[root].device.now()) + t;
-        link_time += t;
-        link_bytes += splitter_bytes * (alive.len() as u64 - 1);
-        sync_devices(&mut shards, clock);
-        let tree = SearchTree::build(&splitters);
-
-        // -- count: local histograms, with per-shard retry, straggler
-        // hedging, and death on an exhausted budget.
-        let mut counts: Vec<Option<CountResult>> = (0..shards.len()).map(|_| None).collect();
-        let deadline_base = if scfg.hedge {
-            Some(predicted_count_time::<T>(
-                arch,
-                alive.iter().map(|&i| shards[i].local.len()).max().unwrap(),
-                cfg,
-            ))
-        } else {
-            None
-        };
-        for &i in &alive {
-            if shards[i].local.is_empty() {
-                continue;
-            }
-            let started = shards[i].device.now();
-            let mut attempt = 0u32;
-            let count = loop {
-                let slot = &mut shards[i];
-                let c = count_kernel_scoped(
-                    &mut slot.device,
-                    &slot.local,
-                    &tree,
-                    cfg,
-                    true,
-                    origin,
-                    &slot.scratch,
-                );
-                if let Some(fault) = slot.device.take_fault() {
-                    events.fault(format!("shard {i} count level {level}: {fault}"));
-                    recycle_count(&mut slot.device, c);
-                    if attempt >= scfg.retry.max_retries {
-                        break None;
-                    }
-                    let backoff = jittered_backoff(&scfg.retry, i as u64, attempt);
-                    events.retry(format!(
-                        "shard {i} count attempt {} re-launched after {backoff}",
-                        attempt + 2
-                    ));
-                    slot.device.advance_time(backoff);
-                    attempt += 1;
-                    continue;
-                }
-                // A corrupted histogram never sums to the shard size;
-                // catching it here pinpoints the shard instead of
-                // poisoning the all-reduce.
-                let sum: u64 = c.counts.iter().sum();
-                if sum != slot.local.len() as u64 {
-                    events.corruption(format!(
-                        "shard {i} level {level}: histogram sums to {sum} for {} elements",
-                        slot.local.len()
-                    ));
-                    recycle_count(&mut slot.device, c);
-                    if attempt >= scfg.retry.max_retries {
-                        break None;
-                    }
-                    let backoff = jittered_backoff(&scfg.retry, i as u64, attempt);
-                    events.retry(format!(
-                        "shard {i} count attempt {} recounted after {backoff}",
-                        attempt + 2
-                    ));
-                    slot.device.advance_time(backoff);
-                    attempt += 1;
-                    continue;
-                }
-                break Some(c);
-            };
-            let Some(count) = count else {
-                handle_death!(i, ShardDeath::RetriesExhausted);
-                for (d, c) in shards.iter_mut().zip(counts.iter_mut()) {
-                    if let Some(c) = c.take() {
-                        recycle_count(&mut d.device, c);
-                    }
-                }
-                continue 'recursion;
-            };
-            // Straggler hedging: race the launch against the deadline;
-            // past it, abandon the device and re-execute on a spare.
-            if let Some(base) = deadline_base {
-                let elapsed = shards[i].device.now() - started;
-                let deadline = base * scfg.hedge_factor;
-                if elapsed > deadline {
-                    stragglers_hedged += 1;
-                    obs::counter_add(Counter::StragglersHedged, 1);
-                    let mut spare = Device::new(arch.clone(), pool);
-                    spare.advance_time(started + deadline);
-                    let bytes = (shards[i].local.len() * T::BYTES) as u64;
-                    let t = link.transfer_time(bytes);
-                    spare.advance_time(t);
-                    link_time += t;
-                    link_bytes += bytes;
-                    let hedged = count_kernel_scoped(
-                        &mut spare,
-                        &shards[i].local,
-                        &tree,
-                        cfg,
-                        true,
-                        origin,
-                        &shards[i].scratch,
-                    );
-                    events.retry(format!(
-                        "shard {i} count straggled ({elapsed} > {deadline}); hedged on a spare"
-                    ));
-                    if spare.now() < shards[i].device.now() {
-                        obs::absorb_device(&shards[i].device);
-                        recycle_count(&mut shards[i].device, count);
-                        shards[i].device = spare;
-                        counts[i] = Some(hedged);
-                        continue;
-                    }
-                }
-            }
-            counts[i] = Some(count);
-        }
-
-        // -- all-reduce the histograms through the coordinator.
-        clock = clock.max(max_alive_now(&shards));
-        let alive: Vec<usize> = (0..shards.len()).filter(|&i| shards[i].alive).collect();
-        let mut totals = vec![0u64; b];
-        for &i in &alive {
-            if let Some(c) = &counts[i] {
-                for (t, &c) in totals.iter_mut().zip(c.counts.iter()) {
-                    *t += c;
-                }
-            }
-        }
-        let hist_bytes = (b * 8) as u64;
-        let t = link.all_reduce_time(hist_bytes, alive.len());
-        clock += t;
-        link_time += t;
-        if alive.len() > 1 {
-            link_bytes += 2 * hist_bytes * (alive.len() as u64 - 1);
-        }
-        sync_devices(&mut shards, clock);
-
-        // -- pick the target bucket from the global histogram.
-        let mut bucket_offsets = Vec::with_capacity(b + 1);
-        let mut running = 0u64;
-        for &c in &totals {
-            bucket_offsets.push(running);
-            running += c;
-        }
-        bucket_offsets.push(running);
-        let bucket = hpc_par::scan::bucket_for_rank(&bucket_offsets[..b], k as u64);
-        if totals[bucket] == 0 {
-            return Err(SelectError::Corruption {
-                invariant: "bucket-for-rank",
-                detail: format!("rank {k} maps to empty bucket {bucket} on level {level}"),
-            });
-        }
-
-        obs::gauge_set(
-            crate::obs::Gauge::BucketOccupancy,
-            totals.iter().filter(|&&c| c > 0).count() as u64,
-        );
-
-        // -- equality bucket: all elements equal, answer found early.
-        if tree.is_equality_bucket(bucket) {
-            for (d, c) in shards.iter_mut().zip(counts.iter_mut()) {
-                if let Some(c) = c.take() {
-                    recycle_count(&mut d.device, c);
-                }
-            }
-            let v = tree.equality_value(bucket);
-            obs::counter_add(Counter::EqualityBucketExits, 1);
-            if obs::enabled() {
-                obs::span_close_to(span_base + 1, clock.as_ns());
-            }
-            break 'recursion v;
-        }
-
-        // -- filter: every shard keeps its slice of the target bucket.
-        // Outputs are staged and applied only once *every* shard
-        // succeeds: a mid-loop fault re-enters the level, and survivors
-        // that already filtered must still hold their pre-level locals
-        // (`k` is only adjusted after a fully successful filter pass).
-        let mut staged: Vec<Option<Vec<T>>> = (0..shards.len()).map(|_| None).collect();
-        let mut shard_died = None;
-        for &i in &alive {
-            let count = match counts[i].take() {
-                Some(c) => c,
-                None => continue, // empty shard
-            };
-            let expected = count.counts[bucket];
-            let slot = &mut shards[i];
-            let red = reduce_kernel(&mut slot.device, &count, LaunchOrigin::Device);
-            let next = filter_kernel_scoped(
-                &mut slot.device,
-                &slot.local,
-                &count,
-                &red,
-                bucket as u32..bucket as u32 + 1,
-                cfg,
-                LaunchOrigin::Device,
-                &slot.scratch,
-            );
-            let fault = slot.device.take_fault();
-            let sized_ok = next.len() as u64 == expected;
-            recycle_level(&mut slot.device, count, red);
-            if let Some(fault) = fault {
-                events.fault(format!("shard {i} filter level {level}: {fault}"));
-                shard_died = Some(i);
-                break;
-            }
-            if !sized_ok {
-                events.corruption(format!(
-                    "shard {i} level {level}: filter extracted {} elements, count says {expected}",
-                    next.len()
-                ));
-                shard_died = Some(i);
-                break;
-            }
-            staged[i] = Some(next);
-        }
-        if let Some(i) = shard_died {
-            // Filter-phase faults share the level-retry budget; past
-            // it the shard is declared dead. Either way the level is
-            // re-entered (a redraw is cheaper than partial-level
-            // bookkeeping, and only faulted runs ever take this path).
-            for (d, c) in shards.iter_mut().zip(counts.iter_mut()) {
-                if let Some(c) = c.take() {
-                    recycle_count(&mut d.device, c);
-                }
-            }
-            level_retries += 1;
-            if level_retries > scfg.retry.max_retries {
-                handle_death!(i, ShardDeath::RetriesExhausted);
-            } else {
-                let backoff = jittered_backoff(&scfg.retry, i as u64, level_retries - 1);
-                events.retry(format!(
-                    "level {level} re-entered after shard {i} filter fault ({backoff})"
-                ));
-                clock = clock.max(max_alive_now(&shards)) + backoff;
-                sync_devices(&mut shards, clock);
-            }
-            continue 'recursion;
-        }
-
-        // -- descend: the whole filter pass succeeded, commit it.
-        for (slot, next) in shards.iter_mut().zip(staged) {
-            if let Some(next) = next {
-                slot.local = next;
-            }
-        }
-        k -= bucket_offsets[bucket] as usize;
-        history.push((splitters, bucket));
-        for s in shards.iter_mut().filter(|s| s.alive) {
-            s.fingerprint = local_fingerprint(&s.local);
-        }
-        obs::observe(Histogram::LevelKeptElements, totals[bucket]);
-        clock = clock.max(max_alive_now(&shards));
-        sync_devices(&mut shards, clock);
-        if obs::enabled() {
-            obs::span_close_to(span_base + 1, clock.as_ns());
-        }
-        level += 1;
-        level_retries = 0;
     };
-
-    clock = clock.max(max_alive_now(&shards));
+    exec.join();
+    let degraded = exec.report.quorum_degradations > 0;
 
     // -- ABFT certification on the merged result: each surviving shard
     // certifies the rank of `value` within its *original* partition;
@@ -934,9 +941,8 @@ pub fn sharded_select<T: SelectElement>(
     // outcome is tagged approximate; its error bound is the report's
     // lost-element count).
     if cfg.verify.certify() && !degraded {
-        let mut below = 0u64;
-        let mut tied = 0u64;
-        for s in shards.iter_mut().filter(|s| s.alive) {
+        let (mut below, mut tied) = (0u64, 0u64);
+        for s in exec.slots.iter_mut().filter(|s| s.alive) {
             let part = &data[s.origin.clone()];
             let (lo, eq) = rank_bounds(part, value);
             below += lo;
@@ -949,9 +955,10 @@ pub fn sharded_select<T: SelectElement>(
             s.device
                 .commit("shard_certify", launch, LaunchOrigin::Host, cost);
         }
-        let t = link.all_reduce_time(16, shards.iter().filter(|s| s.alive).count());
-        clock = clock.max(max_alive_now(&shards)) + t;
-        link_time += t;
+        let t = arch.link.all_reduce_time(16, exec.live().len());
+        exec.join();
+        exec.clock += t;
+        exec.link(t, 0);
         if !(below as usize <= rank && rank < (below + tied) as usize) {
             return Err(SelectError::Corruption {
                 invariant: "rank-certificate",
@@ -961,7 +968,7 @@ pub fn sharded_select<T: SelectElement>(
                 ),
             });
         }
-        events.certify(format!(
+        exec.report.events.certify(format!(
             "merged rank certificate: {rank} within [{below}, {})",
             below + tied
         ));
@@ -971,55 +978,26 @@ pub fn sharded_select<T: SelectElement>(
         // The survivors' answer is exact *for the surviving data*; the
         // dropped candidates bound how far it can sit from the true
         // rank. Report its true achieved rank over what survived.
-        let mut below = 0u64;
-        for s in shards.iter().filter(|s| s.alive) {
-            below += rank_bounds(&data[s.origin.clone()], value).0;
-        }
+        let live = exec.slots.iter().filter(|s| s.alive);
+        let achieved_rank = live.map(|s| rank_bounds(&data[s.origin.clone()], value).0);
         Outcome::Approximate {
             value,
-            achieved_rank: below,
-            rank_error: lost_elements,
+            achieved_rank: achieved_rank.sum(),
+            rank_error: exec.report.lost_elements,
         }
     } else {
         Outcome::Exact(value)
     };
 
-    obs::counter_add(Counter::Queries, 1);
-    obs::counter_add(Counter::RecursionLevels, levels_run as u64);
-    for s in shards.iter().filter(|s| s.alive) {
-        obs::absorb_device(&s.device);
+    for s in exec.slots.iter().filter(|s| s.alive) {
+        obs::absorb_records(s.device.records());
     }
-    if obs::enabled() {
-        obs::span_close_to(span_base, clock.as_ns());
-    }
-
+    obs::span_close_to(span_base, exec.clock.as_ns());
+    exec.report.sim_time = exec.clock;
     Ok(ShardedResult {
         outcome,
-        report: ShardReport {
-            shards: k_shards,
-            levels: levels_run,
-            sim_time: clock,
-            link_time,
-            link_bytes,
-            stragglers_hedged,
-            shards_recovered,
-            quorum_degradations,
-            lost_elements,
-            events,
-        },
+        report: exec.report,
     })
-}
-
-/// [`sharded_select`] without fault injection (the clean leg).
-pub fn sharded_select_clean<T: SelectElement>(
-    arch: &GpuArchitecture,
-    pool: &ThreadPool,
-    data: &[T],
-    rank: usize,
-    cfg: &SampleSelectConfig,
-    scfg: &ShardConfig,
-) -> Result<ShardedResult<T>, SelectError> {
-    sharded_select(arch, pool, data, rank, cfg, scfg, &ShardFaults::default())
 }
 
 #[cfg(test)]
@@ -1069,13 +1047,14 @@ mod tests {
         let expected = single_device_value(&data, rank, &cfg);
         let pool = ThreadPool::new(2);
         for k in [1usize, 2, 4, 8] {
-            let res = sharded_select_clean(
+            let res = sharded_select(
                 &v100(),
                 &pool,
                 &data,
                 rank,
                 &cfg,
                 &ShardConfig::default().with_shards(k),
+                &ShardFaults::default(),
             )
             .unwrap();
             assert!(res.outcome.is_exact());
@@ -1092,19 +1071,66 @@ mod tests {
     fn zero_shards_is_an_invalid_argument() {
         let data = uniform(1_000, 5);
         let pool = ThreadPool::new(1);
-        let err = sharded_select_clean(
+        let err = sharded_select(
             &v100(),
             &pool,
             &data,
             500,
             &SampleSelectConfig::default(),
             &ShardConfig::default().with_shards(0),
+            &ShardFaults::default(),
         )
         .unwrap_err();
         assert!(
             matches!(err, SelectError::InvalidArgument { .. }),
             "0 shards must be rejected, got {err:?}"
         );
+    }
+
+    #[test]
+    fn more_shards_than_elements_is_an_invalid_argument() {
+        let data = uniform(1_000, 5);
+        let pool = ThreadPool::new(1);
+        let err = sharded_select(
+            &v100(),
+            &pool,
+            &data,
+            500,
+            &SampleSelectConfig::default(),
+            &ShardConfig::default().with_shards(data.len() + 1),
+            &ShardFaults::default(),
+        )
+        .unwrap_err();
+        assert!(
+            matches!(err, SelectError::InvalidArgument { .. }),
+            "n + 1 shards must be rejected, got {err:?}"
+        );
+    }
+
+    #[test]
+    fn registry_counts_every_kernel_of_every_shard() {
+        // One sample level, then the base case: each shard gathers,
+        // counts, reduces and filters, and the first shard also sorts
+        // the sample and the base case.
+        let data = uniform(200_000, 7);
+        let pool = ThreadPool::new(2);
+        for k in [1usize, 2, 3, 4, 8] {
+            let session = crate::obs::ObsSession::start();
+            let res = sharded_select(
+                &v100(),
+                &pool,
+                &data,
+                77_777,
+                &SampleSelectConfig::default(),
+                &ShardConfig::default().with_shards(k),
+                &ShardFaults::default(),
+            )
+            .unwrap();
+            let snapshot = session.finish().snapshot;
+            assert_eq!(res.report.levels, 2);
+            let launches = snapshot.counter("select_kernel_launches_total");
+            assert_eq!(launches, 2 + 4 * k as u64, "K={k}");
+        }
     }
 
     #[test]
@@ -1116,13 +1142,14 @@ mod tests {
         let pool = ThreadPool::new(2);
         let mut times = Vec::new();
         for k in [1usize, 4] {
-            let res = sharded_select_clean(
+            let res = sharded_select(
                 &v100(),
                 &pool,
                 &data,
                 1 << 21,
                 &cfg,
                 &ShardConfig::default().with_shards(k),
+                &ShardFaults::default(),
             )
             .unwrap();
             times.push(res.report.sim_time);
@@ -1287,13 +1314,14 @@ mod tests {
         let cfg = SampleSelectConfig::default().with_verify(crate::verify::VerifyPolicy::Paranoid);
         let rank = 5_000;
         let pool = ThreadPool::new(2);
-        let res = sharded_select_clean(
+        let res = sharded_select(
             &v100(),
             &pool,
             &data,
             rank,
             &cfg,
             &ShardConfig::default().with_shards(4),
+            &ShardFaults::default(),
         )
         .unwrap();
         assert!(res.outcome.is_exact());
@@ -1306,13 +1334,14 @@ mod tests {
         let data = uniform(20_000, 37);
         let cfg = SampleSelectConfig::default();
         let pool = ThreadPool::new(2);
-        let res = sharded_select_clean(
+        let res = sharded_select(
             &v100(),
             &pool,
             &data,
             9_999,
             &cfg,
             &ShardConfig::default().with_shards(4),
+            &ShardFaults::default(),
         )
         .unwrap();
         assert!(res.report.link_bytes > 0);

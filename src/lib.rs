@@ -50,7 +50,7 @@ pub mod prelude {
         resilient_select, Backend, Outcome, ResilienceConfig, ResilientResult, RetryPolicy,
     };
     pub use sampleselect::shard::{
-        sharded_select, sharded_select_clean, KillSpec, ShardConfig, ShardFaults, ShardTopology,
+        sharded_select, KillSpec, ShardConfig, ShardFaults, ShardTopology,
     };
     pub use sampleselect::topk::top_k_largest;
     pub use sampleselect::{sample_select, SelectError, SelectResult};

@@ -489,22 +489,22 @@ proptest! {
         rank_frac in 0.0f64..1.0,
         pool_threads in 1usize..4,
     ) {
-        use gpu_selection::sampleselect::{sharded_select_clean, ShardConfig};
+        use gpu_selection::sampleselect::{sharded_select, ShardConfig, ShardFaults};
 
         let rank = ((data.len() - 1) as f64 * rank_frac) as usize;
         let cfg = small_cfg();
         let pool = ThreadPool::new(pool_threads);
         let arch = v100();
 
-        let single = sharded_select_clean(
-            &arch, &pool, &data, rank, &cfg, &ShardConfig::default().with_shards(1),
+        let single = sharded_select(
+            &arch, &pool, &data, rank, &cfg, &ShardConfig::default().with_shards(1), &ShardFaults::default(),
         ).unwrap();
         prop_assert!(single.outcome.is_exact());
         prop_assert_eq!(single.outcome.value(), reference_select(&data, rank).unwrap());
 
         for k in [2usize, 4, 8] {
-            let sharded = sharded_select_clean(
-                &arch, &pool, &data, rank, &cfg, &ShardConfig::default().with_shards(k),
+            let sharded = sharded_select(
+                &arch, &pool, &data, rank, &cfg, &ShardConfig::default().with_shards(k), &ShardFaults::default(),
             ).unwrap();
             prop_assert!(sharded.outcome.is_exact(), "K={} must stay exact", k);
             prop_assert_eq!(
@@ -523,7 +523,7 @@ proptest! {
         rank_frac in 0.0f64..1.0,
         k_idx in 0usize..3,
     ) {
-        use gpu_selection::sampleselect::{sharded_select_clean, ShardConfig};
+        use gpu_selection::sampleselect::{sharded_select, ShardConfig, ShardFaults};
 
         let rank = ((data.len() - 1) as f64 * rank_frac) as usize;
         let cfg = small_cfg();
@@ -531,11 +531,11 @@ proptest! {
         let arch = v100();
         let k = [2usize, 4, 8][k_idx];
 
-        let single = sharded_select_clean(
-            &arch, &pool, &data, rank, &cfg, &ShardConfig::default().with_shards(1),
+        let single = sharded_select(
+            &arch, &pool, &data, rank, &cfg, &ShardConfig::default().with_shards(1), &ShardFaults::default(),
         ).unwrap();
-        let sharded = sharded_select_clean(
-            &arch, &pool, &data, rank, &cfg, &ShardConfig::default().with_shards(k),
+        let sharded = sharded_select(
+            &arch, &pool, &data, rank, &cfg, &ShardConfig::default().with_shards(k), &ShardFaults::default(),
         ).unwrap();
         prop_assert_eq!(
             sharded.outcome.value().to_bits(),

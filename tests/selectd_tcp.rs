@@ -151,6 +151,15 @@ fn bad_flag_value_exits_2_without_panicking() {
 fn rejected_queries_exit_2_without_panicking() {
     for args in [
         &["--algo", "shard", "--shards", "0", "--n", "4096"][..],
+        &["--algo", "shard", "--shards", "1001", "--n", "1000"],
+        &[
+            "--algo",
+            "shard",
+            "--shards",
+            "18446744073709551615",
+            "--n",
+            "1000",
+        ],
         &["--buckets", "0", "--n", "4096"],
         &["--algo", "radix", "--buckets", "0", "--n", "4096"],
         &["--n", "0"],
