@@ -38,6 +38,12 @@ pub trait Classifier<T>: Sync {
     fn charge(&self, len: u64, cost: &mut KernelCost);
     /// Ballots one warp spends on aggregating its atomics (Fig. 6).
     fn ballots_per_warp(&self) -> u64;
+    /// Bytes of classifier state a block loads from global memory when
+    /// its launch covers several segments, each classified its own way:
+    /// a search tree's splitters; a digit needs none.
+    fn table_bytes(&self) -> u64 {
+        0
+    }
 }
 
 impl<T: SelectElement> Classifier<T> for SearchTree<T> {
@@ -74,6 +80,10 @@ impl<T: SelectElement> Classifier<T> for SearchTree<T> {
     fn ballots_per_warp(&self) -> u64 {
         // Fig. 6: tree_height ballots per warp.
         self.height() as u64
+    }
+
+    fn table_bytes(&self) -> u64 {
+        (self.splitters().len() * T::BYTES) as u64
     }
 }
 

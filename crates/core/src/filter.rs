@@ -1,6 +1,7 @@
 //! The `filter` kernel (§IV-B.c): extract the elements of the target
-//! bucket (or, fused top-k, of a whole bucket range) into contiguous
-//! storage, using the oracles and the reduce kernel's prefix sums.
+//! bucket (or, fused top-k, of a whole bucket range; multi-rank, of a
+//! set of buckets) into contiguous storage, using the oracles and the
+//! reduce kernel's prefix sums.
 //!
 //! Following §IV-G, this is the *second pass* of the two-pass counter
 //! scheme: each block already knows (from the scanned partials) the
@@ -19,6 +20,24 @@ use gpu_sim::warp::WARP_SIZE;
 use gpu_sim::{Device, KernelCost, LaunchOrigin};
 use hpc_par::simd;
 use std::ops::Range;
+
+/// Every bucket index a level can have (validation caps the bucket count
+/// at 1024), so that a range of buckets is a bucket set without an
+/// allocation.
+static BUCKETS: [u32; 1024] = {
+    let mut all = [0; 1024];
+    let mut i = 0;
+    while i < all.len() {
+        all[i] = i as u32;
+        i += 1;
+    }
+    all
+};
+
+/// The buckets of `range` as a bucket set.
+pub fn bucket_set(range: Range<u32>) -> &'static [u32] {
+    &BUCKETS[range.start as usize..range.end as usize]
+}
 
 /// Extract all elements whose bucket lies in `bucket_range` into a
 /// contiguous `Vec`, ordered by (bucket, block, within-block position).
@@ -68,6 +87,26 @@ pub fn filter_kernel_scoped<T: SelectElement>(
     origin: LaunchOrigin,
     scratch: &KernelScratch,
 ) -> Vec<T> {
+    let buckets = bucket_set(bucket_range);
+    filter_buckets(device, data, count, reduce, buckets, cfg, origin, scratch)
+}
+
+/// The filter over a set of buckets: `buckets` is ascending and not
+/// empty, and the output holds each bucket's elements in that order, so
+/// a target slices it at the bucket sizes. A range of buckets is
+/// charged as [`filter_kernel`] charges it; a set with gaps also reads
+/// its bucket indexes, one per selected bucket and block.
+#[allow(clippy::too_many_arguments)]
+pub fn filter_buckets<T: SelectElement>(
+    device: &mut Device,
+    data: &[T],
+    count: &CountResult,
+    reduce: &ReduceResult,
+    buckets: &[u32],
+    cfg: &SampleSelectConfig,
+    origin: LaunchOrigin,
+    scratch: &KernelScratch,
+) -> Vec<T> {
     let n = data.len();
     let oracles = count
         .oracles
@@ -82,13 +121,23 @@ pub fn filter_kernel_scoped<T: SelectElement>(
     );
     let chunk = launch.block_chunk(n);
 
-    let range_base = reduce.bucket_offsets[bucket_range.start as usize];
-    let range_end = reduce.bucket_offsets[bucket_range.end as usize];
-    let out_len = (range_end - range_base) as usize;
+    // `back[bucket - lo]` moves a scanned (bucket, block) offset back to
+    // the bucket's place in the output (the selected buckets before it
+    // are no larger than all buckets before it); buckets between `lo`
+    // and `hi` that the set skips keep `SKIPPED`, which no offset is.
+    const SKIPPED: u64 = u64::MAX;
+    let (lo, hi) = (buckets[0], buckets[buckets.len() - 1] + 1);
+    let mut back = scratch.lease_u64((hi - lo) as usize);
+    back.fill(SKIPPED);
+    let mut out_len = 0u64;
+    for &bucket in buckets {
+        let start = reduce.bucket_offsets[bucket as usize];
+        back[(bucket - lo) as usize] = start - out_len;
+        out_len += reduce.bucket_offsets[bucket as usize + 1] - start;
+    }
+    let (back_ref, out_len) = (&back, out_len as usize);
     let out = device.pooled_scatter::<T>(out_len, "filter-out");
     let out_ref = &out;
-    let lo = bucket_range.start;
-    let hi = bucket_range.end;
 
     // Single-bucket ranges with one-byte oracles (every exact-selection
     // level) take a lane-parallel fast path: one vector compare over 32
@@ -99,7 +148,7 @@ pub fn filter_kernel_scoped<T: SelectElement>(
     // packed prefix, and the block's output range may end mid-warp with
     // the next block's range being written concurrently.
     let simd_level = simd::simd_level();
-    let simd_single = hi - lo == 1 && oracles.as_u8_slice().is_some() && lo <= u8::MAX as u32;
+    let simd_single = buckets.len() == 1 && oracles.as_u8_slice().is_some() && lo <= u8::MAX as u32;
 
     let (mut cost, oracle_mismatches) = hpc_par::parallel_map_reduce(
         device.pool(),
@@ -137,7 +186,7 @@ pub fn filter_kernel_scoped<T: SelectElement>(
                             // Healthy warp: compress the matches in
                             // element order and flush them contiguously
                             // after the block's previous matches.
-                            let pos = (reduce.offsets[lo as usize * blocks + block] - range_base
+                            let pos = (reduce.offsets[lo as usize * blocks + block] - back_ref[0]
                                 + cursors[0]) as usize;
                             if T::BYTES == 4 {
                                 let cnt = simd::compress_u32(
@@ -179,8 +228,8 @@ pub fn filter_kernel_scoped<T: SelectElement>(
                     if !handled {
                         for lane in 0..wlen {
                             let bucket = oracles.get(idx + lane);
-                            if (lo..hi).contains(&bucket) {
-                                let rel = (bucket - lo) as usize;
+                            let rel = bucket.wrapping_sub(lo) as usize;
+                            if rel < back_ref.len() && back_ref[rel] != SKIPPED {
                                 // A corrupted oracle can route extra elements
                                 // into this (bucket, block) range; writing past
                                 // the range allotted by the prefix sums would
@@ -194,7 +243,7 @@ pub fn filter_kernel_scoped<T: SelectElement>(
                                     continue;
                                 }
                                 let pos = reduce.offsets[bucket as usize * blocks + block]
-                                    - range_base
+                                    - back_ref[rel]
                                     + cursors[rel];
                                 cursors[rel] += 1;
                                 // SAFETY: the two-pass scheme assigns each
@@ -240,9 +289,9 @@ pub fn filter_kernel_scoped<T: SelectElement>(
                 // (bucket, block) range, leaving output slots unwritten;
                 // detect the shortfall so the scatter buffer is never
                 // finalized with uninitialized slots.
-                for (rel, &cursor) in cursors.iter().enumerate().take((hi - lo) as usize) {
-                    let bucket = lo as usize + rel;
-                    if cursor != count.partials[bucket * blocks + block] {
+                for &bucket in buckets {
+                    let cursor = cursors[(bucket - lo) as usize];
+                    if cursor != count.partials[bucket as usize * blocks + block] {
                         mismatches += 1;
                     }
                 }
@@ -265,8 +314,15 @@ pub fn filter_kernel_scoped<T: SelectElement>(
             a
         },
     );
-    // Each block also reads its per-bucket offsets for the range.
-    cost.global_read_bytes += (blocks as u64) * (hi - lo) as u64 * 4;
+    // Each block also reads its offset of every selected bucket, and of
+    // a set with gaps the bucket indexes too.
+    let per_bucket = if buckets.len() as u32 == hi - lo {
+        4
+    } else {
+        8
+    };
+    cost.global_read_bytes += (blocks * buckets.len()) as u64 * per_bucket;
+    scratch.give_u64(back);
 
     device.commit("filter", launch, origin, cost);
 
@@ -275,15 +331,15 @@ pub fn filter_kernel_scoped<T: SelectElement>(
         // would be undefined behaviour. Rebuild one bucket with a safe
         // sequential gather over the (corrupted) oracles; its length
         // discrepancy is then caught by the drivers' size checks. An
-        // input-order gather cannot group a wider range by bucket, so
-        // that output stays empty, which fails the same checks.
-        if hi - lo > 1 {
+        // input-order gather cannot group several buckets, so that
+        // output stays empty, which fails the same checks.
+        if buckets.len() > 1 {
             return Vec::new();
         }
         return data
             .iter()
             .enumerate()
-            .filter(|&(i, _)| (lo..hi).contains(&oracles.get(i)))
+            .filter(|&(i, _)| oracles.get(i) == lo)
             .map(|(_, &x)| x)
             .collect();
     }

@@ -582,6 +582,7 @@ mod tests {
     use crate::streaming::{ChunkError, SliceChunks};
     use gpu_sim::arch::v100;
     use hpc_par::ThreadPool;
+    use proptest::prelude::*;
 
     fn uniform(n: usize, seed: u64) -> Vec<f32> {
         let mut rng = SplitMix64::new(seed);
@@ -605,6 +606,41 @@ mod tests {
 
     fn ckpt_path(tag: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("sselect-qs-{}-{tag}.ckpt", std::process::id()))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Truncated, bit-flipped and over-long QNTL checkpoints, with and
+        /// without a last window, end in `Err` (a fresh stream for the
+        /// caller), never a panic.
+        #[test]
+        fn hostile_quantile_checkpoints_never_panic(
+            len in 2usize..40,
+            slide in any::<usize>(),
+            probs in 1usize..4,
+            pushed in 0usize..120,
+            seed in any::<u64>(),
+        ) {
+            let cfg = QuantileStreamConfig {
+                probs: [0.5, 0.9, 0.1][..probs].to_vec(),
+                window: WindowSpec::sliding(len, 1 + slide % len),
+                select: SampleSelectConfig::default(),
+            };
+            let pool = ThreadPool::new(1);
+            let mut engine = QuantileStream::<f32>::new(cfg.clone()).unwrap();
+            engine.ingest(&mut device(&pool), &uniform(pushed, seed)).unwrap();
+            let file = engine.checkpoint_bytes();
+            // The window's length, then (after the tag, index and end
+            // offset) the last window's.
+            let window = 36 + 8 + 8 * pushed.min(len);
+            let lengths = match engine.last() {
+                Some(_) => vec![36, window + 17],
+                None => vec![36],
+            };
+            let decodes = |b: &[u8]| QuantileStream::<f32>::from_checkpoint_bytes(cfg.clone(), b).is_ok();
+            crate::streaming::attack_checkpoint(&file, &lengths, decodes);
+        }
     }
 
     #[test]

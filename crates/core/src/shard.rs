@@ -825,12 +825,14 @@ impl<T: SelectElement> Executor<T, SplitterLevels> for Shards<'_, T> {
         cur: &[T],
         _count: &CountResult,
         red: &ReduceResult,
-        range: Range<u32>,
+        buckets: &[u32],
         _cfg: &SampleSelectConfig,
         ws: &SelectWorkspace<T>,
     ) -> Result<Vec<T>, SelectError> {
-        assert_eq!(range.len(), 1, "the shard executor filters one bucket");
-        let bucket = range.start as usize;
+        let &[bucket] = buckets else {
+            panic!("the shard executor filters one bucket");
+        };
+        let bucket = bucket as usize;
         let mut outputs = Vec::with_capacity(self.slots.len());
         for i in 0..self.slots.len() {
             let count = self.slots[i].count.take();
@@ -884,6 +886,32 @@ impl<T: SelectElement> Executor<T, SplitterLevels> for Shards<'_, T> {
     }
 }
 
+/// The `rank`-th smallest element of `data` through the level loop on
+/// `exec`. A quorum loss ends a run of the loop with the survivors'
+/// candidates staged; the next run selects among them, mid-query, so its
+/// first kernels are device-side tail launches.
+fn select_levels<T: SelectElement>(
+    exec: &mut Shards<'_, T>,
+    data: &[T],
+    rank: usize,
+    cfg: &SampleSelectConfig,
+) -> Result<T, SelectError> {
+    let (ws, report) = (&mut SelectWorkspace::new(), &mut SelectReport::empty(""));
+    let (mut input, mut k, mut origin) = (Cow::Borrowed(data), rank, LaunchOrigin::Host);
+    loop {
+        match rank_levels(exec, &input, k, cfg, ws, report, splitters(cfg), origin) {
+            Ok(value) => return Ok(value),
+            Err(e) => {
+                let survivors = exec.staged.take().filter(|s| !s.is_empty()).ok_or(e)?;
+                k = (k - exec.below).min(survivors.len() - 1);
+                exec.below = 0;
+                input = Cow::Owned(survivors);
+                origin = LaunchOrigin::Device;
+            }
+        }
+    }
+}
+
 /// Sharded selection of the `rank`-th smallest element of `data`
 /// across `scfg.shards` simulated devices of architecture `arch`.
 ///
@@ -917,21 +945,7 @@ pub fn sharded_select<T: SelectElement>(
     let span_base = obs::span_depth();
     obs::span_enter(SpanKind::Query, "sharded", 0, 0.0);
 
-    // A quorum loss ends a run of the loop with the survivors'
-    // candidates staged; the next run selects among them.
-    let (ws, report) = (&mut SelectWorkspace::new(), &mut SelectReport::empty(""));
-    let (mut input, mut k) = (Cow::Borrowed(data), rank);
-    let value = loop {
-        match rank_levels(&mut exec, &input, k, cfg, ws, report, splitters(cfg)) {
-            Ok(value) => break value,
-            Err(e) => {
-                let survivors = exec.staged.take().filter(|s| !s.is_empty()).ok_or(e)?;
-                k = (k - exec.below).min(survivors.len() - 1);
-                exec.below = 0;
-                input = Cow::Owned(survivors);
-            }
-        }
-    };
+    let value = select_levels(&mut exec, data, rank, cfg)?;
     exec.join();
     let degraded = exec.report.quorum_degradations > 0;
 
@@ -1244,6 +1258,34 @@ mod tests {
         }
         assert_eq!(res.report.quorum_degradations, 1);
         assert!(res.report.events.degradations >= 1);
+    }
+
+    #[test]
+    fn a_rerun_on_the_survivors_launches_from_the_device() {
+        // Small buckets, so that the survivors count a level again.
+        let data = uniform(50_000, 13);
+        let cfg = SampleSelectConfig::default()
+            .with_buckets(16)
+            .with_base_case(64);
+        let (arch, pool) = (v100(), ThreadPool::new(2));
+        let scfg = ShardConfig::default()
+            .with_shards(4)
+            .with_recovery_budget(0);
+        let faults = ShardFaults::default().kill_shard(2, 1);
+        let mut exec = Shards::new(&arch, &pool, &data, &cfg, &scfg, &faults);
+        select_levels(&mut exec, &data, 25_000, &cfg).unwrap();
+        assert_eq!(exec.report.quorum_degradations, 1);
+        // Only the fresh query's first level launches from the host; the
+        // rerun on the survivors is a device-side tail launch throughout.
+        for slot in exec.slots.iter().filter(|s| s.alive) {
+            let records = slot.device.records();
+            let host = records
+                .iter()
+                .take_while(|r| r.origin == LaunchOrigin::Host);
+            let rest = &records[host.count()..];
+            assert!(rest.iter().all(|r| r.origin == LaunchOrigin::Device));
+            assert!(rest.iter().any(|r| r.name == "count"), "the rerun counts");
+        }
     }
 
     #[test]

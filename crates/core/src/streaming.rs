@@ -957,6 +957,52 @@ fn streaming_select_impl<T: SelectElement, S: ChunkSource<T>>(
     })
 }
 
+/// Feed `decodes` every hostile variant of the valid checkpoint `file`:
+/// each truncation and each single-bit flip, which the checksum must
+/// reject; each flip again with the checksum resealed, so that the
+/// body's own checks see it; and each `u64` length field at the byte
+/// offsets `lengths` set at and past the words that remain after it,
+/// resealed. Past the remaining words it must be rejected; nothing may
+/// panic. `decodes` returns whether it accepted its input.
+#[cfg(test)]
+pub(crate) fn attack_checkpoint(file: &[u8], lengths: &[usize], decodes: impl Fn(&[u8]) -> bool) {
+    let body = file.len() - 8;
+    let reseal = |mut bytes: Vec<u8>| {
+        bytes.truncate(body);
+        let checksum = fnv1a64(&bytes);
+        push_u64(&mut bytes, checksum);
+        bytes
+    };
+    assert!(decodes(file), "the valid checkpoint must decode");
+    for cut in 0..file.len() {
+        assert!(
+            !decodes(&file[..cut]),
+            "cut at {cut} of {} decoded",
+            file.len()
+        );
+    }
+    for bit in 0..file.len() * 8 {
+        let mut flipped = file.to_vec();
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        assert!(!decodes(&flipped), "flipped bit {bit} decoded");
+        if bit < body * 8 {
+            decodes(&reseal(flipped));
+        }
+    }
+    for &at in lengths {
+        let left = (body - at - 8) as u64 / 8;
+        for len in [left, left + 1, 1 << 61, u64::MAX] {
+            let mut hostile = file.to_vec();
+            hostile[at..at + 8].copy_from_slice(&len.to_le_bytes());
+            let accepted = decodes(&reseal(hostile));
+            assert!(
+                len <= left || !accepted,
+                "length {len} at {at} past {left} words"
+            );
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -964,6 +1010,7 @@ mod tests {
     use crate::instrument::ResilienceEvent;
     use gpu_sim::arch::v100;
     use hpc_par::ThreadPool;
+    use proptest::prelude::*;
 
     fn uniform(n: usize, seed: u64) -> Vec<f32> {
         let mut rng = SplitMix64::new(seed);
@@ -1360,6 +1407,47 @@ mod tests {
         push_u64(&mut bytes, checksum);
         let err = decode_checkpoint::<f32>(&bytes, &fp).unwrap_err();
         assert!(err.contains("truncated"), "got: {err}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Truncated, bit-flipped and over-long checkpoints of every phase
+        /// end in `Err` (a clean restart for the caller), never a panic.
+        #[test]
+        fn hostile_checkpoints_never_panic(
+            phase in 0u8..3,
+            sample in 0usize..24,
+            kept in 0usize..24,
+            raw in any::<u64>(),
+        ) {
+            let fp = test_fingerprint();
+            let mut rng = SplitMix64::new(raw);
+            let mut elems = |len: usize| -> Vec<f32> {
+                (0..len).map(|_| f32::from_bits(rng.next_u64() as u32)).collect()
+            };
+            let splitters = elems(if phase > PHASE_SAMPLE { 15 } else { sample % 16 });
+            let state = CheckpointState::<f32> {
+                phase,
+                next_chunk: raw % (fp.num_chunks + 1),
+                rng_state: raw,
+                elements_seen: raw % (fp.n + 1),
+                sample: elems(sample),
+                splitters,
+                counts: (0..if phase > PHASE_COUNT { 16 } else { kept as u64 % 17 }).collect(),
+                kept: elems(kept),
+            };
+            let file = encode_checkpoint(&fp, &state);
+            // The four length fields: sample, splitters, counts, kept.
+            let mut at = 90;
+            let mut lengths = Vec::new();
+            for len in [state.sample.len(), state.splitters.len(), state.counts.len()] {
+                lengths.push(at);
+                at += 8 + 8 * len;
+            }
+            lengths.push(at);
+            attack_checkpoint(&file, &lengths, |b| decode_checkpoint::<f32>(b, &fp).is_ok());
+        }
     }
 
     #[test]

@@ -11,8 +11,10 @@
 //!   atomic-collision scratch, filter cursors);
 //! * [`SelectWorkspace`] owns the per-query element buffers — the
 //!   splitter sample, the bitonic sorting scratch, the staged splitters,
-//!   the built [`SearchTree`] (node arrays reused across levels when the
-//!   bucket count is unchanged), and the base-case copy.
+//!   the built [`SearchTree`]s, one per segment of a level (node arrays
+//!   reused across levels when the bucket count is unchanged), the
+//!   base-case copy, and the slots for a level's count and reduce
+//!   results.
 //!
 //! Together with the device-side [`gpu_sim::BufferPool`] (oracles,
 //! partial counts, prefix sums, filter output), a warmed-up
@@ -32,7 +34,9 @@
 //!   the workspace — owns their allocations between queries. Poisoned
 //!   regions (hit by injected corruption) are never recycled.
 
+use crate::count::CountResult;
 use crate::element::SelectElement;
+use crate::reduce::ReduceResult;
 use crate::searchtree::SearchTree;
 use std::sync::Mutex;
 
@@ -112,10 +116,17 @@ pub struct SelectWorkspace<T> {
     pub(crate) splitters: Vec<T>,
     /// Padded buffer for the bitonic sorting network.
     pub(crate) sort_scratch: Vec<T>,
-    /// The splitter search tree, rebuilt in place level after level.
+    /// The splitter search tree, rebuilt in place level after level:
+    /// the one of a level's first segment.
     pub(crate) tree: Option<SearchTree<T>>,
+    /// The trees of a level's other segments, in order.
+    pub(crate) segment_trees: Vec<Option<SearchTree<T>>>,
     /// Base-case copy of the final bucket.
     pub(crate) base: Vec<T>,
+    /// A level's count results, one per counted segment.
+    pub(crate) counts: Vec<CountResult>,
+    /// A level's reduce results, one per counted segment.
+    pub(crate) reds: Vec<ReduceResult>,
 }
 
 impl<T> Default for SelectWorkspace<T> {
@@ -126,7 +137,10 @@ impl<T> Default for SelectWorkspace<T> {
             splitters: Vec::new(),
             sort_scratch: Vec::new(),
             tree: None,
+            segment_trees: Vec::new(),
             base: Vec::new(),
+            counts: Vec::new(),
+            reds: Vec::new(),
         }
     }
 }
@@ -144,6 +158,31 @@ impl<T: SelectElement> SelectWorkspace<T> {
     /// Take ownership of the most recently built search tree.
     pub fn take_tree(&mut self) -> Option<SearchTree<T>> {
         self.tree.take()
+    }
+
+    /// Run `f` with the tree slot of segment `seg` of a level in
+    /// `self.tree`, where the sample step builds it: the first segment's
+    /// tree lives there, the others' are swapped in and back out.
+    pub(crate) fn with_segment_tree<R>(&mut self, seg: usize, f: impl FnOnce(&mut Self) -> R) -> R {
+        if seg == 0 {
+            return f(self);
+        }
+        if self.segment_trees.len() < seg {
+            self.segment_trees.resize_with(seg, || None);
+        }
+        std::mem::swap(&mut self.tree, &mut self.segment_trees[seg - 1]);
+        let out = f(self);
+        std::mem::swap(&mut self.tree, &mut self.segment_trees[seg - 1]);
+        out
+    }
+
+    /// The tree of segment `seg`, built by the level's sample step.
+    pub(crate) fn segment_tree(&self, seg: usize) -> &SearchTree<T> {
+        let tree = match seg {
+            0 => &self.tree,
+            _ => &self.segment_trees[seg - 1],
+        };
+        tree.as_ref().expect("the sample step built a tree")
     }
 }
 

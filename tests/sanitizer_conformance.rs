@@ -12,7 +12,13 @@
 //! 4. two-pass filter extraction,
 //! 5. QuickSelect bipartition,
 //! 6. fused top-k suffix extraction,
-//! 7. RadixSelect digit-count + digit-scatter.
+//! 7. RadixSelect digit-count + digit-scatter,
+//! 8. the segmented level launch: one sample, count, reduce, filter
+//!    (over a bucket set) and base-case launch for every segment of a
+//!    level, whose outputs must be the per-segment kernels' bit for bit
+//!    and whose cost their sum plus each block's descriptor and tree
+//!    reads; the multi-rank level loop is checked to launch exactly
+//!    these.
 //!
 //! The negative half: one deliberately-racy mutant per detector class
 //! (`sampleselect::simt_ref::mutants`) proving the corresponding
@@ -23,13 +29,17 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use gpu_selection::gpu_sim::arch::v100;
 use gpu_selection::gpu_sim::sanitizer::{SanitizerConfig, SanitizerKind};
-use gpu_selection::gpu_sim::{Device, LaunchOrigin, WarpSchedule};
+use gpu_selection::gpu_sim::{
+    occupancy, Device, KernelCost, KernelRecord, LaunchOrigin, WarpSchedule,
+};
 use gpu_selection::hpc_par::ThreadPool;
 use gpu_selection::sampleselect::bitonic::{bitonic_sort, bitonic_sort_on_block};
 use gpu_selection::sampleselect::count::{count_kernel, count_kernel_scoped, CountResult};
 use gpu_selection::sampleselect::element::SelectElement;
-use gpu_selection::sampleselect::filter::filter_kernel;
+use gpu_selection::sampleselect::filter::{bucket_set, filter_buckets, filter_kernel};
+use gpu_selection::sampleselect::multiselect::{multi_select_on_device, quantile_ranks};
 use gpu_selection::sampleselect::radix::DigitClassifier;
+use gpu_selection::sampleselect::recursion::{base_case_select, segmented_launch, SEGMENT_BYTES};
 use gpu_selection::sampleselect::reduce::{reduce_kernel, ReduceResult};
 use gpu_selection::sampleselect::rng::SplitMix64;
 use gpu_selection::sampleselect::searchtree::SearchTree;
@@ -260,6 +270,269 @@ fn topk_family_conformance() {
     assert_eq!(got, sorted[data.len() - k..].to_vec());
     assert_eq!(res.threshold, sorted[data.len() - k]);
     assert!(device.sanitizer_clean(), "{}", device.sanitizer_json());
+}
+
+/// The one record `merged` of a segmented launch is the records `alone`
+/// of its segments' own kernels side by side: their blocks, the largest
+/// shared memory, their summed cost plus `per_block` bytes read by each
+/// block, and the time the device gives that cost.
+fn assert_merged(alone: &[KernelRecord], merged: &KernelRecord, per_block: u64, device: &Device) {
+    let name = &merged.name;
+    assert!(alone.len() > 1 && alone.iter().all(|r| &r.name == name));
+    let blocks: u32 = alone.iter().map(|r| r.config.blocks).sum();
+    let smem = alone
+        .iter()
+        .map(|r| r.config.shared_mem_bytes)
+        .max()
+        .unwrap();
+    assert_eq!(
+        (merged.config.blocks, merged.config.shared_mem_bytes),
+        (blocks, smem),
+        "{name}"
+    );
+    let mut cost = KernelCost::new();
+    alone.iter().for_each(|r| cost.merge(&r.cost));
+    cost.global_read_bytes += blocks as u64 * per_block;
+    assert_eq!(merged.cost, cost, "{name}");
+    let busy = occupancy(device.arch(), &merged.config).effective_sms;
+    assert_eq!(
+        merged.duration,
+        cost.time_on(device.arch(), busy).total(),
+        "{name}"
+    );
+    assert_eq!(merged.origin, alone[0].origin, "{name}");
+}
+
+#[test]
+fn segmented_level_family_conformance() {
+    let pool = ThreadPool::new(4);
+    let cfg = small_cfg();
+    let data = gen_u32(20_000, 0x5e6, 1_000_000);
+    // Segments of different grid sizes, each filtering a bucket set of
+    // its own shape: one bucket, a range, a set with gaps, all buckets.
+    let segments = [
+        &data[..9_000],
+        &data[9_000..12_000],
+        &data[12_000..12_700],
+        &data[12_700..],
+    ];
+    let sets = [&[3][..], bucket_set(2..6), &[0, 7, 15], bucket_set(0..16)];
+    let n = segments.len();
+    let origin = LaunchOrigin::Device;
+    let scratch = KernelScratch::new();
+    let mut alone = Device::new(v100(), &pool);
+    let mut level = Device::new(v100(), &pool);
+    level.set_sanitizer(SanitizerConfig::full());
+    let launched = |d: &Device| d.records().len();
+
+    let (mut rng_a, mut rng_l) = (SplitMix64::new(7), SplitMix64::new(7));
+    let sample = |d: &mut Device, rng: &mut SplitMix64| -> Vec<SearchTree<u32>> {
+        let trees = segments
+            .iter()
+            .map(|s| sample_kernel(d, s, &cfg, rng, origin).unwrap());
+        trees.collect()
+    };
+    let trees = sample(&mut alone, &mut rng_a);
+    let merged = segmented_launch(&mut level, n, 0, |d| sample(d, &mut rng_l));
+    for (a, m) in trees.iter().zip(&merged) {
+        assert_eq!(a.splitters(), m.splitters());
+    }
+    assert_merged(
+        &alone.records()[..n],
+        &level.records()[0],
+        SEGMENT_BYTES,
+        &level,
+    );
+
+    let count = |d: &mut Device| -> Vec<CountResult> {
+        let counts = segments.iter().zip(&trees);
+        counts
+            .map(|(s, t)| count_kernel(d, s, t, &cfg, true, origin))
+            .collect()
+    };
+    let counts = count(&mut alone);
+    let tree_bytes = 15 * 4;
+    let merged = segmented_launch(&mut level, n, tree_bytes, count);
+    for (a, m) in counts.iter().zip(&merged) {
+        assert_eq!(
+            (&a.counts, &a.partials, a.blocks),
+            (&m.counts, &m.partials, m.blocks)
+        );
+        let oracles = |c: &CountResult| c.oracles.as_ref().unwrap().as_u8_slice().unwrap().to_vec();
+        assert_eq!(oracles(a), oracles(m));
+    }
+    let (a0, l0) = (launched(&alone) - n, launched(&level) - 1);
+    assert_merged(
+        &alone.records()[a0..],
+        &level.records()[l0],
+        SEGMENT_BYTES + tree_bytes,
+        &level,
+    );
+
+    let reduce = |d: &mut Device| -> Vec<ReduceResult> {
+        counts.iter().map(|c| reduce_kernel(d, c, origin)).collect()
+    };
+    let reds = reduce(&mut alone);
+    let merged = segmented_launch(&mut level, n, 0, reduce);
+    for (a, m) in reds.iter().zip(&merged) {
+        assert_eq!(
+            (&a.offsets, &a.bucket_offsets),
+            (&m.offsets, &m.bucket_offsets)
+        );
+    }
+    let (a0, l0) = (launched(&alone) - n, launched(&level) - 1);
+    assert_merged(
+        &alone.records()[a0..],
+        &level.records()[l0],
+        SEGMENT_BYTES,
+        &level,
+    );
+
+    let filter = |d: &mut Device| -> Vec<Vec<u32>> {
+        let steps = segments.iter().zip(&counts).zip(&reds).zip(sets);
+        let out =
+            steps.map(|(((s, c), r), set)| filter_buckets(d, s, c, r, set, &cfg, origin, &scratch));
+        out.collect()
+    };
+    let outputs = filter(&mut alone);
+    let merged = segmented_launch(&mut level, n, 0, filter);
+    assert_eq!(outputs, merged);
+    let (a0, l0) = (launched(&alone) - n, launched(&level) - 1);
+    assert_merged(
+        &alone.records()[a0..],
+        &level.records()[l0],
+        SEGMENT_BYTES,
+        &level,
+    );
+    // Against the thread-level reference: each segment's output is its
+    // set's buckets, each gathered block by block, in set order.
+    for ((s, c), (set, got)) in segments.iter().zip(&counts).zip(sets.iter().zip(&merged)) {
+        let o = c.oracles.as_ref().unwrap();
+        let oracle: Vec<u32> = (0..s.len()).map(|i| o.get(i)).collect();
+        for schedule in schedules() {
+            let mut want = Vec::new();
+            for &k in set.iter() {
+                let sanitize = Some(SanitizerConfig::full());
+                let (part, report) =
+                    simt_ref::block_bucket_concat(s, &oracle, k, k + 1, schedule, sanitize);
+                assert!(report.unwrap().is_clean());
+                want.extend(part);
+            }
+            assert_eq!(got, &want, "set {set:?} diverged under {schedule:?}");
+        }
+    }
+
+    let base = |d: &mut Device| -> Vec<u32> {
+        let tiles = segments.iter().map(|s| &s[..s.len().min(1000)]);
+        tiles
+            .map(|s| base_case_select(d, s, s.len() / 2, &cfg, origin))
+            .collect()
+    };
+    let values = base(&mut alone);
+    assert_eq!(values, segmented_launch(&mut level, n, 0, base));
+    let (a0, l0) = (launched(&alone) - n, launched(&level) - 1);
+    assert_merged(
+        &alone.records()[a0..],
+        &level.records()[l0],
+        SEGMENT_BYTES,
+        &level,
+    );
+
+    // One launch per step; one segment is the plain kernel.
+    assert_eq!(launched(&level), 5);
+    let one = segmented_launch(&mut level, 1, tree_bytes, |d| {
+        reduce_kernel(d, &counts[0], origin)
+    });
+    assert_eq!(one.offsets, reds[0].offsets);
+    assert_eq!(level.records()[5].cost, alone.records()[2 * n].cost);
+    assert!(level.sanitizer_clean(), "{}", level.sanitizer_json());
+}
+
+#[test]
+fn multi_rank_levels_are_segmented_launches() {
+    // Replays the multi-rank level loop by hand, one segmented launch
+    // per step of a level: base case, sample, count, reduce, filter.
+    let pool = ThreadPool::new(4);
+    let cfg = SampleSelectConfig::default();
+    let data = gen_u32(1 << 19, 0x1e7e15, u32::MAX);
+    let ranks = quantile_ranks(data.len(), 8).unwrap();
+    let (origin, scratch) = (LaunchOrigin::Device, KernelScratch::new());
+    let mut replay = Device::new(v100(), &pool);
+    let mut rng = SplitMix64::new(cfg.seed);
+    let mut values = vec![0u32; ranks.len()];
+    let mut level = vec![(
+        data.clone(),
+        ranks.iter().copied().enumerate().collect::<Vec<_>>(),
+    )];
+    for depth in 0.. {
+        if level.is_empty() {
+            break;
+        }
+        let first = if depth == 0 {
+            LaunchOrigin::Host
+        } else {
+            origin
+        };
+        let (small, big): (Vec<_>, Vec<_>) = level.into_iter().partition(|(s, _)| s.len() <= 1024);
+        segmented_launch(&mut replay, small.len(), 0, |d| {
+            for (segment, goal) in &small {
+                base_case_select(d, segment, 0, &cfg, first);
+                let mut sorted = segment.clone();
+                sorted.sort_unstable();
+                goal.iter()
+                    .for_each(|&(qi, rank)| values[qi] = sorted[rank]);
+            }
+        });
+        let trees: Vec<SearchTree<u32>> = segmented_launch(&mut replay, big.len(), 0, |d| {
+            let trees = big
+                .iter()
+                .map(|(s, _)| sample_kernel(d, s, &cfg, &mut rng, first));
+            trees.map(Result::unwrap).collect()
+        });
+        let counts: Vec<CountResult> = segmented_launch(&mut replay, big.len(), 255 * 4, |d| {
+            let counts = big.iter().zip(&trees);
+            counts
+                .map(|((s, _), t)| count_kernel(d, s, t, &cfg, true, first))
+                .collect()
+        });
+        let reds: Vec<ReduceResult> = segmented_launch(&mut replay, big.len(), 0, |d| {
+            counts.iter().map(|c| reduce_kernel(d, c, origin)).collect()
+        });
+        level = segmented_launch(&mut replay, big.len(), 0, |d| {
+            let mut next = Vec::new();
+            for (((segment, goal), count), red) in big.iter().zip(&counts).zip(&reds) {
+                let mut set: Vec<u32> = goal
+                    .iter()
+                    .map(|&(_, rank)| red.bucket_for_rank(rank as u64) as u32)
+                    .collect();
+                set.sort_unstable();
+                set.dedup();
+                let mut out = filter_buckets(d, segment, count, red, &set, &cfg, origin, &scratch);
+                let mut pieces = Vec::new();
+                for &k in set.iter().rev() {
+                    let lo = out.len() - red.bucket_size(k as usize) as usize;
+                    let start = red.bucket_offsets[k as usize] as usize;
+                    let goal = goal
+                        .iter()
+                        .filter(|&&(_, rank)| red.bucket_for_rank(rank as u64) == k as usize)
+                        .map(|&(qi, rank)| (qi, rank - start))
+                        .collect();
+                    pieces.push((out.split_off(lo), goal));
+                }
+                next.extend(pieces.into_iter().rev());
+            }
+            next
+        });
+    }
+
+    let mut device = Device::new(v100(), &pool);
+    let got = multi_select_on_device(&mut device, &data, &ranks, &cfg).unwrap();
+    assert_eq!(got.values, values);
+    let shape = |r: &KernelRecord| (r.name.to_string(), r.config, r.origin, r.cost, r.duration);
+    let want: Vec<_> = replay.records().iter().map(shape).collect();
+    assert_eq!(device.records().iter().map(shape).collect::<Vec<_>>(), want);
+    // One launch per kernel per level: far below one per segment.
+    assert!(want.len() <= 10, "{} launches", want.len());
 }
 
 // ---------------------------------------------------------------------
