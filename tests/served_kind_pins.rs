@@ -154,49 +154,49 @@ const PINS: &[Pin] = &[
         answer: "Quantiles 3dfe3166 3e808aa0 3ec1709e 3f00ac31 3f203b88 3f3ff42c 3f60193d",
         backend: "multiselect",
         planned: "-",
-        registry: (34, 2290952, 17, 35394, 34),
+        registry: (28, 2630268, 17, 35512, 28),
     },
     Pin {
         answer: "Quantiles 40400000 40c00000 41100000 41400000",
         backend: "multiselect",
         planned: "-",
-        registry: (37, 2820356, 18, 40874, 37),
+        registry: (31, 3159672, 18, 40992, 31),
     },
     Pin {
         answer: "Exact 3f1cbba6",
         backend: "streaming",
         planned: "-",
-        registry: (53, 3333500, 19, 58108, 53),
+        registry: (47, 3672816, 19, 58226, 47),
     },
     Pin {
         answer: "ApproxTopK 3f7f9f88 k 100 recall 3f800000",
         backend: "topk",
         planned: "topk-sampleselect",
-        registry: (58, 3931072, 20, 64189, 58),
+        registry: (52, 4270388, 20, 64307, 52),
     },
     Pin {
         answer: "ApproxTopK 3f0b3228 k 30000 recall 3f800000",
         backend: "topk",
         planned: "topk-sampleselect",
-        registry: (58, 3931072, 21, 64189, 58),
+        registry: (52, 4270388, 21, 64307, 52),
     },
     Pin {
         answer: "ApproxTopK 3f7ef213 k 1000 recall 3f7a687e",
         backend: "approx-topk",
         planned: "approx-topk",
-        registry: (59, 3935072, 25, 67549, 59),
+        registry: (53, 4274388, 25, 67667, 53),
     },
     Pin {
         answer: "QuantileStream 7 3f0072e0 3f6529c8 3f7d270f 3f7fca78",
         backend: "quantile-stream",
         planned: "-",
-        registry: (133, 5353372, 39, 113585, 133),
+        registry: (87, 5367600, 39, 108664, 87),
     },
     Pin {
         answer: "Exact 3ac4f68e",
         backend: "sampleselect",
         planned: "sampleselect",
-        registry: (139, 5953432, 41, 121873, 139),
+        registry: (93, 5967660, 41, 116952, 93),
     },
 ];
 

@@ -230,27 +230,27 @@ fn all_cases(pool: &ThreadPool) -> Vec<(String, Observed)> {
 
 #[rustfmt::skip]
 const PINS: &[Pin] = &[
-    Pin { case: "f32/shared/uniform", sorted: 0xfaf9de280c8381f8, timeline: 0xef7ef0b68cad3726, total_ns: 837813.85212938, launch_overhead_ns: 786000.0, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 120480), ("base_sort", 256, 80000)] },
+    Pin { case: "f32/shared/uniform", sorted: 0xfaf9de280c8381f8, timeline: 0x89512dafe2f7d092, total_ns: 30319.46082210243, launch_overhead_ns: 21000.0, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 120480), ("base_sort", 1, 88192)] },
     Pin { case: "f32/shared/dup16", sorted: 0x2f5880bcc191987c, timeline: 0x728180866ec58ed1, total_ns: 27041.36082210243, launch_overhead_ns: 18000.0, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 120480)] },
     Pin { case: "f32/shared/equal", sorted: 0x93012ac380335825, timeline: 0x466c28c9e7e94df2, total_ns: 27804.245822102428, launch_overhead_ns: 18000.0, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 120480)] },
-    Pin { case: "f32/shared/lowent", sorted: 0x950595902211010c, timeline: 0x2216b74aa8f0c6c0, total_ns: 535751.3158221024, launch_overhead_ns: 486000.0, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 120480), ("base_sort", 156, 62472)] },
-    Pin { case: "f32/global/uniform", sorted: 0xfaf9de280c8381f8, timeline: 0x3cb128b8e63ecd24, total_ns: 885342.6792452831, launch_overhead_ns: 786000.0, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 120480), ("base_sort", 256, 80000)] },
+    Pin { case: "f32/shared/lowent", sorted: 0x950595902211010c, timeline: 0xe75e63a9c274b1f9, total_ns: 30309.165822102426, launch_overhead_ns: 21000.0, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 120480), ("base_sort", 1, 67464)] },
+    Pin { case: "f32/global/uniform", sorted: 0xfaf9de280c8381f8, timeline: 0xa56dd5304e2ff401, total_ns: 77848.2879380054, launch_overhead_ns: 21000.0, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 120480), ("base_sort", 1, 88192)] },
     Pin { case: "f32/global/dup16", sorted: 0x2f5880bcc191987c, timeline: 0xd0ac97f29fd3001a, total_ns: 74491.2129380054, launch_overhead_ns: 18000.0, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 120480)] },
     Pin { case: "f32/global/equal", sorted: 0x93012ac380335825, timeline: 0xd0ac97f29fd3001a, total_ns: 74491.2129380054, launch_overhead_ns: 18000.0, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 120480)] },
-    Pin { case: "f32/global/lowent", sorted: 0x950595902211010c, timeline: 0x8f5fe5cf2cbb2a62, total_ns: 583273.2129380053, launch_overhead_ns: 486000.0, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 120480), ("base_sort", 156, 62472)] },
-    Pin { case: "u32/shared/uniform", sorted: 0x8cc69bcb8c8fa0a1, timeline: 0x8717f9a40ae1070a, total_ns: 837602.0559299191, launch_overhead_ns: 786000.0, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 120480), ("base_sort", 256, 80000)] },
+    Pin { case: "f32/global/lowent", sorted: 0x950595902211010c, timeline: 0x5185c3e99885b6ab, total_ns: 77831.0629380054, launch_overhead_ns: 21000.0, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 120480), ("base_sort", 1, 67464)] },
+    Pin { case: "u32/shared/uniform", sorted: 0x8cc69bcb8c8fa0a1, timeline: 0x41c302de3f7d51d1, total_ns: 30317.595822102427, launch_overhead_ns: 21000.0, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 120480), ("base_sort", 1, 88192)] },
     Pin { case: "u32/shared/dup16", sorted: 0xc04d3205ee470daf, timeline: 0x728180866ec58ed1, total_ns: 27041.36082210243, launch_overhead_ns: 18000.0, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 120480)] },
     Pin { case: "u32/shared/equal", sorted: 0x582a901a0e3df125, timeline: 0x466c28c9e7e94df2, total_ns: 27804.245822102428, launch_overhead_ns: 18000.0, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 120480)] },
-    Pin { case: "u32/shared/lowent", sorted: 0x8d026ecf8b3fc5f5, timeline: 0x2216b74aa8f0c6c0, total_ns: 535751.3158221024, launch_overhead_ns: 486000.0, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 120480), ("base_sort", 156, 62472)] },
-    Pin { case: "u32/global/uniform", sorted: 0x8cc69bcb8c8fa0a1, timeline: 0xed21e09a27c44f5c, total_ns: 885130.9730458221, launch_overhead_ns: 786000.0, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 120480), ("base_sort", 256, 80000)] },
+    Pin { case: "u32/shared/lowent", sorted: 0x8d026ecf8b3fc5f5, timeline: 0xe75e63a9c274b1f9, total_ns: 30309.165822102426, launch_overhead_ns: 21000.0, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 120480), ("base_sort", 1, 67464)] },
+    Pin { case: "u32/global/uniform", sorted: 0x8cc69bcb8c8fa0a1, timeline: 0xcef24d25187a69fc, total_ns: 77846.5129380054, launch_overhead_ns: 21000.0, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 120480), ("base_sort", 1, 88192)] },
     Pin { case: "u32/global/dup16", sorted: 0xc04d3205ee470daf, timeline: 0xd0ac97f29fd3001a, total_ns: 74491.2129380054, launch_overhead_ns: 18000.0, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 120480)] },
     Pin { case: "u32/global/equal", sorted: 0x582a901a0e3df125, timeline: 0xd0ac97f29fd3001a, total_ns: 74491.2129380054, launch_overhead_ns: 18000.0, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 120480)] },
-    Pin { case: "u32/global/lowent", sorted: 0x8d026ecf8b3fc5f5, timeline: 0x8f5fe5cf2cbb2a62, total_ns: 583273.2129380053, launch_overhead_ns: 486000.0, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 120480), ("base_sort", 156, 62472)] },
-    Pin { case: "f32/deep/uniform", sorted: 0x3bc28939a76f3f61, timeline: 0xb134370a2ef7eb22, total_ns: 2597897.9210646898, launch_overhead_ns: 786000.0, kernels: &[("sample", 1, 1020), ("count", 1, 1800032), ("reduce", 1, 600064), ("filter", 1, 1800032), ("base_sort", 256, 1200000)] },
-    Pin { case: "u32/deep/lowent", sorted: 0x66769e22c81f1069, timeline: 0x8f1d864bfd0ef5f2, total_ns: 2338447.66106469, launch_overhead_ns: 525000.0, kernels: &[("sample", 1, 1020), ("count", 1, 1800032), ("reduce", 1, 600064), ("filter", 1, 1800032), ("base_sort", 169, 970500)] },
-    Pin { case: "f32/small/uniform", sorted: 0xfaf9de280c8381f8, timeline: 0x94bc35c12c029f53, total_ns: 1526777.3742452813, launch_overhead_ns: 1362000.0, kernels: &[("sample", 41, 1148), ("count", 41, 296367), ("reduce", 41, 5184), ("filter", 41, 296367), ("base_sort", 288, 80000)] },
-    Pin { case: "f32/small/dup16", sorted: 0x2f5880bcc191987c, timeline: 0x634fcf26e293c6c7, total_ns: 185238.02154986523, launch_overhead_ns: 138000.0, kernels: &[("sample", 11, 308), ("count", 11, 213988), ("reduce", 11, 3136), ("filter", 11, 213988)] },
-    Pin { case: "u32/small/lowent", sorted: 0x8d026ecf8b3fc5f5, timeline: 0x371b538a4263346b, total_ns: 1036732.2730593006, launch_overhead_ns: 879000.0, kernels: &[("sample", 41, 1148), ("count", 41, 285679), ("reduce", 41, 4928), ("filter", 41, 285679), ("base_sort", 127, 57676)] },
+    Pin { case: "u32/global/lowent", sorted: 0x8d026ecf8b3fc5f5, timeline: 0x5185c3e99885b6ab, total_ns: 77831.0629380054, launch_overhead_ns: 21000.0, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 120480), ("base_sort", 1, 67464)] },
+    Pin { case: "f32/deep/uniform", sorted: 0x3bc28939a76f3f61, timeline: 0xb098c34da5a35a91, total_ns: 53895.52106469002, launch_overhead_ns: 21000.0, kernels: &[("sample", 1, 1020), ("count", 1, 1800032), ("reduce", 1, 600064), ("filter", 1, 1800032), ("base_sort", 1, 1208192)] },
+    Pin { case: "u32/deep/lowent", sorted: 0x66769e22c81f1069, timeline: 0x99baa6c986fe78fd, total_ns: 53922.061064690024, launch_overhead_ns: 21000.0, kernels: &[("sample", 1, 1020), ("count", 1, 1800032), ("reduce", 1, 600064), ("filter", 1, 1800032), ("base_sort", 1, 975908)] },
+    Pin { case: "f32/small/uniform", sorted: 0xfaf9de280c8381f8, timeline: 0x145eb4dcf25034a8, total_ns: 78934.15692469678, launch_overhead_ns: 63000.0, kernels: &[("sample", 4, 2368), ("count", 4, 299071), ("reduce", 4, 6848), ("filter", 4, 297447), ("base_sort", 3, 88992)] },
+    Pin { case: "f32/small/dup16", sorted: 0x2f5880bcc191987c, timeline: 0x3d8ea9b1f68ebb48, total_ns: 55788.566071135596, launch_overhead_ns: 42000.0, kernels: &[("sample", 3, 628), ("count", 3, 216033), ("reduce", 3, 4064), ("filter", 3, 215221)] },
+    Pin { case: "u32/small/lowent", sorted: 0x8d026ecf8b3fc5f5, timeline: 0x5e749b166c9d8957, total_ns: 80134.37089872733, launch_overhead_ns: 63000.0, kernels: &[("sample", 4, 2128), ("count", 4, 287039), ("reduce", 4, 6272), ("filter", 4, 285583), ("base_sort", 3, 67556)] },
 ];
 
 #[test]

@@ -310,9 +310,9 @@ const PINS: &[Pin] = &[
     Pin { case: "f32/shared/noagg/uniform/topk1", answer: 0x446ed9035a4bd559, total_ns: 26760.083935309973, launch_overhead_ns: 21000.0, levels: 1, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 20356), ("base_sort", 1, 276)] },
     Pin { case: "f32/shared/noagg/uniform/topk6666", answer: 0xddb5ee99a4cbcbb8, total_ns: 28859.127938005393, launch_overhead_ns: 21000.0, levels: 1, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 53996), ("base_sort", 1, 572)] },
     Pin { case: "f32/shared/noagg/uniform/topk20000", answer: 0x22f5eff2ed11ecaa, total_ns: 30466.385822102427, launch_overhead_ns: 21000.0, levels: 1, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 120480), ("base_sort", 1, 840)] },
-    Pin { case: "f32/shared/noagg/uniform/ranks-spread", answer: 0x1a4f2e2b37c625a7, total_ns: 53448.218935309975, launch_overhead_ns: 45000.0, levels: 2, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 5, 102976), ("base_sort", 5, 2576)] },
-    Pin { case: "f32/shared/noagg/uniform/ranks-dup", answer: 0x327caeef18a3c289, total_ns: 33743.53293800539, launch_overhead_ns: 27000.0, levels: 2, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 2, 41328), ("base_sort", 2, 1168)] },
-    Pin { case: "f32/shared/noagg/uniform/ranks-unsorted", answer: 0xe3ee009dbe64dd2d, total_ns: 46336.20440700808, launch_overhead_ns: 39000.0, levels: 2, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 4, 82024), ("base_sort", 4, 1704)] },
+    Pin { case: "f32/shared/noagg/uniform/ranks-spread", answer: 0x1a4f2e2b37c625a7, total_ns: 27779.892938005392, launch_overhead_ns: 21000.0, levels: 2, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 23376), ("base_sort", 1, 2736)] },
+    Pin { case: "f32/shared/noagg/uniform/ranks-dup", answer: 0x327caeef18a3c289, total_ns: 27352.092938005393, launch_overhead_ns: 21000.0, levels: 2, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 21488), ("base_sort", 1, 1232)] },
+    Pin { case: "f32/shared/noagg/uniform/ranks-unsorted", answer: 0xe3ee009dbe64dd2d, total_ns: 27431.802938005392, launch_overhead_ns: 21000.0, levels: 2, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 22344), ("base_sort", 1, 1832)] },
     Pin { case: "f32/shared/noagg/uniform/ranks-adjacent", answer: 0xcf309b704af95969, total_ns: 26791.70793800539, launch_overhead_ns: 21000.0, levels: 2, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 20428), ("base_sort", 1, 348)] },
     Pin { case: "f32/shared/noagg/dup16/topk1", answer: 0x33b4cdfe05ef88bd, total_ns: 24920.517938005396, launch_overhead_ns: 18000.0, levels: 1, early: true, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 25096)] },
     Pin { case: "f32/shared/noagg/dup16/topk6666", answer: 0xfc69183b79bbac36, total_ns: 25466.997938005396, launch_overhead_ns: 18000.0, levels: 1, early: true, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 56600)] },
@@ -331,16 +331,16 @@ const PINS: &[Pin] = &[
     Pin { case: "f32/shared/noagg/lowent/topk1", answer: 0x3c4a264f047091b5, total_ns: 26800.857938005392, launch_overhead_ns: 21000.0, levels: 1, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 20396), ("base_sort", 1, 316)] },
     Pin { case: "f32/shared/noagg/lowent/topk6666", answer: 0x3b1a6febc3f70679, total_ns: 28214.986981132075, launch_overhead_ns: 21000.0, levels: 1, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 53680), ("base_sort", 1, 640)] },
     Pin { case: "f32/shared/noagg/lowent/topk20000", answer: 0xd02a67a7827ce40c, total_ns: 30155.315822102428, launch_overhead_ns: 21000.0, levels: 1, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 120480), ("base_sort", 1, 320)] },
-    Pin { case: "f32/shared/noagg/lowent/ranks-spread", answer: 0x58c061f2ab160064, total_ns: 45986.23293800539, launch_overhead_ns: 39000.0, levels: 2, early: true, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 4, 81592), ("base_sort", 4, 1272)] },
-    Pin { case: "f32/shared/noagg/lowent/ranks-dup", answer: 0xf9e235275e221ec5, total_ns: 33199.48293800539, launch_overhead_ns: 27000.0, levels: 2, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 2, 40800), ("base_sort", 2, 640)] },
-    Pin { case: "f32/shared/noagg/lowent/ranks-unsorted", answer: 0x72e91370ce59dacd, total_ns: 39592.85793800539, launch_overhead_ns: 33000.0, levels: 2, early: true, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 3, 61196), ("base_sort", 3, 956)] },
+    Pin { case: "f32/shared/noagg/lowent/ranks-spread", answer: 0x58c061f2ab160064, total_ns: 27229.572938005393, launch_overhead_ns: 21000.0, levels: 2, early: true, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 21912), ("base_sort", 1, 1400)] },
+    Pin { case: "f32/shared/noagg/lowent/ranks-dup", answer: 0xf9e235275e221ec5, total_ns: 27013.482938005392, launch_overhead_ns: 21000.0, levels: 2, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 20960), ("base_sort", 1, 704)] },
+    Pin { case: "f32/shared/noagg/lowent/ranks-unsorted", answer: 0x72e91370ce59dacd, total_ns: 27022.197938005393, launch_overhead_ns: 21000.0, levels: 2, early: true, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 21436), ("base_sort", 1, 1052)] },
     Pin { case: "f32/shared/noagg/lowent/ranks-adjacent", answer: 0x1e04ebd1e8af9ea5, total_ns: 20407.482938005392, launch_overhead_ns: 15000.0, levels: 1, early: true, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960)] },
     Pin { case: "f32/shared/agg/uniform/topk1", answer: 0x446ed9035a4bd559, total_ns: 26730.743935309976, launch_overhead_ns: 21000.0, levels: 1, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 20356), ("base_sort", 1, 276)] },
     Pin { case: "f32/shared/agg/uniform/topk6666", answer: 0xddb5ee99a4cbcbb8, total_ns: 28552.587938005392, launch_overhead_ns: 21000.0, levels: 1, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 53996), ("base_sort", 1, 572)] },
     Pin { case: "f32/shared/agg/uniform/topk20000", answer: 0x22f5eff2ed11ecaa, total_ns: 30437.045822102427, launch_overhead_ns: 21000.0, levels: 1, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 120480), ("base_sort", 1, 840)] },
-    Pin { case: "f32/shared/agg/uniform/ranks-spread", answer: 0x1a4f2e2b37c625a7, total_ns: 53415.368935309976, launch_overhead_ns: 45000.0, levels: 2, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 5, 102976), ("base_sort", 5, 2576)] },
-    Pin { case: "f32/shared/agg/uniform/ranks-dup", answer: 0x327caeef18a3c289, total_ns: 33712.212938005396, launch_overhead_ns: 27000.0, levels: 2, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 2, 41328), ("base_sort", 2, 1168)] },
-    Pin { case: "f32/shared/agg/uniform/ranks-unsorted", answer: 0xe3ee009dbe64dd2d, total_ns: 46304.569407008086, launch_overhead_ns: 39000.0, levels: 2, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 4, 82024), ("base_sort", 4, 1704)] },
+    Pin { case: "f32/shared/agg/uniform/ranks-spread", answer: 0x1a4f2e2b37c625a7, total_ns: 27739.662938005393, launch_overhead_ns: 21000.0, levels: 2, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 23376), ("base_sort", 1, 2736)] },
+    Pin { case: "f32/shared/agg/uniform/ranks-dup", answer: 0x327caeef18a3c289, total_ns: 27319.962938005392, launch_overhead_ns: 21000.0, levels: 2, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 21488), ("base_sort", 1, 1232)] },
+    Pin { case: "f32/shared/agg/uniform/ranks-unsorted", answer: 0xe3ee009dbe64dd2d, total_ns: 27396.837938005392, launch_overhead_ns: 21000.0, levels: 2, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 22344), ("base_sort", 1, 1832)] },
     Pin { case: "f32/shared/agg/uniform/ranks-adjacent", answer: 0xcf309b704af95969, total_ns: 26761.962938005392, launch_overhead_ns: 21000.0, levels: 2, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 20428), ("base_sort", 1, 348)] },
     Pin { case: "f32/shared/agg/dup16/topk1", answer: 0x33b4cdfe05ef88bd, total_ns: 24780.837938005392, launch_overhead_ns: 18000.0, levels: 1, early: true, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 25096)] },
     Pin { case: "f32/shared/agg/dup16/topk6666", answer: 0xfc69183b79bbac36, total_ns: 25048.587938005392, launch_overhead_ns: 18000.0, levels: 1, early: true, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 56600)] },
@@ -359,16 +359,16 @@ const PINS: &[Pin] = &[
     Pin { case: "f32/shared/agg/lowent/topk1", answer: 0x3c4a264f047091b5, total_ns: 26764.587938005392, launch_overhead_ns: 21000.0, levels: 1, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 20396), ("base_sort", 1, 316)] },
     Pin { case: "f32/shared/agg/lowent/topk6666", answer: 0x3b1a6febc3f70679, total_ns: 28178.71698113208, launch_overhead_ns: 21000.0, levels: 1, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 53680), ("base_sort", 1, 640)] },
     Pin { case: "f32/shared/agg/lowent/topk20000", answer: 0xd02a67a7827ce40c, total_ns: 30119.045822102427, launch_overhead_ns: 21000.0, levels: 1, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 120480), ("base_sort", 1, 320)] },
-    Pin { case: "f32/shared/agg/lowent/ranks-spread", answer: 0x58c061f2ab160064, total_ns: 45949.962938005396, launch_overhead_ns: 39000.0, levels: 2, early: true, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 4, 81592), ("base_sort", 4, 1272)] },
-    Pin { case: "f32/shared/agg/lowent/ranks-dup", answer: 0xf9e235275e221ec5, total_ns: 33163.212938005396, launch_overhead_ns: 27000.0, levels: 2, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 2, 40800), ("base_sort", 2, 640)] },
-    Pin { case: "f32/shared/agg/lowent/ranks-unsorted", answer: 0x72e91370ce59dacd, total_ns: 39556.587938005396, launch_overhead_ns: 33000.0, levels: 2, early: true, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 3, 61196), ("base_sort", 3, 956)] },
+    Pin { case: "f32/shared/agg/lowent/ranks-spread", answer: 0x58c061f2ab160064, total_ns: 27189.837938005392, launch_overhead_ns: 21000.0, levels: 2, early: true, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 21912), ("base_sort", 1, 1400)] },
+    Pin { case: "f32/shared/agg/lowent/ranks-dup", answer: 0xf9e235275e221ec5, total_ns: 26977.212938005392, launch_overhead_ns: 21000.0, levels: 2, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 20960), ("base_sort", 1, 704)] },
+    Pin { case: "f32/shared/agg/lowent/ranks-unsorted", answer: 0x72e91370ce59dacd, total_ns: 26982.462938005392, launch_overhead_ns: 21000.0, levels: 2, early: true, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 21436), ("base_sort", 1, 1052)] },
     Pin { case: "f32/shared/agg/lowent/ranks-adjacent", answer: 0x1e04ebd1e8af9ea5, total_ns: 20371.212938005392, launch_overhead_ns: 15000.0, levels: 1, early: true, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960)] },
     Pin { case: "f32/global/noagg/uniform/topk1", answer: 0x446ed9035a4bd559, total_ns: 51450.74393530997, launch_overhead_ns: 21000.0, levels: 1, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 20356), ("base_sort", 1, 276)] },
     Pin { case: "f32/global/noagg/uniform/topk6666", answer: 0xddb5ee99a4cbcbb8, total_ns: 60569.89293800539, launch_overhead_ns: 21000.0, levels: 1, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 53996), ("base_sort", 1, 572)] },
     Pin { case: "f32/global/noagg/uniform/topk20000", answer: 0x22f5eff2ed11ecaa, total_ns: 77995.2129380054, launch_overhead_ns: 21000.0, levels: 1, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 120480), ("base_sort", 1, 840)] },
-    Pin { case: "f32/global/noagg/uniform/ranks-spread", answer: 0x1a4f2e2b37c625a7, total_ns: 77702.52355795147, launch_overhead_ns: 45000.0, levels: 2, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 5, 102976), ("base_sort", 5, 2576)] },
-    Pin { case: "f32/global/noagg/uniform/ranks-dup", answer: 0x327caeef18a3c289, total_ns: 58234.04636118598, launch_overhead_ns: 27000.0, levels: 2, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 2, 41328), ("base_sort", 2, 1168)] },
-    Pin { case: "f32/global/noagg/uniform/ranks-unsorted", answer: 0xe3ee009dbe64dd2d, total_ns: 70832.4614555256, launch_overhead_ns: 39000.0, levels: 2, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 4, 82024), ("base_sort", 4, 1704)] },
+    Pin { case: "f32/global/noagg/uniform/ranks-spread", answer: 0x1a4f2e2b37c625a7, total_ns: 52254.49293800539, launch_overhead_ns: 21000.0, levels: 2, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 23376), ("base_sort", 1, 2736)] },
+    Pin { case: "f32/global/noagg/uniform/ranks-dup", answer: 0x327caeef18a3c289, total_ns: 51821.65293800539, launch_overhead_ns: 21000.0, levels: 2, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 21488), ("base_sort", 1, 1232)] },
+    Pin { case: "f32/global/noagg/uniform/ranks-unsorted", answer: 0xe3ee009dbe64dd2d, total_ns: 51889.03293800539, launch_overhead_ns: 21000.0, levels: 2, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 22344), ("base_sort", 1, 1832)] },
     Pin { case: "f32/global/noagg/uniform/ranks-adjacent", answer: 0xcf309b704af95969, total_ns: 51453.65498652291, launch_overhead_ns: 21000.0, levels: 2, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 20428), ("base_sort", 1, 348)] },
     Pin { case: "f32/global/noagg/dup16/topk1", answer: 0x33b4cdfe05ef88bd, total_ns: 49720.092938005386, launch_overhead_ns: 18000.0, levels: 1, early: true, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 25096)] },
     Pin { case: "f32/global/noagg/dup16/topk6666", answer: 0xfc69183b79bbac36, total_ns: 58030.81293800539, launch_overhead_ns: 18000.0, levels: 1, early: true, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 56600)] },
@@ -387,16 +387,16 @@ const PINS: &[Pin] = &[
     Pin { case: "f32/global/noagg/lowent/topk1", answer: 0x3c4a264f047091b5, total_ns: 51452.36118598383, launch_overhead_ns: 21000.0, levels: 1, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 20396), ("base_sort", 1, 316)] },
     Pin { case: "f32/global/noagg/lowent/topk6666", answer: 0x3b1a6febc3f70679, total_ns: 60465.61293800539, launch_overhead_ns: 21000.0, levels: 1, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 53680), ("base_sort", 1, 640)] },
     Pin { case: "f32/global/noagg/lowent/topk20000", answer: 0xd02a67a7827ce40c, total_ns: 77677.2129380054, launch_overhead_ns: 21000.0, levels: 1, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 120480), ("base_sort", 1, 320)] },
-    Pin { case: "f32/global/noagg/lowent/ranks-spread", answer: 0x58c061f2ab160064, total_ns: 70536.1293800539, launch_overhead_ns: 39000.0, levels: 2, early: true, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 4, 81592), ("base_sort", 4, 1272)] },
-    Pin { case: "f32/global/noagg/lowent/ranks-dup", answer: 0xf9e235275e221ec5, total_ns: 57813.83288409703, launch_overhead_ns: 27000.0, levels: 2, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 2, 40800), ("base_sort", 2, 640)] },
-    Pin { case: "f32/global/noagg/lowent/ranks-unsorted", answer: 0x72e91370ce59dacd, total_ns: 64174.98113207547, launch_overhead_ns: 33000.0, levels: 2, early: true, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 3, 61196), ("base_sort", 3, 956)] },
+    Pin { case: "f32/global/noagg/lowent/ranks-spread", answer: 0x58c061f2ab160064, total_ns: 51696.97293800539, launch_overhead_ns: 21000.0, levels: 2, early: true, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 21912), ("base_sort", 1, 1400)] },
+    Pin { case: "f32/global/noagg/lowent/ranks-dup", answer: 0xf9e235275e221ec5, total_ns: 51488.412938005386, launch_overhead_ns: 21000.0, levels: 2, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 20960), ("base_sort", 1, 704)] },
+    Pin { case: "f32/global/noagg/lowent/ranks-unsorted", answer: 0x72e91370ce59dacd, total_ns: 51592.69293800539, launch_overhead_ns: 21000.0, levels: 2, early: true, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 21436), ("base_sort", 1, 1052)] },
     Pin { case: "f32/global/noagg/lowent/ranks-adjacent", answer: 0x1e04ebd1e8af9ea5, total_ns: 45091.21293800539, launch_overhead_ns: 15000.0, levels: 1, early: true, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960)] },
     Pin { case: "f32/global/agg/uniform/topk1", answer: 0x446ed9035a4bd559, total_ns: 49575.02393530997, launch_overhead_ns: 21000.0, levels: 1, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 20356), ("base_sort", 1, 276)] },
     Pin { case: "f32/global/agg/uniform/topk6666", answer: 0xddb5ee99a4cbcbb8, total_ns: 51035.77326145552, launch_overhead_ns: 21000.0, levels: 1, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 53996), ("base_sort", 1, 572)] },
     Pin { case: "f32/global/agg/uniform/topk20000", answer: 0x22f5eff2ed11ecaa, total_ns: 53281.32582210242, launch_overhead_ns: 21000.0, levels: 1, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 120480), ("base_sort", 1, 840)] },
-    Pin { case: "f32/global/agg/uniform/ranks-spread", answer: 0x1a4f2e2b37c625a7, total_ns: 75743.64355795148, launch_overhead_ns: 45000.0, levels: 2, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 5, 102976), ("base_sort", 5, 2576)] },
-    Pin { case: "f32/global/agg/uniform/ranks-dup", answer: 0x327caeef18a3c289, total_ns: 56302.886361185985, launch_overhead_ns: 27000.0, levels: 2, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 2, 41328), ("base_sort", 2, 1168)] },
-    Pin { case: "f32/global/agg/uniform/ranks-unsorted", answer: 0xe3ee009dbe64dd2d, total_ns: 68901.3014555256, launch_overhead_ns: 39000.0, levels: 2, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 4, 82024), ("base_sort", 4, 1704)] },
+    Pin { case: "f32/global/agg/uniform/ranks-spread", answer: 0x1a4f2e2b37c625a7, total_ns: 50059.332938005384, launch_overhead_ns: 21000.0, levels: 2, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 23376), ("base_sort", 1, 2736)] },
+    Pin { case: "f32/global/agg/uniform/ranks-dup", answer: 0x327caeef18a3c289, total_ns: 49864.092938005386, launch_overhead_ns: 21000.0, levels: 2, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 21488), ("base_sort", 1, 1232)] },
+    Pin { case: "f32/global/agg/uniform/ranks-unsorted", answer: 0xe3ee009dbe64dd2d, total_ns: 49848.31293800539, launch_overhead_ns: 21000.0, levels: 2, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 22344), ("base_sort", 1, 1832)] },
     Pin { case: "f32/global/agg/uniform/ranks-adjacent", answer: 0xcf309b704af95969, total_ns: 49577.93498652291, launch_overhead_ns: 21000.0, levels: 2, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 20428), ("base_sort", 1, 348)] },
     Pin { case: "f32/global/agg/dup16/topk1", answer: 0x33b4cdfe05ef88bd, total_ns: 33940.812938005394, launch_overhead_ns: 18000.0, levels: 1, early: true, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 25096)] },
     Pin { case: "f32/global/agg/dup16/topk6666", answer: 0xfc69183b79bbac36, total_ns: 34663.88668463612, launch_overhead_ns: 18000.0, levels: 1, early: true, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 56600)] },
@@ -415,16 +415,16 @@ const PINS: &[Pin] = &[
     Pin { case: "f32/global/agg/lowent/topk1", answer: 0x3c4a264f047091b5, total_ns: 47384.12118598383, launch_overhead_ns: 21000.0, levels: 1, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 20396), ("base_sort", 1, 316)] },
     Pin { case: "f32/global/agg/lowent/topk6666", answer: 0x3b1a6febc3f70679, total_ns: 48830.47698113207, launch_overhead_ns: 21000.0, levels: 1, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 53680), ("base_sort", 1, 640)] },
     Pin { case: "f32/global/agg/lowent/topk20000", answer: 0xd02a67a7827ce40c, total_ns: 50770.805822102426, launch_overhead_ns: 21000.0, levels: 1, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 120480), ("base_sort", 1, 320)] },
-    Pin { case: "f32/global/agg/lowent/ranks-spread", answer: 0x58c061f2ab160064, total_ns: 66467.88938005391, launch_overhead_ns: 39000.0, levels: 2, early: true, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 4, 81592), ("base_sort", 4, 1272)] },
-    Pin { case: "f32/global/agg/lowent/ranks-dup", answer: 0xf9e235275e221ec5, total_ns: 53745.59288409703, launch_overhead_ns: 27000.0, levels: 2, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 2, 40800), ("base_sort", 2, 640)] },
-    Pin { case: "f32/global/agg/lowent/ranks-unsorted", answer: 0x72e91370ce59dacd, total_ns: 60106.74113207547, launch_overhead_ns: 33000.0, levels: 2, early: true, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 3, 61196), ("base_sort", 3, 956)] },
+    Pin { case: "f32/global/agg/lowent/ranks-spread", answer: 0x58c061f2ab160064, total_ns: 47527.09293800539, launch_overhead_ns: 21000.0, levels: 2, early: true, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 21912), ("base_sort", 1, 1400)] },
+    Pin { case: "f32/global/agg/lowent/ranks-dup", answer: 0xf9e235275e221ec5, total_ns: 47420.17293800539, launch_overhead_ns: 21000.0, levels: 2, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 20960), ("base_sort", 1, 704)] },
+    Pin { case: "f32/global/agg/lowent/ranks-unsorted", answer: 0x72e91370ce59dacd, total_ns: 47422.81293800539, launch_overhead_ns: 21000.0, levels: 2, early: true, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 21436), ("base_sort", 1, 1052)] },
     Pin { case: "f32/global/agg/lowent/ranks-adjacent", answer: 0x1e04ebd1e8af9ea5, total_ns: 41022.97293800539, launch_overhead_ns: 15000.0, levels: 1, early: true, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960)] },
     Pin { case: "u32/shared/noagg/uniform/topk1", answer: 0xe2c7906c119dd631, total_ns: 26636.59770889488, launch_overhead_ns: 21000.0, levels: 1, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 20272), ("base_sort", 1, 192)] },
     Pin { case: "u32/shared/noagg/uniform/topk6666", answer: 0x9d6d18853d8a74b4, total_ns: 28540.42293800539, launch_overhead_ns: 21000.0, levels: 1, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 54432), ("base_sort", 1, 388)] },
     Pin { case: "u32/shared/noagg/uniform/topk20000", answer: 0xe2600a4e975e34a2, total_ns: 30466.295822102427, launch_overhead_ns: 21000.0, levels: 1, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 120480), ("base_sort", 1, 564)] },
-    Pin { case: "u32/shared/noagg/uniform/ranks-spread", answer: 0x8a27aeb0237ec3e1, total_ns: 53642.057708894885, launch_overhead_ns: 45000.0, levels: 2, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 5, 102832), ("base_sort", 5, 2432)] },
-    Pin { case: "u32/shared/noagg/uniform/ranks-dup", answer: 0x47039c2b8245b579, total_ns: 34082.08293800539, launch_overhead_ns: 27000.0, levels: 2, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 2, 41328), ("base_sort", 2, 1168)] },
-    Pin { case: "u32/shared/noagg/uniform/ranks-unsorted", answer: 0x365bd3cac612f387, total_ns: 46222.42770889488, launch_overhead_ns: 39000.0, levels: 2, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 4, 81688), ("base_sort", 4, 1368)] },
+    Pin { case: "u32/shared/noagg/uniform/ranks-spread", answer: 0x8a27aeb0237ec3e1, total_ns: 27810.04293800539, launch_overhead_ns: 21000.0, levels: 2, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 23232), ("base_sort", 1, 2592)] },
+    Pin { case: "u32/shared/noagg/uniform/ranks-dup", answer: 0x47039c2b8245b579, total_ns: 27498.10293800539, launch_overhead_ns: 21000.0, levels: 2, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 21488), ("base_sort", 1, 1232)] },
+    Pin { case: "u32/shared/noagg/uniform/ranks-unsorted", answer: 0x365bd3cac612f387, total_ns: 27329.892938005392, launch_overhead_ns: 21000.0, levels: 2, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 22008), ("base_sort", 1, 1496)] },
     Pin { case: "u32/shared/noagg/uniform/ranks-adjacent", answer: 0x10e428c1591bc92f, total_ns: 26762.47293800539, launch_overhead_ns: 21000.0, levels: 2, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 20360), ("base_sort", 1, 280)] },
     Pin { case: "u32/shared/noagg/dup16/topk1", answer: 0x7830a97489bc6b05, total_ns: 24920.517938005396, launch_overhead_ns: 18000.0, levels: 1, early: true, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 25096)] },
     Pin { case: "u32/shared/noagg/dup16/topk6666", answer: 0x2fd67d3a41afd1ec, total_ns: 25466.997938005396, launch_overhead_ns: 18000.0, levels: 1, early: true, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 56600)] },
@@ -443,16 +443,16 @@ const PINS: &[Pin] = &[
     Pin { case: "u32/shared/noagg/lowent/topk1", answer: 0x293918c80849afe5, total_ns: 26800.857938005392, launch_overhead_ns: 21000.0, levels: 1, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 20396), ("base_sort", 1, 316)] },
     Pin { case: "u32/shared/noagg/lowent/topk6666", answer: 0x800c9fef09e5f5f3, total_ns: 28214.986981132075, launch_overhead_ns: 21000.0, levels: 1, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 53680), ("base_sort", 1, 640)] },
     Pin { case: "u32/shared/noagg/lowent/topk20000", answer: 0x08901e00ed008a15, total_ns: 30155.315822102428, launch_overhead_ns: 21000.0, levels: 1, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 120480), ("base_sort", 1, 320)] },
-    Pin { case: "u32/shared/noagg/lowent/ranks-spread", answer: 0x55e1669261bf3ae7, total_ns: 45986.23293800539, launch_overhead_ns: 39000.0, levels: 2, early: true, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 4, 81592), ("base_sort", 4, 1272)] },
-    Pin { case: "u32/shared/noagg/lowent/ranks-dup", answer: 0xd65abd69a3e76645, total_ns: 33199.48293800539, launch_overhead_ns: 27000.0, levels: 2, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 2, 40800), ("base_sort", 2, 640)] },
-    Pin { case: "u32/shared/noagg/lowent/ranks-unsorted", answer: 0x4e5ab5f3700ba220, total_ns: 39592.85793800539, launch_overhead_ns: 33000.0, levels: 2, early: true, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 3, 61196), ("base_sort", 3, 956)] },
+    Pin { case: "u32/shared/noagg/lowent/ranks-spread", answer: 0x55e1669261bf3ae7, total_ns: 27229.572938005393, launch_overhead_ns: 21000.0, levels: 2, early: true, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 21912), ("base_sort", 1, 1400)] },
+    Pin { case: "u32/shared/noagg/lowent/ranks-dup", answer: 0xd65abd69a3e76645, total_ns: 27013.482938005392, launch_overhead_ns: 21000.0, levels: 2, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 20960), ("base_sort", 1, 704)] },
+    Pin { case: "u32/shared/noagg/lowent/ranks-unsorted", answer: 0x4e5ab5f3700ba220, total_ns: 27022.197938005393, launch_overhead_ns: 21000.0, levels: 2, early: true, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 21436), ("base_sort", 1, 1052)] },
     Pin { case: "u32/shared/noagg/lowent/ranks-adjacent", answer: 0xf99bfdd09e94a665, total_ns: 20407.482938005392, launch_overhead_ns: 15000.0, levels: 1, early: true, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960)] },
     Pin { case: "u32/shared/agg/uniform/topk1", answer: 0xe2c7906c119dd631, total_ns: 26607.34770889488, launch_overhead_ns: 21000.0, levels: 1, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 20272), ("base_sort", 1, 192)] },
     Pin { case: "u32/shared/agg/uniform/topk6666", answer: 0x9d6d18853d8a74b4, total_ns: 28237.212938005392, launch_overhead_ns: 21000.0, levels: 1, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 54432), ("base_sort", 1, 388)] },
     Pin { case: "u32/shared/agg/uniform/topk20000", answer: 0xe2600a4e975e34a2, total_ns: 30437.045822102427, launch_overhead_ns: 21000.0, levels: 1, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 120480), ("base_sort", 1, 564)] },
-    Pin { case: "u32/shared/agg/uniform/ranks-spread", answer: 0x8a27aeb0237ec3e1, total_ns: 53609.972708894886, launch_overhead_ns: 45000.0, levels: 2, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 5, 102832), ("base_sort", 5, 2432)] },
-    Pin { case: "u32/shared/agg/uniform/ranks-dup", answer: 0x47039c2b8245b579, total_ns: 34051.212938005396, launch_overhead_ns: 27000.0, levels: 2, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 2, 41328), ("base_sort", 2, 1168)] },
-    Pin { case: "u32/shared/agg/uniform/ranks-unsorted", answer: 0x365bd3cac612f387, total_ns: 46192.09770889488, launch_overhead_ns: 39000.0, levels: 2, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 4, 81688), ("base_sort", 4, 1368)] },
+    Pin { case: "u32/shared/agg/uniform/ranks-spread", answer: 0x8a27aeb0237ec3e1, total_ns: 27771.38793800539, launch_overhead_ns: 21000.0, levels: 2, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 23232), ("base_sort", 1, 2592)] },
+    Pin { case: "u32/shared/agg/uniform/ranks-dup", answer: 0x47039c2b8245b579, total_ns: 27465.837938005392, launch_overhead_ns: 21000.0, levels: 2, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 21488), ("base_sort", 1, 1232)] },
+    Pin { case: "u32/shared/agg/uniform/ranks-unsorted", answer: 0x365bd3cac612f387, total_ns: 27297.087938005392, launch_overhead_ns: 21000.0, levels: 2, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 22008), ("base_sort", 1, 1496)] },
     Pin { case: "u32/shared/agg/uniform/ranks-adjacent", answer: 0x10e428c1591bc92f, total_ns: 26733.087938005392, launch_overhead_ns: 21000.0, levels: 2, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 20360), ("base_sort", 1, 280)] },
     Pin { case: "u32/shared/agg/dup16/topk1", answer: 0x7830a97489bc6b05, total_ns: 24780.837938005392, launch_overhead_ns: 18000.0, levels: 1, early: true, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 25096)] },
     Pin { case: "u32/shared/agg/dup16/topk6666", answer: 0x2fd67d3a41afd1ec, total_ns: 25048.587938005392, launch_overhead_ns: 18000.0, levels: 1, early: true, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 56600)] },
@@ -471,16 +471,16 @@ const PINS: &[Pin] = &[
     Pin { case: "u32/shared/agg/lowent/topk1", answer: 0x293918c80849afe5, total_ns: 26764.587938005392, launch_overhead_ns: 21000.0, levels: 1, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 20396), ("base_sort", 1, 316)] },
     Pin { case: "u32/shared/agg/lowent/topk6666", answer: 0x800c9fef09e5f5f3, total_ns: 28178.71698113208, launch_overhead_ns: 21000.0, levels: 1, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 53680), ("base_sort", 1, 640)] },
     Pin { case: "u32/shared/agg/lowent/topk20000", answer: 0x08901e00ed008a15, total_ns: 30119.045822102427, launch_overhead_ns: 21000.0, levels: 1, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 120480), ("base_sort", 1, 320)] },
-    Pin { case: "u32/shared/agg/lowent/ranks-spread", answer: 0x55e1669261bf3ae7, total_ns: 45949.962938005396, launch_overhead_ns: 39000.0, levels: 2, early: true, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 4, 81592), ("base_sort", 4, 1272)] },
-    Pin { case: "u32/shared/agg/lowent/ranks-dup", answer: 0xd65abd69a3e76645, total_ns: 33163.212938005396, launch_overhead_ns: 27000.0, levels: 2, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 2, 40800), ("base_sort", 2, 640)] },
-    Pin { case: "u32/shared/agg/lowent/ranks-unsorted", answer: 0x4e5ab5f3700ba220, total_ns: 39556.587938005396, launch_overhead_ns: 33000.0, levels: 2, early: true, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 3, 61196), ("base_sort", 3, 956)] },
+    Pin { case: "u32/shared/agg/lowent/ranks-spread", answer: 0x55e1669261bf3ae7, total_ns: 27189.837938005392, launch_overhead_ns: 21000.0, levels: 2, early: true, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 21912), ("base_sort", 1, 1400)] },
+    Pin { case: "u32/shared/agg/lowent/ranks-dup", answer: 0xd65abd69a3e76645, total_ns: 26977.212938005392, launch_overhead_ns: 21000.0, levels: 2, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 20960), ("base_sort", 1, 704)] },
+    Pin { case: "u32/shared/agg/lowent/ranks-unsorted", answer: 0x4e5ab5f3700ba220, total_ns: 26982.462938005392, launch_overhead_ns: 21000.0, levels: 2, early: true, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 21436), ("base_sort", 1, 1052)] },
     Pin { case: "u32/shared/agg/lowent/ranks-adjacent", answer: 0xf99bfdd09e94a665, total_ns: 20371.212938005392, launch_overhead_ns: 15000.0, levels: 1, early: true, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960)] },
     Pin { case: "u32/global/noagg/uniform/topk1", answer: 0xe2c7906c119dd631, total_ns: 51327.34770889488, launch_overhead_ns: 21000.0, levels: 1, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 20272), ("base_sort", 1, 192)] },
     Pin { case: "u32/global/noagg/uniform/topk6666", answer: 0x9d6d18853d8a74b4, total_ns: 60158.17293800539, launch_overhead_ns: 21000.0, levels: 1, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 54432), ("base_sort", 1, 388)] },
     Pin { case: "u32/global/noagg/uniform/topk20000", answer: 0xe2600a4e975e34a2, total_ns: 77995.2129380054, launch_overhead_ns: 21000.0, levels: 1, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 120480), ("base_sort", 1, 564)] },
-    Pin { case: "u32/global/noagg/uniform/ranks-spread", answer: 0x8a27aeb0237ec3e1, total_ns: 77845.84043126684, launch_overhead_ns: 45000.0, levels: 2, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 5, 102832), ("base_sort", 5, 2432)] },
-    Pin { case: "u32/global/noagg/uniform/ranks-dup", answer: 0x47039c2b8245b579, total_ns: 58484.65293800539, launch_overhead_ns: 27000.0, levels: 2, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 2, 41328), ("base_sort", 2, 1168)] },
-    Pin { case: "u32/global/noagg/uniform/ranks-unsorted", answer: 0x365bd3cac612f387, total_ns: 70738.95557951482, launch_overhead_ns: 39000.0, levels: 2, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 4, 81688), ("base_sort", 4, 1368)] },
+    Pin { case: "u32/global/noagg/uniform/ranks-spread", answer: 0x8a27aeb0237ec3e1, total_ns: 52246.57293800539, launch_overhead_ns: 21000.0, levels: 2, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 23232), ("base_sort", 1, 2592)] },
+    Pin { case: "u32/global/noagg/uniform/ranks-dup", answer: 0x47039c2b8245b579, total_ns: 51980.65293800539, launch_overhead_ns: 21000.0, levels: 2, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 21488), ("base_sort", 1, 1232)] },
+    Pin { case: "u32/global/noagg/uniform/ranks-unsorted", answer: 0x365bd3cac612f387, total_ns: 51778.15293800539, launch_overhead_ns: 21000.0, levels: 2, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 22008), ("base_sort", 1, 1496)] },
     Pin { case: "u32/global/noagg/uniform/ranks-adjacent", answer: 0x10e428c1591bc92f, total_ns: 51450.90566037736, launch_overhead_ns: 21000.0, levels: 2, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 20360), ("base_sort", 1, 280)] },
     Pin { case: "u32/global/noagg/dup16/topk1", answer: 0x7830a97489bc6b05, total_ns: 49720.092938005386, launch_overhead_ns: 18000.0, levels: 1, early: true, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 25096)] },
     Pin { case: "u32/global/noagg/dup16/topk6666", answer: 0x2fd67d3a41afd1ec, total_ns: 58030.81293800539, launch_overhead_ns: 18000.0, levels: 1, early: true, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 56600)] },
@@ -499,16 +499,16 @@ const PINS: &[Pin] = &[
     Pin { case: "u32/global/noagg/lowent/topk1", answer: 0x293918c80849afe5, total_ns: 51452.36118598383, launch_overhead_ns: 21000.0, levels: 1, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 20396), ("base_sort", 1, 316)] },
     Pin { case: "u32/global/noagg/lowent/topk6666", answer: 0x800c9fef09e5f5f3, total_ns: 60465.61293800539, launch_overhead_ns: 21000.0, levels: 1, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 53680), ("base_sort", 1, 640)] },
     Pin { case: "u32/global/noagg/lowent/topk20000", answer: 0x08901e00ed008a15, total_ns: 77677.2129380054, launch_overhead_ns: 21000.0, levels: 1, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 120480), ("base_sort", 1, 320)] },
-    Pin { case: "u32/global/noagg/lowent/ranks-spread", answer: 0x55e1669261bf3ae7, total_ns: 70536.1293800539, launch_overhead_ns: 39000.0, levels: 2, early: true, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 4, 81592), ("base_sort", 4, 1272)] },
-    Pin { case: "u32/global/noagg/lowent/ranks-dup", answer: 0xd65abd69a3e76645, total_ns: 57813.83288409703, launch_overhead_ns: 27000.0, levels: 2, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 2, 40800), ("base_sort", 2, 640)] },
-    Pin { case: "u32/global/noagg/lowent/ranks-unsorted", answer: 0x4e5ab5f3700ba220, total_ns: 64174.98113207547, launch_overhead_ns: 33000.0, levels: 2, early: true, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 3, 61196), ("base_sort", 3, 956)] },
+    Pin { case: "u32/global/noagg/lowent/ranks-spread", answer: 0x55e1669261bf3ae7, total_ns: 51696.97293800539, launch_overhead_ns: 21000.0, levels: 2, early: true, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 21912), ("base_sort", 1, 1400)] },
+    Pin { case: "u32/global/noagg/lowent/ranks-dup", answer: 0xd65abd69a3e76645, total_ns: 51488.412938005386, launch_overhead_ns: 21000.0, levels: 2, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 20960), ("base_sort", 1, 704)] },
+    Pin { case: "u32/global/noagg/lowent/ranks-unsorted", answer: 0x4e5ab5f3700ba220, total_ns: 51592.69293800539, launch_overhead_ns: 21000.0, levels: 2, early: true, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 21436), ("base_sort", 1, 1052)] },
     Pin { case: "u32/global/noagg/lowent/ranks-adjacent", answer: 0xf99bfdd09e94a665, total_ns: 45091.21293800539, launch_overhead_ns: 15000.0, levels: 1, early: true, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960)] },
     Pin { case: "u32/global/agg/uniform/topk1", answer: 0xe2c7906c119dd631, total_ns: 49518.947708894884, launch_overhead_ns: 21000.0, levels: 1, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 20272), ("base_sort", 1, 192)] },
     Pin { case: "u32/global/agg/uniform/topk6666", answer: 0x9d6d18853d8a74b4, total_ns: 50779.43288409704, launch_overhead_ns: 21000.0, levels: 1, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 54432), ("base_sort", 1, 388)] },
     Pin { case: "u32/global/agg/uniform/topk20000", answer: 0xe2600a4e975e34a2, total_ns: 53348.64582210243, launch_overhead_ns: 21000.0, levels: 1, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 120480), ("base_sort", 1, 564)] },
-    Pin { case: "u32/global/agg/uniform/ranks-spread", answer: 0x8a27aeb0237ec3e1, total_ns: 75979.73563342319, launch_overhead_ns: 45000.0, levels: 2, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 5, 102832), ("base_sort", 5, 2432)] },
-    Pin { case: "u32/global/agg/uniform/ranks-dup", answer: 0x47039c2b8245b579, total_ns: 56662.78059299192, launch_overhead_ns: 27000.0, levels: 2, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 2, 41328), ("base_sort", 2, 1168)] },
-    Pin { case: "u32/global/agg/uniform/ranks-unsorted", answer: 0x365bd3cac612f387, total_ns: 68929.61078167116, launch_overhead_ns: 39000.0, levels: 2, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 4, 81688), ("base_sort", 4, 1368)] },
+    Pin { case: "u32/global/agg/uniform/ranks-spread", answer: 0x8a27aeb0237ec3e1, total_ns: 50162.2929380054, launch_overhead_ns: 21000.0, levels: 2, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 23232), ("base_sort", 1, 2592)] },
+    Pin { case: "u32/global/agg/uniform/ranks-dup", answer: 0x47039c2b8245b579, total_ns: 50083.812938005394, launch_overhead_ns: 21000.0, levels: 2, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 21488), ("base_sort", 1, 1232)] },
+    Pin { case: "u32/global/agg/uniform/ranks-unsorted", answer: 0x365bd3cac612f387, total_ns: 49865.47293800539, launch_overhead_ns: 21000.0, levels: 2, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 22008), ("base_sort", 1, 1496)] },
     Pin { case: "u32/global/agg/uniform/ranks-adjacent", answer: 0x10e428c1591bc92f, total_ns: 49642.50566037736, launch_overhead_ns: 21000.0, levels: 2, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 20360), ("base_sort", 1, 280)] },
     Pin { case: "u32/global/agg/dup16/topk1", answer: 0x7830a97489bc6b05, total_ns: 33940.812938005394, launch_overhead_ns: 18000.0, levels: 1, early: true, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 25096)] },
     Pin { case: "u32/global/agg/dup16/topk6666", answer: 0x2fd67d3a41afd1ec, total_ns: 34663.88668463612, launch_overhead_ns: 18000.0, levels: 1, early: true, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 56600)] },
@@ -527,23 +527,23 @@ const PINS: &[Pin] = &[
     Pin { case: "u32/global/agg/lowent/topk1", answer: 0x293918c80849afe5, total_ns: 47384.12118598383, launch_overhead_ns: 21000.0, levels: 1, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 20396), ("base_sort", 1, 316)] },
     Pin { case: "u32/global/agg/lowent/topk6666", answer: 0x800c9fef09e5f5f3, total_ns: 48830.47698113207, launch_overhead_ns: 21000.0, levels: 1, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 53680), ("base_sort", 1, 640)] },
     Pin { case: "u32/global/agg/lowent/topk20000", answer: 0x08901e00ed008a15, total_ns: 50770.805822102426, launch_overhead_ns: 21000.0, levels: 1, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 120480), ("base_sort", 1, 320)] },
-    Pin { case: "u32/global/agg/lowent/ranks-spread", answer: 0x55e1669261bf3ae7, total_ns: 66467.88938005391, launch_overhead_ns: 39000.0, levels: 2, early: true, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 4, 81592), ("base_sort", 4, 1272)] },
-    Pin { case: "u32/global/agg/lowent/ranks-dup", answer: 0xd65abd69a3e76645, total_ns: 53745.59288409703, launch_overhead_ns: 27000.0, levels: 2, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 2, 40800), ("base_sort", 2, 640)] },
-    Pin { case: "u32/global/agg/lowent/ranks-unsorted", answer: 0x4e5ab5f3700ba220, total_ns: 60106.74113207547, launch_overhead_ns: 33000.0, levels: 2, early: true, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 3, 61196), ("base_sort", 3, 956)] },
+    Pin { case: "u32/global/agg/lowent/ranks-spread", answer: 0x55e1669261bf3ae7, total_ns: 47527.09293800539, launch_overhead_ns: 21000.0, levels: 2, early: true, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 21912), ("base_sort", 1, 1400)] },
+    Pin { case: "u32/global/agg/lowent/ranks-dup", answer: 0xd65abd69a3e76645, total_ns: 47420.17293800539, launch_overhead_ns: 21000.0, levels: 2, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 20960), ("base_sort", 1, 704)] },
+    Pin { case: "u32/global/agg/lowent/ranks-unsorted", answer: 0x4e5ab5f3700ba220, total_ns: 47422.81293800539, launch_overhead_ns: 21000.0, levels: 2, early: true, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 21436), ("base_sort", 1, 1052)] },
     Pin { case: "u32/global/agg/lowent/ranks-adjacent", answer: 0xf99bfdd09e94a665, total_ns: 41022.97293800539, launch_overhead_ns: 15000.0, levels: 1, early: true, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960)] },
     Pin { case: "f32/deep/uniform/topk1", answer: 0x9cd731ba274e2c95, total_ns: 33833.65691374663, launch_overhead_ns: 21000.0, levels: 1, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 1800032), ("reduce", 1, 600064), ("filter", 1, 303660), ("base_sort", 1, 2488)] },
     Pin { case: "f32/deep/uniform/topk100000", answer: 0x6ebd40f9f775ba92, total_ns: 38196.19423180593, launch_overhead_ns: 21000.0, levels: 1, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 1800032), ("reduce", 1, 600064), ("filter", 1, 805240), ("base_sort", 1, 4012)] },
     Pin { case: "f32/deep/uniform/topk300000", answer: 0xa600b8c214d85e10, total_ns: 42305.921064690025, launch_overhead_ns: 21000.0, levels: 1, early: false, kernels: &[("sample", 1, 1020), ("count", 1, 1800032), ("reduce", 1, 600064), ("filter", 1, 1800032), ("base_sort", 1, 3948)] },
-    Pin { case: "f32/deep/uniform/ranks-spread", answer: 0xee8acedc1ff5b7f0, total_ns: 101317.33437331536, launch_overhead_ns: 69000.0, levels: 3, early: false, kernels: &[("sample", 3, 3060), ("count", 3, 1819343), ("reduce", 3, 608256), ("filter", 7, 1529743), ("base_sort", 5, 8652)] },
-    Pin { case: "f32/deep/uniform/ranks-dup", answer: 0xd3de7aa9b4963fa9, total_ns: 57438.22892857142, launch_overhead_ns: 39000.0, levels: 3, early: false, kernels: &[("sample", 2, 2040), ("count", 2, 1808995), ("reduce", 2, 604160), ("filter", 3, 613243), ("base_sort", 2, 3976)] },
-    Pin { case: "f32/deep/uniform/ranks-unsorted", answer: 0xa9c093e9a3f313e6, total_ns: 74373.55787735849, launch_overhead_ns: 51000.0, levels: 3, early: false, kernels: &[("sample", 2, 2040), ("count", 2, 1809615), ("reduce", 2, 604160), ("filter", 5, 1219455), ("base_sort", 4, 7224)] },
+    Pin { case: "f32/deep/uniform/ranks-spread", answer: 0xee8acedc1ff5b7f0, total_ns: 55468.52942722372, launch_overhead_ns: 36000.0, levels: 3, early: false, kernels: &[("sample", 2, 3124), ("count", 2, 1823551), ("reduce", 2, 608384), ("filter", 2, 335707), ("base_sort", 2, 8788)] },
+    Pin { case: "f32/deep/uniform/ranks-dup", answer: 0xd3de7aa9b4963fa9, total_ns: 54352.405471698105, launch_overhead_ns: 36000.0, levels: 3, early: false, kernels: &[("sample", 2, 2040), ("count", 2, 1808995), ("reduce", 2, 604160), ("filter", 2, 315587), ("base_sort", 2, 3976)] },
+    Pin { case: "f32/deep/uniform/ranks-unsorted", answer: 0xa9c093e9a3f313e6, total_ns: 53911.22216981131, launch_overhead_ns: 36000.0, levels: 3, early: false, kernels: &[("sample", 2, 2040), ("count", 2, 1809615), ("reduce", 2, 604160), ("filter", 2, 324143), ("base_sort", 2, 7320)] },
     Pin { case: "f32/deep/uniform/ranks-adjacent", answer: 0xb247d855ba99d34b, total_ns: 47883.44466981132, launch_overhead_ns: 33000.0, levels: 3, early: false, kernels: &[("sample", 2, 2040), ("count", 2, 1809615), ("reduce", 2, 604160), ("filter", 2, 308751), ("base_sort", 1, 36)] },
     Pin { case: "u32/deep/lowent/topk1", answer: 0x293918c80849afe5, total_ns: 46827.45375336927, launch_overhead_ns: 30000.0, levels: 2, early: true, kernels: &[("sample", 2, 2040), ("count", 2, 1808055), ("reduce", 2, 604160), ("filter", 2, 311943)] },
     Pin { case: "u32/deep/lowent/topk100000", answer: 0x0c50d3b44d2c379e, total_ns: 50444.84920485175, launch_overhead_ns: 30000.0, levels: 2, early: true, kernels: &[("sample", 2, 2040), ("count", 2, 1815054), ("reduce", 2, 606208), ("filter", 2, 815906)] },
     Pin { case: "u32/deep/lowent/topk300000", answer: 0xfdeae1797c29bd09, total_ns: 55201.71119946091, launch_overhead_ns: 30000.0, levels: 2, early: true, kernels: &[("sample", 2, 2040), ("count", 2, 1808060), ("reduce", 2, 604160), ("filter", 2, 1806028)] },
-    Pin { case: "u32/deep/lowent/ranks-spread", answer: 0x29114fde303a6260, total_ns: 112726.50392183289, launch_overhead_ns: 75000.0, levels: 2, early: true, kernels: &[("sample", 6, 6120), ("count", 6, 1840152), ("reduce", 6, 620544), ("filter", 5, 1529764)] },
-    Pin { case: "u32/deep/lowent/ranks-dup", answer: 0xd65abd69a3e76645, total_ns: 59685.930107816705, launch_overhead_ns: 39000.0, levels: 2, early: true, kernels: &[("sample", 3, 3060), ("count", 3, 1823082), ("reduce", 3, 610304), ("filter", 2, 616688)] },
-    Pin { case: "u32/deep/lowent/ranks-unsorted", answer: 0x6d557cfc7afaec41, total_ns: 94995.2159838275, launch_overhead_ns: 63000.0, levels: 2, early: true, kernels: &[("sample", 5, 5100), ("count", 5, 1832134), ("reduce", 5, 616448), ("filter", 4, 1223816)] },
+    Pin { case: "u32/deep/lowent/ranks-spread", answer: 0x29114fde303a6260, total_ns: 43395.92737196765, launch_overhead_ns: 27000.0, levels: 2, early: true, kernels: &[("sample", 2, 6280), ("count", 2, 1850672), ("reduce", 2, 620864), ("filter", 1, 335624)] },
+    Pin { case: "u32/deep/lowent/ranks-dup", answer: 0xd65abd69a3e76645, total_ns: 42429.21237196765, launch_overhead_ns: 27000.0, levels: 2, early: true, kernels: &[("sample", 2, 3124), ("count", 2, 1828342), ("reduce", 2, 610464), ("filter", 1, 319032)] },
+    Pin { case: "u32/deep/lowent/ranks-unsorted", answer: 0x6d557cfc7afaec41, total_ns: 42873.68737196765, launch_overhead_ns: 27000.0, levels: 2, early: true, kernels: &[("sample", 2, 5228), ("count", 2, 1840550), ("reduce", 2, 616704), ("filter", 1, 328504)] },
     Pin { case: "u32/deep/lowent/ranks-adjacent", answer: 0xf99bfdd09e94a665, total_ns: 41796.91466981132, launch_overhead_ns: 27000.0, levels: 2, early: true, kernels: &[("sample", 2, 2040), ("count", 2, 1808055), ("reduce", 2, 604160), ("filter", 1, 305952)] },
     Pin { case: "f32/shared/b4/uniform/approx", answer: 0x327b7f94e2299a96, total_ns: 17187.382520215633, launch_overhead_ns: 15000.0, levels: 1, early: true, kernels: &[("sample", 1, 12), ("count_nowrite", 1, 80320), ("reduce", 1, 32)] },
     Pin { case: "f32/shared/b256/uniform/approx", answer: 0xf555af4503a27280, total_ns: 20400.552938005392, launch_overhead_ns: 15000.0, levels: 1, early: true, kernels: &[("sample", 1, 1020), ("count_nowrite", 1, 100480), ("reduce", 1, 2048)] },
