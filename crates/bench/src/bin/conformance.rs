@@ -23,12 +23,15 @@ use hpc_par::ThreadPool;
 use sampleselect::approx::approx_select_on_device;
 use sampleselect::bitonic::{bitonic_sort, bitonic_sort_on_block};
 use sampleselect::count::count_kernel;
-use sampleselect::filter::filter_kernel;
+use sampleselect::filter::{filter_buckets, filter_kernel};
+use sampleselect::recursion::segmented_launch;
 use sampleselect::reduce::reduce_kernel;
 use sampleselect::rng::SplitMix64;
 use sampleselect::simt_ref::{self, mutants};
 use sampleselect::splitter::sample_kernel;
-use sampleselect::{bipartition_on_device, sample_select_on_device, SampleSelectConfig};
+use sampleselect::{
+    bipartition_on_device, sample_select_on_device, KernelScratch, SampleSelectConfig,
+};
 use select_bench::Table;
 
 fn schedules() -> [(&'static str, WarpSchedule); 3] {
@@ -117,6 +120,17 @@ fn main() {
         &cfg,
         LaunchOrigin::Device,
     );
+    // A bucket set with gaps and a single bucket, filtered as the two
+    // segments of one segmented level launch.
+    let mut set = vec![0, mid_bucket, b - 1];
+    set.dedup();
+    let (origin, scratch) = (LaunchOrigin::Device, KernelScratch::new());
+    let (set_filtered, one_filtered) = segmented_launch(&mut device, 2, 0, |d| {
+        let one = [mid_bucket];
+        let set = filter_buckets(d, &data, &count, &red, &set, &cfg, origin, &scratch);
+        let one = filter_buckets(d, &data, &count, &red, &one, &cfg, origin, &scratch);
+        (set, one)
+    });
     let pivot = 25_000u32;
     let (bipart, smaller, equal) =
         bipartition_on_device(&mut device, &data, pivot, &cfg, LaunchOrigin::Host);
@@ -174,6 +188,30 @@ fn main() {
                         Some(full),
                     );
                     (want == filtered, r)
+                }),
+            ),
+            (
+                "filter/segmented-set",
+                check(|| {
+                    // Each bucket gathered block by block, in set order;
+                    // the first dirty report, or the last.
+                    let (mut want, mut report) = (Vec::new(), None);
+                    for &k in &set {
+                        let sanitize = Some(full);
+                        let (part, r) = simt_ref::block_bucket_concat(
+                            &data,
+                            &oracle,
+                            k,
+                            k + 1,
+                            schedule,
+                            sanitize,
+                        );
+                        want.extend(part);
+                        if report.as_ref().is_none_or(SanitizerReport::is_clean) {
+                            report = r;
+                        }
+                    }
+                    (want == set_filtered && one_filtered == filtered, report)
                 }),
             ),
             (
