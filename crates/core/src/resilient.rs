@@ -1000,6 +1000,56 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_level_launch_of_a_multi_rank_query_is_retried_to_exact() {
+        use crate::multiselect::quantile_ranks;
+        use gpu_sim::FaultKind;
+
+        // 2^19 elements and q = 8: depth 1 holds 7 segments of ~2k
+        // elements, whose filters are one merged launch.
+        let data = uniform(1 << 19, 6);
+        let ranks = quantile_ranks(data.len(), 8).unwrap();
+        let (cfg, rcfg) = (SampleSelectConfig::default(), ResilienceConfig::default());
+        let pool = ThreadPool::new(2);
+        let run = |plan: Option<FaultPlan>| {
+            let mut device = Device::new(v100(), &pool);
+            if let Some(plan) = plan {
+                device.set_fault_plan(plan);
+            }
+            let ws = &mut SelectWorkspace::new();
+            let query = RanksQuery {
+                data: &data,
+                ranks: &ranks,
+                ws,
+            };
+            let served = drive(&mut device, query, &cfg, &rcfg).unwrap();
+            (served, device)
+        };
+        let (clean, device) = run(None);
+        let filters: Vec<usize> = (device.records().iter().enumerate())
+            .filter(|(_, r)| r.name == "filter")
+            .map(|(i, _)| i)
+            .collect();
+        assert_eq!(filters.len(), 2, "one filter launch per level");
+        let at = filters[1] as u64;
+
+        let (served, device) = run(Some(FaultPlan::new(23).fail_launches_at(&[at])));
+        let failed: Vec<_> = (device.records().iter())
+            .filter(|r| r.fault == Some(FaultKind::LaunchFailure))
+            .map(|r| r.name.as_ref())
+            .collect();
+        assert_eq!(failed, ["filter"], "the level's one launch fails once");
+        let mut sorted = data.clone();
+        sorted.sort_by(|a, b| a.total_cmp(b));
+        let want: Vec<f32> = ranks.iter().map(|&r| sorted[r]).collect();
+        assert_eq!(served.answer, want);
+        assert_eq!(served.answer, clean.answer);
+        assert_eq!(served.backend, Backend::SampleSelect);
+        let events = &served.report.resilience;
+        assert_eq!((events.faults_observed, events.retries), (1, 1));
+        assert_eq!(events.fallbacks, 0);
+    }
+
+    #[test]
     fn persistent_faults_fall_back_to_cpu() {
         let data = uniform(50_000, 3);
         // Every launch fails: no device backend can ever finish.
