@@ -15,7 +15,7 @@
 //!
 //! Alabi et al.'s RadixSelect, the other comparator of §V-D, is not
 //! here: it is the core crate's radix backend
-//! (`sampleselect::radix::{radix_select, radix_select_on_device}`), the
+//! (`sampleselect::radix::radix_select_on_device`), the
 //! shared level loop with digit bucketing, which the planner also runs.
 
 pub mod bucketselect;

@@ -26,7 +26,7 @@ use std::time::Instant;
 use gpu_sim::arch::v100;
 use gpu_sim::Device;
 use hpc_par::ThreadPool;
-use sampleselect::recursion::sample_select_with_workspace;
+use sampleselect::recursion::{select_with_workspace, Bucketing};
 use sampleselect::rng::SplitMix64;
 use sampleselect::streaming::{streaming_select, ChunkError, ChunkSource};
 use sampleselect::{
@@ -130,12 +130,13 @@ fn select_shape(name: &str, n: usize, pool: &ThreadPool, reps: usize) -> (String
     let mut pooled_dev = Device::new(v100(), pool);
     pooled_dev.enable_buffer_pool();
     let mut ws: SelectWorkspace<f32> = SelectWorkspace::new();
-    let _ = sample_select_with_workspace(
+    let _ = select_with_workspace(
         &mut pooled_dev,
         &workloads[0].data,
         workloads[0].rank,
         &cfg_for(0),
         &mut ws,
+        Bucketing::Splitters,
     )
     .expect("warm-up select");
     pooled_dev.reset();
@@ -157,7 +158,8 @@ fn select_shape(name: &str, n: usize, pool: &ThreadPool, reps: usize) -> (String
 
         // Pooled leg: the steady-state hot path.
         let (rp, wall_p, allocs_p) = clocked(|| {
-            sample_select_with_workspace(&mut pooled_dev, &w.data, w.rank, &cfg, &mut ws)
+            let splitters = Bucketing::Splitters;
+            select_with_workspace(&mut pooled_dev, &w.data, w.rank, &cfg, &mut ws, splitters)
                 .expect("pooled select")
         });
         pooled_dev.reset();

@@ -45,10 +45,10 @@ use crate::element::SelectElement;
 use crate::instrument::SelectReport;
 use crate::obs::{self, Counter};
 use crate::params::SampleSelectConfig;
-use crate::topk::{top_k_largest_with_workspace, TopKResult};
+use crate::recursion::fused_with_workspace;
+use crate::topk::TopKResult;
 use crate::workspace::SelectWorkspace;
 use crate::SelectError;
-use gpu_sim::arch::v100;
 use gpu_sim::{Device, SimTime};
 
 /// Shape of one approximate top-k run: how many buckets, and how many
@@ -217,14 +217,9 @@ fn bucket_bound(n: usize, b: usize, i: usize) -> usize {
     ((i as u64 * n as u64) / b as u64) as usize
 }
 
-/// Approximate top-k extraction on a simulated device.
-///
-/// The `b` local recursions are independent (no shared state, no
-/// cross-bucket barrier), so each runs on its own device timeline and
-/// the coordinator clock advances by the *maximum* bucket time — the
-/// paper's parallelism argument, made explicit in simulated time. The
-/// exact finish pass then runs on `device` itself.
-pub fn approx_top_k_with_workspace<T: SelectElement>(
+/// [`approx_top_k_on_device`] with a reusable workspace: the resilient
+/// driver passes a `selectd` worker's.
+pub(crate) fn approx_top_k_with_workspace<T: SelectElement>(
     device: &mut Device,
     data: &[T],
     k: usize,
@@ -272,7 +267,7 @@ pub fn approx_top_k_with_workspace<T: SelectElement>(
         let mut bucket_device = Device::on_global_pool(device.arch().clone());
         let TopKResult {
             elements, report, ..
-        } = top_k_largest_with_workspace(&mut bucket_device, slice, kj, cfg, ws)?;
+        } = fused_with_workspace(&mut bucket_device, slice, kj, true, cfg, ws)?;
         local_time = local_time.max(report.total_time);
         local_levels = local_levels.max(report.levels);
         union.extend_from_slice(&elements);
@@ -307,7 +302,7 @@ pub fn approx_top_k_with_workspace<T: SelectElement>(
         elements,
         threshold,
         report: finish_report,
-    } = top_k_largest_with_workspace(device, &union, k, cfg, ws)?;
+    } = fused_with_workspace(device, &union, k, true, cfg, ws)?;
     let finish_time = finish_report.total_time;
 
     let mut report = finish_report;
@@ -329,7 +324,13 @@ pub fn approx_top_k_with_workspace<T: SelectElement>(
     })
 }
 
-/// [`approx_top_k_with_workspace`] on a fresh workspace.
+/// Approximate top-k extraction on a simulated device.
+///
+/// The `b` local recursions are independent (no shared state, no
+/// cross-bucket barrier), so each runs on its own device timeline and
+/// the coordinator clock advances by the *maximum* bucket time — the
+/// paper's parallelism argument, made explicit in simulated time. The
+/// exact finish pass then runs on `device` itself.
 pub fn approx_top_k_on_device<T: SelectElement>(
     device: &mut Device,
     data: &[T],
@@ -338,17 +339,6 @@ pub fn approx_top_k_on_device<T: SelectElement>(
     cfg: &SampleSelectConfig,
 ) -> Result<ApproxTopKResult<T>, SelectError> {
     approx_top_k_with_workspace(device, data, k, acfg, cfg, &mut SelectWorkspace::new())
-}
-
-/// [`approx_top_k_on_device`] on a default simulated device.
-pub fn approx_top_k<T: SelectElement>(
-    data: &[T],
-    k: usize,
-    acfg: &ApproxTopKConfig,
-    cfg: &SampleSelectConfig,
-) -> Result<ApproxTopKResult<T>, SelectError> {
-    let mut device = Device::on_global_pool(v100());
-    approx_top_k_on_device(&mut device, data, k, acfg, cfg)
 }
 
 fn min_element<T: SelectElement>(xs: &[T]) -> T {
@@ -398,6 +388,7 @@ mod tests {
     use crate::element::sort_elements;
     use crate::rng::SplitMix64;
     use crate::topk::top_k_largest_on_device;
+    use gpu_sim::arch::v100;
     use hpc_par::ThreadPool;
 
     fn uniform(n: usize, seed: u64) -> Vec<f32> {
@@ -547,13 +538,14 @@ mod tests {
             buckets: 64,
             oversample: 1.0,
         };
-        let mut res = approx_top_k(&data, 2, &acfg, &cfg).unwrap();
+        let mut device = Device::on_global_pool(v100());
+        let mut res = approx_top_k_on_device(&mut device, &data, 2, &acfg, &cfg).unwrap();
         let mut got: Vec<f32> = res.elements.clone();
         got.sort_by(|a, b| a.partial_cmp(b).unwrap());
         assert_eq!(got, vec![2.0, 3.0]);
         assert_eq!(measure_recall(&data, &mut res), 1.0);
         // k = n returns everything.
-        let mut res = approx_top_k(&data, 3, &acfg, &cfg).unwrap();
+        let mut res = approx_top_k_on_device(&mut device, &data, 3, &acfg, &cfg).unwrap();
         let mut sorted = data.clone();
         sort_elements(&mut sorted);
         let mut got = res.elements.clone();
@@ -562,11 +554,11 @@ mod tests {
         assert_eq!(measure_recall(&data, &mut res), 1.0);
         // Invalid k.
         assert!(matches!(
-            approx_top_k(&data, 0, &acfg, &cfg),
+            approx_top_k_on_device(&mut device, &data, 0, &acfg, &cfg),
             Err(SelectError::RankOutOfRange { .. })
         ));
         assert!(matches!(
-            approx_top_k(&data, 4, &acfg, &cfg),
+            approx_top_k_on_device(&mut device, &data, 4, &acfg, &cfg),
             Err(SelectError::RankOutOfRange { .. })
         ));
         // Invalid knobs.
@@ -575,7 +567,7 @@ mod tests {
             oversample: 1.0,
         };
         assert!(matches!(
-            approx_top_k(&data, 1, &bad, &cfg),
+            approx_top_k_on_device(&mut device, &data, 1, &bad, &cfg),
             Err(SelectError::InvalidArgument { .. })
         ));
     }

@@ -187,13 +187,9 @@ pub fn bitonic_sort_on_block(
     (sorted, report)
 }
 
-/// Sorting-network-based selection: sort and pick rank `k`. This is the
-/// base case of both SampleSelect and QuickSelect (§IV-D).
-pub fn bitonic_select<T: SelectElement>(data: &mut [T], k: usize) -> (T, BitonicStats) {
-    bitonic_select_with_scratch(data, k, &mut Vec::new())
-}
-
-/// [`bitonic_select`] with a caller-provided padded sorting buffer.
+/// Sorting-network-based selection: sort and pick rank `k`, with a
+/// caller-provided padded sorting buffer. This is the base case of
+/// both SampleSelect and QuickSelect (§IV-D).
 pub fn bitonic_select_with_scratch<T: SelectElement>(
     data: &mut [T],
     k: usize,
@@ -306,7 +302,7 @@ mod tests {
         sort_elements(&mut sorted);
         for k in [0usize, 1, 42, 99, 199] {
             let mut copy = data.clone();
-            let (v, _) = bitonic_select(&mut copy, k);
+            let (v, _) = bitonic_select_with_scratch(&mut copy, k, &mut Vec::new());
             assert_eq!(v, sorted[k], "k = {k}");
         }
     }

@@ -59,35 +59,8 @@ pub fn filter_kernel<T: SelectElement>(
     cfg: &SampleSelectConfig,
     origin: LaunchOrigin,
 ) -> Vec<T> {
-    filter_kernel_scoped(
-        device,
-        data,
-        count,
-        reduce,
-        bucket_range,
-        cfg,
-        origin,
-        &KernelScratch::new(),
-    )
-}
-
-/// [`filter_kernel`] with caller-provided closure scratch: per-worker
-/// output cursors come from `scratch` and the output buffer from the
-/// device [`gpu_sim::BufferPool`] when armed, making a warm launch
-/// allocation-free (the returned `Vec` reuses a pooled allocation that
-/// the driver recycles after consuming it).
-#[allow(clippy::too_many_arguments)]
-pub fn filter_kernel_scoped<T: SelectElement>(
-    device: &mut Device,
-    data: &[T],
-    count: &CountResult,
-    reduce: &ReduceResult,
-    bucket_range: Range<u32>,
-    cfg: &SampleSelectConfig,
-    origin: LaunchOrigin,
-    scratch: &KernelScratch,
-) -> Vec<T> {
     let buckets = bucket_set(bucket_range);
+    let scratch = &KernelScratch::new();
     filter_buckets(device, data, count, reduce, buckets, cfg, origin, scratch)
 }
 
@@ -96,6 +69,11 @@ pub fn filter_kernel_scoped<T: SelectElement>(
 /// a target slices it at the bucket sizes. A range of buckets is
 /// charged as [`filter_kernel`] charges it; a set with gaps also reads
 /// its bucket indexes, one per selected bucket and block.
+///
+/// Per-worker output cursors come from `scratch` and the output buffer
+/// from the device [`gpu_sim::BufferPool`] when armed, making a warm
+/// launch allocation-free (the returned `Vec` reuses a pooled allocation
+/// that the driver recycles after consuming it).
 #[allow(clippy::too_many_arguments)]
 pub fn filter_buckets<T: SelectElement>(
     device: &mut Device,

@@ -67,35 +67,33 @@ pub mod workspace;
 
 pub use approx::{approx_select, approx_select_on_device, ApproxResult};
 pub use approx_topk::{
-    approx_top_k, approx_top_k_on_device, approx_top_k_with_workspace, expected_recall,
-    k_prime_for_recall, measure_recall, plan_for_recall, ApproxTopKConfig, ApproxTopKResult,
+    approx_top_k_on_device, expected_recall, k_prime_for_recall, measure_recall, plan_for_recall,
+    ApproxTopKConfig, ApproxTopKResult,
 };
 pub use element::SelectElement;
 pub use instrument::{ResilienceEvent, ResilienceEvents, SelectReport};
 pub use kv::{zip_pairs, Pair};
-pub use multiselect::{
-    multi_select, multi_select_on_device, quantile_ranks, quantiles, MultiSelectResult,
-};
+pub use multiselect::{multi_select_on_device, quantile_ranks, quantiles, MultiSelectResult};
 pub use obs::{
     MetricsRegistry, MetricsSnapshot, ObsReport, ObsSession, QuerySpan, SpanGuard, SpanKind,
 };
 pub use params::{AtomicScope, ConfigError, SampleSelectConfig};
 pub use planner::{
-    auto_select_on_device, auto_select_with_workspace, plan_approx_topk_query, plan_rank_query,
-    plan_topk_query, profile_data, DataProfile, PlanDecision, PlanSignals, PlannedBackend,
+    auto_select_on_device, plan_approx_topk_query, plan_rank_query, plan_topk_query, profile_data,
+    DataProfile, PlanDecision, PlanSignals, PlannedBackend,
 };
 pub use quantile_stream::{
     rank_for_prob, run_quantile_stream, QuantileStream, QuantileStreamConfig, QuantileStreamRun,
     WindowQuantiles, WindowSpec, DEFAULT_PROBS,
 };
 pub use quickselect::{bipartition_on_device, quick_select, quick_select_on_device};
-pub use radix::{radix_select, radix_select_on_device};
-pub use recursion::{sample_select_on_device, sample_select_with_workspace};
+pub use radix::radix_select_on_device;
+pub use recursion::sample_select_on_device;
 pub use resilient::{
     resilient_select, resilient_select_on_device, resilient_select_planned,
     resilient_streaming_select, Backend, Outcome, ResilienceConfig, ResilientResult, RetryPolicy,
 };
-pub use samplesort::{sample_sort, sample_sort_on_device, SortResult};
+pub use samplesort::{sample_sort_on_device, SortResult};
 pub use searchtree::SearchTree;
 pub use server::{
     BreakerConfig, QueryKind, QueryRequest, QueryResponse, QueryStatus, QuotaConfig, SelectServer,
@@ -105,8 +103,8 @@ pub use shard::{
     sharded_select, KillSpec, ShardConfig, ShardFaults, ShardReport, ShardTopology, ShardedResult,
 };
 pub use streaming::{
-    streaming_select, streaming_select_with_checkpoint, streaming_select_with_topology, ChunkError,
-    ChunkSource, SliceChunks, StreamingResult,
+    streaming_select, streaming_select_with_checkpoint, ChunkError, ChunkSource, SliceChunks,
+    StreamingResult,
 };
 pub use topk::{bottom_k_smallest_on_device, top_k_largest, top_k_largest_on_device};
 pub use verify::VerifyPolicy;

@@ -39,30 +39,7 @@ pub fn multi_select_on_device<T: SelectElement>(
     ranks: &[usize],
     cfg: &SampleSelectConfig,
 ) -> Result<MultiSelectResult<T>, SelectError> {
-    multi_select_with_workspace(device, data, ranks, cfg, &mut SelectWorkspace::new())
-}
-
-/// [`multi_select_on_device`] with a reusable [`SelectWorkspace`] (see
-/// [`crate::recursion::sample_select_with_workspace`] for the reuse
-/// contract).
-pub fn multi_select_with_workspace<T: SelectElement>(
-    device: &mut Device,
-    data: &[T],
-    ranks: &[usize],
-    cfg: &SampleSelectConfig,
-    ws: &mut SelectWorkspace<T>,
-) -> Result<MultiSelectResult<T>, SelectError> {
-    ranks_with_workspace(device, data, ranks, cfg, ws)
-}
-
-/// Multi-rank selection on a default simulated device (Tesla V100).
-pub fn multi_select<T: SelectElement>(
-    data: &[T],
-    ranks: &[usize],
-    cfg: &SampleSelectConfig,
-) -> Result<MultiSelectResult<T>, SelectError> {
-    let mut device = Device::on_global_pool(v100());
-    multi_select_on_device(&mut device, data, ranks, cfg)
+    ranks_with_workspace(device, data, ranks, cfg, &mut SelectWorkspace::new())
 }
 
 /// The `q - 1` target ranks of the `q`-quantiles of an input of length
@@ -101,7 +78,8 @@ pub fn quantiles<T: SelectElement>(
     cfg: &SampleSelectConfig,
 ) -> Result<MultiSelectResult<T>, SelectError> {
     let ranks = quantile_ranks(data.len(), q)?;
-    multi_select(data, &ranks, cfg)
+    let mut device = Device::on_global_pool(v100());
+    multi_select_on_device(&mut device, data, &ranks, cfg)
 }
 
 #[cfg(test)]
@@ -153,7 +131,9 @@ mod tests {
     #[test]
     fn empty_rank_list_is_empty_result() {
         let data = uniform(1_000, 4);
-        let res = multi_select(&data, &[], &SampleSelectConfig::default()).unwrap();
+        let mut device = Device::on_global_pool(v100());
+        let res = multi_select_on_device(&mut device, &data, &[], &SampleSelectConfig::default())
+            .unwrap();
         assert!(res.values.is_empty());
     }
 
@@ -198,7 +178,9 @@ mod tests {
     #[test]
     fn propagates_rank_errors() {
         let data = uniform(100, 8);
-        let err = multi_select(&data, &[5, 100], &SampleSelectConfig::default()).unwrap_err();
+        let mut device = Device::on_global_pool(v100());
+        let cfg = SampleSelectConfig::default();
+        let err = multi_select_on_device(&mut device, &data, &[5, 100], &cfg).unwrap_err();
         assert!(matches!(err, SelectError::RankOutOfRange { .. }));
     }
 

@@ -27,7 +27,7 @@
 //! what makes the differential planner-conformance grid in
 //! `tests/planner_matrix.rs` reproducible.
 //!
-//! Dispatch ([`auto_select_with_workspace`]) calls the *exact same*
+//! Dispatch ([`auto_select_on_device`], [`run_planned`]) calls the *exact same*
 //! entry points the forced backends use, so `--algo auto` output is
 //! bit-identical to the backend the decision names — pinned by the
 //! planner proptests in `tests/properties.rs`.
@@ -37,7 +37,7 @@ use crate::obs::{self, Counter};
 use crate::params::SampleSelectConfig;
 use crate::quickselect::quick_select_on_device;
 use crate::radix::DIGIT_BITS;
-use crate::recursion::{sample_select_with_workspace, select_with_workspace, Bucketing};
+use crate::recursion::{select_with_workspace, Bucketing};
 use crate::workspace::SelectWorkspace;
 use crate::{SelectError, SelectResult};
 use gpu_sim::arch::GpuArchitecture;
@@ -698,33 +698,6 @@ pub fn plan_approx_topk_query<T: SelectElement>(
 // Dispatch
 // ---------------------------------------------------------------------
 
-/// Plan and run one rank query, dispatching to exactly the entry point
-/// the forced backend would use (this is what makes `--algo auto`
-/// bit-identical to its chosen backend).
-pub fn auto_select_with_workspace<T: SelectElement>(
-    device: &mut Device,
-    data: &[T],
-    rank: usize,
-    cfg: &SampleSelectConfig,
-    ws: &mut SelectWorkspace<T>,
-) -> Result<(PlanDecision, SelectResult<T>), SelectError> {
-    auto_select_with_signals(device, data, rank, cfg, ws, &PlanSignals::default())
-}
-
-/// [`auto_select_with_workspace`] with explicit live signals.
-pub fn auto_select_with_signals<T: SelectElement>(
-    device: &mut Device,
-    data: &[T],
-    rank: usize,
-    cfg: &SampleSelectConfig,
-    ws: &mut SelectWorkspace<T>,
-    signals: &PlanSignals,
-) -> Result<(PlanDecision, SelectResult<T>), SelectError> {
-    let decision = plan_rank_query_with_signals(device.arch(), data, rank, cfg, signals);
-    let result = run_planned(device, data, rank, cfg, ws, decision.backend)?;
-    Ok((decision, result))
-}
-
 /// Run a rank query on the backend a decision names — the shared
 /// dispatcher for `--algo auto` and the planner proptests.
 pub fn run_planned<T: SelectElement>(
@@ -736,7 +709,9 @@ pub fn run_planned<T: SelectElement>(
     backend: PlannedBackend,
 ) -> Result<SelectResult<T>, SelectError> {
     match backend {
-        PlannedBackend::Sample => sample_select_with_workspace(device, data, rank, cfg, ws),
+        PlannedBackend::Sample => {
+            select_with_workspace(device, data, rank, cfg, ws, Bucketing::Splitters)
+        }
         PlannedBackend::Quick => quick_select_on_device(device, data, rank, cfg),
         PlannedBackend::Radix => {
             select_with_workspace(device, data, rank, cfg, ws, Bucketing::Digits)
@@ -749,14 +724,19 @@ pub fn run_planned<T: SelectElement>(
     }
 }
 
-/// Plan and run one rank query on a fresh workspace.
+/// Plan and run one rank query on a fresh workspace, dispatching to
+/// exactly the entry point the forced backend would use (this is what
+/// makes `--algo auto` bit-identical to its chosen backend).
 pub fn auto_select_on_device<T: SelectElement>(
     device: &mut Device,
     data: &[T],
     rank: usize,
     cfg: &SampleSelectConfig,
 ) -> Result<(PlanDecision, SelectResult<T>), SelectError> {
-    auto_select_with_workspace(device, data, rank, cfg, &mut SelectWorkspace::new())
+    let decision = plan_rank_query(device.arch(), data, rank, cfg);
+    let ws = &mut SelectWorkspace::new();
+    let result = run_planned(device, data, rank, cfg, ws, decision.backend)?;
+    Ok((decision, result))
 }
 
 #[cfg(test)]

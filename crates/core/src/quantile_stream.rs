@@ -6,7 +6,8 @@
 //! forever. This module turns the exact multiselect driver into that
 //! engine: elements are ingested in arbitrary batches, a ring buffer
 //! keeps the most recent window, and every time the window schedule
-//! fires the engine runs one [`multi_select_with_workspace`] over the
+//! fires the engine runs one multi-rank selection (the level loop's
+//! `Ranks` target, on a reused workspace) over the
 //! window to produce *exact* quantile values (actual stream elements,
 //! nearest-rank estimator — no sketches, no epsilon).
 //!
@@ -41,9 +42,9 @@
 
 use crate::element::SelectElement;
 use crate::instrument::ResilienceEvents;
-use crate::multiselect::multi_select_with_workspace;
 use crate::obs::{self, Counter};
 use crate::params::SampleSelectConfig;
+use crate::recursion::ranks_with_workspace;
 use crate::streaming::{
     fnv1a64, load_chunk_with_retry, push_elems, push_u64, ChunkSource, Cursor, CHECKPOINT_MAGIC,
 };
@@ -275,8 +276,7 @@ impl<T: SelectElement> QuantileStream<T> {
         let mut uniq = ranks.clone();
         uniq.sort_unstable();
         uniq.dedup();
-        let res =
-            multi_select_with_workspace(device, &data, &uniq, &self.cfg.select, &mut self.ws)?;
+        let res = ranks_with_workspace(device, &data, &uniq, &self.cfg.select, &mut self.ws)?;
         let values = ranks
             .iter()
             .map(|r| res.values[uniq.binary_search(r).unwrap()])

@@ -38,7 +38,6 @@ use crate::params::SampleSelectConfig;
 use crate::recursion::{select_with_workspace, Bucketing};
 use crate::workspace::SelectWorkspace;
 use crate::{SelectError, SelectResult};
-use gpu_sim::arch::v100;
 use gpu_sim::{Device, KernelCost};
 
 /// Bits per radix digit (256 buckets, one oracle byte).
@@ -129,22 +128,12 @@ pub fn radix_select_on_device<T: SelectElement>(
     )
 }
 
-/// RadixSelect on a default simulated device (Tesla V100 on the
-/// process-global thread pool).
-pub fn radix_select<T: SelectElement>(
-    data: &[T],
-    rank: usize,
-    cfg: &SampleSelectConfig,
-) -> Result<SelectResult<T>, SelectError> {
-    let mut device = Device::on_global_pool(v100());
-    radix_select_on_device(&mut device, data, rank, cfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::element::reference_select;
     use crate::rng::SplitMix64;
+    use gpu_sim::arch::v100;
     use gpu_sim::FaultPlan;
     use hpc_par::ThreadPool;
 

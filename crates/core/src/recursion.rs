@@ -184,18 +184,7 @@ pub fn sample_select_on_device<T: SelectElement>(
     rank: usize,
     cfg: &SampleSelectConfig,
 ) -> Result<SelectResult<T>, SelectError> {
-    sample_select_with_workspace(device, data, rank, cfg, &mut SelectWorkspace::new())
-}
-
-/// [`sample_select_on_device`] with a reusable [`SelectWorkspace`]; see
-/// [`select_with_workspace`].
-pub fn sample_select_with_workspace<T: SelectElement>(
-    device: &mut Device,
-    data: &[T],
-    rank: usize,
-    cfg: &SampleSelectConfig,
-    ws: &mut SelectWorkspace<T>,
-) -> Result<SelectResult<T>, SelectError> {
+    let ws = &mut SelectWorkspace::new();
     select_with_workspace(device, data, rank, cfg, ws, Bucketing::Splitters)
 }
 
@@ -1343,8 +1332,11 @@ fn level_loop<T: SelectElement, B: LevelBucketing<T>, Q: Target<T>, E: Executor<
 mod tests {
     use super::*;
     use crate::element::reference_select;
+    use crate::multiselect::multi_select_on_device;
     use crate::params::AtomicScope;
+    use crate::topk::{bottom_k_smallest_on_device, top_k_largest_on_device};
     use gpu_sim::arch::{k20xm, v100};
+    use gpu_sim::SimTime;
     use hpc_par::ThreadPool;
 
     fn select_f32(data: &[f32], rank: usize, cfg: &SampleSelectConfig) -> SelectResult<f32> {
@@ -1513,6 +1505,60 @@ mod tests {
         // A healthy run needs barely more than n.
         let cfg = SampleSelectConfig::default().with_work_budget_factor(2.0);
         sample_select_on_device(&mut device, &data, 50_000, &cfg).unwrap();
+    }
+
+    /// The launches `device` recorded from record `from` on: what each
+    /// kernel was and what it cost, without its place on the clock.
+    fn launches(device: &Device, from: usize) -> Vec<(String, LaunchConfig, KernelCost, SimTime)> {
+        let records = device.records()[from..].iter();
+        records
+            .map(|r| (r.name.to_string(), r.config, r.cost, r.duration))
+            .collect()
+    }
+
+    #[test]
+    fn one_warm_workspace_serves_every_target_as_the_one_shot_entries_do() {
+        // A `selectd` worker runs every query kind on one workspace and
+        // one pooled device: each answer and each kernel record must be
+        // the one-shot entry's on a fresh, unpooled device.
+        let (pool, cfg) = (ThreadPool::new(2), SampleSelectConfig::default());
+        let data = uniform(1 << 17, 11);
+        let n = data.len();
+        let ranks: Vec<usize> = (1..8).map(|i| i * n / 8).collect();
+        let mut warm = Device::new(v100(), &pool);
+        warm.enable_buffer_pool();
+        let mut ws = SelectWorkspace::new();
+        for step in 0..5 {
+            let (from, mut one) = (warm.records().len(), Device::new(v100(), &pool));
+            match step {
+                0 | 4 => {
+                    let k = if step == 0 { n / 3 } else { 1 };
+                    let a = fused_with_workspace(&mut warm, &data, k, true, &cfg, &mut ws).unwrap();
+                    let b = top_k_largest_on_device(&mut one, &data, k, &cfg).unwrap();
+                    assert_eq!((a.elements, a.threshold), (b.elements, b.threshold));
+                }
+                1 => {
+                    let k = n / 5;
+                    let a =
+                        fused_with_workspace(&mut warm, &data, k, false, &cfg, &mut ws).unwrap();
+                    let b = bottom_k_smallest_on_device(&mut one, &data, k, &cfg).unwrap();
+                    assert_eq!((a.elements, a.threshold), (b.elements, b.threshold));
+                }
+                2 => {
+                    let a = ranks_with_workspace(&mut warm, &data, &ranks, &cfg, &mut ws).unwrap();
+                    let b = multi_select_on_device(&mut one, &data, &ranks, &cfg).unwrap();
+                    assert_eq!(a.values, b.values);
+                }
+                _ => {
+                    let splitters = Bucketing::Splitters;
+                    let a =
+                        select_with_workspace(&mut warm, &data, n / 2, &cfg, &mut ws, splitters);
+                    let b = sample_select_on_device(&mut one, &data, n / 2, &cfg).unwrap();
+                    assert_eq!(a.unwrap().value, b.value);
+                }
+            }
+            assert_eq!(launches(&warm, from), launches(&one, 0), "query {step}");
+        }
     }
 
     #[test]

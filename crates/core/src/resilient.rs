@@ -40,12 +40,11 @@ use crate::approx::approx_select_on_device;
 use crate::approx_topk::{approx_top_k_with_workspace, ApproxTopKConfig};
 use crate::element::{reference_select, SelectElement};
 use crate::instrument::{ResilienceEvents, SelectReport};
-use crate::multiselect::multi_select_with_workspace;
 use crate::obs::{self, SpanKind};
 use crate::params::SampleSelectConfig;
 use crate::planner::PlannedBackend;
 use crate::quickselect::quick_select_on_device;
-use crate::recursion::{sample_select_on_device, validate_input};
+use crate::recursion::{ranks_with_workspace, sample_select_on_device, validate_input};
 use crate::rng::SplitMix64;
 use crate::streaming::{streaming_select, ChunkSource};
 use crate::topk::top_k_largest_on_device;
@@ -796,7 +795,7 @@ impl<T: SelectElement> Query for RanksQuery<'_, T> {
     }
 
     fn attempt(&mut self, device: &mut Device, _: Backend, cfg: &Cfg) -> Attempt<Vec<T>> {
-        multi_select_with_workspace(device, self.data, self.ranks, cfg, self.ws)
+        ranks_with_workspace(device, self.data, self.ranks, cfg, self.ws)
             .map(|r| (r.values, r.report))
     }
 

@@ -18,7 +18,6 @@ use crate::instrument::SelectReport;
 use crate::params::SampleSelectConfig;
 use crate::recursion::sort_levels;
 use crate::SelectError;
-use gpu_sim::arch::v100;
 use gpu_sim::Device;
 
 /// Result of a device sort.
@@ -40,20 +39,12 @@ pub fn sample_sort_on_device<T: SelectElement>(
     sort_levels(device, data, cfg)
 }
 
-/// Sort on a default simulated device (Tesla V100).
-pub fn sample_sort<T: SelectElement>(
-    data: &[T],
-    cfg: &SampleSelectConfig,
-) -> Result<SortResult<T>, SelectError> {
-    let mut device = Device::on_global_pool(v100());
-    sample_sort_on_device(&mut device, data, cfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::element::sort_elements;
     use crate::rng::SplitMix64;
+    use gpu_sim::arch::v100;
     use hpc_par::ThreadPool;
 
     fn check<T: SelectElement + PartialEq>(data: &[T]) -> SortResult<T> {

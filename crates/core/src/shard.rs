@@ -46,7 +46,7 @@
 use crate::bitonic::bitonic_sort_with_scratch;
 use crate::count::{count_kernel_scoped, Classifier, CountResult};
 use crate::element::SelectElement;
-use crate::filter::filter_kernel_scoped;
+use crate::filter::{bucket_set, filter_buckets};
 use crate::instrument::{ResilienceEvents, SelectReport};
 use crate::obs::{self, Counter, SpanKind};
 use crate::params::SampleSelectConfig;
@@ -635,9 +635,8 @@ impl<'a, T: SelectElement> Shards<'a, T> {
             let (device, scratch) = (&mut slot.device, &slot.scratch);
             let expected = count.counts[bucket];
             let red = reduce_kernel(device, &count, origin);
-            let range = bucket as u32..bucket as u32 + 1;
-            let next =
-                filter_kernel_scoped(device, local, &count, &red, range, cfg, origin, scratch);
+            let set = bucket_set(bucket as u32..bucket as u32 + 1);
+            let next = filter_buckets(device, local, &count, &red, set, cfg, origin, scratch);
             if let Some(fault) = device.take_fault() {
                 events.fault(format!("shard {i} filter level {level}: {fault}"));
             } else if next.len() as u64 != expected {

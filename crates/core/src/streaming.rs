@@ -224,8 +224,9 @@ pub struct StreamingResult<T> {
 pub(crate) const CHECKPOINT_MAGIC: [u8; 4] = *b"SSCK";
 /// Format version; bumped on any layout change. Version 2 added the
 /// shard topology (shard count + partition-boundary hash) to the
-/// fingerprint, so a run resumed under a different `--shards` value is
-/// rejected instead of silently replaying a foreign partition plan.
+/// fingerprint. Every run writes the single-shard topology, and the
+/// decoder rejects any other, since checkpoint bytes come from outside
+/// the process.
 /// Version 3 added `elements_seen` to the sampling-pass state, needed
 /// for the exact-total per-chunk sample shares (the cumulative-floor
 /// distribution is a function of the elements already streamed, which a
@@ -247,12 +248,11 @@ struct Fingerprint {
     rank: u64,
     num_chunks: u64,
     num_buckets: u64,
-    /// Number of device shards the run partitions data across
-    /// (1 for plain single-device streaming).
+    /// Number of device shards the run partitions data across: always
+    /// 1 (streaming runs on one device).
     shards: u64,
     /// FNV-1a over the shard partition boundaries
-    /// ([`ShardTopology::fingerprint`]): two runs with the same shard
-    /// count but different partition boundaries are still different runs.
+    /// ([`ShardTopology::fingerprint`] of [`ShardTopology::single`]).
     topology_hash: u64,
     elem_bytes: u8,
 }
@@ -567,7 +567,7 @@ pub fn streaming_select<T: SelectElement, S: ChunkSource<T>>(
     rank: usize,
     cfg: &SampleSelectConfig,
 ) -> Result<StreamingResult<T>, SelectError> {
-    streaming_select_impl(device, source, rank, cfg, None, false, None)
+    streaming_select_impl(device, source, rank, cfg, None, false)
 }
 
 /// [`streaming_select`] with crash tolerance: persist a checkpoint to
@@ -588,33 +588,7 @@ pub fn streaming_select_with_checkpoint<T: SelectElement, S: ChunkSource<T>>(
     checkpoint: &Path,
     resume: bool,
 ) -> Result<StreamingResult<T>, SelectError> {
-    streaming_select_impl(device, source, rank, cfg, Some(checkpoint), resume, None)
-}
-
-/// [`streaming_select_with_checkpoint`] for a run that is part of a
-/// sharded deployment: the shard topology (shard count and partition
-/// boundaries, see [`ShardTopology`]) is baked into the checkpoint
-/// fingerprint, so a `--resume` under a different `--shards` value is
-/// rejected with a logged [`ResilienceEvent`] and the run restarts
-/// cleanly instead of replaying a foreign partition plan.
-pub fn streaming_select_with_topology<T: SelectElement, S: ChunkSource<T>>(
-    device: &mut Device,
-    source: &S,
-    rank: usize,
-    cfg: &SampleSelectConfig,
-    checkpoint: &Path,
-    resume: bool,
-    topology: &ShardTopology,
-) -> Result<StreamingResult<T>, SelectError> {
-    streaming_select_impl(
-        device,
-        source,
-        rank,
-        cfg,
-        Some(checkpoint),
-        resume,
-        Some(topology),
-    )
+    streaming_select_impl(device, source, rank, cfg, Some(checkpoint), resume)
 }
 
 fn streaming_select_impl<T: SelectElement, S: ChunkSource<T>>(
@@ -624,7 +598,6 @@ fn streaming_select_impl<T: SelectElement, S: ChunkSource<T>>(
     cfg: &SampleSelectConfig,
     checkpoint: Option<&Path>,
     resume: bool,
-    topology: Option<&ShardTopology>,
 ) -> Result<StreamingResult<T>, SelectError> {
     cfg.validate().map_err(SelectError::InvalidConfig)?;
     let n = source.total_len();
@@ -643,8 +616,7 @@ fn streaming_select_impl<T: SelectElement, S: ChunkSource<T>>(
     );
     let mut events = ResilienceEvents::default();
     let b = cfg.num_buckets;
-    let single = ShardTopology::single(n);
-    let topology = topology.unwrap_or(&single);
+    let topology = ShardTopology::single(n);
     let fp = Fingerprint {
         seed: cfg.seed,
         n: n as u64,
@@ -1492,66 +1464,6 @@ mod tests {
         assert!(err.contains("shard topology changed"), "got: {err}");
         // And the matching topology round-trips.
         assert!(decode_checkpoint::<f32>(&bytes, &fp2).is_ok());
-    }
-
-    #[test]
-    fn resume_under_different_shard_count_restarts_cleanly() {
-        let data = uniform(1 << 16, 23);
-        let rank = 1 << 15;
-        let cfg = SampleSelectConfig::default();
-        let path = temp_ckpt("topo-mismatch");
-        let _ = std::fs::remove_file(&path);
-
-        // "Kill" a K=2 run mid-way so a checkpoint survives on disk.
-        let two = ShardTopology::even(data.len(), 2);
-        let mut flaky = FlakyChunks::new(&data, 1 << 13, 5, usize::MAX);
-        flaky.transient = false;
-        let pool = ThreadPool::new(2);
-        let mut device = Device::new(v100(), &pool);
-        let err =
-            streaming_select_with_topology(&mut device, &flaky, rank, &cfg, &path, false, &two)
-                .unwrap_err();
-        assert!(matches!(err, SelectError::ChunkLoad(_)));
-        assert!(path.exists(), "checkpoint must survive the crash");
-
-        // Resume with --shards 4: the checkpoint must be rejected with a
-        // clean event and the run must restart (and still be exact).
-        let four = ShardTopology::even(data.len(), 4);
-        let healthy = SliceChunks::new(&data, 1 << 13);
-        let mut device = Device::new(v100(), &pool);
-        let res =
-            streaming_select_with_topology(&mut device, &healthy, rank, &cfg, &path, true, &four)
-                .unwrap();
-        assert_eq!(res.value, reference_select(&data, rank).unwrap());
-        assert_eq!(
-            res.report.resilience.resumed, 0,
-            "foreign topology never resumes"
-        );
-        assert_eq!(res.report.resilience.corruptions_detected, 1);
-        assert!(
-            res.report
-                .resilience
-                .log
-                .iter()
-                .any(|l| l.to_string().contains("shard topology changed")),
-            "rejection must name the topology change: {:?}",
-            res.report.resilience.log
-        );
-        assert!(!path.exists(), "checkpoint deleted after success");
-
-        // Resuming with the *matching* topology still works.
-        let _ = std::fs::remove_file(&path);
-        let mut flaky = FlakyChunks::new(&data, 1 << 13, 5, usize::MAX);
-        flaky.transient = false;
-        let mut device = Device::new(v100(), &pool);
-        let _ = streaming_select_with_topology(&mut device, &flaky, rank, &cfg, &path, false, &two)
-            .unwrap_err();
-        let mut device = Device::new(v100(), &pool);
-        let res =
-            streaming_select_with_topology(&mut device, &healthy, rank, &cfg, &path, true, &two)
-                .unwrap();
-        assert_eq!(res.value, reference_select(&data, rank).unwrap());
-        assert_eq!(res.report.resilience.resumed, 1);
     }
 
     #[test]

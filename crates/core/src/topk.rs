@@ -15,7 +15,7 @@ use crate::instrument::SelectReport;
 use crate::params::SampleSelectConfig;
 use crate::recursion::fused_with_workspace;
 use crate::workspace::SelectWorkspace;
-use crate::{SelectError, SelectResult};
+use crate::SelectError;
 use gpu_sim::arch::v100;
 use gpu_sim::Device;
 
@@ -39,20 +39,7 @@ pub fn top_k_largest_on_device<T: SelectElement>(
     k: usize,
     cfg: &SampleSelectConfig,
 ) -> Result<TopKResult<T>, SelectError> {
-    top_k_largest_with_workspace(device, data, k, cfg, &mut SelectWorkspace::new())
-}
-
-/// [`top_k_largest_on_device`] with a reusable [`SelectWorkspace`] (see
-/// [`crate::recursion::sample_select_with_workspace`] for the reuse
-/// contract).
-pub fn top_k_largest_with_workspace<T: SelectElement>(
-    device: &mut Device,
-    data: &[T],
-    k: usize,
-    cfg: &SampleSelectConfig,
-    ws: &mut SelectWorkspace<T>,
-) -> Result<TopKResult<T>, SelectError> {
-    fused_with_workspace(device, data, k, true, cfg, ws)
+    fused_with_workspace(device, data, k, true, cfg, &mut SelectWorkspace::new())
 }
 
 /// Extract the `k` largest elements on a default simulated device.
@@ -75,22 +62,6 @@ pub fn bottom_k_smallest_on_device<T: SelectElement>(
     cfg: &SampleSelectConfig,
 ) -> Result<TopKResult<T>, SelectError> {
     fused_with_workspace(device, data, k, false, cfg, &mut SelectWorkspace::new())
-}
-
-/// Convenience: the kth-largest element (top-k threshold) as a plain
-/// [`SelectResult`], without materializing the top-k set.
-pub fn kth_largest<T: SelectElement>(
-    data: &[T],
-    k: usize,
-    cfg: &SampleSelectConfig,
-) -> Result<SelectResult<T>, SelectError> {
-    if k == 0 || k > data.len() {
-        return Err(SelectError::RankOutOfRange {
-            rank: k,
-            len: data.len(),
-        });
-    }
-    crate::sample_select(data, data.len() - k, cfg)
 }
 
 #[cfg(test)]
@@ -225,7 +196,8 @@ mod tests {
         let data = uniform(30_000, 4);
         let mut sorted = data.clone();
         sort_elements(&mut sorted);
-        let res = kth_largest(&data, 7, &SampleSelectConfig::default()).unwrap();
+        let res =
+            crate::sample_select(&data, data.len() - 7, &SampleSelectConfig::default()).unwrap();
         assert_eq!(res.value, sorted[data.len() - 7]);
     }
 }

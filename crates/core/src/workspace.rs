@@ -18,7 +18,7 @@
 //!
 //! Together with the device-side [`gpu_sim::BufferPool`] (oracles,
 //! partial counts, prefix sums, filter output), a warmed-up
-//! [`crate::recursion::sample_select_with_workspace`] run performs zero
+//! [`crate::recursion::select_with_workspace`] run performs zero
 //! heap allocations in the level kernels — a property pinned by the
 //! `zero_alloc` integration test with a counting global allocator.
 //!
@@ -101,7 +101,7 @@ impl KernelScratch {
 
 /// Reusable per-query element buffers for the SampleSelect drivers.
 ///
-/// Create once, pass to [`crate::recursion::sample_select_with_workspace`]
+/// Create once, pass to [`crate::recursion::select_with_workspace`]
 /// (or the splitter/base-case helpers) for every query; all level-local
 /// element storage is reused instead of reallocated. The functional
 /// result is bit-identical to the workspace-less path — the equivalence

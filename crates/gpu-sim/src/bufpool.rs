@@ -65,10 +65,13 @@ impl BufferPool {
     /// Best-fit within the element type's size class: the shelved buffer
     /// with the smallest sufficient capacity is taken, so one oversized
     /// allocation does not get burned on a tiny request. When nothing
-    /// fits, a fresh allocation of exactly `len` is made (a miss). The
-    /// returned vector always has length zero; callers fill it (or hand
-    /// it to a scatter buffer) and later return it via
-    /// [`BufferPool::recycle`] under the same region tag family.
+    /// fits, a fresh allocation of exactly `len` is made (a miss) and the
+    /// largest shelved buffer of the type is dropped: every shelved one
+    /// is too small, and the new buffer takes its place when it comes
+    /// back, so the pool never owns more buffers of a type than were
+    /// ever leased at once. The returned vector always has length zero;
+    /// callers fill it (or hand it to a scatter buffer) and later return
+    /// it via [`BufferPool::recycle`] under the same region tag family.
     pub fn acquire<T: Send + 'static>(&mut self, len: usize, _tag: &str) -> Vec<T> {
         self.stats.acquires += 1;
         if let Some(shelf) = self
@@ -85,6 +88,10 @@ impl BufferPool {
             if let Some(i) = best {
                 self.stats.hits += 1;
                 return shelf.swap_remove(i);
+            }
+            let largest = shelf.iter().enumerate().max_by_key(|(_, v)| v.capacity());
+            if let Some((i, _)) = largest {
+                shelf.swap_remove(i);
             }
         }
         self.stats.misses += 1;
@@ -178,6 +185,21 @@ mod tests {
         let v3 = pool.acquire::<u32>(100, "a");
         assert_eq!(v3.capacity(), 100);
         assert_eq!(pool.stats().misses, 1);
+    }
+
+    #[test]
+    fn growing_leases_keep_one_shelved_buffer() {
+        // One buffer leased at a time, each lease larger than the last:
+        // every lease misses, and the shelf holds only the latest buffer
+        // instead of every size ever allocated.
+        let mut pool = BufferPool::new();
+        for len in (1..=20).map(|i| i * 100) {
+            let v = pool.acquire::<f32>(len, "filter-out");
+            assert_eq!(v.capacity(), len);
+            pool.recycle("filter-out", v);
+            assert_eq!(pool.shelved::<f32>(), 1, "len {len}");
+        }
+        assert_eq!(pool.stats().misses, 20);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use gpu_selection::gpu_sim::arch::v100;
 use gpu_selection::gpu_sim::{BufferPool, Device, FaultPlan};
 use gpu_selection::hpc_par::ThreadPool;
 use gpu_selection::sampleselect::element::reference_select;
-use gpu_selection::sampleselect::recursion::sample_select_with_workspace;
+use gpu_selection::sampleselect::recursion::{select_with_workspace, Bucketing::Splitters};
 use gpu_selection::sampleselect::server::dataset::{self, DatasetSpec};
 use gpu_selection::sampleselect::server::QuotaConfig;
 use gpu_selection::sampleselect::{
@@ -77,7 +77,7 @@ fn poisoned_region_quarantine_holds_under_interleaved_sessions() {
                 device.set_fault_plan(FaultPlan::new(3).corrupt_accesses_at(&[1]));
             }
             barrier.wait();
-            let first = sample_select_with_workspace(&mut device, &data, 2048, &cfg, &mut ws);
+            let first = select_with_workspace(&mut device, &data, 2048, &cfg, &mut ws, Splitters);
             if inject {
                 device.clear_fault_plan();
             } else {
@@ -88,7 +88,7 @@ fn poisoned_region_quarantine_holds_under_interleaved_sessions() {
             barrier.wait();
             // Second round on both sessions, again in lockstep.
             let second =
-                sample_select_with_workspace(&mut device, &data, 2048, &cfg, &mut ws).unwrap();
+                select_with_workspace(&mut device, &data, 2048, &cfg, &mut ws, Splitters).unwrap();
             let stats = device.buffer_pool_stats().expect("pool armed");
             (second.value, stats)
         })
@@ -134,8 +134,9 @@ fn pool_stats_sum_coherently_across_concurrent_sessions() {
                 let mut ws: SelectWorkspace<i32> = SelectWorkspace::new();
                 barrier.wait();
                 for _ in 0..queries_per_session {
-                    let r = sample_select_with_workspace(&mut device, &data, 4000, &cfg, &mut ws)
-                        .unwrap();
+                    let r =
+                        select_with_workspace(&mut device, &data, 4000, &cfg, &mut ws, Splitters)
+                            .unwrap();
                     assert_eq!(r.value, expect);
                     device.reset();
                 }

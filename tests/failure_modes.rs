@@ -11,9 +11,8 @@ use gpu_selection::hpc_par::ThreadPool;
 use gpu_selection::sampleselect::cpu::{cpu_sample_select, CpuSelectConfig};
 use gpu_selection::sampleselect::element::reference_select;
 use gpu_selection::sampleselect::streaming::{streaming_select, ChunkError, ChunkSource};
-use gpu_selection::sampleselect::topk::kth_largest;
 use gpu_selection::sampleselect::{
-    approx_select, quick_select, radix_select, resilient_select_on_device,
+    approx_select, quick_select, radix_select_on_device, resilient_select_on_device,
     resilient_streaming_select, sample_select, top_k_largest, Backend, ConfigError, Outcome,
     ResilienceConfig, SampleSelectConfig, SelectError,
 };
@@ -44,7 +43,7 @@ fn empty_input_rejected_by_every_driver() {
         SelectError::EmptyInput
     );
     assert_eq!(
-        radix_select(&empty, 0, &cfg()).unwrap_err(),
+        radix_select_on_device(&mut Device::on_global_pool(v100()), &empty, 0, &cfg()).unwrap_err(),
         SelectError::EmptyInput
     );
     let pool = ThreadPool::new(1);
@@ -75,7 +74,8 @@ fn out_of_range_rank_rejected_by_every_driver() {
             SelectError::RankOutOfRange { .. }
         ));
         assert!(matches!(
-            radix_select(&data, rank, &cfg()).unwrap_err(),
+            radix_select_on_device(&mut Device::on_global_pool(v100()), &data, rank, &cfg())
+                .unwrap_err(),
             SelectError::RankOutOfRange { .. }
         ));
     }
@@ -142,10 +142,6 @@ fn topk_boundary_ks() {
         top_k_largest(&data, 4, &cfg()).unwrap_err(),
         SelectError::RankOutOfRange { .. }
     ));
-    assert!(matches!(
-        kth_largest(&data, 0, &cfg()).unwrap_err(),
-        SelectError::RankOutOfRange { .. }
-    ));
     let top1 = top_k_largest(&data, 1, &cfg()).unwrap();
     assert_eq!(top1.elements, vec![3.0]);
 }
@@ -156,7 +152,12 @@ fn single_element_input_works_everywhere() {
     assert_eq!(sample_select(&data, 0, &cfg()).unwrap().value, 42.0);
     assert_eq!(quick_select(&data, 0, &cfg()).unwrap().value, 42.0);
     assert_eq!(bucket_select(&data, 0, &cfg()).unwrap().value, 42.0);
-    assert_eq!(radix_select(&data, 0, &cfg()).unwrap().value, 42.0);
+    assert_eq!(
+        radix_select_on_device(&mut Device::on_global_pool(v100()), &data, 0, &cfg())
+            .unwrap()
+            .value,
+        42.0
+    );
     assert_eq!(top_k_largest(&data, 1, &cfg()).unwrap().threshold, 42.0);
 }
 
@@ -461,7 +462,7 @@ fn device_reuse_across_runs_is_clean() {
 
 use gpu_selection::sampleselect::streaming::{streaming_select_with_checkpoint, SliceChunks};
 use gpu_selection::sampleselect::verify::rank_bounds;
-use gpu_selection::sampleselect::{sample_select_on_device, sample_sort, VerifyPolicy};
+use gpu_selection::sampleselect::{sample_select_on_device, sample_sort_on_device, VerifyPolicy};
 
 /// The acceptance scenario for silent corruption: a fault plan that
 /// flips bits in every exposed buffer (splitters, counts, oracles). The
@@ -751,7 +752,9 @@ proptest! {
         let mut device = Device::new(v100(), &pool);
         let ss = sample_select_on_device(&mut device, &data, rank, &cfg).unwrap().value;
         let qs = quick_select(&data, rank, &cfg).unwrap().value;
-        let sorted = sample_sort(&data, &cfg).unwrap().sorted;
+        let sorted = sample_sort_on_device(&mut Device::on_global_pool(v100()), &data, &cfg)
+            .unwrap()
+            .sorted;
         let so = sorted[rank];
         let mut device = Device::new(v100(), &pool);
         let source = SliceChunks::new(&data, 64);

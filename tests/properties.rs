@@ -403,7 +403,7 @@ proptest! {
         rank_frac in 0.0f64..1.0,
         warm_queries in 0usize..3,
     ) {
-        use gpu_selection::sampleselect::recursion::sample_select_with_workspace;
+        use gpu_selection::sampleselect::recursion::{select_with_workspace, Bucketing::Splitters};
         use gpu_selection::sampleselect::SelectWorkspace;
 
         let rank = ((data.len() - 1) as f64 * rank_frac) as usize;
@@ -420,11 +420,11 @@ proptest! {
         pooled_dev.enable_buffer_pool();
         let mut ws: SelectWorkspace<i32> = SelectWorkspace::new();
         for _ in 0..warm_queries {
-            sample_select_with_workspace(&mut pooled_dev, &data, rank, &cfg, &mut ws).unwrap();
+            select_with_workspace(&mut pooled_dev, &data, rank, &cfg, &mut ws, Splitters).unwrap();
             pooled_dev.reset();
         }
         let pooled =
-            sample_select_with_workspace(&mut pooled_dev, &data, rank, &cfg, &mut ws).unwrap();
+            select_with_workspace(&mut pooled_dev, &data, rank, &cfg, &mut ws, Splitters).unwrap();
 
         prop_assert_eq!(fresh.value, pooled.value);
         prop_assert_eq!(
@@ -442,7 +442,7 @@ proptest! {
         fault_seed in 1u64..64,
     ) {
         use gpu_selection::gpu_sim::FaultPlan;
-        use gpu_selection::sampleselect::recursion::sample_select_with_workspace;
+        use gpu_selection::sampleselect::recursion::{select_with_workspace, Bucketing::Splitters};
         use gpu_selection::sampleselect::SelectWorkspace;
 
         let rank = ((data.len() - 1) as f64 * rank_frac) as usize;
@@ -458,13 +458,13 @@ proptest! {
         // corruption and error, or survive — either way any corrupted
         // pooled region is poisoned and must not reach query 2.
         device.set_fault_plan(FaultPlan::new(fault_seed).bitflips(1.0));
-        let _ = sample_select_with_workspace(&mut device, &data, rank, &cfg, &mut ws);
+        let _ = select_with_workspace(&mut device, &data, rank, &cfg, &mut ws, Splitters);
         device.clear_fault_plan();
         device.reset();
 
         // Query 2 on the same device/workspace/pool must be clean.
         let second =
-            sample_select_with_workspace(&mut device, &data, rank, &cfg, &mut ws).unwrap();
+            select_with_workspace(&mut device, &data, rank, &cfg, &mut ws, Splitters).unwrap();
         prop_assert_eq!(second.value, expect);
     }
 }
@@ -687,7 +687,7 @@ proptest! {
 #[test]
 fn corrupted_pooled_region_is_quarantined() {
     use gpu_selection::gpu_sim::FaultPlan;
-    use gpu_selection::sampleselect::recursion::sample_select_with_workspace;
+    use gpu_selection::sampleselect::recursion::{select_with_workspace, Bucketing::Splitters};
     use gpu_selection::sampleselect::SelectWorkspace;
 
     let data: Vec<i32> = (0..4096)
@@ -703,11 +703,11 @@ fn corrupted_pooled_region_is_quarantined() {
     // 0 is the splitter staging buffer, which is workspace-owned): the
     // bit flip is guaranteed to land in a pool-recycled region.
     device.set_fault_plan(FaultPlan::new(3).corrupt_accesses_at(&[1]));
-    let _ = sample_select_with_workspace(&mut device, &data, 2048, &cfg, &mut ws);
+    let _ = select_with_workspace(&mut device, &data, 2048, &cfg, &mut ws, Splitters);
     device.clear_fault_plan();
     device.reset();
 
-    let second = sample_select_with_workspace(&mut device, &data, 2048, &cfg, &mut ws).unwrap();
+    let second = select_with_workspace(&mut device, &data, 2048, &cfg, &mut ws, Splitters).unwrap();
     assert_eq!(
         second.value,
         reference_select(&data, 2048).unwrap(),

@@ -18,7 +18,7 @@ use gpu_selection::gpu_sim::{Device, LaunchOrigin};
 use gpu_selection::hpc_par::simd;
 use gpu_selection::hpc_par::ThreadPool;
 use gpu_selection::sampleselect::count::{count_kernel_scoped, OracleBuf};
-use gpu_selection::sampleselect::filter::filter_kernel_scoped;
+use gpu_selection::sampleselect::filter::{bucket_set, filter_buckets};
 use gpu_selection::sampleselect::instrument::SelectReport;
 use gpu_selection::sampleselect::obs;
 use gpu_selection::sampleselect::recursion::{select_into, Bucketing};
@@ -70,7 +70,7 @@ fn uniform(n: usize, seed: u64) -> Vec<f32> {
 }
 
 /// One full recursion level driven through the kernel-layer API exactly
-/// as `sample_select_with_workspace` drives it, returning the size of
+/// as `select_with_workspace` drives it, returning the size of
 /// the filtered bucket. Every pooled buffer is recycled at the end, as
 /// the driver does between levels.
 fn one_level(
@@ -96,12 +96,12 @@ fn one_level(
     );
     let red = reduce_kernel(device, &count, LaunchOrigin::Device);
     let bucket = red.bucket_for_rank((data.len() / 2) as u64) as u32;
-    let out = filter_kernel_scoped(
+    let out = filter_buckets(
         device,
         data,
         &count,
         &red,
-        bucket..bucket + 1,
+        bucket_set(bucket..bucket + 1),
         cfg,
         LaunchOrigin::Device,
         &ws.scratch,
