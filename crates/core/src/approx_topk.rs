@@ -538,14 +538,17 @@ mod tests {
             buckets: 64,
             oversample: 1.0,
         };
-        let mut device = Device::on_global_pool(v100());
-        let mut res = approx_top_k_on_device(&mut device, &data, 2, &acfg, &cfg).unwrap();
+        let mut res =
+            approx_top_k_on_device(&mut Device::on_global_pool(v100()), &data, 2, &acfg, &cfg)
+                .unwrap();
         let mut got: Vec<f32> = res.elements.clone();
         got.sort_by(|a, b| a.partial_cmp(b).unwrap());
         assert_eq!(got, vec![2.0, 3.0]);
         assert_eq!(measure_recall(&data, &mut res), 1.0);
         // k = n returns everything.
-        let mut res = approx_top_k_on_device(&mut device, &data, 3, &acfg, &cfg).unwrap();
+        let mut res =
+            approx_top_k_on_device(&mut Device::on_global_pool(v100()), &data, 3, &acfg, &cfg)
+                .unwrap();
         let mut sorted = data.clone();
         sort_elements(&mut sorted);
         let mut got = res.elements.clone();
@@ -554,11 +557,11 @@ mod tests {
         assert_eq!(measure_recall(&data, &mut res), 1.0);
         // Invalid k.
         assert!(matches!(
-            approx_top_k_on_device(&mut device, &data, 0, &acfg, &cfg),
+            approx_top_k_on_device(&mut Device::on_global_pool(v100()), &data, 0, &acfg, &cfg),
             Err(SelectError::RankOutOfRange { .. })
         ));
         assert!(matches!(
-            approx_top_k_on_device(&mut device, &data, 4, &acfg, &cfg),
+            approx_top_k_on_device(&mut Device::on_global_pool(v100()), &data, 4, &acfg, &cfg),
             Err(SelectError::RankOutOfRange { .. })
         ));
         // Invalid knobs.
@@ -567,7 +570,7 @@ mod tests {
             oversample: 1.0,
         };
         assert!(matches!(
-            approx_top_k_on_device(&mut device, &data, 1, &bad, &cfg),
+            approx_top_k_on_device(&mut Device::on_global_pool(v100()), &data, 1, &bad, &cfg),
             Err(SelectError::InvalidArgument { .. })
         ));
     }

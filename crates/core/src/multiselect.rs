@@ -131,9 +131,9 @@ mod tests {
     #[test]
     fn empty_rank_list_is_empty_result() {
         let data = uniform(1_000, 4);
-        let mut device = Device::on_global_pool(v100());
-        let res = multi_select_on_device(&mut device, &data, &[], &SampleSelectConfig::default())
-            .unwrap();
+        let device = &mut Device::on_global_pool(v100());
+        let res =
+            multi_select_on_device(device, &data, &[], &SampleSelectConfig::default()).unwrap();
         assert!(res.values.is_empty());
     }
 
@@ -178,9 +178,9 @@ mod tests {
     #[test]
     fn propagates_rank_errors() {
         let data = uniform(100, 8);
-        let mut device = Device::on_global_pool(v100());
-        let cfg = SampleSelectConfig::default();
-        let err = multi_select_on_device(&mut device, &data, &[5, 100], &cfg).unwrap_err();
+        let device = &mut Device::on_global_pool(v100());
+        let err = multi_select_on_device(device, &data, &[5, 100], &SampleSelectConfig::default())
+            .unwrap_err();
         assert!(matches!(err, SelectError::RankOutOfRange { .. }));
     }
 
