@@ -113,8 +113,6 @@ pub enum Counter {
     PlannerRadix,
     /// Planner: queries routed to the SampleSelect backend.
     PlannerSample,
-    /// Planner: queries routed to the QuickSelect backend.
-    PlannerQuick,
     /// Planner: queries routed to the fused top-k backend.
     PlannerTopk,
     /// Planner: decisions where live obs signals overrode the analytic
@@ -134,7 +132,7 @@ pub enum Counter {
 }
 
 impl Counter {
-    pub const ALL: [Counter; 32] = [
+    pub const ALL: [Counter; 31] = [
         Counter::Queries,
         Counter::KernelLaunches,
         Counter::RecursionLevels,
@@ -160,7 +158,6 @@ impl Counter {
         Counter::Batched,
         Counter::PlannerRadix,
         Counter::PlannerSample,
-        Counter::PlannerQuick,
         Counter::PlannerTopk,
         Counter::PlannerOverrides,
         Counter::PlannerApproxTopk,
@@ -197,7 +194,6 @@ impl Counter {
             Counter::Batched => "select_batched_total",
             Counter::PlannerRadix => "select_planner_radix_total",
             Counter::PlannerSample => "select_planner_sample_total",
-            Counter::PlannerQuick => "select_planner_quick_total",
             Counter::PlannerTopk => "select_planner_topk_total",
             Counter::PlannerOverrides => "select_planner_overrides_total",
             Counter::PlannerApproxTopk => "select_planner_approx_topk_total",

@@ -6,7 +6,7 @@
 //! plain loops over configurations.
 
 use crate::verify::VerifyPolicy;
-use gpu_sim::arch::{GpuArchitecture, GpuGeneration};
+use gpu_sim::arch::GpuArchitecture;
 
 /// Where the bucket counters live (§IV-G): per-block shared-memory
 /// counters followed by a reduction, or device-wide global-memory
@@ -332,11 +332,6 @@ impl SampleSelectConfig {
         self.stream_prefetch = on;
         self
     }
-}
-
-/// Convenience: does this generation default to warp aggregation?
-pub fn default_warp_aggregation(generation: GpuGeneration) -> bool {
-    !generation.has_native_shared_atomics()
 }
 
 #[cfg(test)]

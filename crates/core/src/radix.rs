@@ -51,11 +51,6 @@ pub fn key_bits<T: SelectElement>() -> u32 {
     (T::BYTES * 8) as u32
 }
 
-/// Digit passes a full radix recursion performs on `T` keys.
-pub fn radix_passes<T: SelectElement>() -> u32 {
-    key_bits::<T>().div_ceil(DIGIT_BITS)
-}
-
 /// Buckets elements by the 8-bit digit of their sort key at `shift`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DigitClassifier {

@@ -62,7 +62,7 @@ use crate::obs::{Counter, MetricsRegistry, MetricsSnapshot, ObsSession, SpanGuar
 use crate::params::SampleSelectConfig;
 use crate::planner::{
     plan_approx_topk_query, plan_rank_query_with_signals, plan_topk_query, PlanSignals,
-    PlannedBackend,
+    PlannedBackend, RankPlan,
 };
 use crate::quantile_stream::{
     run_quantile_stream, QuantileStreamConfig, WindowSpec, DEFAULT_PROBS,
@@ -110,14 +110,6 @@ pub enum QueryKind {
         slide: u64,
         chunk_len: u64,
     },
-}
-
-impl QueryKind {
-    /// Decode an [`QueryKind::ApproxTopK`] recall target from its bit
-    /// pattern.
-    pub fn recall_target(bits: u32) -> f32 {
-        f32::from_bits(bits)
-    }
 }
 
 /// One client query.
@@ -509,7 +501,7 @@ struct Job {
     /// Admission-time planner decision (exact/top-k kinds with the
     /// planner enabled). Carried on the job so `pop_batch` can check
     /// co-plannability under the queue lock without re-probing data.
-    plan: Option<PlannedBackend>,
+    plan: Option<RankPlan>,
     tx: Sender<QueryResponse>,
 }
 
@@ -835,39 +827,25 @@ impl SelectServer {
         // probe is a stack-only strided scan — cheap next to the
         // instantiation above). Live signals come from the shared
         // registry's gauges, i.e. from what earlier queries observed.
-        let plan = if shared.cfg.planner {
-            match req.kind {
-                QueryKind::Exact { rank } => {
-                    let signals = PlanSignals::from_snapshot(&shared.registry.snapshot());
-                    Some(plan_rank_query_with_signals(
-                        &shared.cfg.arch,
-                        &data,
-                        rank as usize,
-                        &shared.cfg.select,
-                        &signals,
-                    ))
-                }
-                QueryKind::TopK { k } => Some(plan_topk_query(
-                    &shared.cfg.arch,
-                    &data,
-                    k as usize,
-                    &shared.cfg.select,
-                )),
-                QueryKind::ApproxTopK { k, recall_bits } => {
-                    let target = f64::from(f32::from_bits(recall_bits));
-                    let (acfg, _) = plan_for_recall(data.len(), k as usize, target);
-                    Some(plan_approx_topk_query(
-                        &shared.cfg.arch,
-                        &data,
-                        k as usize,
-                        &acfg,
-                        &shared.cfg.select,
-                    ))
-                }
-                _ => None,
+        let (arch, select) = (&shared.cfg.arch, &shared.cfg.select);
+        let plan = match req.kind {
+            _ if !shared.cfg.planner => None,
+            QueryKind::Exact { rank } => {
+                let signals = PlanSignals::from_snapshot(&shared.registry.snapshot());
+                let rank = rank as usize;
+                Some(plan_rank_query_with_signals(
+                    arch, &data, rank, select, &signals,
+                ))
             }
-        } else {
-            None
+            QueryKind::TopK { k } => Some(plan_topk_query(arch, &data, k as usize, select)),
+            QueryKind::ApproxTopK { k, recall_bits } => {
+                let target = f64::from(f32::from_bits(recall_bits));
+                let (acfg, _) = plan_for_recall(data.len(), k as usize, target);
+                Some(plan_approx_topk_query(
+                    arch, &data, k as usize, &acfg, select,
+                ))
+            }
+            _ => None,
         };
 
         // Bounded queue.
@@ -895,7 +873,7 @@ impl SelectServer {
                 deadline_ms: req.deadline_ms,
                 seed: req.seed,
                 submitted: Instant::now(),
-                plan: plan.map(|d| d.backend),
+                plan: plan.map(|d| d.plan()),
                 tx,
             });
         }
@@ -1023,10 +1001,11 @@ fn pop_batch(shared: &Shared) -> Option<Vec<Job>> {
             // deadline-free queries batch — on both sides: a
             // deadline-carrying head must go through `serve_job`'s
             // expired/remaining-budget path, not the batch path.
-            // Co-plannability: only queries with *identical* planner
-            // decisions merge (same spec ⇒ same probe ⇒ normally the
-            // same plan, but plans can differ across a config change or
-            // live-signal override). The merged group then runs one
+            // Co-plannability: only queries with the same planned
+            // backend merge (same spec ⇒ same probe ⇒ normally the
+            // same backend, but plans can differ across a config change
+            // or live-signal override; certify-first candidates follow
+            // each rank and are dropped by the merge). The merged group then runs one
             // multiselect pass — a group-level planning decision that
             // amortizes the count pass across every member, which beats
             // any per-query backend once two or more queries share it.
@@ -1035,13 +1014,13 @@ fn pop_batch(shared: &Shared) -> Option<Vec<Job>> {
                 && batch[0].deadline_ms.is_none()
             {
                 let spec = batch[0].spec;
-                let head_plan = batch[0].plan;
+                let head_plan = batch[0].plan.map(|p| p.backend);
                 let mut i = 0;
                 while i < queue.len() && batch.len() < shared.cfg.batch_max {
                     let mergeable = matches!(queue[i].kind, QueryKind::Exact { .. })
                         && queue[i].spec == spec
                         && queue[i].deadline_ms.is_none()
-                        && queue[i].plan == head_plan;
+                        && queue[i].plan.map(|p| p.backend) == head_plan;
                     if mergeable {
                         batch.push(queue.remove(i).expect("index in bounds"));
                     } else {
@@ -1205,7 +1184,7 @@ fn respond(
         tenant: job.tenant,
         status,
         backend,
-        planned: job.plan.map(PlannedBackend::name),
+        planned: job.plan.map(|p| p.backend.name()),
         batched,
         wait_ms: wait_ms.max(0.0),
         service_ms,
@@ -1285,8 +1264,9 @@ fn run_query(
     let served = match job.kind {
         QueryKind::Exact { rank } => {
             rcfg.time_budget = budget;
-            // The planner's admission-time pick heads the fallback
-            // chain; without a plan the default chain applies.
+            // The planner's admission-time candidates are counted
+            // first and its pick heads the fallback chain; without a
+            // plan the default chain applies.
             let query = RankQuery::new(data, rank as usize, job.plan);
             drive(device, query, select_cfg, &rcfg).map(|s| s.map(|o| outcome_status(o, true)))
         }
@@ -1299,7 +1279,7 @@ fn run_query(
         }
         QueryKind::TopK { k } => {
             let status = |threshold| QueryStatus::TopK { threshold, k };
-            match job.plan.filter(|&p| p != PlannedBackend::TopK) {
+            match job.plan.filter(|p| p.backend != PlannedBackend::TopK) {
                 // A non-fused plan (large k/n) answers the threshold as
                 // the rank n-k on the planned chain instead of
                 // materializing all k elements; its drivers account for
@@ -1338,7 +1318,9 @@ fn run_query(
             // Honor the admission-time cost model: when the exact fused
             // pass is at least as fast as the bucketed two-phase pass,
             // approximation buys nothing — serve exactly (recall 1.0).
-            let serve_exact = job.plan.is_some_and(|p| p != PlannedBackend::ApproxTopK);
+            let serve_exact = job
+                .plan
+                .is_some_and(|p| p.backend != PlannedBackend::ApproxTopK);
             let bucketed = (!serve_exact).then_some((&acfg, ws));
             let query = TopKQuery {
                 data,

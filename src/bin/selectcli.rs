@@ -16,9 +16,10 @@
 //!
 //! `--algo auto` asks the cost-model planner to pick the backend per
 //! query: it probes the data (duplicate ratio, dead radix digits),
-//! prices SampleSelect, QuickSelect and RadixSelect on the target
-//! architecture, prints the decision, and runs the winner through the
-//! resilient driver — so `--time-budget` degradation and fault
+//! prices SampleSelect and RadixSelect on the target architecture,
+//! prints the decision, and runs it through the resilient driver (a
+//! rank inside a repeated probe value is first tried by one
+//! certify-first count) — so `--time-budget` degradation and fault
 //! injection behave exactly as with `--algo resilient` (a degraded
 //! planner run still exits `4`). `--algo radix` forces the production
 //! RadixSelect backend directly.
@@ -598,6 +599,10 @@ fn main() {
                 decision.profile.distinct_ratio * 100.0,
                 decision.profile.dead_digits
             );
+            let candidates = decision.candidates.iter().flatten().count();
+            if candidates > 0 {
+                println!("planner: certify-first over {candidates} probe value(s)");
+            }
             println!("planner: host simd dispatch = {}", decision.host_simd);
             for (backend, t) in &decision.estimates {
                 println!("  model {backend:<20} {t}");
@@ -607,7 +612,7 @@ fn main() {
                 rcfg = rcfg.with_time_budget(SimTime::from_ms(ms));
             }
             let r = or_exit(
-                resilient_select_planned(&mut device, &w.data, rank, &cfg, &rcfg, decision.backend),
+                resilient_select_planned(&mut device, &w.data, rank, &cfg, &rcfg, decision.plan()),
                 "selection",
             );
             match r.outcome {

@@ -2,17 +2,24 @@
 //! fixed backend, over adversarial data shapes and element types.
 //!
 //! Grid: {uniform, duplicate-heavy, sorted, reverse-sorted,
-//! low-entropy-key, large-k} x {u32, u64, f32}. For every cell the test
-//! runs each fixed backend (SampleSelect, QuickSelect, RadixSelect) and
-//! `--algo auto` on fresh simulated devices and asserts:
+//! low-entropy-key, large-k, and four dominant-value shapes} x {u32,
+//! u64, f32}. The dominant shapes put 50 % or 70 % of the elements on
+//! one value, the rest spread over 2^20 integers (`dominant-50`,
+//! `dominant-70`) or over 8 values (`dominant-50-few`,
+//! `dominant-70-few`), split below and above it with a gap on each
+//! side; they run at ranks n/10, n/2 and 9n/10, inside and outside the
+//! dominant value. For every cell the test runs each fixed backend
+//! (SampleSelect and RadixSelect, the planner's candidates, and
+//! QuickSelect, the paper's comparator) and `--algo auto` on fresh
+//! simulated devices and asserts:
 //!
 //! 1. **bit-identity** — auto's answer has exactly the bit pattern of
-//!    the backend the planner reports choosing (and of every other
-//!    exact backend: they must all agree);
-//! 2. **never slowest** — the chosen backend is not the slowest of the
-//!    three by simulated time (unless all three tie);
-//! 3. **bounded regret** — the chosen backend is within 1.25x of the
-//!    best fixed backend's simulated time.
+//!    every fixed backend (they must all agree);
+//! 2. **never slowest** — auto's own simulated time, certify-first
+//!    count included, is below the slowest fixed backend's (unless all
+//!    tie);
+//! 3. **bounded regret** — auto's own simulated time is within 1.25x
+//!    of the best fixed backend's.
 //!
 //! `PLANNER_MATRIX_DIST` / `PLANNER_MATRIX_TYPE` pin one cell for the
 //! CI matrix; `PLANNER_MATRIX_SEED` overrides the data seed. With
@@ -26,19 +33,24 @@ use gpu_selection::gpu_sim::arch::v100;
 use gpu_selection::gpu_sim::Device;
 use gpu_selection::hpc_par::ThreadPool;
 use gpu_selection::sampleselect::element::SelectElement;
-use gpu_selection::sampleselect::planner::{run_planned, PlannedBackend};
+use gpu_selection::sampleselect::planner::{run_planned, PlannedBackend, CERTIFY_FIRST};
 use gpu_selection::sampleselect::rng::SplitMix64;
 use gpu_selection::sampleselect::{
-    auto_select_on_device, plan_rank_query, SampleSelectConfig, SelectWorkspace,
+    auto_select_on_device, plan_rank_query, quick_select_on_device, SampleSelectConfig,
+    SelectWorkspace,
 };
 
-const ALL_DISTS: [&str; 6] = [
+const ALL_DISTS: [&str; 10] = [
     "uniform",
     "duplicate-heavy",
     "sorted",
     "reverse-sorted",
     "low-entropy-key",
     "large-k",
+    "dominant-50",
+    "dominant-70",
+    "dominant-50-few",
+    "dominant-70-few",
 ];
 const ALL_TYPES: [&str; 3] = ["u32", "u64", "f32"];
 
@@ -48,11 +60,29 @@ const MAX_REGRET: f64 = 1.25;
 
 const N: usize = 1 << 17;
 
-fn gen_data<T: SelectElement>(dist: &str, n: usize, seed: u64) -> (Vec<T>, usize) {
+/// The value most elements of a dominant shape take.
+const DOMINANT: f64 = (1u64 << 20) as f64;
+
+/// The rest of a dominant shape: `spread` values, half below the
+/// dominant value and half above it, each side leaving a gap.
+fn off_dominant(rng: &mut SplitMix64, spread: u64) -> f64 {
+    let half = spread / 2;
+    let step = (1u64 << 19) / half;
+    let j = rng.next_u64() % spread;
+    match j < half {
+        true => (j * step) as f64,
+        false => DOMINANT + ((j - half + 1) * step) as f64,
+    }
+}
+
+fn gen_data<T: SelectElement>(dist: &str, n: usize, seed: u64) -> (Vec<T>, Vec<usize>) {
     let mut rng = SplitMix64::new(seed);
-    // Median rank everywhere except the large-k cell, which models a
-    // big top-k extraction (k = n/3 from the top).
-    let mut rank = n / 2;
+    let dominant = match dist {
+        "dominant-50" | "dominant-50-few" => Some(0.5),
+        "dominant-70" | "dominant-70-few" => Some(0.7),
+        _ => None,
+    };
+    let spread = if dist.ends_with("-few") { 8 } else { 1 << 20 };
     let data: Vec<T> = (0..n)
         .map(|i| {
             let v = match dist {
@@ -61,15 +91,24 @@ fn gen_data<T: SelectElement>(dist: &str, n: usize, seed: u64) -> (Vec<T>, usize
                 "sorted" => i as f64,
                 "reverse-sorted" => (n - i) as f64,
                 "low-entropy-key" => (rng.next_u64() % 251) as f64,
-                other => panic!("unknown PLANNER_MATRIX_DIST `{other}`"),
+                _ => match dominant {
+                    Some(share) if rng.next_f64() < share => DOMINANT,
+                    Some(_) => off_dominant(&mut rng, spread),
+                    None => panic!("unknown PLANNER_MATRIX_DIST `{dist}`"),
+                },
             };
             T::from_f64(v)
         })
         .collect();
-    if dist == "large-k" {
-        rank = n - n / 3;
-    }
-    (data, rank)
+    // Median rank for the classic shapes except the large-k cell, which
+    // models a big top-k extraction (k = n/3 from the top); the
+    // dominant shapes run inside and outside the dominant value.
+    let ranks = match (dist, dominant) {
+        ("large-k", _) => vec![n - n / 3],
+        (_, Some(_)) => vec![n / 10, n / 2, n - n / 10],
+        _ => vec![n / 2],
+    };
+    (data, ranks)
 }
 
 fn report_line(line: &str) {
@@ -88,55 +127,65 @@ fn report_line(line: &str) {
 }
 
 fn run_cell<T: SelectElement>(dist: &str, ty: &str, seed: u64) {
-    let (data, rank) = gen_data::<T>(dist, N, seed);
+    let (data, ranks) = gen_data::<T>(dist, N, seed);
+    for rank in ranks {
+        run_rank(&data, rank, &format!("{dist}/{ty}"), seed);
+    }
+}
+
+fn run_rank<T: SelectElement>(data: &[T], rank: usize, cell: &str, seed: u64) {
     let cfg = SampleSelectConfig::default();
     let arch = v100();
     let pool = ThreadPool::new(2);
+    let cell = format!("{cell} @ {rank}");
 
-    let decision = plan_rank_query(&arch, &data, rank, &cfg);
+    let decision = plan_rank_query(&arch, data, rank, &cfg);
 
     // Each fixed backend on its own device: simulated time + bit answer.
-    let mut fixed: Vec<(PlannedBackend, f64, u64)> = Vec::new();
+    let mut fixed: Vec<(&str, f64, u64)> = Vec::new();
     for backend in PlannedBackend::RANK_CANDIDATES {
         let mut device = Device::new(arch.clone(), &pool);
         let mut ws = SelectWorkspace::new();
-        let res = run_planned(&mut device, &data, rank, &cfg, &mut ws, backend)
-            .unwrap_or_else(|e| panic!("cell {dist}/{ty}: fixed {} errored: {e}", backend.name()));
-        fixed.push((
-            backend,
-            res.report.total_time.as_us(),
-            res.value.to_bits_u64(),
-        ));
+        let res = run_planned(&mut device, data, rank, &cfg, &mut ws, backend)
+            .unwrap_or_else(|e| panic!("cell {cell}: fixed {} errored: {e}", backend.name()));
+        let time = res.report.total_time.as_us();
+        fixed.push((backend.name(), time, res.value.to_bits_u64()));
     }
+    let mut device = Device::new(arch.clone(), &pool);
+    let res = quick_select_on_device(&mut device, data, rank, &cfg)
+        .unwrap_or_else(|e| panic!("cell {cell}: fixed quickselect errored: {e}"));
+    let time = res.report.total_time.as_us();
+    fixed.push(("quickselect", time, res.value.to_bits_u64()));
 
     let mut device = Device::new(arch.clone(), &pool);
-    let (live, auto_res) = auto_select_on_device(&mut device, &data, rank, &cfg)
-        .unwrap_or_else(|e| panic!("cell {dist}/{ty}: auto errored: {e}"));
+    let (live, auto_res) = auto_select_on_device(&mut device, data, rank, &cfg)
+        .unwrap_or_else(|e| panic!("cell {cell}: auto errored: {e}"));
     assert_eq!(
-        live.backend, decision.backend,
-        "cell {dist}/{ty}: planning must be deterministic"
+        live, decision,
+        "cell {cell}: planning must be deterministic"
     );
-    assert_eq!(auto_res.report.algorithm, decision.backend.name());
+    let certified = auto_res.report.algorithm == CERTIFY_FIRST;
+    if !certified {
+        assert_eq!(auto_res.report.algorithm, decision.backend.name());
+    }
+    assert!(
+        !certified || decision.candidates.iter().any(Option::is_some),
+        "cell {cell}: a certify-first answer needs candidates"
+    );
 
-    // 1. Bit-identity: auto equals the backend it reports choosing, and
-    // every exact backend agrees with every other (same multiset, same
-    // rank, total order on sort keys).
+    // 1. Bit-identity: auto equals every fixed backend, and every exact
+    // backend agrees with every other (same multiset, same rank, total
+    // order on sort keys).
     let auto_bits = auto_res.value.to_bits_u64();
-    for &(backend, _, bits) in &fixed {
+    for &(name, _, bits) in &fixed {
         assert_eq!(
-            auto_bits,
-            bits,
-            "cell {dist}/{ty}: auto ({}) and fixed {} disagree bit-for-bit",
-            decision.backend.name(),
-            backend.name()
+            auto_bits, bits,
+            "cell {cell}: auto ({}) and fixed {name} disagree bit-for-bit",
+            auto_res.report.algorithm
         );
     }
 
-    let chosen_time = fixed
-        .iter()
-        .find(|&&(b, _, _)| b == decision.backend)
-        .map(|&(_, t, _)| t)
-        .expect("chosen backend is a rank candidate");
+    let auto_time = auto_res.report.total_time.as_us();
     let best = fixed
         .iter()
         .map(|&(_, t, _)| t)
@@ -145,32 +194,32 @@ fn run_cell<T: SelectElement>(dist: &str, ty: &str, seed: u64) {
 
     let times: Vec<String> = fixed
         .iter()
-        .map(|&(b, t, _)| format!("\"{}\": {t:.3}", b.name()))
+        .map(|&(name, t, _)| format!("\"{name}\": {t:.3}"))
         .collect();
     report_line(&format!(
-        "{{\"dist\": \"{dist}\", \"type\": \"{ty}\", \"n\": {N}, \"rank\": {rank}, \
-         \"seed\": {seed}, \"chosen\": \"{}\", \"auto_us\": {:.3}, {}}}",
+        "{{\"cell\": \"{cell}\", \"n\": {N}, \"rank\": {rank}, \"seed\": {seed}, \
+         \"chosen\": \"{}\", \"auto\": \"{}\", \"auto_us\": {auto_time:.3}, {}}}",
         decision.backend.name(),
-        auto_res.report.total_time.as_us(),
+        auto_res.report.algorithm,
         times.join(", ")
     ));
 
     // 2. Never the slowest (ties excepted).
     if worst > best * 1.001 {
         assert!(
-            chosen_time < worst,
-            "cell {dist}/{ty}: planner chose {} ({chosen_time:.1}us), the slowest backend \
+            auto_time < worst,
+            "cell {cell}: auto ({}) took {auto_time:.1}us, as slow as the slowest backend \
              (best {best:.1}us, worst {worst:.1}us): {fixed:?}",
-            decision.backend.name()
+            auto_res.report.algorithm
         );
     }
 
     // 3. Bounded regret vs the best fixed backend.
     assert!(
-        chosen_time <= best * MAX_REGRET,
-        "cell {dist}/{ty}: planner chose {} at {chosen_time:.1}us, more than {MAX_REGRET}x \
-         the best fixed backend ({best:.1}us): {fixed:?}",
-        decision.backend.name()
+        auto_time <= best * MAX_REGRET,
+        "cell {cell}: auto ({}) took {auto_time:.1}us, more than {MAX_REGRET}x the best \
+         fixed backend ({best:.1}us): {fixed:?}",
+        auto_res.report.algorithm
     );
 }
 
