@@ -122,81 +122,81 @@ const PINS: &[Pin] = &[
     },
     Pin {
         answer: "Exact 00000000",
-        backend: "quickselect",
-        planned: "quickselect",
-        registry: (11, 811932, 10, 12587, 11),
+        backend: "sampleselect",
+        planned: "sampleselect",
+        registry: (10, 1130116, 4, 15067, 10),
     },
     Pin {
         answer: "Exact 476a6000",
         backend: "sampleselect",
         planned: "sampleselect",
-        registry: (17, 1410600, 12, 20825, 17),
+        registry: (12, 1198356, 6, 15747, 12),
     },
     Pin {
         answer: "Approximate 3e9e8a18 rank 20252 err 252 deadline false",
         backend: "approx",
         planned: "-",
-        registry: (17, 1410600, 13, 20825, 17),
+        registry: (12, 1198356, 7, 15747, 12),
     },
     Pin {
         answer: "TopK 3f7f9f88 k 100",
         backend: "topk",
         planned: "topk-sampleselect",
-        registry: (22, 2008364, 14, 26907, 22),
+        registry: (17, 1796120, 8, 21829, 17),
     },
     Pin {
         answer: "TopK 3e7388a2 k 50000",
         backend: "sampleselect",
         planned: "sampleselect",
-        registry: (23, 2009752, 15, 28227, 23),
+        registry: (18, 1797508, 9, 23149, 18),
     },
     Pin {
         answer: "Quantiles 3dfe3166 3e808aa0 3ec1709e 3f00ac31 3f203b88 3f3ff42c 3f60193d",
         backend: "multiselect",
         planned: "-",
-        registry: (28, 2630268, 17, 35512, 28),
+        registry: (23, 2418024, 11, 30434, 23),
     },
     Pin {
         answer: "Quantiles 40400000 40c00000 41100000 41400000",
         backend: "multiselect",
         planned: "-",
-        registry: (31, 3159672, 18, 40992, 31),
+        registry: (26, 2947428, 12, 35914, 26),
     },
     Pin {
         answer: "Exact 3f1cbba6",
         backend: "streaming",
         planned: "-",
-        registry: (47, 3672816, 19, 58226, 47),
+        registry: (42, 3460572, 13, 53148, 42),
     },
     Pin {
         answer: "ApproxTopK 3f7f9f88 k 100 recall 3f800000",
         backend: "topk",
         planned: "topk-sampleselect",
-        registry: (52, 4270388, 20, 64307, 52),
+        registry: (47, 4058144, 14, 59229, 47),
     },
     Pin {
         answer: "ApproxTopK 3f0b3228 k 30000 recall 3f800000",
         backend: "topk",
         planned: "topk-sampleselect",
-        registry: (52, 4270388, 21, 64307, 52),
+        registry: (47, 4058144, 15, 59229, 47),
     },
     Pin {
         answer: "ApproxTopK 3f7ef213 k 1000 recall 3f7a687e",
         backend: "approx-topk",
         planned: "approx-topk",
-        registry: (53, 4274388, 25, 67667, 53),
+        registry: (48, 4062144, 19, 62589, 48),
     },
     Pin {
         answer: "QuantileStream 7 3f0072e0 3f6529c8 3f7d270f 3f7fca78",
         backend: "quantile-stream",
         planned: "-",
-        registry: (87, 5367600, 39, 108664, 87),
+        registry: (82, 5155356, 33, 103586, 82),
     },
     Pin {
         answer: "Exact 3ac4f68e",
         backend: "sampleselect",
         planned: "sampleselect",
-        registry: (93, 5967660, 41, 116952, 93),
+        registry: (88, 5755416, 35, 111874, 88),
     },
 ];
 
