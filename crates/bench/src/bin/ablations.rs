@@ -126,7 +126,6 @@ fn oracle_width_ablation(pool: &ThreadPool, reps: usize, csv: bool) {
             let w = spec.instantiate::<f32>(rep);
             let cfg = SampleSelectConfig::tuned_for(&arch)
                 .with_buckets(buckets)
-                .with_wide_oracles(buckets > 256)
                 .with_seed(70 + rep);
             let mut device = Device::new(arch.clone(), pool);
             let r = sample_select_on_device(&mut device, &w.data, w.rank, &cfg).unwrap();
@@ -142,7 +141,7 @@ fn oracle_width_ablation(pool: &ThreadPool, reps: usize, csv: bool) {
         ]);
     }
     println!("Ablation 3: exact selection beyond the paper's one-byte oracle limit");
-    println!("(wide_oracles extension; the paper caps exact selection at 256 buckets)\n");
+    println!("(2-byte oracles above 256 buckets; the paper caps exact selection at 256)\n");
     print!("{}", if csv { t.render_csv() } else { t.render() });
     println!();
 }

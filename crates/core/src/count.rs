@@ -88,8 +88,8 @@ impl<T: SelectElement> Classifier<T> for SearchTree<T> {
 }
 
 /// Per-element bucket indexes, stored as narrowly as possible
-/// ("we use a single byte to store each oracle", §IV-B; two bytes is
-/// this workspace's `wide_oracles` ablation for b > 256).
+/// ("we use a single byte to store each oracle", §IV-B; two bytes for
+/// b > 256 is this workspace's extension).
 #[derive(Debug, Clone)]
 pub enum OracleBuf {
     U8(Vec<u8>),
@@ -563,9 +563,7 @@ mod tests {
         let mut device = Device::new(v100(), &pool);
         let splitters: Vec<f32> = (1..512).map(|i| i as f32).collect();
         let tree = SearchTree::build(&splitters);
-        let cfg = SampleSelectConfig::default()
-            .with_buckets(512)
-            .with_wide_oracles(true);
+        let cfg = SampleSelectConfig::default().with_buckets(512);
         let data: Vec<f32> = (0..2048).map(|i| (i % 600) as f32).collect();
         let res = count_kernel(&mut device, &data, &tree, &cfg, true, LaunchOrigin::Host);
         let oracles = res.oracles.unwrap();

@@ -86,9 +86,8 @@ pub struct CpuSelectStats {
 /// The host executor of the level loop: SampleSelect's steps on a
 /// thread pool, with nothing charged and the span clock held at 0. Like
 /// the paper's count kernel, its count stores each element's bucket as
-/// an oracle, and its filter reads only the oracles. It keeps the
-/// executor's default validation: the oracles are two bytes wide above
-/// 256 buckets, so the host needs no `wide_oracles` switch.
+/// an oracle, and its filter reads only the oracles, two bytes wide
+/// above 256 buckets like the device's.
 struct Host<'a> {
     pool: &'a ThreadPool,
     /// Elements counted so far, across all levels.

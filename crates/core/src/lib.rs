@@ -80,7 +80,7 @@ pub use obs::{
 pub use params::{AtomicScope, ConfigError, SampleSelectConfig};
 pub use planner::{
     auto_select_on_device, plan_approx_topk_query, plan_rank_query, plan_topk_query, profile_data,
-    DataProfile, PlanDecision, PlanSignals, PlannedBackend, RankPlan,
+    DataProfile, PlanDecision, PlannedBackend, RankPlan,
 };
 pub use quantile_stream::{
     rank_for_prob, run_quantile_stream, QuantileStream, QuantileStreamConfig, QuantileStreamRun,

@@ -115,9 +115,6 @@ pub enum Counter {
     PlannerSample,
     /// Planner: queries routed to the fused top-k backend.
     PlannerTopk,
-    /// Planner: decisions where live obs signals overrode the analytic
-    /// cost model's first choice.
-    PlannerOverrides,
     /// Planner: top-k queries routed to the bucketed approximate
     /// backend instead of the exact fused recursion.
     PlannerApproxTopk,
@@ -132,7 +129,7 @@ pub enum Counter {
 }
 
 impl Counter {
-    pub const ALL: [Counter; 31] = [
+    pub const ALL: [Counter; 30] = [
         Counter::Queries,
         Counter::KernelLaunches,
         Counter::RecursionLevels,
@@ -159,7 +156,6 @@ impl Counter {
         Counter::PlannerRadix,
         Counter::PlannerSample,
         Counter::PlannerTopk,
-        Counter::PlannerOverrides,
         Counter::PlannerApproxTopk,
         Counter::ApproxTopkQueries,
         Counter::QuantileWindows,
@@ -195,7 +191,6 @@ impl Counter {
             Counter::PlannerRadix => "select_planner_radix_total",
             Counter::PlannerSample => "select_planner_sample_total",
             Counter::PlannerTopk => "select_planner_topk_total",
-            Counter::PlannerOverrides => "select_planner_overrides_total",
             Counter::PlannerApproxTopk => "select_planner_approx_topk_total",
             Counter::ApproxTopkQueries => "select_approx_topk_queries_total",
             Counter::QuantileWindows => "select_quantile_windows_total",

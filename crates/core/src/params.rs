@@ -38,11 +38,6 @@ pub enum ConfigError {
     /// Bucket count must be a power of two in `4..=1024` (the implicit
     /// search tree requires a complete binary tree).
     InvalidBucketCount(usize),
-    /// Exact selection stores one *oracle byte* per element, limiting
-    /// it to 256 buckets (§IV-B: "we use a single byte to store each
-    /// oracle, limiting us to at most 256 buckets") — unless wide
-    /// (2-byte) oracles are explicitly enabled.
-    TooManyBucketsForOracles(usize),
     /// Threads per block must be a positive multiple of 32, at most 1024.
     InvalidThreadsPerBlock(u32),
     /// Items per thread (unrolling depth) must be in `1..=16`.
@@ -59,11 +54,6 @@ impl std::fmt::Display for ConfigError {
             ConfigError::InvalidBucketCount(b) => {
                 write!(f, "bucket count {b} is not a power of two in 4..=1024")
             }
-            ConfigError::TooManyBucketsForOracles(b) => write!(
-                f,
-                "{b} buckets exceed the 256 representable in one oracle byte; \
-                 enable wide_oracles or reduce the bucket count"
-            ),
             ConfigError::InvalidThreadsPerBlock(t) => {
                 write!(
                     f,
@@ -89,6 +79,9 @@ pub struct SampleSelectConfig {
     /// Number of buckets `b` per recursion level (power of two). The
     /// paper's default/fastest exact configuration uses 256 (one oracle
     /// byte); the approximate variant benefits from up to 1024 (§V-G).
+    /// Above 256, exact selection stores 2-byte oracles
+    /// ([`SampleSelectConfig::oracle_bytes`]), an extension of the
+    /// paper's one-byte design.
     pub num_buckets: usize,
     /// Splitters are the `i/b` percentiles of a sample of
     /// `oversampling * num_buckets` elements (§II-B: sample size
@@ -111,10 +104,6 @@ pub struct SampleSelectConfig {
     /// Input size below which the driver switches to the bitonic
     /// sorting-based selection (§IV-H(f)).
     pub base_case_size: usize,
-    /// Allow 2-byte oracles so exact selection can exceed 256 buckets —
-    /// an ablation *extension* of the paper's design (the paper fixes
-    /// one byte).
-    pub wide_oracles: bool,
     /// Reject inputs containing NaN before running (costs one scan).
     pub check_input: bool,
     /// Seed for the splitter-sampling RNG (fixed for reproducibility;
@@ -123,8 +112,8 @@ pub struct SampleSelectConfig {
     /// Cap on recursion levels before the driver gives up with
     /// [`crate::SelectError::RecursionLimit`]. `None` uses the
     /// algorithm's own default (64 for SampleSelect, 512 for
-    /// QuickSelect); the resilient driver sets a tight cap so degenerate
-    /// splitter draws trigger a backend fallback quickly.
+    /// QuickSelect). Under the resilient driver a tripped cap triggers a
+    /// backend fallback instead of an error.
     pub max_levels: Option<u32>,
     /// Work budget as a multiple of `n`: once the cumulative elements
     /// processed across recursion levels exceed `factor * n`, the driver
@@ -155,7 +144,6 @@ impl Default for SampleSelectConfig {
             atomic_scope: AtomicScope::Shared,
             warp_aggregation: false,
             base_case_size: 1024,
-            wide_oracles: false,
             check_input: false,
             seed: 0x5eed_5e1ec7,
             max_levels: None,
@@ -197,7 +185,7 @@ impl SampleSelectConfig {
         self.num_buckets.trailing_zeros()
     }
 
-    /// Bytes per stored oracle (1 normally, 2 with `wide_oracles`).
+    /// Bytes per stored oracle: 1 up to 256 buckets, 2 above.
     pub fn oracle_bytes(&self) -> usize {
         if self.num_buckets > 256 {
             2
@@ -206,21 +194,9 @@ impl SampleSelectConfig {
         }
     }
 
-    /// Validate the configuration for exact selection (which writes
-    /// oracles). Approximate selection calls
-    /// [`SampleSelectConfig::validate_count_only`] instead.
+    /// Validate the configuration. The oracle width follows the bucket
+    /// count, so every driver accepts up to 1024 buckets (§V-G).
     pub fn validate(&self) -> Result<(), ConfigError> {
-        self.validate_count_only()?;
-        if self.num_buckets > 256 && !self.wide_oracles {
-            return Err(ConfigError::TooManyBucketsForOracles(self.num_buckets));
-        }
-        Ok(())
-    }
-
-    /// Validate everything except the oracle-width constraint (the
-    /// count-only approximate variant stores no oracles, so up to 1024
-    /// buckets are allowed, §V-G).
-    pub fn validate_count_only(&self) -> Result<(), ConfigError> {
         let b = self.num_buckets;
         if !b.is_power_of_two() || !(4..=1024).contains(&b) {
             return Err(ConfigError::InvalidBucketCount(b));
@@ -308,11 +284,6 @@ impl SampleSelectConfig {
         self
     }
 
-    pub fn with_wide_oracles(mut self, on: bool) -> Self {
-        self.wide_oracles = on;
-        self
-    }
-
     pub fn with_max_levels(mut self, levels: u32) -> Self {
         self.max_levels = Some(levels);
         self
@@ -374,19 +345,6 @@ mod tests {
             .with_buckets(4)
             .validate()
             .is_ok());
-    }
-
-    #[test]
-    fn oracle_byte_limit_enforced_for_exact_only() {
-        let cfg = SampleSelectConfig::default().with_buckets(512);
-        assert_eq!(
-            cfg.validate(),
-            Err(ConfigError::TooManyBucketsForOracles(512))
-        );
-        // count-only (approximate) mode allows it
-        assert!(cfg.validate_count_only().is_ok());
-        // and wide oracles lift the limit for exact mode
-        assert!(cfg.with_wide_oracles(true).validate().is_ok());
     }
 
     #[test]
@@ -454,12 +412,5 @@ mod tests {
         assert_eq!(guarded.max_levels, Some(8));
         assert_eq!(guarded.work_budget_factor, Some(3.0));
         guarded.validate().unwrap();
-    }
-
-    #[test]
-    fn config_error_display_is_informative() {
-        let msg = format!("{}", ConfigError::TooManyBucketsForOracles(512));
-        assert!(msg.contains("512"));
-        assert!(msg.contains("oracle"));
     }
 }

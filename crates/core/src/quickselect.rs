@@ -362,8 +362,7 @@ pub fn quick_select_on_device<T: SelectElement>(
     rank: usize,
     cfg: &SampleSelectConfig,
 ) -> Result<SelectResult<T>, SelectError> {
-    cfg.validate_count_only()
-        .map_err(SelectError::InvalidConfig)?;
+    cfg.validate().map_err(SelectError::InvalidConfig)?;
     validate_input(data, rank, cfg)?;
 
     let n = data.len();

@@ -39,7 +39,7 @@ use crate::filter::{bucket_set, filter_buckets};
 use crate::instrument::SelectReport;
 use crate::multiselect::MultiSelectResult;
 use crate::obs::{self, Gauge, Histogram, SpanKind, Track};
-use crate::params::{ConfigError, SampleSelectConfig};
+use crate::params::SampleSelectConfig;
 use crate::radix::{key_bits, DigitClassifier, DIGIT_BITS};
 use crate::reduce::{reduce_kernel, reduce_totals_kernel, ReduceResult};
 use crate::rng::SplitMix64;
@@ -271,7 +271,7 @@ pub(crate) fn fused_with_workspace<T: SelectElement, E: Executor<T, SplitterLeve
     cfg: &SampleSelectConfig,
     ws: &mut SelectWorkspace<T>,
 ) -> Result<TopKResult<T>, SelectError> {
-    E::validate(cfg).map_err(SelectError::InvalidConfig)?;
+    cfg.validate().map_err(SelectError::InvalidConfig)?;
     if k == 0 || k > data.len() {
         let len = data.len();
         return Err(SelectError::RankOutOfRange { rank: k, len });
@@ -341,9 +341,6 @@ pub(crate) trait LevelBucketing<T: SelectElement>: Sized {
     /// Report label and query-span name.
     const ALGORITHM: &'static str;
 
-    /// Validate the configuration for this backend.
-    fn validate(cfg: &SampleSelectConfig) -> Result<(), ConfigError>;
-
     /// Buckets at or below this size go to the base-case sort.
     fn base_case_size(cfg: &SampleSelectConfig) -> usize;
 
@@ -404,10 +401,6 @@ pub(crate) fn built_tree<T: SelectElement>(ws: &SelectWorkspace<T>) -> &SearchTr
 impl<T: SelectElement> LevelBucketing<T> for SplitterLevels {
     const ALGORITHM: &'static str = "sampleselect";
 
-    fn validate(cfg: &SampleSelectConfig) -> Result<(), ConfigError> {
-        cfg.validate()
-    }
-
     fn base_case_size(cfg: &SampleSelectConfig) -> usize {
         cfg.base_case_size.max(cfg.sample_size())
     }
@@ -457,12 +450,6 @@ impl<T: SelectElement> LevelBucketing<T> for SplitterLevels {
 /// RadixSelect's levels: one digit per depth, most significant first.
 impl<T: SelectElement> LevelBucketing<T> for DigitClassifier {
     const ALGORITHM: &'static str = "radixselect";
-
-    fn validate(cfg: &SampleSelectConfig) -> Result<(), ConfigError> {
-        // Digit buckets ignore `num_buckets`, so the oracle-width rule
-        // for wide splitter trees does not apply.
-        cfg.validate_count_only()
-    }
 
     fn base_case_size(cfg: &SampleSelectConfig) -> usize {
         cfg.base_case_size
@@ -538,12 +525,6 @@ pub fn segmented_launch<'p, R>(
 pub(crate) trait Executor<T: SelectElement, B> {
     /// The clock the loop's spans read, in ns.
     fn now(&self) -> f64;
-
-    /// Validate the configuration for this executor and bucketing; by
-    /// default, everything but the oracle width.
-    fn validate(cfg: &SampleSelectConfig) -> Result<(), ConfigError> {
-        cfg.validate_count_only()
-    }
 
     /// Run `step`, one step of a level over its `segments` segments,
     /// which calls this executor once per segment. A launch that covers
@@ -637,10 +618,6 @@ pub(crate) trait Executor<T: SelectElement, B> {
 impl<T: SelectElement, B: LevelBucketing<T>> Executor<T, B> for Device<'_> {
     fn now(&self) -> f64 {
         Device::now(self).as_ns()
-    }
-
-    fn validate(cfg: &SampleSelectConfig) -> Result<(), ConfigError> {
-        B::validate(cfg)
     }
 
     fn segmented<R>(
@@ -1188,7 +1165,7 @@ fn level_loop<T: SelectElement, B: LevelBucketing<T>, Q: Target<T>, E: Executor<
     mut bucketing: B,
     (target, first): (&mut Q, LaunchOrigin),
 ) -> Result<(), SelectError> {
-    E::validate(cfg).map_err(SelectError::InvalidConfig)?;
+    cfg.validate().map_err(SelectError::InvalidConfig)?;
     for &rank in ranks {
         validate_input(data, rank, cfg)?;
     }
@@ -1475,7 +1452,7 @@ mod tests {
     fn error_on_invalid_config() {
         let pool = ThreadPool::new(1);
         let mut device = Device::new(v100(), &pool);
-        let cfg = SampleSelectConfig::default().with_buckets(512); // needs wide oracles
+        let cfg = SampleSelectConfig::default().with_buckets(48); // not a power of two
         let err = sample_select_on_device(&mut device, &[1.0f32; 10], 0, &cfg).unwrap_err();
         assert!(matches!(err, SelectError::InvalidConfig(_)));
     }

@@ -137,13 +137,6 @@ pub struct ResilienceConfig {
     /// `start + budget`, the driver degrades to the approximate variant
     /// instead of starting another exact attempt.
     pub time_budget: Option<SimTime>,
-    /// Recursion-depth guard handed to the inner drivers (overrides
-    /// [`SampleSelectConfig::max_levels`] when set): tripping it
-    /// triggers a backend fallback instead of an error.
-    pub max_levels: Option<u32>,
-    /// Work-budget guard handed to the inner drivers (overrides
-    /// [`SampleSelectConfig::work_budget_factor`] when set).
-    pub work_budget_factor: Option<f64>,
 }
 
 impl ResilienceConfig {
@@ -154,16 +147,6 @@ impl ResilienceConfig {
 
     pub fn with_max_retries(mut self, retries: u32) -> Self {
         self.retry.max_retries = retries;
-        self
-    }
-
-    pub fn with_max_levels(mut self, levels: u32) -> Self {
-        self.max_levels = Some(levels);
-        self
-    }
-
-    pub fn with_work_budget_factor(mut self, factor: f64) -> Self {
-        self.work_budget_factor = Some(factor);
         self
     }
 }
@@ -495,14 +478,11 @@ pub(crate) fn drive<Q: Query>(
     // device masquerade as ours.
     device.take_fault();
 
-    let mut base_cfg = cfg.clone();
-    base_cfg.max_levels = rcfg.max_levels.or(cfg.max_levels);
-    base_cfg.work_budget_factor = rcfg.work_budget_factor.or(cfg.work_budget_factor);
     let deadline = rcfg.time_budget.map(|b| device.now() + b);
     let expired = |device: &Device| deadline.is_some_and(|dl| device.now() >= dl);
 
     // A certify-first answer needs no second certificate: its count is one.
-    let proven = (!expired(device)).then(|| query.certify_first(device, &base_cfg));
+    let proven = (!expired(device)).then(|| query.certify_first(device, cfg));
     match (device.take_fault(), proven.flatten()) {
         (Some(f), _) => run.events.fault(f.to_string()),
         (None, Some((answer, what))) => {
@@ -518,10 +498,10 @@ pub(crate) fn drive<Q: Query>(
         let mut attempt = 0u32;
         loop {
             if expired(device) {
-                return degrade(device, &query, &base_cfg, run);
+                return degrade(device, &query, cfg, run);
             }
-            let seed = retry_seed(base_cfg.seed, backend, attempt);
-            let attempt_cfg = base_cfg.clone().with_seed(seed);
+            let seed = retry_seed(cfg.seed, backend, attempt);
+            let attempt_cfg = cfg.clone().with_seed(seed);
 
             let attempt_depth = obs::span_depth();
             let now = device.now().as_ns();
@@ -545,8 +525,8 @@ pub(crate) fn drive<Q: Query>(
                     // that catches a *self-consistent* corruption of the
                     // intermediate buffers. A count that faults proves
                     // nothing: the attempt is retried like a faulted one.
-                    let paranoid = base_cfg.verify.certify();
-                    let certificate = paranoid.then(|| query.certify(device, &answer, &base_cfg));
+                    let paranoid = cfg.verify.certify();
+                    let certificate = paranoid.then(|| query.certify(device, &answer, cfg));
                     match (certificate.unwrap_or(Ok(None)), device.take_fault()) {
                         (Ok(proven), None) => {
                             if let Some(what) = proven {
@@ -590,7 +570,7 @@ pub(crate) fn drive<Q: Query>(
             attempt += 1;
         }
     }
-    let certify = base_cfg.verify.certify().then_some(&base_cfg);
+    let certify = cfg.verify.certify().then_some(cfg);
     run.host_answer(device, &query, certify)
 }
 
@@ -1175,8 +1155,11 @@ mod tests {
     fn tight_guards_trigger_fallback_chain() {
         let data = uniform(100_000, 7);
         // A zero-level cap makes the device recursion give up at once.
-        let rcfg = ResilienceConfig::default().with_max_levels(0);
-        let res = run_with_plan(&data, 50_000, None, &rcfg);
+        let cfg = SampleSelectConfig::default().with_max_levels(0);
+        let pool = ThreadPool::new(2);
+        let mut device = Device::new(v100(), &pool);
+        let rcfg = ResilienceConfig::default();
+        let res = resilient_select_on_device(&mut device, &data, 50_000, &cfg, &rcfg).unwrap();
         assert_eq!(
             res.outcome,
             Outcome::Exact(reference_select(&data, 50_000).unwrap())

@@ -60,10 +60,7 @@ use std::time::Instant;
 use crate::approx_topk::plan_for_recall;
 use crate::obs::{Counter, MetricsRegistry, MetricsSnapshot, ObsSession, SpanGuard};
 use crate::params::SampleSelectConfig;
-use crate::planner::{
-    plan_approx_topk_query, plan_rank_query_with_signals, plan_topk_query, PlanSignals,
-    PlannedBackend, RankPlan,
-};
+use crate::planner::{plan_approx_topk_query, plan_topk_query, probe, PlannedBackend, RankPlan};
 use crate::quantile_stream::{
     run_quantile_stream, QuantileStreamConfig, WindowSpec, DEFAULT_PROBS,
 };
@@ -189,9 +186,10 @@ pub struct QueryResponse {
     /// Which backend label produced the answer (`None` for rejected /
     /// failed paths that never ran a driver).
     pub backend: Option<&'static str>,
-    /// What the admission-time planner chose for this query (`None`
-    /// when the planner is disabled or the kind is not planned). The
-    /// serving backend can differ: the resilient driver may have fallen
+    /// What admission planned for this query: `sampleselect` for every
+    /// exact rank, the planner's pick for a top-k kind, `None` for the
+    /// other kinds. The serving backend can differ: the certify-first
+    /// count may have answered, the resilient driver may have fallen
     /// past the planned backend, or the batcher may have merged the
     /// query into a multiselect pass.
     pub planned: Option<&'static str>,
@@ -269,26 +267,12 @@ pub struct ServerConfig {
     /// In-flight queries hold their own `Arc`, so eviction never
     /// invalidates queued or running work.
     pub dataset_cache_bytes: usize,
-    /// Wall-deadline milliseconds → simulated-budget milliseconds
-    /// scale for the degradation path.
-    pub deadline_sim_scale: f64,
     /// Directory for streaming-query checkpoints (`None` disables
     /// `Stream` queries).
     pub spool_dir: Option<PathBuf>,
     /// Injected fault plans per worker's primary device (testing/CI:
     /// make worker *i* flaky and watch the breaker quarantine it).
     pub fault_plans: Vec<Option<FaultPlan>>,
-    /// Restart each worker's span-collecting session after this many
-    /// queries so a long-lived server does not accumulate span trees
-    /// without bound (counters live in the shared registry and are
-    /// unaffected).
-    pub session_recycle_queries: u64,
-    /// Route exact and top-k queries through the adaptive
-    /// [`crate::planner`] (cost model + live obs signals) instead of
-    /// always starting from SampleSelect. The planner's pick heads the
-    /// resilient fallback chain; disabling restores the fixed default
-    /// chain.
-    pub planner: bool,
 }
 
 impl Default for ServerConfig {
@@ -305,11 +289,8 @@ impl Default for ServerConfig {
             arch: v100(),
             max_dataset_elems: 1 << 24,
             dataset_cache_bytes: 256 << 20,
-            deadline_sim_scale: 1.0,
             spool_dir: None,
             fault_plans: Vec::new(),
-            session_recycle_queries: 256,
-            planner: true,
         }
     }
 }
@@ -356,11 +337,6 @@ impl ServerConfig {
 
     pub fn with_select(mut self, select: SampleSelectConfig) -> Self {
         self.select = select;
-        self
-    }
-
-    pub fn with_planner(mut self, on: bool) -> Self {
-        self.planner = on;
         self
     }
 
@@ -498,9 +474,8 @@ struct Job {
     deadline_ms: Option<u32>,
     seed: u64,
     submitted: Instant,
-    /// Admission-time planner decision (exact/top-k kinds with the
-    /// planner enabled). Carried on the job so `pop_batch` can check
-    /// co-plannability under the queue lock without re-probing data.
+    /// Admission-time plan of an exact or top-k kind: for an exact rank,
+    /// SampleSelect after the probe's certify-first count.
     plan: Option<RankPlan>,
     tx: Sender<QueryResponse>,
 }
@@ -567,6 +542,11 @@ struct Shared {
 /// Bound on the snapshot's recent-planner-decision ring.
 const PLAN_LOG_CAP: usize = 256;
 
+/// Queries after which a worker restarts its span-collecting session, so
+/// a long-lived server does not accumulate span trees without bound
+/// (counters live in the shared registry and are unaffected).
+const SESSION_RECYCLE_QUERIES: u64 = 256;
+
 impl Shared {
     fn mode(&self) -> u8 {
         self.mode.load(Ordering::Acquire)
@@ -594,11 +574,8 @@ impl Shared {
 
     /// Tally one planner decision: fixed-slot counter in the shared
     /// registry plus the bounded recent-decision ring.
-    fn record_plan(&self, id: u64, backend: PlannedBackend, overridden: bool) {
+    fn record_plan(&self, id: u64, backend: PlannedBackend) {
         self.registry.add(backend.counter(), 1);
-        if overridden {
-            self.registry.add(Counter::PlannerOverrides, 1);
-        }
         let mut plans = self.plans.lock().unwrap();
         if plans.len() >= PLAN_LOG_CAP {
             plans.pop_front();
@@ -823,27 +800,22 @@ impl SelectServer {
             .unwrap()
             .get_or_instantiate(&req.dataset, shared.cfg.dataset_cache_bytes);
 
-        // Adaptive backend planning on the submitter's thread (the
-        // probe is a stack-only strided scan — cheap next to the
-        // instantiation above). Live signals come from the shared
-        // registry's gauges, i.e. from what earlier queries observed.
+        // Planning on the submitter's thread (the probe is a stack-only
+        // strided scan — cheap next to the instantiation above). An exact
+        // rank is served as SampleSelect after the probe's certify-first
+        // count; top-k kinds follow the cost model.
         let (arch, select) = (&shared.cfg.arch, &shared.cfg.select);
         let plan = match req.kind {
-            _ if !shared.cfg.planner => None,
-            QueryKind::Exact { rank } => {
-                let signals = PlanSignals::from_snapshot(&shared.registry.snapshot());
-                let rank = rank as usize;
-                Some(plan_rank_query_with_signals(
-                    arch, &data, rank, select, &signals,
-                ))
-            }
-            QueryKind::TopK { k } => Some(plan_topk_query(arch, &data, k as usize, select)),
+            QueryKind::Exact { rank } => Some(RankPlan {
+                backend: PlannedBackend::Sample,
+                candidates: probe(&data, Some(rank as usize)).1,
+            }),
+            QueryKind::TopK { k } => Some(plan_topk_query(arch, &data, k as usize, select).plan()),
             QueryKind::ApproxTopK { k, recall_bits } => {
                 let target = f64::from(f32::from_bits(recall_bits));
                 let (acfg, _) = plan_for_recall(data.len(), k as usize, target);
-                Some(plan_approx_topk_query(
-                    arch, &data, k as usize, &acfg, select,
-                ))
+                let k = k as usize;
+                Some(plan_approx_topk_query(arch, &data, k, &acfg, select).plan())
             }
             _ => None,
         };
@@ -851,8 +823,8 @@ impl SelectServer {
         // Bounded queue.
         let (tx, rx) = channel();
         let id = shared.next_id.fetch_add(1, Ordering::Relaxed);
-        if let Some(d) = &plan {
-            shared.record_plan(id, d.backend, d.overridden);
+        if let Some(p) = plan {
+            shared.record_plan(id, p.backend);
         }
         {
             let mut queue = shared.queue.lock().unwrap();
@@ -873,7 +845,7 @@ impl SelectServer {
                 deadline_ms: req.deadline_ms,
                 seed: req.seed,
                 submitted: Instant::now(),
-                plan: plan.map(|d| d.plan()),
+                plan,
                 tx,
             });
         }
@@ -1001,26 +973,21 @@ fn pop_batch(shared: &Shared) -> Option<Vec<Job>> {
             // deadline-free queries batch — on both sides: a
             // deadline-carrying head must go through `serve_job`'s
             // expired/remaining-budget path, not the batch path.
-            // Co-plannability: only queries with the same planned
-            // backend merge (same spec ⇒ same probe ⇒ normally the
-            // same backend, but plans can differ across a config change
-            // or live-signal override; certify-first candidates follow
-            // each rank and are dropped by the merge). The merged group then runs one
-            // multiselect pass — a group-level planning decision that
-            // amortizes the count pass across every member, which beats
+            // Every exact plan is SampleSelect; the certify-first
+            // candidates follow each rank and are dropped by the merge.
+            // The merged group runs one multiselect pass, which
+            // amortizes the count pass across every member and beats
             // any per-query backend once two or more queries share it.
             if shared.cfg.batch_max > 1
                 && matches!(batch[0].kind, QueryKind::Exact { .. })
                 && batch[0].deadline_ms.is_none()
             {
                 let spec = batch[0].spec;
-                let head_plan = batch[0].plan.map(|p| p.backend);
                 let mut i = 0;
                 while i < queue.len() && batch.len() < shared.cfg.batch_max {
                     let mergeable = matches!(queue[i].kind, QueryKind::Exact { .. })
                         && queue[i].spec == spec
-                        && queue[i].deadline_ms.is_none()
-                        && queue[i].plan.map(|p| p.backend) == head_plan;
+                        && queue[i].deadline_ms.is_none();
                     if mergeable {
                         batch.push(queue.remove(i).expect("index in bounds"));
                     } else {
@@ -1084,7 +1051,7 @@ fn worker_loop(shared: Arc<Shared>, worker_id: usize) {
         }
 
         queries_since_recycle += 1;
-        if queries_since_recycle >= cfg.session_recycle_queries {
+        if queries_since_recycle >= SESSION_RECYCLE_QUERIES {
             // Drop accumulated span trees; the shared registry keeps
             // every counter.
             session.finish();
@@ -1191,6 +1158,15 @@ fn respond(
     });
 }
 
+/// The simulated-time budget of a query whose wall deadline is
+/// `deadline_ms` after submission, once it has waited `waited_ms` in the
+/// queue: max(deadline − waited, 0) ms, read as simulated milliseconds.
+/// A deadline the queue already consumed leaves a zero budget, which
+/// skips the exact attempt entirely.
+fn deadline_budget(deadline_ms: u32, waited_ms: f64) -> SimTime {
+    SimTime::from_ms((f64::from(deadline_ms) - waited_ms).max(0.0))
+}
+
 /// Serve one query on `device`. Returns the breaker health verdict.
 fn serve_job(
     shared: &Shared,
@@ -1201,13 +1177,8 @@ fn serve_job(
     rerouted: bool,
 ) -> bool {
     let t0 = Instant::now();
-    // Deadline bookkeeping: how much wall budget is left when the
-    // worker picks the query up? A deadline the queue already consumed
-    // leaves a zero budget, which skips the exact attempt entirely.
     let waited_ms = job.submitted.elapsed().as_secs_f64() * 1e3;
-    let budget = job
-        .deadline_ms
-        .map(|d| SimTime::from_ms((f64::from(d) - waited_ms).max(0.0) * cfg.deadline_sim_scale));
+    let budget = job.deadline_ms.map(|d| deadline_budget(d, waited_ms));
 
     device.reset();
     let _guard = SpanGuard::new();
@@ -1264,9 +1235,8 @@ fn run_query(
     let served = match job.kind {
         QueryKind::Exact { rank } => {
             rcfg.time_budget = budget;
-            // The planner's admission-time candidates are counted
-            // first and its pick heads the fallback chain; without a
-            // plan the default chain applies.
+            // The admission-time candidates are counted first, then
+            // the SampleSelect chain runs.
             let query = RankQuery::new(data, rank as usize, job.plan);
             drive(device, query, select_cfg, &rcfg).map(|s| s.map(|o| outcome_status(o, true)))
         }

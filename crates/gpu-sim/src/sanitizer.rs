@@ -36,6 +36,8 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use crate::trace::escape;
+
 /// Which detector classes are armed. The default arms everything.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SanitizerConfig {
@@ -219,7 +221,7 @@ impl SanitizerReport {
                 None => out.push_str("\"other_thread\":null,"),
             }
             out.push_str("\"context\":");
-            json_escape(&f.context, out);
+            escape(&f.context, out);
             out.push('}');
         }
         out.push_str("]}");
@@ -236,27 +238,13 @@ pub fn reports_to_json(reports: &[(String, SanitizerReport)]) -> String {
             out.push(',');
         }
         out.push_str("{\"kernel\":");
-        json_escape(name, &mut out);
+        escape(name, &mut out);
         out.push_str(",\"report\":");
         report.write_json(&mut out);
         out.push('}');
     }
     out.push(']');
     out
-}
-
-fn json_escape(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 struct SinkInner {

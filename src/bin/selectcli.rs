@@ -525,11 +525,10 @@ fn main() {
     let w = spec.instantiate::<f32>(0);
     let rank = w.rank;
 
-    let mut cfg = SampleSelectConfig::tuned_for(&arch)
+    let cfg = SampleSelectConfig::tuned_for(&arch)
         .with_buckets(args.buckets)
         .with_seed(args.seed)
         .with_verify(args.verify);
-    cfg.wide_oracles = args.buckets > 256;
 
     println!(
         "algo={} n={} dist={} arch={} buckets={} rank={rank}\n",
@@ -589,13 +588,8 @@ fn main() {
         "auto" => {
             let decision = plan_rank_query(&arch, &w.data, rank, &cfg);
             println!(
-                "planner: chose {}{} (probe: {:.0}% distinct, {} dead digit(s))",
+                "planner: chose {} (probe: {:.0}% distinct, {} dead digit(s))",
                 decision.backend,
-                if decision.overridden {
-                    " [live-signal override]"
-                } else {
-                    ""
-                },
                 decision.profile.distinct_ratio * 100.0,
                 decision.profile.dead_digits
             );
@@ -603,7 +597,6 @@ fn main() {
             if candidates > 0 {
                 println!("planner: certify-first over {candidates} probe value(s)");
             }
-            println!("planner: host simd dispatch = {}", decision.host_simd);
             for (backend, t) in &decision.estimates {
                 println!("  model {backend:<20} {t}");
             }

@@ -674,7 +674,6 @@ proptest! {
         let a = plan_rank_query(&arch, &data, n / 2, &cfg);
         let b = plan_rank_query(&arch, &data, n / 2, &cfg);
         prop_assert_eq!(a.backend, b.backend);
-        prop_assert_eq!(a.overridden, b.overridden);
         let ea: Vec<_> = a.estimates.iter().map(|&(be, t)| (be, t.as_ns().to_bits())).collect();
         let eb: Vec<_> = b.estimates.iter().map(|&(be, t)| (be, t.as_ns().to_bits())).collect();
         prop_assert_eq!(ea, eb, "estimates must replay bit-for-bit");

@@ -732,35 +732,31 @@ fn paranoid_quantiles_survive_bitflips() {
     let sorted = sorted_f32(&spec);
     let q = 8u64;
     let want: Vec<f32> = (1..q).map(|i| sorted[(i * spec.n / q) as usize]).collect();
-    for planner in [true, false] {
-        let server = SelectServer::start(
-            ServerConfig::default()
-                .with_workers(1)
-                .with_planner(planner)
-                .with_select(paranoid())
-                .with_fault_plan(0, FaultPlan::new(118).bitflips(0.1)),
-        );
-        let resp = server
-            .query(QueryRequest {
-                tenant: "paranoid".to_string(),
-                kind: QueryKind::Quantiles { q },
-                dataset: spec,
-                deadline_ms: None,
-                seed: 57,
-            })
-            .expect("admitted");
-        match &resp.status {
-            QueryStatus::Quantiles { values } => assert_eq!(
-                bits_of(values),
-                bits_of(&want),
-                "planner {planner}: a certified quantile vector must be exact \
-                 (backend {:?})",
-                resp.backend
-            ),
-            other => panic!("expected quantiles, got {other:?}"),
-        }
-        server.drain();
+    let server = SelectServer::start(
+        ServerConfig::default()
+            .with_workers(1)
+            .with_select(paranoid())
+            .with_fault_plan(0, FaultPlan::new(118).bitflips(0.1)),
+    );
+    let resp = server
+        .query(QueryRequest {
+            tenant: "paranoid".to_string(),
+            kind: QueryKind::Quantiles { q },
+            dataset: spec,
+            deadline_ms: None,
+            seed: 57,
+        })
+        .expect("admitted");
+    match &resp.status {
+        QueryStatus::Quantiles { values } => assert_eq!(
+            bits_of(values),
+            bits_of(&want),
+            "a certified quantile vector must be exact (backend {:?})",
+            resp.backend
+        ),
+        other => panic!("expected quantiles, got {other:?}"),
     }
+    server.drain();
 }
 
 #[test]
@@ -1002,4 +998,39 @@ proptest! {
         }
         server.drain();
     }
+}
+
+#[test]
+fn an_exact_plan_does_not_depend_on_earlier_queries() {
+    // The cost model prefers RadixSelect for this rank of normal data,
+    // and a duplicate-heavy exact query leaves high collision and low
+    // occupancy figures in the registry's gauges. The served plan, label
+    // and answer must be the same on a fresh server and after it.
+    let normal = DatasetSpec {
+        dist: DistCode::Normal,
+        n: 1 << 20,
+        seed: 5,
+    };
+    let dup = DatasetSpec {
+        dist: DistCode::Distinct16,
+        n: 1 << 16,
+        seed: 6,
+    };
+    let serve = |warm_up: bool| {
+        let server = SelectServer::start(ServerConfig::default().with_workers(1));
+        if warm_up {
+            let resp = server
+                .query(exact("warm", dup, 1_000, 1))
+                .expect("admitted");
+            assert!(resp.status.is_exact(), "{resp:?}");
+        }
+        let resp = server
+            .query(exact("probe", normal, 1 << 19, 2))
+            .expect("admitted");
+        let plan = server.drain().recent_plans.last().map(|&(_, b)| b);
+        (resp.status, resp.backend, resp.planned, plan)
+    };
+    let fresh = serve(false);
+    assert_eq!(fresh, serve(true));
+    assert_eq!(fresh.2, Some("sampleselect"));
 }

@@ -281,7 +281,6 @@ fn every_served_kind_keeps_its_answer_label_and_simulated_charges() {
         ServerConfig::default()
             .with_workers(1)
             .with_batch_max(1)
-            .with_planner(true)
             .with_spool_dir(spool.clone()),
     );
     let mut observed = Vec::new();
