@@ -329,160 +329,160 @@ fn all_cases(pool: &ThreadPool) -> Vec<(String, Observed)> {
 
 #[rustfmt::skip]
 const PINS: &[Pin] = &[
-    Pin { case: "sample/f32/shared/noagg/uniform", value_bits: 0xbea517d3, total_ns: 31121.494690026953, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20408), ("base_sort", 1, 328)], obs_digest: 0x1bdcde4dea8b1852 },
-    Pin { case: "sample/f32/shared/noagg/dup16", value_bits: 0x40b00000, total_ns: 24804.37969002696, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x1d3d3d01ea5836f6 },
-    Pin { case: "sample/f32/shared/noagg/equal", value_bits: 0x41280000, total_ns: 25567.264690026954, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x9c54ada08adb738a },
-    Pin { case: "sample/f32/shared/noagg/lowent", value_bits: 0x43488000, total_ns: 31128.334690026953, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20400), ("base_sort", 1, 320)], obs_digest: 0x408bf65059914435 },
-    Pin { case: "sample/f32/shared/agg/uniform", value_bits: 0xbea517d3, total_ns: 31092.064690026957, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20408), ("base_sort", 1, 328)], obs_digest: 0x485cfa1cc054fe7f },
-    Pin { case: "sample/f32/shared/agg/dup16", value_bits: 0x40b00000, total_ns: 24696.064690026957, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x6b0e50f080cb8b22 },
-    Pin { case: "sample/f32/shared/agg/equal", value_bits: 0x41280000, total_ns: 24696.064690026957, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x01a2808e078dc0a4 },
-    Pin { case: "sample/f32/shared/agg/lowent", value_bits: 0x43488000, total_ns: 31092.064690026957, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20400), ("base_sort", 1, 320)], obs_digest: 0x9f7e954327db3a1d },
-    Pin { case: "sample/f32/global/noagg/uniform", value_bits: 0xbea517d3, total_ns: 55777.698113207545, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20408), ("base_sort", 1, 328)], obs_digest: 0xd50b0787937f2fab },
-    Pin { case: "sample/f32/global/noagg/dup16", value_bits: 0x40b00000, total_ns: 49416.06469002695, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0xc2214440482020ab },
-    Pin { case: "sample/f32/global/noagg/equal", value_bits: 0x41280000, total_ns: 49416.06469002695, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x669e0553e0b87259 },
-    Pin { case: "sample/f32/global/noagg/lowent", value_bits: 0x43488000, total_ns: 55777.37466307277, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20400), ("base_sort", 1, 320)], obs_digest: 0xaf151dc1751dd4f3 },
-    Pin { case: "sample/f32/global/agg/uniform", value_bits: 0xbea517d3, total_ns: 53901.978113207544, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20408), ("base_sort", 1, 328)], obs_digest: 0x01622a94a9109ca5 },
-    Pin { case: "sample/f32/global/agg/dup16", value_bits: 0x40b00000, total_ns: 34556.82469002696, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0xea4f6f7ac06320d0 },
-    Pin { case: "sample/f32/global/agg/equal", value_bits: 0x41280000, total_ns: 23860.864690026952, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x96f85e7d486f48cf },
-    Pin { case: "sample/f32/global/agg/lowent", value_bits: 0x43488000, total_ns: 51709.13466307277, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20400), ("base_sort", 1, 320)], obs_digest: 0x7cff7aca874d86c3 },
-    Pin { case: "sample/f64/shared/noagg/uniform", value_bits: 0xbfd4a2fa66cae224, total_ns: 34667.49469002696, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 200480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20736), ("base_sort", 1, 656)], obs_digest: 0xafb317c1ec133fc8 },
-    Pin { case: "sample/f64/shared/noagg/dup16", value_bits: 0x4016000000000000, total_ns: 28164.37969002696, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 200480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x7d5997649d0d16a5 },
-    Pin { case: "sample/f64/shared/noagg/equal", value_bits: 0x4025000000000000, total_ns: 28927.264690026954, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 200480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x511b5a094c9710cd },
-    Pin { case: "sample/f64/shared/noagg/lowent", value_bits: 0x4069100000000000, total_ns: 34674.33469002695, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 200480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20720), ("base_sort", 1, 640)], obs_digest: 0x231ce292bfe0afa9 },
-    Pin { case: "sample/f64/shared/agg/uniform", value_bits: 0xbfd4a2fa66cae224, total_ns: 34638.06469002696, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 200480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20736), ("base_sort", 1, 656)], obs_digest: 0x8b083220d1d4b7fa },
-    Pin { case: "sample/f64/shared/agg/dup16", value_bits: 0x4016000000000000, total_ns: 28056.064690026957, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 200480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x34c4fd8aaa3ed6aa },
-    Pin { case: "sample/f64/shared/agg/equal", value_bits: 0x4025000000000000, total_ns: 28056.064690026957, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 200480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0xfcc1a05ccac0986a },
-    Pin { case: "sample/f64/shared/agg/lowent", value_bits: 0x4069100000000000, total_ns: 34638.06469002696, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 200480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20720), ("base_sort", 1, 640)], obs_digest: 0x8fa4c317c6844c22 },
-    Pin { case: "sample/f64/global/noagg/uniform", value_bits: 0xbfd4a2fa66cae224, total_ns: 59336.959568733146, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 180000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20736), ("base_sort", 1, 656)], obs_digest: 0x58c084b5bc22a705 },
-    Pin { case: "sample/f64/global/noagg/dup16", value_bits: 0x4016000000000000, total_ns: 52776.06469002695, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 180000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x84d6aa4b47be35de },
-    Pin { case: "sample/f64/global/noagg/equal", value_bits: 0x4025000000000000, total_ns: 52776.06469002695, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 180000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0xace4fb54fa473478 },
-    Pin { case: "sample/f64/global/noagg/lowent", value_bits: 0x4069100000000000, total_ns: 59336.31266846361, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 180000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20720), ("base_sort", 1, 640)], obs_digest: 0xe821ab423521544d },
-    Pin { case: "sample/f64/global/agg/uniform", value_bits: 0xbfd4a2fa66cae224, total_ns: 57459.919568733145, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 180000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20736), ("base_sort", 1, 656)], obs_digest: 0x8dc7e3a6defe2f65 },
-    Pin { case: "sample/f64/global/agg/dup16", value_bits: 0x4016000000000000, total_ns: 37916.82469002695, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 180000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0xecb075f7ca8fec1e },
-    Pin { case: "sample/f64/global/agg/equal", value_bits: 0x4025000000000000, total_ns: 27831.59029649596, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 180000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x9ef65096ad2dea72 },
-    Pin { case: "sample/f64/global/agg/lowent", value_bits: 0x4069100000000000, total_ns: 55268.07266846361, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 180000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20720), ("base_sort", 1, 640)], obs_digest: 0x774023f8da23fe21 },
-    Pin { case: "sample/u32/shared/noagg/uniform", value_bits: 0x551fa282, total_ns: 31576.669690026956, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20684), ("base_sort", 1, 604)], obs_digest: 0x3b7dd312784f4c32 },
-    Pin { case: "sample/u32/shared/noagg/dup16", value_bits: 0x5, total_ns: 24804.37969002696, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x1d3d3d01ea5836f6 },
-    Pin { case: "sample/u32/shared/noagg/equal", value_bits: 0x7, total_ns: 25567.264690026954, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x9c54ada08adb738a },
-    Pin { case: "sample/u32/shared/noagg/lowent", value_bits: 0x53, total_ns: 31128.334690026953, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20400), ("base_sort", 1, 320)], obs_digest: 0x408bf65059914435 },
-    Pin { case: "sample/u32/shared/agg/uniform", value_bits: 0x551fa282, total_ns: 31546.564690026957, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20684), ("base_sort", 1, 604)], obs_digest: 0x9defa75deaf0aa60 },
-    Pin { case: "sample/u32/shared/agg/dup16", value_bits: 0x5, total_ns: 24696.064690026957, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x6b0e50f080cb8b22 },
-    Pin { case: "sample/u32/shared/agg/equal", value_bits: 0x7, total_ns: 24696.064690026957, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x01a2808e078dc0a4 },
-    Pin { case: "sample/u32/shared/agg/lowent", value_bits: 0x53, total_ns: 31092.064690026957, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20400), ("base_sort", 1, 320)], obs_digest: 0x9f7e954327db3a1d },
-    Pin { case: "sample/u32/global/noagg/uniform", value_bits: 0x551fa282, total_ns: 56119.38469002695, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20684), ("base_sort", 1, 604)], obs_digest: 0x78d195b7f4334a25 },
-    Pin { case: "sample/u32/global/noagg/dup16", value_bits: 0x5, total_ns: 49416.06469002695, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0xc2214440482020ab },
-    Pin { case: "sample/u32/global/noagg/equal", value_bits: 0x7, total_ns: 49416.06469002695, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x669e0553e0b87259 },
-    Pin { case: "sample/u32/global/noagg/lowent", value_bits: 0x53, total_ns: 55777.37466307277, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20400), ("base_sort", 1, 320)], obs_digest: 0xaf151dc1751dd4f3 },
-    Pin { case: "sample/u32/global/agg/uniform", value_bits: 0x551fa282, total_ns: 54298.45714285714, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20684), ("base_sort", 1, 604)], obs_digest: 0x61df9e7c645caf79 },
-    Pin { case: "sample/u32/global/agg/dup16", value_bits: 0x5, total_ns: 34556.82469002696, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0xea4f6f7ac06320d0 },
-    Pin { case: "sample/u32/global/agg/equal", value_bits: 0x7, total_ns: 23860.864690026952, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x96f85e7d486f48cf },
-    Pin { case: "sample/u32/global/agg/lowent", value_bits: 0x53, total_ns: 51709.13466307277, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20400), ("base_sort", 1, 320)], obs_digest: 0x7cff7aca874d86c3 },
-    Pin { case: "sample/i32/shared/noagg/uniform", value_bits: 0xd4198ca6, total_ns: 31083.793787061997, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20340), ("base_sort", 1, 260)], obs_digest: 0xbd4494ef29606ab1 },
-    Pin { case: "sample/i32/shared/noagg/dup16", value_bits: 0xffffffa1, total_ns: 24804.37969002696, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x1d3d3d01ea5836f6 },
-    Pin { case: "sample/i32/shared/noagg/equal", value_bits: 0xffffffa3, total_ns: 25567.264690026954, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x9c54ada08adb738a },
-    Pin { case: "sample/i32/shared/noagg/lowent", value_bits: 0xffffffef, total_ns: 31128.334690026953, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20400), ("base_sort", 1, 320)], obs_digest: 0x408bf65059914435 },
-    Pin { case: "sample/i32/shared/agg/uniform", value_bits: 0xd4198ca6, total_ns: 31054.948787061996, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20340), ("base_sort", 1, 260)], obs_digest: 0xae510ef5890867f4 },
-    Pin { case: "sample/i32/shared/agg/dup16", value_bits: 0xffffffa1, total_ns: 24696.064690026957, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x6b0e50f080cb8b22 },
-    Pin { case: "sample/i32/shared/agg/equal", value_bits: 0xffffffa3, total_ns: 24696.064690026957, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x01a2808e078dc0a4 },
-    Pin { case: "sample/i32/shared/agg/lowent", value_bits: 0xffffffef, total_ns: 31092.064690026957, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20400), ("base_sort", 1, 320)], obs_digest: 0x9f7e954327db3a1d },
-    Pin { case: "sample/i32/global/noagg/uniform", value_bits: 0xd4198ca6, total_ns: 55774.94878706199, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20340), ("base_sort", 1, 260)], obs_digest: 0x70a98f10ac42259d },
-    Pin { case: "sample/i32/global/noagg/dup16", value_bits: 0xffffffa1, total_ns: 49416.06469002695, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0xc2214440482020ab },
-    Pin { case: "sample/i32/global/noagg/equal", value_bits: 0xffffffa3, total_ns: 49416.06469002695, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x669e0553e0b87259 },
-    Pin { case: "sample/i32/global/noagg/lowent", value_bits: 0xffffffef, total_ns: 55777.37466307277, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20400), ("base_sort", 1, 320)], obs_digest: 0xaf151dc1751dd4f3 },
-    Pin { case: "sample/i32/global/agg/uniform", value_bits: 0xd4198ca6, total_ns: 54015.388787061995, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20340), ("base_sort", 1, 260)], obs_digest: 0x2f65cd1741c4a7e2 },
-    Pin { case: "sample/i32/global/agg/dup16", value_bits: 0xffffffa1, total_ns: 34556.82469002696, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0xea4f6f7ac06320d0 },
-    Pin { case: "sample/i32/global/agg/equal", value_bits: 0xffffffa3, total_ns: 23860.864690026952, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x96f85e7d486f48cf },
-    Pin { case: "sample/i32/global/agg/lowent", value_bits: 0xffffffef, total_ns: 51709.13466307277, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20400), ("base_sort", 1, 320)], obs_digest: 0x7cff7aca874d86c3 },
-    Pin { case: "sample/f32/deep/uniform", value_bits: 0xbeaa1726, total_ns: 56431.01787735849, launch_overhead_ns: 39000.0, levels: 2, early: false, error: None, kernels: &[("sample", 2, 2040), ("count", 2, 1808995), ("reduce", 2, 604160), ("select_bucket", 2, 2048), ("filter", 2, 308147), ("base_sort", 1, 52)], obs_digest: 0x704f3629b5fe63f0 },
-    Pin { case: "sample/u32/deep/lowent", value_bits: 0x53, total_ns: 50602.57067385444, launch_overhead_ns: 33000.0, levels: 2, early: true, error: None, kernels: &[("sample", 2, 2040), ("count", 2, 1815054), ("reduce", 2, 606208), ("select_bucket", 2, 2048), ("filter", 1, 310732)], obs_digest: 0x697ebeb98ce0e6dd },
-    Pin { case: "sample/f32/max_levels0/uniform", value_bits: 0x0, total_ns: 0.0, launch_overhead_ns: 0.0, levels: 0, early: false, error: Some("RecursionLimit"), kernels: &[], obs_digest: 0x316114d66eda7d06 },
-    Pin { case: "sample/u32/budget1.5/uniform", value_bits: 0x551fa282, total_ns: 31576.669690026956, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20684), ("base_sort", 1, 604)], obs_digest: 0x3b7dd312784f4c32 },
-    Pin { case: "sample/u32/budget1.5/lowent", value_bits: 0x53, total_ns: 31128.334690026953, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20400), ("base_sort", 1, 320)], obs_digest: 0x408bf65059914435 },
-    Pin { case: "sample/f32/spot/corrupt0", value_bits: 0x0, total_ns: 9360.0, launch_overhead_ns: 6000.0, levels: 0, early: false, error: Some("splitter-order"), kernels: &[("sample", 1, 1020), ("corrupt:splitters", 1, 0)], obs_digest: 0x0c86977154b93a73 },
-    Pin { case: "sample/f32/spot/corrupt1", value_bits: 0x0, total_ns: 19534.665, launch_overhead_ns: 12000.0, levels: 0, early: false, error: Some("histogram-sum"), kernels: &[("sample", 1, 1020), ("count", 1, 1800032), ("corrupt:counts", 1, 0)], obs_digest: 0x1e274d23ad2d9d92 },
-    Pin { case: "sample/f32/spot/corrupt2", value_bits: 0xbeaa1726, total_ns: 56431.01787735849, launch_overhead_ns: 39000.0, levels: 2, early: false, error: None, kernels: &[("sample", 2, 2040), ("count", 2, 1808995), ("corrupt:oracles", 1, 0), ("reduce", 2, 604160), ("select_bucket", 2, 2048), ("filter", 2, 308147), ("base_sort", 1, 52)], obs_digest: 0xf1df9a6016bb64be },
-    Pin { case: "sample/f32/spot/corrupt3", value_bits: 0x0, total_ns: 38304.793483827496, launch_overhead_ns: 24000.0, levels: 0, early: false, error: Some("splitter-order"), kernels: &[("sample", 2, 2040), ("count", 1, 1800032), ("reduce", 1, 600064), ("select_bucket", 1, 1024), ("filter", 1, 306704), ("corrupt:splitters", 1, 0)], obs_digest: 0x49fdc8bb7a50f26b },
-    Pin { case: "sample/f32/spot/corrupt5", value_bits: 0xbeaa1726, total_ns: 56431.01787735849, launch_overhead_ns: 39000.0, levels: 2, early: false, error: None, kernels: &[("sample", 2, 2040), ("count", 2, 1808995), ("reduce", 2, 604160), ("select_bucket", 2, 2048), ("filter", 2, 308147), ("corrupt:oracles", 1, 0), ("base_sort", 1, 52)], obs_digest: 0x089c1a1401200fc7 },
-    Pin { case: "sample/f32/unverified/corrupt0", value_bits: 0x0, total_ns: 9360.0, launch_overhead_ns: 6000.0, levels: 0, early: false, error: Some("splitter-order"), kernels: &[("sample", 1, 1020), ("corrupt:splitters", 1, 0)], obs_digest: 0x0c86977154b93a73 },
-    Pin { case: "sample/f32/unverified/corrupt1", value_bits: 0xbeaa1726, total_ns: 56431.01787735849, launch_overhead_ns: 39000.0, levels: 2, early: false, error: None, kernels: &[("sample", 2, 2040), ("count", 2, 1808995), ("corrupt:counts", 1, 0), ("reduce", 2, 604160), ("select_bucket", 2, 2048), ("filter", 2, 308147), ("base_sort", 1, 52)], obs_digest: 0xf1df9a6016bb64be },
-    Pin { case: "sample/f32/unverified/corrupt2", value_bits: 0xbeaa1726, total_ns: 56431.01787735849, launch_overhead_ns: 39000.0, levels: 2, early: false, error: None, kernels: &[("sample", 2, 2040), ("count", 2, 1808995), ("corrupt:oracles", 1, 0), ("reduce", 2, 604160), ("select_bucket", 2, 2048), ("filter", 2, 308147), ("base_sort", 1, 52)], obs_digest: 0xf1df9a6016bb64be },
-    Pin { case: "radix/f32/shared/noagg/uniform", value_bits: 0xbea517d3, total_ns: 30138.294380053907, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 142741), ("reduce", 2, 49152), ("filter", 2, 38321), ("base_sort", 1, 60)], obs_digest: 0xad49a40535981cd8 },
-    Pin { case: "radix/f32/shared/noagg/dup16", value_bits: 0x40b00000, total_ns: 54667.91130727763, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 151443), ("reduce", 4, 55296), ("filter", 4, 48651)], obs_digest: 0xea8c90352a33abe7 },
-    Pin { case: "radix/f32/shared/noagg/equal", value_bits: 0x41280000, total_ns: 64117.145013477086, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 481920), ("reduce", 4, 163840), ("filter", 4, 400320)], obs_digest: 0xdba256f2d632f19b },
-    Pin { case: "radix/f32/shared/noagg/lowent", value_bits: 0x43488000, total_ns: 31455.346846361186, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 194183), ("reduce", 2, 65536), ("filter", 2, 81863), ("base_sort", 1, 320)], obs_digest: 0x69b3726b8aa86d58 },
-    Pin { case: "radix/f32/shared/agg/uniform", value_bits: 0xbea517d3, total_ns: 29722.629380053906, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 142741), ("reduce", 2, 49152), ("filter", 2, 38321), ("base_sort", 1, 60)], obs_digest: 0x7f367aa293ea8529 },
-    Pin { case: "radix/f32/shared/agg/dup16", value_bits: 0x40b00000, total_ns: 52394.59400269541, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 151443), ("reduce", 4, 55296), ("filter", 4, 48651)], obs_digest: 0x9491a46990a7a20c },
-    Pin { case: "radix/f32/shared/agg/equal", value_bits: 0x41280000, total_ns: 60632.34501347708, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 481920), ("reduce", 4, 163840), ("filter", 4, 400320)], obs_digest: 0xafe86d0bce383f00 },
-    Pin { case: "radix/f32/shared/agg/lowent", value_bits: 0x43488000, total_ns: 30707.266846361188, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 194183), ("reduce", 2, 65536), ("filter", 2, 81863), ("base_sort", 1, 320)], obs_digest: 0x45c8ded1b62108d5 },
-    Pin { case: "radix/f32/global/noagg/uniform", value_bits: 0xbea517d3, total_ns: 80005.15245283018, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 118165), ("reduce", 2, 49152), ("filter", 2, 38321), ("base_sort", 1, 60)], obs_digest: 0xa7ad9f5df30fba5a },
-    Pin { case: "radix/f32/global/noagg/dup16", value_bits: 0x40b00000, total_ns: 163980.25175202155, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 123795), ("reduce", 4, 55296), ("filter", 4, 48651)], obs_digest: 0x19ee8a49d13a59d1 },
-    Pin { case: "radix/f32/global/noagg/equal", value_bits: 0x41280000, total_ns: 251524.85175202158, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 400000), ("reduce", 4, 163840), ("filter", 4, 400320)], obs_digest: 0xe1bb33df1969eba1 },
-    Pin { case: "radix/f32/global/noagg/lowent", value_bits: 0x43488000, total_ns: 94672.33520215635, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 161415), ("reduce", 2, 65536), ("filter", 2, 81863), ("base_sort", 1, 320)], obs_digest: 0x5f9037db0c5ea173 },
-    Pin { case: "radix/f32/global/agg/uniform", value_bits: 0xbea517d3, total_ns: 53554.99245283019, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 118165), ("reduce", 2, 49152), ("filter", 2, 38321), ("base_sort", 1, 60)], obs_digest: 0xca509d1c8ed49b09 },
-    Pin { case: "radix/f32/global/agg/dup16", value_bits: 0x40b00000, total_ns: 52144.70900269541, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 123795), ("reduce", 4, 55296), ("filter", 4, 48651)], obs_digest: 0xdb9d68370ffdfcf2 },
-    Pin { case: "radix/f32/global/agg/equal", value_bits: 0x41280000, total_ns: 57291.545013477094, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 400000), ("reduce", 4, 163840), ("filter", 4, 400320)], obs_digest: 0x669df70032539820 },
-    Pin { case: "radix/f32/global/agg/lowent", value_bits: 0x43488000, total_ns: 55767.856172506734, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 161415), ("reduce", 2, 65536), ("filter", 2, 81863), ("base_sort", 1, 320)], obs_digest: 0x9877f0c6d3e7ae32 },
-    Pin { case: "radix/f64/shared/noagg/uniform", value_bits: 0xbfd4a2fa66cae224, total_ns: 33534.23753369272, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 300207), ("reduce", 2, 61440), ("filter", 2, 110647), ("base_sort", 1, 1040)], obs_digest: 0xac5744e653aaa17c },
-    Pin { case: "radix/f64/shared/noagg/dup16", value_bits: 0x4016000000000000, total_ns: 121089.41101078168, launch_overhead_ns: 75000.0, levels: 8, early: true, error: None, kernels: &[("digit_count", 8, 427397), ("reduce", 8, 96256), ("filter", 8, 228953)], obs_digest: 0x8e57dc3a462bb0b6 },
-    Pin { case: "radix/f64/shared/noagg/equal", value_bits: 0x4025000000000000, total_ns: 151110.30080862535, launch_overhead_ns: 75000.0, levels: 8, early: true, error: None, kernels: &[("digit_count", 8, 1603840), ("reduce", 8, 327680), ("filter", 8, 1440640)], obs_digest: 0xf7d2f2a108ac4add },
-    Pin { case: "radix/f64/shared/noagg/lowent", value_bits: 0x4069100000000000, total_ns: 36764.348894878705, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 398080), ("reduce", 2, 81920), ("filter", 2, 199200), ("base_sort", 1, 1920)], obs_digest: 0x6e7564010f242392 },
-    Pin { case: "radix/f64/shared/agg/uniform", value_bits: 0xbfd4a2fa66cae224, total_ns: 32986.36253369272, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 300207), ("reduce", 2, 61440), ("filter", 2, 110647), ("base_sort", 1, 1040)], obs_digest: 0xbeead65f095d45d9 },
-    Pin { case: "radix/f64/shared/agg/dup16", value_bits: 0x4016000000000000, total_ns: 117359.14150943398, launch_overhead_ns: 75000.0, levels: 8, early: true, error: None, kernels: &[("digit_count", 8, 427397), ("reduce", 8, 96256), ("filter", 8, 228953)], obs_digest: 0xd0095371d62c018c },
-    Pin { case: "radix/f64/shared/agg/equal", value_bits: 0x4025000000000000, total_ns: 144140.70080862538, launch_overhead_ns: 75000.0, levels: 8, early: true, error: None, kernels: &[("digit_count", 8, 1603840), ("reduce", 8, 327680), ("filter", 8, 1440640)], obs_digest: 0x2656883588e679cf },
-    Pin { case: "radix/f64/shared/agg/lowent", value_bits: 0x4069100000000000, total_ns: 35743.208894878706, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 398080), ("reduce", 2, 81920), ("filter", 2, 199200), ("base_sort", 1, 1920)], obs_digest: 0x7ffa55885bd781e9 },
-    Pin { case: "radix/f64/global/noagg/uniform", value_bits: 0xbfd4a2fa66cae224, total_ns: 91787.90587601079, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 269487), ("reduce", 2, 61440), ("filter", 2, 110647), ("base_sort", 1, 1040)], obs_digest: 0x6bd0d255b7aea305 },
-    Pin { case: "radix/f64/global/noagg/dup16", value_bits: 0x4016000000000000, total_ns: 340418.14350404317, launch_overhead_ns: 75000.0, levels: 8, early: true, error: None, kernels: &[("digit_count", 8, 379269), ("reduce", 8, 96256), ("filter", 8, 228953)], obs_digest: 0xf1b24187ea8a1da4 },
-    Pin { case: "radix/f64/global/noagg/equal", value_bits: 0x4025000000000000, total_ns: 500049.70350404317, launch_overhead_ns: 75000.0, levels: 8, early: true, error: None, kernels: &[("digit_count", 8, 1440000), ("reduce", 8, 327680), ("filter", 8, 1440640)], obs_digest: 0x319b18fb30162b8a },
-    Pin { case: "radix/f64/global/noagg/lowent", value_bits: 0x4069100000000000, total_ns: 104342.42587601079, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 357120), ("reduce", 2, 81920), ("filter", 2, 199200), ("base_sort", 1, 1920)], obs_digest: 0x9b23664879f15497 },
-    Pin { case: "radix/f64/global/agg/uniform", value_bits: 0xbfd4a2fa66cae224, total_ns: 50835.46253369273, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 269487), ("reduce", 2, 61440), ("filter", 2, 110647), ("base_sort", 1, 1040)], obs_digest: 0xdc5feeb01fd79b70 },
-    Pin { case: "radix/f64/global/agg/dup16", value_bits: 0x4016000000000000, total_ns: 124038.0426954178, launch_overhead_ns: 75000.0, levels: 8, early: true, error: None, kernels: &[("digit_count", 8, 379269), ("reduce", 8, 96256), ("filter", 8, 228953)], obs_digest: 0xe8ea92c9b9a07eee },
-    Pin { case: "radix/f64/global/agg/equal", value_bits: 0x4025000000000000, total_ns: 142344.90566037735, launch_overhead_ns: 75000.0, levels: 8, early: true, error: None, kernels: &[("digit_count", 8, 1440000), ("reduce", 8, 327680), ("filter", 8, 1440640)], obs_digest: 0x6c8ed73ad73b7326 },
-    Pin { case: "radix/f64/global/agg/lowent", value_bits: 0x4069100000000000, total_ns: 42578.15450134771, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 357120), ("reduce", 2, 81920), ("filter", 2, 199200), ("base_sort", 1, 1920)], obs_digest: 0x9946f54c0078e592 },
-    Pin { case: "radix/u32/shared/noagg/uniform", value_bits: 0x551fa282, total_ns: 17428.24293800539, launch_overhead_ns: 15000.0, levels: 1, early: false, error: None, kernels: &[("digit_count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 20416), ("base_sort", 1, 336)], obs_digest: 0xfbe969d53bb7c8fc },
-    Pin { case: "radix/u32/shared/noagg/dup16", value_bits: 0x5, total_ns: 61404.00169811321, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 481920), ("reduce", 4, 163840), ("filter", 4, 325068)], obs_digest: 0x1d58be96140aed8d },
-    Pin { case: "radix/u32/shared/noagg/equal", value_bits: 0x7, total_ns: 64117.145013477086, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 481920), ("reduce", 4, 163840), ("filter", 4, 400320)], obs_digest: 0xdba256f2d632f19b },
-    Pin { case: "radix/u32/shared/noagg/lowent", value_bits: 0x53, total_ns: 63245.07169811321, launch_overhead_ns: 42000.0, levels: 4, early: false, error: None, kernels: &[("digit_count", 4, 481920), ("reduce", 4, 163840), ("filter", 4, 320640), ("base_sort", 1, 320)], obs_digest: 0x827ff0b70c155797 },
-    Pin { case: "radix/u32/shared/agg/uniform", value_bits: 0x551fa282, total_ns: 17401.96293800539, launch_overhead_ns: 15000.0, levels: 1, early: false, error: None, kernels: &[("digit_count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 20416), ("base_sort", 1, 336)], obs_digest: 0xce9c9cdb8ef89435 },
-    Pin { case: "radix/u32/shared/agg/dup16", value_bits: 0x5, total_ns: 58652.9716981132, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 481920), ("reduce", 4, 163840), ("filter", 4, 325068)], obs_digest: 0x1b708c2bc959284b },
-    Pin { case: "radix/u32/shared/agg/equal", value_bits: 0x7, total_ns: 60632.34501347708, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 481920), ("reduce", 4, 163840), ("filter", 4, 400320)], obs_digest: 0xafe86d0bce383f00 },
-    Pin { case: "radix/u32/shared/agg/lowent", value_bits: 0x53, total_ns: 60631.4716981132, launch_overhead_ns: 42000.0, levels: 4, early: false, error: None, kernels: &[("digit_count", 4, 481920), ("reduce", 4, 163840), ("filter", 4, 320640), ("base_sort", 1, 320)], obs_digest: 0xca2dc6d4f491ef1f },
-    Pin { case: "radix/u32/global/noagg/uniform", value_bits: 0x551fa282, total_ns: 42093.16981132075, launch_overhead_ns: 15000.0, levels: 1, early: false, error: None, kernels: &[("digit_count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 20416), ("base_sort", 1, 336)], obs_digest: 0x9b5e39f4849590c8 },
-    Pin { case: "radix/u32/global/noagg/dup16", value_bits: 0x5, total_ns: 226691.69175202158, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 400000), ("reduce", 4, 163840), ("filter", 4, 325068)], obs_digest: 0x927e565d921b35fe },
-    Pin { case: "radix/u32/global/noagg/equal", value_bits: 0x7, total_ns: 251524.85175202158, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 400000), ("reduce", 4, 163840), ("filter", 4, 400320)], obs_digest: 0xe1bb33df1969eba1 },
-    Pin { case: "radix/u32/global/noagg/lowent", value_bits: 0x53, total_ns: 228486.16172506742, launch_overhead_ns: 42000.0, levels: 4, early: false, error: None, kernels: &[("digit_count", 4, 400000), ("reduce", 4, 163840), ("filter", 4, 320640), ("base_sort", 1, 320)], obs_digest: 0x82f49215deabaf4e },
-    Pin { case: "radix/u32/global/agg/uniform", value_bits: 0x551fa282, total_ns: 40550.08981132075, launch_overhead_ns: 15000.0, levels: 1, early: false, error: None, kernels: &[("digit_count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 20416), ("base_sort", 1, 336)], obs_digest: 0x118f8688f9bd2e35 },
-    Pin { case: "radix/u32/global/agg/dup16", value_bits: 0x5, total_ns: 65303.431698113214, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 400000), ("reduce", 4, 163840), ("filter", 4, 325068)], obs_digest: 0x863fef404250fcf5 },
-    Pin { case: "radix/u32/global/agg/equal", value_bits: 0x7, total_ns: 57291.545013477094, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 400000), ("reduce", 4, 163840), ("filter", 4, 400320)], obs_digest: 0x669df70032539820 },
-    Pin { case: "radix/u32/global/agg/lowent", value_bits: 0x53, total_ns: 82811.18167115904, launch_overhead_ns: 42000.0, levels: 4, early: false, error: None, kernels: &[("digit_count", 4, 400000), ("reduce", 4, 163840), ("filter", 4, 320640), ("base_sort", 1, 320)], obs_digest: 0x0504e402ce596657 },
-    Pin { case: "radix/i32/shared/noagg/uniform", value_bits: 0xd4198ca6, total_ns: 17396.10703504043, launch_overhead_ns: 15000.0, levels: 1, early: false, error: None, kernels: &[("digit_count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 20340), ("base_sort", 1, 260)], obs_digest: 0x2a878d71de0c416f },
-    Pin { case: "radix/i32/shared/noagg/dup16", value_bits: 0xffffffa1, total_ns: 61404.00169811321, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 481920), ("reduce", 4, 163840), ("filter", 4, 325068)], obs_digest: 0x1d58be96140aed8d },
-    Pin { case: "radix/i32/shared/noagg/equal", value_bits: 0xffffffa3, total_ns: 64117.145013477086, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 481920), ("reduce", 4, 163840), ("filter", 4, 400320)], obs_digest: 0xdba256f2d632f19b },
-    Pin { case: "radix/i32/shared/noagg/lowent", value_bits: 0xffffffef, total_ns: 61564.47088948787, launch_overhead_ns: 42000.0, levels: 4, early: false, error: None, kernels: &[("digit_count", 4, 265056), ("reduce", 4, 90112), ("filter", 4, 140496), ("base_sort", 1, 320)], obs_digest: 0x608a7dab893b5071 },
-    Pin { case: "radix/i32/shared/agg/uniform", value_bits: 0xd4198ca6, total_ns: 17370.09703504043, launch_overhead_ns: 15000.0, levels: 1, early: false, error: None, kernels: &[("digit_count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 20340), ("base_sort", 1, 260)], obs_digest: 0x0faf4a32b5b0874f },
-    Pin { case: "radix/i32/shared/agg/dup16", value_bits: 0xffffffa1, total_ns: 58652.9716981132, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 481920), ("reduce", 4, 163840), ("filter", 4, 325068)], obs_digest: 0x1b708c2bc959284b },
-    Pin { case: "radix/i32/shared/agg/equal", value_bits: 0xffffffa3, total_ns: 60632.34501347708, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 481920), ("reduce", 4, 163840), ("filter", 4, 400320)], obs_digest: 0xafe86d0bce383f00 },
-    Pin { case: "radix/i32/shared/agg/lowent", value_bits: 0xffffffef, total_ns: 59005.77088948787, launch_overhead_ns: 42000.0, levels: 4, early: false, error: None, kernels: &[("digit_count", 4, 265056), ("reduce", 4, 90112), ("filter", 4, 140496), ("base_sort", 1, 320)], obs_digest: 0x85517041d260a554 },
-    Pin { case: "radix/i32/global/noagg/uniform", value_bits: 0xd4198ca6, total_ns: 42090.09703504043, launch_overhead_ns: 15000.0, levels: 1, early: false, error: None, kernels: &[("digit_count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 20340), ("base_sort", 1, 260)], obs_digest: 0x1b6bae8c30c4c4e9 },
-    Pin { case: "radix/i32/global/noagg/dup16", value_bits: 0xffffffa1, total_ns: 226691.69175202158, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 400000), ("reduce", 4, 163840), ("filter", 4, 325068)], obs_digest: 0x927e565d921b35fe },
-    Pin { case: "radix/i32/global/noagg/equal", value_bits: 0xffffffa3, total_ns: 251524.85175202158, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 400000), ("reduce", 4, 163840), ("filter", 4, 400320)], obs_digest: 0xe1bb33df1969eba1 },
-    Pin { case: "radix/i32/global/noagg/lowent", value_bits: 0xffffffef, total_ns: 212734.85175202158, launch_overhead_ns: 42000.0, levels: 4, early: false, error: None, kernels: &[("digit_count", 4, 220000), ("reduce", 4, 90112), ("filter", 4, 140496), ("base_sort", 1, 320)], obs_digest: 0x20c03d2f0638207c },
-    Pin { case: "radix/i32/global/agg/uniform", value_bits: 0xd4198ca6, total_ns: 40547.01703504043, launch_overhead_ns: 15000.0, levels: 1, early: false, error: None, kernels: &[("digit_count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 20340), ("base_sort", 1, 260)], obs_digest: 0x14c3c00a0703c356 },
-    Pin { case: "radix/i32/global/agg/dup16", value_bits: 0xffffffa1, total_ns: 65303.431698113214, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 400000), ("reduce", 4, 163840), ("filter", 4, 325068)], obs_digest: 0x863fef404250fcf5 },
-    Pin { case: "radix/i32/global/agg/equal", value_bits: 0xffffffa3, total_ns: 57291.545013477094, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 400000), ("reduce", 4, 163840), ("filter", 4, 400320)], obs_digest: 0x669df70032539820 },
-    Pin { case: "radix/i32/global/agg/lowent", value_bits: 0xffffffef, total_ns: 81163.77088948787, launch_overhead_ns: 42000.0, levels: 4, early: false, error: None, kernels: &[("digit_count", 4, 220000), ("reduce", 4, 90112), ("filter", 4, 140496), ("base_sort", 1, 320)], obs_digest: 0xf6a9441f77c604cf },
-    Pin { case: "radix/f32/deep/uniform", value_bits: 0xbeaa1726, total_ns: 38322.08671526587, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 2137342), ("reduce", 2, 712704), ("filter", 2, 583586), ("base_sort", 1, 1204)], obs_digest: 0x563b51e1cc82ca92 },
-    Pin { case: "radix/u32/deep/lowent", value_bits: 0x53, total_ns: 94009.89858490565, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 7200128), ("reduce", 4, 2400256), ("filter", 4, 4809468)], obs_digest: 0xcc05cf8e25114e97 },
-    Pin { case: "radix/f32/max_levels0/uniform", value_bits: 0x0, total_ns: 0.0, launch_overhead_ns: 0.0, levels: 0, early: false, error: Some("RecursionLimit"), kernels: &[], obs_digest: 0xe33d328d5512c1f0 },
-    Pin { case: "radix/u32/budget1.5/uniform", value_bits: 0x551fa282, total_ns: 17428.24293800539, launch_overhead_ns: 15000.0, levels: 1, early: false, error: None, kernels: &[("digit_count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 20416), ("base_sort", 1, 336)], obs_digest: 0xfbe969d53bb7c8fc },
-    Pin { case: "radix/u32/budget1.5/lowent", value_bits: 0x0, total_ns: 18279.286253369275, launch_overhead_ns: 12000.0, levels: 0, early: false, error: Some("RecursionLimit"), kernels: &[("digit_count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 100080)], obs_digest: 0x8eea72d0090e8d1b },
-    Pin { case: "radix/f32/spot/corrupt0", value_bits: 0x0, total_ns: 10741.83, launch_overhead_ns: 6000.0, levels: 0, early: false, error: Some("histogram-sum"), kernels: &[("digit_count", 1, 1800032), ("corrupt:counts", 1, 0)], obs_digest: 0x9ccd542e888a9622 },
-    Pin { case: "radix/f32/spot/corrupt1", value_bits: 0xbeaa1726, total_ns: 38322.08671526587, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 2137342), ("corrupt:oracles", 1, 0), ("reduce", 2, 712704), ("filter", 2, 583586), ("base_sort", 1, 1204)], obs_digest: 0x80152628f322e3f8 },
-    Pin { case: "radix/f32/spot/corrupt2", value_bits: 0x0, total_ns: 27414.51559544229, launch_overhead_ns: 15000.0, levels: 0, early: false, error: Some("histogram-sum"), kernels: &[("digit_count", 2, 2137342), ("reduce", 1, 600064), ("filter", 1, 525964), ("corrupt:counts", 1, 0)], obs_digest: 0xeeef9f273ff9314e },
-    Pin { case: "radix/f32/spot/corrupt3", value_bits: 0xbeaa1726, total_ns: 38322.08671526587, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 2137342), ("reduce", 2, 712704), ("filter", 2, 583586), ("corrupt:oracles", 1, 0), ("base_sort", 1, 1204)], obs_digest: 0x0bc3b9bc4a6111e4 },
-    Pin { case: "radix/f32/spot/corrupt5", value_bits: 0xbeaa1726, total_ns: 38322.08671526587, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 2137342), ("reduce", 2, 712704), ("filter", 2, 583586), ("base_sort", 1, 1204)], obs_digest: 0x563b51e1cc82ca92 },
-    Pin { case: "radix/f32/unverified/corrupt0", value_bits: 0xbeaa1726, total_ns: 38322.08671526587, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 2137342), ("corrupt:counts", 1, 0), ("reduce", 2, 712704), ("filter", 2, 583586), ("base_sort", 1, 1204)], obs_digest: 0x1c19ad495ee65341 },
-    Pin { case: "radix/f32/unverified/corrupt1", value_bits: 0xbeaa1726, total_ns: 38322.08671526587, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 2137342), ("corrupt:oracles", 1, 0), ("reduce", 2, 712704), ("filter", 2, 583586), ("base_sort", 1, 1204)], obs_digest: 0x80152628f322e3f8 },
-    Pin { case: "radix/f32/unverified/corrupt2", value_bits: 0xbeaa1726, total_ns: 38322.08671526587, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 2137342), ("reduce", 2, 712704), ("filter", 2, 583586), ("corrupt:counts", 1, 0), ("base_sort", 1, 1204)], obs_digest: 0x0bc3b9bc4a6111e4 },
+    Pin { case: "sample/f32/shared/noagg/uniform", value_bits: 0xbea517d3, total_ns: 31121.494690026953, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20408), ("base_sort", 1, 328)], obs_digest: 0x59c43433c066cf60 },
+    Pin { case: "sample/f32/shared/noagg/dup16", value_bits: 0x40b00000, total_ns: 24804.37969002696, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0xf452ee713061e856 },
+    Pin { case: "sample/f32/shared/noagg/equal", value_bits: 0x41280000, total_ns: 25567.264690026954, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0xdf4b5623ba711660 },
+    Pin { case: "sample/f32/shared/noagg/lowent", value_bits: 0x43488000, total_ns: 31128.334690026953, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20400), ("base_sort", 1, 320)], obs_digest: 0xbb3cd4c84f3698c3 },
+    Pin { case: "sample/f32/shared/agg/uniform", value_bits: 0xbea517d3, total_ns: 31092.064690026957, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20408), ("base_sort", 1, 328)], obs_digest: 0x084edb3e2cb72a8d },
+    Pin { case: "sample/f32/shared/agg/dup16", value_bits: 0x40b00000, total_ns: 24696.064690026957, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x519d6d34bf9700ec },
+    Pin { case: "sample/f32/shared/agg/equal", value_bits: 0x41280000, total_ns: 24696.064690026957, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x8b351a11da9110ee },
+    Pin { case: "sample/f32/shared/agg/lowent", value_bits: 0x43488000, total_ns: 31092.064690026957, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20400), ("base_sort", 1, 320)], obs_digest: 0x0204f20ad44347c3 },
+    Pin { case: "sample/f32/global/noagg/uniform", value_bits: 0xbea517d3, total_ns: 55777.698113207545, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20408), ("base_sort", 1, 328)], obs_digest: 0xd09e802fef066121 },
+    Pin { case: "sample/f32/global/noagg/dup16", value_bits: 0x40b00000, total_ns: 49416.06469002695, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0xa7a6d9883f794441 },
+    Pin { case: "sample/f32/global/noagg/equal", value_bits: 0x41280000, total_ns: 49416.06469002695, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x0843fc6d9d92de3f },
+    Pin { case: "sample/f32/global/noagg/lowent", value_bits: 0x43488000, total_ns: 55777.37466307277, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20400), ("base_sort", 1, 320)], obs_digest: 0xdbe3c64e71c323d9 },
+    Pin { case: "sample/f32/global/agg/uniform", value_bits: 0xbea517d3, total_ns: 53901.978113207544, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20408), ("base_sort", 1, 328)], obs_digest: 0xa0f7c7ec88121777 },
+    Pin { case: "sample/f32/global/agg/dup16", value_bits: 0x40b00000, total_ns: 34556.82469002696, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x2030b0816bb1d284 },
+    Pin { case: "sample/f32/global/agg/equal", value_bits: 0x41280000, total_ns: 23860.864690026952, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0xf04e5cb3c5139a05 },
+    Pin { case: "sample/f32/global/agg/lowent", value_bits: 0x43488000, total_ns: 51709.13466307277, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20400), ("base_sort", 1, 320)], obs_digest: 0x9d8283845b0e1ba1 },
+    Pin { case: "sample/f64/shared/noagg/uniform", value_bits: 0xbfd4a2fa66cae224, total_ns: 34667.49469002696, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 200480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20736), ("base_sort", 1, 656)], obs_digest: 0x21e33f4f5516d938 },
+    Pin { case: "sample/f64/shared/noagg/dup16", value_bits: 0x4016000000000000, total_ns: 28164.37969002696, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 200480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x60b64e1bbc7d7843 },
+    Pin { case: "sample/f64/shared/noagg/equal", value_bits: 0x4025000000000000, total_ns: 28927.264690026954, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 200480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0xab1ce7d6c58ba9ad },
+    Pin { case: "sample/f64/shared/noagg/lowent", value_bits: 0x4069100000000000, total_ns: 34674.33469002695, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 200480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20720), ("base_sort", 1, 640)], obs_digest: 0xf43a3a419b22aa4b },
+    Pin { case: "sample/f64/shared/agg/uniform", value_bits: 0xbfd4a2fa66cae224, total_ns: 34638.06469002696, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 200480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20736), ("base_sort", 1, 656)], obs_digest: 0x510c71abeb67c6de },
+    Pin { case: "sample/f64/shared/agg/dup16", value_bits: 0x4016000000000000, total_ns: 28056.064690026957, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 200480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x5d746c1f83a483c6 },
+    Pin { case: "sample/f64/shared/agg/equal", value_bits: 0x4025000000000000, total_ns: 28056.064690026957, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 200480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x88f7a1d4c317d8e6 },
+    Pin { case: "sample/f64/shared/agg/lowent", value_bits: 0x4069100000000000, total_ns: 34638.06469002696, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 200480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20720), ("base_sort", 1, 640)], obs_digest: 0xd756a2d5678392d6 },
+    Pin { case: "sample/f64/global/noagg/uniform", value_bits: 0xbfd4a2fa66cae224, total_ns: 59336.959568733146, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 180000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20736), ("base_sort", 1, 656)], obs_digest: 0xb7262360e02ea6e5 },
+    Pin { case: "sample/f64/global/noagg/dup16", value_bits: 0x4016000000000000, total_ns: 52776.06469002695, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 180000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x23874f5b69b81312 },
+    Pin { case: "sample/f64/global/noagg/equal", value_bits: 0x4025000000000000, total_ns: 52776.06469002695, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 180000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0xfef8aab14b3b763c },
+    Pin { case: "sample/f64/global/noagg/lowent", value_bits: 0x4069100000000000, total_ns: 59336.31266846361, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 180000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20720), ("base_sort", 1, 640)], obs_digest: 0x7e7b97a649575fa9 },
+    Pin { case: "sample/f64/global/agg/uniform", value_bits: 0xbfd4a2fa66cae224, total_ns: 57459.919568733145, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 180000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20736), ("base_sort", 1, 656)], obs_digest: 0xd5ab0365359755ab },
+    Pin { case: "sample/f64/global/agg/dup16", value_bits: 0x4016000000000000, total_ns: 37916.82469002695, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 180000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x531d37bfd091c250 },
+    Pin { case: "sample/f64/global/agg/equal", value_bits: 0x4025000000000000, total_ns: 27831.59029649596, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 180000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x29d614266f42b980 },
+    Pin { case: "sample/f64/global/agg/lowent", value_bits: 0x4069100000000000, total_ns: 55268.07266846361, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 180000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20720), ("base_sort", 1, 640)], obs_digest: 0xda84f1abcbb6f78b },
+    Pin { case: "sample/u32/shared/noagg/uniform", value_bits: 0x551fa282, total_ns: 31576.669690026956, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20684), ("base_sort", 1, 604)], obs_digest: 0xb7b94d4094236922 },
+    Pin { case: "sample/u32/shared/noagg/dup16", value_bits: 0x5, total_ns: 24804.37969002696, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0xf452ee713061e856 },
+    Pin { case: "sample/u32/shared/noagg/equal", value_bits: 0x7, total_ns: 25567.264690026954, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0xdf4b5623ba711660 },
+    Pin { case: "sample/u32/shared/noagg/lowent", value_bits: 0x53, total_ns: 31128.334690026953, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20400), ("base_sort", 1, 320)], obs_digest: 0xbb3cd4c84f3698c3 },
+    Pin { case: "sample/u32/shared/agg/uniform", value_bits: 0x551fa282, total_ns: 31546.564690026957, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20684), ("base_sort", 1, 604)], obs_digest: 0xa15d4697efd7a8c2 },
+    Pin { case: "sample/u32/shared/agg/dup16", value_bits: 0x5, total_ns: 24696.064690026957, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x519d6d34bf9700ec },
+    Pin { case: "sample/u32/shared/agg/equal", value_bits: 0x7, total_ns: 24696.064690026957, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x8b351a11da9110ee },
+    Pin { case: "sample/u32/shared/agg/lowent", value_bits: 0x53, total_ns: 31092.064690026957, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20400), ("base_sort", 1, 320)], obs_digest: 0x0204f20ad44347c3 },
+    Pin { case: "sample/u32/global/noagg/uniform", value_bits: 0x551fa282, total_ns: 56119.38469002695, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20684), ("base_sort", 1, 604)], obs_digest: 0x12460b05a9b2461f },
+    Pin { case: "sample/u32/global/noagg/dup16", value_bits: 0x5, total_ns: 49416.06469002695, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0xa7a6d9883f794441 },
+    Pin { case: "sample/u32/global/noagg/equal", value_bits: 0x7, total_ns: 49416.06469002695, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x0843fc6d9d92de3f },
+    Pin { case: "sample/u32/global/noagg/lowent", value_bits: 0x53, total_ns: 55777.37466307277, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20400), ("base_sort", 1, 320)], obs_digest: 0xdbe3c64e71c323d9 },
+    Pin { case: "sample/u32/global/agg/uniform", value_bits: 0x551fa282, total_ns: 54298.45714285714, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20684), ("base_sort", 1, 604)], obs_digest: 0xef91e7eb37509a8b },
+    Pin { case: "sample/u32/global/agg/dup16", value_bits: 0x5, total_ns: 34556.82469002696, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x2030b0816bb1d284 },
+    Pin { case: "sample/u32/global/agg/equal", value_bits: 0x7, total_ns: 23860.864690026952, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0xf04e5cb3c5139a05 },
+    Pin { case: "sample/u32/global/agg/lowent", value_bits: 0x53, total_ns: 51709.13466307277, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20400), ("base_sort", 1, 320)], obs_digest: 0x9d8283845b0e1ba1 },
+    Pin { case: "sample/i32/shared/noagg/uniform", value_bits: 0xd4198ca6, total_ns: 31083.793787061997, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20340), ("base_sort", 1, 260)], obs_digest: 0x87ef28d791187d97 },
+    Pin { case: "sample/i32/shared/noagg/dup16", value_bits: 0xffffffa1, total_ns: 24804.37969002696, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0xf452ee713061e856 },
+    Pin { case: "sample/i32/shared/noagg/equal", value_bits: 0xffffffa3, total_ns: 25567.264690026954, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0xdf4b5623ba711660 },
+    Pin { case: "sample/i32/shared/noagg/lowent", value_bits: 0xffffffef, total_ns: 31128.334690026953, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20400), ("base_sort", 1, 320)], obs_digest: 0xbb3cd4c84f3698c3 },
+    Pin { case: "sample/i32/shared/agg/uniform", value_bits: 0xd4198ca6, total_ns: 31054.948787061996, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20340), ("base_sort", 1, 260)], obs_digest: 0x81280026592df202 },
+    Pin { case: "sample/i32/shared/agg/dup16", value_bits: 0xffffffa1, total_ns: 24696.064690026957, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x519d6d34bf9700ec },
+    Pin { case: "sample/i32/shared/agg/equal", value_bits: 0xffffffa3, total_ns: 24696.064690026957, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x8b351a11da9110ee },
+    Pin { case: "sample/i32/shared/agg/lowent", value_bits: 0xffffffef, total_ns: 31092.064690026957, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20400), ("base_sort", 1, 320)], obs_digest: 0x0204f20ad44347c3 },
+    Pin { case: "sample/i32/global/noagg/uniform", value_bits: 0xd4198ca6, total_ns: 55774.94878706199, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20340), ("base_sort", 1, 260)], obs_digest: 0x0558f5b5f5595e13 },
+    Pin { case: "sample/i32/global/noagg/dup16", value_bits: 0xffffffa1, total_ns: 49416.06469002695, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0xa7a6d9883f794441 },
+    Pin { case: "sample/i32/global/noagg/equal", value_bits: 0xffffffa3, total_ns: 49416.06469002695, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x0843fc6d9d92de3f },
+    Pin { case: "sample/i32/global/noagg/lowent", value_bits: 0xffffffef, total_ns: 55777.37466307277, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20400), ("base_sort", 1, 320)], obs_digest: 0xdbe3c64e71c323d9 },
+    Pin { case: "sample/i32/global/agg/uniform", value_bits: 0xd4198ca6, total_ns: 54015.388787061995, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20340), ("base_sort", 1, 260)], obs_digest: 0x7797c3cbff6f56e8 },
+    Pin { case: "sample/i32/global/agg/dup16", value_bits: 0xffffffa1, total_ns: 34556.82469002696, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x2030b0816bb1d284 },
+    Pin { case: "sample/i32/global/agg/equal", value_bits: 0xffffffa3, total_ns: 23860.864690026952, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0xf04e5cb3c5139a05 },
+    Pin { case: "sample/i32/global/agg/lowent", value_bits: 0xffffffef, total_ns: 51709.13466307277, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20400), ("base_sort", 1, 320)], obs_digest: 0x9d8283845b0e1ba1 },
+    Pin { case: "sample/f32/deep/uniform", value_bits: 0xbeaa1726, total_ns: 56431.01787735849, launch_overhead_ns: 39000.0, levels: 2, early: false, error: None, kernels: &[("sample", 2, 2040), ("count", 2, 1808995), ("reduce", 2, 604160), ("select_bucket", 2, 2048), ("filter", 2, 308147), ("base_sort", 1, 52)], obs_digest: 0xf7ea4aa5bf6c2a12 },
+    Pin { case: "sample/u32/deep/lowent", value_bits: 0x53, total_ns: 50602.57067385444, launch_overhead_ns: 33000.0, levels: 2, early: true, error: None, kernels: &[("sample", 2, 2040), ("count", 2, 1815054), ("reduce", 2, 606208), ("select_bucket", 2, 2048), ("filter", 1, 310732)], obs_digest: 0x64317dc10a893d11 },
+    Pin { case: "sample/f32/max_levels0/uniform", value_bits: 0x0, total_ns: 0.0, launch_overhead_ns: 0.0, levels: 0, early: false, error: Some("RecursionLimit"), kernels: &[], obs_digest: 0xbce19b91ca29f41c },
+    Pin { case: "sample/u32/budget1.5/uniform", value_bits: 0x551fa282, total_ns: 31576.669690026956, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20684), ("base_sort", 1, 604)], obs_digest: 0xb7b94d4094236922 },
+    Pin { case: "sample/u32/budget1.5/lowent", value_bits: 0x53, total_ns: 31128.334690026953, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20400), ("base_sort", 1, 320)], obs_digest: 0xbb3cd4c84f3698c3 },
+    Pin { case: "sample/f32/spot/corrupt0", value_bits: 0x0, total_ns: 9360.0, launch_overhead_ns: 6000.0, levels: 0, early: false, error: Some("splitter-order"), kernels: &[("sample", 1, 1020), ("corrupt:splitters", 1, 0)], obs_digest: 0x84af5cbf453df217 },
+    Pin { case: "sample/f32/spot/corrupt1", value_bits: 0x0, total_ns: 19534.665, launch_overhead_ns: 12000.0, levels: 0, early: false, error: Some("histogram-sum"), kernels: &[("sample", 1, 1020), ("count", 1, 1800032), ("corrupt:counts", 1, 0)], obs_digest: 0x2d73291969c1732c },
+    Pin { case: "sample/f32/spot/corrupt2", value_bits: 0xbeaa1726, total_ns: 56431.01787735849, launch_overhead_ns: 39000.0, levels: 2, early: false, error: None, kernels: &[("sample", 2, 2040), ("count", 2, 1808995), ("corrupt:oracles", 1, 0), ("reduce", 2, 604160), ("select_bucket", 2, 2048), ("filter", 2, 308147), ("base_sort", 1, 52)], obs_digest: 0x5cc8994a1719a29e },
+    Pin { case: "sample/f32/spot/corrupt3", value_bits: 0x0, total_ns: 38304.793483827496, launch_overhead_ns: 24000.0, levels: 0, early: false, error: Some("splitter-order"), kernels: &[("sample", 2, 2040), ("count", 1, 1800032), ("reduce", 1, 600064), ("select_bucket", 1, 1024), ("filter", 1, 306704), ("corrupt:splitters", 1, 0)], obs_digest: 0x3f65f7677f8917d5 },
+    Pin { case: "sample/f32/spot/corrupt5", value_bits: 0xbeaa1726, total_ns: 56431.01787735849, launch_overhead_ns: 39000.0, levels: 2, early: false, error: None, kernels: &[("sample", 2, 2040), ("count", 2, 1808995), ("reduce", 2, 604160), ("select_bucket", 2, 2048), ("filter", 2, 308147), ("corrupt:oracles", 1, 0), ("base_sort", 1, 52)], obs_digest: 0xf08f406e85368027 },
+    Pin { case: "sample/f32/unverified/corrupt0", value_bits: 0x0, total_ns: 9360.0, launch_overhead_ns: 6000.0, levels: 0, early: false, error: Some("splitter-order"), kernels: &[("sample", 1, 1020), ("corrupt:splitters", 1, 0)], obs_digest: 0x84af5cbf453df217 },
+    Pin { case: "sample/f32/unverified/corrupt1", value_bits: 0xbeaa1726, total_ns: 56431.01787735849, launch_overhead_ns: 39000.0, levels: 2, early: false, error: None, kernels: &[("sample", 2, 2040), ("count", 2, 1808995), ("corrupt:counts", 1, 0), ("reduce", 2, 604160), ("select_bucket", 2, 2048), ("filter", 2, 308147), ("base_sort", 1, 52)], obs_digest: 0x5cc8994a1719a29e },
+    Pin { case: "sample/f32/unverified/corrupt2", value_bits: 0xbeaa1726, total_ns: 56431.01787735849, launch_overhead_ns: 39000.0, levels: 2, early: false, error: None, kernels: &[("sample", 2, 2040), ("count", 2, 1808995), ("corrupt:oracles", 1, 0), ("reduce", 2, 604160), ("select_bucket", 2, 2048), ("filter", 2, 308147), ("base_sort", 1, 52)], obs_digest: 0x5cc8994a1719a29e },
+    Pin { case: "radix/f32/shared/noagg/uniform", value_bits: 0xbea517d3, total_ns: 30138.294380053907, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 142741), ("reduce", 2, 49152), ("filter", 2, 38321), ("base_sort", 1, 60)], obs_digest: 0x124f4560d040cb26 },
+    Pin { case: "radix/f32/shared/noagg/dup16", value_bits: 0x40b00000, total_ns: 54667.91130727763, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 151443), ("reduce", 4, 55296), ("filter", 4, 48651)], obs_digest: 0x8d413970209f6b07 },
+    Pin { case: "radix/f32/shared/noagg/equal", value_bits: 0x41280000, total_ns: 64117.145013477086, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 481920), ("reduce", 4, 163840), ("filter", 4, 400320)], obs_digest: 0x9154fbd0a9c40e55 },
+    Pin { case: "radix/f32/shared/noagg/lowent", value_bits: 0x43488000, total_ns: 31455.346846361186, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 194183), ("reduce", 2, 65536), ("filter", 2, 81863), ("base_sort", 1, 320)], obs_digest: 0x3cad2b2072011c0a },
+    Pin { case: "radix/f32/shared/agg/uniform", value_bits: 0xbea517d3, total_ns: 29722.629380053906, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 142741), ("reduce", 2, 49152), ("filter", 2, 38321), ("base_sort", 1, 60)], obs_digest: 0x571707e0b199fdbb },
+    Pin { case: "radix/f32/shared/agg/dup16", value_bits: 0x40b00000, total_ns: 52394.59400269541, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 151443), ("reduce", 4, 55296), ("filter", 4, 48651)], obs_digest: 0x3ce261a6b6301b9c },
+    Pin { case: "radix/f32/shared/agg/equal", value_bits: 0x41280000, total_ns: 60632.34501347708, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 481920), ("reduce", 4, 163840), ("filter", 4, 400320)], obs_digest: 0x92dfc864de728e4c },
+    Pin { case: "radix/f32/shared/agg/lowent", value_bits: 0x43488000, total_ns: 30707.266846361188, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 194183), ("reduce", 2, 65536), ("filter", 2, 81863), ("base_sort", 1, 320)], obs_digest: 0x716915e053b4567f },
+    Pin { case: "radix/f32/global/noagg/uniform", value_bits: 0xbea517d3, total_ns: 80005.15245283018, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 118165), ("reduce", 2, 49152), ("filter", 2, 38321), ("base_sort", 1, 60)], obs_digest: 0x67d0592046970faa },
+    Pin { case: "radix/f32/global/noagg/dup16", value_bits: 0x40b00000, total_ns: 163980.25175202155, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 123795), ("reduce", 4, 55296), ("filter", 4, 48651)], obs_digest: 0x5c29f05396eaecbd },
+    Pin { case: "radix/f32/global/noagg/equal", value_bits: 0x41280000, total_ns: 251524.85175202158, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 400000), ("reduce", 4, 163840), ("filter", 4, 400320)], obs_digest: 0x4ac7a839118b12af },
+    Pin { case: "radix/f32/global/noagg/lowent", value_bits: 0x43488000, total_ns: 94672.33520215635, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 161415), ("reduce", 2, 65536), ("filter", 2, 81863), ("base_sort", 1, 320)], obs_digest: 0x81ad72f7793688ef },
+    Pin { case: "radix/f32/global/agg/uniform", value_bits: 0xbea517d3, total_ns: 53554.99245283019, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 118165), ("reduce", 2, 49152), ("filter", 2, 38321), ("base_sort", 1, 60)], obs_digest: 0x8e2edf1889e6a6e9 },
+    Pin { case: "radix/f32/global/agg/dup16", value_bits: 0x40b00000, total_ns: 52144.70900269541, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 123795), ("reduce", 4, 55296), ("filter", 4, 48651)], obs_digest: 0xcca6cf2226bf53d2 },
+    Pin { case: "radix/f32/global/agg/equal", value_bits: 0x41280000, total_ns: 57291.545013477094, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 400000), ("reduce", 4, 163840), ("filter", 4, 400320)], obs_digest: 0xf534d2158ae7deaa },
+    Pin { case: "radix/f32/global/agg/lowent", value_bits: 0x43488000, total_ns: 55767.856172506734, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 161415), ("reduce", 2, 65536), ("filter", 2, 81863), ("base_sort", 1, 320)], obs_digest: 0xf76f4e1e29455e0e },
+    Pin { case: "radix/f64/shared/noagg/uniform", value_bits: 0xbfd4a2fa66cae224, total_ns: 33534.23753369272, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 300207), ("reduce", 2, 61440), ("filter", 2, 110647), ("base_sort", 1, 1040)], obs_digest: 0xfa93481b34637bc2 },
+    Pin { case: "radix/f64/shared/noagg/dup16", value_bits: 0x4016000000000000, total_ns: 121089.41101078168, launch_overhead_ns: 75000.0, levels: 8, early: true, error: None, kernels: &[("digit_count", 8, 427397), ("reduce", 8, 96256), ("filter", 8, 228953)], obs_digest: 0x97e53d11f2dd57f2 },
+    Pin { case: "radix/f64/shared/noagg/equal", value_bits: 0x4025000000000000, total_ns: 151110.30080862535, launch_overhead_ns: 75000.0, levels: 8, early: true, error: None, kernels: &[("digit_count", 8, 1603840), ("reduce", 8, 327680), ("filter", 8, 1440640)], obs_digest: 0xb84df5fd1572f723 },
+    Pin { case: "radix/f64/shared/noagg/lowent", value_bits: 0x4069100000000000, total_ns: 36764.348894878705, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 398080), ("reduce", 2, 81920), ("filter", 2, 199200), ("base_sort", 1, 1920)], obs_digest: 0x7853ffd2047e77e0 },
+    Pin { case: "radix/f64/shared/agg/uniform", value_bits: 0xbfd4a2fa66cae224, total_ns: 32986.36253369272, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 300207), ("reduce", 2, 61440), ("filter", 2, 110647), ("base_sort", 1, 1040)], obs_digest: 0x72b811d36c2fe603 },
+    Pin { case: "radix/f64/shared/agg/dup16", value_bits: 0x4016000000000000, total_ns: 117359.14150943398, launch_overhead_ns: 75000.0, levels: 8, early: true, error: None, kernels: &[("digit_count", 8, 427397), ("reduce", 8, 96256), ("filter", 8, 228953)], obs_digest: 0x92b7557b693eea6c },
+    Pin { case: "radix/f64/shared/agg/equal", value_bits: 0x4025000000000000, total_ns: 144140.70080862538, launch_overhead_ns: 75000.0, levels: 8, early: true, error: None, kernels: &[("digit_count", 8, 1603840), ("reduce", 8, 327680), ("filter", 8, 1440640)], obs_digest: 0x3d0fd8d1b398f7bf },
+    Pin { case: "radix/f64/shared/agg/lowent", value_bits: 0x4069100000000000, total_ns: 35743.208894878706, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 398080), ("reduce", 2, 81920), ("filter", 2, 199200), ("base_sort", 1, 1920)], obs_digest: 0x528ea068e26edf59 },
+    Pin { case: "radix/f64/global/noagg/uniform", value_bits: 0xbfd4a2fa66cae224, total_ns: 91787.90587601079, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 269487), ("reduce", 2, 61440), ("filter", 2, 110647), ("base_sort", 1, 1040)], obs_digest: 0xd1952e479970b065 },
+    Pin { case: "radix/f64/global/noagg/dup16", value_bits: 0x4016000000000000, total_ns: 340418.14350404317, launch_overhead_ns: 75000.0, levels: 8, early: true, error: None, kernels: &[("digit_count", 8, 379269), ("reduce", 8, 96256), ("filter", 8, 228953)], obs_digest: 0xedf2c4ff1126f292 },
+    Pin { case: "radix/f64/global/noagg/equal", value_bits: 0x4025000000000000, total_ns: 500049.70350404317, launch_overhead_ns: 75000.0, levels: 8, early: true, error: None, kernels: &[("digit_count", 8, 1440000), ("reduce", 8, 327680), ("filter", 8, 1440640)], obs_digest: 0xfe7e9cd715b32466 },
+    Pin { case: "radix/f64/global/noagg/lowent", value_bits: 0x4069100000000000, total_ns: 104342.42587601079, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 357120), ("reduce", 2, 81920), ("filter", 2, 199200), ("base_sort", 1, 1920)], obs_digest: 0x647b7603623ad4b7 },
+    Pin { case: "radix/f64/global/agg/uniform", value_bits: 0xbfd4a2fa66cae224, total_ns: 50835.46253369273, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 269487), ("reduce", 2, 61440), ("filter", 2, 110647), ("base_sort", 1, 1040)], obs_digest: 0xd810c59f875fcb0e },
+    Pin { case: "radix/f64/global/agg/dup16", value_bits: 0x4016000000000000, total_ns: 124038.0426954178, launch_overhead_ns: 75000.0, levels: 8, early: true, error: None, kernels: &[("digit_count", 8, 379269), ("reduce", 8, 96256), ("filter", 8, 228953)], obs_digest: 0xd5225d9f4f748844 },
+    Pin { case: "radix/f64/global/agg/equal", value_bits: 0x4025000000000000, total_ns: 142344.90566037735, launch_overhead_ns: 75000.0, levels: 8, early: true, error: None, kernels: &[("digit_count", 8, 1440000), ("reduce", 8, 327680), ("filter", 8, 1440640)], obs_digest: 0x4f8ecd0aa4fb9006 },
+    Pin { case: "radix/f64/global/agg/lowent", value_bits: 0x4069100000000000, total_ns: 42578.15450134771, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 357120), ("reduce", 2, 81920), ("filter", 2, 199200), ("base_sort", 1, 1920)], obs_digest: 0x59d8da96456de5fc },
+    Pin { case: "radix/u32/shared/noagg/uniform", value_bits: 0x551fa282, total_ns: 17428.24293800539, launch_overhead_ns: 15000.0, levels: 1, early: false, error: None, kernels: &[("digit_count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 20416), ("base_sort", 1, 336)], obs_digest: 0x8759609ce0907cd2 },
+    Pin { case: "radix/u32/shared/noagg/dup16", value_bits: 0x5, total_ns: 61404.00169811321, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 481920), ("reduce", 4, 163840), ("filter", 4, 325068)], obs_digest: 0x7294b541b463ef89 },
+    Pin { case: "radix/u32/shared/noagg/equal", value_bits: 0x7, total_ns: 64117.145013477086, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 481920), ("reduce", 4, 163840), ("filter", 4, 400320)], obs_digest: 0x9154fbd0a9c40e55 },
+    Pin { case: "radix/u32/shared/noagg/lowent", value_bits: 0x53, total_ns: 63245.07169811321, launch_overhead_ns: 42000.0, levels: 4, early: false, error: None, kernels: &[("digit_count", 4, 481920), ("reduce", 4, 163840), ("filter", 4, 320640), ("base_sort", 1, 320)], obs_digest: 0xc440449f877e63b7 },
+    Pin { case: "radix/u32/shared/agg/uniform", value_bits: 0x551fa282, total_ns: 17401.96293800539, launch_overhead_ns: 15000.0, levels: 1, early: false, error: None, kernels: &[("digit_count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 20416), ("base_sort", 1, 336)], obs_digest: 0x0a985290f1882d3f },
+    Pin { case: "radix/u32/shared/agg/dup16", value_bits: 0x5, total_ns: 58652.9716981132, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 481920), ("reduce", 4, 163840), ("filter", 4, 325068)], obs_digest: 0x8b0971f827964c1b },
+    Pin { case: "radix/u32/shared/agg/equal", value_bits: 0x7, total_ns: 60632.34501347708, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 481920), ("reduce", 4, 163840), ("filter", 4, 400320)], obs_digest: 0x92dfc864de728e4c },
+    Pin { case: "radix/u32/shared/agg/lowent", value_bits: 0x53, total_ns: 60631.4716981132, launch_overhead_ns: 42000.0, levels: 4, early: false, error: None, kernels: &[("digit_count", 4, 481920), ("reduce", 4, 163840), ("filter", 4, 320640), ("base_sort", 1, 320)], obs_digest: 0x7c24fa12fa7ab515 },
+    Pin { case: "radix/u32/global/noagg/uniform", value_bits: 0x551fa282, total_ns: 42093.16981132075, launch_overhead_ns: 15000.0, levels: 1, early: false, error: None, kernels: &[("digit_count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 20416), ("base_sort", 1, 336)], obs_digest: 0xa77b30d031da2096 },
+    Pin { case: "radix/u32/global/noagg/dup16", value_bits: 0x5, total_ns: 226691.69175202158, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 400000), ("reduce", 4, 163840), ("filter", 4, 325068)], obs_digest: 0x04b9c2e8accf596a },
+    Pin { case: "radix/u32/global/noagg/equal", value_bits: 0x7, total_ns: 251524.85175202158, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 400000), ("reduce", 4, 163840), ("filter", 4, 400320)], obs_digest: 0x4ac7a839118b12af },
+    Pin { case: "radix/u32/global/noagg/lowent", value_bits: 0x53, total_ns: 228486.16172506742, launch_overhead_ns: 42000.0, levels: 4, early: false, error: None, kernels: &[("digit_count", 4, 400000), ("reduce", 4, 163840), ("filter", 4, 320640), ("base_sort", 1, 320)], obs_digest: 0x0da45259c8c6e42e },
+    Pin { case: "radix/u32/global/agg/uniform", value_bits: 0x551fa282, total_ns: 40550.08981132075, launch_overhead_ns: 15000.0, levels: 1, early: false, error: None, kernels: &[("digit_count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 20416), ("base_sort", 1, 336)], obs_digest: 0x60c78a122bc0d699 },
+    Pin { case: "radix/u32/global/agg/dup16", value_bits: 0x5, total_ns: 65303.431698113214, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 400000), ("reduce", 4, 163840), ("filter", 4, 325068)], obs_digest: 0x55c958e61bcba44b },
+    Pin { case: "radix/u32/global/agg/equal", value_bits: 0x7, total_ns: 57291.545013477094, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 400000), ("reduce", 4, 163840), ("filter", 4, 400320)], obs_digest: 0xf534d2158ae7deaa },
+    Pin { case: "radix/u32/global/agg/lowent", value_bits: 0x53, total_ns: 82811.18167115904, launch_overhead_ns: 42000.0, levels: 4, early: false, error: None, kernels: &[("digit_count", 4, 400000), ("reduce", 4, 163840), ("filter", 4, 320640), ("base_sort", 1, 320)], obs_digest: 0x7c4e5f09eface4c5 },
+    Pin { case: "radix/i32/shared/noagg/uniform", value_bits: 0xd4198ca6, total_ns: 17396.10703504043, launch_overhead_ns: 15000.0, levels: 1, early: false, error: None, kernels: &[("digit_count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 20340), ("base_sort", 1, 260)], obs_digest: 0x9b07c5aec17c914f },
+    Pin { case: "radix/i32/shared/noagg/dup16", value_bits: 0xffffffa1, total_ns: 61404.00169811321, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 481920), ("reduce", 4, 163840), ("filter", 4, 325068)], obs_digest: 0x7294b541b463ef89 },
+    Pin { case: "radix/i32/shared/noagg/equal", value_bits: 0xffffffa3, total_ns: 64117.145013477086, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 481920), ("reduce", 4, 163840), ("filter", 4, 400320)], obs_digest: 0x9154fbd0a9c40e55 },
+    Pin { case: "radix/i32/shared/noagg/lowent", value_bits: 0xffffffef, total_ns: 61564.47088948787, launch_overhead_ns: 42000.0, levels: 4, early: false, error: None, kernels: &[("digit_count", 4, 265056), ("reduce", 4, 90112), ("filter", 4, 140496), ("base_sort", 1, 320)], obs_digest: 0xb63ed3152434deeb },
+    Pin { case: "radix/i32/shared/agg/uniform", value_bits: 0xd4198ca6, total_ns: 17370.09703504043, launch_overhead_ns: 15000.0, levels: 1, early: false, error: None, kernels: &[("digit_count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 20340), ("base_sort", 1, 260)], obs_digest: 0x468fa1d2dae44b51 },
+    Pin { case: "radix/i32/shared/agg/dup16", value_bits: 0xffffffa1, total_ns: 58652.9716981132, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 481920), ("reduce", 4, 163840), ("filter", 4, 325068)], obs_digest: 0x8b0971f827964c1b },
+    Pin { case: "radix/i32/shared/agg/equal", value_bits: 0xffffffa3, total_ns: 60632.34501347708, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 481920), ("reduce", 4, 163840), ("filter", 4, 400320)], obs_digest: 0x92dfc864de728e4c },
+    Pin { case: "radix/i32/shared/agg/lowent", value_bits: 0xffffffef, total_ns: 59005.77088948787, launch_overhead_ns: 42000.0, levels: 4, early: false, error: None, kernels: &[("digit_count", 4, 265056), ("reduce", 4, 90112), ("filter", 4, 140496), ("base_sort", 1, 320)], obs_digest: 0xaf2cd448ccdfa40e },
+    Pin { case: "radix/i32/global/noagg/uniform", value_bits: 0xd4198ca6, total_ns: 42090.09703504043, launch_overhead_ns: 15000.0, levels: 1, early: false, error: None, kernels: &[("digit_count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 20340), ("base_sort", 1, 260)], obs_digest: 0x870ef8560004e643 },
+    Pin { case: "radix/i32/global/noagg/dup16", value_bits: 0xffffffa1, total_ns: 226691.69175202158, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 400000), ("reduce", 4, 163840), ("filter", 4, 325068)], obs_digest: 0x04b9c2e8accf596a },
+    Pin { case: "radix/i32/global/noagg/equal", value_bits: 0xffffffa3, total_ns: 251524.85175202158, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 400000), ("reduce", 4, 163840), ("filter", 4, 400320)], obs_digest: 0x4ac7a839118b12af },
+    Pin { case: "radix/i32/global/noagg/lowent", value_bits: 0xffffffef, total_ns: 212734.85175202158, launch_overhead_ns: 42000.0, levels: 4, early: false, error: None, kernels: &[("digit_count", 4, 220000), ("reduce", 4, 90112), ("filter", 4, 140496), ("base_sort", 1, 320)], obs_digest: 0x996d633b8fb5d226 },
+    Pin { case: "radix/i32/global/agg/uniform", value_bits: 0xd4198ca6, total_ns: 40547.01703504043, launch_overhead_ns: 15000.0, levels: 1, early: false, error: None, kernels: &[("digit_count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 20340), ("base_sort", 1, 260)], obs_digest: 0x79516a63f1d03238 },
+    Pin { case: "radix/i32/global/agg/dup16", value_bits: 0xffffffa1, total_ns: 65303.431698113214, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 400000), ("reduce", 4, 163840), ("filter", 4, 325068)], obs_digest: 0x55c958e61bcba44b },
+    Pin { case: "radix/i32/global/agg/equal", value_bits: 0xffffffa3, total_ns: 57291.545013477094, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 400000), ("reduce", 4, 163840), ("filter", 4, 400320)], obs_digest: 0xf534d2158ae7deaa },
+    Pin { case: "radix/i32/global/agg/lowent", value_bits: 0xffffffef, total_ns: 81163.77088948787, launch_overhead_ns: 42000.0, levels: 4, early: false, error: None, kernels: &[("digit_count", 4, 220000), ("reduce", 4, 90112), ("filter", 4, 140496), ("base_sort", 1, 320)], obs_digest: 0x80bda42b98bd56df },
+    Pin { case: "radix/f32/deep/uniform", value_bits: 0xbeaa1726, total_ns: 38322.08671526587, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 2137342), ("reduce", 2, 712704), ("filter", 2, 583586), ("base_sort", 1, 1204)], obs_digest: 0x9705ed09a51372e0 },
+    Pin { case: "radix/u32/deep/lowent", value_bits: 0x53, total_ns: 94009.89858490565, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 7200128), ("reduce", 4, 2400256), ("filter", 4, 4809468)], obs_digest: 0x4a5ef55cab6bab73 },
+    Pin { case: "radix/f32/max_levels0/uniform", value_bits: 0x0, total_ns: 0.0, launch_overhead_ns: 0.0, levels: 0, early: false, error: Some("RecursionLimit"), kernels: &[], obs_digest: 0xa57d0bbc253a2d82 },
+    Pin { case: "radix/u32/budget1.5/uniform", value_bits: 0x551fa282, total_ns: 17428.24293800539, launch_overhead_ns: 15000.0, levels: 1, early: false, error: None, kernels: &[("digit_count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 20416), ("base_sort", 1, 336)], obs_digest: 0x8759609ce0907cd2 },
+    Pin { case: "radix/u32/budget1.5/lowent", value_bits: 0x0, total_ns: 18279.286253369275, launch_overhead_ns: 12000.0, levels: 0, early: false, error: Some("RecursionLimit"), kernels: &[("digit_count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 100080)], obs_digest: 0xda23dc56bb377d4b },
+    Pin { case: "radix/f32/spot/corrupt0", value_bits: 0x0, total_ns: 10741.83, launch_overhead_ns: 6000.0, levels: 0, early: false, error: Some("histogram-sum"), kernels: &[("digit_count", 1, 1800032), ("corrupt:counts", 1, 0)], obs_digest: 0xd1f5213bd4a88536 },
+    Pin { case: "radix/f32/spot/corrupt1", value_bits: 0xbeaa1726, total_ns: 38322.08671526587, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 2137342), ("corrupt:oracles", 1, 0), ("reduce", 2, 712704), ("filter", 2, 583586), ("base_sort", 1, 1204)], obs_digest: 0xc1acc797e4b8d298 },
+    Pin { case: "radix/f32/spot/corrupt2", value_bits: 0x0, total_ns: 27414.51559544229, launch_overhead_ns: 15000.0, levels: 0, early: false, error: Some("histogram-sum"), kernels: &[("digit_count", 2, 2137342), ("reduce", 1, 600064), ("filter", 1, 525964), ("corrupt:counts", 1, 0)], obs_digest: 0xcab638540caf32d2 },
+    Pin { case: "radix/f32/spot/corrupt3", value_bits: 0xbeaa1726, total_ns: 38322.08671526587, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 2137342), ("reduce", 2, 712704), ("filter", 2, 583586), ("corrupt:oracles", 1, 0), ("base_sort", 1, 1204)], obs_digest: 0x3be28ab029de7f04 },
+    Pin { case: "radix/f32/spot/corrupt5", value_bits: 0xbeaa1726, total_ns: 38322.08671526587, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 2137342), ("reduce", 2, 712704), ("filter", 2, 583586), ("base_sort", 1, 1204)], obs_digest: 0x9705ed09a51372e0 },
+    Pin { case: "radix/f32/unverified/corrupt0", value_bits: 0xbeaa1726, total_ns: 38322.08671526587, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 2137342), ("corrupt:counts", 1, 0), ("reduce", 2, 712704), ("filter", 2, 583586), ("base_sort", 1, 1204)], obs_digest: 0xe63959e6b3deeb61 },
+    Pin { case: "radix/f32/unverified/corrupt1", value_bits: 0xbeaa1726, total_ns: 38322.08671526587, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 2137342), ("corrupt:oracles", 1, 0), ("reduce", 2, 712704), ("filter", 2, 583586), ("base_sort", 1, 1204)], obs_digest: 0xc1acc797e4b8d298 },
+    Pin { case: "radix/f32/unverified/corrupt2", value_bits: 0xbeaa1726, total_ns: 38322.08671526587, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 2137342), ("reduce", 2, 712704), ("filter", 2, 583586), ("corrupt:counts", 1, 0), ("base_sort", 1, 1204)], obs_digest: 0x3be28ab029de7f04 },
 ];
 
 #[test]
