@@ -40,6 +40,11 @@
 //! Exact mode (`b = 1`, `k' ≥ k`) skips the finish pass and is
 //! bit-identical to [`crate::topk::top_k_largest`] — pinned by a
 //! property test.
+//!
+//! This is a library call only. Its charge models `b` concurrent
+//! devices, one per bucket; on one device the bucket runs cost more
+//! than the exact fused top-k, so `selectd` answers an approximate
+//! top-k query exactly, with expected recall 1.0.
 
 use crate::element::SelectElement;
 use crate::instrument::SelectReport;
@@ -217,15 +222,20 @@ fn bucket_bound(n: usize, b: usize, i: usize) -> usize {
     ((i as u64 * n as u64) / b as u64) as usize
 }
 
-/// [`approx_top_k_on_device`] with a reusable workspace: the resilient
-/// driver passes a `selectd` worker's.
-pub(crate) fn approx_top_k_with_workspace<T: SelectElement>(
+/// Approximate top-k extraction on a simulated device.
+///
+/// The `b` local recursions are independent (no shared state, no
+/// cross-bucket barrier), so each runs on its own device timeline and
+/// the coordinator clock advances by the *maximum* bucket time — a
+/// model of `b` concurrent devices, the way [`crate::sharded_select`]
+/// models its shards. The exact finish pass then runs on `device`
+/// itself.
+pub fn approx_top_k_on_device<T: SelectElement>(
     device: &mut Device,
     data: &[T],
     k: usize,
     acfg: &ApproxTopKConfig,
     cfg: &SampleSelectConfig,
-    ws: &mut SelectWorkspace<T>,
 ) -> Result<ApproxTopKResult<T>, SelectError> {
     acfg.validate()
         .map_err(|what| SelectError::InvalidArgument { what })?;
@@ -254,6 +264,7 @@ pub(crate) fn approx_top_k_with_workspace<T: SelectElement>(
     // Local phase: one independent device per bucket (they share no
     // state, model them as concurrent). The workspace is reused
     // sequentially — element buffers carry no device affinity.
+    let ws = &mut SelectWorkspace::new();
     let mut union: Vec<T> = Vec::with_capacity(union_size(k_prime));
     let mut local_time = SimTime::ZERO;
     let mut local_levels = 0u32;
@@ -322,23 +333,6 @@ pub(crate) fn approx_top_k_with_workspace<T: SelectElement>(
         finish_time,
         report,
     })
-}
-
-/// Approximate top-k extraction on a simulated device.
-///
-/// The `b` local recursions are independent (no shared state, no
-/// cross-bucket barrier), so each runs on its own device timeline and
-/// the coordinator clock advances by the *maximum* bucket time — the
-/// paper's parallelism argument, made explicit in simulated time. The
-/// exact finish pass then runs on `device` itself.
-pub fn approx_top_k_on_device<T: SelectElement>(
-    device: &mut Device,
-    data: &[T],
-    k: usize,
-    acfg: &ApproxTopKConfig,
-    cfg: &SampleSelectConfig,
-) -> Result<ApproxTopKResult<T>, SelectError> {
-    approx_top_k_with_workspace(device, data, k, acfg, cfg, &mut SelectWorkspace::new())
 }
 
 fn min_element<T: SelectElement>(xs: &[T]) -> T {

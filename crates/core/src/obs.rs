@@ -115,9 +115,6 @@ pub enum Counter {
     PlannerSample,
     /// Planner: queries routed to the fused top-k backend.
     PlannerTopk,
-    /// Planner: top-k queries routed to the bucketed approximate
-    /// backend instead of the exact fused recursion.
-    PlannerApproxTopk,
     /// Workloads: approximate top-k queries executed (any entry point).
     ApproxTopkQueries,
     /// Workloads: quantile-telemetry windows finalized (tumbling or
@@ -129,7 +126,7 @@ pub enum Counter {
 }
 
 impl Counter {
-    pub const ALL: [Counter; 30] = [
+    pub const ALL: [Counter; 29] = [
         Counter::Queries,
         Counter::KernelLaunches,
         Counter::RecursionLevels,
@@ -156,7 +153,6 @@ impl Counter {
         Counter::PlannerRadix,
         Counter::PlannerSample,
         Counter::PlannerTopk,
-        Counter::PlannerApproxTopk,
         Counter::ApproxTopkQueries,
         Counter::QuantileWindows,
         Counter::QuantileCheckpoints,
@@ -191,7 +187,6 @@ impl Counter {
             Counter::PlannerRadix => "select_planner_radix_total",
             Counter::PlannerSample => "select_planner_sample_total",
             Counter::PlannerTopk => "select_planner_topk_total",
-            Counter::PlannerApproxTopk => "select_planner_approx_topk_total",
             Counter::ApproxTopkQueries => "select_approx_topk_queries_total",
             Counter::QuantileWindows => "select_quantile_windows_total",
             Counter::QuantileCheckpoints => "select_quantile_checkpoints_total",

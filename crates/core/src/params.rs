@@ -73,6 +73,10 @@ impl std::fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
+/// Upper bound on grid size; larger inputs are covered grid-stride.
+/// Bounds the per-block partial-count array of the two-pass scheme.
+const MAX_GRID_BLOCKS: u32 = 4096;
+
 /// Full configuration of the SampleSelect (and QuickSelect) drivers.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SampleSelectConfig {
@@ -93,9 +97,6 @@ pub struct SampleSelectConfig {
     /// Elements processed per thread — the unrolling depth of §IV-H(d)
     /// (Fig. 7 sweeps 2/4/8).
     pub items_per_thread: u32,
-    /// Upper bound on grid size; larger inputs are covered grid-stride.
-    /// Bounds the per-block partial-count array of the two-pass scheme.
-    pub max_grid_blocks: u32,
     /// Shared vs. global atomic counters (§IV-G).
     pub atomic_scope: AtomicScope,
     /// Warp-aggregated atomics (Fig. 6 / §IV-G): one atomic per distinct
@@ -140,7 +141,6 @@ impl Default for SampleSelectConfig {
             oversampling: 4,
             threads_per_block: 256,
             items_per_thread: 4,
-            max_grid_blocks: 4096,
             atomic_scope: AtomicScope::Shared,
             warp_aggregation: false,
             base_case_size: 1024,
@@ -237,7 +237,7 @@ impl SampleSelectConfig {
             self.items_per_thread,
             self.count_kernel_smem_bytes(elem_bytes),
         );
-        cfg.blocks = cfg.blocks.min(self.max_grid_blocks);
+        cfg.blocks = cfg.blocks.min(MAX_GRID_BLOCKS);
         cfg
     }
 }
@@ -398,7 +398,7 @@ mod tests {
     fn launch_config_caps_grid() {
         let cfg = SampleSelectConfig::default();
         let lc = cfg.launch_config(1 << 28, 4);
-        assert!(lc.blocks <= cfg.max_grid_blocks);
+        assert_eq!(lc.blocks, MAX_GRID_BLOCKS);
         let small = cfg.launch_config(1000, 4);
         assert_eq!(small.blocks, 1);
     }

@@ -16,7 +16,8 @@
 //!    on the target [`GpuArchitecture`].
 //!
 //! `selectd` serves every exact rank as SampleSelect after the probe's
-//! certify-first count; it plans only top-k kinds with the model.
+//! certify-first count; it plans only top-k kinds with the model, and
+//! serves an approximate top-k as the exact top-k it plans.
 //!
 //! **Certify-first.** The rank's own key lies within sampling noise of
 //! its probe position p = rank · 256 / n, which spreads by
@@ -71,11 +72,6 @@ pub enum PlannedBackend {
     /// Fused top-k extraction ([`crate::topk`]) — only planned for
     /// top-k-shaped queries, never for plain rank selection.
     TopK,
-    /// Bucketed approximate top-k ([`crate::approx_topk`]) — only
-    /// planned for *approximate* top-k queries (a recall target below
-    /// 1), where the bucket-parallel local phase beats the exact fused
-    /// recursion at large `k`.
-    ApproxTopK,
 }
 
 impl PlannedBackend {
@@ -85,7 +81,6 @@ impl PlannedBackend {
             PlannedBackend::Sample => "sampleselect",
             PlannedBackend::Radix => "radixselect",
             PlannedBackend::TopK => "topk-sampleselect",
-            PlannedBackend::ApproxTopK => "approx-topk",
         }
     }
 
@@ -95,7 +90,6 @@ impl PlannedBackend {
             PlannedBackend::Sample => Counter::PlannerSample,
             PlannedBackend::Radix => Counter::PlannerRadix,
             PlannedBackend::TopK => Counter::PlannerTopk,
-            PlannedBackend::ApproxTopK => Counter::PlannerApproxTopk,
         }
     }
 
@@ -419,31 +413,6 @@ pub fn radix_estimate<T: SelectElement>(
     )
 }
 
-/// Analytic bucketed-approximate-top-k estimate: the local phase is
-/// `b` *concurrent* per-bucket recursions (critical path = one bucket
-/// over `n/b` elements), then one exact finish pass over the
-/// `b · k'` candidate union.
-pub fn approx_topk_estimate<T: SelectElement>(
-    arch: &GpuArchitecture,
-    n: u64,
-    k: u64,
-    acfg: &crate::approx_topk::ApproxTopKConfig,
-    cfg: &SampleSelectConfig,
-    profile: &DataProfile,
-) -> SimTime {
-    let b = (acfg.buckets as u64).clamp(1, n.max(1));
-    let k_prime = acfg.k_prime(k as usize) as u64;
-    let bucket = n.div_ceil(b);
-    // Local phase: one bucket's rank recursion plus its k' fused write.
-    let local = sample_select_estimate::<T>(arch, bucket, cfg, profile)
-        + SimTime::from_ns(k_prime as f64 * T::BYTES as f64 / arch.bytes_per_ns());
-    // Finish: exact fused top-k over the union (k of b·k' candidates).
-    let union = (b * k_prime).min(n);
-    let finish = sample_select_estimate::<T>(arch, union, cfg, profile)
-        + SimTime::from_ns(k as f64 * T::BYTES as f64 / arch.bytes_per_ns());
-    local + finish
-}
-
 // ---------------------------------------------------------------------
 // Planning
 // ---------------------------------------------------------------------
@@ -522,32 +491,20 @@ pub fn plan_topk_query<T: SelectElement>(
     rank_plan
 }
 
-/// Plan an *approximate* top-k query (a recall target below 1): the
-/// bucketed approximate backend vs the exact fused recursion.
-///
-/// The exact recursion trivially meets every recall target, so the
-/// approximation is chosen only where it actually pays: when the
-/// bucket-parallel estimate undercuts the exact fused estimate —
-/// which happens at large `k`, where the exact filter's candidate
-/// copies dominate. Deterministic per (data, k, shape, arch, config).
+/// Plan an *approximate* top-k query: [`plan_topk_query`]'s decision,
+/// since `selectd` serves every recall target exactly. The bucketed
+/// pass of [`crate::approx_topk`] charges `b` concurrent devices for its
+/// local phase, and on one device its bucket runs cost more than the
+/// exact path. `acfg` is unused; once the benchmark's layer replay
+/// (`perfbench`) stops calling this function, it can go.
 pub fn plan_approx_topk_query<T: SelectElement>(
     arch: &GpuArchitecture,
     data: &[T],
     k: usize,
-    acfg: &crate::approx_topk::ApproxTopKConfig,
+    _acfg: &crate::approx_topk::ApproxTopKConfig,
     cfg: &SampleSelectConfig,
 ) -> PlanDecision {
-    let mut plan = plan_topk_query(arch, data, k, cfg);
-    let profile = plan.profile;
-    let n = data.len() as u64;
-    let approx = approx_topk_estimate::<T>(arch, n, k as u64, acfg, cfg, &profile);
-    let exact = plan.estimate_for(plan.backend).unwrap_or(SimTime::ZERO);
-    plan.estimates.push((PlannedBackend::ApproxTopK, approx));
-    if approx < exact && acfg.buckets > 1 {
-        plan.backend = PlannedBackend::ApproxTopK;
-        obs::counter_add(Counter::PlannerApproxTopk, 1);
-    }
-    plan
+    plan_topk_query(arch, data, k, cfg)
 }
 
 // ---------------------------------------------------------------------
@@ -573,7 +530,7 @@ pub fn run_planned<T: SelectElement>(
         }
         // Top-k plans answer top-k queries (`selectd` serves them through
         // the resilient driver); no rank plan names them.
-        PlannedBackend::TopK | PlannedBackend::ApproxTopK => Err(SelectError::InvalidArgument {
+        PlannedBackend::TopK => Err(SelectError::InvalidArgument {
             what: format!("{} is not a rank backend", backend.name()),
         }),
     }

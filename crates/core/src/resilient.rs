@@ -41,7 +41,6 @@
 use std::marker::PhantomData;
 
 use crate::approx::approx_select_on_device;
-use crate::approx_topk::{approx_top_k_with_workspace, ApproxTopKConfig};
 use crate::element::{reference_select, SelectElement};
 use crate::instrument::{ResilienceEvents, SelectReport};
 use crate::obs::{self, SpanKind};
@@ -666,8 +665,7 @@ impl<T: SelectElement> Query for RankQuery<'_, T> {
         match self.planned.map(|p| p.backend) {
             Some(PlannedBackend::Radix) => &[RadixSelect, SampleSelect],
             // A top-k plan reaching the rank path means "threshold via
-            // the sample recursion" — same kernels, same chain head (the
-            // approximate top-k's phases are the same recursion too).
+            // the sample recursion" — same kernels, same chain head.
             _ => &[SampleSelect],
         }
     }
@@ -832,48 +830,33 @@ impl<T: SelectElement> Query for RanksQuery<'_, T> {
     }
 }
 
-/// The top-`k` threshold (the `(n-k)`-th smallest element) with its
-/// expected recall: exact (recall 1.0) from the fused extraction
-/// kernel, or approximate from the bucketed two-phase pass when
-/// `bucketed` carries its shape and workspace. The exact host threshold
-/// is the last resort.
+/// The top-`k` threshold (the `(n-k)`-th smallest element) from the
+/// fused extraction kernel, certified as the rank `n-k`; the exact host
+/// threshold is the last resort.
 pub(crate) struct TopKQuery<'a, T: SelectElement> {
     pub data: &'a [T],
     pub k: usize,
-    pub bucketed: Option<(&'a ApproxTopKConfig, &'a mut SelectWorkspace<T>)>,
 }
 
 impl<T: SelectElement> Query for TopKQuery<'_, T> {
-    type Answer = (T, f64);
+    type Answer = T;
 
     fn name(&self, _: Backend) -> &'static str {
-        match self.bucketed {
-            Some(_) => "approx-topk",
-            None => "topk",
-        }
+        "topk"
     }
 
-    fn attempt(&mut self, device: &mut Device, _: Backend, cfg: &Cfg) -> Attempt<(T, f64)> {
-        let (data, k) = (self.data, self.k);
-        match &mut self.bucketed {
-            Some((acfg, ws)) => approx_top_k_with_workspace(device, data, k, acfg, cfg, ws)
-                .map(|r| ((r.threshold, r.expected_recall), r.report)),
-            None => top_k_largest_on_device(device, data, k, cfg)
-                .map(|r| ((r.threshold, 1.0), r.report)),
-        }
+    fn attempt(&mut self, device: &mut Device, _: Backend, cfg: &Cfg) -> Attempt<T> {
+        top_k_largest_on_device(device, self.data, self.k, cfg).map(|r| (r.threshold, r.report))
     }
 
-    fn certify(&self, device: &mut Device, &(threshold, _): &(T, f64), cfg: &Cfg) -> Certified {
-        if self.bucketed.is_some() {
-            return Ok(None);
-        }
+    fn certify(&self, device: &mut Device, &threshold: &T, cfg: &Cfg) -> Certified {
         let rank = self.data.len() - self.k;
         certify_rank(device, self.data, threshold, rank, cfg, LaunchOrigin::Host)?;
         Ok(Some(format!("top-{} threshold", self.k)))
     }
 
-    fn last_resort(&self) -> Result<(T, f64), SelectError> {
-        Ok((exact_select(self.data, self.data.len() - self.k), 1.0))
+    fn last_resort(&self) -> Result<T, SelectError> {
+        Ok(exact_select(self.data, self.data.len() - self.k))
     }
 }
 

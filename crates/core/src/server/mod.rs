@@ -57,10 +57,9 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-use crate::approx_topk::plan_for_recall;
 use crate::obs::{Counter, MetricsRegistry, MetricsSnapshot, ObsSession, SpanGuard};
 use crate::params::SampleSelectConfig;
-use crate::planner::{plan_approx_topk_query, plan_topk_query, probe, PlannedBackend, RankPlan};
+use crate::planner::{plan_topk_query, probe, PlannedBackend, RankPlan};
 use crate::quantile_stream::{
     run_quantile_stream, QuantileStreamConfig, WindowSpec, DEFAULT_PROBS,
 };
@@ -71,6 +70,7 @@ use crate::streaming::{streaming_select_with_checkpoint, ChunkError, ChunkSource
 use crate::workspace::SelectWorkspace;
 use crate::SelectError;
 use gpu_sim::arch::{v100, GpuArchitecture};
+use gpu_sim::trace::escape;
 use gpu_sim::{Device, FaultPlan, SimTime};
 use hpc_par::ThreadPool;
 
@@ -92,9 +92,8 @@ pub enum QueryKind {
     /// Out-of-core selection over the dataset in `chunk_len` chunks,
     /// checkpointed to the server spool (drain-safe).
     Stream { rank: u64, chunk_len: u64 },
-    /// Approximate top-`k` threshold with an expected-recall target:
-    /// the planner picks a bucketed two-phase pass when the cost model
-    /// says it beats the exact fused kernel, otherwise serves exactly.
+    /// Approximate top-`k` threshold with an expected-recall target.
+    /// Served exactly, as [`QueryKind::TopK`], so every target is met.
     /// `recall_bits` is the `f32` bit pattern of the target in `(0, 1]`
     /// (bits, not a float, so `QueryKind` stays `Copy + Eq`).
     ApproxTopK { k: u64, recall_bits: u32 },
@@ -144,8 +143,8 @@ pub enum QueryStatus {
     TopK { threshold: f32, k: u64 },
     /// Quantile values (q-1 of them).
     Quantiles { values: Vec<f32> },
-    /// Approximate top-k threshold with the analytic expected recall of
-    /// the served configuration (1.0 when the planner served exactly).
+    /// Approximate top-k threshold with its expected recall, 1.0:
+    /// `selectd` serves it exactly.
     ApproxTopK {
         threshold: f32,
         k: u64,
@@ -391,22 +390,6 @@ pub struct ServerSnapshot {
     pub recent_plans: Vec<(u64, &'static str)>,
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl ServerSnapshot {
     /// Hand-rolled JSON (like the rest of the workspace), embedding the
     /// metrics snapshot verbatim. Parses with `gpu_sim::jsonv`.
@@ -417,13 +400,13 @@ impl ServerSnapshot {
         let _ = writeln!(out, "  \"queries_served\": {},", self.queries_served);
         out.push_str("  \"tenants\": {");
         for (i, (name, c)) in self.tenants.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
+            out.push_str(if i == 0 { "\n    " } else { ",\n    " });
+            escape(name, &mut out);
             let _ = write!(
                 out,
-                "{sep}\n    \"{}\": {{\"admitted\": {}, \"rejected\": {}, \
+                ": {{\"admitted\": {}, \"rejected\": {}, \
                  \"deadline_degraded\": {}, \"breaker_rerouted\": {}, \"batched\": {}, \
                  \"exact\": {}, \"approximate\": {}, \"failed\": {}}}",
-                json_escape(name),
                 c.admitted,
                 c.rejected,
                 c.deadline_degraded,
@@ -444,8 +427,8 @@ impl ServerSnapshot {
         }
         out.push_str("\n  ],\n  \"events\": [");
         for (i, e) in self.events.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(out, "{sep}\n    \"{}\"", json_escape(e));
+            out.push_str(if i == 0 { "\n    " } else { ",\n    " });
+            escape(e, &mut out);
         }
         out.push_str("\n  ],\n  \"metrics\": ");
         // MetricsSnapshot::to_json is a complete object ending in '\n'.
@@ -678,12 +661,20 @@ impl SelectServer {
                     });
                 }
             }
-            QueryKind::TopK { k } => {
+            QueryKind::TopK { k } | QueryKind::ApproxTopK { k, .. } => {
                 if k == 0 || k > n {
                     return Err(SelectError::RankOutOfRange {
                         rank: k as usize,
                         len: n as usize,
                     });
+                }
+                if let QueryKind::ApproxTopK { recall_bits, .. } = req.kind {
+                    let target = f32::from_bits(recall_bits);
+                    if !target.is_finite() || target <= 0.0 || target > 1.0 {
+                        return Err(SelectError::InvalidArgument {
+                            what: format!("recall target {target} outside (0, 1]"),
+                        });
+                    }
                 }
             }
             QueryKind::Quantiles { q } => {
@@ -708,20 +699,6 @@ impl SelectServer {
                     return Err(SelectError::Overloaded {
                         reason: "streaming-disabled",
                         tenant: req.tenant,
-                    });
-                }
-            }
-            QueryKind::ApproxTopK { k, recall_bits } => {
-                if k == 0 || k > n {
-                    return Err(SelectError::RankOutOfRange {
-                        rank: k as usize,
-                        len: n as usize,
-                    });
-                }
-                let target = f32::from_bits(recall_bits);
-                if !target.is_finite() || target <= 0.0 || target > 1.0 {
-                    return Err(SelectError::InvalidArgument {
-                        what: format!("recall target {target} outside (0, 1]"),
                     });
                 }
             }
@@ -803,19 +780,15 @@ impl SelectServer {
         // Planning on the submitter's thread (the probe is a stack-only
         // strided scan — cheap next to the instantiation above). An exact
         // rank is served as SampleSelect after the probe's certify-first
-        // count; top-k kinds follow the cost model.
+        // count; both top-k kinds follow the cost model's top-k plan.
         let (arch, select) = (&shared.cfg.arch, &shared.cfg.select);
         let plan = match req.kind {
             QueryKind::Exact { rank } => Some(RankPlan {
                 backend: PlannedBackend::Sample,
                 candidates: probe(&data, Some(rank as usize)).1,
             }),
-            QueryKind::TopK { k } => Some(plan_topk_query(arch, &data, k as usize, select).plan()),
-            QueryKind::ApproxTopK { k, recall_bits } => {
-                let target = f64::from(f32::from_bits(recall_bits));
-                let (acfg, _) = plan_for_recall(data.len(), k as usize, target);
-                let k = k as usize;
-                Some(plan_approx_topk_query(arch, &data, k, &acfg, select).plan())
+            QueryKind::TopK { k } | QueryKind::ApproxTopK { k, .. } => {
+                Some(plan_topk_query(arch, &data, k as usize, select).plan())
             }
             _ => None,
         };
@@ -1247,8 +1220,16 @@ fn run_query(
             };
             drive(device, query, select_cfg, &rcfg).map(|s| s.map(|o| outcome_status(o, false)))
         }
-        QueryKind::TopK { k } => {
-            let status = |threshold| QueryStatus::TopK { threshold, k };
+        QueryKind::TopK { k } | QueryKind::ApproxTopK { k, .. } => {
+            // An approximate top-k is served exactly: its recall is 1.
+            let status = |threshold| match job.kind {
+                QueryKind::TopK { .. } => QueryStatus::TopK { threshold, k },
+                _ => QueryStatus::ApproxTopK {
+                    threshold,
+                    k,
+                    expected_recall: 1.0,
+                },
+            };
             match job.plan.filter(|p| p.backend != PlannedBackend::TopK) {
                 // A non-fused plan (large k/n) answers the threshold as
                 // the rank n-k on the planned chain instead of
@@ -1265,9 +1246,8 @@ fn run_query(
                     let query = TopKQuery {
                         data,
                         k: k as usize,
-                        bucketed: None,
                     };
-                    drive(device, query, select_cfg, &rcfg).map(|s| s.map(|(t, _)| status(t)))
+                    drive(device, query, select_cfg, &rcfg).map(|s| s.map(status))
                 }
             }
         }
@@ -1281,29 +1261,6 @@ fn run_query(
             };
             drive(device, query, select_cfg, &rcfg)
                 .map(|s| s.map(|values| QueryStatus::Quantiles { values }))
-        }
-        QueryKind::ApproxTopK { k, recall_bits } => {
-            let target = f64::from(f32::from_bits(recall_bits));
-            let (acfg, _) = plan_for_recall(n, k as usize, target);
-            // Honor the admission-time cost model: when the exact fused
-            // pass is at least as fast as the bucketed two-phase pass,
-            // approximation buys nothing — serve exactly (recall 1.0).
-            let serve_exact = job
-                .plan
-                .is_some_and(|p| p.backend != PlannedBackend::ApproxTopK);
-            let bucketed = (!serve_exact).then_some((&acfg, ws));
-            let query = TopKQuery {
-                data,
-                k: k as usize,
-                bucketed,
-            };
-            drive(device, query, select_cfg, &rcfg).map(|s| {
-                s.map(|(threshold, recall)| QueryStatus::ApproxTopK {
-                    threshold,
-                    k,
-                    expected_recall: recall as f32,
-                })
-            })
         }
         QueryKind::Stream { .. } | QueryKind::QuantileStream { .. } => {
             return serve_stream(shared, cfg, device, job);
@@ -1334,8 +1291,6 @@ fn run_query(
             c.approximate += 1;
             c.deadline_degraded += u64::from(*deadline_degraded);
         }
-        // An approximate top-k answered by an exact path counts as exact.
-        QueryStatus::ApproxTopK { .. } if s.label == "approx-topk" => c.approximate += 1,
         _ => c.exact += 1,
     });
     (s.answer, Some(s.label), healthy)

@@ -256,9 +256,9 @@ fn write_uint_field(out: &mut String, key: &str, value: u64, first: bool) {
     out.push_str(&value.to_string());
 }
 
-/// Append `s` to `out` as a quoted JSON string (the sanitizer report
-/// writes its strings with it too).
-pub(crate) fn escape(s: &str, out: &mut String) {
+/// Append `s` to `out` as a quoted JSON string. The one escaper of the
+/// workspace: the sanitizer report and `selectd`'s snapshot use it too.
+pub fn escape(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {

@@ -30,7 +30,8 @@
 //! straggler hedging. `--inject-faults`/`--inject-bitflips` apply their
 //! fault plan to shard 0.
 //!
-//! `--algo approx-topk` runs the bucketed approximate top-k workload:
+//! `--algo approx-topk` runs the bucketed approximate top-k workload
+//! (`selectd` answers it exactly over `--connect`):
 //! `--k` winners at `--recall` target recall (planned via the binomial
 //! model, measured against the exact answer). `--algo quantile-stream`
 //! runs the streaming quantile telemetry engine: p50/p90/p99/p999 over
@@ -52,8 +53,9 @@
 //!   input, rank out of range, invalid configuration or argument).
 //! * `3` — SIMT sanitizer findings (with `--sanitize`).
 //! * `4` — **tagged approximate/degraded answer**: the result is honest
-//!   but not exact (`--algo approx`, a time-budget or deadline
-//!   degradation, a quorum-degraded shard run).
+//!   but not exact (`--algo approx`, an approximate top-k below recall
+//!   1, a time-budget or deadline degradation, a quorum-degraded shard
+//!   run).
 //! * `5` — **overload rejection**: a `selectd` server refused admission
 //!   (quota, full queue, or draining) — retry later, do not treat as a
 //!   data error.
@@ -430,7 +432,9 @@ fn run_client(args: &Args) -> ! {
                         "approx top-{k} threshold = {threshold} (expected recall \
                          {expected_recall:.4}){tag}"
                     );
-                    exit(EXIT_APPROX);
+                    // `selectd` serves every recall target exactly.
+                    let exact = expected_recall == 1.0;
+                    exit(if exact { 0 } else { EXIT_APPROX });
                 }
                 QueryStatus::QuantileStream { windows, values } => {
                     print!("quantile stream: {windows} window(s) closed; latest");

@@ -506,24 +506,27 @@ fn hard_drain_checkpoints_streaming_query_and_resume_completes_it() {
 
 #[test]
 fn approx_topk_queries_are_admitted_and_honest() {
+    // A shape the cost model once served with the bucketed pass: it is
+    // now served exactly, on the fused top-k path, at recall 1.
     let server = SelectServer::start(ServerConfig::default().with_workers(2));
-    let spec = DatasetSpec::uniform(200_000, 21);
-    let k = 5_000u64;
+    let spec = DatasetSpec::uniform(1 << 18, 6);
+    let k = 1_000u64;
     let ticket = server
         .submit(QueryRequest {
             tenant: "recall".to_string(),
             kind: QueryKind::ApproxTopK {
                 k,
-                recall_bits: 0.95f32.to_bits(),
+                recall_bits: 0.9f32.to_bits(),
             },
             dataset: spec,
             deadline_ms: None,
-            seed: 9,
+            seed: 22,
         })
         .expect("admitted");
     let resp = ticket.wait();
     let data = dataset::instantiate(&spec);
     let exact_threshold = reference_select(&data, (spec.n - k) as usize).unwrap();
+    assert_eq!(resp.backend, Some("topk"), "{:?}", resp.status);
     match resp.status {
         QueryStatus::ApproxTopK {
             threshold,
@@ -531,10 +534,8 @@ fn approx_topk_queries_are_admitted_and_honest() {
             expected_recall,
         } => {
             assert_eq!(got_k, k);
-            // Candidates are a subset of the input, so the approximate
-            // threshold can never exceed the exact top-k threshold.
-            assert!(threshold <= exact_threshold);
-            assert!(expected_recall > 0.0 && expected_recall <= 1.0);
+            assert_eq!(threshold.to_bits(), exact_threshold.to_bits());
+            assert_eq!(expected_recall, 1.0);
         }
         other => panic!("expected approx top-k status, got {other:?}"),
     }
@@ -658,6 +659,10 @@ fn snapshot_json_is_well_formed_and_carries_tenants() {
     server
         .query(exact("json \"tenant\"", spec, 100, 1))
         .unwrap();
+    // Every character JSON must escape: a quote, a backslash, the short
+    // escapes and a bare control character.
+    let awkward = "a\"b\\c\n\r\t\u{1}";
+    server.query(exact(awkward, spec, 100, 2)).unwrap();
     let snap = server.drain();
     let json = snap.to_json();
     let parsed = gpu_selection::gpu_sim::jsonv::parse(&json)
@@ -668,6 +673,13 @@ fn snapshot_json_is_well_formed_and_carries_tenants() {
         json.contains("json \\\"tenant\\\""),
         "tenant names are escaped"
     );
+    let tenants = parsed.get("tenants").expect("tenants object");
+    for name in ["json \"tenant\"", awkward] {
+        let counters = tenants
+            .get(name)
+            .unwrap_or_else(|| panic!("tenant {name:?} must round-trip:\n{json}"));
+        assert_eq!(counters.get("admitted").and_then(|v| v.as_num()), Some(1.0));
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -727,7 +739,8 @@ fn bits_of(values: &[f32]) -> Vec<u32> {
 #[test]
 fn paranoid_quantiles_survive_bitflips() {
     // Bitflips corrupt intermediate buffers without latching a device
-    // fault, so only the rank certificate can catch a wrong vector.
+    // fault, so only the rank certificate can catch a wrong vector or a
+    // wrong top-k threshold.
     let spec = DatasetSpec::uniform(65_536, 3);
     let sorted = sorted_f32(&spec);
     let q = 8u64;
@@ -756,6 +769,37 @@ fn paranoid_quantiles_survive_bitflips() {
         ),
         other => panic!("expected quantiles, got {other:?}"),
     }
+    // An approximate top-k is served exactly and gets the top-k
+    // threshold certificate.
+    let certified = || server.snapshot().metrics.counter("select_certified_total");
+    let before = certified();
+    let k = 1_000u64;
+    let resp = server
+        .query(QueryRequest {
+            tenant: "paranoid".to_string(),
+            kind: QueryKind::ApproxTopK {
+                k,
+                recall_bits: 0.9f32.to_bits(),
+            },
+            dataset: spec,
+            deadline_ms: None,
+            seed: 58,
+        })
+        .expect("admitted");
+    match resp.status {
+        QueryStatus::ApproxTopK {
+            threshold,
+            k: got,
+            expected_recall,
+        } => assert_eq!(
+            (threshold.to_bits(), got, expected_recall),
+            (sorted[(spec.n - k) as usize].to_bits(), k, 1.0),
+            "a certified top-k threshold must be exact (backend {:?})",
+            resp.backend
+        ),
+        other => panic!("expected approx top-k, got {other:?}"),
+    }
+    assert_eq!(certified(), before + 1, "the threshold was certified");
     server.drain();
 }
 
