@@ -329,160 +329,160 @@ fn all_cases(pool: &ThreadPool) -> Vec<(String, Observed)> {
 
 #[rustfmt::skip]
 const PINS: &[Pin] = &[
-    Pin { case: "sample/f32/shared/noagg/uniform", value_bits: 0xbea517d3, total_ns: 31121.494690026953, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20408), ("base_sort", 1, 328)], obs_digest: 0x59c43433c066cf60 },
-    Pin { case: "sample/f32/shared/noagg/dup16", value_bits: 0x40b00000, total_ns: 24804.37969002696, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0xf452ee713061e856 },
-    Pin { case: "sample/f32/shared/noagg/equal", value_bits: 0x41280000, total_ns: 25567.264690026954, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0xdf4b5623ba711660 },
-    Pin { case: "sample/f32/shared/noagg/lowent", value_bits: 0x43488000, total_ns: 31128.334690026953, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20400), ("base_sort", 1, 320)], obs_digest: 0xbb3cd4c84f3698c3 },
-    Pin { case: "sample/f32/shared/agg/uniform", value_bits: 0xbea517d3, total_ns: 31092.064690026957, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20408), ("base_sort", 1, 328)], obs_digest: 0x084edb3e2cb72a8d },
-    Pin { case: "sample/f32/shared/agg/dup16", value_bits: 0x40b00000, total_ns: 24696.064690026957, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x519d6d34bf9700ec },
-    Pin { case: "sample/f32/shared/agg/equal", value_bits: 0x41280000, total_ns: 24696.064690026957, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x8b351a11da9110ee },
-    Pin { case: "sample/f32/shared/agg/lowent", value_bits: 0x43488000, total_ns: 31092.064690026957, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20400), ("base_sort", 1, 320)], obs_digest: 0x0204f20ad44347c3 },
-    Pin { case: "sample/f32/global/noagg/uniform", value_bits: 0xbea517d3, total_ns: 55777.698113207545, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20408), ("base_sort", 1, 328)], obs_digest: 0xd09e802fef066121 },
-    Pin { case: "sample/f32/global/noagg/dup16", value_bits: 0x40b00000, total_ns: 49416.06469002695, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0xa7a6d9883f794441 },
-    Pin { case: "sample/f32/global/noagg/equal", value_bits: 0x41280000, total_ns: 49416.06469002695, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x0843fc6d9d92de3f },
-    Pin { case: "sample/f32/global/noagg/lowent", value_bits: 0x43488000, total_ns: 55777.37466307277, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20400), ("base_sort", 1, 320)], obs_digest: 0xdbe3c64e71c323d9 },
-    Pin { case: "sample/f32/global/agg/uniform", value_bits: 0xbea517d3, total_ns: 53901.978113207544, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20408), ("base_sort", 1, 328)], obs_digest: 0xa0f7c7ec88121777 },
-    Pin { case: "sample/f32/global/agg/dup16", value_bits: 0x40b00000, total_ns: 34556.82469002696, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x2030b0816bb1d284 },
-    Pin { case: "sample/f32/global/agg/equal", value_bits: 0x41280000, total_ns: 23860.864690026952, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0xf04e5cb3c5139a05 },
-    Pin { case: "sample/f32/global/agg/lowent", value_bits: 0x43488000, total_ns: 51709.13466307277, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20400), ("base_sort", 1, 320)], obs_digest: 0x9d8283845b0e1ba1 },
-    Pin { case: "sample/f64/shared/noagg/uniform", value_bits: 0xbfd4a2fa66cae224, total_ns: 34667.49469002696, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 200480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20736), ("base_sort", 1, 656)], obs_digest: 0x21e33f4f5516d938 },
-    Pin { case: "sample/f64/shared/noagg/dup16", value_bits: 0x4016000000000000, total_ns: 28164.37969002696, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 200480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x60b64e1bbc7d7843 },
-    Pin { case: "sample/f64/shared/noagg/equal", value_bits: 0x4025000000000000, total_ns: 28927.264690026954, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 200480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0xab1ce7d6c58ba9ad },
-    Pin { case: "sample/f64/shared/noagg/lowent", value_bits: 0x4069100000000000, total_ns: 34674.33469002695, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 200480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20720), ("base_sort", 1, 640)], obs_digest: 0xf43a3a419b22aa4b },
-    Pin { case: "sample/f64/shared/agg/uniform", value_bits: 0xbfd4a2fa66cae224, total_ns: 34638.06469002696, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 200480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20736), ("base_sort", 1, 656)], obs_digest: 0x510c71abeb67c6de },
-    Pin { case: "sample/f64/shared/agg/dup16", value_bits: 0x4016000000000000, total_ns: 28056.064690026957, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 200480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x5d746c1f83a483c6 },
-    Pin { case: "sample/f64/shared/agg/equal", value_bits: 0x4025000000000000, total_ns: 28056.064690026957, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 200480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x88f7a1d4c317d8e6 },
-    Pin { case: "sample/f64/shared/agg/lowent", value_bits: 0x4069100000000000, total_ns: 34638.06469002696, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 200480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20720), ("base_sort", 1, 640)], obs_digest: 0xd756a2d5678392d6 },
-    Pin { case: "sample/f64/global/noagg/uniform", value_bits: 0xbfd4a2fa66cae224, total_ns: 59336.959568733146, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 180000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20736), ("base_sort", 1, 656)], obs_digest: 0xb7262360e02ea6e5 },
-    Pin { case: "sample/f64/global/noagg/dup16", value_bits: 0x4016000000000000, total_ns: 52776.06469002695, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 180000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x23874f5b69b81312 },
-    Pin { case: "sample/f64/global/noagg/equal", value_bits: 0x4025000000000000, total_ns: 52776.06469002695, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 180000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0xfef8aab14b3b763c },
-    Pin { case: "sample/f64/global/noagg/lowent", value_bits: 0x4069100000000000, total_ns: 59336.31266846361, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 180000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20720), ("base_sort", 1, 640)], obs_digest: 0x7e7b97a649575fa9 },
-    Pin { case: "sample/f64/global/agg/uniform", value_bits: 0xbfd4a2fa66cae224, total_ns: 57459.919568733145, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 180000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20736), ("base_sort", 1, 656)], obs_digest: 0xd5ab0365359755ab },
-    Pin { case: "sample/f64/global/agg/dup16", value_bits: 0x4016000000000000, total_ns: 37916.82469002695, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 180000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x531d37bfd091c250 },
-    Pin { case: "sample/f64/global/agg/equal", value_bits: 0x4025000000000000, total_ns: 27831.59029649596, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 180000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x29d614266f42b980 },
-    Pin { case: "sample/f64/global/agg/lowent", value_bits: 0x4069100000000000, total_ns: 55268.07266846361, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 180000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20720), ("base_sort", 1, 640)], obs_digest: 0xda84f1abcbb6f78b },
-    Pin { case: "sample/u32/shared/noagg/uniform", value_bits: 0x551fa282, total_ns: 31576.669690026956, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20684), ("base_sort", 1, 604)], obs_digest: 0xb7b94d4094236922 },
-    Pin { case: "sample/u32/shared/noagg/dup16", value_bits: 0x5, total_ns: 24804.37969002696, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0xf452ee713061e856 },
-    Pin { case: "sample/u32/shared/noagg/equal", value_bits: 0x7, total_ns: 25567.264690026954, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0xdf4b5623ba711660 },
-    Pin { case: "sample/u32/shared/noagg/lowent", value_bits: 0x53, total_ns: 31128.334690026953, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20400), ("base_sort", 1, 320)], obs_digest: 0xbb3cd4c84f3698c3 },
-    Pin { case: "sample/u32/shared/agg/uniform", value_bits: 0x551fa282, total_ns: 31546.564690026957, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20684), ("base_sort", 1, 604)], obs_digest: 0xa15d4697efd7a8c2 },
-    Pin { case: "sample/u32/shared/agg/dup16", value_bits: 0x5, total_ns: 24696.064690026957, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x519d6d34bf9700ec },
-    Pin { case: "sample/u32/shared/agg/equal", value_bits: 0x7, total_ns: 24696.064690026957, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x8b351a11da9110ee },
-    Pin { case: "sample/u32/shared/agg/lowent", value_bits: 0x53, total_ns: 31092.064690026957, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20400), ("base_sort", 1, 320)], obs_digest: 0x0204f20ad44347c3 },
-    Pin { case: "sample/u32/global/noagg/uniform", value_bits: 0x551fa282, total_ns: 56119.38469002695, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20684), ("base_sort", 1, 604)], obs_digest: 0x12460b05a9b2461f },
-    Pin { case: "sample/u32/global/noagg/dup16", value_bits: 0x5, total_ns: 49416.06469002695, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0xa7a6d9883f794441 },
-    Pin { case: "sample/u32/global/noagg/equal", value_bits: 0x7, total_ns: 49416.06469002695, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x0843fc6d9d92de3f },
-    Pin { case: "sample/u32/global/noagg/lowent", value_bits: 0x53, total_ns: 55777.37466307277, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20400), ("base_sort", 1, 320)], obs_digest: 0xdbe3c64e71c323d9 },
-    Pin { case: "sample/u32/global/agg/uniform", value_bits: 0x551fa282, total_ns: 54298.45714285714, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20684), ("base_sort", 1, 604)], obs_digest: 0xef91e7eb37509a8b },
-    Pin { case: "sample/u32/global/agg/dup16", value_bits: 0x5, total_ns: 34556.82469002696, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x2030b0816bb1d284 },
-    Pin { case: "sample/u32/global/agg/equal", value_bits: 0x7, total_ns: 23860.864690026952, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0xf04e5cb3c5139a05 },
-    Pin { case: "sample/u32/global/agg/lowent", value_bits: 0x53, total_ns: 51709.13466307277, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20400), ("base_sort", 1, 320)], obs_digest: 0x9d8283845b0e1ba1 },
-    Pin { case: "sample/i32/shared/noagg/uniform", value_bits: 0xd4198ca6, total_ns: 31083.793787061997, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20340), ("base_sort", 1, 260)], obs_digest: 0x87ef28d791187d97 },
-    Pin { case: "sample/i32/shared/noagg/dup16", value_bits: 0xffffffa1, total_ns: 24804.37969002696, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0xf452ee713061e856 },
-    Pin { case: "sample/i32/shared/noagg/equal", value_bits: 0xffffffa3, total_ns: 25567.264690026954, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0xdf4b5623ba711660 },
-    Pin { case: "sample/i32/shared/noagg/lowent", value_bits: 0xffffffef, total_ns: 31128.334690026953, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20400), ("base_sort", 1, 320)], obs_digest: 0xbb3cd4c84f3698c3 },
-    Pin { case: "sample/i32/shared/agg/uniform", value_bits: 0xd4198ca6, total_ns: 31054.948787061996, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20340), ("base_sort", 1, 260)], obs_digest: 0x81280026592df202 },
-    Pin { case: "sample/i32/shared/agg/dup16", value_bits: 0xffffffa1, total_ns: 24696.064690026957, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x519d6d34bf9700ec },
-    Pin { case: "sample/i32/shared/agg/equal", value_bits: 0xffffffa3, total_ns: 24696.064690026957, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x8b351a11da9110ee },
-    Pin { case: "sample/i32/shared/agg/lowent", value_bits: 0xffffffef, total_ns: 31092.064690026957, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20400), ("base_sort", 1, 320)], obs_digest: 0x0204f20ad44347c3 },
-    Pin { case: "sample/i32/global/noagg/uniform", value_bits: 0xd4198ca6, total_ns: 55774.94878706199, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20340), ("base_sort", 1, 260)], obs_digest: 0x0558f5b5f5595e13 },
-    Pin { case: "sample/i32/global/noagg/dup16", value_bits: 0xffffffa1, total_ns: 49416.06469002695, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0xa7a6d9883f794441 },
-    Pin { case: "sample/i32/global/noagg/equal", value_bits: 0xffffffa3, total_ns: 49416.06469002695, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x0843fc6d9d92de3f },
-    Pin { case: "sample/i32/global/noagg/lowent", value_bits: 0xffffffef, total_ns: 55777.37466307277, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20400), ("base_sort", 1, 320)], obs_digest: 0xdbe3c64e71c323d9 },
-    Pin { case: "sample/i32/global/agg/uniform", value_bits: 0xd4198ca6, total_ns: 54015.388787061995, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20340), ("base_sort", 1, 260)], obs_digest: 0x7797c3cbff6f56e8 },
-    Pin { case: "sample/i32/global/agg/dup16", value_bits: 0xffffffa1, total_ns: 34556.82469002696, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x2030b0816bb1d284 },
-    Pin { case: "sample/i32/global/agg/equal", value_bits: 0xffffffa3, total_ns: 23860.864690026952, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0xf04e5cb3c5139a05 },
-    Pin { case: "sample/i32/global/agg/lowent", value_bits: 0xffffffef, total_ns: 51709.13466307277, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20400), ("base_sort", 1, 320)], obs_digest: 0x9d8283845b0e1ba1 },
-    Pin { case: "sample/f32/deep/uniform", value_bits: 0xbeaa1726, total_ns: 56431.01787735849, launch_overhead_ns: 39000.0, levels: 2, early: false, error: None, kernels: &[("sample", 2, 2040), ("count", 2, 1808995), ("reduce", 2, 604160), ("select_bucket", 2, 2048), ("filter", 2, 308147), ("base_sort", 1, 52)], obs_digest: 0xf7ea4aa5bf6c2a12 },
-    Pin { case: "sample/u32/deep/lowent", value_bits: 0x53, total_ns: 50602.57067385444, launch_overhead_ns: 33000.0, levels: 2, early: true, error: None, kernels: &[("sample", 2, 2040), ("count", 2, 1815054), ("reduce", 2, 606208), ("select_bucket", 2, 2048), ("filter", 1, 310732)], obs_digest: 0x64317dc10a893d11 },
-    Pin { case: "sample/f32/max_levels0/uniform", value_bits: 0x0, total_ns: 0.0, launch_overhead_ns: 0.0, levels: 0, early: false, error: Some("RecursionLimit"), kernels: &[], obs_digest: 0xbce19b91ca29f41c },
-    Pin { case: "sample/u32/budget1.5/uniform", value_bits: 0x551fa282, total_ns: 31576.669690026956, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20684), ("base_sort", 1, 604)], obs_digest: 0xb7b94d4094236922 },
-    Pin { case: "sample/u32/budget1.5/lowent", value_bits: 0x53, total_ns: 31128.334690026953, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20400), ("base_sort", 1, 320)], obs_digest: 0xbb3cd4c84f3698c3 },
-    Pin { case: "sample/f32/spot/corrupt0", value_bits: 0x0, total_ns: 9360.0, launch_overhead_ns: 6000.0, levels: 0, early: false, error: Some("splitter-order"), kernels: &[("sample", 1, 1020), ("corrupt:splitters", 1, 0)], obs_digest: 0x84af5cbf453df217 },
-    Pin { case: "sample/f32/spot/corrupt1", value_bits: 0x0, total_ns: 19534.665, launch_overhead_ns: 12000.0, levels: 0, early: false, error: Some("histogram-sum"), kernels: &[("sample", 1, 1020), ("count", 1, 1800032), ("corrupt:counts", 1, 0)], obs_digest: 0x2d73291969c1732c },
-    Pin { case: "sample/f32/spot/corrupt2", value_bits: 0xbeaa1726, total_ns: 56431.01787735849, launch_overhead_ns: 39000.0, levels: 2, early: false, error: None, kernels: &[("sample", 2, 2040), ("count", 2, 1808995), ("corrupt:oracles", 1, 0), ("reduce", 2, 604160), ("select_bucket", 2, 2048), ("filter", 2, 308147), ("base_sort", 1, 52)], obs_digest: 0x5cc8994a1719a29e },
-    Pin { case: "sample/f32/spot/corrupt3", value_bits: 0x0, total_ns: 38304.793483827496, launch_overhead_ns: 24000.0, levels: 0, early: false, error: Some("splitter-order"), kernels: &[("sample", 2, 2040), ("count", 1, 1800032), ("reduce", 1, 600064), ("select_bucket", 1, 1024), ("filter", 1, 306704), ("corrupt:splitters", 1, 0)], obs_digest: 0x3f65f7677f8917d5 },
-    Pin { case: "sample/f32/spot/corrupt5", value_bits: 0xbeaa1726, total_ns: 56431.01787735849, launch_overhead_ns: 39000.0, levels: 2, early: false, error: None, kernels: &[("sample", 2, 2040), ("count", 2, 1808995), ("reduce", 2, 604160), ("select_bucket", 2, 2048), ("filter", 2, 308147), ("corrupt:oracles", 1, 0), ("base_sort", 1, 52)], obs_digest: 0xf08f406e85368027 },
-    Pin { case: "sample/f32/unverified/corrupt0", value_bits: 0x0, total_ns: 9360.0, launch_overhead_ns: 6000.0, levels: 0, early: false, error: Some("splitter-order"), kernels: &[("sample", 1, 1020), ("corrupt:splitters", 1, 0)], obs_digest: 0x84af5cbf453df217 },
-    Pin { case: "sample/f32/unverified/corrupt1", value_bits: 0xbeaa1726, total_ns: 56431.01787735849, launch_overhead_ns: 39000.0, levels: 2, early: false, error: None, kernels: &[("sample", 2, 2040), ("count", 2, 1808995), ("corrupt:counts", 1, 0), ("reduce", 2, 604160), ("select_bucket", 2, 2048), ("filter", 2, 308147), ("base_sort", 1, 52)], obs_digest: 0x5cc8994a1719a29e },
-    Pin { case: "sample/f32/unverified/corrupt2", value_bits: 0xbeaa1726, total_ns: 56431.01787735849, launch_overhead_ns: 39000.0, levels: 2, early: false, error: None, kernels: &[("sample", 2, 2040), ("count", 2, 1808995), ("corrupt:oracles", 1, 0), ("reduce", 2, 604160), ("select_bucket", 2, 2048), ("filter", 2, 308147), ("base_sort", 1, 52)], obs_digest: 0x5cc8994a1719a29e },
-    Pin { case: "radix/f32/shared/noagg/uniform", value_bits: 0xbea517d3, total_ns: 30138.294380053907, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 142741), ("reduce", 2, 49152), ("filter", 2, 38321), ("base_sort", 1, 60)], obs_digest: 0x124f4560d040cb26 },
-    Pin { case: "radix/f32/shared/noagg/dup16", value_bits: 0x40b00000, total_ns: 54667.91130727763, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 151443), ("reduce", 4, 55296), ("filter", 4, 48651)], obs_digest: 0x8d413970209f6b07 },
-    Pin { case: "radix/f32/shared/noagg/equal", value_bits: 0x41280000, total_ns: 64117.145013477086, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 481920), ("reduce", 4, 163840), ("filter", 4, 400320)], obs_digest: 0x9154fbd0a9c40e55 },
-    Pin { case: "radix/f32/shared/noagg/lowent", value_bits: 0x43488000, total_ns: 31455.346846361186, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 194183), ("reduce", 2, 65536), ("filter", 2, 81863), ("base_sort", 1, 320)], obs_digest: 0x3cad2b2072011c0a },
-    Pin { case: "radix/f32/shared/agg/uniform", value_bits: 0xbea517d3, total_ns: 29722.629380053906, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 142741), ("reduce", 2, 49152), ("filter", 2, 38321), ("base_sort", 1, 60)], obs_digest: 0x571707e0b199fdbb },
-    Pin { case: "radix/f32/shared/agg/dup16", value_bits: 0x40b00000, total_ns: 52394.59400269541, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 151443), ("reduce", 4, 55296), ("filter", 4, 48651)], obs_digest: 0x3ce261a6b6301b9c },
-    Pin { case: "radix/f32/shared/agg/equal", value_bits: 0x41280000, total_ns: 60632.34501347708, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 481920), ("reduce", 4, 163840), ("filter", 4, 400320)], obs_digest: 0x92dfc864de728e4c },
-    Pin { case: "radix/f32/shared/agg/lowent", value_bits: 0x43488000, total_ns: 30707.266846361188, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 194183), ("reduce", 2, 65536), ("filter", 2, 81863), ("base_sort", 1, 320)], obs_digest: 0x716915e053b4567f },
-    Pin { case: "radix/f32/global/noagg/uniform", value_bits: 0xbea517d3, total_ns: 80005.15245283018, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 118165), ("reduce", 2, 49152), ("filter", 2, 38321), ("base_sort", 1, 60)], obs_digest: 0x67d0592046970faa },
-    Pin { case: "radix/f32/global/noagg/dup16", value_bits: 0x40b00000, total_ns: 163980.25175202155, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 123795), ("reduce", 4, 55296), ("filter", 4, 48651)], obs_digest: 0x5c29f05396eaecbd },
-    Pin { case: "radix/f32/global/noagg/equal", value_bits: 0x41280000, total_ns: 251524.85175202158, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 400000), ("reduce", 4, 163840), ("filter", 4, 400320)], obs_digest: 0x4ac7a839118b12af },
-    Pin { case: "radix/f32/global/noagg/lowent", value_bits: 0x43488000, total_ns: 94672.33520215635, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 161415), ("reduce", 2, 65536), ("filter", 2, 81863), ("base_sort", 1, 320)], obs_digest: 0x81ad72f7793688ef },
-    Pin { case: "radix/f32/global/agg/uniform", value_bits: 0xbea517d3, total_ns: 53554.99245283019, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 118165), ("reduce", 2, 49152), ("filter", 2, 38321), ("base_sort", 1, 60)], obs_digest: 0x8e2edf1889e6a6e9 },
-    Pin { case: "radix/f32/global/agg/dup16", value_bits: 0x40b00000, total_ns: 52144.70900269541, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 123795), ("reduce", 4, 55296), ("filter", 4, 48651)], obs_digest: 0xcca6cf2226bf53d2 },
-    Pin { case: "radix/f32/global/agg/equal", value_bits: 0x41280000, total_ns: 57291.545013477094, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 400000), ("reduce", 4, 163840), ("filter", 4, 400320)], obs_digest: 0xf534d2158ae7deaa },
-    Pin { case: "radix/f32/global/agg/lowent", value_bits: 0x43488000, total_ns: 55767.856172506734, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 161415), ("reduce", 2, 65536), ("filter", 2, 81863), ("base_sort", 1, 320)], obs_digest: 0xf76f4e1e29455e0e },
-    Pin { case: "radix/f64/shared/noagg/uniform", value_bits: 0xbfd4a2fa66cae224, total_ns: 33534.23753369272, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 300207), ("reduce", 2, 61440), ("filter", 2, 110647), ("base_sort", 1, 1040)], obs_digest: 0xfa93481b34637bc2 },
-    Pin { case: "radix/f64/shared/noagg/dup16", value_bits: 0x4016000000000000, total_ns: 121089.41101078168, launch_overhead_ns: 75000.0, levels: 8, early: true, error: None, kernels: &[("digit_count", 8, 427397), ("reduce", 8, 96256), ("filter", 8, 228953)], obs_digest: 0x97e53d11f2dd57f2 },
-    Pin { case: "radix/f64/shared/noagg/equal", value_bits: 0x4025000000000000, total_ns: 151110.30080862535, launch_overhead_ns: 75000.0, levels: 8, early: true, error: None, kernels: &[("digit_count", 8, 1603840), ("reduce", 8, 327680), ("filter", 8, 1440640)], obs_digest: 0xb84df5fd1572f723 },
-    Pin { case: "radix/f64/shared/noagg/lowent", value_bits: 0x4069100000000000, total_ns: 36764.348894878705, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 398080), ("reduce", 2, 81920), ("filter", 2, 199200), ("base_sort", 1, 1920)], obs_digest: 0x7853ffd2047e77e0 },
-    Pin { case: "radix/f64/shared/agg/uniform", value_bits: 0xbfd4a2fa66cae224, total_ns: 32986.36253369272, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 300207), ("reduce", 2, 61440), ("filter", 2, 110647), ("base_sort", 1, 1040)], obs_digest: 0x72b811d36c2fe603 },
-    Pin { case: "radix/f64/shared/agg/dup16", value_bits: 0x4016000000000000, total_ns: 117359.14150943398, launch_overhead_ns: 75000.0, levels: 8, early: true, error: None, kernels: &[("digit_count", 8, 427397), ("reduce", 8, 96256), ("filter", 8, 228953)], obs_digest: 0x92b7557b693eea6c },
-    Pin { case: "radix/f64/shared/agg/equal", value_bits: 0x4025000000000000, total_ns: 144140.70080862538, launch_overhead_ns: 75000.0, levels: 8, early: true, error: None, kernels: &[("digit_count", 8, 1603840), ("reduce", 8, 327680), ("filter", 8, 1440640)], obs_digest: 0x3d0fd8d1b398f7bf },
-    Pin { case: "radix/f64/shared/agg/lowent", value_bits: 0x4069100000000000, total_ns: 35743.208894878706, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 398080), ("reduce", 2, 81920), ("filter", 2, 199200), ("base_sort", 1, 1920)], obs_digest: 0x528ea068e26edf59 },
-    Pin { case: "radix/f64/global/noagg/uniform", value_bits: 0xbfd4a2fa66cae224, total_ns: 91787.90587601079, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 269487), ("reduce", 2, 61440), ("filter", 2, 110647), ("base_sort", 1, 1040)], obs_digest: 0xd1952e479970b065 },
-    Pin { case: "radix/f64/global/noagg/dup16", value_bits: 0x4016000000000000, total_ns: 340418.14350404317, launch_overhead_ns: 75000.0, levels: 8, early: true, error: None, kernels: &[("digit_count", 8, 379269), ("reduce", 8, 96256), ("filter", 8, 228953)], obs_digest: 0xedf2c4ff1126f292 },
-    Pin { case: "radix/f64/global/noagg/equal", value_bits: 0x4025000000000000, total_ns: 500049.70350404317, launch_overhead_ns: 75000.0, levels: 8, early: true, error: None, kernels: &[("digit_count", 8, 1440000), ("reduce", 8, 327680), ("filter", 8, 1440640)], obs_digest: 0xfe7e9cd715b32466 },
-    Pin { case: "radix/f64/global/noagg/lowent", value_bits: 0x4069100000000000, total_ns: 104342.42587601079, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 357120), ("reduce", 2, 81920), ("filter", 2, 199200), ("base_sort", 1, 1920)], obs_digest: 0x647b7603623ad4b7 },
-    Pin { case: "radix/f64/global/agg/uniform", value_bits: 0xbfd4a2fa66cae224, total_ns: 50835.46253369273, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 269487), ("reduce", 2, 61440), ("filter", 2, 110647), ("base_sort", 1, 1040)], obs_digest: 0xd810c59f875fcb0e },
-    Pin { case: "radix/f64/global/agg/dup16", value_bits: 0x4016000000000000, total_ns: 124038.0426954178, launch_overhead_ns: 75000.0, levels: 8, early: true, error: None, kernels: &[("digit_count", 8, 379269), ("reduce", 8, 96256), ("filter", 8, 228953)], obs_digest: 0xd5225d9f4f748844 },
-    Pin { case: "radix/f64/global/agg/equal", value_bits: 0x4025000000000000, total_ns: 142344.90566037735, launch_overhead_ns: 75000.0, levels: 8, early: true, error: None, kernels: &[("digit_count", 8, 1440000), ("reduce", 8, 327680), ("filter", 8, 1440640)], obs_digest: 0x4f8ecd0aa4fb9006 },
-    Pin { case: "radix/f64/global/agg/lowent", value_bits: 0x4069100000000000, total_ns: 42578.15450134771, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 357120), ("reduce", 2, 81920), ("filter", 2, 199200), ("base_sort", 1, 1920)], obs_digest: 0x59d8da96456de5fc },
-    Pin { case: "radix/u32/shared/noagg/uniform", value_bits: 0x551fa282, total_ns: 17428.24293800539, launch_overhead_ns: 15000.0, levels: 1, early: false, error: None, kernels: &[("digit_count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 20416), ("base_sort", 1, 336)], obs_digest: 0x8759609ce0907cd2 },
-    Pin { case: "radix/u32/shared/noagg/dup16", value_bits: 0x5, total_ns: 61404.00169811321, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 481920), ("reduce", 4, 163840), ("filter", 4, 325068)], obs_digest: 0x7294b541b463ef89 },
-    Pin { case: "radix/u32/shared/noagg/equal", value_bits: 0x7, total_ns: 64117.145013477086, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 481920), ("reduce", 4, 163840), ("filter", 4, 400320)], obs_digest: 0x9154fbd0a9c40e55 },
-    Pin { case: "radix/u32/shared/noagg/lowent", value_bits: 0x53, total_ns: 63245.07169811321, launch_overhead_ns: 42000.0, levels: 4, early: false, error: None, kernels: &[("digit_count", 4, 481920), ("reduce", 4, 163840), ("filter", 4, 320640), ("base_sort", 1, 320)], obs_digest: 0xc440449f877e63b7 },
-    Pin { case: "radix/u32/shared/agg/uniform", value_bits: 0x551fa282, total_ns: 17401.96293800539, launch_overhead_ns: 15000.0, levels: 1, early: false, error: None, kernels: &[("digit_count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 20416), ("base_sort", 1, 336)], obs_digest: 0x0a985290f1882d3f },
-    Pin { case: "radix/u32/shared/agg/dup16", value_bits: 0x5, total_ns: 58652.9716981132, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 481920), ("reduce", 4, 163840), ("filter", 4, 325068)], obs_digest: 0x8b0971f827964c1b },
-    Pin { case: "radix/u32/shared/agg/equal", value_bits: 0x7, total_ns: 60632.34501347708, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 481920), ("reduce", 4, 163840), ("filter", 4, 400320)], obs_digest: 0x92dfc864de728e4c },
-    Pin { case: "radix/u32/shared/agg/lowent", value_bits: 0x53, total_ns: 60631.4716981132, launch_overhead_ns: 42000.0, levels: 4, early: false, error: None, kernels: &[("digit_count", 4, 481920), ("reduce", 4, 163840), ("filter", 4, 320640), ("base_sort", 1, 320)], obs_digest: 0x7c24fa12fa7ab515 },
-    Pin { case: "radix/u32/global/noagg/uniform", value_bits: 0x551fa282, total_ns: 42093.16981132075, launch_overhead_ns: 15000.0, levels: 1, early: false, error: None, kernels: &[("digit_count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 20416), ("base_sort", 1, 336)], obs_digest: 0xa77b30d031da2096 },
-    Pin { case: "radix/u32/global/noagg/dup16", value_bits: 0x5, total_ns: 226691.69175202158, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 400000), ("reduce", 4, 163840), ("filter", 4, 325068)], obs_digest: 0x04b9c2e8accf596a },
-    Pin { case: "radix/u32/global/noagg/equal", value_bits: 0x7, total_ns: 251524.85175202158, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 400000), ("reduce", 4, 163840), ("filter", 4, 400320)], obs_digest: 0x4ac7a839118b12af },
-    Pin { case: "radix/u32/global/noagg/lowent", value_bits: 0x53, total_ns: 228486.16172506742, launch_overhead_ns: 42000.0, levels: 4, early: false, error: None, kernels: &[("digit_count", 4, 400000), ("reduce", 4, 163840), ("filter", 4, 320640), ("base_sort", 1, 320)], obs_digest: 0x0da45259c8c6e42e },
-    Pin { case: "radix/u32/global/agg/uniform", value_bits: 0x551fa282, total_ns: 40550.08981132075, launch_overhead_ns: 15000.0, levels: 1, early: false, error: None, kernels: &[("digit_count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 20416), ("base_sort", 1, 336)], obs_digest: 0x60c78a122bc0d699 },
-    Pin { case: "radix/u32/global/agg/dup16", value_bits: 0x5, total_ns: 65303.431698113214, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 400000), ("reduce", 4, 163840), ("filter", 4, 325068)], obs_digest: 0x55c958e61bcba44b },
-    Pin { case: "radix/u32/global/agg/equal", value_bits: 0x7, total_ns: 57291.545013477094, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 400000), ("reduce", 4, 163840), ("filter", 4, 400320)], obs_digest: 0xf534d2158ae7deaa },
-    Pin { case: "radix/u32/global/agg/lowent", value_bits: 0x53, total_ns: 82811.18167115904, launch_overhead_ns: 42000.0, levels: 4, early: false, error: None, kernels: &[("digit_count", 4, 400000), ("reduce", 4, 163840), ("filter", 4, 320640), ("base_sort", 1, 320)], obs_digest: 0x7c4e5f09eface4c5 },
-    Pin { case: "radix/i32/shared/noagg/uniform", value_bits: 0xd4198ca6, total_ns: 17396.10703504043, launch_overhead_ns: 15000.0, levels: 1, early: false, error: None, kernels: &[("digit_count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 20340), ("base_sort", 1, 260)], obs_digest: 0x9b07c5aec17c914f },
-    Pin { case: "radix/i32/shared/noagg/dup16", value_bits: 0xffffffa1, total_ns: 61404.00169811321, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 481920), ("reduce", 4, 163840), ("filter", 4, 325068)], obs_digest: 0x7294b541b463ef89 },
-    Pin { case: "radix/i32/shared/noagg/equal", value_bits: 0xffffffa3, total_ns: 64117.145013477086, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 481920), ("reduce", 4, 163840), ("filter", 4, 400320)], obs_digest: 0x9154fbd0a9c40e55 },
-    Pin { case: "radix/i32/shared/noagg/lowent", value_bits: 0xffffffef, total_ns: 61564.47088948787, launch_overhead_ns: 42000.0, levels: 4, early: false, error: None, kernels: &[("digit_count", 4, 265056), ("reduce", 4, 90112), ("filter", 4, 140496), ("base_sort", 1, 320)], obs_digest: 0xb63ed3152434deeb },
-    Pin { case: "radix/i32/shared/agg/uniform", value_bits: 0xd4198ca6, total_ns: 17370.09703504043, launch_overhead_ns: 15000.0, levels: 1, early: false, error: None, kernels: &[("digit_count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 20340), ("base_sort", 1, 260)], obs_digest: 0x468fa1d2dae44b51 },
-    Pin { case: "radix/i32/shared/agg/dup16", value_bits: 0xffffffa1, total_ns: 58652.9716981132, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 481920), ("reduce", 4, 163840), ("filter", 4, 325068)], obs_digest: 0x8b0971f827964c1b },
-    Pin { case: "radix/i32/shared/agg/equal", value_bits: 0xffffffa3, total_ns: 60632.34501347708, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 481920), ("reduce", 4, 163840), ("filter", 4, 400320)], obs_digest: 0x92dfc864de728e4c },
-    Pin { case: "radix/i32/shared/agg/lowent", value_bits: 0xffffffef, total_ns: 59005.77088948787, launch_overhead_ns: 42000.0, levels: 4, early: false, error: None, kernels: &[("digit_count", 4, 265056), ("reduce", 4, 90112), ("filter", 4, 140496), ("base_sort", 1, 320)], obs_digest: 0xaf2cd448ccdfa40e },
-    Pin { case: "radix/i32/global/noagg/uniform", value_bits: 0xd4198ca6, total_ns: 42090.09703504043, launch_overhead_ns: 15000.0, levels: 1, early: false, error: None, kernels: &[("digit_count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 20340), ("base_sort", 1, 260)], obs_digest: 0x870ef8560004e643 },
-    Pin { case: "radix/i32/global/noagg/dup16", value_bits: 0xffffffa1, total_ns: 226691.69175202158, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 400000), ("reduce", 4, 163840), ("filter", 4, 325068)], obs_digest: 0x04b9c2e8accf596a },
-    Pin { case: "radix/i32/global/noagg/equal", value_bits: 0xffffffa3, total_ns: 251524.85175202158, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 400000), ("reduce", 4, 163840), ("filter", 4, 400320)], obs_digest: 0x4ac7a839118b12af },
-    Pin { case: "radix/i32/global/noagg/lowent", value_bits: 0xffffffef, total_ns: 212734.85175202158, launch_overhead_ns: 42000.0, levels: 4, early: false, error: None, kernels: &[("digit_count", 4, 220000), ("reduce", 4, 90112), ("filter", 4, 140496), ("base_sort", 1, 320)], obs_digest: 0x996d633b8fb5d226 },
-    Pin { case: "radix/i32/global/agg/uniform", value_bits: 0xd4198ca6, total_ns: 40547.01703504043, launch_overhead_ns: 15000.0, levels: 1, early: false, error: None, kernels: &[("digit_count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 20340), ("base_sort", 1, 260)], obs_digest: 0x79516a63f1d03238 },
-    Pin { case: "radix/i32/global/agg/dup16", value_bits: 0xffffffa1, total_ns: 65303.431698113214, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 400000), ("reduce", 4, 163840), ("filter", 4, 325068)], obs_digest: 0x55c958e61bcba44b },
-    Pin { case: "radix/i32/global/agg/equal", value_bits: 0xffffffa3, total_ns: 57291.545013477094, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 400000), ("reduce", 4, 163840), ("filter", 4, 400320)], obs_digest: 0xf534d2158ae7deaa },
-    Pin { case: "radix/i32/global/agg/lowent", value_bits: 0xffffffef, total_ns: 81163.77088948787, launch_overhead_ns: 42000.0, levels: 4, early: false, error: None, kernels: &[("digit_count", 4, 220000), ("reduce", 4, 90112), ("filter", 4, 140496), ("base_sort", 1, 320)], obs_digest: 0x80bda42b98bd56df },
-    Pin { case: "radix/f32/deep/uniform", value_bits: 0xbeaa1726, total_ns: 38322.08671526587, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 2137342), ("reduce", 2, 712704), ("filter", 2, 583586), ("base_sort", 1, 1204)], obs_digest: 0x9705ed09a51372e0 },
-    Pin { case: "radix/u32/deep/lowent", value_bits: 0x53, total_ns: 94009.89858490565, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 7200128), ("reduce", 4, 2400256), ("filter", 4, 4809468)], obs_digest: 0x4a5ef55cab6bab73 },
-    Pin { case: "radix/f32/max_levels0/uniform", value_bits: 0x0, total_ns: 0.0, launch_overhead_ns: 0.0, levels: 0, early: false, error: Some("RecursionLimit"), kernels: &[], obs_digest: 0xa57d0bbc253a2d82 },
-    Pin { case: "radix/u32/budget1.5/uniform", value_bits: 0x551fa282, total_ns: 17428.24293800539, launch_overhead_ns: 15000.0, levels: 1, early: false, error: None, kernels: &[("digit_count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 20416), ("base_sort", 1, 336)], obs_digest: 0x8759609ce0907cd2 },
-    Pin { case: "radix/u32/budget1.5/lowent", value_bits: 0x0, total_ns: 18279.286253369275, launch_overhead_ns: 12000.0, levels: 0, early: false, error: Some("RecursionLimit"), kernels: &[("digit_count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 100080)], obs_digest: 0xda23dc56bb377d4b },
-    Pin { case: "radix/f32/spot/corrupt0", value_bits: 0x0, total_ns: 10741.83, launch_overhead_ns: 6000.0, levels: 0, early: false, error: Some("histogram-sum"), kernels: &[("digit_count", 1, 1800032), ("corrupt:counts", 1, 0)], obs_digest: 0xd1f5213bd4a88536 },
-    Pin { case: "radix/f32/spot/corrupt1", value_bits: 0xbeaa1726, total_ns: 38322.08671526587, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 2137342), ("corrupt:oracles", 1, 0), ("reduce", 2, 712704), ("filter", 2, 583586), ("base_sort", 1, 1204)], obs_digest: 0xc1acc797e4b8d298 },
-    Pin { case: "radix/f32/spot/corrupt2", value_bits: 0x0, total_ns: 27414.51559544229, launch_overhead_ns: 15000.0, levels: 0, early: false, error: Some("histogram-sum"), kernels: &[("digit_count", 2, 2137342), ("reduce", 1, 600064), ("filter", 1, 525964), ("corrupt:counts", 1, 0)], obs_digest: 0xcab638540caf32d2 },
-    Pin { case: "radix/f32/spot/corrupt3", value_bits: 0xbeaa1726, total_ns: 38322.08671526587, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 2137342), ("reduce", 2, 712704), ("filter", 2, 583586), ("corrupt:oracles", 1, 0), ("base_sort", 1, 1204)], obs_digest: 0x3be28ab029de7f04 },
-    Pin { case: "radix/f32/spot/corrupt5", value_bits: 0xbeaa1726, total_ns: 38322.08671526587, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 2137342), ("reduce", 2, 712704), ("filter", 2, 583586), ("base_sort", 1, 1204)], obs_digest: 0x9705ed09a51372e0 },
-    Pin { case: "radix/f32/unverified/corrupt0", value_bits: 0xbeaa1726, total_ns: 38322.08671526587, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 2137342), ("corrupt:counts", 1, 0), ("reduce", 2, 712704), ("filter", 2, 583586), ("base_sort", 1, 1204)], obs_digest: 0xe63959e6b3deeb61 },
-    Pin { case: "radix/f32/unverified/corrupt1", value_bits: 0xbeaa1726, total_ns: 38322.08671526587, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 2137342), ("corrupt:oracles", 1, 0), ("reduce", 2, 712704), ("filter", 2, 583586), ("base_sort", 1, 1204)], obs_digest: 0xc1acc797e4b8d298 },
-    Pin { case: "radix/f32/unverified/corrupt2", value_bits: 0xbeaa1726, total_ns: 38322.08671526587, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 2137342), ("reduce", 2, 712704), ("filter", 2, 583586), ("corrupt:counts", 1, 0), ("base_sort", 1, 1204)], obs_digest: 0x3be28ab029de7f04 },
+    Pin { case: "sample/f32/shared/noagg/uniform", value_bits: 0xbea517d3, total_ns: 31121.494690026953, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20408), ("base_sort", 1, 328)], obs_digest: 0x089a598e1cb4f0f6 },
+    Pin { case: "sample/f32/shared/noagg/dup16", value_bits: 0x40b00000, total_ns: 24804.37969002696, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x5e433cb1064d50ee },
+    Pin { case: "sample/f32/shared/noagg/equal", value_bits: 0x41280000, total_ns: 25567.264690026954, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x1b2fd433e55d1406 },
+    Pin { case: "sample/f32/shared/noagg/lowent", value_bits: 0x43488000, total_ns: 31128.334690026953, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20400), ("base_sort", 1, 320)], obs_digest: 0x72acfe4ebc7f4e01 },
+    Pin { case: "sample/f32/shared/agg/uniform", value_bits: 0xbea517d3, total_ns: 31092.064690026957, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20408), ("base_sort", 1, 328)], obs_digest: 0xcd5d4d3761a4e35b },
+    Pin { case: "sample/f32/shared/agg/dup16", value_bits: 0x40b00000, total_ns: 24696.064690026957, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0xbaf8cd5c52870016 },
+    Pin { case: "sample/f32/shared/agg/equal", value_bits: 0x41280000, total_ns: 24696.064690026957, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x89e8f35bad397078 },
+    Pin { case: "sample/f32/shared/agg/lowent", value_bits: 0x43488000, total_ns: 31092.064690026957, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20400), ("base_sort", 1, 320)], obs_digest: 0xb444bcbebd97e5a1 },
+    Pin { case: "sample/f32/global/noagg/uniform", value_bits: 0xbea517d3, total_ns: 55777.698113207545, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20408), ("base_sort", 1, 328)], obs_digest: 0x56b3067659e3b06f },
+    Pin { case: "sample/f32/global/noagg/dup16", value_bits: 0x40b00000, total_ns: 49416.06469002695, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0xeb0bb4ef8dfb6e07 },
+    Pin { case: "sample/f32/global/noagg/equal", value_bits: 0x41280000, total_ns: 49416.06469002695, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x0c7421a3ba1d77a5 },
+    Pin { case: "sample/f32/global/noagg/lowent", value_bits: 0x43488000, total_ns: 55777.37466307277, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20400), ("base_sort", 1, 320)], obs_digest: 0x19632f43096f708f },
+    Pin { case: "sample/f32/global/agg/uniform", value_bits: 0xbea517d3, total_ns: 53901.978113207544, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20408), ("base_sort", 1, 328)], obs_digest: 0x665dc31e6132f889 },
+    Pin { case: "sample/f32/global/agg/dup16", value_bits: 0x40b00000, total_ns: 34556.82469002696, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0xb48d00282dc03090 },
+    Pin { case: "sample/f32/global/agg/equal", value_bits: 0x41280000, total_ns: 23860.864690026952, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x789b82d2a9879513 },
+    Pin { case: "sample/f32/global/agg/lowent", value_bits: 0x43488000, total_ns: 51709.13466307277, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20400), ("base_sort", 1, 320)], obs_digest: 0xf39d7683949313df },
+    Pin { case: "sample/f64/shared/noagg/uniform", value_bits: 0xbfd4a2fa66cae224, total_ns: 34667.49469002696, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 200480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20736), ("base_sort", 1, 656)], obs_digest: 0x511d668b749abc20 },
+    Pin { case: "sample/f64/shared/noagg/dup16", value_bits: 0x4016000000000000, total_ns: 28164.37969002696, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 200480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x3c358311107957a1 },
+    Pin { case: "sample/f64/shared/noagg/equal", value_bits: 0x4025000000000000, total_ns: 28927.264690026954, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 200480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x3b173a68bd3443b5 },
+    Pin { case: "sample/f64/shared/noagg/lowent", value_bits: 0x4069100000000000, total_ns: 34674.33469002695, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 200480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20720), ("base_sort", 1, 640)], obs_digest: 0x341071060cdfcb65 },
+    Pin { case: "sample/f64/shared/agg/uniform", value_bits: 0xbfd4a2fa66cae224, total_ns: 34638.06469002696, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 200480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20736), ("base_sort", 1, 656)], obs_digest: 0xe42544faa05619ea },
+    Pin { case: "sample/f64/shared/agg/dup16", value_bits: 0x4016000000000000, total_ns: 28056.064690026957, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 200480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x0ec77c04fedaeeaa },
+    Pin { case: "sample/f64/shared/agg/equal", value_bits: 0x4025000000000000, total_ns: 28056.064690026957, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 200480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x032716bb33d6f06a },
+    Pin { case: "sample/f64/shared/agg/lowent", value_bits: 0x4069100000000000, total_ns: 34638.06469002696, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 200480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20720), ("base_sort", 1, 640)], obs_digest: 0xc1f51c2d3e3e4e5a },
+    Pin { case: "sample/f64/global/noagg/uniform", value_bits: 0xbfd4a2fa66cae224, total_ns: 59336.959568733146, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 180000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20736), ("base_sort", 1, 656)], obs_digest: 0x80d2b69026106e5d },
+    Pin { case: "sample/f64/global/noagg/dup16", value_bits: 0x4016000000000000, total_ns: 52776.06469002695, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 180000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x918661b0682a3abe },
+    Pin { case: "sample/f64/global/noagg/equal", value_bits: 0x4025000000000000, total_ns: 52776.06469002695, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 180000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x49dec63eea677058 },
+    Pin { case: "sample/f64/global/noagg/lowent", value_bits: 0x4069100000000000, total_ns: 59336.31266846361, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 180000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20720), ("base_sort", 1, 640)], obs_digest: 0xe5d44f3a0257284d },
+    Pin { case: "sample/f64/global/agg/uniform", value_bits: 0xbfd4a2fa66cae224, total_ns: 57459.919568733145, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 180000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20736), ("base_sort", 1, 656)], obs_digest: 0x5175269f471f1fe9 },
+    Pin { case: "sample/f64/global/agg/dup16", value_bits: 0x4016000000000000, total_ns: 37916.82469002695, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 180000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x2f721941164f42ea },
+    Pin { case: "sample/f64/global/agg/equal", value_bits: 0x4025000000000000, total_ns: 27831.59029649596, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 180000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x41e169968e06186e },
+    Pin { case: "sample/f64/global/agg/lowent", value_bits: 0x4069100000000000, total_ns: 55268.07266846361, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 180000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20720), ("base_sort", 1, 640)], obs_digest: 0x59076ef1e72196ed },
+    Pin { case: "sample/u32/shared/noagg/uniform", value_bits: 0x551fa282, total_ns: 31576.669690026956, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20684), ("base_sort", 1, 604)], obs_digest: 0x38c9ecf11a9a50aa },
+    Pin { case: "sample/u32/shared/noagg/dup16", value_bits: 0x5, total_ns: 24804.37969002696, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x5e433cb1064d50ee },
+    Pin { case: "sample/u32/shared/noagg/equal", value_bits: 0x7, total_ns: 25567.264690026954, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x1b2fd433e55d1406 },
+    Pin { case: "sample/u32/shared/noagg/lowent", value_bits: 0x53, total_ns: 31128.334690026953, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20400), ("base_sort", 1, 320)], obs_digest: 0x72acfe4ebc7f4e01 },
+    Pin { case: "sample/u32/shared/agg/uniform", value_bits: 0x551fa282, total_ns: 31546.564690026957, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20684), ("base_sort", 1, 604)], obs_digest: 0xe5441db76b92ebdc },
+    Pin { case: "sample/u32/shared/agg/dup16", value_bits: 0x5, total_ns: 24696.064690026957, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0xbaf8cd5c52870016 },
+    Pin { case: "sample/u32/shared/agg/equal", value_bits: 0x7, total_ns: 24696.064690026957, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x89e8f35bad397078 },
+    Pin { case: "sample/u32/shared/agg/lowent", value_bits: 0x53, total_ns: 31092.064690026957, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20400), ("base_sort", 1, 320)], obs_digest: 0xb444bcbebd97e5a1 },
+    Pin { case: "sample/u32/global/noagg/uniform", value_bits: 0x551fa282, total_ns: 56119.38469002695, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20684), ("base_sort", 1, 604)], obs_digest: 0xf7b6fe4902bf5569 },
+    Pin { case: "sample/u32/global/noagg/dup16", value_bits: 0x5, total_ns: 49416.06469002695, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0xeb0bb4ef8dfb6e07 },
+    Pin { case: "sample/u32/global/noagg/equal", value_bits: 0x7, total_ns: 49416.06469002695, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x0c7421a3ba1d77a5 },
+    Pin { case: "sample/u32/global/noagg/lowent", value_bits: 0x53, total_ns: 55777.37466307277, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20400), ("base_sort", 1, 320)], obs_digest: 0x19632f43096f708f },
+    Pin { case: "sample/u32/global/agg/uniform", value_bits: 0x551fa282, total_ns: 54298.45714285714, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20684), ("base_sort", 1, 604)], obs_digest: 0x65bd5d1993c3eeb5 },
+    Pin { case: "sample/u32/global/agg/dup16", value_bits: 0x5, total_ns: 34556.82469002696, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0xb48d00282dc03090 },
+    Pin { case: "sample/u32/global/agg/equal", value_bits: 0x7, total_ns: 23860.864690026952, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x789b82d2a9879513 },
+    Pin { case: "sample/u32/global/agg/lowent", value_bits: 0x53, total_ns: 51709.13466307277, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20400), ("base_sort", 1, 320)], obs_digest: 0xf39d7683949313df },
+    Pin { case: "sample/i32/shared/noagg/uniform", value_bits: 0xd4198ca6, total_ns: 31083.793787061997, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20340), ("base_sort", 1, 260)], obs_digest: 0x98b6904cbd531f1d },
+    Pin { case: "sample/i32/shared/noagg/dup16", value_bits: 0xffffffa1, total_ns: 24804.37969002696, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x5e433cb1064d50ee },
+    Pin { case: "sample/i32/shared/noagg/equal", value_bits: 0xffffffa3, total_ns: 25567.264690026954, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x1b2fd433e55d1406 },
+    Pin { case: "sample/i32/shared/noagg/lowent", value_bits: 0xffffffef, total_ns: 31128.334690026953, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20400), ("base_sort", 1, 320)], obs_digest: 0x72acfe4ebc7f4e01 },
+    Pin { case: "sample/i32/shared/agg/uniform", value_bits: 0xd4198ca6, total_ns: 31054.948787061996, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20340), ("base_sort", 1, 260)], obs_digest: 0xf9ef78124750bcf0 },
+    Pin { case: "sample/i32/shared/agg/dup16", value_bits: 0xffffffa1, total_ns: 24696.064690026957, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0xbaf8cd5c52870016 },
+    Pin { case: "sample/i32/shared/agg/equal", value_bits: 0xffffffa3, total_ns: 24696.064690026957, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x89e8f35bad397078 },
+    Pin { case: "sample/i32/shared/agg/lowent", value_bits: 0xffffffef, total_ns: 31092.064690026957, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20400), ("base_sort", 1, 320)], obs_digest: 0xb444bcbebd97e5a1 },
+    Pin { case: "sample/i32/global/noagg/uniform", value_bits: 0xd4198ca6, total_ns: 55774.94878706199, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20340), ("base_sort", 1, 260)], obs_digest: 0x537b5abeec3806a9 },
+    Pin { case: "sample/i32/global/noagg/dup16", value_bits: 0xffffffa1, total_ns: 49416.06469002695, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0xeb0bb4ef8dfb6e07 },
+    Pin { case: "sample/i32/global/noagg/equal", value_bits: 0xffffffa3, total_ns: 49416.06469002695, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x0c7421a3ba1d77a5 },
+    Pin { case: "sample/i32/global/noagg/lowent", value_bits: 0xffffffef, total_ns: 55777.37466307277, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20400), ("base_sort", 1, 320)], obs_digest: 0x19632f43096f708f },
+    Pin { case: "sample/i32/global/agg/uniform", value_bits: 0xd4198ca6, total_ns: 54015.388787061995, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20340), ("base_sort", 1, 260)], obs_digest: 0xc9891e462f6855be },
+    Pin { case: "sample/i32/global/agg/dup16", value_bits: 0xffffffa1, total_ns: 34556.82469002696, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0xb48d00282dc03090 },
+    Pin { case: "sample/i32/global/agg/equal", value_bits: 0xffffffa3, total_ns: 23860.864690026952, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x789b82d2a9879513 },
+    Pin { case: "sample/i32/global/agg/lowent", value_bits: 0xffffffef, total_ns: 51709.13466307277, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20400), ("base_sort", 1, 320)], obs_digest: 0xf39d7683949313df },
+    Pin { case: "sample/f32/deep/uniform", value_bits: 0xbeaa1726, total_ns: 56431.01787735849, launch_overhead_ns: 39000.0, levels: 2, early: false, error: None, kernels: &[("sample", 2, 2040), ("count", 2, 1808995), ("reduce", 2, 604160), ("select_bucket", 2, 2048), ("filter", 2, 308147), ("base_sort", 1, 52)], obs_digest: 0x70222fb032b78394 },
+    Pin { case: "sample/u32/deep/lowent", value_bits: 0x53, total_ns: 50602.57067385444, launch_overhead_ns: 33000.0, levels: 2, early: true, error: None, kernels: &[("sample", 2, 2040), ("count", 2, 1815054), ("reduce", 2, 606208), ("select_bucket", 2, 2048), ("filter", 1, 310732)], obs_digest: 0xfc1a88810820a425 },
+    Pin { case: "sample/f32/max_levels0/uniform", value_bits: 0x0, total_ns: 0.0, launch_overhead_ns: 0.0, levels: 0, early: false, error: Some("RecursionLimit"), kernels: &[], obs_digest: 0xfa75d5dea98c9cba },
+    Pin { case: "sample/u32/budget1.5/uniform", value_bits: 0x551fa282, total_ns: 31576.669690026956, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20684), ("base_sort", 1, 604)], obs_digest: 0x38c9ecf11a9a50aa },
+    Pin { case: "sample/u32/budget1.5/lowent", value_bits: 0x53, total_ns: 31128.334690026953, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20400), ("base_sort", 1, 320)], obs_digest: 0x72acfe4ebc7f4e01 },
+    Pin { case: "sample/f32/spot/corrupt0", value_bits: 0x0, total_ns: 9360.0, launch_overhead_ns: 6000.0, levels: 0, early: false, error: Some("splitter-order"), kernels: &[("sample", 1, 1020), ("corrupt:splitters", 1, 0)], obs_digest: 0x1d74b6007c1e2ceb },
+    Pin { case: "sample/f32/spot/corrupt1", value_bits: 0x0, total_ns: 19534.665, launch_overhead_ns: 12000.0, levels: 0, early: false, error: Some("histogram-sum"), kernels: &[("sample", 1, 1020), ("count", 1, 1800032), ("corrupt:counts", 1, 0)], obs_digest: 0x1b3a6e7b0c722b9e },
+    Pin { case: "sample/f32/spot/corrupt2", value_bits: 0xbeaa1726, total_ns: 56431.01787735849, launch_overhead_ns: 39000.0, levels: 2, early: false, error: None, kernels: &[("sample", 2, 2040), ("count", 2, 1808995), ("corrupt:oracles", 1, 0), ("reduce", 2, 604160), ("select_bucket", 2, 2048), ("filter", 2, 308147), ("base_sort", 1, 52)], obs_digest: 0x99bef0a46a1df406 },
+    Pin { case: "sample/f32/spot/corrupt3", value_bits: 0x0, total_ns: 38304.793483827496, launch_overhead_ns: 24000.0, levels: 0, early: false, error: Some("splitter-order"), kernels: &[("sample", 2, 2040), ("count", 1, 1800032), ("reduce", 1, 600064), ("select_bucket", 1, 1024), ("filter", 1, 306704), ("corrupt:splitters", 1, 0)], obs_digest: 0x5a0bfc3d15da0dbf },
+    Pin { case: "sample/f32/spot/corrupt5", value_bits: 0xbeaa1726, total_ns: 56431.01787735849, launch_overhead_ns: 39000.0, levels: 2, early: false, error: None, kernels: &[("sample", 2, 2040), ("count", 2, 1808995), ("reduce", 2, 604160), ("select_bucket", 2, 2048), ("filter", 2, 308147), ("corrupt:oracles", 1, 0), ("base_sort", 1, 52)], obs_digest: 0xc6fc362c49c8e25f },
+    Pin { case: "sample/f32/unverified/corrupt0", value_bits: 0x0, total_ns: 9360.0, launch_overhead_ns: 6000.0, levels: 0, early: false, error: Some("splitter-order"), kernels: &[("sample", 1, 1020), ("corrupt:splitters", 1, 0)], obs_digest: 0x1d74b6007c1e2ceb },
+    Pin { case: "sample/f32/unverified/corrupt1", value_bits: 0xbeaa1726, total_ns: 56431.01787735849, launch_overhead_ns: 39000.0, levels: 2, early: false, error: None, kernels: &[("sample", 2, 2040), ("count", 2, 1808995), ("corrupt:counts", 1, 0), ("reduce", 2, 604160), ("select_bucket", 2, 2048), ("filter", 2, 308147), ("base_sort", 1, 52)], obs_digest: 0x99bef0a46a1df406 },
+    Pin { case: "sample/f32/unverified/corrupt2", value_bits: 0xbeaa1726, total_ns: 56431.01787735849, launch_overhead_ns: 39000.0, levels: 2, early: false, error: None, kernels: &[("sample", 2, 2040), ("count", 2, 1808995), ("corrupt:oracles", 1, 0), ("reduce", 2, 604160), ("select_bucket", 2, 2048), ("filter", 2, 308147), ("base_sort", 1, 52)], obs_digest: 0x99bef0a46a1df406 },
+    Pin { case: "radix/f32/shared/noagg/uniform", value_bits: 0xbea517d3, total_ns: 30138.294380053907, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 142741), ("reduce", 2, 49152), ("filter", 2, 38321), ("base_sort", 1, 60)], obs_digest: 0xc5cc8555571d6624 },
+    Pin { case: "radix/f32/shared/noagg/dup16", value_bits: 0x40b00000, total_ns: 54667.91130727763, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 151443), ("reduce", 4, 55296), ("filter", 4, 48651)], obs_digest: 0xc3b6f6a63e93bd87 },
+    Pin { case: "radix/f32/shared/noagg/equal", value_bits: 0x41280000, total_ns: 64117.145013477086, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 481920), ("reduce", 4, 163840), ("filter", 4, 400320)], obs_digest: 0xe1deb5de7dd88e77 },
+    Pin { case: "radix/f32/shared/noagg/lowent", value_bits: 0x43488000, total_ns: 31455.346846361186, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 194183), ("reduce", 2, 65536), ("filter", 2, 81863), ("base_sort", 1, 320)], obs_digest: 0x0d8edfb045f931e4 },
+    Pin { case: "radix/f32/shared/agg/uniform", value_bits: 0xbea517d3, total_ns: 29722.629380053906, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 142741), ("reduce", 2, 49152), ("filter", 2, 38321), ("base_sort", 1, 60)], obs_digest: 0x6a0359e57d73d2fd },
+    Pin { case: "radix/f32/shared/agg/dup16", value_bits: 0x40b00000, total_ns: 52394.59400269541, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 151443), ("reduce", 4, 55296), ("filter", 4, 48651)], obs_digest: 0x392c48fe92d6787c },
+    Pin { case: "radix/f32/shared/agg/equal", value_bits: 0x41280000, total_ns: 60632.34501347708, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 481920), ("reduce", 4, 163840), ("filter", 4, 400320)], obs_digest: 0x889f4b44b8d43e88 },
+    Pin { case: "radix/f32/shared/agg/lowent", value_bits: 0x43488000, total_ns: 30707.266846361188, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 194183), ("reduce", 2, 65536), ("filter", 2, 81863), ("base_sort", 1, 320)], obs_digest: 0xf5eff62a7845f789 },
+    Pin { case: "radix/f32/global/noagg/uniform", value_bits: 0xbea517d3, total_ns: 80005.15245283018, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 118165), ("reduce", 2, 49152), ("filter", 2, 38321), ("base_sort", 1, 60)], obs_digest: 0x6fc208da5feecf2a },
+    Pin { case: "radix/f32/global/noagg/dup16", value_bits: 0x40b00000, total_ns: 163980.25175202155, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 123795), ("reduce", 4, 55296), ("filter", 4, 48651)], obs_digest: 0x94864c4be0214089 },
+    Pin { case: "radix/f32/global/noagg/equal", value_bits: 0x41280000, total_ns: 251524.85175202158, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 400000), ("reduce", 4, 163840), ("filter", 4, 400320)], obs_digest: 0x021216c2377a2535 },
+    Pin { case: "radix/f32/global/noagg/lowent", value_bits: 0x43488000, total_ns: 94672.33520215635, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 161415), ("reduce", 2, 65536), ("filter", 2, 81863), ("base_sort", 1, 320)], obs_digest: 0x66acfe23b481eccb },
+    Pin { case: "radix/f32/global/agg/uniform", value_bits: 0xbea517d3, total_ns: 53554.99245283019, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 118165), ("reduce", 2, 49152), ("filter", 2, 38321), ("base_sort", 1, 60)], obs_digest: 0x29fe358554bc98a1 },
+    Pin { case: "radix/f32/global/agg/dup16", value_bits: 0x40b00000, total_ns: 52144.70900269541, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 123795), ("reduce", 4, 55296), ("filter", 4, 48651)], obs_digest: 0xa3dde4de909346aa },
+    Pin { case: "radix/f32/global/agg/equal", value_bits: 0x41280000, total_ns: 57291.545013477094, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 400000), ("reduce", 4, 163840), ("filter", 4, 400320)], obs_digest: 0x2c8215be418aa1ac },
+    Pin { case: "radix/f32/global/agg/lowent", value_bits: 0x43488000, total_ns: 55767.856172506734, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 161415), ("reduce", 2, 65536), ("filter", 2, 81863), ("base_sort", 1, 320)], obs_digest: 0x6c12868c78497f4a },
+    Pin { case: "radix/f64/shared/noagg/uniform", value_bits: 0xbfd4a2fa66cae224, total_ns: 33534.23753369272, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 300207), ("reduce", 2, 61440), ("filter", 2, 110647), ("base_sort", 1, 1040)], obs_digest: 0x064903971e1a60a8 },
+    Pin { case: "radix/f64/shared/noagg/dup16", value_bits: 0x4016000000000000, total_ns: 121089.41101078168, launch_overhead_ns: 75000.0, levels: 8, early: true, error: None, kernels: &[("digit_count", 8, 427397), ("reduce", 8, 96256), ("filter", 8, 228953)], obs_digest: 0xf65799175296b50e },
+    Pin { case: "radix/f64/shared/noagg/equal", value_bits: 0x4025000000000000, total_ns: 151110.30080862535, launch_overhead_ns: 75000.0, levels: 8, early: true, error: None, kernels: &[("digit_count", 8, 1603840), ("reduce", 8, 327680), ("filter", 8, 1440640)], obs_digest: 0x20845d9f95532819 },
+    Pin { case: "radix/f64/shared/noagg/lowent", value_bits: 0x4069100000000000, total_ns: 36764.348894878705, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 398080), ("reduce", 2, 81920), ("filter", 2, 199200), ("base_sort", 1, 1920)], obs_digest: 0xc0d45fea49e9a8be },
+    Pin { case: "radix/f64/shared/agg/uniform", value_bits: 0xbfd4a2fa66cae224, total_ns: 32986.36253369272, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 300207), ("reduce", 2, 61440), ("filter", 2, 110647), ("base_sort", 1, 1040)], obs_digest: 0x0f549f904f7ff655 },
+    Pin { case: "radix/f64/shared/agg/dup16", value_bits: 0x4016000000000000, total_ns: 117359.14150943398, launch_overhead_ns: 75000.0, levels: 8, early: true, error: None, kernels: &[("digit_count", 8, 427397), ("reduce", 8, 96256), ("filter", 8, 228953)], obs_digest: 0x0e430313027bf794 },
+    Pin { case: "radix/f64/shared/agg/equal", value_bits: 0x4025000000000000, total_ns: 144140.70080862538, launch_overhead_ns: 75000.0, levels: 8, early: true, error: None, kernels: &[("digit_count", 8, 1603840), ("reduce", 8, 327680), ("filter", 8, 1440640)], obs_digest: 0x083d83f843b63a17 },
+    Pin { case: "radix/f64/shared/agg/lowent", value_bits: 0x4069100000000000, total_ns: 35743.208894878706, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 398080), ("reduce", 2, 81920), ("filter", 2, 199200), ("base_sort", 1, 1920)], obs_digest: 0x0642ad05a0d02241 },
+    Pin { case: "radix/f64/global/noagg/uniform", value_bits: 0xbfd4a2fa66cae224, total_ns: 91787.90587601079, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 269487), ("reduce", 2, 61440), ("filter", 2, 110647), ("base_sort", 1, 1040)], obs_digest: 0xfd87409ce55ddcad },
+    Pin { case: "radix/f64/global/noagg/dup16", value_bits: 0x4016000000000000, total_ns: 340418.14350404317, launch_overhead_ns: 75000.0, levels: 8, early: true, error: None, kernels: &[("digit_count", 8, 379269), ("reduce", 8, 96256), ("filter", 8, 228953)], obs_digest: 0x9fa1b77b89d43ab0 },
+    Pin { case: "radix/f64/global/noagg/equal", value_bits: 0x4025000000000000, total_ns: 500049.70350404317, launch_overhead_ns: 75000.0, levels: 8, early: true, error: None, kernels: &[("digit_count", 8, 1440000), ("reduce", 8, 327680), ("filter", 8, 1440640)], obs_digest: 0xb3d091fc77d87cba },
+    Pin { case: "radix/f64/global/noagg/lowent", value_bits: 0x4069100000000000, total_ns: 104342.42587601079, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 357120), ("reduce", 2, 81920), ("filter", 2, 199200), ("base_sort", 1, 1920)], obs_digest: 0xcc6062a9795c2d77 },
+    Pin { case: "radix/f64/global/agg/uniform", value_bits: 0xbfd4a2fa66cae224, total_ns: 50835.46253369273, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 269487), ("reduce", 2, 61440), ("filter", 2, 110647), ("base_sort", 1, 1040)], obs_digest: 0x2028a8510c91e72c },
+    Pin { case: "radix/f64/global/agg/dup16", value_bits: 0x4016000000000000, total_ns: 124038.0426954178, launch_overhead_ns: 75000.0, levels: 8, early: true, error: None, kernels: &[("digit_count", 8, 379269), ("reduce", 8, 96256), ("filter", 8, 228953)], obs_digest: 0x9b85f4a6ac7e2f42 },
+    Pin { case: "radix/f64/global/agg/equal", value_bits: 0x4025000000000000, total_ns: 142344.90566037735, launch_overhead_ns: 75000.0, levels: 8, early: true, error: None, kernels: &[("digit_count", 8, 1440000), ("reduce", 8, 327680), ("filter", 8, 1440640)], obs_digest: 0x1809e485c04fdaa6 },
+    Pin { case: "radix/f64/global/agg/lowent", value_bits: 0x4069100000000000, total_ns: 42578.15450134771, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 357120), ("reduce", 2, 81920), ("filter", 2, 199200), ("base_sort", 1, 1920)], obs_digest: 0x5dd31161e579a5d6 },
+    Pin { case: "radix/u32/shared/noagg/uniform", value_bits: 0x551fa282, total_ns: 17428.24293800539, launch_overhead_ns: 15000.0, levels: 1, early: false, error: None, kernels: &[("digit_count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 20416), ("base_sort", 1, 336)], obs_digest: 0x1afe90ef73cb8fd8 },
+    Pin { case: "radix/u32/shared/noagg/dup16", value_bits: 0x5, total_ns: 61404.00169811321, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 481920), ("reduce", 4, 163840), ("filter", 4, 325068)], obs_digest: 0x77271f4f8d41cd8d },
+    Pin { case: "radix/u32/shared/noagg/equal", value_bits: 0x7, total_ns: 64117.145013477086, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 481920), ("reduce", 4, 163840), ("filter", 4, 400320)], obs_digest: 0xe1deb5de7dd88e77 },
+    Pin { case: "radix/u32/shared/noagg/lowent", value_bits: 0x53, total_ns: 63245.07169811321, launch_overhead_ns: 42000.0, levels: 4, early: false, error: None, kernels: &[("digit_count", 4, 481920), ("reduce", 4, 163840), ("filter", 4, 320640), ("base_sort", 1, 320)], obs_digest: 0xc9845cddc00784f7 },
+    Pin { case: "radix/u32/shared/agg/uniform", value_bits: 0x551fa282, total_ns: 17401.96293800539, launch_overhead_ns: 15000.0, levels: 1, early: false, error: None, kernels: &[("digit_count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 20416), ("base_sort", 1, 336)], obs_digest: 0xc400c416a3814919 },
+    Pin { case: "radix/u32/shared/agg/dup16", value_bits: 0x5, total_ns: 58652.9716981132, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 481920), ("reduce", 4, 163840), ("filter", 4, 325068)], obs_digest: 0xd79dd2fe142ac39b },
+    Pin { case: "radix/u32/shared/agg/equal", value_bits: 0x7, total_ns: 60632.34501347708, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 481920), ("reduce", 4, 163840), ("filter", 4, 400320)], obs_digest: 0x889f4b44b8d43e88 },
+    Pin { case: "radix/u32/shared/agg/lowent", value_bits: 0x53, total_ns: 60631.4716981132, launch_overhead_ns: 42000.0, levels: 4, early: false, error: None, kernels: &[("digit_count", 4, 481920), ("reduce", 4, 163840), ("filter", 4, 320640), ("base_sort", 1, 320)], obs_digest: 0xfdf13e2bd04f551b },
+    Pin { case: "radix/u32/global/noagg/uniform", value_bits: 0x551fa282, total_ns: 42093.16981132075, launch_overhead_ns: 15000.0, levels: 1, early: false, error: None, kernels: &[("digit_count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 20416), ("base_sort", 1, 336)], obs_digest: 0xd6a80bdb22495b8c },
+    Pin { case: "radix/u32/global/noagg/dup16", value_bits: 0x5, total_ns: 226691.69175202158, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 400000), ("reduce", 4, 163840), ("filter", 4, 325068)], obs_digest: 0x3d81b10b7bf205de },
+    Pin { case: "radix/u32/global/noagg/equal", value_bits: 0x7, total_ns: 251524.85175202158, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 400000), ("reduce", 4, 163840), ("filter", 4, 400320)], obs_digest: 0x021216c2377a2535 },
+    Pin { case: "radix/u32/global/noagg/lowent", value_bits: 0x53, total_ns: 228486.16172506742, launch_overhead_ns: 42000.0, levels: 4, early: false, error: None, kernels: &[("digit_count", 4, 400000), ("reduce", 4, 163840), ("filter", 4, 320640), ("base_sort", 1, 320)], obs_digest: 0x16297c9fc20c1646 },
+    Pin { case: "radix/u32/global/agg/uniform", value_bits: 0x551fa282, total_ns: 40550.08981132075, launch_overhead_ns: 15000.0, levels: 1, early: false, error: None, kernels: &[("digit_count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 20416), ("base_sort", 1, 336)], obs_digest: 0x79afea816359d9dd },
+    Pin { case: "radix/u32/global/agg/dup16", value_bits: 0x5, total_ns: 65303.431698113214, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 400000), ("reduce", 4, 163840), ("filter", 4, 325068)], obs_digest: 0xfee1bf5acf0ef0f9 },
+    Pin { case: "radix/u32/global/agg/equal", value_bits: 0x7, total_ns: 57291.545013477094, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 400000), ("reduce", 4, 163840), ("filter", 4, 400320)], obs_digest: 0x2c8215be418aa1ac },
+    Pin { case: "radix/u32/global/agg/lowent", value_bits: 0x53, total_ns: 82811.18167115904, launch_overhead_ns: 42000.0, levels: 4, early: false, error: None, kernels: &[("digit_count", 4, 400000), ("reduce", 4, 163840), ("filter", 4, 320640), ("base_sort", 1, 320)], obs_digest: 0x29f43a3af3a55193 },
+    Pin { case: "radix/i32/shared/noagg/uniform", value_bits: 0xd4198ca6, total_ns: 17396.10703504043, launch_overhead_ns: 15000.0, levels: 1, early: false, error: None, kernels: &[("digit_count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 20340), ("base_sort", 1, 260)], obs_digest: 0x2ec9319c14ffbb2f },
+    Pin { case: "radix/i32/shared/noagg/dup16", value_bits: 0xffffffa1, total_ns: 61404.00169811321, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 481920), ("reduce", 4, 163840), ("filter", 4, 325068)], obs_digest: 0x77271f4f8d41cd8d },
+    Pin { case: "radix/i32/shared/noagg/equal", value_bits: 0xffffffa3, total_ns: 64117.145013477086, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 481920), ("reduce", 4, 163840), ("filter", 4, 400320)], obs_digest: 0xe1deb5de7dd88e77 },
+    Pin { case: "radix/i32/shared/noagg/lowent", value_bits: 0xffffffef, total_ns: 61564.47088948787, launch_overhead_ns: 42000.0, levels: 4, early: false, error: None, kernels: &[("digit_count", 4, 265056), ("reduce", 4, 90112), ("filter", 4, 140496), ("base_sort", 1, 320)], obs_digest: 0x578fb77cd7ec48ad },
+    Pin { case: "radix/i32/shared/agg/uniform", value_bits: 0xd4198ca6, total_ns: 17370.09703504043, launch_overhead_ns: 15000.0, levels: 1, early: false, error: None, kernels: &[("digit_count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 20340), ("base_sort", 1, 260)], obs_digest: 0x3fc0c63dbfe9eedb },
+    Pin { case: "radix/i32/shared/agg/dup16", value_bits: 0xffffffa1, total_ns: 58652.9716981132, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 481920), ("reduce", 4, 163840), ("filter", 4, 325068)], obs_digest: 0xd79dd2fe142ac39b },
+    Pin { case: "radix/i32/shared/agg/equal", value_bits: 0xffffffa3, total_ns: 60632.34501347708, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 481920), ("reduce", 4, 163840), ("filter", 4, 400320)], obs_digest: 0x889f4b44b8d43e88 },
+    Pin { case: "radix/i32/shared/agg/lowent", value_bits: 0xffffffef, total_ns: 59005.77088948787, launch_overhead_ns: 42000.0, levels: 4, early: false, error: None, kernels: &[("digit_count", 4, 265056), ("reduce", 4, 90112), ("filter", 4, 140496), ("base_sort", 1, 320)], obs_digest: 0xe9241fb5407f6d30 },
+    Pin { case: "radix/i32/global/noagg/uniform", value_bits: 0xd4198ca6, total_ns: 42090.09703504043, launch_overhead_ns: 15000.0, levels: 1, early: false, error: None, kernels: &[("digit_count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 20340), ("base_sort", 1, 260)], obs_digest: 0xaa5e7d948ac2dbdd },
+    Pin { case: "radix/i32/global/noagg/dup16", value_bits: 0xffffffa1, total_ns: 226691.69175202158, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 400000), ("reduce", 4, 163840), ("filter", 4, 325068)], obs_digest: 0x3d81b10b7bf205de },
+    Pin { case: "radix/i32/global/noagg/equal", value_bits: 0xffffffa3, total_ns: 251524.85175202158, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 400000), ("reduce", 4, 163840), ("filter", 4, 400320)], obs_digest: 0x021216c2377a2535 },
+    Pin { case: "radix/i32/global/noagg/lowent", value_bits: 0xffffffef, total_ns: 212734.85175202158, launch_overhead_ns: 42000.0, levels: 4, early: false, error: None, kernels: &[("digit_count", 4, 220000), ("reduce", 4, 90112), ("filter", 4, 140496), ("base_sort", 1, 320)], obs_digest: 0x01c9310839f2d380 },
+    Pin { case: "radix/i32/global/agg/uniform", value_bits: 0xd4198ca6, total_ns: 40547.01703504043, launch_overhead_ns: 15000.0, levels: 1, early: false, error: None, kernels: &[("digit_count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 20340), ("base_sort", 1, 260)], obs_digest: 0xf1f25c8690ff2242 },
+    Pin { case: "radix/i32/global/agg/dup16", value_bits: 0xffffffa1, total_ns: 65303.431698113214, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 400000), ("reduce", 4, 163840), ("filter", 4, 325068)], obs_digest: 0xfee1bf5acf0ef0f9 },
+    Pin { case: "radix/i32/global/agg/equal", value_bits: 0xffffffa3, total_ns: 57291.545013477094, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 400000), ("reduce", 4, 163840), ("filter", 4, 400320)], obs_digest: 0x2c8215be418aa1ac },
+    Pin { case: "radix/i32/global/agg/lowent", value_bits: 0xffffffef, total_ns: 81163.77088948787, launch_overhead_ns: 42000.0, levels: 4, early: false, error: None, kernels: &[("digit_count", 4, 220000), ("reduce", 4, 90112), ("filter", 4, 140496), ("base_sort", 1, 320)], obs_digest: 0x3676afd0efacb19f },
+    Pin { case: "radix/f32/deep/uniform", value_bits: 0xbeaa1726, total_ns: 38322.08671526587, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 2137342), ("reduce", 2, 712704), ("filter", 2, 583586), ("base_sort", 1, 1204)], obs_digest: 0x0bceb8e8987499d6 },
+    Pin { case: "radix/u32/deep/lowent", value_bits: 0x53, total_ns: 94009.89858490565, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 7200128), ("reduce", 4, 2400256), ("filter", 4, 4809468)], obs_digest: 0xed713ee20fccba7f },
+    Pin { case: "radix/f32/max_levels0/uniform", value_bits: 0x0, total_ns: 0.0, launch_overhead_ns: 0.0, levels: 0, early: false, error: Some("RecursionLimit"), kernels: &[], obs_digest: 0x44629ec69c3cec2c },
+    Pin { case: "radix/u32/budget1.5/uniform", value_bits: 0x551fa282, total_ns: 17428.24293800539, launch_overhead_ns: 15000.0, levels: 1, early: false, error: None, kernels: &[("digit_count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 20416), ("base_sort", 1, 336)], obs_digest: 0x1afe90ef73cb8fd8 },
+    Pin { case: "radix/u32/budget1.5/lowent", value_bits: 0x0, total_ns: 18279.286253369275, launch_overhead_ns: 12000.0, levels: 0, early: false, error: Some("RecursionLimit"), kernels: &[("digit_count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 100080)], obs_digest: 0xbe576564e211f763 },
+    Pin { case: "radix/f32/spot/corrupt0", value_bits: 0x0, total_ns: 10741.83, launch_overhead_ns: 6000.0, levels: 0, early: false, error: Some("histogram-sum"), kernels: &[("digit_count", 1, 1800032), ("corrupt:counts", 1, 0)], obs_digest: 0x22a56a57a3f511e2 },
+    Pin { case: "radix/f32/spot/corrupt1", value_bits: 0xbeaa1726, total_ns: 38322.08671526587, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 2137342), ("corrupt:oracles", 1, 0), ("reduce", 2, 712704), ("filter", 2, 583586), ("base_sort", 1, 1204)], obs_digest: 0xa90975bff23ef218 },
+    Pin { case: "radix/f32/spot/corrupt2", value_bits: 0x0, total_ns: 27414.51559544229, launch_overhead_ns: 15000.0, levels: 0, early: false, error: Some("histogram-sum"), kernels: &[("digit_count", 2, 2137342), ("reduce", 1, 600064), ("filter", 1, 525964), ("corrupt:counts", 1, 0)], obs_digest: 0x6597d2b22a5027e6 },
+    Pin { case: "radix/f32/spot/corrupt3", value_bits: 0xbeaa1726, total_ns: 38322.08671526587, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 2137342), ("reduce", 2, 712704), ("filter", 2, 583586), ("corrupt:oracles", 1, 0), ("base_sort", 1, 1204)], obs_digest: 0x7c1d700362e1d184 },
+    Pin { case: "radix/f32/spot/corrupt5", value_bits: 0xbeaa1726, total_ns: 38322.08671526587, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 2137342), ("reduce", 2, 712704), ("filter", 2, 583586), ("base_sort", 1, 1204)], obs_digest: 0x0bceb8e8987499d6 },
+    Pin { case: "radix/f32/unverified/corrupt0", value_bits: 0xbeaa1726, total_ns: 38322.08671526587, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 2137342), ("corrupt:counts", 1, 0), ("reduce", 2, 712704), ("filter", 2, 583586), ("base_sort", 1, 1204)], obs_digest: 0xcd96080ec1650ae1 },
+    Pin { case: "radix/f32/unverified/corrupt1", value_bits: 0xbeaa1726, total_ns: 38322.08671526587, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 2137342), ("corrupt:oracles", 1, 0), ("reduce", 2, 712704), ("filter", 2, 583586), ("base_sort", 1, 1204)], obs_digest: 0xa90975bff23ef218 },
+    Pin { case: "radix/f32/unverified/corrupt2", value_bits: 0xbeaa1726, total_ns: 38322.08671526587, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 2137342), ("reduce", 2, 712704), ("filter", 2, 583586), ("corrupt:counts", 1, 0), ("base_sort", 1, 1204)], obs_digest: 0x7c1d700362e1d184 },
 ];
 
 #[test]
