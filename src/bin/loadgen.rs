@@ -24,8 +24,9 @@
 //!   tagged-degraded,
 //! * shed load: quota and queue-full rejections (explicit backpressure),
 //! * **silently-wrong exact answers — required to be zero**: every
-//!   `Exact` response is verified bit-for-bit against a CPU reference
-//!   on the regenerated dataset.
+//!   `Exact` response and every top-k threshold (approximate top-k
+//!   included, which `selectd` serves exactly) is verified bit-for-bit
+//!   against a CPU reference on the regenerated dataset.
 //!
 //! Results go to `BENCH_selectd.json` (schema `selectd-loadgen-v1`).
 //! Exit code 1 if any exact answer was wrong, else 0.
@@ -340,12 +341,10 @@ fn run_rate(args: &Args, rate: f64) -> RateOutcome {
                 k,
                 expected_recall,
             } => {
-                // The candidate union is a subset of the input, so the
-                // approximate threshold can never exceed the exact
-                // top-k threshold, and the advertised recall must be a
-                // probability.
+                // `selectd` serves approximate top-k exactly: the exact
+                // threshold at recall 1.
                 let want = reference(req.dataset, req.dataset.n - k);
-                if threshold <= want && expected_recall > 0.0 && expected_recall <= 1.0 {
+                if threshold.to_bits() == want.to_bits() && expected_recall == 1.0 {
                     outcome.approx_topk_ok += 1;
                 } else {
                     outcome.approx_topk_wrong += 1;
