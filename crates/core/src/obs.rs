@@ -113,8 +113,6 @@ pub enum Counter {
     PlannerRadix,
     /// Planner: queries routed to the SampleSelect backend.
     PlannerSample,
-    /// Planner: queries routed to the fused top-k backend.
-    PlannerTopk,
     /// Workloads: approximate top-k queries executed (any entry point).
     ApproxTopkQueries,
     /// Workloads: quantile-telemetry windows finalized (tumbling or
@@ -126,7 +124,7 @@ pub enum Counter {
 }
 
 impl Counter {
-    pub const ALL: [Counter; 29] = [
+    pub const ALL: [Counter; 28] = [
         Counter::Queries,
         Counter::KernelLaunches,
         Counter::RecursionLevels,
@@ -152,7 +150,6 @@ impl Counter {
         Counter::Batched,
         Counter::PlannerRadix,
         Counter::PlannerSample,
-        Counter::PlannerTopk,
         Counter::ApproxTopkQueries,
         Counter::QuantileWindows,
         Counter::QuantileCheckpoints,
@@ -186,7 +183,6 @@ impl Counter {
             Counter::Batched => "select_batched_total",
             Counter::PlannerRadix => "select_planner_radix_total",
             Counter::PlannerSample => "select_planner_sample_total",
-            Counter::PlannerTopk => "select_planner_topk_total",
             Counter::ApproxTopkQueries => "select_approx_topk_queries_total",
             Counter::QuantileWindows => "select_quantile_windows_total",
             Counter::QuantileCheckpoints => "select_quantile_checkpoints_total",

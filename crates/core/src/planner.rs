@@ -1,5 +1,5 @@
-//! Adaptive backend planner: SampleSelect vs RadixSelect vs fused
-//! top-k, chosen per query.
+//! Adaptive backend planner: SampleSelect vs RadixSelect, chosen per
+//! query.
 //!
 //! The paper's headline result is that no fixed algorithm dominates:
 //! SampleSelect reaches its base case in ~2 data-dependent levels, but
@@ -15,9 +15,9 @@
 //!    plus a local estimator for the sample recursion, in simulated time
 //!    on the target [`GpuArchitecture`].
 //!
-//! `selectd` serves every exact rank as SampleSelect after the probe's
-//! certify-first count; it plans only top-k kinds with the model, and
-//! serves an approximate top-k as the exact top-k it plans.
+//! `selectd` does not consult the model: it serves every exact rank and
+//! every top-k threshold (the rank n − k) as SampleSelect after the
+//! probe's certify-first count.
 //!
 //! **Certify-first.** The rank's own key lies within sampling noise of
 //! its probe position p = rank · 256 / n, which spreads by
@@ -69,9 +69,6 @@ pub enum PlannedBackend {
     Sample,
     /// MSD radix digit bucketing ([`crate::radix`]).
     Radix,
-    /// Fused top-k extraction ([`crate::topk`]) — only planned for
-    /// top-k-shaped queries, never for plain rank selection.
-    TopK,
 }
 
 impl PlannedBackend {
@@ -80,7 +77,6 @@ impl PlannedBackend {
         match self {
             PlannedBackend::Sample => "sampleselect",
             PlannedBackend::Radix => "radixselect",
-            PlannedBackend::TopK => "topk-sampleselect",
         }
     }
 
@@ -89,7 +85,6 @@ impl PlannedBackend {
         match self {
             PlannedBackend::Sample => Counter::PlannerSample,
             PlannedBackend::Radix => Counter::PlannerRadix,
-            PlannedBackend::TopK => Counter::PlannerTopk,
         }
     }
 
@@ -455,40 +450,14 @@ pub fn plan_rank_query<T: SelectElement>(
     }
 }
 
-/// Plan a top-k query: fused top-k extraction vs threshold-then-filter
-/// via the best rank backend.
-///
-/// The fused kernel materializes all `k` elements in one recursion; for
-/// large `k/n` the extra write traffic exceeds what a plain rank
-/// selection plus one filter pass would cost, but the fused path still
-/// wins operationally (single kernel family, one workspace). The
-/// planner keeps the decision simple and deterministic: fused top-k for
-/// `k/n <= 1/2`, otherwise the best rank backend computes the threshold.
+/// Plan a top-k query: the rank query of its threshold, the rank n − k.
 pub fn plan_topk_query<T: SelectElement>(
     arch: &GpuArchitecture,
     data: &[T],
     k: usize,
     cfg: &SampleSelectConfig,
 ) -> PlanDecision {
-    let n = data.len().max(1);
-    let rank = n.saturating_sub(k).min(n - 1);
-    let mut rank_plan = plan_rank_query(arch, data, rank, cfg);
-    if k.saturating_mul(2) <= n {
-        // Fused extraction: the rank recursion plus one k-element write.
-        let extra = SimTime::from_ns(k as f64 * T::BYTES as f64 / arch.bytes_per_ns());
-        let base = rank_plan
-            .estimate_for(rank_plan.backend)
-            .unwrap_or(SimTime::ZERO);
-        rank_plan
-            .estimates
-            .push((PlannedBackend::TopK, base + extra));
-        rank_plan.backend = PlannedBackend::TopK;
-        obs::counter_add(Counter::PlannerTopk, 1);
-    }
-    // A top-k plan prices the fused or threshold path; certify-first
-    // serves exact rank queries only.
-    rank_plan.candidates = [None; 3];
-    rank_plan
+    plan_rank_query(arch, data, data.len().saturating_sub(k), cfg)
 }
 
 /// Plan an *approximate* top-k query: [`plan_topk_query`]'s decision,
@@ -528,11 +497,6 @@ pub fn run_planned<T: SelectElement>(
         PlannedBackend::Radix => {
             select_with_workspace(device, data, rank, cfg, ws, Bucketing::Digits)
         }
-        // Top-k plans answer top-k queries (`selectd` serves them through
-        // the resilient driver); no rank plan names them.
-        PlannedBackend::TopK => Err(SelectError::InvalidArgument {
-            what: format!("{} is not a rank backend", backend.name()),
-        }),
     }
 }
 
@@ -843,13 +807,13 @@ mod tests {
     }
 
     #[test]
-    fn topk_planning_prefers_fused_for_small_k() {
+    fn a_topk_plan_is_the_plan_of_the_rank_n_minus_k() {
         let data = uniform_f32(100_000, 5);
         let cfg = SampleSelectConfig::default();
-        let small = plan_topk_query(&v100(), &data, 100, &cfg);
-        assert_eq!(small.backend, PlannedBackend::TopK);
-        let large = plan_topk_query(&v100(), &data, 90_000, &cfg);
-        assert_ne!(large.backend, PlannedBackend::TopK);
+        for k in [1, 100, 50_000, 90_000, 100_000] {
+            let topk = plan_topk_query(&v100(), &data, k, &cfg);
+            assert_eq!(topk, plan_rank_query(&v100(), &data, 100_000 - k, &cfg));
+        }
     }
 
     #[test]

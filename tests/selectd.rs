@@ -507,7 +507,7 @@ fn hard_drain_checkpoints_streaming_query_and_resume_completes_it() {
 #[test]
 fn approx_topk_queries_are_admitted_and_honest() {
     // A shape the cost model once served with the bucketed pass: it is
-    // now served exactly, on the fused top-k path, at recall 1.
+    // now served exactly, as the rank n - k, at recall 1.
     let server = SelectServer::start(ServerConfig::default().with_workers(2));
     let spec = DatasetSpec::uniform(1 << 18, 6);
     let k = 1_000u64;
@@ -526,7 +526,7 @@ fn approx_topk_queries_are_admitted_and_honest() {
     let resp = ticket.wait();
     let data = dataset::instantiate(&spec);
     let exact_threshold = reference_select(&data, (spec.n - k) as usize).unwrap();
-    assert_eq!(resp.backend, Some("topk"), "{:?}", resp.status);
+    assert_eq!(resp.backend, Some("sampleselect"), "{:?}", resp.status);
     match resp.status {
         QueryStatus::ApproxTopK {
             threshold,
@@ -573,6 +573,110 @@ fn approx_topk_queries_are_admitted_and_honest() {
         ));
     }
     server.drain();
+}
+
+/// One reply's threshold bits, backend label and planned label.
+type Served = (u32, Option<&'static str>, Option<&'static str>);
+
+/// Serve `TopK { k }`, `ApproxTopK { k, .. }` and `Exact { rank: n - k }`
+/// on `spec` with the same seed; `certified` is how many certificates
+/// each reply added to the registry.
+fn serve_threshold_three_ways(
+    server: &SelectServer,
+    spec: DatasetSpec,
+    k: u64,
+) -> [(Served, u64); 3] {
+    let kinds = [
+        QueryKind::TopK { k },
+        QueryKind::ApproxTopK {
+            k,
+            recall_bits: 0.9f32.to_bits(),
+        },
+        QueryKind::Exact { rank: spec.n - k },
+    ];
+    kinds.map(|kind| {
+        let certified = || server.snapshot().metrics.counter("select_certified_total");
+        let before = certified();
+        let resp = server
+            .query(QueryRequest {
+                tenant: "threshold".to_string(),
+                kind,
+                dataset: spec,
+                deadline_ms: None,
+                seed: 31,
+            })
+            .expect("admitted");
+        let value = match resp.status {
+            QueryStatus::TopK { threshold, .. } => threshold,
+            QueryStatus::ApproxTopK {
+                threshold,
+                expected_recall,
+                ..
+            } => {
+                assert_eq!(expected_recall, 1.0);
+                threshold
+            }
+            QueryStatus::Exact { value } => value,
+            other => panic!("{kind:?} answered with {other:?}"),
+        };
+        let served = (value.to_bits(), resp.backend, resp.planned);
+        (served, certified() - before)
+    })
+}
+
+#[test]
+fn every_threshold_kind_is_served_as_the_exact_rank_n_minus_k() {
+    // The duplicate-heavy thresholds at k < n repeat (16 values), so the
+    // probe's certify-first count answers them; the one at k = n is
+    // 0.0, which certify-first never counts (its tie class holds -0.0).
+    let n = 1u64 << 16;
+    let uniform = DatasetSpec::uniform(n as usize, 9);
+    let dup = DatasetSpec {
+        dist: DistCode::Distinct16,
+        n,
+        seed: 10,
+    };
+    let ks = [1, 100, n / 2, n];
+    let cases = [
+        (uniform, ["sampleselect"; 4]),
+        (
+            dup,
+            [
+                "certify-first",
+                "certify-first",
+                "certify-first",
+                "sampleselect",
+            ],
+        ),
+    ];
+    for paranoid_policy in [false, true] {
+        let select = match paranoid_policy {
+            true => paranoid(),
+            false => SampleSelectConfig::default(),
+        };
+        let server = SelectServer::start(
+            ServerConfig::default()
+                .with_workers(1)
+                .with_batch_max(1)
+                .with_select(select),
+        );
+        for (spec, labels) in cases {
+            let sorted = sorted_f32(&spec);
+            for (k, label) in ks.into_iter().zip(labels) {
+                let three = serve_threshold_three_ways(&server, spec, k);
+                let want = sorted[(n - k) as usize].to_bits();
+                for (served, certified) in three {
+                    let what = format!("{:?} k {k} paranoid {paranoid_policy}", spec.dist);
+                    assert_eq!(served, (want, Some(label), Some("sampleselect")), "{what}");
+                    // Under Paranoid every reply is certified once: by
+                    // its certify-first count or by the rank certificate.
+                    let once = u64::from(paranoid_policy || label == "certify-first");
+                    assert_eq!(certified, once, "{what}");
+                }
+            }
+        }
+        server.drain();
+    }
 }
 
 #[test]
@@ -769,8 +873,8 @@ fn paranoid_quantiles_survive_bitflips() {
         ),
         other => panic!("expected quantiles, got {other:?}"),
     }
-    // An approximate top-k is served exactly and gets the top-k
-    // threshold certificate.
+    // An approximate top-k is served exactly and its threshold gets the
+    // rank certificate.
     let certified = || server.snapshot().metrics.counter("select_certified_total");
     let before = certified();
     let k = 1_000u64;
