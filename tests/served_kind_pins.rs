@@ -54,10 +54,9 @@ fn sorted() -> DatasetSpec {
     }
 }
 
-/// The served sequence: every kind, both top-k plans (fused and
-/// threshold-by-rank), approximate top-k served exactly (one row on a
-/// 2^18 shape the cost model once served with the bucketed pass), and
-/// both streaming kinds.
+/// The served sequence: every kind, top-k at a small and a large k,
+/// approximate top-k served exactly (one row on a 2^18 shape the cost
+/// model once served with the bucketed pass), and both streaming kinds.
 fn queries() -> Vec<(QueryKind, DatasetSpec, u64)> {
     let recall = |r: f32| r.to_bits();
     vec![
@@ -141,63 +140,63 @@ const PINS: &[Pin] = &[
     },
     Pin {
         answer: "TopK 3f7f9f88 k 100",
-        backend: "topk",
-        planned: "topk-sampleselect",
-        registry: (17, 1796120, 8, 21829, 17),
+        backend: "sampleselect",
+        planned: "sampleselect",
+        registry: (12, 1198356, 9, 15747, 12),
     },
     Pin {
         answer: "TopK 3e7388a2 k 50000",
         backend: "sampleselect",
         planned: "sampleselect",
-        registry: (18, 1797508, 9, 23149, 18),
+        registry: (12, 1198356, 11, 15747, 12),
     },
     Pin {
         answer: "Quantiles 3dfe3166 3e808aa0 3ec1709e 3f00ac31 3f203b88 3f3ff42c 3f60193d",
         backend: "multiselect",
         planned: "-",
-        registry: (23, 2418024, 11, 30434, 23),
+        registry: (17, 1818872, 13, 23032, 17),
     },
     Pin {
         answer: "Quantiles 40400000 40c00000 41100000 41400000",
         backend: "multiselect",
         planned: "-",
-        registry: (26, 2947428, 12, 35914, 26),
+        registry: (20, 2348276, 14, 28512, 20),
     },
     Pin {
         answer: "Exact 3f1cbba6",
         backend: "streaming",
         planned: "-",
-        registry: (42, 3460572, 13, 53148, 42),
+        registry: (36, 2861420, 15, 45746, 36),
     },
     Pin {
         answer: "ApproxTopK 3f7f9f88 k 100 recall 3f800000",
-        backend: "topk",
-        planned: "topk-sampleselect",
-        registry: (47, 4058144, 14, 59229, 47),
+        backend: "sampleselect",
+        planned: "sampleselect",
+        registry: (42, 3460016, 17, 53151, 42),
     },
     Pin {
         answer: "ApproxTopK 3f0b3228 k 30000 recall 3f800000",
-        backend: "topk",
-        planned: "topk-sampleselect",
-        registry: (47, 4058144, 15, 59229, 47),
+        backend: "sampleselect",
+        planned: "sampleselect",
+        registry: (42, 3460016, 19, 53151, 42),
     },
     Pin {
         answer: "ApproxTopK 3f7f0246 k 1000 recall 3f800000",
-        backend: "topk",
-        planned: "topk-sampleselect",
-        registry: (47, 4058144, 16, 59229, 47),
+        backend: "sampleselect",
+        planned: "sampleselect",
+        registry: (42, 3460016, 21, 53151, 42),
     },
     Pin {
         answer: "QuantileStream 7 3f0072e0 3f6529c8 3f7d270f 3f7fca78",
         backend: "quantile-stream",
         planned: "-",
-        registry: (77, 4999336, 30, 97236, 77),
+        registry: (77, 4558344, 35, 97508, 77),
     },
     Pin {
         answer: "Exact 3ac4f68e",
         backend: "sampleselect",
         planned: "sampleselect",
-        registry: (83, 5599396, 32, 105524, 83),
+        registry: (83, 5158404, 37, 105796, 83),
     },
 ];
 
