@@ -329,160 +329,160 @@ fn all_cases(pool: &ThreadPool) -> Vec<(String, Observed)> {
 
 #[rustfmt::skip]
 const PINS: &[Pin] = &[
-    Pin { case: "sample/f32/shared/noagg/uniform", value_bits: 0xbea517d3, total_ns: 31121.494690026953, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20408), ("base_sort", 1, 328)], obs_digest: 0x089a598e1cb4f0f6 },
-    Pin { case: "sample/f32/shared/noagg/dup16", value_bits: 0x40b00000, total_ns: 24804.37969002696, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x5e433cb1064d50ee },
-    Pin { case: "sample/f32/shared/noagg/equal", value_bits: 0x41280000, total_ns: 25567.264690026954, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x1b2fd433e55d1406 },
-    Pin { case: "sample/f32/shared/noagg/lowent", value_bits: 0x43488000, total_ns: 31128.334690026953, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20400), ("base_sort", 1, 320)], obs_digest: 0x72acfe4ebc7f4e01 },
-    Pin { case: "sample/f32/shared/agg/uniform", value_bits: 0xbea517d3, total_ns: 31092.064690026957, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20408), ("base_sort", 1, 328)], obs_digest: 0xcd5d4d3761a4e35b },
-    Pin { case: "sample/f32/shared/agg/dup16", value_bits: 0x40b00000, total_ns: 24696.064690026957, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0xbaf8cd5c52870016 },
-    Pin { case: "sample/f32/shared/agg/equal", value_bits: 0x41280000, total_ns: 24696.064690026957, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x89e8f35bad397078 },
-    Pin { case: "sample/f32/shared/agg/lowent", value_bits: 0x43488000, total_ns: 31092.064690026957, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20400), ("base_sort", 1, 320)], obs_digest: 0xb444bcbebd97e5a1 },
-    Pin { case: "sample/f32/global/noagg/uniform", value_bits: 0xbea517d3, total_ns: 55777.698113207545, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20408), ("base_sort", 1, 328)], obs_digest: 0x56b3067659e3b06f },
-    Pin { case: "sample/f32/global/noagg/dup16", value_bits: 0x40b00000, total_ns: 49416.06469002695, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0xeb0bb4ef8dfb6e07 },
-    Pin { case: "sample/f32/global/noagg/equal", value_bits: 0x41280000, total_ns: 49416.06469002695, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x0c7421a3ba1d77a5 },
-    Pin { case: "sample/f32/global/noagg/lowent", value_bits: 0x43488000, total_ns: 55777.37466307277, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20400), ("base_sort", 1, 320)], obs_digest: 0x19632f43096f708f },
-    Pin { case: "sample/f32/global/agg/uniform", value_bits: 0xbea517d3, total_ns: 53901.978113207544, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20408), ("base_sort", 1, 328)], obs_digest: 0x665dc31e6132f889 },
-    Pin { case: "sample/f32/global/agg/dup16", value_bits: 0x40b00000, total_ns: 34556.82469002696, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0xb48d00282dc03090 },
-    Pin { case: "sample/f32/global/agg/equal", value_bits: 0x41280000, total_ns: 23860.864690026952, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x789b82d2a9879513 },
-    Pin { case: "sample/f32/global/agg/lowent", value_bits: 0x43488000, total_ns: 51709.13466307277, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20400), ("base_sort", 1, 320)], obs_digest: 0xf39d7683949313df },
-    Pin { case: "sample/f64/shared/noagg/uniform", value_bits: 0xbfd4a2fa66cae224, total_ns: 34667.49469002696, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 200480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20736), ("base_sort", 1, 656)], obs_digest: 0x511d668b749abc20 },
-    Pin { case: "sample/f64/shared/noagg/dup16", value_bits: 0x4016000000000000, total_ns: 28164.37969002696, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 200480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x3c358311107957a1 },
-    Pin { case: "sample/f64/shared/noagg/equal", value_bits: 0x4025000000000000, total_ns: 28927.264690026954, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 200480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x3b173a68bd3443b5 },
-    Pin { case: "sample/f64/shared/noagg/lowent", value_bits: 0x4069100000000000, total_ns: 34674.33469002695, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 200480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20720), ("base_sort", 1, 640)], obs_digest: 0x341071060cdfcb65 },
-    Pin { case: "sample/f64/shared/agg/uniform", value_bits: 0xbfd4a2fa66cae224, total_ns: 34638.06469002696, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 200480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20736), ("base_sort", 1, 656)], obs_digest: 0xe42544faa05619ea },
-    Pin { case: "sample/f64/shared/agg/dup16", value_bits: 0x4016000000000000, total_ns: 28056.064690026957, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 200480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x0ec77c04fedaeeaa },
-    Pin { case: "sample/f64/shared/agg/equal", value_bits: 0x4025000000000000, total_ns: 28056.064690026957, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 200480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x032716bb33d6f06a },
-    Pin { case: "sample/f64/shared/agg/lowent", value_bits: 0x4069100000000000, total_ns: 34638.06469002696, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 200480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20720), ("base_sort", 1, 640)], obs_digest: 0xc1f51c2d3e3e4e5a },
-    Pin { case: "sample/f64/global/noagg/uniform", value_bits: 0xbfd4a2fa66cae224, total_ns: 59336.959568733146, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 180000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20736), ("base_sort", 1, 656)], obs_digest: 0x80d2b69026106e5d },
-    Pin { case: "sample/f64/global/noagg/dup16", value_bits: 0x4016000000000000, total_ns: 52776.06469002695, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 180000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x918661b0682a3abe },
-    Pin { case: "sample/f64/global/noagg/equal", value_bits: 0x4025000000000000, total_ns: 52776.06469002695, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 180000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x49dec63eea677058 },
-    Pin { case: "sample/f64/global/noagg/lowent", value_bits: 0x4069100000000000, total_ns: 59336.31266846361, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 180000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20720), ("base_sort", 1, 640)], obs_digest: 0xe5d44f3a0257284d },
-    Pin { case: "sample/f64/global/agg/uniform", value_bits: 0xbfd4a2fa66cae224, total_ns: 57459.919568733145, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 180000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20736), ("base_sort", 1, 656)], obs_digest: 0x5175269f471f1fe9 },
-    Pin { case: "sample/f64/global/agg/dup16", value_bits: 0x4016000000000000, total_ns: 37916.82469002695, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 180000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x2f721941164f42ea },
-    Pin { case: "sample/f64/global/agg/equal", value_bits: 0x4025000000000000, total_ns: 27831.59029649596, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 180000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x41e169968e06186e },
-    Pin { case: "sample/f64/global/agg/lowent", value_bits: 0x4069100000000000, total_ns: 55268.07266846361, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 180000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20720), ("base_sort", 1, 640)], obs_digest: 0x59076ef1e72196ed },
-    Pin { case: "sample/u32/shared/noagg/uniform", value_bits: 0x551fa282, total_ns: 31576.669690026956, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20684), ("base_sort", 1, 604)], obs_digest: 0x38c9ecf11a9a50aa },
-    Pin { case: "sample/u32/shared/noagg/dup16", value_bits: 0x5, total_ns: 24804.37969002696, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x5e433cb1064d50ee },
-    Pin { case: "sample/u32/shared/noagg/equal", value_bits: 0x7, total_ns: 25567.264690026954, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x1b2fd433e55d1406 },
-    Pin { case: "sample/u32/shared/noagg/lowent", value_bits: 0x53, total_ns: 31128.334690026953, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20400), ("base_sort", 1, 320)], obs_digest: 0x72acfe4ebc7f4e01 },
-    Pin { case: "sample/u32/shared/agg/uniform", value_bits: 0x551fa282, total_ns: 31546.564690026957, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20684), ("base_sort", 1, 604)], obs_digest: 0xe5441db76b92ebdc },
-    Pin { case: "sample/u32/shared/agg/dup16", value_bits: 0x5, total_ns: 24696.064690026957, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0xbaf8cd5c52870016 },
-    Pin { case: "sample/u32/shared/agg/equal", value_bits: 0x7, total_ns: 24696.064690026957, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x89e8f35bad397078 },
-    Pin { case: "sample/u32/shared/agg/lowent", value_bits: 0x53, total_ns: 31092.064690026957, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20400), ("base_sort", 1, 320)], obs_digest: 0xb444bcbebd97e5a1 },
-    Pin { case: "sample/u32/global/noagg/uniform", value_bits: 0x551fa282, total_ns: 56119.38469002695, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20684), ("base_sort", 1, 604)], obs_digest: 0xf7b6fe4902bf5569 },
-    Pin { case: "sample/u32/global/noagg/dup16", value_bits: 0x5, total_ns: 49416.06469002695, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0xeb0bb4ef8dfb6e07 },
-    Pin { case: "sample/u32/global/noagg/equal", value_bits: 0x7, total_ns: 49416.06469002695, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x0c7421a3ba1d77a5 },
-    Pin { case: "sample/u32/global/noagg/lowent", value_bits: 0x53, total_ns: 55777.37466307277, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20400), ("base_sort", 1, 320)], obs_digest: 0x19632f43096f708f },
-    Pin { case: "sample/u32/global/agg/uniform", value_bits: 0x551fa282, total_ns: 54298.45714285714, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20684), ("base_sort", 1, 604)], obs_digest: 0x65bd5d1993c3eeb5 },
-    Pin { case: "sample/u32/global/agg/dup16", value_bits: 0x5, total_ns: 34556.82469002696, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0xb48d00282dc03090 },
-    Pin { case: "sample/u32/global/agg/equal", value_bits: 0x7, total_ns: 23860.864690026952, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x789b82d2a9879513 },
-    Pin { case: "sample/u32/global/agg/lowent", value_bits: 0x53, total_ns: 51709.13466307277, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20400), ("base_sort", 1, 320)], obs_digest: 0xf39d7683949313df },
-    Pin { case: "sample/i32/shared/noagg/uniform", value_bits: 0xd4198ca6, total_ns: 31083.793787061997, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20340), ("base_sort", 1, 260)], obs_digest: 0x98b6904cbd531f1d },
-    Pin { case: "sample/i32/shared/noagg/dup16", value_bits: 0xffffffa1, total_ns: 24804.37969002696, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x5e433cb1064d50ee },
-    Pin { case: "sample/i32/shared/noagg/equal", value_bits: 0xffffffa3, total_ns: 25567.264690026954, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x1b2fd433e55d1406 },
-    Pin { case: "sample/i32/shared/noagg/lowent", value_bits: 0xffffffef, total_ns: 31128.334690026953, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20400), ("base_sort", 1, 320)], obs_digest: 0x72acfe4ebc7f4e01 },
-    Pin { case: "sample/i32/shared/agg/uniform", value_bits: 0xd4198ca6, total_ns: 31054.948787061996, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20340), ("base_sort", 1, 260)], obs_digest: 0xf9ef78124750bcf0 },
-    Pin { case: "sample/i32/shared/agg/dup16", value_bits: 0xffffffa1, total_ns: 24696.064690026957, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0xbaf8cd5c52870016 },
-    Pin { case: "sample/i32/shared/agg/equal", value_bits: 0xffffffa3, total_ns: 24696.064690026957, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x89e8f35bad397078 },
-    Pin { case: "sample/i32/shared/agg/lowent", value_bits: 0xffffffef, total_ns: 31092.064690026957, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20400), ("base_sort", 1, 320)], obs_digest: 0xb444bcbebd97e5a1 },
-    Pin { case: "sample/i32/global/noagg/uniform", value_bits: 0xd4198ca6, total_ns: 55774.94878706199, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20340), ("base_sort", 1, 260)], obs_digest: 0x537b5abeec3806a9 },
-    Pin { case: "sample/i32/global/noagg/dup16", value_bits: 0xffffffa1, total_ns: 49416.06469002695, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0xeb0bb4ef8dfb6e07 },
-    Pin { case: "sample/i32/global/noagg/equal", value_bits: 0xffffffa3, total_ns: 49416.06469002695, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x0c7421a3ba1d77a5 },
-    Pin { case: "sample/i32/global/noagg/lowent", value_bits: 0xffffffef, total_ns: 55777.37466307277, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20400), ("base_sort", 1, 320)], obs_digest: 0x19632f43096f708f },
-    Pin { case: "sample/i32/global/agg/uniform", value_bits: 0xd4198ca6, total_ns: 54015.388787061995, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20340), ("base_sort", 1, 260)], obs_digest: 0xc9891e462f6855be },
-    Pin { case: "sample/i32/global/agg/dup16", value_bits: 0xffffffa1, total_ns: 34556.82469002696, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0xb48d00282dc03090 },
-    Pin { case: "sample/i32/global/agg/equal", value_bits: 0xffffffa3, total_ns: 23860.864690026952, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x789b82d2a9879513 },
-    Pin { case: "sample/i32/global/agg/lowent", value_bits: 0xffffffef, total_ns: 51709.13466307277, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20400), ("base_sort", 1, 320)], obs_digest: 0xf39d7683949313df },
-    Pin { case: "sample/f32/deep/uniform", value_bits: 0xbeaa1726, total_ns: 56431.01787735849, launch_overhead_ns: 39000.0, levels: 2, early: false, error: None, kernels: &[("sample", 2, 2040), ("count", 2, 1808995), ("reduce", 2, 604160), ("select_bucket", 2, 2048), ("filter", 2, 308147), ("base_sort", 1, 52)], obs_digest: 0x70222fb032b78394 },
-    Pin { case: "sample/u32/deep/lowent", value_bits: 0x53, total_ns: 50602.57067385444, launch_overhead_ns: 33000.0, levels: 2, early: true, error: None, kernels: &[("sample", 2, 2040), ("count", 2, 1815054), ("reduce", 2, 606208), ("select_bucket", 2, 2048), ("filter", 1, 310732)], obs_digest: 0xfc1a88810820a425 },
-    Pin { case: "sample/f32/max_levels0/uniform", value_bits: 0x0, total_ns: 0.0, launch_overhead_ns: 0.0, levels: 0, early: false, error: Some("RecursionLimit"), kernels: &[], obs_digest: 0xfa75d5dea98c9cba },
-    Pin { case: "sample/u32/budget1.5/uniform", value_bits: 0x551fa282, total_ns: 31576.669690026956, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20684), ("base_sort", 1, 604)], obs_digest: 0x38c9ecf11a9a50aa },
-    Pin { case: "sample/u32/budget1.5/lowent", value_bits: 0x53, total_ns: 31128.334690026953, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20400), ("base_sort", 1, 320)], obs_digest: 0x72acfe4ebc7f4e01 },
-    Pin { case: "sample/f32/spot/corrupt0", value_bits: 0x0, total_ns: 9360.0, launch_overhead_ns: 6000.0, levels: 0, early: false, error: Some("splitter-order"), kernels: &[("sample", 1, 1020), ("corrupt:splitters", 1, 0)], obs_digest: 0x1d74b6007c1e2ceb },
-    Pin { case: "sample/f32/spot/corrupt1", value_bits: 0x0, total_ns: 19534.665, launch_overhead_ns: 12000.0, levels: 0, early: false, error: Some("histogram-sum"), kernels: &[("sample", 1, 1020), ("count", 1, 1800032), ("corrupt:counts", 1, 0)], obs_digest: 0x1b3a6e7b0c722b9e },
-    Pin { case: "sample/f32/spot/corrupt2", value_bits: 0xbeaa1726, total_ns: 56431.01787735849, launch_overhead_ns: 39000.0, levels: 2, early: false, error: None, kernels: &[("sample", 2, 2040), ("count", 2, 1808995), ("corrupt:oracles", 1, 0), ("reduce", 2, 604160), ("select_bucket", 2, 2048), ("filter", 2, 308147), ("base_sort", 1, 52)], obs_digest: 0x99bef0a46a1df406 },
-    Pin { case: "sample/f32/spot/corrupt3", value_bits: 0x0, total_ns: 38304.793483827496, launch_overhead_ns: 24000.0, levels: 0, early: false, error: Some("splitter-order"), kernels: &[("sample", 2, 2040), ("count", 1, 1800032), ("reduce", 1, 600064), ("select_bucket", 1, 1024), ("filter", 1, 306704), ("corrupt:splitters", 1, 0)], obs_digest: 0x5a0bfc3d15da0dbf },
-    Pin { case: "sample/f32/spot/corrupt5", value_bits: 0xbeaa1726, total_ns: 56431.01787735849, launch_overhead_ns: 39000.0, levels: 2, early: false, error: None, kernels: &[("sample", 2, 2040), ("count", 2, 1808995), ("reduce", 2, 604160), ("select_bucket", 2, 2048), ("filter", 2, 308147), ("corrupt:oracles", 1, 0), ("base_sort", 1, 52)], obs_digest: 0xc6fc362c49c8e25f },
-    Pin { case: "sample/f32/unverified/corrupt0", value_bits: 0x0, total_ns: 9360.0, launch_overhead_ns: 6000.0, levels: 0, early: false, error: Some("splitter-order"), kernels: &[("sample", 1, 1020), ("corrupt:splitters", 1, 0)], obs_digest: 0x1d74b6007c1e2ceb },
-    Pin { case: "sample/f32/unverified/corrupt1", value_bits: 0xbeaa1726, total_ns: 56431.01787735849, launch_overhead_ns: 39000.0, levels: 2, early: false, error: None, kernels: &[("sample", 2, 2040), ("count", 2, 1808995), ("corrupt:counts", 1, 0), ("reduce", 2, 604160), ("select_bucket", 2, 2048), ("filter", 2, 308147), ("base_sort", 1, 52)], obs_digest: 0x99bef0a46a1df406 },
-    Pin { case: "sample/f32/unverified/corrupt2", value_bits: 0xbeaa1726, total_ns: 56431.01787735849, launch_overhead_ns: 39000.0, levels: 2, early: false, error: None, kernels: &[("sample", 2, 2040), ("count", 2, 1808995), ("corrupt:oracles", 1, 0), ("reduce", 2, 604160), ("select_bucket", 2, 2048), ("filter", 2, 308147), ("base_sort", 1, 52)], obs_digest: 0x99bef0a46a1df406 },
-    Pin { case: "radix/f32/shared/noagg/uniform", value_bits: 0xbea517d3, total_ns: 30138.294380053907, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 142741), ("reduce", 2, 49152), ("filter", 2, 38321), ("base_sort", 1, 60)], obs_digest: 0xc5cc8555571d6624 },
-    Pin { case: "radix/f32/shared/noagg/dup16", value_bits: 0x40b00000, total_ns: 54667.91130727763, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 151443), ("reduce", 4, 55296), ("filter", 4, 48651)], obs_digest: 0xc3b6f6a63e93bd87 },
-    Pin { case: "radix/f32/shared/noagg/equal", value_bits: 0x41280000, total_ns: 64117.145013477086, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 481920), ("reduce", 4, 163840), ("filter", 4, 400320)], obs_digest: 0xe1deb5de7dd88e77 },
-    Pin { case: "radix/f32/shared/noagg/lowent", value_bits: 0x43488000, total_ns: 31455.346846361186, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 194183), ("reduce", 2, 65536), ("filter", 2, 81863), ("base_sort", 1, 320)], obs_digest: 0x0d8edfb045f931e4 },
-    Pin { case: "radix/f32/shared/agg/uniform", value_bits: 0xbea517d3, total_ns: 29722.629380053906, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 142741), ("reduce", 2, 49152), ("filter", 2, 38321), ("base_sort", 1, 60)], obs_digest: 0x6a0359e57d73d2fd },
-    Pin { case: "radix/f32/shared/agg/dup16", value_bits: 0x40b00000, total_ns: 52394.59400269541, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 151443), ("reduce", 4, 55296), ("filter", 4, 48651)], obs_digest: 0x392c48fe92d6787c },
-    Pin { case: "radix/f32/shared/agg/equal", value_bits: 0x41280000, total_ns: 60632.34501347708, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 481920), ("reduce", 4, 163840), ("filter", 4, 400320)], obs_digest: 0x889f4b44b8d43e88 },
-    Pin { case: "radix/f32/shared/agg/lowent", value_bits: 0x43488000, total_ns: 30707.266846361188, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 194183), ("reduce", 2, 65536), ("filter", 2, 81863), ("base_sort", 1, 320)], obs_digest: 0xf5eff62a7845f789 },
-    Pin { case: "radix/f32/global/noagg/uniform", value_bits: 0xbea517d3, total_ns: 80005.15245283018, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 118165), ("reduce", 2, 49152), ("filter", 2, 38321), ("base_sort", 1, 60)], obs_digest: 0x6fc208da5feecf2a },
-    Pin { case: "radix/f32/global/noagg/dup16", value_bits: 0x40b00000, total_ns: 163980.25175202155, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 123795), ("reduce", 4, 55296), ("filter", 4, 48651)], obs_digest: 0x94864c4be0214089 },
-    Pin { case: "radix/f32/global/noagg/equal", value_bits: 0x41280000, total_ns: 251524.85175202158, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 400000), ("reduce", 4, 163840), ("filter", 4, 400320)], obs_digest: 0x021216c2377a2535 },
-    Pin { case: "radix/f32/global/noagg/lowent", value_bits: 0x43488000, total_ns: 94672.33520215635, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 161415), ("reduce", 2, 65536), ("filter", 2, 81863), ("base_sort", 1, 320)], obs_digest: 0x66acfe23b481eccb },
-    Pin { case: "radix/f32/global/agg/uniform", value_bits: 0xbea517d3, total_ns: 53554.99245283019, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 118165), ("reduce", 2, 49152), ("filter", 2, 38321), ("base_sort", 1, 60)], obs_digest: 0x29fe358554bc98a1 },
-    Pin { case: "radix/f32/global/agg/dup16", value_bits: 0x40b00000, total_ns: 52144.70900269541, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 123795), ("reduce", 4, 55296), ("filter", 4, 48651)], obs_digest: 0xa3dde4de909346aa },
-    Pin { case: "radix/f32/global/agg/equal", value_bits: 0x41280000, total_ns: 57291.545013477094, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 400000), ("reduce", 4, 163840), ("filter", 4, 400320)], obs_digest: 0x2c8215be418aa1ac },
-    Pin { case: "radix/f32/global/agg/lowent", value_bits: 0x43488000, total_ns: 55767.856172506734, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 161415), ("reduce", 2, 65536), ("filter", 2, 81863), ("base_sort", 1, 320)], obs_digest: 0x6c12868c78497f4a },
-    Pin { case: "radix/f64/shared/noagg/uniform", value_bits: 0xbfd4a2fa66cae224, total_ns: 33534.23753369272, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 300207), ("reduce", 2, 61440), ("filter", 2, 110647), ("base_sort", 1, 1040)], obs_digest: 0x064903971e1a60a8 },
-    Pin { case: "radix/f64/shared/noagg/dup16", value_bits: 0x4016000000000000, total_ns: 121089.41101078168, launch_overhead_ns: 75000.0, levels: 8, early: true, error: None, kernels: &[("digit_count", 8, 427397), ("reduce", 8, 96256), ("filter", 8, 228953)], obs_digest: 0xf65799175296b50e },
-    Pin { case: "radix/f64/shared/noagg/equal", value_bits: 0x4025000000000000, total_ns: 151110.30080862535, launch_overhead_ns: 75000.0, levels: 8, early: true, error: None, kernels: &[("digit_count", 8, 1603840), ("reduce", 8, 327680), ("filter", 8, 1440640)], obs_digest: 0x20845d9f95532819 },
-    Pin { case: "radix/f64/shared/noagg/lowent", value_bits: 0x4069100000000000, total_ns: 36764.348894878705, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 398080), ("reduce", 2, 81920), ("filter", 2, 199200), ("base_sort", 1, 1920)], obs_digest: 0xc0d45fea49e9a8be },
-    Pin { case: "radix/f64/shared/agg/uniform", value_bits: 0xbfd4a2fa66cae224, total_ns: 32986.36253369272, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 300207), ("reduce", 2, 61440), ("filter", 2, 110647), ("base_sort", 1, 1040)], obs_digest: 0x0f549f904f7ff655 },
-    Pin { case: "radix/f64/shared/agg/dup16", value_bits: 0x4016000000000000, total_ns: 117359.14150943398, launch_overhead_ns: 75000.0, levels: 8, early: true, error: None, kernels: &[("digit_count", 8, 427397), ("reduce", 8, 96256), ("filter", 8, 228953)], obs_digest: 0x0e430313027bf794 },
-    Pin { case: "radix/f64/shared/agg/equal", value_bits: 0x4025000000000000, total_ns: 144140.70080862538, launch_overhead_ns: 75000.0, levels: 8, early: true, error: None, kernels: &[("digit_count", 8, 1603840), ("reduce", 8, 327680), ("filter", 8, 1440640)], obs_digest: 0x083d83f843b63a17 },
-    Pin { case: "radix/f64/shared/agg/lowent", value_bits: 0x4069100000000000, total_ns: 35743.208894878706, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 398080), ("reduce", 2, 81920), ("filter", 2, 199200), ("base_sort", 1, 1920)], obs_digest: 0x0642ad05a0d02241 },
-    Pin { case: "radix/f64/global/noagg/uniform", value_bits: 0xbfd4a2fa66cae224, total_ns: 91787.90587601079, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 269487), ("reduce", 2, 61440), ("filter", 2, 110647), ("base_sort", 1, 1040)], obs_digest: 0xfd87409ce55ddcad },
-    Pin { case: "radix/f64/global/noagg/dup16", value_bits: 0x4016000000000000, total_ns: 340418.14350404317, launch_overhead_ns: 75000.0, levels: 8, early: true, error: None, kernels: &[("digit_count", 8, 379269), ("reduce", 8, 96256), ("filter", 8, 228953)], obs_digest: 0x9fa1b77b89d43ab0 },
-    Pin { case: "radix/f64/global/noagg/equal", value_bits: 0x4025000000000000, total_ns: 500049.70350404317, launch_overhead_ns: 75000.0, levels: 8, early: true, error: None, kernels: &[("digit_count", 8, 1440000), ("reduce", 8, 327680), ("filter", 8, 1440640)], obs_digest: 0xb3d091fc77d87cba },
-    Pin { case: "radix/f64/global/noagg/lowent", value_bits: 0x4069100000000000, total_ns: 104342.42587601079, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 357120), ("reduce", 2, 81920), ("filter", 2, 199200), ("base_sort", 1, 1920)], obs_digest: 0xcc6062a9795c2d77 },
-    Pin { case: "radix/f64/global/agg/uniform", value_bits: 0xbfd4a2fa66cae224, total_ns: 50835.46253369273, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 269487), ("reduce", 2, 61440), ("filter", 2, 110647), ("base_sort", 1, 1040)], obs_digest: 0x2028a8510c91e72c },
-    Pin { case: "radix/f64/global/agg/dup16", value_bits: 0x4016000000000000, total_ns: 124038.0426954178, launch_overhead_ns: 75000.0, levels: 8, early: true, error: None, kernels: &[("digit_count", 8, 379269), ("reduce", 8, 96256), ("filter", 8, 228953)], obs_digest: 0x9b85f4a6ac7e2f42 },
-    Pin { case: "radix/f64/global/agg/equal", value_bits: 0x4025000000000000, total_ns: 142344.90566037735, launch_overhead_ns: 75000.0, levels: 8, early: true, error: None, kernels: &[("digit_count", 8, 1440000), ("reduce", 8, 327680), ("filter", 8, 1440640)], obs_digest: 0x1809e485c04fdaa6 },
-    Pin { case: "radix/f64/global/agg/lowent", value_bits: 0x4069100000000000, total_ns: 42578.15450134771, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 357120), ("reduce", 2, 81920), ("filter", 2, 199200), ("base_sort", 1, 1920)], obs_digest: 0x5dd31161e579a5d6 },
-    Pin { case: "radix/u32/shared/noagg/uniform", value_bits: 0x551fa282, total_ns: 17428.24293800539, launch_overhead_ns: 15000.0, levels: 1, early: false, error: None, kernels: &[("digit_count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 20416), ("base_sort", 1, 336)], obs_digest: 0x1afe90ef73cb8fd8 },
-    Pin { case: "radix/u32/shared/noagg/dup16", value_bits: 0x5, total_ns: 61404.00169811321, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 481920), ("reduce", 4, 163840), ("filter", 4, 325068)], obs_digest: 0x77271f4f8d41cd8d },
-    Pin { case: "radix/u32/shared/noagg/equal", value_bits: 0x7, total_ns: 64117.145013477086, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 481920), ("reduce", 4, 163840), ("filter", 4, 400320)], obs_digest: 0xe1deb5de7dd88e77 },
-    Pin { case: "radix/u32/shared/noagg/lowent", value_bits: 0x53, total_ns: 63245.07169811321, launch_overhead_ns: 42000.0, levels: 4, early: false, error: None, kernels: &[("digit_count", 4, 481920), ("reduce", 4, 163840), ("filter", 4, 320640), ("base_sort", 1, 320)], obs_digest: 0xc9845cddc00784f7 },
-    Pin { case: "radix/u32/shared/agg/uniform", value_bits: 0x551fa282, total_ns: 17401.96293800539, launch_overhead_ns: 15000.0, levels: 1, early: false, error: None, kernels: &[("digit_count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 20416), ("base_sort", 1, 336)], obs_digest: 0xc400c416a3814919 },
-    Pin { case: "radix/u32/shared/agg/dup16", value_bits: 0x5, total_ns: 58652.9716981132, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 481920), ("reduce", 4, 163840), ("filter", 4, 325068)], obs_digest: 0xd79dd2fe142ac39b },
-    Pin { case: "radix/u32/shared/agg/equal", value_bits: 0x7, total_ns: 60632.34501347708, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 481920), ("reduce", 4, 163840), ("filter", 4, 400320)], obs_digest: 0x889f4b44b8d43e88 },
-    Pin { case: "radix/u32/shared/agg/lowent", value_bits: 0x53, total_ns: 60631.4716981132, launch_overhead_ns: 42000.0, levels: 4, early: false, error: None, kernels: &[("digit_count", 4, 481920), ("reduce", 4, 163840), ("filter", 4, 320640), ("base_sort", 1, 320)], obs_digest: 0xfdf13e2bd04f551b },
-    Pin { case: "radix/u32/global/noagg/uniform", value_bits: 0x551fa282, total_ns: 42093.16981132075, launch_overhead_ns: 15000.0, levels: 1, early: false, error: None, kernels: &[("digit_count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 20416), ("base_sort", 1, 336)], obs_digest: 0xd6a80bdb22495b8c },
-    Pin { case: "radix/u32/global/noagg/dup16", value_bits: 0x5, total_ns: 226691.69175202158, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 400000), ("reduce", 4, 163840), ("filter", 4, 325068)], obs_digest: 0x3d81b10b7bf205de },
-    Pin { case: "radix/u32/global/noagg/equal", value_bits: 0x7, total_ns: 251524.85175202158, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 400000), ("reduce", 4, 163840), ("filter", 4, 400320)], obs_digest: 0x021216c2377a2535 },
-    Pin { case: "radix/u32/global/noagg/lowent", value_bits: 0x53, total_ns: 228486.16172506742, launch_overhead_ns: 42000.0, levels: 4, early: false, error: None, kernels: &[("digit_count", 4, 400000), ("reduce", 4, 163840), ("filter", 4, 320640), ("base_sort", 1, 320)], obs_digest: 0x16297c9fc20c1646 },
-    Pin { case: "radix/u32/global/agg/uniform", value_bits: 0x551fa282, total_ns: 40550.08981132075, launch_overhead_ns: 15000.0, levels: 1, early: false, error: None, kernels: &[("digit_count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 20416), ("base_sort", 1, 336)], obs_digest: 0x79afea816359d9dd },
-    Pin { case: "radix/u32/global/agg/dup16", value_bits: 0x5, total_ns: 65303.431698113214, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 400000), ("reduce", 4, 163840), ("filter", 4, 325068)], obs_digest: 0xfee1bf5acf0ef0f9 },
-    Pin { case: "radix/u32/global/agg/equal", value_bits: 0x7, total_ns: 57291.545013477094, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 400000), ("reduce", 4, 163840), ("filter", 4, 400320)], obs_digest: 0x2c8215be418aa1ac },
-    Pin { case: "radix/u32/global/agg/lowent", value_bits: 0x53, total_ns: 82811.18167115904, launch_overhead_ns: 42000.0, levels: 4, early: false, error: None, kernels: &[("digit_count", 4, 400000), ("reduce", 4, 163840), ("filter", 4, 320640), ("base_sort", 1, 320)], obs_digest: 0x29f43a3af3a55193 },
-    Pin { case: "radix/i32/shared/noagg/uniform", value_bits: 0xd4198ca6, total_ns: 17396.10703504043, launch_overhead_ns: 15000.0, levels: 1, early: false, error: None, kernels: &[("digit_count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 20340), ("base_sort", 1, 260)], obs_digest: 0x2ec9319c14ffbb2f },
-    Pin { case: "radix/i32/shared/noagg/dup16", value_bits: 0xffffffa1, total_ns: 61404.00169811321, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 481920), ("reduce", 4, 163840), ("filter", 4, 325068)], obs_digest: 0x77271f4f8d41cd8d },
-    Pin { case: "radix/i32/shared/noagg/equal", value_bits: 0xffffffa3, total_ns: 64117.145013477086, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 481920), ("reduce", 4, 163840), ("filter", 4, 400320)], obs_digest: 0xe1deb5de7dd88e77 },
-    Pin { case: "radix/i32/shared/noagg/lowent", value_bits: 0xffffffef, total_ns: 61564.47088948787, launch_overhead_ns: 42000.0, levels: 4, early: false, error: None, kernels: &[("digit_count", 4, 265056), ("reduce", 4, 90112), ("filter", 4, 140496), ("base_sort", 1, 320)], obs_digest: 0x578fb77cd7ec48ad },
-    Pin { case: "radix/i32/shared/agg/uniform", value_bits: 0xd4198ca6, total_ns: 17370.09703504043, launch_overhead_ns: 15000.0, levels: 1, early: false, error: None, kernels: &[("digit_count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 20340), ("base_sort", 1, 260)], obs_digest: 0x3fc0c63dbfe9eedb },
-    Pin { case: "radix/i32/shared/agg/dup16", value_bits: 0xffffffa1, total_ns: 58652.9716981132, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 481920), ("reduce", 4, 163840), ("filter", 4, 325068)], obs_digest: 0xd79dd2fe142ac39b },
-    Pin { case: "radix/i32/shared/agg/equal", value_bits: 0xffffffa3, total_ns: 60632.34501347708, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 481920), ("reduce", 4, 163840), ("filter", 4, 400320)], obs_digest: 0x889f4b44b8d43e88 },
-    Pin { case: "radix/i32/shared/agg/lowent", value_bits: 0xffffffef, total_ns: 59005.77088948787, launch_overhead_ns: 42000.0, levels: 4, early: false, error: None, kernels: &[("digit_count", 4, 265056), ("reduce", 4, 90112), ("filter", 4, 140496), ("base_sort", 1, 320)], obs_digest: 0xe9241fb5407f6d30 },
-    Pin { case: "radix/i32/global/noagg/uniform", value_bits: 0xd4198ca6, total_ns: 42090.09703504043, launch_overhead_ns: 15000.0, levels: 1, early: false, error: None, kernels: &[("digit_count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 20340), ("base_sort", 1, 260)], obs_digest: 0xaa5e7d948ac2dbdd },
-    Pin { case: "radix/i32/global/noagg/dup16", value_bits: 0xffffffa1, total_ns: 226691.69175202158, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 400000), ("reduce", 4, 163840), ("filter", 4, 325068)], obs_digest: 0x3d81b10b7bf205de },
-    Pin { case: "radix/i32/global/noagg/equal", value_bits: 0xffffffa3, total_ns: 251524.85175202158, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 400000), ("reduce", 4, 163840), ("filter", 4, 400320)], obs_digest: 0x021216c2377a2535 },
-    Pin { case: "radix/i32/global/noagg/lowent", value_bits: 0xffffffef, total_ns: 212734.85175202158, launch_overhead_ns: 42000.0, levels: 4, early: false, error: None, kernels: &[("digit_count", 4, 220000), ("reduce", 4, 90112), ("filter", 4, 140496), ("base_sort", 1, 320)], obs_digest: 0x01c9310839f2d380 },
-    Pin { case: "radix/i32/global/agg/uniform", value_bits: 0xd4198ca6, total_ns: 40547.01703504043, launch_overhead_ns: 15000.0, levels: 1, early: false, error: None, kernels: &[("digit_count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 20340), ("base_sort", 1, 260)], obs_digest: 0xf1f25c8690ff2242 },
-    Pin { case: "radix/i32/global/agg/dup16", value_bits: 0xffffffa1, total_ns: 65303.431698113214, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 400000), ("reduce", 4, 163840), ("filter", 4, 325068)], obs_digest: 0xfee1bf5acf0ef0f9 },
-    Pin { case: "radix/i32/global/agg/equal", value_bits: 0xffffffa3, total_ns: 57291.545013477094, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 400000), ("reduce", 4, 163840), ("filter", 4, 400320)], obs_digest: 0x2c8215be418aa1ac },
-    Pin { case: "radix/i32/global/agg/lowent", value_bits: 0xffffffef, total_ns: 81163.77088948787, launch_overhead_ns: 42000.0, levels: 4, early: false, error: None, kernels: &[("digit_count", 4, 220000), ("reduce", 4, 90112), ("filter", 4, 140496), ("base_sort", 1, 320)], obs_digest: 0x3676afd0efacb19f },
-    Pin { case: "radix/f32/deep/uniform", value_bits: 0xbeaa1726, total_ns: 38322.08671526587, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 2137342), ("reduce", 2, 712704), ("filter", 2, 583586), ("base_sort", 1, 1204)], obs_digest: 0x0bceb8e8987499d6 },
-    Pin { case: "radix/u32/deep/lowent", value_bits: 0x53, total_ns: 94009.89858490565, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 7200128), ("reduce", 4, 2400256), ("filter", 4, 4809468)], obs_digest: 0xed713ee20fccba7f },
-    Pin { case: "radix/f32/max_levels0/uniform", value_bits: 0x0, total_ns: 0.0, launch_overhead_ns: 0.0, levels: 0, early: false, error: Some("RecursionLimit"), kernels: &[], obs_digest: 0x44629ec69c3cec2c },
-    Pin { case: "radix/u32/budget1.5/uniform", value_bits: 0x551fa282, total_ns: 17428.24293800539, launch_overhead_ns: 15000.0, levels: 1, early: false, error: None, kernels: &[("digit_count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 20416), ("base_sort", 1, 336)], obs_digest: 0x1afe90ef73cb8fd8 },
-    Pin { case: "radix/u32/budget1.5/lowent", value_bits: 0x0, total_ns: 18279.286253369275, launch_overhead_ns: 12000.0, levels: 0, early: false, error: Some("RecursionLimit"), kernels: &[("digit_count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 100080)], obs_digest: 0xbe576564e211f763 },
-    Pin { case: "radix/f32/spot/corrupt0", value_bits: 0x0, total_ns: 10741.83, launch_overhead_ns: 6000.0, levels: 0, early: false, error: Some("histogram-sum"), kernels: &[("digit_count", 1, 1800032), ("corrupt:counts", 1, 0)], obs_digest: 0x22a56a57a3f511e2 },
-    Pin { case: "radix/f32/spot/corrupt1", value_bits: 0xbeaa1726, total_ns: 38322.08671526587, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 2137342), ("corrupt:oracles", 1, 0), ("reduce", 2, 712704), ("filter", 2, 583586), ("base_sort", 1, 1204)], obs_digest: 0xa90975bff23ef218 },
-    Pin { case: "radix/f32/spot/corrupt2", value_bits: 0x0, total_ns: 27414.51559544229, launch_overhead_ns: 15000.0, levels: 0, early: false, error: Some("histogram-sum"), kernels: &[("digit_count", 2, 2137342), ("reduce", 1, 600064), ("filter", 1, 525964), ("corrupt:counts", 1, 0)], obs_digest: 0x6597d2b22a5027e6 },
-    Pin { case: "radix/f32/spot/corrupt3", value_bits: 0xbeaa1726, total_ns: 38322.08671526587, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 2137342), ("reduce", 2, 712704), ("filter", 2, 583586), ("corrupt:oracles", 1, 0), ("base_sort", 1, 1204)], obs_digest: 0x7c1d700362e1d184 },
-    Pin { case: "radix/f32/spot/corrupt5", value_bits: 0xbeaa1726, total_ns: 38322.08671526587, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 2137342), ("reduce", 2, 712704), ("filter", 2, 583586), ("base_sort", 1, 1204)], obs_digest: 0x0bceb8e8987499d6 },
-    Pin { case: "radix/f32/unverified/corrupt0", value_bits: 0xbeaa1726, total_ns: 38322.08671526587, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 2137342), ("corrupt:counts", 1, 0), ("reduce", 2, 712704), ("filter", 2, 583586), ("base_sort", 1, 1204)], obs_digest: 0xcd96080ec1650ae1 },
-    Pin { case: "radix/f32/unverified/corrupt1", value_bits: 0xbeaa1726, total_ns: 38322.08671526587, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 2137342), ("corrupt:oracles", 1, 0), ("reduce", 2, 712704), ("filter", 2, 583586), ("base_sort", 1, 1204)], obs_digest: 0xa90975bff23ef218 },
-    Pin { case: "radix/f32/unverified/corrupt2", value_bits: 0xbeaa1726, total_ns: 38322.08671526587, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 2137342), ("reduce", 2, 712704), ("filter", 2, 583586), ("corrupt:counts", 1, 0), ("base_sort", 1, 1204)], obs_digest: 0x7c1d700362e1d184 },
+    Pin { case: "sample/f32/shared/noagg/uniform", value_bits: 0xbea517d3, total_ns: 31121.494690026953, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20408), ("base_sort", 1, 328)], obs_digest: 0x008f091c81b4d3bf },
+    Pin { case: "sample/f32/shared/noagg/dup16", value_bits: 0x40b00000, total_ns: 24804.37969002696, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x51fde977de1b7d4b },
+    Pin { case: "sample/f32/shared/noagg/equal", value_bits: 0x41280000, total_ns: 25567.264690026954, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x3bad178b7aea88bb },
+    Pin { case: "sample/f32/shared/noagg/lowent", value_bits: 0x43488000, total_ns: 31128.334690026953, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20400), ("base_sort", 1, 320)], obs_digest: 0x54267e604951b302 },
+    Pin { case: "sample/f32/shared/agg/uniform", value_bits: 0xbea517d3, total_ns: 31092.064690026957, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20408), ("base_sort", 1, 328)], obs_digest: 0xc1cb388f1bcd63de },
+    Pin { case: "sample/f32/shared/agg/dup16", value_bits: 0x40b00000, total_ns: 24696.064690026957, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x38718913c4d22a61 },
+    Pin { case: "sample/f32/shared/agg/equal", value_bits: 0x41280000, total_ns: 24696.064690026957, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0xae31933d8fb43297 },
+    Pin { case: "sample/f32/shared/agg/lowent", value_bits: 0x43488000, total_ns: 31092.064690026957, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20400), ("base_sort", 1, 320)], obs_digest: 0xa018d3c6c502997c },
+    Pin { case: "sample/f32/global/noagg/uniform", value_bits: 0xbea517d3, total_ns: 55777.698113207545, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20408), ("base_sort", 1, 328)], obs_digest: 0x90b9b42278075468 },
+    Pin { case: "sample/f32/global/noagg/dup16", value_bits: 0x40b00000, total_ns: 49416.06469002695, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x6384752addbc2476 },
+    Pin { case: "sample/f32/global/noagg/equal", value_bits: 0x41280000, total_ns: 49416.06469002695, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0xf73e42f78dd086cc },
+    Pin { case: "sample/f32/global/noagg/lowent", value_bits: 0x43488000, total_ns: 55777.37466307277, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20400), ("base_sort", 1, 320)], obs_digest: 0xb89a2e1e5bd8108c },
+    Pin { case: "sample/f32/global/agg/uniform", value_bits: 0xbea517d3, total_ns: 53901.978113207544, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20408), ("base_sort", 1, 328)], obs_digest: 0x5c99a2494bc24438 },
+    Pin { case: "sample/f32/global/agg/dup16", value_bits: 0x40b00000, total_ns: 34556.82469002696, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x1bb16e467b0e6d83 },
+    Pin { case: "sample/f32/global/agg/equal", value_bits: 0x41280000, total_ns: 23860.864690026952, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x4fa9f20cea60061c },
+    Pin { case: "sample/f32/global/agg/lowent", value_bits: 0x43488000, total_ns: 51709.13466307277, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20400), ("base_sort", 1, 320)], obs_digest: 0xbf726ecb165b6fd2 },
+    Pin { case: "sample/f64/shared/noagg/uniform", value_bits: 0xbfd4a2fa66cae224, total_ns: 34667.49469002696, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 200480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20736), ("base_sort", 1, 656)], obs_digest: 0xbaa612f0667dc107 },
+    Pin { case: "sample/f64/shared/noagg/dup16", value_bits: 0x4016000000000000, total_ns: 28164.37969002696, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 200480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x3ac0f47f044ae812 },
+    Pin { case: "sample/f64/shared/noagg/equal", value_bits: 0x4025000000000000, total_ns: 28927.264690026954, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 200480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x204b56831e0fab42 },
+    Pin { case: "sample/f64/shared/noagg/lowent", value_bits: 0x4069100000000000, total_ns: 34674.33469002695, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 200480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20720), ("base_sort", 1, 640)], obs_digest: 0xcc3555938f15e710 },
+    Pin { case: "sample/f64/shared/agg/uniform", value_bits: 0xbfd4a2fa66cae224, total_ns: 34638.06469002696, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 200480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20736), ("base_sort", 1, 656)], obs_digest: 0xe25659090de3af51 },
+    Pin { case: "sample/f64/shared/agg/dup16", value_bits: 0x4016000000000000, total_ns: 28056.064690026957, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 200480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x42bc2c027b1e1953 },
+    Pin { case: "sample/f64/shared/agg/equal", value_bits: 0x4025000000000000, total_ns: 28056.064690026957, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 200480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x40a830a342ef5b3b },
+    Pin { case: "sample/f64/shared/agg/lowent", value_bits: 0x4069100000000000, total_ns: 34638.06469002696, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 200480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20720), ("base_sort", 1, 640)], obs_digest: 0xba0871ca26e22569 },
+    Pin { case: "sample/f64/global/noagg/uniform", value_bits: 0xbfd4a2fa66cae224, total_ns: 59336.959568733146, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 180000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20736), ("base_sort", 1, 656)], obs_digest: 0xd62d8ec842c5349e },
+    Pin { case: "sample/f64/global/noagg/dup16", value_bits: 0x4016000000000000, total_ns: 52776.06469002695, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 180000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x4b0f7e792971991f },
+    Pin { case: "sample/f64/global/noagg/equal", value_bits: 0x4025000000000000, total_ns: 52776.06469002695, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 180000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x4d014fc2866c31e5 },
+    Pin { case: "sample/f64/global/noagg/lowent", value_bits: 0x4069100000000000, total_ns: 59336.31266846361, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 180000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20720), ("base_sort", 1, 640)], obs_digest: 0x0dd5ba5af25ca83a },
+    Pin { case: "sample/f64/global/agg/uniform", value_bits: 0xbfd4a2fa66cae224, total_ns: 57459.919568733145, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 180000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20736), ("base_sort", 1, 656)], obs_digest: 0x1998126105d924f4 },
+    Pin { case: "sample/f64/global/agg/dup16", value_bits: 0x4016000000000000, total_ns: 37916.82469002695, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 180000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x2bb8a14da4b00d7d },
+    Pin { case: "sample/f64/global/agg/equal", value_bits: 0x4025000000000000, total_ns: 27831.59029649596, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 180000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0xfa30805ec125c8cb },
+    Pin { case: "sample/f64/global/agg/lowent", value_bits: 0x4069100000000000, total_ns: 55268.07266846361, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 2040), ("count", 1, 180000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20720), ("base_sort", 1, 640)], obs_digest: 0x7e7c1e60028438f4 },
+    Pin { case: "sample/u32/shared/noagg/uniform", value_bits: 0x551fa282, total_ns: 31576.669690026956, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20684), ("base_sort", 1, 604)], obs_digest: 0xda7846feee4f6cef },
+    Pin { case: "sample/u32/shared/noagg/dup16", value_bits: 0x5, total_ns: 24804.37969002696, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x51fde977de1b7d4b },
+    Pin { case: "sample/u32/shared/noagg/equal", value_bits: 0x7, total_ns: 25567.264690026954, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x3bad178b7aea88bb },
+    Pin { case: "sample/u32/shared/noagg/lowent", value_bits: 0x53, total_ns: 31128.334690026953, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20400), ("base_sort", 1, 320)], obs_digest: 0x54267e604951b302 },
+    Pin { case: "sample/u32/shared/agg/uniform", value_bits: 0x551fa282, total_ns: 31546.564690026957, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20684), ("base_sort", 1, 604)], obs_digest: 0x502844e27e288f6b },
+    Pin { case: "sample/u32/shared/agg/dup16", value_bits: 0x5, total_ns: 24696.064690026957, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x38718913c4d22a61 },
+    Pin { case: "sample/u32/shared/agg/equal", value_bits: 0x7, total_ns: 24696.064690026957, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0xae31933d8fb43297 },
+    Pin { case: "sample/u32/shared/agg/lowent", value_bits: 0x53, total_ns: 31092.064690026957, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20400), ("base_sort", 1, 320)], obs_digest: 0xa018d3c6c502997c },
+    Pin { case: "sample/u32/global/noagg/uniform", value_bits: 0x551fa282, total_ns: 56119.38469002695, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20684), ("base_sort", 1, 604)], obs_digest: 0xbe8c69d055242be4 },
+    Pin { case: "sample/u32/global/noagg/dup16", value_bits: 0x5, total_ns: 49416.06469002695, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x6384752addbc2476 },
+    Pin { case: "sample/u32/global/noagg/equal", value_bits: 0x7, total_ns: 49416.06469002695, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0xf73e42f78dd086cc },
+    Pin { case: "sample/u32/global/noagg/lowent", value_bits: 0x53, total_ns: 55777.37466307277, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20400), ("base_sort", 1, 320)], obs_digest: 0xb89a2e1e5bd8108c },
+    Pin { case: "sample/u32/global/agg/uniform", value_bits: 0x551fa282, total_ns: 54298.45714285714, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20684), ("base_sort", 1, 604)], obs_digest: 0x614e58ae7c903d96 },
+    Pin { case: "sample/u32/global/agg/dup16", value_bits: 0x5, total_ns: 34556.82469002696, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x1bb16e467b0e6d83 },
+    Pin { case: "sample/u32/global/agg/equal", value_bits: 0x7, total_ns: 23860.864690026952, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x4fa9f20cea60061c },
+    Pin { case: "sample/u32/global/agg/lowent", value_bits: 0x53, total_ns: 51709.13466307277, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20400), ("base_sort", 1, 320)], obs_digest: 0xbf726ecb165b6fd2 },
+    Pin { case: "sample/i32/shared/noagg/uniform", value_bits: 0xd4198ca6, total_ns: 31083.793787061997, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20340), ("base_sort", 1, 260)], obs_digest: 0xdb4a4a97fd43f3ee },
+    Pin { case: "sample/i32/shared/noagg/dup16", value_bits: 0xffffffa1, total_ns: 24804.37969002696, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x51fde977de1b7d4b },
+    Pin { case: "sample/i32/shared/noagg/equal", value_bits: 0xffffffa3, total_ns: 25567.264690026954, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x3bad178b7aea88bb },
+    Pin { case: "sample/i32/shared/noagg/lowent", value_bits: 0xffffffef, total_ns: 31128.334690026953, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20400), ("base_sort", 1, 320)], obs_digest: 0x54267e604951b302 },
+    Pin { case: "sample/i32/shared/agg/uniform", value_bits: 0xd4198ca6, total_ns: 31054.948787061996, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20340), ("base_sort", 1, 260)], obs_digest: 0x3bc09d96d25faac1 },
+    Pin { case: "sample/i32/shared/agg/dup16", value_bits: 0xffffffa1, total_ns: 24696.064690026957, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x38718913c4d22a61 },
+    Pin { case: "sample/i32/shared/agg/equal", value_bits: 0xffffffa3, total_ns: 24696.064690026957, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0xae31933d8fb43297 },
+    Pin { case: "sample/i32/shared/agg/lowent", value_bits: 0xffffffef, total_ns: 31092.064690026957, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20400), ("base_sort", 1, 320)], obs_digest: 0xa018d3c6c502997c },
+    Pin { case: "sample/i32/global/noagg/uniform", value_bits: 0xd4198ca6, total_ns: 55774.94878706199, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20340), ("base_sort", 1, 260)], obs_digest: 0x5877b6b3094d2b0a },
+    Pin { case: "sample/i32/global/noagg/dup16", value_bits: 0xffffffa1, total_ns: 49416.06469002695, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x6384752addbc2476 },
+    Pin { case: "sample/i32/global/noagg/equal", value_bits: 0xffffffa3, total_ns: 49416.06469002695, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0xf73e42f78dd086cc },
+    Pin { case: "sample/i32/global/noagg/lowent", value_bits: 0xffffffef, total_ns: 55777.37466307277, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20400), ("base_sort", 1, 320)], obs_digest: 0xb89a2e1e5bd8108c },
+    Pin { case: "sample/i32/global/agg/uniform", value_bits: 0xd4198ca6, total_ns: 54015.388787061995, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20340), ("base_sort", 1, 260)], obs_digest: 0xd6be3a668e9e5a97 },
+    Pin { case: "sample/i32/global/agg/dup16", value_bits: 0xffffffa1, total_ns: 34556.82469002696, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x1bb16e467b0e6d83 },
+    Pin { case: "sample/i32/global/agg/equal", value_bits: 0xffffffa3, total_ns: 23860.864690026952, launch_overhead_ns: 18000.0, levels: 1, early: true, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024)], obs_digest: 0x4fa9f20cea60061c },
+    Pin { case: "sample/i32/global/agg/lowent", value_bits: 0xffffffef, total_ns: 51709.13466307277, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 100000), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20400), ("base_sort", 1, 320)], obs_digest: 0xbf726ecb165b6fd2 },
+    Pin { case: "sample/f32/deep/uniform", value_bits: 0xbeaa1726, total_ns: 56431.01787735849, launch_overhead_ns: 39000.0, levels: 2, early: false, error: None, kernels: &[("sample", 2, 2040), ("count", 2, 1808995), ("reduce", 2, 604160), ("select_bucket", 2, 2048), ("filter", 2, 308147), ("base_sort", 1, 52)], obs_digest: 0x4fec206e76f9e639 },
+    Pin { case: "sample/u32/deep/lowent", value_bits: 0x53, total_ns: 50602.57067385444, launch_overhead_ns: 33000.0, levels: 2, early: true, error: None, kernels: &[("sample", 2, 2040), ("count", 2, 1815054), ("reduce", 2, 606208), ("select_bucket", 2, 2048), ("filter", 1, 310732)], obs_digest: 0xb257af78b0ff9dba },
+    Pin { case: "sample/f32/max_levels0/uniform", value_bits: 0x0, total_ns: 0.0, launch_overhead_ns: 0.0, levels: 0, early: false, error: Some("RecursionLimit"), kernels: &[], obs_digest: 0xe8ee8c390c6d014f },
+    Pin { case: "sample/u32/budget1.5/uniform", value_bits: 0x551fa282, total_ns: 31576.669690026956, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20684), ("base_sort", 1, 604)], obs_digest: 0xda7846feee4f6cef },
+    Pin { case: "sample/u32/budget1.5/lowent", value_bits: 0x53, total_ns: 31128.334690026953, launch_overhead_ns: 24000.0, levels: 1, early: false, error: None, kernels: &[("sample", 1, 1020), ("count", 1, 120480), ("reduce", 1, 40960), ("select_bucket", 1, 1024), ("filter", 1, 20400), ("base_sort", 1, 320)], obs_digest: 0x54267e604951b302 },
+    Pin { case: "sample/f32/spot/corrupt0", value_bits: 0x0, total_ns: 9360.0, launch_overhead_ns: 6000.0, levels: 0, early: false, error: Some("splitter-order"), kernels: &[("sample", 1, 1020), ("corrupt:splitters", 1, 0)], obs_digest: 0x793a35ec183c820e },
+    Pin { case: "sample/f32/spot/corrupt1", value_bits: 0x0, total_ns: 19534.665, launch_overhead_ns: 12000.0, levels: 0, early: false, error: Some("histogram-sum"), kernels: &[("sample", 1, 1020), ("count", 1, 1800032), ("corrupt:counts", 1, 0)], obs_digest: 0xde6fbfa20b77a5f3 },
+    Pin { case: "sample/f32/spot/corrupt2", value_bits: 0xbeaa1726, total_ns: 56431.01787735849, launch_overhead_ns: 39000.0, levels: 2, early: false, error: None, kernels: &[("sample", 2, 2040), ("count", 2, 1808995), ("corrupt:oracles", 1, 0), ("reduce", 2, 604160), ("select_bucket", 2, 2048), ("filter", 2, 308147), ("base_sort", 1, 52)], obs_digest: 0x4ad2fd9b683beda3 },
+    Pin { case: "sample/f32/spot/corrupt3", value_bits: 0x0, total_ns: 38304.793483827496, launch_overhead_ns: 24000.0, levels: 0, early: false, error: Some("splitter-order"), kernels: &[("sample", 2, 2040), ("count", 1, 1800032), ("reduce", 1, 600064), ("select_bucket", 1, 1024), ("filter", 1, 306704), ("corrupt:splitters", 1, 0)], obs_digest: 0x25193ec9b2023024 },
+    Pin { case: "sample/f32/spot/corrupt5", value_bits: 0xbeaa1726, total_ns: 56431.01787735849, launch_overhead_ns: 39000.0, levels: 2, early: false, error: None, kernels: &[("sample", 2, 2040), ("count", 2, 1808995), ("reduce", 2, 604160), ("select_bucket", 2, 2048), ("filter", 2, 308147), ("corrupt:oracles", 1, 0), ("base_sort", 1, 52)], obs_digest: 0x36994122ab864918 },
+    Pin { case: "sample/f32/unverified/corrupt0", value_bits: 0x0, total_ns: 9360.0, launch_overhead_ns: 6000.0, levels: 0, early: false, error: Some("splitter-order"), kernels: &[("sample", 1, 1020), ("corrupt:splitters", 1, 0)], obs_digest: 0x793a35ec183c820e },
+    Pin { case: "sample/f32/unverified/corrupt1", value_bits: 0xbeaa1726, total_ns: 56431.01787735849, launch_overhead_ns: 39000.0, levels: 2, early: false, error: None, kernels: &[("sample", 2, 2040), ("count", 2, 1808995), ("corrupt:counts", 1, 0), ("reduce", 2, 604160), ("select_bucket", 2, 2048), ("filter", 2, 308147), ("base_sort", 1, 52)], obs_digest: 0x4ad2fd9b683beda3 },
+    Pin { case: "sample/f32/unverified/corrupt2", value_bits: 0xbeaa1726, total_ns: 56431.01787735849, launch_overhead_ns: 39000.0, levels: 2, early: false, error: None, kernels: &[("sample", 2, 2040), ("count", 2, 1808995), ("corrupt:oracles", 1, 0), ("reduce", 2, 604160), ("select_bucket", 2, 2048), ("filter", 2, 308147), ("base_sort", 1, 52)], obs_digest: 0x4ad2fd9b683beda3 },
+    Pin { case: "radix/f32/shared/noagg/uniform", value_bits: 0xbea517d3, total_ns: 30138.294380053907, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 142741), ("reduce", 2, 49152), ("filter", 2, 38321), ("base_sort", 1, 60)], obs_digest: 0x821fc6d5a3795685 },
+    Pin { case: "radix/f32/shared/noagg/dup16", value_bits: 0x40b00000, total_ns: 54667.91130727763, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 151443), ("reduce", 4, 55296), ("filter", 4, 48651)], obs_digest: 0xac54788b0c3b44d6 },
+    Pin { case: "radix/f32/shared/noagg/equal", value_bits: 0x41280000, total_ns: 64117.145013477086, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 481920), ("reduce", 4, 163840), ("filter", 4, 400320)], obs_digest: 0xa978008e8583c12a },
+    Pin { case: "radix/f32/shared/noagg/lowent", value_bits: 0x43488000, total_ns: 31455.346846361186, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 194183), ("reduce", 2, 65536), ("filter", 2, 81863), ("base_sort", 1, 320)], obs_digest: 0x1264194614ec5c71 },
+    Pin { case: "radix/f32/shared/agg/uniform", value_bits: 0xbea517d3, total_ns: 29722.629380053906, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 142741), ("reduce", 2, 49152), ("filter", 2, 38321), ("base_sort", 1, 60)], obs_digest: 0xd5248c155b9f24e6 },
+    Pin { case: "radix/f32/shared/agg/dup16", value_bits: 0x40b00000, total_ns: 52394.59400269541, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 151443), ("reduce", 4, 55296), ("filter", 4, 48651)], obs_digest: 0x47185b694684f075 },
+    Pin { case: "radix/f32/shared/agg/equal", value_bits: 0x41280000, total_ns: 60632.34501347708, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 481920), ("reduce", 4, 163840), ("filter", 4, 400320)], obs_digest: 0xcea417a170b618ff },
+    Pin { case: "radix/f32/shared/agg/lowent", value_bits: 0x43488000, total_ns: 30707.266846361188, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 194183), ("reduce", 2, 65536), ("filter", 2, 81863), ("base_sort", 1, 320)], obs_digest: 0xce72e1220476b28e },
+    Pin { case: "radix/f32/global/noagg/uniform", value_bits: 0xbea517d3, total_ns: 80005.15245283018, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 118165), ("reduce", 2, 49152), ("filter", 2, 38321), ("base_sort", 1, 60)], obs_digest: 0xf333506332ad661d },
+    Pin { case: "radix/f32/global/noagg/dup16", value_bits: 0x40b00000, total_ns: 163980.25175202155, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 123795), ("reduce", 4, 55296), ("filter", 4, 48651)], obs_digest: 0xaa90032921110248 },
+    Pin { case: "radix/f32/global/noagg/equal", value_bits: 0x41280000, total_ns: 251524.85175202158, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 400000), ("reduce", 4, 163840), ("filter", 4, 400320)], obs_digest: 0x1a85afde9d05d2c0 },
+    Pin { case: "radix/f32/global/noagg/lowent", value_bits: 0x43488000, total_ns: 94672.33520215635, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 161415), ("reduce", 2, 65536), ("filter", 2, 81863), ("base_sort", 1, 320)], obs_digest: 0x92c03b5675d8d162 },
+    Pin { case: "radix/f32/global/agg/uniform", value_bits: 0xbea517d3, total_ns: 53554.99245283019, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 118165), ("reduce", 2, 49152), ("filter", 2, 38321), ("base_sort", 1, 60)], obs_digest: 0x0efcd72d5eae9176 },
+    Pin { case: "radix/f32/global/agg/dup16", value_bits: 0x40b00000, total_ns: 52144.70900269541, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 123795), ("reduce", 4, 55296), ("filter", 4, 48651)], obs_digest: 0x06980e1322817025 },
+    Pin { case: "radix/f32/global/agg/equal", value_bits: 0x41280000, total_ns: 57291.545013477094, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 400000), ("reduce", 4, 163840), ("filter", 4, 400320)], obs_digest: 0xf3d1fc80d0755bc9 },
+    Pin { case: "radix/f32/global/agg/lowent", value_bits: 0x43488000, total_ns: 55767.856172506734, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 161415), ("reduce", 2, 65536), ("filter", 2, 81863), ("base_sort", 1, 320)], obs_digest: 0x8742012edd6bdf57 },
+    Pin { case: "radix/f64/shared/noagg/uniform", value_bits: 0xbfd4a2fa66cae224, total_ns: 33534.23753369272, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 300207), ("reduce", 2, 61440), ("filter", 2, 110647), ("base_sort", 1, 1040)], obs_digest: 0x3be5e1a3406a4d2d },
+    Pin { case: "radix/f64/shared/noagg/dup16", value_bits: 0x4016000000000000, total_ns: 121089.41101078168, launch_overhead_ns: 75000.0, levels: 8, early: true, error: None, kernels: &[("digit_count", 8, 427397), ("reduce", 8, 96256), ("filter", 8, 228953)], obs_digest: 0xcd2210da594d9b11 },
+    Pin { case: "radix/f64/shared/noagg/equal", value_bits: 0x4025000000000000, total_ns: 151110.30080862535, launch_overhead_ns: 75000.0, levels: 8, early: true, error: None, kernels: &[("digit_count", 8, 1603840), ("reduce", 8, 327680), ("filter", 8, 1440640)], obs_digest: 0x72ced66b51d7f30c },
+    Pin { case: "radix/f64/shared/noagg/lowent", value_bits: 0x4069100000000000, total_ns: 36764.348894878705, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 398080), ("reduce", 2, 81920), ("filter", 2, 199200), ("base_sort", 1, 1920)], obs_digest: 0xc9333c99fbfa533d },
+    Pin { case: "radix/f64/shared/agg/uniform", value_bits: 0xbfd4a2fa66cae224, total_ns: 32986.36253369272, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 300207), ("reduce", 2, 61440), ("filter", 2, 110647), ("base_sort", 1, 1040)], obs_digest: 0xda8be79cdfe01932 },
+    Pin { case: "radix/f64/shared/agg/dup16", value_bits: 0x4016000000000000, total_ns: 117359.14150943398, launch_overhead_ns: 75000.0, levels: 8, early: true, error: None, kernels: &[("digit_count", 8, 427397), ("reduce", 8, 96256), ("filter", 8, 228953)], obs_digest: 0xaa907bcf776758d3 },
+    Pin { case: "radix/f64/shared/agg/equal", value_bits: 0x4025000000000000, total_ns: 144140.70080862538, launch_overhead_ns: 75000.0, levels: 8, early: true, error: None, kernels: &[("digit_count", 8, 1603840), ("reduce", 8, 327680), ("filter", 8, 1440640)], obs_digest: 0x85b9f8acb4a6ed28 },
+    Pin { case: "radix/f64/shared/agg/lowent", value_bits: 0x4069100000000000, total_ns: 35743.208894878706, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 398080), ("reduce", 2, 81920), ("filter", 2, 199200), ("base_sort", 1, 1920)], obs_digest: 0xf41bb1bdf281d7cc },
+    Pin { case: "radix/f64/global/noagg/uniform", value_bits: 0xbfd4a2fa66cae224, total_ns: 91787.90587601079, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 269487), ("reduce", 2, 61440), ("filter", 2, 110647), ("base_sort", 1, 1040)], obs_digest: 0x63e390d6c82a0ea4 },
+    Pin { case: "radix/f64/global/noagg/dup16", value_bits: 0x4016000000000000, total_ns: 340418.14350404317, launch_overhead_ns: 75000.0, levels: 8, early: true, error: None, kernels: &[("digit_count", 8, 379269), ("reduce", 8, 96256), ("filter", 8, 228953)], obs_digest: 0xb59cebe5bce7185d },
+    Pin { case: "radix/f64/global/noagg/equal", value_bits: 0x4025000000000000, total_ns: 500049.70350404317, launch_overhead_ns: 75000.0, levels: 8, early: true, error: None, kernels: &[("digit_count", 8, 1440000), ("reduce", 8, 327680), ("filter", 8, 1440640)], obs_digest: 0xb66cf7be6baca70f },
+    Pin { case: "radix/f64/global/noagg/lowent", value_bits: 0x4069100000000000, total_ns: 104342.42587601079, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 357120), ("reduce", 2, 81920), ("filter", 2, 199200), ("base_sort", 1, 1920)], obs_digest: 0xff857c803ef72b74 },
+    Pin { case: "radix/f64/global/agg/uniform", value_bits: 0xbfd4a2fa66cae224, total_ns: 50835.46253369273, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 269487), ("reduce", 2, 61440), ("filter", 2, 110647), ("base_sort", 1, 1040)], obs_digest: 0xebe8ed7b45c728e1 },
+    Pin { case: "radix/f64/global/agg/dup16", value_bits: 0x4016000000000000, total_ns: 124038.0426954178, launch_overhead_ns: 75000.0, levels: 8, early: true, error: None, kernels: &[("digit_count", 8, 379269), ("reduce", 8, 96256), ("filter", 8, 228953)], obs_digest: 0xfb2072fa2a45a473 },
+    Pin { case: "radix/f64/global/agg/equal", value_bits: 0x4025000000000000, total_ns: 142344.90566037735, launch_overhead_ns: 75000.0, levels: 8, early: true, error: None, kernels: &[("digit_count", 8, 1440000), ("reduce", 8, 327680), ("filter", 8, 1440640)], obs_digest: 0x7e09b6e192761c8b },
+    Pin { case: "radix/f64/global/agg/lowent", value_bits: 0x4069100000000000, total_ns: 42578.15450134771, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 357120), ("reduce", 2, 81920), ("filter", 2, 199200), ("base_sort", 1, 1920)], obs_digest: 0xec0e3a5f4928bfb7 },
+    Pin { case: "radix/u32/shared/noagg/uniform", value_bits: 0x551fa282, total_ns: 17428.24293800539, launch_overhead_ns: 15000.0, levels: 1, early: false, error: None, kernels: &[("digit_count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 20416), ("base_sort", 1, 336)], obs_digest: 0x012bbff14892e2f5 },
+    Pin { case: "radix/u32/shared/noagg/dup16", value_bits: 0x5, total_ns: 61404.00169811321, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 481920), ("reduce", 4, 163840), ("filter", 4, 325068)], obs_digest: 0xe5ca4cff713b4450 },
+    Pin { case: "radix/u32/shared/noagg/equal", value_bits: 0x7, total_ns: 64117.145013477086, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 481920), ("reduce", 4, 163840), ("filter", 4, 400320)], obs_digest: 0xa978008e8583c12a },
+    Pin { case: "radix/u32/shared/noagg/lowent", value_bits: 0x53, total_ns: 63245.07169811321, launch_overhead_ns: 42000.0, levels: 4, early: false, error: None, kernels: &[("digit_count", 4, 481920), ("reduce", 4, 163840), ("filter", 4, 320640), ("base_sort", 1, 320)], obs_digest: 0xe7295e2604ff8f1c },
+    Pin { case: "radix/u32/shared/agg/uniform", value_bits: 0x551fa282, total_ns: 17401.96293800539, launch_overhead_ns: 15000.0, levels: 1, early: false, error: None, kernels: &[("digit_count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 20416), ("base_sort", 1, 336)], obs_digest: 0x03a135f2db972834 },
+    Pin { case: "radix/u32/shared/agg/dup16", value_bits: 0x5, total_ns: 58652.9716981132, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 481920), ("reduce", 4, 163840), ("filter", 4, 325068)], obs_digest: 0xa18d03dda9a9ecd0 },
+    Pin { case: "radix/u32/shared/agg/equal", value_bits: 0x7, total_ns: 60632.34501347708, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 481920), ("reduce", 4, 163840), ("filter", 4, 400320)], obs_digest: 0xcea417a170b618ff },
+    Pin { case: "radix/u32/shared/agg/lowent", value_bits: 0x53, total_ns: 60631.4716981132, launch_overhead_ns: 42000.0, levels: 4, early: false, error: None, kernels: &[("digit_count", 4, 481920), ("reduce", 4, 163840), ("filter", 4, 320640), ("base_sort", 1, 320)], obs_digest: 0x2596e5a7edd83e94 },
+    Pin { case: "radix/u32/global/noagg/uniform", value_bits: 0x551fa282, total_ns: 42093.16981132075, launch_overhead_ns: 15000.0, levels: 1, early: false, error: None, kernels: &[("digit_count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 20416), ("base_sort", 1, 336)], obs_digest: 0x8098a1787f0340a5 },
+    Pin { case: "radix/u32/global/noagg/dup16", value_bits: 0x5, total_ns: 226691.69175202158, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 400000), ("reduce", 4, 163840), ("filter", 4, 325068)], obs_digest: 0x8eab30cf0e11f13f },
+    Pin { case: "radix/u32/global/noagg/equal", value_bits: 0x7, total_ns: 251524.85175202158, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 400000), ("reduce", 4, 163840), ("filter", 4, 400320)], obs_digest: 0x1a85afde9d05d2c0 },
+    Pin { case: "radix/u32/global/noagg/lowent", value_bits: 0x53, total_ns: 228486.16172506742, launch_overhead_ns: 42000.0, levels: 4, early: false, error: None, kernels: &[("digit_count", 4, 400000), ("reduce", 4, 163840), ("filter", 4, 320640), ("base_sort", 1, 320)], obs_digest: 0xc53c8606d2715787 },
+    Pin { case: "radix/u32/global/agg/uniform", value_bits: 0x551fa282, total_ns: 40550.08981132075, launch_overhead_ns: 15000.0, levels: 1, early: false, error: None, kernels: &[("digit_count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 20416), ("base_sort", 1, 336)], obs_digest: 0x8fb8819a0f706bc4 },
+    Pin { case: "radix/u32/global/agg/dup16", value_bits: 0x5, total_ns: 65303.431698113214, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 400000), ("reduce", 4, 163840), ("filter", 4, 325068)], obs_digest: 0xe998c18b7ebf719c },
+    Pin { case: "radix/u32/global/agg/equal", value_bits: 0x7, total_ns: 57291.545013477094, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 400000), ("reduce", 4, 163840), ("filter", 4, 400320)], obs_digest: 0xf3d1fc80d0755bc9 },
+    Pin { case: "radix/u32/global/agg/lowent", value_bits: 0x53, total_ns: 82811.18167115904, launch_overhead_ns: 42000.0, levels: 4, early: false, error: None, kernels: &[("digit_count", 4, 400000), ("reduce", 4, 163840), ("filter", 4, 320640), ("base_sort", 1, 320)], obs_digest: 0xbb172cd527d117ca },
+    Pin { case: "radix/i32/shared/noagg/uniform", value_bits: 0xd4198ca6, total_ns: 17396.10703504043, launch_overhead_ns: 15000.0, levels: 1, early: false, error: None, kernels: &[("digit_count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 20340), ("base_sort", 1, 260)], obs_digest: 0x631285d3473f3792 },
+    Pin { case: "radix/i32/shared/noagg/dup16", value_bits: 0xffffffa1, total_ns: 61404.00169811321, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 481920), ("reduce", 4, 163840), ("filter", 4, 325068)], obs_digest: 0xe5ca4cff713b4450 },
+    Pin { case: "radix/i32/shared/noagg/equal", value_bits: 0xffffffa3, total_ns: 64117.145013477086, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 481920), ("reduce", 4, 163840), ("filter", 4, 400320)], obs_digest: 0xa978008e8583c12a },
+    Pin { case: "radix/i32/shared/noagg/lowent", value_bits: 0xffffffef, total_ns: 61564.47088948787, launch_overhead_ns: 42000.0, levels: 4, early: false, error: None, kernels: &[("digit_count", 4, 265056), ("reduce", 4, 90112), ("filter", 4, 140496), ("base_sort", 1, 320)], obs_digest: 0x6a8eb6cb2ea89244 },
+    Pin { case: "radix/i32/shared/agg/uniform", value_bits: 0xd4198ca6, total_ns: 17370.09703504043, launch_overhead_ns: 15000.0, levels: 1, early: false, error: None, kernels: &[("digit_count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 20340), ("base_sort", 1, 260)], obs_digest: 0x3e4c913e3ee464a2 },
+    Pin { case: "radix/i32/shared/agg/dup16", value_bits: 0xffffffa1, total_ns: 58652.9716981132, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 481920), ("reduce", 4, 163840), ("filter", 4, 325068)], obs_digest: 0xa18d03dda9a9ecd0 },
+    Pin { case: "radix/i32/shared/agg/equal", value_bits: 0xffffffa3, total_ns: 60632.34501347708, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 481920), ("reduce", 4, 163840), ("filter", 4, 400320)], obs_digest: 0xcea417a170b618ff },
+    Pin { case: "radix/i32/shared/agg/lowent", value_bits: 0xffffffef, total_ns: 59005.77088948787, launch_overhead_ns: 42000.0, levels: 4, early: false, error: None, kernels: &[("digit_count", 4, 265056), ("reduce", 4, 90112), ("filter", 4, 140496), ("base_sort", 1, 320)], obs_digest: 0xa6e4ca98b7c6337f },
+    Pin { case: "radix/i32/global/noagg/uniform", value_bits: 0xd4198ca6, total_ns: 42090.09703504043, launch_overhead_ns: 15000.0, levels: 1, early: false, error: None, kernels: &[("digit_count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 20340), ("base_sort", 1, 260)], obs_digest: 0xf87fa0c469f2bf6c },
+    Pin { case: "radix/i32/global/noagg/dup16", value_bits: 0xffffffa1, total_ns: 226691.69175202158, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 400000), ("reduce", 4, 163840), ("filter", 4, 325068)], obs_digest: 0x8eab30cf0e11f13f },
+    Pin { case: "radix/i32/global/noagg/equal", value_bits: 0xffffffa3, total_ns: 251524.85175202158, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 400000), ("reduce", 4, 163840), ("filter", 4, 400320)], obs_digest: 0x1a85afde9d05d2c0 },
+    Pin { case: "radix/i32/global/noagg/lowent", value_bits: 0xffffffef, total_ns: 212734.85175202158, launch_overhead_ns: 42000.0, levels: 4, early: false, error: None, kernels: &[("digit_count", 4, 220000), ("reduce", 4, 90112), ("filter", 4, 140496), ("base_sort", 1, 320)], obs_digest: 0xeec53203d74e887d },
+    Pin { case: "radix/i32/global/agg/uniform", value_bits: 0xd4198ca6, total_ns: 40547.01703504043, launch_overhead_ns: 15000.0, levels: 1, early: false, error: None, kernels: &[("digit_count", 1, 100000), ("reduce", 1, 40960), ("filter", 1, 20340), ("base_sort", 1, 260)], obs_digest: 0x2729d4ac31d88f7f },
+    Pin { case: "radix/i32/global/agg/dup16", value_bits: 0xffffffa1, total_ns: 65303.431698113214, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 400000), ("reduce", 4, 163840), ("filter", 4, 325068)], obs_digest: 0xe998c18b7ebf719c },
+    Pin { case: "radix/i32/global/agg/equal", value_bits: 0xffffffa3, total_ns: 57291.545013477094, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 400000), ("reduce", 4, 163840), ("filter", 4, 400320)], obs_digest: 0xf3d1fc80d0755bc9 },
+    Pin { case: "radix/i32/global/agg/lowent", value_bits: 0xffffffef, total_ns: 81163.77088948787, launch_overhead_ns: 42000.0, levels: 4, early: false, error: None, kernels: &[("digit_count", 4, 220000), ("reduce", 4, 90112), ("filter", 4, 140496), ("base_sort", 1, 320)], obs_digest: 0xcc6814693b76a038 },
+    Pin { case: "radix/f32/deep/uniform", value_bits: 0xbeaa1726, total_ns: 38322.08671526587, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 2137342), ("reduce", 2, 712704), ("filter", 2, 583586), ("base_sort", 1, 1204)], obs_digest: 0xa5756bf7fcc03833 },
+    Pin { case: "radix/u32/deep/lowent", value_bits: 0x53, total_ns: 94009.89858490565, launch_overhead_ns: 39000.0, levels: 4, early: true, error: None, kernels: &[("digit_count", 4, 7200128), ("reduce", 4, 2400256), ("filter", 4, 4809468)], obs_digest: 0xd5df9103c9bed562 },
+    Pin { case: "radix/f32/max_levels0/uniform", value_bits: 0x0, total_ns: 0.0, launch_overhead_ns: 0.0, levels: 0, early: false, error: Some("RecursionLimit"), kernels: &[], obs_digest: 0x16ae23b822fed1bd },
+    Pin { case: "radix/u32/budget1.5/uniform", value_bits: 0x551fa282, total_ns: 17428.24293800539, launch_overhead_ns: 15000.0, levels: 1, early: false, error: None, kernels: &[("digit_count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 20416), ("base_sort", 1, 336)], obs_digest: 0x012bbff14892e2f5 },
+    Pin { case: "radix/u32/budget1.5/lowent", value_bits: 0x0, total_ns: 18279.286253369275, launch_overhead_ns: 12000.0, levels: 0, early: false, error: Some("RecursionLimit"), kernels: &[("digit_count", 1, 120480), ("reduce", 1, 40960), ("filter", 1, 100080)], obs_digest: 0x8ac9a3718ace3948 },
+    Pin { case: "radix/f32/spot/corrupt0", value_bits: 0x0, total_ns: 10741.83, launch_overhead_ns: 6000.0, levels: 0, early: false, error: Some("histogram-sum"), kernels: &[("digit_count", 1, 1800032), ("corrupt:counts", 1, 0)], obs_digest: 0x7ef3000eb1b8d981 },
+    Pin { case: "radix/f32/spot/corrupt1", value_bits: 0xbeaa1726, total_ns: 38322.08671526587, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 2137342), ("corrupt:oracles", 1, 0), ("reduce", 2, 712704), ("filter", 2, 583586), ("base_sort", 1, 1204)], obs_digest: 0xde54e067bd8d8365 },
+    Pin { case: "radix/f32/spot/corrupt2", value_bits: 0x0, total_ns: 27414.51559544229, launch_overhead_ns: 15000.0, levels: 0, early: false, error: Some("histogram-sum"), kernels: &[("digit_count", 2, 2137342), ("reduce", 1, 600064), ("filter", 1, 525964), ("corrupt:counts", 1, 0)], obs_digest: 0x93000fd7654d4061 },
+    Pin { case: "radix/f32/spot/corrupt3", value_bits: 0xbeaa1726, total_ns: 38322.08671526587, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 2137342), ("reduce", 2, 712704), ("filter", 2, 583586), ("corrupt:oracles", 1, 0), ("base_sort", 1, 1204)], obs_digest: 0xc0bc0f7bb7c29d8b },
+    Pin { case: "radix/f32/spot/corrupt5", value_bits: 0xbeaa1726, total_ns: 38322.08671526587, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 2137342), ("reduce", 2, 712704), ("filter", 2, 583586), ("base_sort", 1, 1204)], obs_digest: 0xa5756bf7fcc03833 },
+    Pin { case: "radix/f32/unverified/corrupt0", value_bits: 0xbeaa1726, total_ns: 38322.08671526587, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 2137342), ("corrupt:counts", 1, 0), ("reduce", 2, 712704), ("filter", 2, 583586), ("base_sort", 1, 1204)], obs_digest: 0x81921f02c00b707c },
+    Pin { case: "radix/f32/unverified/corrupt1", value_bits: 0xbeaa1726, total_ns: 38322.08671526587, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 2137342), ("corrupt:oracles", 1, 0), ("reduce", 2, 712704), ("filter", 2, 583586), ("base_sort", 1, 1204)], obs_digest: 0xde54e067bd8d8365 },
+    Pin { case: "radix/f32/unverified/corrupt2", value_bits: 0xbeaa1726, total_ns: 38322.08671526587, launch_overhead_ns: 24000.0, levels: 2, early: false, error: None, kernels: &[("digit_count", 2, 2137342), ("reduce", 2, 712704), ("filter", 2, 583586), ("corrupt:counts", 1, 0), ("base_sort", 1, 1204)], obs_digest: 0xc0bc0f7bb7c29d8b },
 ];
 
 #[test]
