@@ -1,12 +1,17 @@
 //! `perfsmoke` — the zero-allocation hot-path regression bench.
 //!
 //! Runs the paper's fig8 (throughput) and fig9 (per-kernel breakdown)
-//! shapes plus an out-of-core streaming shape, each in two legs:
+//! shapes plus an out-of-core streaming shape, each in two legs, and the
+//! count kernel alone:
 //!
 //! * **fresh** — the pre-pooling behavior: a new device and fresh
 //!   allocations for every query (one `Device` + driver call per rep);
 //! * **pooled** — the hot path: one persistent device with the buffer
 //!   pool armed and a [`SelectWorkspace`] reused across reps.
+//!
+//! The **count** shape times one count kernel (256-bucket search tree,
+//! oracles written) over the fig8 input on a pooled device with warm
+//! scratch: the simulator's most expensive kernel in wall time.
 //!
 //! For every shape it records wall time, simulated time, heap
 //! allocation counts (via a counting global allocator), and bytes
@@ -24,11 +29,14 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
 use gpu_sim::arch::v100;
-use gpu_sim::Device;
+use gpu_sim::{Device, LaunchOrigin};
 use hpc_par::ThreadPool;
+use sampleselect::count::{count_kernel_scoped, OracleBuf};
 use sampleselect::recursion::{select_with_workspace, Bucketing};
 use sampleselect::rng::SplitMix64;
+use sampleselect::searchtree::SearchTree;
 use sampleselect::streaming::{streaming_select, ChunkError, ChunkSource};
+use sampleselect::workspace::KernelScratch;
 use sampleselect::{
     sample_select_on_device, ObsSession, SampleSelectConfig, SelectReport, SelectWorkspace,
 };
@@ -178,6 +186,50 @@ fn select_shape(name: &str, n: usize, pool: &ThreadPool, reps: usize) -> (String
     (name.to_string(), fresh, pooled)
 }
 
+/// The count kernel alone over `n` uniform f32 on a pooled device with
+/// warm scratch; one unmeasured launch warms the pool first.
+fn count_shape(n: usize, pool: &ThreadPool, reps: usize) -> Leg {
+    let data = WorkloadSpec::uniform(n, 0xf188a5e)
+        .instantiate::<f32>(0)
+        .data;
+    let mut splitters: Vec<f32> = data.iter().step_by(n / 255).take(255).copied().collect();
+    splitters.sort_by(f32::total_cmp);
+    let tree = SearchTree::build(&splitters);
+    let cfg = SampleSelectConfig::default();
+    let scratch = KernelScratch::new();
+    let mut device = Device::new(v100(), pool);
+    device.enable_buffer_pool();
+    let mut leg = Leg::default();
+    for rep in 0..=reps {
+        let (count, wall, allocs) = clocked(|| {
+            count_kernel_scoped(
+                &mut device,
+                &data,
+                &tree,
+                &cfg,
+                true,
+                LaunchOrigin::Host,
+                &scratch,
+            )
+        });
+        let record = device.records().last().expect("one count launch");
+        let (sim_ns, cost) = (record.duration.as_ns(), record.cost);
+        device.recycle_vec("counts", count.counts);
+        device.recycle_vec("count-partials", count.partials);
+        if let Some(OracleBuf::U8(v)) = count.oracles {
+            device.recycle_vec("oracles", v);
+        }
+        device.reset();
+        if rep > 0 {
+            leg.absorb(wall, allocs);
+            leg.sim_ns += sim_ns;
+            leg.bytes_moved += cost.global_read_bytes + cost.global_write_bytes;
+        }
+    }
+    leg.wall_mean_s /= reps as f64;
+    leg
+}
+
 // ---------------------------------------------------------------------
 // Streaming shape: prefetch off vs on
 // ---------------------------------------------------------------------
@@ -282,6 +334,11 @@ fn main() {
         stream_n.trailing_zeros()
     );
     let (stream_off, stream_on) = streaming_shape(stream_n, pool, reps);
+    eprintln!(
+        "perfsmoke: count kernel (n=2^{})...",
+        fig8_n.trailing_zeros()
+    );
+    let count = count_shape(fig8_n, pool, reps);
 
     // One extra pooled query under an ObsSession, outside every clocked
     // and allocation-counted leg, so the bench artifact carries a
@@ -315,6 +372,7 @@ fn main() {
          \"fig8\": {{\"n\": {fig8_n}, \"fresh\": {}, \"pooled\": {}, \"wall_speedup\": {speedup8:.3}, \"alloc_ratio\": {alloc_ratio8:.1}}},\n  \
          \"fig9\": {{\"n\": {fig9_n}, \"fresh\": {}, \"pooled\": {}, \"wall_speedup\": {speedup9:.3}}},\n  \
          \"streaming\": {{\"n\": {stream_n}, \"prefetch_off\": {}, \"prefetch_on\": {}, \"wall_speedup\": {stream_speedup:.3}}},\n  \
+         \"count\": {{\"n\": {fig8_n}, \"pooled\": {}}},\n  \
          \"metrics\": {metrics_json}\n}}\n",
         pool.num_threads(),
         leg_json(&fig8_fresh),
@@ -323,6 +381,7 @@ fn main() {
         leg_json(&fig9_pooled),
         leg_json(&stream_off),
         leg_json(&stream_on),
+        leg_json(&count),
     );
     std::fs::write("BENCH_hotpath.json", &json).expect("write BENCH_hotpath.json");
     println!("{json}");

@@ -234,7 +234,7 @@ fn classify<T: SelectElement, W: Copy + Send>(
         let chunk = cur[c * chunk..][..oracles.len()].chunks(buckets.len());
         for (batch, oracles) in chunk.zip(oracles.chunks_mut(buckets.len())) {
             let buckets = &mut buckets[..batch.len()];
-            classifier.classify_warp(batch, buckets);
+            classifier.classify(batch, buckets);
             for (&bucket, stored) in buckets.iter().zip(oracles) {
                 *stored = oracle(bucket);
             }

@@ -71,25 +71,27 @@ impl<T: SelectElement> Classifier<T> for DigitClassifier {
         1
     }
 
-    fn classify_warp(&self, warp: &[T], buckets: &mut [u32]) {
-        // Lane-parallel sort-key conversion (the float transform carries
-        // NaN/sign branches; the digit shift+mask that follows is
-        // trivially vector-friendly).
+    fn classify(&self, batch: &[T], buckets: &mut [u32]) {
+        // Lane-parallel sort-key conversion a warp at a time (the float
+        // transform carries NaN/sign branches; the digit shift+mask that
+        // follows is trivially vector-friendly).
         let shift = self.shift;
         let level = hpc_par::simd::simd_level();
-        if T::BYTES == 4 {
-            let mut keys = [0u32; 32];
-            let keys = &mut keys[..warp.len()];
-            fill_sort_keys32(warp, keys, level);
-            for (b, &k) in buckets.iter_mut().zip(keys.iter()) {
-                *b = (k >> shift) & 0xff;
-            }
-        } else {
-            let mut keys = [0u64; 32];
-            let keys = &mut keys[..warp.len()];
-            fill_sort_keys64(warp, keys, level);
-            for (b, &k) in buckets.iter_mut().zip(keys.iter()) {
-                *b = ((k >> shift) & 0xff) as u32;
+        for (warp, buckets) in batch.chunks(32).zip(buckets.chunks_mut(32)) {
+            if T::BYTES == 4 {
+                let mut keys = [0u32; 32];
+                let keys = &mut keys[..warp.len()];
+                fill_sort_keys32(warp, keys, level);
+                for (b, &k) in buckets.iter_mut().zip(keys.iter()) {
+                    *b = (k >> shift) & 0xff;
+                }
+            } else {
+                let mut keys = [0u64; 32];
+                let keys = &mut keys[..warp.len()];
+                fill_sort_keys64(warp, keys, level);
+                for (b, &k) in buckets.iter_mut().zip(keys.iter()) {
+                    *b = ((k >> shift) & 0xff) as u32;
+                }
             }
         }
     }

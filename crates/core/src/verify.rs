@@ -224,10 +224,10 @@ pub fn certify_ranks<T: SelectElement>(
 
 /// The ranks each of `values` holds in `data` — from the count of
 /// elements sorting below it to that plus its ties — in one counting
-/// pass: each element is binary-searched against the sorted distinct
-/// values, so the pass costs O(n log q). Commits a `certify` kernel
-/// (same grid as a count pass, no oracle writes) so the pass shows up
-/// in timings and traces.
+/// pass: each element is placed among the sorted distinct values by a
+/// branch-free binary search, so the pass costs O(n log q). Commits a
+/// `certify` kernel (same grid as a count pass, no oracle writes) so
+/// the pass shows up in timings and traces.
 pub fn rank_intervals<T: SelectElement>(
     device: &mut Device,
     data: &[T],
@@ -240,9 +240,7 @@ pub fn rank_intervals<T: SelectElement>(
     let blocks = launch.blocks as usize;
     let chunk = launch.block_chunk(n);
 
-    let mut keys = values.to_vec();
-    keys.sort_unstable_by(|a, b| a.total_cmp(*b));
-    keys.dedup_by(|a, b| !a.lt(*b) && !b.lt(*a));
+    let keys = certify_keys(values);
     let m = keys.len();
     // Slot 2i counts the elements sorting between keys[i-1] and
     // keys[i], slot 2i+1 the ties with keys[i], slot 2m those above
@@ -257,9 +255,7 @@ pub fn rank_intervals<T: SelectElement>(
                 let start = block * chunk;
                 let end = ((block + 1) * chunk).min(n);
                 for &x in &data[start..end] {
-                    let i = keys.partition_point(|&k| k.lt(x));
-                    let tied = i < m && !x.lt(keys[i]);
-                    acc[2 * i + usize::from(tied)] += 1;
+                    acc[certify_slot(&keys, x.to_lt_key())] += 1;
                 }
             }
             acc
@@ -280,11 +276,42 @@ pub fn rank_intervals<T: SelectElement>(
 
     (values.iter())
         .map(|&value| {
-            let i = keys.partition_point(|&k| k.lt(value));
+            let i = certify_slot(&keys, value.to_lt_key()) / 2;
             let below: u64 = slots[..2 * i + 1].iter().sum();
             below..below + slots[2 * i + 1]
         })
         .collect()
+}
+
+/// The `lt` keys ([`SelectElement::to_lt_key`]) of the distinct
+/// `values`, strictly increasing.
+fn certify_keys<T: SelectElement>(values: &[T]) -> Vec<u64> {
+    let mut keys: Vec<u64> = values.iter().map(|v| v.to_lt_key()).collect();
+    keys.sort_unstable();
+    keys.dedup();
+    keys
+}
+
+/// The certify slot of an element with `lt` key `x` among the strictly
+/// increasing `keys`: twice the number of keys below `x`, plus one if `x`
+/// ties a key. The binary search runs a trip count fixed by `keys.len()`
+/// and each step is a select, not a branch (plain integer arithmetic on
+/// the comparison still compiles to one), so random input costs no
+/// mispredicted branches.
+#[inline]
+fn certify_slot(keys: &[u64], x: u64) -> usize {
+    if keys.is_empty() {
+        return 0;
+    }
+    let mut base = 0;
+    let mut len = keys.len();
+    while len > 1 {
+        let half = len / 2;
+        base = std::hint::select_unpredictable(keys[base + half] < x, base + half, base);
+        len -= half;
+    }
+    let below = base + usize::from(keys[base] < x);
+    2 * below + usize::from(keys[below.min(keys.len() - 1)] == x)
 }
 
 #[cfg(test)]
@@ -474,6 +501,68 @@ mod tests {
             .0
             .is_ok());
         assert!(certify_host(&data, &[1, 2], &[150, 199]).0.is_err());
+    }
+
+    /// The slot the certify pass gave each element before it went
+    /// branch-free: a `partition_point` over the distinct values sorted
+    /// by `total_cmp`.
+    fn binary_search_slot<T: SelectElement>(values: &[T], x: T) -> usize {
+        let mut keys = values.to_vec();
+        keys.sort_unstable_by(|a, b| a.total_cmp(*b));
+        keys.dedup_by(|a, b| !a.lt(*b) && !b.lt(*a));
+        let i = keys.partition_point(|&k| k.lt(x));
+        2 * i + usize::from(i < keys.len() && !x.lt(keys[i]))
+    }
+
+    #[test]
+    fn branch_free_slots_equal_the_binary_search() {
+        fn check<T: SelectElement>(pool: &[T]) {
+            // Every window of up to 6 candidates, and every element.
+            for len in 0..=6 {
+                for start in 0..=pool.len() - len {
+                    let values = &pool[start..start + len];
+                    let keys = certify_keys(values);
+                    for &x in pool {
+                        let slot = certify_slot(&keys, x.to_lt_key());
+                        assert_eq!(slot, binary_search_slot(values, x), "{x:?} in {values:?}");
+                    }
+                }
+            }
+        }
+        let nan = f32::from_bits(0xffc0_0001);
+        check(&[
+            1.0f32,
+            f32::NAN,
+            -0.0,
+            0.0,
+            1.0,
+            1.0,
+            -1e30,
+            nan,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.5,
+            0.0,
+            f32::MAX,
+            -0.0,
+            f32::MIN,
+            2.0,
+        ]);
+        check(&[
+            0.0f64,
+            f64::NAN,
+            -0.0,
+            3.0,
+            3.0,
+            f64::NEG_INFINITY,
+            -3.0,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            -0.0,
+            f64::INFINITY,
+        ]);
+        check(&[5i32, -5, 5, i32::MIN, i32::MAX, 0, 7, -1, 0]);
+        check(&[5u64, 0, u64::MAX, 5, 1 << 40, 3, 0, u64::MAX - 1]);
     }
 
     #[test]

@@ -114,27 +114,25 @@ pub struct WarpAtomicStats {
 /// Analyse the per-lane atomic targets of one warp.
 ///
 /// `scratch` must be a zeroed slice at least `num_targets` long; it is
-/// returned zeroed (touched entries are reset), so one allocation can be
-/// reused across all warps of a block.
+/// returned zeroed (every lane's slot is reset), so one allocation can be
+/// reused across all warps of a block. Each lane bumps its slot; a lane
+/// whose bump makes the count 1 is the first at its address, so the
+/// distinct addresses are counted without a branch per lane.
 pub fn warp_atomic_stats(targets: &[u32], scratch: &mut [u32]) -> WarpAtomicStats {
     assert!(targets.len() <= WARP_SIZE);
-    let mut touched = [0u32; WARP_SIZE];
-    let mut num_touched = 0usize;
+    let mut distinct = 0u32;
     let mut max_mult = 0u32;
     for &t in targets {
         let slot = &mut scratch[t as usize];
-        if *slot == 0 {
-            touched[num_touched] = t;
-            num_touched += 1;
-        }
         *slot += 1;
+        distinct += u32::from(*slot == 1);
         max_mult = max_mult.max(*slot);
     }
-    for &t in &touched[..num_touched] {
+    for &t in targets {
         scratch[t as usize] = 0;
     }
     WarpAtomicStats {
-        distinct: num_touched as u32,
+        distinct,
         max_multiplicity: max_mult,
         lanes: targets.len() as u32,
     }
@@ -250,6 +248,30 @@ mod tests {
         assert_eq!(stats.distinct, 2);
         assert_eq!(stats.max_multiplicity, 2);
         assert_eq!(stats.lanes, 3);
+    }
+
+    proptest::proptest! {
+        /// The stats equal a naive per-address count over any partial
+        /// warp and bucket count, and the scratch comes back all zero.
+        #[test]
+        fn warp_stats_equal_a_naive_per_address_count(
+            buckets in 1usize..1025,
+            raw in proptest::collection::vec(proptest::prelude::any::<u32>(), 0..33),
+        ) {
+            let targets: Vec<u32> = raw.iter().map(|&r| r % buckets as u32).collect();
+            let mut per_address = vec![0u32; buckets];
+            for &t in &targets {
+                per_address[t as usize] += 1;
+            }
+            let mut scratch = vec![0u32; buckets];
+            let stats = warp_atomic_stats(&targets, &mut scratch);
+            let distinct = per_address.iter().filter(|&&c| c > 0).count() as u32;
+            proptest::prop_assert_eq!(stats.distinct, distinct);
+            let max = per_address.iter().copied().max().unwrap_or(0);
+            proptest::prop_assert_eq!(stats.max_multiplicity, max);
+            proptest::prop_assert_eq!(stats.lanes, targets.len() as u32);
+            proptest::prop_assert!(scratch.iter().all(|&c| c == 0), "scratch must be reset");
+        }
     }
 
     #[test]

@@ -8,7 +8,9 @@ Usage:
     python3 scripts/check_perf.py --approx-topk [CURRENT]
 
 CURRENT defaults to ./BENCH_hotpath.json (written by the `perfsmoke`
-bench binary) and BASELINE to bench/baselines/hotpath.json.
+bench binary) and BASELINE to bench/baselines/hotpath.json. Every shape
+is gated the same way, the count kernel's own leg (``count.pooled``)
+included.
 
 With ``--planner``, CURRENT defaults to ./BENCH_planner.json (written
 by the `plannersweep` bench binary) and the check gates the adaptive
@@ -68,6 +70,7 @@ SHAPES = {
     "fig8": ("fresh", "pooled"),
     "fig9": ("fresh", "pooled"),
     "streaming": ("prefetch_off", "prefetch_on"),
+    "count": ("pooled",),
 }
 
 
