@@ -26,8 +26,9 @@
 //!   the device; traffic reroutes to a clean spare (and, through the
 //!   shared queue, to the other workers) until a half-open probe
 //!   rehabilitates it.
-//! * **Cross-query batching.** Exact rank queries naming the same
-//!   [`DatasetSpec`] are merged into one `multiselect` pass — the
+//! * **Cross-query batching.** Rank-valued queries (an exact rank, a
+//!   top-k threshold, a quantile set) naming the same [`DatasetSpec`]
+//!   are merged into one `multiselect` pass over at most n ranks — the
 //!   sample/count/reduce work of each level is shared, so m queued
 //!   queries cost barely more than one (RadiK's batched-serving
 //!   observation).
@@ -57,6 +58,7 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
+use crate::multiselect::quantile_ranks;
 use crate::obs::{Counter, MetricsRegistry, MetricsSnapshot, ObsSession, SpanGuard};
 use crate::params::SampleSelectConfig;
 use crate::planner::{probe, PlannedBackend, RankPlan};
@@ -184,12 +186,6 @@ pub struct QueryResponse {
     /// Which backend label produced the answer (`None` for rejected /
     /// failed paths that never ran a driver).
     pub backend: Option<&'static str>,
-    /// What admission planned for this query: `sampleselect` for every
-    /// exact rank and top-k kind, `None` for the other kinds. The serving
-    /// backend can differ: the certify-first count may have answered,
-    /// the resilient driver may have fallen past the planned backend, or
-    /// the batcher may have merged the query into a multiselect pass.
-    pub planned: Option<&'static str>,
     /// True when the answer came out of a merged multiselect batch.
     pub batched: bool,
     /// Wall-clock milliseconds spent queued before a worker picked the
@@ -218,7 +214,6 @@ impl QueryTicket {
                 message: "server shut down before answering".to_string(),
             },
             backend: None,
-            planned: None,
             batched: false,
             wait_ms: 0.0,
             service_ms: 0.0,
@@ -245,8 +240,8 @@ pub struct ServerConfig {
     pub quota: QuotaConfig,
     /// Per-device circuit breaker.
     pub breaker: BreakerConfig,
-    /// Max exact rank queries merged into one multiselect pass
-    /// (1 disables batching).
+    /// Max rank-valued queries merged into one multiselect pass
+    /// (1 disables batching); a pass also holds at most n ranks.
     pub batch_max: usize,
     /// Base selection configuration (per-query seeds override
     /// `select.seed`).
@@ -354,7 +349,7 @@ pub struct TenantCounters {
     pub deadline_degraded: u64,
     /// Queries served on a spare device while a breaker was open.
     pub breaker_rerouted: u64,
-    /// Queries answered out of a merged multiselect batch.
+    /// Rank-valued queries answered out of a merged multiselect batch.
     pub batched: u64,
     pub exact: u64,
     pub approximate: u64,
@@ -381,11 +376,6 @@ pub struct ServerSnapshot {
     pub events: Vec<String>,
     /// Total responses produced.
     pub queries_served: u64,
-    /// The most recent planner decisions as `(query id, backend)`,
-    /// oldest first, bounded to the last 256 planned queries (the
-    /// lifetime tallies live in the `select_planner_*_total` counters
-    /// of `metrics`).
-    pub recent_plans: Vec<(u64, &'static str)>,
 }
 
 impl ServerSnapshot {
@@ -415,15 +405,7 @@ impl ServerSnapshot {
                 c.failed
             );
         }
-        out.push_str("\n  },\n  \"recent_plans\": [");
-        for (i, (id, backend)) in self.recent_plans.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(
-                out,
-                "{sep}\n    {{\"id\": {id}, \"backend\": \"{backend}\"}}"
-            );
-        }
-        out.push_str("\n  ],\n  \"events\": [");
+        out.push_str("\n  },\n  \"events\": [");
         for (i, e) in self.events.iter().enumerate() {
             out.push_str(if i == 0 { "\n    " } else { ",\n    " });
             escape(e, &mut out);
@@ -514,14 +496,7 @@ struct Shared {
     next_id: AtomicU64,
     served: AtomicU64,
     start: Instant,
-    /// Ring of the most recent planner decisions `(query id, backend)`,
-    /// bounded by [`PLAN_LOG_CAP`] so a long-lived server cannot grow it
-    /// without limit; exported in the [`ServerSnapshot`].
-    plans: Mutex<VecDeque<(u64, &'static str)>>,
 }
-
-/// Bound on the snapshot's recent-planner-decision ring.
-const PLAN_LOG_CAP: usize = 256;
 
 /// Queries after which a worker restarts its span-collecting session, so
 /// a long-lived server does not accumulate span trees without bound
@@ -551,17 +526,6 @@ impl Shared {
             state.counters.rejected += 1;
         }
         self.registry.add(Counter::Rejected, 1);
-    }
-
-    /// Tally one planner decision: fixed-slot counter in the shared
-    /// registry plus the bounded recent-decision ring.
-    fn record_plan(&self, id: u64, backend: PlannedBackend) {
-        self.registry.add(backend.counter(), 1);
-        let mut plans = self.plans.lock().unwrap();
-        if plans.len() >= PLAN_LOG_CAP {
-            plans.pop_front();
-        }
-        plans.push_back((id, backend.name()));
     }
 
     fn tenant_count<F: FnOnce(&mut TenantCounters)>(&self, tenant: &str, f: F) {
@@ -598,7 +562,6 @@ impl SelectServer {
             next_id: AtomicU64::new(0),
             served: AtomicU64::new(0),
             start: Instant::now(),
-            plans: Mutex::new(VecDeque::new()),
             cfg,
         });
         let workers = (0..shared.cfg.workers)
@@ -776,27 +739,24 @@ impl SelectServer {
             .get_or_instantiate(&req.dataset, shared.cfg.dataset_cache_bytes);
 
         // Planning on the submitter's thread (the probe is a stack-only
-        // strided scan — cheap next to the instantiation above). An exact
-        // rank, and the threshold of either top-k kind (the rank n − k),
-        // is served as SampleSelect after the probe's certify-first count.
-        let rank = match req.kind {
-            QueryKind::Exact { rank } => Some(rank as usize),
-            QueryKind::TopK { k } | QueryKind::ApproxTopK { k, .. } => {
-                Some(data.len() - k as usize)
-            }
-            _ => None,
+        // strided scan — cheap next to the instantiation above). Every
+        // rank-valued kind but a quantile set asks for one rank (n − k
+        // for either top-k kind), served as SampleSelect after the
+        // probe's certify-first count.
+        let plan = match req.kind {
+            QueryKind::Quantiles { .. } => None,
+            kind => kind_ranks(kind, data.len()).first().map(|&rank| {
+                shared.registry.add(Counter::PlannerSample, 1);
+                RankPlan {
+                    backend: PlannedBackend::Sample,
+                    candidates: probe(&data, Some(rank)).1,
+                }
+            }),
         };
-        let plan = rank.map(|rank| RankPlan {
-            backend: PlannedBackend::Sample,
-            candidates: probe(&data, Some(rank)).1,
-        });
 
         // Bounded queue.
         let (tx, rx) = channel();
         let id = shared.next_id.fetch_add(1, Ordering::Relaxed);
-        if let Some(p) = plan {
-            shared.record_plan(id, p.backend);
-        }
         {
             let mut queue = shared.queue.lock().unwrap();
             if queue.len() >= shared.cfg.queue_capacity {
@@ -845,7 +805,6 @@ impl SelectServer {
                 .collect(),
             events: shared.events.lock().unwrap().clone(),
             queries_served: shared.served.load(Ordering::Relaxed),
-            recent_plans: shared.plans.lock().unwrap().iter().copied().collect(),
         }
     }
 
@@ -937,29 +896,29 @@ fn pop_batch(shared: &Shared) -> Option<Vec<Job>> {
     let mut queue = shared.queue.lock().unwrap();
     loop {
         if let Some(job) = queue.pop_front() {
-            let mut batch = vec![job];
-            // Cross-query batching: pull every queued *exact* query on
-            // the same dataset (any tenant, any seed — exactness is
-            // seed-independent) into one multiselect pass. Only
+            // Cross-query batching: pull every queued rank-valued query
+            // on the same dataset (any kind, tenant or seed — exactness
+            // is seed-independent) into one multiselect pass. Only
             // deadline-free queries batch — on both sides: a
             // deadline-carrying head must go through `serve_job`'s
-            // expired/remaining-budget path, not the batch path.
-            // Every exact plan is SampleSelect; the certify-first
-            // candidates follow each rank and are dropped by the merge.
-            // The merged group runs one multiselect pass, which
+            // expired/remaining-budget path, not the batch path. A job
+            // whose ranks would take the pass past n ranks stays queued,
+            // so a merged pass holds no more ranks than the largest lone
+            // quantile set. The certify-first candidates of the one-rank
+            // kinds are dropped by the merge: one multiselect pass
             // amortizes the count pass across every member and beats
             // any per-query backend once two or more queries share it.
-            if shared.cfg.batch_max > 1
-                && matches!(batch[0].kind, QueryKind::Exact { .. })
-                && batch[0].deadline_ms.is_none()
-            {
-                let spec = batch[0].spec;
+            let (spec, n) = (job.spec, job.data.len() as u64);
+            let mergeable =
+                |j: &Job| j.spec == spec && j.deadline_ms.is_none() && rank_count(j.kind) > 0;
+            let mut ranks = rank_count(job.kind);
+            let mut batch = vec![job];
+            if shared.cfg.batch_max > 1 && mergeable(&batch[0]) {
                 let mut i = 0;
                 while i < queue.len() && batch.len() < shared.cfg.batch_max {
-                    let mergeable = matches!(queue[i].kind, QueryKind::Exact { .. })
-                        && queue[i].spec == spec
-                        && queue[i].deadline_ms.is_none();
-                    if mergeable {
+                    let more = rank_count(queue[i].kind);
+                    if mergeable(&queue[i]) && ranks + more <= n {
+                        ranks += more;
                         batch.push(queue.remove(i).expect("index in bounds"));
                     } else {
                         i += 1;
@@ -1046,17 +1005,15 @@ fn serve_batch(
 ) -> bool {
     let mut healthy = true;
     if batch.len() >= 2 {
-        // All jobs are Exact on the same dataset (pop_batch guarantees
-        // it). One multiselect pass answers every one of them, driven
-        // like any other query: retried on faults and corruption, and
-        // certified as a whole under a paranoid policy.
+        // Every job asks for ranks of the same dataset (pop_batch
+        // guarantees it). One multiselect pass over their concatenated
+        // ranks answers every one of them, driven like any other query:
+        // retried on faults and corruption, and certified as a whole
+        // under a paranoid policy.
         let data = Arc::clone(&batch[0].data);
         let ranks: Vec<usize> = batch
             .iter()
-            .map(|j| match j.kind {
-                QueryKind::Exact { rank } => rank as usize,
-                _ => unreachable!("pop_batch only merges exact queries"),
-            })
+            .flat_map(|j| kind_ranks(j.kind, data.len()))
             .collect();
         let select_cfg = cfg.select.clone().with_seed(batch[0].seed);
         let rcfg = ResilienceConfig {
@@ -1081,7 +1038,10 @@ fn serve_batch(
             let events = &served.report.resilience;
             let healthy = events.faults_observed == 0 && events.corruptions_detected == 0;
             shared.registry.add(Counter::Batched, batch.len() as u64);
-            for (job, value) in batch.into_iter().zip(served.answer) {
+            let mut values = &served.answer[..];
+            for job in batch {
+                let (answer, rest) = values.split_at(rank_count(job.kind) as usize);
+                values = rest;
                 shared.tenant_count(&job.tenant, |c| {
                     c.batched += 1;
                     c.exact += 1;
@@ -1089,7 +1049,7 @@ fn serve_batch(
                         c.breaker_rerouted += 1;
                     }
                 });
-                let status = QueryStatus::Exact { value };
+                let status = rank_status(job.kind, answer);
                 respond(shared, job, status, Some(served.label), true, service_ms);
             }
             return healthy;
@@ -1122,7 +1082,6 @@ fn respond(
         tenant: job.tenant,
         status,
         backend,
-        planned: job.plan.map(|p| p.backend.name()),
         batched,
         wait_ms: wait_ms.max(0.0),
         service_ms,
@@ -1196,21 +1155,11 @@ fn run_query(
     budget: Option<SimTime>,
 ) -> (QueryStatus, Option<&'static str>, bool) {
     let (data, select_cfg) = (&job.data[..], &cfg.select.clone().with_seed(job.seed));
-    // Deadline degradation is rank-only: only an exact query carries a
-    // time budget.
     let mut rcfg = ResilienceConfig {
         time_budget: None,
         ..cfg.resilience.clone()
     };
-    let n = data.len();
     let served = match job.kind {
-        QueryKind::Exact { rank } => {
-            rcfg.time_budget = budget;
-            // The admission-time candidates are counted first, then
-            // the SampleSelect chain runs.
-            let query = RankQuery::new(data, rank as usize, job.plan, ws);
-            drive(device, query, select_cfg, &rcfg).map(|s| s.map(|o| outcome_status(o, true)))
-        }
         QueryKind::Approx { rank } => {
             let query = ApproxQuery {
                 data,
@@ -1218,33 +1167,36 @@ fn run_query(
             };
             drive(device, query, select_cfg, &rcfg).map(|s| s.map(|o| outcome_status(o, false)))
         }
-        QueryKind::TopK { k } | QueryKind::ApproxTopK { k, .. } => {
-            // An approximate top-k is served exactly: its recall is 1.
-            let status = |threshold| match job.kind {
-                QueryKind::TopK { .. } => QueryStatus::TopK { threshold, k },
-                _ => QueryStatus::ApproxTopK {
-                    threshold,
-                    k,
-                    expected_recall: 1.0,
-                },
-            };
-            // The threshold is the rank n-k, served as an exact rank.
-            let query = RankQuery::new(data, n - k as usize, job.plan, ws);
-            drive(device, query, select_cfg, &rcfg).map(|s| s.map(|o| status(o.value())))
-        }
-        QueryKind::Quantiles { q } => {
-            let ranks = crate::multiselect::quantile_ranks(n, q as usize)
-                .expect("q bounds validated at admission");
-            let query = RanksQuery {
-                data,
-                ranks: &ranks,
-                ws,
-            };
-            drive(device, query, select_cfg, &rcfg)
-                .map(|s| s.map(|values| QueryStatus::Quantiles { values }))
-        }
         QueryKind::Stream { .. } | QueryKind::QuantileStream { .. } => {
             return serve_stream(shared, cfg, device, job);
+        }
+        kind => {
+            let ranks = kind_ranks(kind, data.len());
+            match job.plan {
+                // A planned kind asks for one rank: the admission-time
+                // candidates are counted first, then the SampleSelect
+                // chain runs. Deadline degradation is rank-only: only an
+                // exact query carries a time budget.
+                Some(plan) => {
+                    rcfg.time_budget = budget.filter(|_| matches!(kind, QueryKind::Exact { .. }));
+                    let query = RankQuery::new(data, ranks[0], Some(plan), ws);
+                    drive(device, query, select_cfg, &rcfg).map(|s| {
+                        s.map(|o| match o {
+                            Outcome::Exact(value) => rank_status(kind, &[value]),
+                            degraded => outcome_status(degraded, true),
+                        })
+                    })
+                }
+                None => {
+                    let query = RanksQuery {
+                        data,
+                        ranks: &ranks,
+                        ws,
+                    };
+                    drive(device, query, select_cfg, &rcfg)
+                        .map(|s| s.map(|values| rank_status(kind, &values)))
+                }
+            }
         }
     };
 
@@ -1275,6 +1227,51 @@ fn run_query(
         _ => c.exact += 1,
     });
     (s.answer, Some(s.label), healthy)
+}
+
+/// How many ranks a rank-valued kind asks for (the length of
+/// [`kind_ranks`]): one for an exact rank or a top-k threshold, q − 1
+/// for a quantile set, none for the other kinds.
+fn rank_count(kind: QueryKind) -> u64 {
+    match kind {
+        QueryKind::Exact { .. } | QueryKind::TopK { .. } | QueryKind::ApproxTopK { .. } => 1,
+        QueryKind::Quantiles { q } => q - 1,
+        _ => 0,
+    }
+}
+
+/// The ranks `kind` asks for of an `n`-element dataset, in reply order:
+/// the threshold of either top-k kind is the rank n − k.
+fn kind_ranks(kind: QueryKind, n: usize) -> Vec<usize> {
+    match kind {
+        QueryKind::Exact { rank } => vec![rank as usize],
+        QueryKind::TopK { k } | QueryKind::ApproxTopK { k, .. } => vec![n - k as usize],
+        QueryKind::Quantiles { q } => {
+            quantile_ranks(n, q as usize).expect("q bounds validated at admission")
+        }
+        _ => Vec::new(),
+    }
+}
+
+/// The exact reply of a rank-valued `kind` whose ranks ([`kind_ranks`])
+/// came back as `values`. An approximate top-k is served exactly: its
+/// recall is 1.
+fn rank_status(kind: QueryKind, values: &[f32]) -> QueryStatus {
+    match kind {
+        QueryKind::TopK { k } => QueryStatus::TopK {
+            threshold: values[0],
+            k,
+        },
+        QueryKind::ApproxTopK { k, .. } => QueryStatus::ApproxTopK {
+            threshold: values[0],
+            k,
+            expected_recall: 1.0,
+        },
+        QueryKind::Quantiles { .. } => QueryStatus::Quantiles {
+            values: values.to_vec(),
+        },
+        _ => QueryStatus::Exact { value: values[0] },
+    }
 }
 
 /// The status of a rank answer; an approximate one is tagged as

@@ -14,7 +14,7 @@ use gpu_selection::hpc_par::ThreadPool;
 use gpu_selection::sampleselect::approx::approx_select_on_device;
 use gpu_selection::sampleselect::element::reference_select;
 use gpu_selection::sampleselect::server::dataset::{self, DatasetSpec, DistCode};
-use gpu_selection::sampleselect::server::{wire, QuotaConfig};
+use gpu_selection::sampleselect::server::{wire, QueryTicket, QuotaConfig};
 use gpu_selection::sampleselect::{
     BreakerConfig, QueryKind, QueryRequest, QueryStatus, SampleSelectConfig, SelectError,
     SelectServer, ServerConfig, VerifyPolicy,
@@ -391,59 +391,98 @@ fn breaker_quarantines_flaky_device_and_answers_stay_exact() {
     );
 }
 
+/// A deadline-free query of `kind` on `spec`.
+fn ranked(tenant: &str, spec: DatasetSpec, kind: QueryKind, seed: u64) -> QueryRequest {
+    QueryRequest {
+        tenant: tenant.to_string(),
+        kind,
+        dataset: spec,
+        deadline_ms: None,
+        seed,
+    }
+}
+
+/// Submit a large exact query that keeps a one-worker server busy while
+/// the queries submitted after it pile up in the queue.
+fn block_the_worker(server: &SelectServer) -> QueryTicket {
+    let big = DatasetSpec::uniform(400_000, 5);
+    server.submit(exact("blocker", big, 200_000, 1)).unwrap()
+}
+
 #[test]
 fn same_dataset_exact_queries_batch_into_one_multiselect() {
+    // Every rank-valued kind merges: exact ranks, both top-k kinds (the
+    // rank n − k) and a quantile set, each answered in its own variant.
     let server = SelectServer::start(ServerConfig::default().with_workers(1).with_batch_max(8));
-    // Head-of-line blocker: a large exact query keeps the single worker
-    // busy while the small same-spec queries pile up behind it.
-    let big = DatasetSpec::uniform(400_000, 5);
-    let big_data = dataset::instantiate(&big);
-    let head = server.submit(exact("blocker", big, 200_000, 1)).unwrap();
-
+    let head = block_the_worker(&server);
     let spec = DatasetSpec::uniform(8_192, 6);
-    let data = dataset::instantiate(&spec);
-    let ranks = [10u64, 4_000, 7_000, 8_000];
-    let tickets: Vec<_> = ranks
+    let kinds = [
+        QueryKind::Exact { rank: 10 },
+        QueryKind::TopK { k: 100 },
+        QueryKind::Exact { rank: 4_000 },
+        QueryKind::Quantiles { q: 5 },
+        QueryKind::ApproxTopK {
+            k: 3_000,
+            recall_bits: 0.9f32.to_bits(),
+        },
+        QueryKind::Exact { rank: 7_000 },
+        QueryKind::Exact { rank: 8_000 },
+    ];
+    let tickets: Vec<_> = kinds
         .iter()
-        .map(|&r| server.submit(exact("batcher", spec, r, 2)).unwrap())
+        .map(|&kind| server.submit(ranked("batcher", spec, kind, 2)).unwrap())
         .collect();
+    assert!(head.wait().status.is_exact());
 
-    match head.wait().status {
-        QueryStatus::Exact { value } => {
-            assert_eq!(
-                value.to_bits(),
-                reference_select(&big_data, 200_000).unwrap().to_bits()
-            );
-        }
-        other => panic!("head query failed: {other:?}"),
-    }
-    let mut batched_count = 0;
-    for (ticket, &rank) in tickets.into_iter().zip(&ranks) {
+    // Each member equals its lone answer bit for bit, status variant
+    // included.
+    let lone = SelectServer::start(ServerConfig::default().with_workers(1).with_batch_max(1));
+    for (ticket, kind) in tickets.into_iter().zip(kinds) {
         let resp = ticket.wait();
-        if resp.batched {
-            batched_count += 1;
-        }
+        assert!(resp.batched, "{kind:?} was served alone");
+        let alone = lone.query(ranked("lone", spec, kind, 3)).unwrap();
+        assert!(!alone.batched);
+        assert_eq!(
+            format!("{:?}", resp.status),
+            format!("{:?}", alone.status),
+            "{kind:?}"
+        );
+    }
+    lone.drain();
+    let snap = server.drain();
+    let counted = snap.metrics.counter("select_batched_total");
+    assert_eq!(counted, kinds.len() as u64);
+}
+
+#[test]
+fn a_merged_pass_holds_at_most_n_ranks() {
+    // Two quantile sets of q = n ranks (n − 1 ranks each) would make a
+    // pass of 2n − 2 ranks: each is served alone. Two of q = 4 merge.
+    let server = SelectServer::start(ServerConfig::default().with_workers(1).with_batch_max(8));
+    let head = block_the_worker(&server);
+    let spec = DatasetSpec::uniform(4_096, 7);
+    let sorted = sorted_f32(&spec);
+    let qs = [spec.n, spec.n, 4, 4];
+    let tickets: Vec<_> = qs
+        .iter()
+        .map(|&q| {
+            let kind = QueryKind::Quantiles { q };
+            server.submit(ranked("bounded", spec, kind, 4)).unwrap()
+        })
+        .collect();
+    assert!(head.wait().status.is_exact());
+    for (ticket, q) in tickets.into_iter().zip(qs) {
+        let resp = ticket.wait();
+        assert_eq!(resp.batched, q == 4, "q = {q}");
+        let n = spec.n;
+        let want: Vec<f32> = (1..q).map(|i| sorted[(i * n / q) as usize]).collect();
         match resp.status {
-            QueryStatus::Exact { value } => assert_eq!(
-                value.to_bits(),
-                reference_select(&data, rank as usize).unwrap().to_bits()
-            ),
-            other => panic!("batched query failed: {other:?}"),
+            QueryStatus::Quantiles { values } => assert_eq!(bits_of(&values), bits_of(&want)),
+            other => panic!("q = {q}: {other:?}"),
         }
     }
-    assert!(
-        batched_count >= 2,
-        "at least one merged multiselect pass expected, got {batched_count} batched answers"
-    );
     let snap = server.drain();
-    let counted = snap
-        .metrics
-        .counters
-        .iter()
-        .find(|(n, _)| *n == "select_batched_total")
-        .unwrap()
-        .1;
-    assert_eq!(counted, batched_count as u64);
+    assert_eq!(snap.metrics.counter("select_batched_total"), 2);
 }
 
 #[test]
@@ -575,8 +614,8 @@ fn approx_topk_queries_are_admitted_and_honest() {
     server.drain();
 }
 
-/// One reply's threshold bits, backend label and planned label.
-type Served = (u32, Option<&'static str>, Option<&'static str>);
+/// One reply's threshold bits and backend label.
+type Served = (u32, Option<&'static str>);
 
 /// Serve `TopK { k }`, `ApproxTopK { k, .. }` and `Exact { rank: n - k }`
 /// on `spec` with the same seed; `certified` is how many certificates
@@ -619,7 +658,7 @@ fn serve_threshold_three_ways(
             QueryStatus::Exact { value } => value,
             other => panic!("{kind:?} answered with {other:?}"),
         };
-        let served = (value.to_bits(), resp.backend, resp.planned);
+        let served = (value.to_bits(), resp.backend);
         (served, certified() - before)
     })
 }
@@ -667,7 +706,7 @@ fn every_threshold_kind_is_served_as_the_exact_rank_n_minus_k() {
                 let want = sorted[(n - k) as usize].to_bits();
                 for (served, certified) in three {
                     let what = format!("{:?} k {k} paranoid {paranoid_policy}", spec.dist);
-                    assert_eq!(served, (want, Some(label), Some("sampleselect")), "{what}");
+                    assert_eq!(served, (want, Some(label)), "{what}");
                     // Under Paranoid every reply is certified once: by
                     // its certify-first count or by the rank certificate.
                     let once = u64::from(paranoid_policy || label == "certify-first");
@@ -1070,9 +1109,21 @@ fn serial_answer(req: &QueryRequest) -> QueryStatus {
     device.enable_buffer_pool();
     let data = dataset::instantiate(&req.dataset);
     let cfg = SampleSelectConfig::default().with_seed(req.seed);
+    let at = |rank: u64| reference_select(&data, rank as usize).unwrap();
+    let n = req.dataset.n;
     match req.kind {
-        QueryKind::Exact { rank } => QueryStatus::Exact {
-            value: reference_select(&data, rank as usize).unwrap(),
+        QueryKind::Exact { rank } => QueryStatus::Exact { value: at(rank) },
+        QueryKind::TopK { k } => QueryStatus::TopK {
+            threshold: at(n - k),
+            k,
+        },
+        QueryKind::ApproxTopK { k, .. } => QueryStatus::ApproxTopK {
+            threshold: at(n - k),
+            k,
+            expected_recall: 1.0,
+        },
+        QueryKind::Quantiles { q } => QueryStatus::Quantiles {
+            values: (1..q).map(|i| at(i * n / q)).collect(),
         },
         QueryKind::Approx { rank } => {
             let a = approx_select_on_device(&mut device, &data, rank as usize, &cfg).unwrap();
@@ -1083,15 +1134,16 @@ fn serial_answer(req: &QueryRequest) -> QueryStatus {
                 deadline_degraded: false,
             }
         }
-        _ => unreachable!("proptest only generates exact/approx"),
+        _ => unreachable!("proptest generates no streaming kind"),
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 8 })]
 
-    /// Mixed exact/approx queries from several tenants, executed
-    /// concurrently on a multi-worker server (with batching enabled),
+    /// Mixed exact, approximate, top-k, approximate top-k and quantile
+    /// queries from several tenants, executed concurrently on a
+    /// multi-worker server (with batching enabled),
     /// must produce bit-identical results to serial one-at-a-time
     /// execution. This is the determinism contract that makes the
     /// service debuggable: concurrency, admission order, batching, and
@@ -1106,7 +1158,7 @@ proptest! {
         let queries: Vec<(u8, u64, u64, u64)> = raw
             .iter()
             .map(|&r| {
-                ((r % 2) as u8, 1 + (r >> 1) % 3, (r >> 3) % n, 1 + (r >> 17) % 1_000_000)
+                ((r % 5) as u8, 1 + (r >> 3) % 3, (r >> 5) % n, 1 + (r >> 19) % 1_000_000)
             })
             .collect();
         let server = SelectServer::start(
@@ -1120,10 +1172,12 @@ proptest! {
             .iter()
             .map(|&(kind, dseed, rank, qseed)| QueryRequest {
                 tenant: format!("t{}", dseed % 2),
-                kind: if kind == 0 {
-                    QueryKind::Exact { rank }
-                } else {
-                    QueryKind::Approx { rank }
+                kind: match kind {
+                    0 => QueryKind::Exact { rank },
+                    1 => QueryKind::Approx { rank },
+                    2 => QueryKind::TopK { k: rank + 1 },
+                    3 => QueryKind::ApproxTopK { k: rank + 1, recall_bits: 0.9f32.to_bits() },
+                    _ => QueryKind::Quantiles { q: 2 + rank % 7 },
                 },
                 dataset: DatasetSpec { dist: DistCode::Uniform, n, seed: dseed },
                 deadline_ms: None,
@@ -1152,8 +1206,8 @@ proptest! {
 fn an_exact_plan_does_not_depend_on_earlier_queries() {
     // The cost model prefers RadixSelect for this rank of normal data,
     // and a duplicate-heavy exact query leaves high collision and low
-    // occupancy figures in the registry's gauges. The served plan, label
-    // and answer must be the same on a fresh server and after it.
+    // occupancy figures in the registry's gauges. The served label and
+    // answer must be the same on a fresh server and after it.
     let normal = DatasetSpec {
         dist: DistCode::Normal,
         n: 1 << 20,
@@ -1175,10 +1229,9 @@ fn an_exact_plan_does_not_depend_on_earlier_queries() {
         let resp = server
             .query(exact("probe", normal, 1 << 19, 2))
             .expect("admitted");
-        let plan = server.drain().recent_plans.last().map(|&(_, b)| b);
-        (resp.status, resp.backend, resp.planned, plan)
+        server.drain();
+        (resp.status, resp.backend)
     };
     let fresh = serve(false);
     assert_eq!(fresh, serve(true));
-    assert_eq!(fresh.2, Some("sampleselect"));
 }

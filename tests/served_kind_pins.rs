@@ -3,8 +3,8 @@
 //! One fault-free, single-worker server (batching off, planner on)
 //! answers a fixed sequence of queries that covers every
 //! [`QueryKind`]. For each answer the test pins, as literals: the bit
-//! pattern of every returned value, the status variant, the backend
-//! label and the planner's pick. After each answer it pins the shared
+//! pattern of every returned value, the status variant and the backend
+//! label. After each answer it pins the shared
 //! registry's cumulative kernel launches, bytes moved, recursion
 //! levels, and the sum and count of `select_kernel_duration_ns` — the
 //! quantities the benchmark's simulated time per query and throughput
@@ -26,7 +26,6 @@ use gpu_selection::sampleselect::{
 struct Pin {
     answer: &'static str,
     backend: &'static str,
-    planned: &'static str,
     /// Cumulative `(kernel launches, bytes moved, recursion levels,
     /// kernel duration ns sum, kernel duration count)`.
     registry: (u64, u64, u64, u64, u64),
@@ -117,85 +116,71 @@ const PINS: &[Pin] = &[
     Pin {
         answer: "Exact 3eec1f74",
         backend: "sampleselect",
-        planned: "sampleselect",
         registry: (6, 599688, 2, 8263, 6),
     },
     Pin {
         answer: "Exact 00000000",
         backend: "sampleselect",
-        planned: "sampleselect",
         registry: (10, 1130116, 4, 15067, 10),
     },
     Pin {
         answer: "Exact 476a6000",
         backend: "sampleselect",
-        planned: "sampleselect",
         registry: (12, 1198356, 6, 15747, 12),
     },
     Pin {
         answer: "Approximate 3e9e8a18 rank 20252 err 252 deadline false",
         backend: "approx",
-        planned: "-",
         registry: (12, 1198356, 7, 15747, 12),
     },
     Pin {
         answer: "TopK 3f7f9f88 k 100",
         backend: "sampleselect",
-        planned: "sampleselect",
         registry: (12, 1198356, 9, 15747, 12),
     },
     Pin {
         answer: "TopK 3e7388a2 k 50000",
         backend: "sampleselect",
-        planned: "sampleselect",
         registry: (12, 1198356, 11, 15747, 12),
     },
     Pin {
         answer: "Quantiles 3dfe3166 3e808aa0 3ec1709e 3f00ac31 3f203b88 3f3ff42c 3f60193d",
         backend: "multiselect",
-        planned: "-",
         registry: (17, 1818872, 13, 23032, 17),
     },
     Pin {
         answer: "Quantiles 40400000 40c00000 41100000 41400000",
         backend: "multiselect",
-        planned: "-",
         registry: (20, 2348276, 14, 28512, 20),
     },
     Pin {
         answer: "Exact 3f1cbba6",
         backend: "streaming",
-        planned: "-",
         registry: (36, 2861420, 15, 45746, 36),
     },
     Pin {
         answer: "ApproxTopK 3f7f9f88 k 100 recall 3f800000",
         backend: "sampleselect",
-        planned: "sampleselect",
         registry: (42, 3460016, 17, 53151, 42),
     },
     Pin {
         answer: "ApproxTopK 3f0b3228 k 30000 recall 3f800000",
         backend: "sampleselect",
-        planned: "sampleselect",
         registry: (42, 3460016, 19, 53151, 42),
     },
     Pin {
         answer: "ApproxTopK 3f7f0246 k 1000 recall 3f800000",
         backend: "sampleselect",
-        planned: "sampleselect",
         registry: (42, 3460016, 21, 53151, 42),
     },
     Pin {
         answer: "QuantileStream 7 3f0072e0 3f6529c8 3f7d270f 3f7fca78",
         backend: "quantile-stream",
-        planned: "-",
         registry: (77, 4558344, 35, 97508, 77),
     },
     Pin {
         answer: "Exact 3ac4f68e",
         backend: "sampleselect",
-        planned: "sampleselect",
         registry: (83, 5158404, 37, 105796, 83),
     },
 ];
@@ -297,7 +282,6 @@ fn every_served_kind_keeps_its_answer_label_and_simulated_charges() {
         observed.push((
             render(&resp.status),
             resp.backend.unwrap_or("-"),
-            resp.planned.unwrap_or("-"),
             registry_totals(&server.snapshot().metrics),
         ));
     }
@@ -305,15 +289,16 @@ fn every_served_kind_keeps_its_answer_label_and_simulated_charges() {
     let _ = std::fs::remove_dir_all(&spool);
 
     let matches = observed.len() == PINS.len()
-        && observed.iter().zip(PINS).all(|(o, p)| {
-            o.0 == p.answer && o.1 == p.backend && o.2 == p.planned && o.3 == p.registry
-        });
+        && observed
+            .iter()
+            .zip(PINS)
+            .all(|(o, p)| o.0 == p.answer && o.1 == p.backend && o.2 == p.registry);
     if !matches {
         let mut table = String::new();
-        for (answer, backend, planned, r) in &observed {
+        for (answer, backend, r) in &observed {
             table.push_str(&format!(
                 "    Pin {{\n        answer: \"{answer}\",\n        backend: \"{backend}\",\n        \
-                 planned: \"{planned}\",\n        registry: ({}, {}, {}, {}, {}),\n    }},\n",
+                 registry: ({}, {}, {}, {}, {}),\n    }},\n",
                 r.0, r.1, r.2, r.3, r.4
             ));
         }
