@@ -1038,10 +1038,12 @@ fn serve_batch(
             let events = &served.report.resilience;
             let healthy = events.faults_observed == 0 && events.corruptions_detected == 0;
             shared.registry.add(Counter::Batched, batch.len() as u64);
-            let mut values = &served.answer[..];
+            let mut values = served.answer.into_iter();
             for job in batch {
-                let (answer, rest) = values.split_at(rank_count(job.kind) as usize);
-                values = rest;
+                let answer = values
+                    .by_ref()
+                    .take(rank_count(job.kind) as usize)
+                    .collect();
                 shared.tenant_count(&job.tenant, |c| {
                     c.batched += 1;
                     c.exact += 1;
@@ -1182,7 +1184,7 @@ fn run_query(
                     let query = RankQuery::new(data, ranks[0], Some(plan), ws);
                     drive(device, query, select_cfg, &rcfg).map(|s| {
                         s.map(|o| match o {
-                            Outcome::Exact(value) => rank_status(kind, &[value]),
+                            Outcome::Exact(value) => rank_status(kind, vec![value]),
                             degraded => outcome_status(degraded, true),
                         })
                     })
@@ -1194,7 +1196,7 @@ fn run_query(
                         ws,
                     };
                     drive(device, query, select_cfg, &rcfg)
-                        .map(|s| s.map(|values| rank_status(kind, &values)))
+                        .map(|s| s.map(|values| rank_status(kind, values)))
                 }
             }
         }
@@ -1256,7 +1258,7 @@ fn kind_ranks(kind: QueryKind, n: usize) -> Vec<usize> {
 /// The exact reply of a rank-valued `kind` whose ranks ([`kind_ranks`])
 /// came back as `values`. An approximate top-k is served exactly: its
 /// recall is 1.
-fn rank_status(kind: QueryKind, values: &[f32]) -> QueryStatus {
+fn rank_status(kind: QueryKind, values: Vec<f32>) -> QueryStatus {
     match kind {
         QueryKind::TopK { k } => QueryStatus::TopK {
             threshold: values[0],
@@ -1267,9 +1269,7 @@ fn rank_status(kind: QueryKind, values: &[f32]) -> QueryStatus {
             k,
             expected_recall: 1.0,
         },
-        QueryKind::Quantiles { .. } => QueryStatus::Quantiles {
-            values: values.to_vec(),
-        },
+        QueryKind::Quantiles { .. } => QueryStatus::Quantiles { values },
         _ => QueryStatus::Exact { value: values[0] },
     }
 }
