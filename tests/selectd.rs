@@ -402,11 +402,18 @@ fn ranked(tenant: &str, spec: DatasetSpec, kind: QueryKind, seed: u64) -> QueryR
     }
 }
 
-/// Submit a large exact query that keeps a one-worker server busy while
-/// the queries submitted after it pile up in the queue.
-fn block_the_worker(server: &SelectServer) -> QueryTicket {
-    let big = DatasetSpec::uniform(400_000, 5);
-    server.submit(exact("blocker", big, 200_000, 1)).unwrap()
+/// A large exact query that keeps a one-worker server busy while the
+/// queries submitted after it pile up in the queue.
+fn blocker() -> QueryRequest {
+    exact("blocker", DatasetSpec::uniform(400_000, 5), 200_000, 1)
+}
+
+/// Wait for `ticket` and check its reply against the serial reference.
+fn expect_serial(ticket: QueryTicket, req: &QueryRequest) -> bool {
+    let resp = ticket.wait();
+    let want = serial_answer(req);
+    assert_eq!(format!("{:?}", resp.status), format!("{want:?}"), "{req:?}");
+    resp.batched
 }
 
 #[test]
@@ -414,7 +421,7 @@ fn same_dataset_exact_queries_batch_into_one_multiselect() {
     // Every rank-valued kind merges: exact ranks, both top-k kinds (the
     // rank n − k) and a quantile set, each answered in its own variant.
     let server = SelectServer::start(ServerConfig::default().with_workers(1).with_batch_max(8));
-    let head = block_the_worker(&server);
+    let head = server.submit(blocker()).unwrap();
     let spec = DatasetSpec::uniform(8_192, 6);
     let kinds = [
         QueryKind::Exact { rank: 10 },
@@ -432,21 +439,16 @@ fn same_dataset_exact_queries_batch_into_one_multiselect() {
         .iter()
         .map(|&kind| server.submit(ranked("batcher", spec, kind, 2)).unwrap())
         .collect();
-    assert!(head.wait().status.is_exact());
+    assert!(!expect_serial(head, &blocker()));
 
-    // Each member equals its lone answer bit for bit, status variant
-    // included.
+    // Each member equals the reference and its lone answer bit for bit,
+    // status variant included.
     let lone = SelectServer::start(ServerConfig::default().with_workers(1).with_batch_max(1));
     for (ticket, kind) in tickets.into_iter().zip(kinds) {
-        let resp = ticket.wait();
-        assert!(resp.batched, "{kind:?} was served alone");
-        let alone = lone.query(ranked("lone", spec, kind, 3)).unwrap();
-        assert!(!alone.batched);
-        assert_eq!(
-            format!("{:?}", resp.status),
-            format!("{:?}", alone.status),
-            "{kind:?}"
-        );
+        let req = ranked("batcher", spec, kind, 2);
+        assert!(expect_serial(ticket, &req), "{kind:?} was served alone");
+        let alone = lone.submit(ranked("lone", spec, kind, 3)).unwrap();
+        assert!(!expect_serial(alone, &req));
     }
     lone.drain();
     let snap = server.drain();
@@ -459,27 +461,20 @@ fn a_merged_pass_holds_at_most_n_ranks() {
     // Two quantile sets of q = n ranks (n − 1 ranks each) would make a
     // pass of 2n − 2 ranks: each is served alone. Two of q = 4 merge.
     let server = SelectServer::start(ServerConfig::default().with_workers(1).with_batch_max(8));
-    let head = block_the_worker(&server);
+    let head = server.submit(blocker()).unwrap();
     let spec = DatasetSpec::uniform(4_096, 7);
-    let sorted = sorted_f32(&spec);
-    let qs = [spec.n, spec.n, 4, 4];
-    let tickets: Vec<_> = qs
+    let reqs = [spec.n, spec.n, 4, 4].map(|q| {
+        let kind = QueryKind::Quantiles { q };
+        ranked("bounded", spec, kind, 4)
+    });
+    let tickets: Vec<_> = reqs
         .iter()
-        .map(|&q| {
-            let kind = QueryKind::Quantiles { q };
-            server.submit(ranked("bounded", spec, kind, 4)).unwrap()
-        })
+        .map(|req| server.submit(req.clone()).unwrap())
         .collect();
-    assert!(head.wait().status.is_exact());
-    for (ticket, q) in tickets.into_iter().zip(qs) {
-        let resp = ticket.wait();
-        assert_eq!(resp.batched, q == 4, "q = {q}");
-        let n = spec.n;
-        let want: Vec<f32> = (1..q).map(|i| sorted[(i * n / q) as usize]).collect();
-        match resp.status {
-            QueryStatus::Quantiles { values } => assert_eq!(bits_of(&values), bits_of(&want)),
-            other => panic!("q = {q}: {other:?}"),
-        }
+    assert!(!expect_serial(head, &blocker()));
+    for (ticket, req) in tickets.into_iter().zip(&reqs) {
+        let merged = req.kind == QueryKind::Quantiles { q: 4 };
+        assert_eq!(expect_serial(ticket, req), merged, "{:?}", req.kind);
     }
     let snap = server.drain();
     assert_eq!(snap.metrics.counter("select_batched_total"), 2);
