@@ -241,7 +241,8 @@ pub struct ServerConfig {
     /// Per-device circuit breaker.
     pub breaker: BreakerConfig,
     /// Max rank-valued queries merged into one multiselect pass
-    /// (1 disables batching); a pass also holds at most n ranks.
+    /// (1 disables batching); a pass holds at most n ranks and, while
+    /// more than `batch_max` queue slots are free, no deadline query.
     pub batch_max: usize,
     /// Base selection configuration (per-query seeds override
     /// `select.seed`).
@@ -896,26 +897,29 @@ fn pop_batch(shared: &Shared) -> Option<Vec<Job>> {
     let mut queue = shared.queue.lock().unwrap();
     loop {
         if let Some(job) = queue.pop_front() {
-            // Cross-query batching: pull every queued rank-valued query
-            // on the same dataset (any kind, tenant or seed — exactness
-            // is seed-independent) into one multiselect pass. Only
-            // deadline-free queries batch — on both sides: a
-            // deadline-carrying head must go through `serve_job`'s
-            // expired/remaining-budget path, not the batch path. A job
-            // whose ranks would take the pass past n ranks stays queued,
-            // so a merged pass holds no more ranks than the largest lone
-            // quantile set. The certify-first candidates of the one-rank
-            // kinds are dropped by the merge: one multiselect pass
-            // amortizes the count pass across every member and beats
-            // any per-query backend once two or more queries share it.
+            // Cross-query batching: pull queued rank-valued queries on
+            // the same dataset (any kind, tenant or seed — exactness is
+            // seed-independent) into one multiselect pass, which drops
+            // the one-rank kinds' certify-first candidates: it amortizes
+            // the count pass over every member. Only deadline-free
+            // queries merge; a deadline-carrying head takes `serve_job`'s
+            // budget path. The pass stops before n ranks, and at the
+            // first queued deadline query unless at most `batch_max`
+            // slots are free: passing every deadline kept an open-loop
+            // server near capacity where queued deadlines barely held,
+            // and how many held changed widely from run to run.
             let (spec, n) = (job.spec, job.data.len() as u64);
             let mergeable =
                 |j: &Job| j.spec == spec && j.deadline_ms.is_none() && rank_count(j.kind) > 0;
+            let near_full = queue.len() + shared.cfg.batch_max >= shared.cfg.queue_capacity;
             let mut ranks = rank_count(job.kind);
             let mut batch = vec![job];
             if shared.cfg.batch_max > 1 && mergeable(&batch[0]) {
                 let mut i = 0;
                 while i < queue.len() && batch.len() < shared.cfg.batch_max {
+                    if queue[i].deadline_ms.is_some() && !near_full {
+                        break;
+                    }
                     let more = rank_count(queue[i].kind);
                     if mergeable(&queue[i]) && ranks + more <= n {
                         ranks += more;
@@ -1007,9 +1011,8 @@ fn serve_batch(
     if batch.len() >= 2 {
         // Every job asks for ranks of the same dataset (pop_batch
         // guarantees it). One multiselect pass over their concatenated
-        // ranks answers every one of them, driven like any other query:
-        // retried on faults and corruption, and certified as a whole
-        // under a paranoid policy.
+        // ranks answers them all, retried on faults and corruption and
+        // certified as a whole under a paranoid policy.
         let data = Arc::clone(&batch[0].data);
         let ranks: Vec<usize> = batch
             .iter()
@@ -1056,9 +1059,8 @@ fn serve_batch(
             }
             return healthy;
         }
-        // The merged pass failed permanently or a panic was isolated:
-        // serve each query individually. The batch itself was
-        // unhealthy.
+        // The merged pass failed permanently or a panic was isolated
+        // (an unhealthy batch): serve each query individually.
         healthy = false;
     }
     for job in batch {

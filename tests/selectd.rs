@@ -481,6 +481,45 @@ fn a_merged_pass_holds_at_most_n_ranks() {
 }
 
 #[test]
+fn a_merged_pass_overtakes_a_deadline_query_only_near_a_full_queue() {
+    // Queued behind the blocker: exact, exact with a (generous)
+    // deadline, exact. With 61 of 64 slots free the head's pass stops
+    // at the deadline query and every query is served alone; with 2 of
+    // 4 free it reaches past it and the two deadline-free ranks merge.
+    let spec = DatasetSpec::uniform(8_192, 8);
+    let reqs = [(10, None), (4_000, Some(600_000)), (8_000, None)].map(|(rank, deadline_ms)| {
+        QueryRequest {
+            deadline_ms,
+            ..ranked("mixed", spec, QueryKind::Exact { rank }, 5)
+        }
+    });
+    for (capacity, merged) in [(64, 0), (4, 2)] {
+        let server = SelectServer::start(
+            ServerConfig::default()
+                .with_workers(1)
+                .with_batch_max(8)
+                .with_queue_capacity(capacity),
+        );
+        let head = server.submit(blocker()).unwrap();
+        let tickets: Vec<_> = reqs
+            .iter()
+            .map(|req| server.submit(req.clone()).unwrap())
+            .collect();
+        assert!(!expect_serial(head, &blocker()));
+        for (ticket, req) in tickets.into_iter().zip(&reqs) {
+            let batched = merged > 0 && req.deadline_ms.is_none();
+            assert_eq!(
+                expect_serial(ticket, req),
+                batched,
+                "capacity {capacity}: {req:?}"
+            );
+        }
+        let snap = server.drain();
+        assert_eq!(snap.metrics.counter("select_batched_total"), merged);
+    }
+}
+
+#[test]
 fn hard_drain_checkpoints_streaming_query_and_resume_completes_it() {
     let spool = unique_spool("harddrain");
     let spec = DatasetSpec::uniform(300_000, 13);
